@@ -18,10 +18,12 @@ import time
 
 from .lattice import TorusLattice
 from .cutoffs import build_cutoffs, coulomb_constant_c, coulomb_constant_closed
-from .decomposition import decompose, write_stack, LEAKAGE_TOL
+from .decomposition import decompose, write_stack, LEAKAGE_TOL, TELESCOPING_TOL
 from .coefficients import compute_coefficients, coefficients_csv, limit_constants, ALPHA_SQ_KT
 from .flow import FlowConfig, trajectory, deviation_profile, trajectory_csv
-from .manifold import ManifoldProblem, solve_fixed_point, solve_shooting, empirical_contraction, separatrix_csv
+from .manifold import (
+    ManifoldProblem, solve_fixed_point, solve_shooting, empirical_contraction, separatrix_csv, seq_norm,
+)
 from .polymers import (
     paving, count_S, count_polyominoes, connected_polymers_up_to, reblock_inequality,
 )
@@ -69,7 +71,7 @@ def cmd_decompose(args, cfg) -> int:
     write_stack(stack, path)
     print(f"decompose L={L} R={R} m={m}: telescoping {err:.3e}, max leakage {leak:.3e}")
     print(f"  wrote {path}")
-    ok = err <= 1e-8 and leak <= LEAKAGE_TOL
+    ok = err <= TELESCOPING_TOL and leak <= LEAKAGE_TOL
     if not ok:
         print("FAIL: decomposition invariants violated", file=sys.stderr)
     return 0 if ok else CHECK_ERROR
@@ -123,6 +125,10 @@ def cmd_separatrix(args, cfg) -> int:
     L = _get(args, cfg, "L", int, 9)
     prob = ManifoldProblem(y1=y1, J=J)
     fp = solve_fixed_point(prob)
+    if not fp.in_ball:
+        print(f"FAIL: fixed point at y1={y1} outside the weighted ball "
+              f"(sequence norm {seq_norm(fp.seq, prob):.4g} > 1)", file=sys.stderr)
+        return CHECK_ERROR
     sh = solve_shooting(y1)
     lip = empirical_contraction(ManifoldProblem(y1=y1, J=min(J, 4000)), 50, seed=args.seed)
     # original variables at base L: x = b s, y = sqrt(ab) z
@@ -195,7 +201,7 @@ def cmd_verify_all(args, cfg) -> int:
 
     lat = TorusLattice(L=3, R=3, m=0.1)
     stack = decompose(lat)
-    checks["telescoping"] = {"value": stack.telescoping_error(), "tol": 1e-8}
+    checks["telescoping"] = {"value": stack.telescoping_error(), "tol": TELESCOPING_TOL}
     checks["leakage"] = {"value": max(stack.leakage(j) for j in range(3)), "tol": args.leakage_tol}
     checks["psd"] = {"value": -min(stack.psd_margins()), "tol": 1e-10}
 
@@ -240,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file; sections named after commands")
     common.add_argument("--out-dir", default="out", help="artifact directory")
-    common.add_argument("--workers", type=int, default=1, help="parallel width cap (advisory)")
     common.add_argument("--seed", type=int, default=7, help="seed for sampled checks")
     common.add_argument("--leakage-tol", type=float, default=LEAKAGE_TOL)
     p = argparse.ArgumentParser(prog="ktrg", description="KT-line RG toolkit", parents=[common])
@@ -258,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp[name].add_argument("--horizon", type=int)
     sp["flow"].add_argument("--x1", type=float)
     sp["separatrix"].add_argument("--L", type=int)
-    sp["separatrix"].add_argument("--R", type=int)  # accepted for config symmetry
     sp["oracle"].add_argument("--side", type=int)
     sp["oracle"].add_argument("--beta", type=float)
     sp["oracle"].add_argument("--z", type=float)

@@ -4,10 +4,13 @@ the irrelevant y-kernels.
 All quantities are sums over y in Z^2 of products of per-scale covariance
 kernels and their lattice differences.  Every summand is compactly
 supported (the kernels have exact finite range), so the sums are finite.
-Each single-scale term is evaluated on its own decimated grid: scale-n
-factors vary on length gamma^(nM), sampled with 3^5 points per length and
-alias-certified by the window synthesis; grids are step 1 (exact sums)
-whenever the support is small enough.
+Each single-scale term is evaluated on the stack's spectral grid of its
+scale (CovarianceStack.grid): scale-n factors vary on length gamma^(nM),
+sampled with 3^5 points per length and alias-certified by the grid's ring
+probe; grids are step 1 (exact sums) whenever the support is small enough.
+Sums quadratic in the kernels (b_j, e3_j) and second differences at the
+origin (e2_j, e4_j) are Parseval sums on the scale-j grid, whose period
+exceeds twice the support.
 
 Direction sums follow the convention that a sum over the four signed unit
 vectors carries a factor 1/2.  Euclidean |y|^2 is used in the second-moment
@@ -25,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import CovarianceStack, natural_step
-from .lattice import laplacian_symbol
-from scipy import fft as sfft
+from .decomposition import CovarianceStack
+from .lattice import DIRS
 
 __all__ = [
     "WKernels",
@@ -43,230 +45,7 @@ __all__ = [
     "coefficients_csv",
 ]
 
-_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 ALPHA_SQ_KT = 8.0 * math.pi
-
-
-def _odd_fast_len(n: int) -> int:
-    """Smallest FFT-friendly odd length >= n (keeps the momentum grid +/- symmetric)."""
-    s = sfft.next_fast_len(n)
-    while s % 2 == 0:
-        s = sfft.next_fast_len(s + 1)
-    return s
-
-
-# ---------------------------------------------------------------------------
-# per-scale evaluation grids
-
-
-class _GridCtx:
-    """All kernels of one stack sampled on the decimated grid of scale n.
-
-    The grid resolves scale n at its natural step and spans its support.
-    Values of *other* scales at the grid points come either from the local
-    FFT (only when the grid both contains their support and samples at
-    least as finely as their own certified step) or through a zoom
-    evaluation on the foreign scale's own grid; the local IFFT would
-    otherwise position-alias a wide kernel or momentum-alias a fine one.
-    """
-
-    def __init__(self, calc: "_Calc", n: int):
-        stack = calc.stack
-        cut = stack.cutoffs
-        lat = stack.lattice
-        self.calc = calc
-        self.stack = stack
-        self.n = n
-        self.step = natural_step(cut, n * lat.M)
-        supp = stack.support_radius(n)
-        self.z_radius = -(-(supp + 2) // self.step)
-        self.S = _odd_fast_len(2 * self.z_radius + 3)
-        self.q = 2.0 * np.pi * np.fft.fftfreq(self.S)
-        self.p0 = self.q[:, None] / self.step
-        self.p1 = self.q[None, :] / self.step
-        self.b = lat.m**2 + 8.0
-        self.u = lat.m**2 + laplacian_symbol(self.p0, self.p1)
-        zz = self.step * np.arange(-self.z_radius, self.z_radius + 1, dtype=float)
-        self.y_axis = zz
-        self.y0 = zz[:, None] + 0.0 * zz[None, :]
-        self.y1 = 0.0 * zz[:, None] + zz[None, :]
-        self.y_sq = self.y0**2 + self.y1**2
-        self.weight = float(self.step) ** 2
-        self.span = self.z_radius * self.step
-        self._g: dict = {}
-        self._win: dict = {}
-        self.alias_bound = self._alias_bound()
-
-    def _alias_bound(self) -> float:
-        if self.step == 1:
-            return 0.0
-        cut, lat = self.stack.cutoffs, self.stack.lattice
-        hs = self.stack.fine_scales(self.n)
-        probe = np.linspace(-np.pi, np.pi, 25)
-        ring = 0.0
-        for a0 in (-1, 0, 1):
-            for a1 in (-1, 0, 1):
-                if a0 == a1 == 0:
-                    continue
-                pp0 = (probe[:, None] + 2.0 * np.pi * a0) / self.step
-                pp1 = (probe[None, :] + 2.0 * np.pi * a1) / self.step
-                ua = lat.m**2 + laplacian_symbol(pp0, pp1)
-                ring = max(ring, float(np.abs(cut.band_sum(ua, self.b, hs)).max()))
-        return 16.0 * ring / self.weight
-
-    def spectral(self, scale: int, deriv: tuple[int, ...] = ()) -> np.ndarray:
-        key = (scale, deriv)
-        if key not in self._g:
-            if deriv:
-                G = self.spectral(scale).astype(complex)
-                for d in deriv:
-                    s0, s1 = _DIRS[d]
-                    G = G * (np.exp(1j * (s0 * self.p0 + s1 * self.p1)) - 1.0)
-            else:
-                hs = self.stack.fine_scales(scale)
-                G = self.stack.cutoffs.band_sum(self.u, self.b, hs)
-            self._g[key] = G
-        return self._g[key]
-
-    def _local_ok(self, scale: int) -> bool:
-        lat = self.stack.lattice
-        fits = self.stack.support_radius(scale) + 2 <= self.span
-        resolved = self.step <= natural_step(self.stack.cutoffs, scale * lat.M)
-        return fits and resolved
-
-    def kernel(self, scale: int, deriv: tuple[int, ...] = ()) -> np.ndarray:
-        """(d^deriv Gamma_scale)(y) at the grid points y = step*z."""
-        key = (scale, deriv)
-        if key not in self._win:
-            if self._local_ok(scale):
-                K = np.fft.ifft2(self.spectral(scale, deriv)).real / self.weight
-                r = self.z_radius
-                rolled = np.roll(K, (r, r), axis=(0, 1))
-                self._win[key] = np.ascontiguousarray(rolled[: 2 * r + 1, : 2 * r + 1])
-            else:
-                self._win[key] = self.calc.grid(scale).zoom(scale, self.y_axis, deriv)
-        return self._win[key]
-
-    def zoom(self, scale: int, ys: np.ndarray, deriv: tuple[int, ...] = ()) -> np.ndarray:
-        """Evaluate this grid's scale kernel at the product points ys x ys."""
-        ys = np.asarray(ys, dtype=float)
-        if not deriv:
-            # even in each momentum component: two real cosine transforms
-            G = self.spectral(scale)
-            ph = np.cos(np.outer(ys, self.q / self.step))
-            vals = ph @ (np.asarray(G, dtype=float) @ ph.T)
-            return vals / (self.S**2 * self.weight)
-        G = self.spectral(scale, deriv)
-        ph = np.exp(1j * np.outer(ys, self.q / self.step))
-        vals = ph @ (np.asarray(G, dtype=complex) @ ph.T)
-        return vals.real / (self.S**2 * self.weight)
-
-    def point(self, scale: int, y: tuple[int, int], deriv: tuple[int, ...] = ()) -> float:
-        """Kernel value at one arbitrary integer point."""
-        G = self.spectral(scale, deriv)
-        ph = np.exp(1j * (self.p0 * y[0] + self.p1 * y[1]))
-        return float(np.mean(np.asarray(G, dtype=complex) * ph).real) / self.weight
-
-    def free(self):
-        self._g.clear()
-        self._win.clear()
-
-
-class _CrossCtx:
-    """Double-span momentum grid of scale j for exact quadratic Parseval sums.
-
-    Correlation kernels of two covariances have support <= 2*supp(j), so a
-    grid spanning that makes the decimated Parseval sum free of position
-    aliasing; the momentum fold is certified as usual.
-    """
-
-    def __init__(self, calc: "_Calc", j: int):
-        stack = calc.stack
-        lat = stack.lattice
-        self.stack = stack
-        self.j = j
-        self.step = natural_step(stack.cutoffs, j * lat.M)
-        span_needed = 2 * stack.support_radius(j) + 4
-        self.S = _odd_fast_len(span_needed // self.step + 2)
-        q = 2.0 * np.pi * np.fft.fftfreq(self.S)
-        self.p0 = q[:, None] / self.step
-        self.p1 = q[None, :] / self.step
-        self.lam = laplacian_symbol(self.p0, self.p1)
-        self.u = lat.m**2 + self.lam
-        self.b = lat.m**2 + 8.0
-        self.weight = float(self.step) ** 2
-        self._psi: dict[int, np.ndarray] = {}
-        self.alias_bound = self._alias_bound()
-
-    def _alias_bound(self) -> float:
-        """Bound on the dropped momentum aliases of scale-j spectral weight.
-
-        The summands here are products with psi_j, so the dropped first-ring
-        cells are controlled by |lam psi_j| there times the partner's sup.
-        """
-        if self.step == 1:
-            return 0.0
-        lat = self.stack.lattice
-        hs = self.stack.fine_scales(self.j)
-        probe = np.linspace(-np.pi, np.pi, 25)
-        ring = 0.0
-        for a0 in (-1, 0, 1):
-            for a1 in (-1, 0, 1):
-                if a0 == a1 == 0:
-                    continue
-                pp0 = (probe[:, None] + 2.0 * np.pi * a0) / self.step
-                pp1 = (probe[None, :] + 2.0 * np.pi * a1) / self.step
-                lam = laplacian_symbol(pp0, pp1)
-                ua = lat.m**2 + lam
-                vals = np.abs(lam * self.stack.cutoffs.band_sum(ua, self.b, hs))
-                ring = max(ring, float(vals.max()))
-        return 16.0 * ring / self.weight
-
-    def psi(self, scale: int) -> np.ndarray:
-        if scale not in self._psi:
-            hs = self.stack.fine_scales(scale)
-            self._psi[scale] = self.stack.cutoffs.band_sum(self.u, self.b, hs)
-        return self._psi[scale]
-
-    def pair_sum(self, n: int, jj: int, symbol: np.ndarray) -> float:
-        """sum_y (K_n * symbol-kernel * K_jj)(y) = int symbol psi_n psi_jj."""
-        return float(np.mean(symbol * self.psi(n) * self.psi(jj))) / self.weight
-
-
-class _Calc:
-    """Shared grid/diagonal caches for one stack."""
-
-    def __init__(self, stack: CovarianceStack):
-        self.stack = stack
-        self.grids: dict[int, _GridCtx] = {}
-        self.cross: dict[int, _CrossCtx] = {}
-
-    def grid(self, n: int) -> _GridCtx:
-        if n not in self.grids:
-            self.grids[n] = _GridCtx(self, n)
-        return self.grids[n]
-
-    def cross_ctx(self, j: int) -> _CrossCtx:
-        if j not in self.cross:
-            self.cross[j] = _CrossCtx(self, j)
-        return self.cross[j]
-
-    def point(self, scale: int, y: tuple[int, int], deriv: tuple[int, ...] = ()) -> float:
-        return self.grid(scale).point(scale, y, deriv)
-
-    def gamma0(self, n: int) -> float:
-        return self.stack.gamma0(n)
-
-    def prefix0(self, hi: int, lo: int) -> float:
-        return self.stack.prefix_diag(hi, lo)
-
-
-def _calc(stack: CovarianceStack) -> _Calc:
-    c = stack._diag_cache.get("_rg_calc")
-    if c is None:
-        c = _Calc(stack)
-        stack._diag_cache["_rg_calc"] = c
-    return c
 
 
 def _check_scale(stack: CovarianceStack, j: int):
@@ -341,18 +120,16 @@ def kernels(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WK
             y_sq=z.copy(), alias_bound=0.0,
         )
     _check_scale(stack, j)
-    calc = _calc(stack)
-    lat = stack.lattice
     a2 = alpha_sq
-    L = float(lat.L)
+    L = float(stack.lattice.L)
 
     # output grid of the widest contributing factor (scale j-1); finer-scale
     # terms are zoom-evaluated at the same positions through their own grids
-    g = calc.grid(j - 1)
-    shape = (2 * g.z_radius + 1, 2 * g.z_radius + 1)
+    g = stack.grid(j - 1)
+    shape = (2 * g.radius + 1, 2 * g.radius + 1)
 
     def gam(m, deriv=()):
-        return g.kernel(m, deriv)
+        return stack.kernel(m, j - 1, deriv)
 
     w_a = {}
     for a1 in range(2):
@@ -367,16 +144,16 @@ def kernels(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WK
     w_d = {a: np.zeros(shape) for a in range(2)}
     w_e = np.zeros(shape)
     for n in range(j):
-        pref_hi = calc.prefix0(j - 1, n + 1)
+        pref_hi = stack.prefix_diag(j - 1, n + 1)
         pref_tab = np.zeros(shape)
         for m in range(n + 1, j):
             pref_tab += gam(m)
-        g0n = calc.gamma0(n)
+        g0n = stack.gamma0(n)
         gn = gam(n)
         l4 = L ** (-4 * n)
         w_b += np.exp(-a2 * (pref_hi - pref_tab)) * math.exp(-a2 * g0n) * np.expm1(a2 * gn) * l4
         w_c += 0.5 * np.exp(-a2 * (pref_hi + pref_tab)) * math.exp(-a2 * g0n) * np.expm1(-a2 * gn) * l4
-        fac = math.exp(-0.5 * a2 * calc.prefix0(j - 1, n)) * L ** (-2 * n)
+        fac = math.exp(-0.5 * a2 * stack.prefix_diag(j - 1, n)) * L ** (-2 * n)
         for a in range(2):
             w_d[a] += (math.sqrt(a2) / 2.0) * fac * gam(n, (a,))
         grad_sq_hi = np.zeros(shape)
@@ -390,9 +167,9 @@ def kernels(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WK
     _guard_exp(w_b)
     _guard_exp(w_c)
     return WKernels(
-        j=j, alpha_sq=alpha_sq, step=g.step, radius=g.z_radius,
+        j=j, alpha_sq=alpha_sq, step=g.step, radius=g.radius,
         w_a=w_a, w_b=w_b, w_c=w_c, w_d=w_d, w_e=w_e,
-        y_sq=g.y_sq, alias_bound=g.alias_bound,
+        y_sq=g.y_sq, alias_bound=g.alias_bound(stack.fine_scales(j - 1)),
     )
 
 
@@ -400,28 +177,37 @@ def kernels(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WK
 # scalar coefficients
 
 
+def _w_b_term(stack: CovarianceStack, j: int, n: int, a2: float) -> np.ndarray:
+    """Scale-n term of w_{b,j} on the scale-n grid."""
+    pref = stack.prefix_diag(j - 1, n + 1) - sum(stack.kernel(m, n) for m in range(n + 1, j))
+    wb_n = (np.exp(-a2 * pref) * math.exp(-a2 * stack.gamma0(n)) * np.expm1(a2 * stack.kernel(n, n))
+            * float(stack.lattice.L) ** (-4 * n))
+    return _guard_exp(wb_n, n)
+
+
+def _scale_bands(stack: CovarianceStack, j: int) -> list[np.ndarray]:
+    """Bands of scales 0..j on the scale-j grid."""
+    g = stack.grid(j)
+    return [g.band(stack.fine_scales(n)) for n in range(j + 1)]
+
+
 def coeff_a(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> float:
     """a_j = (alpha^2/2) sum_y |y|^2 [w_b (e^{-a2 Gamma_j(0|y)} - 1)
     + e^{-a2 Gamma_j(0)} (e^{a2 Gamma_j(y)} - 1) L^{-4j}]."""
     _check_scale(stack, j)
-    calc = _calc(stack)
-    lat = stack.lattice
     a2 = alpha_sq
-    L = float(lat.L)
-    g0j = calc.gamma0(j)
+    L = float(stack.lattice.L)
+    g0j = stack.gamma0(j)
 
     total = 0.0
     # first sum, term by term in the w_b scale index n, each on the scale-n grid
     for n in range(j):
-        g = calc.grid(n)
-        pref = calc.prefix0(j - 1, n + 1) - sum(g.kernel(m) for m in range(n + 1, j))
-        wb_n = np.exp(-a2 * pref) * math.exp(-a2 * calc.gamma0(n)) * np.expm1(a2 * g.kernel(n)) * L ** (-4 * n)
-        _guard_exp(wb_n, n)
-        bracket = np.expm1(-a2 * (g0j - g.kernel(j)))
-        total += g.weight * float(np.sum(g.y_sq * wb_n * bracket))
+        g = stack.grid(n)
+        bracket = np.expm1(-a2 * (g0j - stack.kernel(j, n)))
+        total += g.weight * float(np.sum(g.y_sq * _w_b_term(stack, j, n, a2) * bracket))
     # second sum on the scale-j grid
-    g = calc.grid(j)
-    term2 = math.exp(-a2 * g0j) * np.expm1(a2 * g.kernel(j)) * L ** (-4 * j)
+    g = stack.grid(j)
+    term2 = math.exp(-a2 * g0j) * np.expm1(a2 * stack.kernel(j, j)) * L ** (-4 * j)
     _guard_exp(term2, j)
     total += g.weight * float(np.sum(g.y_sq * term2))
     return 0.5 * a2 * total
@@ -436,83 +222,75 @@ def coeff_b(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     symbol itself.
     """
     _check_scale(stack, j)
-    calc = _calc(stack)
     a2 = alpha_sq
     L = float(stack.lattice.L)
-    cx = calc.cross_ctx(j)
-    total = cx.pair_sum(j, j, cx.lam)
+    g = stack.grid(j)
+    psi = _scale_bands(stack, j)
+    lam = g.lam
+    total = g.parseval(lam, psi[j], psi[j])
     for n in range(j):
-        fac = math.exp(-0.5 * a2 * calc.prefix0(j - 1, n)) * L ** (2 * (j - n))
-        total += 2.0 * fac * cx.pair_sum(n, j, cx.lam)
+        fac = math.exp(-0.5 * a2 * stack.prefix_diag(j - 1, n)) * L ** (2 * (j - n))
+        total += 2.0 * fac * g.parseval(lam, psi[n], psi[j])
     return 0.5 * a2 * total
 
 
-def _dd_at_zero(calc: _Calc, scale: int, mu: int, nu: int) -> float:
-    """(d^mu d^nu Gamma_scale)(0) from point values on the scale's own grid."""
-    e_mu = _DIRS[mu]
-    e_nu = _DIRS[nu]
-    p = calc.point
-    return (
-        p(scale, (e_mu[0] + e_nu[0], e_mu[1] + e_nu[1]))
-        - p(scale, e_mu)
-        - p(scale, e_nu)
-        + p(scale, (0, 0))
-    )
+def _dd_at_zero(stack: CovarianceStack, j: int) -> np.ndarray:
+    """(d^mu d^nu Gamma_j)(0) for the signed directions mu, nu = 0..3.
+
+    Each entry is one Parseval sum of the band against the two difference
+    symbols (the imaginary part integrates to zero by evenness).
+    """
+    g = stack.grid(j)
+    G = g.band(stack.fine_scales(j))
+    return np.array([[g.parseval(G, g.diff_symbol((mu, nu)).real) for nu in range(4)] for mu in range(4)])
 
 
 def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> tuple[float, float, float]:
     """(e2, e3, e4) at scale j, per the second-order energy extraction."""
     _check_scale(stack, j)
-    calc = _calc(stack)
-    lat = stack.lattice
     a2 = alpha_sq
-    L = float(lat.L)
+    L = float(stack.lattice.L)
     L2j = L ** (2 * j)
+    g = stack.grid(j)
+    psi = _scale_bands(stack, j)
+    dd_tensor = _dd_at_zero(stack, j)
     # e2 = -(L^2j / 2) * (1/2) sum_{4 dirs} (d^mu d^mu Gamma_j)(0)
-    e2 = -(L2j / 2.0) * 0.5 * sum(_dd_at_zero(calc, j, mu, mu) for mu in range(4))
+    e2 = -(L2j / 2.0) * 0.5 * sum(dd_tensor[mu, mu] for mu in range(4))
 
     # e3 = (L^2j / 4) sum_y sum_{mu nu in e^2} [dd Gamma_{j,0} + 2 dd Gamma_{j-1,0}](y)
     #      * (dd Gamma_j)(y|0).  The two direction sums carry (1/2)^2 and the
     #      sign flips collapse onto forward axis pairs by evenness; the
     #      constant (dd Gamma_j)(0) drops because sum_y dd Gamma_m = 0
     #      exactly (vanishing symbol at p = 0), leaving pure quadratic
-    #      correlations evaluated by Parseval.
+    #      correlations evaluated by Parseval.  The symbol of axis pair
+    #      (a, b) is |e^{i p_a} - 1|^2 |e^{i p_b} - 1|^2.
     e3 = 0.0
-    cx = calc.cross_ctx(j)
     for a1 in range(2):
         for a2_ax in range(2):
-            sym = (2.0 - 2.0 * np.cos(cx.p0 if a1 == 0 else cx.p1)) * (
-                2.0 - 2.0 * np.cos(cx.p0 if a2_ax == 0 else cx.p1)
-            )
-            e3 += cx.pair_sum(j, j, sym)
+            sym = g.diff_symbol((a1, a1 + 2, a2_ax, a2_ax + 2)).real
+            e3 += g.parseval(sym, psi[j], psi[j])
             for m in range(j):
-                e3 += 3.0 * cx.pair_sum(m, j, sym)
+                e3 += 3.0 * g.parseval(sym, psi[m], psi[j])
     e3 *= L2j / 4.0
 
     # e4: Taylor-subtracted w_b moment plus the single-scale pressure term
-    g0j = calc.gamma0(j)
-    dd_tensor = np.empty((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            dd_tensor[mu, nu] = _dd_at_zero(calc, j, mu, nu)
+    g0j = stack.gamma0(j)
     e4 = 0.0
     for n in range(j):
-        g = calc.grid(n)
-        pref = calc.prefix0(j - 1, n + 1) - sum(g.kernel(m) for m in range(n + 1, j))
-        wb_n = np.exp(-a2 * pref) * math.exp(-a2 * calc.gamma0(n)) * np.expm1(a2 * g.kernel(n)) * L ** (-4 * n)
-        _guard_exp(wb_n, n)
-        quad = np.zeros_like(g.y_sq)
+        gn = stack.grid(n)
+        y0 = gn.y[:, None]
+        y1 = gn.y[None, :]
+        quad = np.zeros((len(gn.y), len(gn.y)))
         for mu in range(4):
-            smu = _DIRS[mu]
-            ymu = smu[0] * g.y0 + smu[1] * g.y1
+            smu = DIRS[mu]
+            ymu = smu[0] * y0 + smu[1] * y1
             for nu in range(4):
-                snu = _DIRS[nu]
-                ynu = snu[0] * g.y0 + snu[1] * g.y1
+                snu = DIRS[nu]
+                ynu = snu[0] * y0 + snu[1] * y1
                 quad += 0.25 * dd_tensor[mu, nu] * ymu * ynu
-        bracket = np.expm1(-a2 * (g0j - g.kernel(j))) - 0.5 * a2 * quad
-        e4 += 2.0 * L2j * g.weight * float(np.sum(wb_n * bracket))
-    g = calc.grid(j)
-    term2 = math.exp(-a2 * g0j) * np.expm1(a2 * g.kernel(j))
+        bracket = np.expm1(-a2 * (g0j - stack.kernel(j, n))) - 0.5 * a2 * quad
+        e4 += 2.0 * L2j * gn.weight * float(np.sum(_w_b_term(stack, j, n, a2) * bracket))
+    term2 = math.exp(-a2 * g0j) * np.expm1(a2 * stack.kernel(j, j))
     e4 += L ** (-2 * j) * g.weight * float(np.sum(term2))
     return float(e2), float(e3), float(e4)
 

@@ -128,13 +128,6 @@ class CutoffFamily:
             r = r * self._factor(theta, self.kappas[n - 1])
         return r
 
-    def band(self, u: np.ndarray, b: float, h: int) -> np.ndarray:
-        """psi_h(u) = r_h(u) (1 - s_{h+1}(u)) / u, the fine-scale-h band."""
-        if not (0 <= h < self.horizon):
-            raise ValueError(f"fine scale {h} outside horizon {self.horizon}")
-        u = np.asarray(u, dtype=float)
-        return self.residual(u, b, h) * self._one_minus_factor_over_u(u, b, self.kappas[h])
-
     def band_sum(self, u: np.ndarray, b: float, h_list) -> np.ndarray:
         """Sum of bands, sharing the residual products across scales."""
         u = np.asarray(u, dtype=float)
@@ -149,20 +142,13 @@ class CutoffFamily:
             out += r * self._one_minus_factor_over_u(u, b, self.kappas[h])
         return out
 
-    def tail(self, u: np.ndarray, b: float) -> np.ndarray:
-        """r_horizon(u)/u: spectral density left for the massive tail."""
-        u = np.asarray(u, dtype=float)
-        r = self.residual(u, b, self.horizon)
-        with np.errstate(divide="ignore"):
-            return np.where(u > 0, r / np.maximum(u, 1e-300), np.inf)
-
     def band_degree(self, h: int) -> int:
-        """Polynomial degree of psi_h in u = its exact kernel range in |x|_1."""
-        return sum(self.kappas[n] for n in range(h + 1)) - (h + 1) - 1
+        """Polynomial degree of psi_h in u = its exact kernel range in |x|_1.
 
-    def band_support(self, h: int) -> int:
-        """Kernel of band h vanishes identically for |x|_inf > this radius."""
-        return self.band_degree(h)
+        The kernel of band h therefore vanishes identically for |x|_inf
+        beyond this radius too.
+        """
+        return sum(self.kappas[n] for n in range(h + 1)) - (h + 1) - 1
 
     # -- cutoff-family views -----------------------------------------------------
 

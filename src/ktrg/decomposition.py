@@ -10,12 +10,17 @@ C_h is a polynomial in the lattice Laplacian, so its kernel vanishes
 the infinite-lattice kernel as long as the support fits inside the torus,
 which the budget guarantees for every h < M*R.
 
-Besides full torus tables (feasible for small sides), kernels can be
-synthesized on decimated windows y = step*z + shift directly from the
-spectral form.  Folding the fine Brillouin zone onto the coarse one is
-truncated to its central copy; the dropped aliases are bounded at runtime
-and the bound is reported with the window (the bands decay fast enough
-that 243 samples per scale keep the bound near 1e-11).
+Every spectral evaluation goes through one SpectralGrid: a product momentum
+grid (the torus momenta, or a decimated grid p = 2 pi fftfreq(S) / step
+whose inverse FFT gives kernel values at y = step*z + shift).  A grid
+evaluates the bands in one pass over the residual products r_h and caches
+them; it also owns the only probe of the dropped Brillouin-zone aliases,
+window extraction, evaluation off the grid and Parseval sums.  The stack
+keeps one decimated grid per scale (CovarianceStack.grid), on which the
+coefficient sums of coefficients.py are evaluated.  Decimation keeps only
+the central copy of the folded fine zone; the dropped aliases are bounded
+at runtime and the bound is reported with each window (the bands decay fast
+enough that 243 samples per scale keep the bound near 1e-11).
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ import numpy as np
 from scipy import fft as sfft
 
 from .cutoffs import CutoffFamily, build_cutoffs
-from .lattice import TorusLattice, laplacian_symbol, yukawa_table, normalized_potential_table
+from .lattice import DIRS, TorusLattice, laplacian_symbol, yukawa_table, normalized_potential_table
 
 __all__ = [
     "DecompositionError",
+    "SpectralGrid",
     "Window",
     "band_window",
     "CovarianceStack",
@@ -38,18 +44,183 @@ __all__ = [
     "read_stack",
     "PSD_TOL",
     "LEAKAGE_TOL",
+    "TELESCOPING_TOL",
 ]
 
 PSD_TOL = 1e-10
 LEAKAGE_TOL = 1e-6
+TELESCOPING_TOL = 1e-8
 
 # decimated windows sample each fine scale with 3^SAMPLES_EXP points per
 # linear correlation length; 5 keeps the alias bound near 1e-11
 SAMPLES_EXP = 5
 
+# tori above this side confirm the PSD gate on a PROBE_SIDE^2 momentum grid
+PROBE_SIDE = 729
+
+ALIAS_PROBE_POINTS = 33
+
 
 class DecompositionError(RuntimeError):
     pass
+
+
+def _odd_fast_len(n: int) -> int:
+    """Smallest FFT-friendly odd length >= n (keeps the momentum grid +/- symmetric)."""
+    s = sfft.next_fast_len(n)
+    while s % 2 == 0:
+        s = sfft.next_fast_len(s + 1)
+    return s
+
+
+def natural_step(cutoffs: CutoffFamily, h_min: int) -> int:
+    """Decimation step resolving fine scale h_min with 3^SAMPLES_EXP samples."""
+    return max(1, cutoffs.gamma ** max(0, h_min - SAMPLES_EXP))
+
+
+# ---------------------------------------------------------------------------
+# the spectral grid
+
+
+class SpectralGrid:
+    """Bands of a cutoff family on the product momentum grid p x p.
+
+    p holds fine-lattice momenta.  A decimated grid (step > 1) samples the
+    central Brillouin zone of step*Z^2, so the inverse FFT of a spectral
+    array gives step^2 times its kernel at y = step*z; windows cover
+    |z|_inf <= radius.  Bands are summed over fine-scale lists in one pass
+    over the residual products r_h, which restarts only when a lower fine
+    scale is asked for after a higher one, and each list's band is cached.
+    """
+
+    def __init__(self, cutoffs: CutoffFamily, m: float, p: np.ndarray, step: int = 1, radius: int = 0):
+        self.cutoffs = cutoffs
+        self.m = m
+        self.b = m * m + 8.0
+        self.p = p
+        self.p0 = p[:, None]
+        self.p1 = p[None, :]
+        self.S = len(p)
+        self.step = step
+        self.radius = radius
+        self.weight = float(step) ** 2
+        self.u = m * m + self.lam
+        self._bands: dict[tuple[int, ...], np.ndarray] = {}
+        self._theta = None
+        self._r = None
+        self._h = 0
+
+    @classmethod
+    def decimated(cls, cutoffs: CutoffFamily, m: float, step: int, S: int, radius: int) -> "SpectralGrid":
+        return cls(cutoffs, m, 2.0 * np.pi * np.fft.fftfreq(S) / step, step, radius)
+
+    @property
+    def lam(self) -> np.ndarray:
+        """Laplacian symbol on the grid (built on each access)."""
+        return laplacian_symbol(self.p0, self.p1)
+
+    @property
+    def y(self) -> np.ndarray:
+        """Window positions step*z, |z| <= radius, along one axis."""
+        return self.step * np.arange(-self.radius, self.radius + 1, dtype=float)
+
+    @property
+    def y_sq(self) -> np.ndarray:
+        """Euclidean |y|^2 over the window."""
+        y2 = self.y**2
+        return y2[:, None] + y2[None, :]
+
+    # -- bands --
+
+    def residual(self, h: int) -> np.ndarray:
+        """r_h on the grid, continuing the pass of the bands."""
+        cut = self.cutoffs
+        if self._r is None or h < self._h:
+            if self._theta is None:
+                self._theta = cut.theta(self.u, self.b)
+            self._r, self._h = np.ones_like(self.u), 0
+        while self._h < h:
+            self._r = self._r * cut._factor(self._theta, cut.kappas[self._h])
+            self._h += 1
+        return self._r
+
+    def _band_sum(self, hs: tuple[int, ...]) -> np.ndarray:
+        cut = self.cutoffs
+        out = np.zeros_like(self.u)
+        for h in hs:
+            out += self.residual(h) * cut._one_minus_factor_over_u(self.u, self.b, cut.kappas[h])
+        return out
+
+    def band(self, hs) -> np.ndarray:
+        """sum_{h in hs} psi_h on the grid, cached per fine-scale list."""
+        hs = tuple(sorted(hs))
+        if hs not in self._bands:
+            self._bands[hs] = self._band_sum(hs)
+        return self._bands[hs]
+
+    def bands(self, groups):
+        """Yield the band of each fine-scale list in turn, without caching."""
+        for hs in groups:
+            yield self._band_sum(tuple(sorted(hs)))
+
+    # -- symbols and sums --
+
+    def diff_symbol(self, deriv: tuple[int, ...]) -> np.ndarray:
+        """prod_d (e^{i p.e_d} - 1): the symbol of the forward differences along DIRS[d]."""
+        out = None
+        for d in deriv:
+            s0, s1 = DIRS[d]
+            ph = np.exp(1j * (s0 * self.p0 if s1 == 0 else s1 * self.p1)) - 1.0
+            out = ph if out is None else out * ph
+        return out
+
+    def parseval(self, *factors: np.ndarray) -> float:
+        """(2 pi)^-2 int prod(factors) dp over the zone, as the grid mean.
+
+        For kernels K_a, K_b with spectral arrays G_a, G_b, parseval(G_a, G_b)
+        is sum_y K_a(y) K_b(y) and parseval(G_a) is K_a(0); exact when the
+        grid spans the support of the product (no position aliasing).
+        """
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = prod * f
+        return float(np.mean(prod)) / self.weight
+
+    def alias_bound(self, hs, symbol=None) -> float:
+        """Bound on the dropped Brillouin-zone aliases of band hs (0 at step 1).
+
+        max |symbol * band| over the eight first-ring alias cells of the
+        decimated zone, probed on ALIAS_PROBE_POINTS^2 points per cell; the
+        nested-Fejer tails decay faster than geometrically from there, so
+        twice the first ring bounds the full dropped sum.
+        """
+        if self.step == 1:
+            return 0.0
+        probe = np.linspace(-np.pi, np.pi, ALIAS_PROBE_POINTS)
+        ring = SpectralGrid(self.cutoffs, self.m, np.concatenate([(probe + 2.0 * np.pi * a) / self.step for a in (-1, 0, 1)]))
+        vals = np.abs(ring.band(hs) if symbol is None else symbol(ring.p0, ring.p1) * ring.band(hs))
+        n = ALIAS_PROBE_POINTS
+        vals[n : 2 * n, n : 2 * n] = 0.0  # the kept central cell
+        return 2.0 * 8.0 * float(vals.max()) / self.weight
+
+    # -- position space --
+
+    def window(self, G: np.ndarray) -> np.ndarray:
+        """Kernel of the spectral array G at y = step*z, |z|_inf <= radius."""
+        K = np.fft.ifft2(G).real / self.weight
+        r = self.radius
+        return np.roll(K, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1].copy()
+
+    def zoom(self, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Kernel of the spectral array G at the product points ys x ys, off the grid."""
+        ys = np.asarray(ys, dtype=float)
+        if np.iscomplexobj(G):
+            ph = np.exp(1j * np.outer(ys, self.p))
+            return (ph @ (G @ ph.T)).real / (self.S**2 * self.weight)
+        # real spectral arrays are bands, even in each momentum component:
+        # two real cosine transforms
+        ph = np.cos(np.outer(ys, self.p))
+        return ph @ (G @ ph.T) / (self.S**2 * self.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -75,19 +246,6 @@ class Window:
         return float(self.values[z0 + self.radius, z1 + self.radius])
 
 
-_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-def _multiplier(p0: np.ndarray, p1: np.ndarray, deriv) -> np.ndarray:
-    """Forward-difference symbols prod_d (e^{i sgn p_axis} - 1) for the dirs."""
-    out = None
-    for d in deriv:
-        s0, s1 = _DIRS[d]
-        ph = np.exp(1j * (s0 * p0 + s1 * p1)) - 1.0
-        out = ph if out is None else out * ph
-    return out
-
-
 def band_window(
     cutoffs: CutoffFamily,
     m: float,
@@ -105,49 +263,19 @@ def band_window(
     folded zone is kept and the remainder is bounded (Window.alias_bound).
     """
     h_list = sorted(h_list)
-    b = m * m + 8.0
-    supp = max(cutoffs.band_support(h) for h in h_list)
+    supp = max(cutoffs.band_degree(h) for h in h_list)
     extent = supp + max(abs(shift[0]), abs(shift[1])) + len(deriv)
     if radius is None:
         radius = -(-extent // step)
-    n_min = max(2 * radius + 1, 2 * (-(-extent // step)) + 1)
-    S = sfft.next_fast_len(n_min, real=False)
-    q = 2.0 * np.pi * np.fft.fftfreq(S)
-    p0 = q[:, None] / step
-    p1 = q[None, :] / step
-    u = m * m + laplacian_symbol(p0, p1)
-    G = cutoffs.band_sum(u, b, h_list).astype(complex)
+    S = sfft.next_fast_len(max(2 * radius + 1, 2 * (-(-extent // step)) + 1), real=False)
+    grid = SpectralGrid.decimated(cutoffs, m, step, S, radius)
+    G = grid.band(h_list)
     if deriv:
-        G = G * _multiplier(p0, p1, deriv)
+        G = G * grid.diff_symbol(deriv)
     if shift != (0, 0):
-        G = G * np.exp(1j * (p0 * shift[0] + p1 * shift[1]))
-    K = np.fft.ifft2(G).real / (step * step)
-
-    alias = 0.0
-    if step > 1:
-        # max |G| over the 8 first-ring alias cells, probed on a coarse grid;
-        # the nested-Fejer tails decay faster than geometrically from there,
-        # so 2x the first ring bounds the full dropped sum
-        probe = np.linspace(-np.pi, np.pi, 33)
-        ring = 0.0
-        for a0 in (-1, 0, 1):
-            for a1 in (-1, 0, 1):
-                if a0 == 0 and a1 == 0:
-                    continue
-                pp0 = (probe[:, None] + 2.0 * np.pi * a0) / step
-                pp1 = (probe[None, :] + 2.0 * np.pi * a1) / step
-                ua = m * m + laplacian_symbol(pp0, pp1)
-                ring = max(ring, float(np.max(np.abs(cutoffs.band_sum(ua, b, h_list)))))
-        alias = 2.0 * 8.0 * ring / (step * step)
-
-    rolled = np.roll(K, (radius, radius), axis=(0, 1))
-    vals = rolled[: 2 * radius + 1, : 2 * radius + 1].copy()
-    return Window(values=vals, step=step, radius=radius, shift=tuple(shift), alias_bound=alias)
-
-
-def natural_step(cutoffs: CutoffFamily, h_min: int) -> int:
-    """Decimation step resolving fine scale h_min with 3^SAMPLES_EXP samples."""
-    return max(1, cutoffs.gamma ** max(0, h_min - SAMPLES_EXP))
+        G = G * np.exp(1j * (grid.p0 * shift[0] + grid.p1 * shift[1]))
+    return Window(values=grid.window(G), step=step, radius=radius, shift=tuple(shift),
+                  alias_bound=grid.alias_bound(h_list))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +287,8 @@ class CovarianceStack:
     """Per-scale covariances Gamma_j and the massive tail on a torus.
 
     Tables are materialized only when the torus side is small enough; all
-    per-scale data remains available through spectral window synthesis, so
-    large-L^j coefficient sums never need a full table.
+    per-scale data remains available through the per-scale spectral grids,
+    so large-L^j coefficient sums never need a full table.
     """
 
     lattice: TorusLattice
@@ -170,7 +298,7 @@ class CovarianceStack:
     tail_is_normalized: bool
     psd_tol: float = PSD_TOL
     leakage_tol: float = LEAKAGE_TOL
-    _diag_cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     # -- scale bookkeeping --
 
@@ -184,11 +312,53 @@ class CovarianceStack:
 
     def support_radius(self, j: int) -> int:
         """Gamma_j vanishes identically for |x|_inf > this radius."""
-        return max(self.cutoffs.band_support(h) for h in self.fine_scales(j))
+        return max(self.cutoffs.band_degree(h) for h in self.fine_scales(j))
 
     def _check_scale(self, j: int):
         if not (0 <= j < self.n_scales):
             raise ValueError(f"scale {j} outside 0..{self.n_scales - 1}")
+
+    # -- spectral grids --
+
+    def grid(self, n: int) -> SpectralGrid:
+        """The decimated grid of scale n, holding the bands of scales 0..n.
+
+        It resolves scale n at its natural step, and its window spans the
+        scale-n support plus a margin of two sites: windows of scales <= n
+        read off it, and, because the period S*step exceeds twice the
+        support, products of two such kernels sum by Parseval without
+        position aliasing.  Cached on the stack.
+        """
+        key = ("grid", n)
+        if key not in self._cache:
+            step = natural_step(self.cutoffs, n * self.lattice.M)
+            radius = -(-(self.support_radius(n) + 2) // step)
+            g = SpectralGrid.decimated(self.cutoffs, self.lattice.m, step, _odd_fast_len(2 * radius + 3), radius)
+            for k in range(n + 1):
+                g.band(self.fine_scales(k))
+            self._cache[key] = g
+        return self._cache[key]
+
+    def kernel(self, j: int, n: int, deriv: tuple[int, ...] = ()) -> np.ndarray:
+        """(d^deriv Gamma_j)(y) at the window points y of the scale-n grid.
+
+        Read off the scale-n grid's FFT only when that grid both holds the
+        support of Gamma_j and samples at least as finely as Gamma_j's own
+        grid; the local FFT would otherwise position-alias a wide kernel or
+        momentum-alias a fine one, so Gamma_j is zoom-evaluated on its own
+        grid instead.  Cached on the stack.
+        """
+        key = ("kernel", j, n, deriv)
+        if key not in self._cache:
+            g = self.grid(n)
+            fits = self.support_radius(j) + 2 <= g.radius * g.step
+            resolved = g.step <= natural_step(self.cutoffs, j * self.lattice.M)
+            src = g if fits and resolved else self.grid(j)
+            G = src.band(self.fine_scales(j))
+            if deriv:
+                G = G * src.diff_symbol(deriv)
+            self._cache[key] = src.window(G) if src is g else src.zoom(G, g.y)
+        return self._cache[key]
 
     # -- values --
 
@@ -204,10 +374,8 @@ class CovarianceStack:
             raise ValueError(f"fine scale {h} outside 0..{self.lattice.n_fine_scales - 1}")
         if self.lattice.side > MATERIALIZE_CAP:
             raise DecompositionError("torus too large for a full fine-component table")
-        k = self.lattice.momenta()
-        u = self.lattice.m**2 + laplacian_symbol(k[:, None], k[None, :])
-        vals = self.cutoffs.band(u, self.lattice.m**2 + 8.0, h)
-        return np.fft.ifft2(vals).real
+        grid = SpectralGrid(self.cutoffs, self.lattice.m, self.lattice.momenta())
+        return np.fft.ifft2(grid.band([h])).real
 
     def window(self, j: int, *, step=None, radius=None, shift=(0, 0), deriv=()) -> Window:
         """Gamma_j (optionally differenced) on a decimated window."""
@@ -220,16 +388,15 @@ class CovarianceStack:
         )
 
     def gamma0(self, j: int) -> float:
-        """Gamma_j(0)."""
+        """Gamma_j(0): the table entry, or the Parseval sum on the scale-j grid."""
         self._check_scale(j)
+        if self.gamma_tables is not None:
+            return float(self.gamma_tables[j][0, 0])
         key = ("g0", j)
-        if key not in self._diag_cache:
-            if self.gamma_tables is not None:
-                self._diag_cache[key] = float(self.gamma_tables[j][0, 0])
-            else:
-                w = self.window(j, radius=1)
-                self._diag_cache[key] = w.at(0, 0)
-        return self._diag_cache[key]
+        if key not in self._cache:
+            g = self.grid(j)
+            self._cache[key] = g.parseval(g.band(self.fine_scales(j)))
+        return self._cache[key]
 
     def prefix_diag(self, j_hi: int, j_lo: int) -> float:
         """Gamma_{j_hi, j_lo}(0) = sum_{n=j_lo}^{j_hi} Gamma_n(0); 0 if empty."""
@@ -239,24 +406,24 @@ class CovarianceStack:
 
     # -- invariant evaluation --
 
-    def psd_margins(self, probe_cap: int = 729) -> list[float]:
+    def psd_margins(self) -> list[float]:
         """Min Fourier mode of each Gamma_j over the torus momenta.
 
-        For tori above the probe cap the minimum is taken over a dense probe
-        grid instead of all side^2 momenta (the bands are nonnegative by
-        construction; this is a numerical confirmation, not the proof).
+        decompose records these from the bands it builds the tables from.
+        Otherwise the bands are evaluated here on a throwaway grid: the
+        torus momenta, or for tori above PROBE_SIDE a PROBE_SIDE^2 probe
+        grid (the bands are nonnegative by construction; this is a
+        numerical confirmation, not the proof).
         """
-        out = []
-        if self.lattice.side <= probe_cap:
-            k = self.lattice.momenta()
-        else:
-            k = 2.0 * np.pi * np.arange(probe_cap) / probe_cap
-        u = self.lattice.m**2 + laplacian_symbol(k[:, None], k[None, :])
-        b = self.lattice.m**2 + 8.0
-        for j in range(self.n_scales):
-            vals = self.cutoffs.band_sum(u, b, self.fine_scales(j))
-            out.append(float(vals.min()))
-        return out
+        if "psd" not in self._cache:
+            if self.lattice.side <= PROBE_SIDE:
+                k = self.lattice.momenta()
+            else:
+                k = 2.0 * np.pi * np.arange(PROBE_SIDE) / PROBE_SIDE
+            grid = SpectralGrid(self.cutoffs, self.lattice.m, k)
+            groups = [self.fine_scales(j) for j in range(self.n_scales)]
+            self._cache["psd"] = [float(G.min()) for G in grid.bands(groups)]
+        return list(self._cache["psd"])
 
     def telescoping_error(self) -> float:
         """Max |sum_j Gamma_j + tail - W| relative to |W(0)| (normalized form at m=0)."""
@@ -291,14 +458,17 @@ class CovarianceStack:
         return float(np.max(np.abs(t[mask])) / t[0, 0])
 
     def validate(self):
-        """PSD + leakage gates; raises DecompositionError naming the scale."""
+        """PSD + leakage gates; raises DecompositionError naming the scale.
+
+        The comparisons are written so that a NaN fails them.
+        """
         for j, margin in enumerate(self.psd_margins()):
-            if margin < -self.psd_tol:
+            if not (margin >= -self.psd_tol):
                 raise DecompositionError(f"negative Fourier mode {margin:.3e} in Gamma_{j}")
         if self.gamma_tables is not None:
             for j in range(self.n_scales):
                 leak = self.leakage(j)
-                if leak > self.leakage_tol:
+                if not (leak <= self.leakage_tol):
                     raise DecompositionError(f"leakage {leak:.3e} beyond L^{j + 1}/2 in Gamma_{j}")
         return self
 
@@ -307,7 +477,11 @@ MATERIALIZE_CAP = 2187  # largest torus side for which full tables are built
 
 
 def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, materialize: bool | None = None) -> CovarianceStack:
-    """Build the covariance stack for the torus; validates PSD and leakage."""
+    """Build the covariance stack for the torus; validates PSD and leakage.
+
+    The tables, the PSD margins and the tail come from one pass over the
+    bands on the torus momenta.
+    """
     if cutoffs is None:
         cutoffs = build_cutoffs(lattice.gamma, lattice.M, lattice.n_fine_scales)
     if cutoffs.horizon < lattice.n_fine_scales:
@@ -318,29 +492,28 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
     tables = None
     tail = None
     normalized = lattice.m == 0.0
+    margins = None
     if materialize:
         if lattice.side > MATERIALIZE_CAP:
             raise DecompositionError(
                 f"torus side {lattice.side} too large to materialize (cap {MATERIALIZE_CAP})"
             )
-        k = lattice.momenta()
-        u = lattice.m**2 + laplacian_symbol(k[:, None], k[None, :])
-        b = lattice.m**2 + 8.0
-        tables = []
-        for j in range(lattice.R):
-            hs = list(range(j * lattice.M, (j + 1) * lattice.M))
-            vals = cutoffs.band_sum(u, b, hs)
+        grid = SpectralGrid(cutoffs, lattice.m, lattice.momenta())
+        tables, margins = [], []
+        groups = [range(j * lattice.M, (j + 1) * lattice.M) for j in range(lattice.R)]
+        for vals in grid.bands(groups):
             tables.append(np.fft.ifft2(vals).real)
+            margins.append(float(vals.min()))
+        r = grid.residual(cutoffs.horizon)
         if normalized:
-            lam = laplacian_symbol(k[:, None], k[None, :])
+            lam = grid.lam
             dens = np.zeros_like(lam)
             mask = lam > 0
-            dens[mask] = cutoffs.residual(u[mask], b, cutoffs.horizon) / lam[mask]
+            dens[mask] = r[mask] / lam[mask]
             t = np.fft.ifft2(dens).real
             tail = t - t[0, 0]
         else:
-            dens = cutoffs.tail(u, b)
-            tail = np.fft.ifft2(dens).real
+            tail = np.fft.ifft2(r / grid.u).real
 
     stack = CovarianceStack(
         lattice=lattice,
@@ -349,6 +522,8 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
         tail_table=tail,
         tail_is_normalized=normalized,
     )
+    if margins is not None:
+        stack._cache["psd"] = margins
     return stack.validate()
 
 
@@ -381,6 +556,12 @@ def write_stack(stack: CovarianceStack, path: str):
 
 
 def read_stack(path: str) -> CovarianceStack:
+    """Read a write_stack file back, bit-exact, and check it.
+
+    Exactly one row per (scale, x0, x1) with scale 0..R (R is the tail) is
+    required; the stack then has to pass validate() and the telescoping
+    check.  Failures raise DecompositionError naming the path.
+    """
     meta = {}
     with open(path) as f:
         header = []
@@ -395,21 +576,48 @@ def read_stack(path: str) -> CovarianceStack:
                 if "=" in tok:
                     k, v = tok.split("=", 1)
                     meta[k] = v
-        L, R, gamma = int(meta["L"]), int(meta["R"]), int(meta["gamma"])
-        m = float.fromhex(meta["m"]) if "0x" in meta["m"] else float(meta["m"])
+        try:
+            L, R, gamma = int(meta["L"]), int(meta["R"]), int(meta["gamma"])
+            m = float.fromhex(meta["m"]) if "0x" in meta["m"] else float(meta["m"])
+        except (KeyError, ValueError) as e:
+            raise DecompositionError(f"{path}: bad or missing header entry {e}") from e
         lat = TorusLattice(L=L, R=R, gamma=gamma, m=m)
         side = lat.side
-        tables = [np.zeros((side, side)) for _ in range(R + 1)]
+        tables = np.zeros((R + 1, side, side))
+        seen = np.zeros((R + 1, side, side), dtype=bool)
         for line in f:
-            j_s, x0_s, x1_s, v_s = line.rstrip("\n").split(",")
-            tables[int(j_s)][int(x0_s), int(x1_s)] = float.fromhex(v_s)
+            try:
+                j_s, x0_s, x1_s, v_s = line.rstrip("\n").split(",")
+                key = (int(j_s), int(x0_s), int(x1_s))
+                value = float.fromhex(v_s)
+            except ValueError as e:
+                raise DecompositionError(f"{path}: malformed data row {line.rstrip()!r}") from e
+            if not (0 <= key[0] <= R and 0 <= key[1] < side and 0 <= key[2] < side):
+                raise DecompositionError(f"{path}: row (scale, x0, x1) = {key} out of range")
+            if seen[key]:
+                raise DecompositionError(f"{path}: duplicated row (scale, x0, x1) = {key}")
+            seen[key] = True
+            tables[key] = value
+    if not seen.all():
+        first = tuple(int(i) for i in np.argwhere(~seen)[0])
+        raise DecompositionError(
+            f"{path}: {int((~seen).sum())} rows missing, first (scale, x0, x1) = {first}"
+        )
     cut = build_cutoffs(gamma, lat.M, lat.n_fine_scales)
-    return CovarianceStack(
+    stack = CovarianceStack(
         lattice=lat,
         cutoffs=cut,
-        gamma_tables=tables[:R],
+        gamma_tables=list(tables[:R]),
         tail_table=tables[R],
         tail_is_normalized=bool(int(meta.get("tail_is_normalized", "0"))),
         psd_tol=float(meta.get("psd_tol", PSD_TOL)),
         leakage_tol=float(meta.get("leakage_tol", LEAKAGE_TOL)),
     )
+    try:
+        stack.validate()
+    except DecompositionError as e:
+        raise DecompositionError(f"{path}: {e}") from e
+    err = stack.telescoping_error()
+    if not (err <= TELESCOPING_TOL):
+        raise DecompositionError(f"{path}: telescoping error {err:.3e} above {TELESCOPING_TOL:.0e}")
+    return stack

@@ -141,6 +141,9 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
 def trajectory(x1: float, y1: float, config: FlowConfig, kappa1: float = 0.0) -> FlowTrajectory:
     """Iterate the flow for config.horizon scales, recording first divergence."""
+    for name, v in (("x1", x1), ("y1", y1), ("kappa1", kappa1)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     J = config.horizon
     xs = np.empty(J)
     ys = np.empty(J)
@@ -224,7 +227,7 @@ def step_original_zero(s: float, z: float, config: FlowConfig) -> tuple[float, f
 
 
 def sweep(starts, config: FlowConfig) -> list[dict]:
-    """Independent trajectories for (x1, y1) pairs; rows for the sweep CSV."""
+    """Independent trajectories for (x1, y1) pairs, one row dict each."""
     rows = []
     for (x1, y1) in starts:
         t = trajectory(x1, y1, config)
@@ -233,13 +236,6 @@ def sweep(starts, config: FlowConfig) -> list[dict]:
                  divergence_scale=t.diverged_at if t.diverged_at is not None else -1)
         )
     return rows
-
-
-def sweep_csv(rows: list[dict], path: str):
-    with open(path, "w", newline="\n") as f:
-        f.write("x1,y1,diverged,divergence_scale\n")
-        for r in rows:
-            f.write(f"{r['x1']:.17g},{r['y1']:.17g},{r['diverged']},{r['divergence_scale']}\n")
 
 
 def trajectory_csv(traj: FlowTrajectory, q1: float, path: str):

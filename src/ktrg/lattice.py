@@ -7,11 +7,13 @@ lattice Laplacian symbol is lam(k) = 4 - 2cos(k0) - 2cos(k1) in [0, 8].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "DIRS",
     "TorusLattice",
     "laplacian_symbol",
     "torus_yukawa",
@@ -19,6 +21,11 @@ __all__ = [
     "normalized_potential",
     "normalized_potential_table",
 ]
+
+
+# the four signed unit vectors, indexed by direction d = 0..3; d and d + 2
+# point along the same axis with opposite signs
+DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def _int_log(side: int, base: int) -> int | None:
@@ -53,8 +60,8 @@ class TorusLattice:
             raise ValueError(f"R must be >= 1, got {self.R}")
         if self.gamma % 2 == 0 or self.gamma < 3:
             raise ValueError(f"gamma must be odd and >= 3, got {self.gamma}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+        if not (math.isfinite(self.m) and self.m >= 0):
+            raise ValueError(f"m must be finite and >= 0, got {self.m}")
         M = _int_log(self.L, self.gamma)
         if M is None:
             raise ValueError(f"gamma**M = L has no integer solution for gamma={self.gamma}, L={self.L}")

@@ -17,6 +17,7 @@ bisection-shooting solver provides the cross-check oracle.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,6 +49,8 @@ class ManifoldProblem:
     eps1: float = 0.05
 
     def __post_init__(self):
+        if not math.isfinite(self.y1):
+            raise ValueError(f"y1 must be finite, got {self.y1}")
         if abs(self.y1) > self.eps1:
             raise ValueError(f"|y1| = {abs(self.y1)} above the admissible eps1 = {self.eps1}")
         if self.J < 8:
@@ -231,6 +234,8 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
     """
     if flow_config is not None and (flow_config.mode != "limit" or flow_config.surrogate):
         raise ValueError("shooting oracle runs the bare quadratic flow only")
+    if not math.isfinite(y1):
+        raise ValueError(f"y1 must be finite, got {y1}")
     ceiling = flow_config.ceiling if flow_config is not None else 1.0
     if y1 == 0.0:
         return 0.0

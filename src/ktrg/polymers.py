@@ -153,10 +153,6 @@ def components(X: Polymer) -> list[Polymer]:
     return [Polymer(X.paving, blk) for blk, _ in _component_data(X.paving, X.blocks)]
 
 
-def is_connected(X: Polymer) -> bool:
-    return len(_component_data(X.paving, X.blocks)) == 1 if X.blocks else False
-
-
 def is_small(X: Polymer) -> bool:
     """Connected, at most 4 blocks, not winding around the torus."""
     comps = _component_data(X.paving, X.blocks)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import DIRS
 from .polymers import Polymer, neighborhood
 
 __all__ = [
@@ -26,9 +27,6 @@ __all__ = [
     "log_strong_regulator",
     "strong_regulator",
 ]
-
-_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
 
 @dataclass(frozen=True)
 class FieldOnTorus:
@@ -49,7 +47,7 @@ class FieldOnTorus:
 
     def diff(self, d: int) -> np.ndarray:
         """Forward difference along the signed direction d."""
-        s0, s1 = _DIRS[d]
+        s0, s1 = DIRS[d]
         return np.roll(self.values, (-s0, -s1), axis=(0, 1)) - self.values
 
 
@@ -76,7 +74,7 @@ def _diffs(phi: FieldOnTorus, order: int):
 def _apply_diffs(phi: FieldOnTorus, dirs) -> np.ndarray:
     out = phi.values
     for d in dirs:
-        s0, s1 = _DIRS[d]
+        s0, s1 = DIRS[d]
         out = np.roll(out, (-s0, -s1), axis=(0, 1)) - out
     return out
 
@@ -96,7 +94,7 @@ def _site_mask(X: Polymer, phi: FieldOnTorus | None = None) -> np.ndarray:
 def _boundary_mask(X: Polymer) -> np.ndarray:
     inside = _site_mask(X)
     out = np.zeros_like(inside)
-    for s0, s1 in _DIRS:
+    for s0, s1 in DIRS:
         out |= inside & ~np.roll(inside, (s0, s1), axis=(0, 1))
     return out
 

@@ -67,3 +67,17 @@ def test_oracle_command(tmp_path):
     lines = (tmp_path / "oracle_side3.csv").read_text().splitlines()
     assert lines[0] == "m,n,Q,term"
     assert len(lines) > 5
+
+
+def test_separatrix_outside_ball_fails(tmp_path, capsys):
+    # |y1| = 0.045 is admissible but the fixed point leaves the weighted ball
+    with pytest.warns(UserWarning, match="weighted ball"):
+        assert main(["separatrix", "--y1", "0.045", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "y1=0.045" in err and "sequence norm" in err
+    assert not (tmp_path / "separatrix_y0.045.csv").exists()
+
+
+def test_separatrix_inside_ball_passes(tmp_path):
+    assert main(["separatrix", "--y1", "0.01", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "separatrix_y0.01.csv").exists()

@@ -289,11 +289,43 @@ def test_e3_matches_literal_signed_sum(stack_l3_massless):
 
 
 def test_cross_grid_alias_certified(stack_l9_massless):
-    # the decimated Parseval grids at L=9 carry certified alias bounds well
-    # below the coefficient scale
-    from ktrg.coefficients import _calc
+    # the decimated Parseval grid of scale 3 at L=9 carries a certified alias
+    # bound, weighted by the b_j symbol, well below the coefficient scale
+    from ktrg.lattice import laplacian_symbol
 
-    calc = _calc(stack_l9_massless)
-    b3 = coeff_b(stack_l9_massless, 3)
-    cx = calc.cross_ctx(3)
-    assert cx.alias_bound < 1e-8 * abs(b3)
+    st = stack_l9_massless
+    b3 = coeff_b(st, 3)
+    g = st.grid(3)
+    assert g.step > 1
+    assert g.alias_bound(st.fine_scales(3), laplacian_symbol) < 1e-8 * abs(b3)
+
+
+def _literal_dd_at_zero(t):
+    """(d^mu d^nu Gamma)(0) = Gamma(e_mu + e_nu) - Gamma(e_mu) - Gamma(e_nu) + Gamma(0) from a table."""
+    dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    side = t.shape[0]
+
+    def at(x):
+        return t[x[0] % side, x[1] % side]
+
+    dd = np.empty((4, 4))
+    for mu, e_mu in enumerate(dirs):
+        for nu, e_nu in enumerate(dirs):
+            dd[mu, nu] = at((e_mu[0] + e_nu[0], e_mu[1] + e_nu[1])) - at(e_mu) - at(e_nu) + at((0, 0))
+    return dd
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_dd_and_e2_match_literal_second_differences(stack_l3_massless, j):
+    # the Parseval second differences at the origin against literal table
+    # differences (the spectral grid never enters the reference)
+    from ktrg.coefficients import _dd_at_zero
+
+    st = stack_l3_massless
+    lit = _literal_dd_at_zero(st.gamma_table(j))
+    dd = _dd_at_zero(st, j)
+    for mu in range(4):
+        for nu in range(4):
+            assert dd[mu, nu] == pytest.approx(lit[mu, nu], rel=1e-9)
+    e2_lit = -(9.0**j / 2.0) * 0.5 * sum(lit[mu, mu] for mu in range(4))
+    assert energy_coeffs(st, j)[0] == pytest.approx(e2_lit, rel=1e-9)

@@ -77,7 +77,7 @@ def test_A_factors_compose(fam):
 
 def test_band_degree_budget(fam):
     for h in range(fam.horizon):
-        assert fam.band_support(h) <= (fam.gamma ** (h + 1) - 1) // 2
+        assert fam.band_degree(h) <= (fam.gamma ** (h + 1) - 1) // 2
 
 
 def test_tilde_c_diagonal(fam):

@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ktrg.decomposition import (
     write_stack,
     read_stack,
     DecompositionError,
+    SpectralGrid,
 )
 
 
@@ -168,3 +171,127 @@ def test_horizon_too_short():
     fam = build_cutoffs(3, 1, 2)
     with pytest.raises(ValueError):
         decompose(lat, cutoffs=fam)
+
+
+def _damaged_copy(tmp_path, stack, edit):
+    """Write the stack, then rewrite its data rows through edit(rows)."""
+    path = os.path.join(tmp_path, "stack.csv")
+    write_stack(stack, path)
+    lines = open(path).read().splitlines(keepends=True)
+    start = lines.index("scale,x0,x1,value\n") + 1
+    with open(path, "w") as f:
+        f.writelines(lines[:start] + edit(lines[start:]))
+    return path
+
+
+def test_read_stack_rejects_truncated_file(tmp_path, stack_l3_massive):
+    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows[: len(rows) // 2])
+    with pytest.raises(DecompositionError, match=r"rows missing, first \(scale, x0, x1\) = \(2, 0, 0\)") as e:
+        read_stack(path)
+    assert path in str(e.value)
+
+
+def test_read_stack_rejects_duplicated_row(tmp_path, stack_l3_massive):
+    # the last row is replaced by a second copy of the first: same count
+    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows[:-1] + rows[:1])
+    with pytest.raises(DecompositionError, match=r"duplicated row \(scale, x0, x1\) = \(0, 0, 0\)"):
+        read_stack(path)
+
+
+def test_read_stack_rejects_out_of_range_row(tmp_path, stack_l3_massive):
+    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows + ["4,0,0,0x0.0p+0\n"])
+    with pytest.raises(DecompositionError, match=r"\(4, 0, 0\) out of range"):
+        read_stack(path)
+
+
+def test_read_stack_rejects_changed_value(tmp_path, stack_l3_massive):
+    # every row present once, one tail entry changed: only the telescoping
+    # check sees it (leakage and PSD do not look at the tail)
+    def edit(rows):
+        j, x0, x1, v = rows[-5].split(",")
+        return rows[:-5] + [f"{j},{x0},{x1},{(2.0 * float.fromhex(v)).hex()}\n"] + rows[-4:]
+
+    path = _damaged_copy(tmp_path, stack_l3_massive, edit)
+    with pytest.raises(DecompositionError, match="telescoping"):
+        read_stack(path)
+
+
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), -0.1])
+def test_non_finite_or_negative_mass_rejected(m):
+    with pytest.raises(ValueError, match="m must be finite"):
+        TorusLattice(L=3, R=3, m=m)
+
+
+def test_gates_fail_on_nan():
+    st = decompose(TorusLattice(L=3, R=2, m=0.1))
+    st._cache["psd"] = [float("nan")] * st.n_scales
+    with pytest.raises(DecompositionError, match="nan in Gamma_0"):
+        st.validate()
+    st = decompose(TorusLattice(L=3, R=2, m=0.1))
+    st.gamma_tables[0] = st.gamma_tables[0] * float("nan")
+    with pytest.raises(DecompositionError, match="leakage nan"):
+        st.validate()
+
+
+def test_grid_bands_match_band_sum():
+    # the single pass over the residual products reproduces the band
+    # evaluation from scratch bit for bit, in any request order
+    lat = TorusLattice(L=9, R=3, m=0.1)
+    cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
+    g = SpectralGrid.decimated(cut, lat.m, 3, 45, 10)
+    for hs in ([2, 3], [0, 1], [4, 5], [3]):
+        assert np.array_equal(g.band(hs), cut.band_sum(g.u, g.b, hs))
+    assert np.array_equal(g.residual(6), cut.residual(g.u, g.b, 6))
+
+
+def _count_band_evaluations(monkeypatch):
+    calls = []
+    orig = SpectralGrid._band_sum
+
+    def counted(self, hs):
+        calls.append((self, hs))
+        return orig(self, hs)
+
+    monkeypatch.setattr(SpectralGrid, "_band_sum", counted)
+    return calls
+
+
+def test_decompose_evaluates_each_band_once(monkeypatch):
+    calls = _count_band_evaluations(monkeypatch)
+    st = decompose(TorusLattice(L=3, R=4, m=0.1))
+    assert [hs for _, hs in calls] == [(0,), (1,), (2,), (3,)]
+    assert len({id(g) for g, _ in calls}) == 1 and calls[0][0].S == st.lattice.side
+    st.psd_margins()
+    st.validate()
+    assert len(calls) == 4
+
+
+def test_coefficients_evaluate_each_band_once_per_grid(monkeypatch):
+    from ktrg.coefficients import compute_coefficients, kernels
+
+    calls = _count_band_evaluations(monkeypatch)
+    st = decompose(TorusLattice(L=9, R=4))
+    compute_coefficients(st, 2)
+    kernels(st, 2)
+    keys = [(id(g), hs) for g, hs in calls]
+    assert len(keys) == len(set(keys))
+    # the scale-n grid holds the bands of scales 0..n, each evaluated once
+    scale_grids = [st.grid(n) for n in range(3)]
+    for n, g in enumerate(scale_grids):
+        assert sorted(hs for h, hs in calls if h is g) == [tuple(st.fine_scales(k)) for k in range(n + 1)]
+
+
+def test_psd_probe_grid_does_not_outlive_decompose(monkeypatch):
+    made = []
+    orig = SpectralGrid.__init__
+
+    def tracked(self, *args, **kwargs):
+        orig(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(SpectralGrid, "__init__", tracked)
+    st = decompose(TorusLattice(L=9, R=6))
+    assert made
+    gc.collect()
+    assert all(r() is None for r in made)
+    assert len(st.psd_margins()) == 6

@@ -142,6 +142,16 @@ def test_sweep_rows():
     assert rows[1]["diverged"] == 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_trajectory_rejects_non_finite_start(bad):
+    cfg = FlowConfig(horizon=1000)
+    for args in ((bad, 0.01), (0.01, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            trajectory(*args, cfg)
+    with pytest.raises(ValueError, match="kappa1 must be finite"):
+        trajectory(0.01, 0.01, cfg, kappa1=bad)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(mode="bogus")

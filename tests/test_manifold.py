@@ -199,3 +199,11 @@ def test_apply_T_warns_outside_ball():
         _w.simplefilter("always")
         apply_T(bad, prob)
     assert any("ball" in str(r.message) for r in rec)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_activity_rejected(bad):
+    with pytest.raises(ValueError, match="y1 must be finite"):
+        ManifoldProblem(y1=bad)
+    with pytest.raises(ValueError, match="y1 must be finite"):
+        solve_shooting(bad)
