@@ -185,6 +185,18 @@ def _w_b_term(stack: CovarianceStack, j: int, n: int, a2: float) -> np.ndarray:
     return _guard_exp(wb_n, n)
 
 
+def _origin_bracket(stack: CovarianceStack, j: int, n: int, a2: float) -> np.ndarray:
+    """expm1(-a2 (Gamma_j(0) - Gamma_j(y))) on the scale-n window.
+
+    Gamma_j(0) is the origin entry of the same kernel array, so the bracket
+    vanishes exactly at y = 0 instead of carrying the rounding gap between
+    two sums.
+    """
+    K = stack.kernel(j, n)
+    r = stack.grid(n).radius
+    return np.expm1(-a2 * (K[r, r] - K))
+
+
 def _scale_bands(stack: CovarianceStack, j: int) -> list[np.ndarray]:
     """Bands of scales 0..j on the scale-j grid."""
     g = stack.grid(j)
@@ -203,7 +215,7 @@ def coeff_a(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     # first sum, term by term in the w_b scale index n, each on the scale-n grid
     for n in range(j):
         g = stack.grid(n)
-        bracket = np.expm1(-a2 * (g0j - stack.kernel(j, n)))
+        bracket = _origin_bracket(stack, j, n, a2)
         total += g.weight * float(np.sum(g.y_sq * _w_b_term(stack, j, n, a2) * bracket))
     # second sum on the scale-j grid
     g = stack.grid(j)
@@ -274,7 +286,6 @@ def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT)
     e3 *= L2j / 4.0
 
     # e4: Taylor-subtracted w_b moment plus the single-scale pressure term
-    g0j = stack.gamma0(j)
     e4 = 0.0
     for n in range(j):
         gn = stack.grid(n)
@@ -288,9 +299,9 @@ def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT)
                 snu = DIRS[nu]
                 ynu = snu[0] * y0 + snu[1] * y1
                 quad += 0.25 * dd_tensor[mu, nu] * ymu * ynu
-        bracket = np.expm1(-a2 * (g0j - stack.kernel(j, n))) - 0.5 * a2 * quad
+        bracket = _origin_bracket(stack, j, n, a2) - 0.5 * a2 * quad
         e4 += 2.0 * L2j * gn.weight * float(np.sum(_w_b_term(stack, j, n, a2) * bracket))
-    term2 = math.exp(-a2 * g0j) * np.expm1(a2 * stack.kernel(j, j))
+    term2 = math.exp(-a2 * stack.gamma0(j)) * np.expm1(a2 * stack.kernel(j, j))
     e4 += L ** (-2 * j) * g.weight * float(np.sum(term2))
     return float(e2), float(e3), float(e4)
 

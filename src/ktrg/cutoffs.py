@@ -22,6 +22,14 @@ finite range is exact, not a leakage tolerance.
 The h -> infinity limit of r_h at momentum scale gamma^h is the radial
 profile  u_inf(q) = prod_{l>=1} sinc^2(gamma^-l q / sqrt(8))  used by the
 continuum diagnostics (tilde_c and the Coulomb constant).
+
+Their radial integrals all go through one fixed-node panel rule: each panel
+is integrated with QUAD_NODES and with 2*QUAD_NODES Gauss-Legendre nodes,
+the integrand is evaluated once on the array of every node of every panel,
+and a panel where the two rules disagree raises.  The Hankel-type integral
+of gtilde is split into panels between consecutive zeros of J0; the
+non-oscillatory pieces use panels no longer than their distance from 0
+(for the 1/rho weight) and a fixed width (the profile and J0 are entire).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "CutoffFamily",
@@ -90,15 +98,16 @@ class CutoffFamily:
         a = np.where(small, 1.0 - (kappa**2 - 1) * half**2 / 6.0, a)
         return a * a
 
-    def _one_minus_factor_over_u(self, u: np.ndarray, b: float, kappa: int) -> np.ndarray:
-        """(1 - s_kappa(u)) / u, stable down to u = 0.
+    @staticmethod
+    def _one_minus_factor_over_u(u: np.ndarray, theta: np.ndarray, b: float, kappa: int) -> np.ndarray:
+        """(1 - s_kappa(u)) / u at theta = theta(u, b), stable down to u = 0.
 
         For kappa*theta/2 < 1e-3 uses
         sin^2(a) - sin^2(Ka)/K^2 = (K^2-1) a^4/3 - 2(K^4-1) a^6/45 + O(a^8)
         together with sin^2(a) = u/b (exact by the substitution).
         """
         u = np.asarray(u, dtype=float)
-        a = 0.5 * self.theta(u, b)
+        a = 0.5 * theta
         k2 = float(kappa) ** 2
         out = np.empty_like(u)
         small = kappa * a < 1e-3
@@ -139,7 +148,7 @@ class CutoffFamily:
             for n in range(n_done + 1, h + 1):
                 r = r * self._factor(theta, self.kappas[n - 1])
             n_done = max(n_done, h)
-            out += r * self._one_minus_factor_over_u(u, b, self.kappas[h])
+            out += r * self._one_minus_factor_over_u(u, theta, b, self.kappas[h])
         return out
 
     def band_degree(self, h: int) -> int:
@@ -214,24 +223,69 @@ def build_cutoffs(gamma: int, M: int, horizon: int) -> CutoffFamily:
     return fam
 
 
+# ---------------------------------------------------------------------------
+# continuum quadrature
+
+# Gauss-Legendre nodes per panel; every panel is also integrated with twice
+# as many and the two must agree to PANEL_TOL (relative above magnitude 1)
+QUAD_NODES = 16
+PANEL_TOL = 1e-12
+_RULES = [np.polynomial.legendre.leggauss(n) for n in (QUAD_NODES, 2 * QUAD_NODES)]
+
+
+def _panel_quad(f, edges, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of f over the panels [edges[k], edges[k+1]] and their n/2n gaps.
+
+    f is evaluated once, elementwise on the array of all nodes of both rules
+    on every panel.  Returns the 2n-node panel values and |I_2n - I_n| per
+    panel; raises RuntimeError naming the integral, the worst panel and its
+    gap when a gap exceeds PANEL_TOL * max(1, |I_2n|).
+    """
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])
+    (x1, w1), (x2, w2) = _RULES
+    vals = f(mid + half[:, None] * np.concatenate([x1, x2]))
+    coarse = half * (vals[:, : len(x1)] @ w1)
+    fine = half * (vals[:, len(x1) :] @ w2)
+    gap = np.abs(fine - coarse)
+    excess = gap / (PANEL_TOL * np.maximum(1.0, np.abs(fine)))
+    k = int(np.argmax(excess))
+    if not excess[k] <= 1.0:
+        raise RuntimeError(
+            f"quadrature of {name}: panel {k} [{edges[k]:.6g}, {edges[k + 1]:.6g}]: "
+            f"{len(x1)}- and {len(x2)}-node rules differ by {gap[k]:.3e}"
+        )
+    return fine, gap
+
+
+def _edges(a: float, b: float, width: float) -> np.ndarray:
+    """Panel edges on [a, b]: panels at most `width` long and, for a > 0, at
+    most as long as their left edge is far from 0 (ratio 2 near a 1/rho weight)."""
+    out = [a]
+    while out[-1] < b:
+        x = out[-1]
+        out.append(min(b, x + (min(x, width) if a > 0 else width)))
+    return np.array(out)
+
+
 def tilde_c(cutoffs: CutoffFamily, x) -> float:
     """C~(x) = int d^2p/(2pi)^2 e^{ipx} (u(p) - u(gamma p))/p^2 by quadrature.
 
-    Radial form: (1/2pi) int_0^inf (u(rho) - u(gamma rho)) J0(rho |x|) drho/rho.
+    Radial form: (1/2pi) int_0^120 (u(rho) - u(gamma rho)) J0(rho |x|) drho/rho.
+    The integrand is entire, so fixed-width panels suffice; the width
+    shrinks as 1/(1 + |x|) to resolve J0.
     """
     r = math.hypot(float(x[0]), float(x[1])) if np.ndim(x) else float(abs(x))
+    if not math.isfinite(r):
+        raise ValueError(f"tilde_c needs a finite point, got |x| = {r}")
     g = cutoffs.gamma
 
     def integrand(rho):
-        du = float(cutoffs.u_profile(rho) - cutoffs.u_profile(g * rho))
-        return du * special.j0(rho * r) / rho
+        return (cutoffs.u_profile(rho) - cutoffs.u_profile(g * rho)) * special.j0(rho * r) / rho
 
-    corners = [math.sqrt(8.0) * float(g) ** (-l) * math.pi for l in range(-6, 3)]
-    pts = sorted(c for c in corners if 1e-8 < c < 120.0)
-    total, err = integrate.quad(integrand, 1e-8, 120.0, points=pts, limit=400, epsabs=1e-10, epsrel=1e-10)
-    if err > 1e-6:
-        raise RuntimeError(f"quadrature did not converge: residual estimate {err:.3e}")
-    return total / (2.0 * math.pi)
+    vals, _ = _panel_quad(integrand, _edges(0.0, 120.0, 4.0 / (1.0 + r)), f"tilde_c at |x|={r:g}")
+    return float(np.sum(vals)) / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -249,60 +303,45 @@ class CoulombConstant:
     slope: float          # fitted d gtilde / d ln|x|; should be -1/(2pi)
     fit_residual: float   # rms residual of the window fit
     w_limit_error: float  # relative gap between e^c and w(y) at the window edge
+    quad_error: float     # n/2n panel gaps summed over the window values of gtilde
 
 
-def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> float:
-    """gtilde(x|0) at |x| = r, split into smooth and oscillatory parts."""
+def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
+    """gtilde(x|0) at |x| = r and its summed n/2n panel gap.
+
+    Split at rho = 1/r into a head int (J0 - 1) u drho/rho, the
+    non-oscillatory int u drho/rho and the oscillatory int J0 u drho/rho,
+    the last in panels between consecutive Bessel zeros of s = rho r,
+    summed up to the first panel past s = 30 r whose value is below 1e-13.
+    """
+    u = cutoffs.u_profile
     lo = 1.0 / r
-
-    def head(rho):
-        return (special.j0(rho * r) - 1.0) * float(cutoffs.u_profile(rho)) / rho
-
-    h, _ = integrate.quad(head, 1e-10, lo, limit=200, epsabs=1e-11)
-
-    def nonosc(rho):
-        return float(cutoffs.u_profile(rho)) / rho
-
-    n1, _ = integrate.quad(nonosc, lo, 1.0, limit=200, epsabs=1e-11)
-    n2, _ = integrate.quad(nonosc, 1.0, 200.0, limit=400, epsabs=1e-11)
-
-    # oscillatory piece int_{1/r}^inf J0(rho r) u(rho) drho/rho in blocks
-    # between consecutive Bessel zeros of the rescaled variable s = rho r
-    def osc(s):
-        return special.j0(s) * float(cutoffs.u_profile(s / r)) / s
-
-    zeros = special.jn_zeros(0, 4000)
-    prev = 1.0
-    osc_total = 0.0
-    for z in zeros:
-        if z <= prev:
-            continue
-        val, _ = integrate.quad(osc, prev, z, limit=60, epsabs=1e-12)
-        osc_total += val
-        prev = z
-        if z > 30.0 * r and abs(val) < 1e-13:
-            break
-    return (h + osc_total - (n1 + n2)) / (2.0 * math.pi)
+    head, e_head = _panel_quad(lambda rho: (special.j0(rho * r) - 1.0) * u(rho) / rho, [0.0, lo],
+                               f"gtilde head at r={r:g}")
+    nonosc, e_nonosc = _panel_quad(lambda rho: u(rho) / rho, _edges(lo, 200.0, 8.0),
+                                   f"gtilde non-oscillatory piece at r={r:g}")
+    zeros = np.concatenate([[1.0], special.jn_zeros(0, 4000)])
+    osc, e_osc = _panel_quad(lambda s: special.j0(s) * u(s / r) / s, zeros,
+                             f"gtilde Bessel-zero panels at r={r:g}")
+    done = np.flatnonzero((zeros[1:] > 30.0 * r) & (np.abs(osc) < 1e-13))
+    n = int(done[0]) + 1 if done.size else len(osc)
+    value = float(np.sum(head)) + float(np.sum(osc[:n])) - float(np.sum(nonosc))
+    error = float(np.sum(e_head)) + float(np.sum(e_osc[:n])) + float(np.sum(e_nonosc))
+    return value / (2.0 * math.pi), error / (2.0 * math.pi)
 
 
 def _c_log_closed_form(cutoffs: CutoffFamily) -> float:
     """c_log = (1/2pi)[ln2 - gamma_E + int_0^1 (1-u)/rho - int_1^inf u/rho].
 
     Splitting J0 - 1 at the scale 1/|x| turns the large-|x| limit of
-    gtilde + (1/2pi)ln|x| into mass integrals of the profile alone.
+    gtilde + (1/2pi)ln|x| into mass integrals of the profile alone; the
+    tail integral stops at rho = 1e4.
     """
     euler_gamma = 0.5772156649015329
-
-    def head(rho):
-        return (1.0 - float(cutoffs.u_profile(rho))) / rho
-
-    def tail(rho):
-        return float(cutoffs.u_profile(rho)) / rho
-
-    i1, _ = integrate.quad(head, 1e-9, 1.0, limit=200, epsabs=1e-11)
-    corners = [math.sqrt(8.0) * cutoffs.gamma * math.pi * k for k in range(1, 40)]
-    i2, _ = integrate.quad(tail, 1.0, 1e4, limit=2000, points=[c for c in corners if c < 1e4], epsabs=1e-11)
-    return (math.log(2.0) - euler_gamma + i1 - i2) / (2.0 * math.pi)
+    u = cutoffs.u_profile
+    i1, _ = _panel_quad(lambda rho: (1.0 - u(rho)) / rho, [0.0, 1.0], "c_log head")
+    i2, _ = _panel_quad(lambda rho: u(rho) / rho, _edges(1.0, 1e4, 8.0), "c_log tail")
+    return (math.log(2.0) - euler_gamma + float(np.sum(i1)) - float(np.sum(i2))) / (2.0 * math.pi)
 
 
 def coulomb_constant_closed(cutoffs: CutoffFamily) -> float:
@@ -318,7 +357,7 @@ def coulomb_constant_c(cutoffs: CutoffFamily, window=(50.0, 200.0), npts: int = 
     a non-flat tail (fit rms above 1e-4) raises.
     """
     rs = np.geomspace(window[0], window[1], npts)
-    vals = np.array([_gtilde_normalized(cutoffs, float(r)) for r in rs])
+    vals, errs = np.array([_gtilde_normalized(cutoffs, float(r)) for r in rs]).T
     A = np.vstack([np.log(rs), np.ones_like(rs)]).T
     (slope, c_log), *_ = np.linalg.lstsq(A, vals, rcond=None)
     fitted = A @ np.array([slope, c_log])
@@ -332,4 +371,5 @@ def coulomb_constant_c(cutoffs: CutoffFamily, window=(50.0, 200.0), npts: int = 
     y = float(rs[-1])
     w = y**4 * math.exp(alpha_sq * float(vals[-1]))
     w_err = abs(w - math.exp(c)) / math.exp(c)
-    return CoulombConstant(c=c, c_log=float(c_log), slope=float(slope), fit_residual=residual, w_limit_error=w_err)
+    return CoulombConstant(c=c, c_log=float(c_log), slope=float(slope), fit_residual=residual,
+                           w_limit_error=w_err, quad_error=float(np.sum(errs)))

@@ -148,7 +148,8 @@ class SpectralGrid:
         cut = self.cutoffs
         out = np.zeros_like(self.u)
         for h in hs:
-            out += self.residual(h) * cut._one_minus_factor_over_u(self.u, self.b, cut.kappas[h])
+            r = self.residual(h)
+            out += r * cut._one_minus_factor_over_u(self.u, self._theta, self.b, cut.kappas[h])
         return out
 
     def band(self, hs) -> np.ndarray:

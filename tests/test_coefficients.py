@@ -171,6 +171,20 @@ def test_e4_taylor_subtraction_cubic(stack_l3_massless):
     assert p >= 3.0
 
 
+def test_brackets_insensitive_to_last_bit_of_gamma0(stack_l3_massless, monkeypatch):
+    # the expm1 brackets read Gamma_j(0) off the kernel array they subtract
+    # from, so a last-bit change of the separately summed Gamma_j(0) only
+    # reaches a_j and e4_j through the smooth prefactors
+    st = stack_l3_massless
+    js = (1, 2, 3, 4)
+    base = [(coeff_a(st, j), energy_coeffs(st, j)[2]) for j in js]
+    exact = st.gamma0
+    monkeypatch.setattr(st, "gamma0", lambda j: exact(j) + 1e-13)
+    for j, (a, e4) in zip(js, base):
+        assert coeff_a(st, j) == pytest.approx(a, rel=1e-10, abs=0.0)
+        assert energy_coeffs(st, j)[2] == pytest.approx(e4, rel=1e-10, abs=0.0)
+
+
 def test_convergence_rate_exponent(stack_l3_massless):
     # |a_j - a_5| and |b_j - b_5| decay with fitted exponent >= 1/4 in L^-j
     js = np.array([2, 3, 4])

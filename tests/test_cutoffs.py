@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
-from ktrg.cutoffs import build_cutoffs, tilde_c, coulomb_constant_c, coulomb_constant_closed
+from ktrg.cutoffs import (
+    _c_log_closed_form, _gtilde_normalized, _panel_quad, build_cutoffs, tilde_c, coulomb_constant_c,
+    coulomb_constant_closed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +42,8 @@ def test_one_minus_factor_over_u_limit(fam):
     b = 8.0
     for kappa in (2, 3, 9):
         lim = (kappa**2 - 1) / (3.0 * b)
-        got = fam._one_minus_factor_over_u(np.array([0.0, 1e-14, 1e-8]), b, kappa)
+        u = np.array([0.0, 1e-14, 1e-8])
+        got = fam._one_minus_factor_over_u(u, fam.theta(u, b), b, kappa)
         assert got == pytest.approx([lim, lim, lim], rel=1e-6)
 
 
@@ -90,6 +95,11 @@ def test_tilde_c_compact_support(fam):
         assert abs(tilde_c(fam, x)) < 1e-4 * peak
 
 
+def test_tilde_c_rejects_non_finite_point(fam):
+    with pytest.raises(ValueError, match="finite"):
+        tilde_c(fam, (math.inf, 0.0))
+
+
 def test_tilde_c_rotation(fam):
     a = tilde_c(fam, (0.7, 0.0))
     b = tilde_c(fam, (0.0, 0.7))
@@ -117,3 +127,92 @@ def test_coulomb_window_independence(fam, cc):
 def test_coulomb_w_limit(cc):
     # e^c consistent with lim w(y) at the window edge within 2%
     assert cc.w_limit_error < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the adaptive-quadrature path the panel rule replaced, kept as its oracle
+
+
+def _quad_tilde_c(cutoffs, x):
+    r = math.hypot(float(x[0]), float(x[1]))
+    g = cutoffs.gamma
+
+    def integrand(rho):
+        du = float(cutoffs.u_profile(rho) - cutoffs.u_profile(g * rho))
+        return du * special.j0(rho * r) / rho
+
+    corners = [math.sqrt(8.0) * float(g) ** (-l) * math.pi for l in range(-6, 3)]
+    pts = sorted(c for c in corners if 1e-8 < c < 120.0)
+    total, err = integrate.quad(integrand, 1e-8, 120.0, points=pts, limit=400, epsabs=1e-10, epsrel=1e-10)
+    assert err < 1e-6
+    return total / (2.0 * math.pi)
+
+
+def _quad_gtilde_normalized(cutoffs, r):
+    lo = 1.0 / r
+
+    def head(rho):
+        return (special.j0(rho * r) - 1.0) * float(cutoffs.u_profile(rho)) / rho
+
+    h, _ = integrate.quad(head, 1e-10, lo, limit=200, epsabs=1e-11)
+
+    def nonosc(rho):
+        return float(cutoffs.u_profile(rho)) / rho
+
+    n1, _ = integrate.quad(nonosc, lo, 1.0, limit=200, epsabs=1e-11)
+    n2, _ = integrate.quad(nonosc, 1.0, 200.0, limit=400, epsabs=1e-11)
+
+    def osc(s):
+        return special.j0(s) * float(cutoffs.u_profile(s / r)) / s
+
+    prev = 1.0
+    osc_total = 0.0
+    for z in special.jn_zeros(0, 4000):
+        val, _ = integrate.quad(osc, prev, z, limit=60, epsabs=1e-12)
+        osc_total += val
+        prev = z
+        if z > 30.0 * r and abs(val) < 1e-13:
+            break
+    return (h + osc_total - (n1 + n2)) / (2.0 * math.pi)
+
+
+def _quad_c_log(cutoffs):
+    euler_gamma = 0.5772156649015329
+
+    def head(rho):
+        return (1.0 - float(cutoffs.u_profile(rho))) / rho
+
+    def tail(rho):
+        return float(cutoffs.u_profile(rho)) / rho
+
+    i1, _ = integrate.quad(head, 1e-9, 1.0, limit=200, epsabs=1e-11)
+    corners = [math.sqrt(8.0) * cutoffs.gamma * math.pi * k for k in range(1, 40)]
+    i2, _ = integrate.quad(tail, 1.0, 1e4, limit=2000, points=[c for c in corners if c < 1e4], epsabs=1e-11)
+    return (math.log(2.0) - euler_gamma + i1 - i2) / (2.0 * math.pi)
+
+
+def test_gtilde_matches_quad_oracle(fam):
+    value, gap = _gtilde_normalized(fam, 50.0)
+    assert value == pytest.approx(_quad_gtilde_normalized(fam, 50.0), abs=1e-10)
+    assert 0.0 <= gap < 1e-10
+
+
+def test_c_log_matches_quad_oracle(fam):
+    assert _c_log_closed_form(fam) == pytest.approx(_quad_c_log(fam), abs=1e-10)
+
+
+@pytest.mark.parametrize("x", [(0.0, 0.0), (0.7, 0.0), (3.0, 4.0)])
+def test_tilde_c_matches_quad_oracle(fam, x):
+    assert tilde_c(fam, x) == pytest.approx(_quad_tilde_c(fam, x), abs=1e-10)
+
+
+def test_panel_rule_exact_on_smooth_integrand():
+    vals, gaps = _panel_quad(np.sin, np.linspace(0.0, math.pi, 4), "sine")
+    assert float(np.sum(vals)) == pytest.approx(2.0, abs=1e-14)
+    assert gaps.max() < 1e-14
+
+
+def test_panel_rule_flags_kink():
+    # a sqrt|x - x0| kink inside the middle panel defeats both rules
+    with pytest.raises(RuntimeError, match=r"quadrature of kinked integrand: panel 1 .*differ by"):
+        _panel_quad(lambda x: np.sqrt(np.abs(x - 1.37)), [0.0, 1.0, 2.0, 3.0], "kinked integrand")
