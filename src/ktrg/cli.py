@@ -31,6 +31,7 @@ from .oracle import oracle_lattice, grand_Z, siegert_kac_check
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
+SHOOTING_TOL = 1e-10
 
 
 def _load_config(path: str | None, section: str) -> dict:
@@ -103,13 +104,26 @@ def cmd_coeffs(args, cfg) -> int:
     return 0
 
 
+def _in_ball_fixed_point(prob: ManifoldProblem):
+    """The fixed point of prob, or None (reported) when it leaves the weighted ball."""
+    fp = solve_fixed_point(prob)
+    if not fp.in_ball:
+        print(f"FAIL: fixed point at y1={prob.y1} outside the weighted ball "
+              f"(sequence norm {seq_norm(fp.seq, prob):.4g} > 1)", file=sys.stderr)
+        return None
+    return fp
+
+
 def cmd_flow(args, cfg) -> int:
     y1 = _get(args, cfg, "y1", float, 0.01)
     x1 = _get(args, cfg, "x1", float, None)
     J = _get(args, cfg, "horizon", int, 100_000)
     flow_cfg = FlowConfig(horizon=J)
     if x1 is None:
-        x1 = solve_fixed_point(ManifoldProblem(y1=y1, J=J, flow=flow_cfg)).sigma
+        fp = _in_ball_fixed_point(ManifoldProblem(y1=y1, J=J, flow=flow_cfg))
+        if fp is None:
+            return CHECK_ERROR
+        x1 = fp.sigma
     traj = trajectory(x1, y1, flow_cfg)
     path = _out_path(args, f"flow_y{y1}.csv")
     trajectory_csv(traj, y1, path)
@@ -125,13 +139,10 @@ def cmd_separatrix(args, cfg) -> int:
     y1 = _get(args, cfg, "y1", float, 0.01)
     J = _get(args, cfg, "horizon", int, 100_000)
     L = _get(args, cfg, "L", int, 9)
-    prob = ManifoldProblem(y1=y1, J=J)
-    fp = solve_fixed_point(prob)
-    if not fp.in_ball:
-        print(f"FAIL: fixed point at y1={y1} outside the weighted ball "
-              f"(sequence norm {seq_norm(fp.seq, prob):.4g} > 1)", file=sys.stderr)
+    fp = _in_ball_fixed_point(ManifoldProblem(y1=y1, J=J))
+    if fp is None:
         return CHECK_ERROR
-    sh = solve_shooting(y1)
+    sh = solve_shooting(y1, tol=SHOOTING_TOL)
     lip = empirical_contraction(ManifoldProblem(y1=y1, J=min(J, 4000)), 50, seed=args.seed)
     # original variables at base L: x = b s, y = sqrt(ab) z
     cut = build_cutoffs(3, 1, 8)
@@ -141,12 +152,14 @@ def cmd_separatrix(args, cfg) -> int:
     beta = ALPHA_SQ_KT / (1.0 - s) if s < 1 else float("nan")
     rows = [dict(y1=y1, sigma_fixed_point=fp.sigma, sigma_shooting=sh,
                  iterations=fp.iterations, contraction_estimate=lip,
+                 fixed_point_residual=fp.residual, shooting_tol=SHOOTING_TOL,
                  z=z, s=s, beta=beta)]
     path = _out_path(args, f"separatrix_y{y1}.csv")
     separatrix_csv(rows, path)
     agree = abs(fp.sigma - sh)
     print(f"separatrix y1={y1}: fixed-point {fp.sigma:.12g}, shooting {sh:.12g}, gap {agree:.2e}")
-    print(f"  contraction estimate {lip:.3f}; wrote {path}")
+    print(f"  fixed-point residual {fp.residual:.2e}, shooting tol {SHOOTING_TOL:.0e}, "
+          f"contraction estimate {lip:.3f}; wrote {path}")
     return 0 if agree <= 1e-8 and lip <= 0.5 else CHECK_ERROR
 
 

@@ -34,6 +34,7 @@ non-oscillatory pieces use panels no longer than their distance from 0
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,12 @@ __all__ = [
 def _fejer_schedule(gamma: int, horizon: int) -> tuple[int, ...]:
     """kappa_h for h = 1..horizon; kappa_h = max(2, gamma^(h-1))."""
     return tuple(max(2, gamma ** (h - 1)) for h in range(1, horizon + 1))
+
+
+# u_profile stops a point's product once its argument x falls to this: the
+# omitted factors multiply to at least 1 - 3x^2/8 (gamma >= 3), which rounds
+# to 1 in double precision
+U_ARG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -191,19 +198,20 @@ class CutoffFamily:
         """Continuum profile u(q) = prod_{l>=1} sinc^2(gamma^-l |q| / sqrt(8)).
 
         u(0) = 1, 0 <= u <= 1, u -> 0 at infinity; the scaled h -> infinity
-        limit of the residuals r_h.
+        limit of the residuals r_h.  Each point takes its own product down to
+        U_ARG_TOL, so a value does not depend on the other points of the call.
         """
         q = np.abs(np.asarray(q, dtype=float))
+        if not np.all(np.isfinite(q)):
+            raise ValueError("u_profile needs finite momenta")
         out = np.ones_like(q)
-        qmax = float(q.max()) if q.size else float(q)
-        if qmax == 0.0:
-            return out
-        lmax = max(1, int(math.log(qmax * 1e4 + 10.0) / math.log(self.gamma)) + 2)
         root_b = math.sqrt(8.0)
-        for l in range(1, lmax + 1):
+        for l in itertools.count(1):
             x = q * (self.gamma ** (-l)) / root_b
-            out *= np.sinc(x / np.pi) ** 2
-        return out
+            live = x > U_ARG_TOL
+            if not live.any():
+                return out
+            out *= np.where(live, np.sinc(x / np.pi) ** 2, 1.0)
 
 
 def build_cutoffs(gamma: int, M: int, horizon: int) -> CutoffFamily:

@@ -7,6 +7,13 @@ per-scale mode replaces the limit constants by the computed a_j, b_j and
 volume factors, and the surrogate mode carries a nonnegative scalar kappa
 standing in for the norm of the irrelevant remainder, contracting with
 rate rho and fed by the cubic local error.
+
+`corrections` is the one place where those per-scale and surrogate terms
+are written; it takes floats or equal-shape arrays (j an int or an int
+array) and rounds both the same way.  `_advance`, the one step built on
+it, serves `step` and `trajectory`; the fixed-point map `manifold.apply_T`
+calls the kernel once on whole sequences.  Only the shooting oracle
+(`manifold._classify`) spells out the bare quadratic step on its own.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ __all__ = [
     "FlowTrajectory",
     "kosterlitz_q",
     "kosterlitz_q_array",
+    "corrections",
     "step",
     "trajectory",
     "DeviationFit",
@@ -55,8 +63,16 @@ class FlowConfig:
             raise ValueError(f"unknown flow mode {self.mode!r}")
         if not (0.0 < self.rho < 1.0):
             raise ValueError("surrogate contraction rho must be in (0, 1)")
-        if min(self.c_R, self.c_F, self.c_M) < 0:
-            raise ValueError("surrogate gains must be >= 0")
+        for name, v in (("c_R", self.c_R), ("c_F", self.c_F), ("c_M", self.c_M)):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"surrogate gain {name} must be finite and >= 0, got {v}")
+        if not (math.isfinite(self.ceiling) and self.ceiling > 0.0):
+            raise ValueError(f"ceiling must be finite and > 0, got {self.ceiling}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        for name in ("a_limit", "b_limit", "a_seq", "b_seq", "vol_seq"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -96,47 +112,46 @@ def kosterlitz_q_array(q1: float, horizon: int) -> np.ndarray:
     return q1 / (1.0 + abs(q1) * (js - 1.0))
 
 
-def _per_scale(config: FlowConfig, j: int) -> tuple[float, float, float]:
+def _per_scale(config: FlowConfig, j):
     """(a_j, b_j, vol_j) with the sequence frozen past its last entry."""
     def pick(seq, default):
-        if not seq:
-            return default
-        return seq[min(j, len(seq)) - 1]
+        return np.asarray(seq)[np.minimum(j, len(seq)) - 1] if seq else default
 
-    return (
-        pick(config.a_seq, config.a_limit),
-        pick(config.b_seq, config.b_limit),
-        pick(config.vol_seq, 1.0),
-    )
+    return pick(config.a_seq, config.a_limit), pick(config.b_seq, config.b_limit), pick(config.vol_seq, 1.0)
 
 
-def corrections(j: int, x: float, y: float, kappa: float, config: FlowConfig) -> tuple[float, float]:
-    """(F~, M~): per-scale coefficient corrections plus surrogate feedback."""
-    Ft = 0.0
-    Mt = 0.0
+def corrections(j, x, y, kappa, config: FlowConfig):
+    """(F~, M~, K): per-scale corrections plus surrogate feedback, and the
+    surrogate feed K = kappa^2 + kappa m + m^3 with m = max(|x|, |y|).
+
+    Floats or equal-shape arrays; j is an int or an int array.  The limit
+    flow without surrogate returns zeros and touches no numpy.
+    """
+    F = M = K = 0.0
     if config.mode == "per-scale":
         a_j, b_j, vol_j = _per_scale(config, j)
-        Ft += -(a_j / config.a_limit - 1.0) * y * y
-        Mt += (vol_j - 1.0) * y - (vol_j * b_j / config.b_limit - 1.0) * x * y
+        F = -(a_j / config.a_limit - 1.0) * y * y
+        M = (vol_j - 1.0) * y - (vol_j * b_j / config.b_limit - 1.0) * x * y
     if config.surrogate:
-        Ft += config.c_F * kappa
+        m = np.maximum(np.abs(x), np.abs(y))
+        F = F + config.c_F * kappa
         # odd in y so the y -> -y symmetry of the flow is preserved
-        Mt += config.c_M * kappa * math.copysign(1.0, y) if y != 0.0 else 0.0
-    return Ft, Mt
+        M = M + config.c_M * kappa * np.sign(y)
+        K = kappa * kappa + kappa * m + m * m * m
+    return F, M, K
+
+
+def _advance(j, x, y, kappa, config: FlowConfig):
+    """One RG step from scale j: (x, y, kappa) at scale j + 1."""
+    F, M, K = corrections(j, x, y, kappa, config)
+    kappa_next = config.rho * kappa + config.c_R * K if config.surrogate else 0.0
+    return x - y * y + F, y - x * y + M, kappa_next
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """One RG step of the rescaled flow."""
-    x, y, k, j = state.x, state.y, state.kappa, state.j
-    Ft, Mt = corrections(j, x, y, k, config)
-    x1 = x - y * y + Ft
-    y1 = y - x * y + Mt
-    if config.surrogate:
-        m = max(abs(x), abs(y))
-        k1 = config.rho * k + config.c_R * (k * k + k * m + m**3)
-    else:
-        k1 = 0.0
-    return FlowState(j=j + 1, x=x1, y=y1, kappa=k1)
+    x, y, kappa = _advance(state.j, state.x, state.y, state.kappa, config)
+    return FlowState(j=state.j + 1, x=x, y=y, kappa=kappa)
 
 
 def trajectory(x1: float, y1: float, config: FlowConfig, kappa1: float = 0.0) -> FlowTrajectory:
@@ -150,29 +165,14 @@ def trajectory(x1: float, y1: float, config: FlowConfig, kappa1: float = 0.0) ->
     ks = np.empty(J)
     x, y, k = float(x1), float(y1), float(kappa1)
     ceiling = config.ceiling
-    diverged_at = None
-    diverged_in = None
-    simple = config.mode == "limit" and not config.surrogate
-    rho, c_R = config.rho, config.c_R
     for i in range(J):
         xs[i], ys[i], ks[i] = x, y, k
-        if diverged_at is None and (abs(x) > ceiling or abs(y) > ceiling):
-            diverged_at = i + 1
-            diverged_in = "y" if abs(y) >= abs(x) else "x"
-            break
-        if simple:
-            x, y = x - y * y, y - x * y
-        else:
-            Ft, Mt = corrections(i + 1, x, y, k, config)
-            xn = x - y * y + Ft
-            yn = y - x * y + Mt
-            if config.surrogate:
-                m = max(abs(x), abs(y))
-                k = rho * k + c_R * (k * k + k * m + m**3)
-            x, y = xn, yn
-    n = i + 1 if diverged_at is not None else J
-    return FlowTrajectory(config=config, x=xs[:n], y=ys[:n], kappa=ks[:n],
-                          diverged_at=diverged_at, diverged_in=diverged_in)
+        if abs(x) > ceiling or abs(y) > ceiling:
+            n = i + 1
+            return FlowTrajectory(config=config, x=xs[:n], y=ys[:n], kappa=ks[:n],
+                                  diverged_at=n, diverged_in="y" if abs(y) >= abs(x) else "x")
+        x, y, k = _advance(i + 1, x, y, k, config)
+    return FlowTrajectory(config=config, x=xs, y=ys, kappa=ks)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +51,9 @@ class ManifoldProblem:
     def __post_init__(self):
         if not math.isfinite(self.y1):
             raise ValueError(f"y1 must be finite, got {self.y1}")
+        for name, v in (("tau", self.tau), ("eps1", self.eps1)):
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         if abs(self.y1) > self.eps1:
             raise ValueError(f"|y1| = {abs(self.y1)} above the admissible eps1 = {self.eps1}")
         if self.J < 8:
@@ -71,9 +74,6 @@ class WeightedSequence:
     w_plus: np.ndarray
     w_minus: np.ndarray
     kappa: np.ndarray
-
-    def copy(self) -> "WeightedSequence":
-        return WeightedSequence(self.w_plus.copy(), self.w_minus.copy(), self.kappa.copy())
 
     @staticmethod
     def zero(J: int) -> "WeightedSequence":
@@ -99,6 +99,11 @@ def seq_norm(seq: WeightedSequence, prob: ManifoldProblem) -> float:
     return float(max(a, b, c))
 
 
+def _distance(a: WeightedSequence, b: WeightedSequence, prob: ManifoldProblem) -> float:
+    """Weighted sup-norm distance between two sequences."""
+    return seq_norm(WeightedSequence(a.w_plus - b.w_plus, a.w_minus - b.w_minus, np.abs(a.kappa - b.kappa)), prob)
+
+
 def _tail_envelope(prob: ManifoldProblem) -> float:
     """sum_{s > J} q_{s+1} h_s^2 ~ q1^2 (1 + q1 J)^(-3) / 3 (positive y1)."""
     q1 = abs(prob.y1)
@@ -121,21 +126,9 @@ def apply_T(seq: WeightedSequence, prob: ManifoldProblem) -> WeightedSequence:
         warnings.warn("sequence outside the weighted ball; contraction not guaranteed", stacklevel=2)
     q = prob.q()
     q_next = np.append(q[1:], prob.y1 / (1.0 + abs(prob.y1) * J))
-    u = (seq.w_plus + 2.0 * seq.w_minus) / 3.0
-    v = (seq.w_plus - seq.w_minus) / 3.0
-    x = q + u
-    y = q + v
-
+    u, v = undiagonalize(seq.w_plus, seq.w_minus)
     cfg = prob.flow
-    if cfg.mode == "limit" and not cfg.surrogate:
-        Ft = np.zeros(J)
-        Mt = np.zeros(J)
-    else:
-        Ft = np.empty(J)
-        Mt = np.empty(J)
-        for i in range(J):
-            Ft[i], Mt[i] = corrections(i + 1, float(x[i]), float(y[i]), float(seq.kappa[i]), cfg)
-
+    Ft, Mt, K = corrections(np.arange(1, J + 1), q + u, q + v, seq.kappa, cfg)
     U = -(v * v) - q * q * q_next + Ft
     V = -(u * v) - q * q * q_next + Mt
     Wp = U + 2.0 * V + (2.0 * q - q_next) * q_next * seq.w_plus
@@ -151,15 +144,13 @@ def apply_T(seq: WeightedSequence, prob: ManifoldProblem) -> WeightedSequence:
     prefix = np.concatenate([[0.0], np.cumsum(Wp / q_next**2)[:-1]])
     w_plus_new = q * q * (seq.w_minus[0] / q[0] ** 2 + prefix)
 
+    # surrogate channel: kappa_j = sum_{s<j} rho^{j-1-s} c_R K_s
+    kap = np.zeros(J)
     if cfg.surrogate:
-        W0 = cfg.c_R * (seq.kappa**2 + seq.kappa * np.maximum(np.abs(x), np.abs(y)) + np.maximum(np.abs(x), np.abs(y)) ** 3)
-        kap = np.empty(J)
         acc = 0.0
-        for i in range(J):
+        for i, w in enumerate((cfg.c_R * K)[:-1].tolist(), start=1):
+            acc = cfg.rho * acc + w
             kap[i] = acc
-            acc = cfg.rho * acc + W0[i]
-    else:
-        kap = np.zeros(J)
     return WeightedSequence(w_plus_new, w_minus_new, kap)
 
 
@@ -181,21 +172,21 @@ def solve_fixed_point(prob: ManifoldProblem, tol: float = 1e-13, max_iter: int =
     if prob.y1 == 0.0:
         return FixedPointResult(0.0, WeightedSequence.zero(prob.J), 0, 0.0, True)
     if prob.y1 < 0.0:
-        pos = ManifoldProblem(y1=-prob.y1, J=prob.J, tau=prob.tau, flow=prob.flow, eps1=prob.eps1)
-        return solve_fixed_point(pos, tol=tol, max_iter=max_iter)
+        return solve_fixed_point(replace(prob, y1=-prob.y1), tol=tol, max_iter=max_iter)
     seq = WeightedSequence.zero(prob.J)
     prev_res = None
     for it in range(1, max_iter + 1):
         new = apply_T(seq, prob)
-        diff = WeightedSequence(new.w_plus - seq.w_plus, new.w_minus - seq.w_minus,
-                                np.abs(new.kappa - seq.kappa))
-        res = seq_norm(diff, prob)
+        res = _distance(new, seq, prob)
         seq = new
         if res <= tol:
             break
         if prev_res is not None and prev_res > 0 and res / prev_res > 0.95 and res > 100 * tol:
             raise RuntimeError(f"fixed-point iteration not contracting: ratio {res / prev_res:.3f}")
         prev_res = res
+    else:
+        raise RuntimeError(f"fixed point at y1={prob.y1} not converged after {max_iter} iterations: "
+                           f"residual {res:.3e} above tol {tol:.1e}")
     sigma = prob.y1 + float(seq.w_minus[0])
     return FixedPointResult(sigma=sigma, seq=seq, iterations=it, residual=res,
                             in_ball=seq_norm(seq, prob) <= 1.0 + 1e-9)
@@ -213,6 +204,11 @@ def _classify(x1: float, y1: float, ceiling: float, j_max: int) -> str:
     bounded, never touching the ceiling, so the stable side is decided by
     entering the forward-invariant wedge 0 < 2y <= x (there y only decays),
     or by y crossing zero outright.
+
+    The bare step is written out here rather than taken from `flow._advance`:
+    this loop is the oracle that the fixed point is checked against, so it
+    shares no code with it, and bisections at three activities take about
+    1.8e7 steps, where a function call per step would double their time.
     """
     x, y = float(x1), float(y1)
     for _ in range(j_max):
@@ -236,12 +232,16 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
         raise ValueError("shooting oracle runs the bare quadratic flow only")
     if not math.isfinite(y1):
         raise ValueError(f"y1 must be finite, got {y1}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"shooting tol must be finite and > 0, got {tol}")
+    lo, hi = bracket
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"shooting bracket must be finite with lo < hi, got {bracket}")
     ceiling = flow_config.ceiling if flow_config is not None else 1.0
     if y1 == 0.0:
         return 0.0
     # Sigma is even in y1 (flow parity), so shoot with |y1|
     y1 = abs(y1)
-    lo, hi = bracket
     c_lo = _classify(lo, y1, ceiling, j_max)
     c_hi = _classify(hi, y1, ceiling, j_max)
     if c_lo == c_hi:
@@ -272,21 +272,22 @@ def empirical_contraction(prob: ManifoldProblem, n_samples: int = 100, seed: int
             kp = th**2 * rng.uniform(0.0, 1.0, prob.J)
             mats.append(WeightedSequence(wp, wm, kp))
         a, b = mats
-        d = WeightedSequence(a.w_plus - b.w_plus, a.w_minus - b.w_minus, np.abs(a.kappa - b.kappa))
-        dn = seq_norm(d, prob)
+        dn = _distance(a, b, prob)
         if dn == 0.0:
             continue
-        Ta = apply_T(a, prob)
-        Tb = apply_T(b, prob)
-        Td = WeightedSequence(Ta.w_plus - Tb.w_plus, Ta.w_minus - Tb.w_minus, np.abs(Ta.kappa - Tb.kappa))
-        worst = max(worst, seq_norm(Td, prob) / dn)
+        worst = max(worst, _distance(apply_T(a, prob), apply_T(b, prob), prob) / dn)
     return worst
 
 
 def separatrix_csv(rows: list[dict], path: str):
-    """rows: dicts with y1, sigma_fixed_point, sigma_shooting, iterations, contraction."""
+    """One row per activity.
+
+    The error budget travels in two columns: `fixed_point_residual` is the
+    weighted sup-norm of the last fixed-point update and `shooting_tol`
+    bounds the final bisection width of the shooting oracle.
+    """
     cols = ["y1", "sigma_fixed_point", "sigma_shooting", "iterations", "contraction_estimate",
-            "z", "s", "beta"]
+            "fixed_point_residual", "shooting_tol", "z", "s", "beta"]
     with open(path, "w", newline="\n") as f:
         f.write(",".join(cols) + "\n")
         for r in rows:

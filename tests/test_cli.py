@@ -78,6 +78,20 @@ def test_separatrix_outside_ball_fails(tmp_path, capsys):
     assert not (tmp_path / "separatrix_y0.045.csv").exists()
 
 
-def test_separatrix_inside_ball_passes(tmp_path):
+def test_separatrix_inside_ball_passes(tmp_path, capsys):
     assert main(["separatrix", "--y1", "0.01", "--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "separatrix_y0.01.csv").exists()
+    header, row = (tmp_path / "separatrix_y0.01.csv").read_text().splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert 0.0 <= float(rec["fixed_point_residual"]) <= 1e-13
+    assert float(rec["shooting_tol"]) == 1e-10
+    out = capsys.readouterr().out
+    assert "fixed-point residual" in out and "shooting tol 1e-10" in out
+
+
+def test_flow_outside_ball_fails(tmp_path, capsys):
+    # without --x1 the start comes from the fixed point, gated like separatrix
+    with pytest.warns(UserWarning, match="weighted ball"):
+        assert main(["flow", "--y1", "0.045", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "y1=0.045" in err and "sequence norm" in err
+    assert not (tmp_path / "flow_y0.045.csv").exists()

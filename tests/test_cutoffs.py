@@ -28,6 +28,17 @@ def test_u_profile_normalization(fam):
     assert float(fam.u_profile(400.0)) < 1e-6
 
 
+def test_u_profile_independent_of_other_points(fam):
+    # each point sets its own product depth: the largest |q| of a call no
+    # longer changes the value at the others
+    for q in (0.01, 5.0, 50.0):
+        alone = float(fam.u_profile(q))
+        mixed = float(fam.u_profile([q, 1e4])[0])
+        assert abs(alone - mixed) <= 2 * np.spacing(alone)
+    with pytest.raises(ValueError, match="finite"):
+        fam.u_profile([1.0, np.inf])
+
+
 def test_factor_in_unit_interval(fam):
     u = np.linspace(0.0, 8.0, 4097)
     th = fam.theta(u, 8.0)
@@ -197,13 +208,16 @@ def test_gtilde_matches_quad_oracle(fam):
     assert 0.0 <= gap < 1e-10
 
 
+# both paths now evaluate u to the same product depth, so they agree to
+# about 3e-15; the 1e-13 bound would catch a depth that again depends on
+# the rest of the call (which left a 1-3e-12 gap)
 def test_c_log_matches_quad_oracle(fam):
-    assert _c_log_closed_form(fam) == pytest.approx(_quad_c_log(fam), abs=1e-10)
+    assert _c_log_closed_form(fam) == pytest.approx(_quad_c_log(fam), abs=1e-13)
 
 
 @pytest.mark.parametrize("x", [(0.0, 0.0), (0.7, 0.0), (3.0, 4.0)])
 def test_tilde_c_matches_quad_oracle(fam, x):
-    assert tilde_c(fam, x) == pytest.approx(_quad_tilde_c(fam, x), abs=1e-10)
+    assert tilde_c(fam, x) == pytest.approx(_quad_tilde_c(fam, x), abs=1e-13)
 
 
 def test_panel_rule_exact_on_smooth_integrand():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ktrg.flow import (
     FlowConfig,
     FlowState,
+    corrections,
     kosterlitz_q,
     step,
     trajectory,
@@ -177,3 +179,84 @@ def test_per_scale_mode_with_computed_coefficients(stack_l3_massless):
         gaps.append(abs(step(st, cfg_ps).y - step(st, cfg_lim).y))
     assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     assert gaps[-1] < 1e-5
+
+
+@pytest.mark.parametrize("gain", ["c_R", "c_F", "c_M"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_config_rejects_bad_gain(gain, bad):
+    with pytest.raises(ValueError, match=f"{gain} must be finite and >= 0"):
+        FlowConfig(**{gain: bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_rejects_bad_ceiling(bad):
+    with pytest.raises(ValueError, match="ceiling must be finite and > 0"):
+        FlowConfig(ceiling=bad)
+
+
+def test_nan_ceiling_cannot_hide_divergence():
+    # a NaN ceiling used to make every comparison False: y ran to inf while
+    # the trajectory reported no divergence
+    with pytest.raises(ValueError, match="ceiling"):
+        trajectory(0.0, 0.5, FlowConfig(ceiling=float("nan")))
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_config_rejects_short_horizon(bad):
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        FlowConfig(horizon=bad)
+
+
+@pytest.mark.parametrize("field", ["a_limit", "b_limit"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_limit(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FlowConfig(mode="per-scale", **{field: bad})
+
+
+@pytest.mark.parametrize("field", ["a_seq", "b_seq", "vol_seq"])
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_config_rejects_non_finite_sequence(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FlowConfig(mode="per-scale", **{field: (1.1, bad, 1.0)})
+
+
+def test_step_and_trajectory_share_one_step():
+    cfg = FlowConfig(mode="per-scale", surrogate=True, horizon=40, rho=0.3, c_R=0.4, c_F=0.1, c_M=0.2,
+                     a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05), vol_seq=(1.1,), a_limit=1.01, b_limit=0.99)
+    traj = trajectory(0.02, -0.015, cfg, kappa1=1e-4)
+    st = FlowState(j=1, x=0.02, y=-0.015, kappa=1e-4)
+    for i in range(traj.horizon):
+        assert (st.x, st.y, st.kappa) == (traj.x[i], traj.y[i], traj.kappa[i])
+        st = step(st, cfg)
+
+
+_KERNEL_CONFIGS = {
+    "limit": FlowConfig(),
+    "per-scale": FlowConfig(mode="per-scale", a_seq=(1.5, 1.1, 1.02, 1.0), b_seq=(1.3, 1.05, 1.01),
+                            vol_seq=(1.1, 1.02), a_limit=1.03, b_limit=0.97),
+    "surrogate": FlowConfig(surrogate=True, rho=0.2, c_R=0.5, c_F=0.3, c_M=0.07),
+    "per-scale+surrogate": FlowConfig(mode="per-scale", surrogate=True, rho=0.4, c_R=0.2, c_F=0.1, c_M=0.3,
+                                      a_seq=(1.2, 1.01), b_seq=(0.9,), vol_seq=(1.05, 1.0, 0.99)),
+}
+# full 53-bit mantissas times a power of two: rounding differences between
+# two code paths show up on such generic floats, seldom on the short ones
+# hypothesis favours
+_generic = st.builds(lambda m, e: m * 2.0**-e, st.integers(2**52, 2**53 - 1), st.integers(54, 66))
+_coupling = st.one_of(st.just(0.0), _generic, _generic.map(lambda v: -v))
+_kappa = st.one_of(st.just(0.0), _generic.map(lambda v: v / 8.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(sorted(_KERNEL_CONFIGS)),
+    rows=st.lists(st.tuples(st.integers(1, 8), _coupling, _coupling, _kappa), min_size=1, max_size=12),
+)
+def test_array_kernel_matches_scalar_kernel_bitwise(mode, rows):
+    cfg = _KERNEL_CONFIGS[mode]
+    j, x, y, k = (np.array(c) for c in zip(*rows))
+    arrays = [np.broadcast_to(np.asarray(v, dtype=float), j.shape) for v in corrections(j, x, y, k, cfg)]
+    for i, row in enumerate(rows):
+        scalars = corrections(row[0], row[1], row[2], row[3], cfg)
+        for arr, sc in zip(arrays, scalars):
+            assert np.float64(sc).view(np.int64) == arr[i].view(np.int64), (mode, row)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ktrg.flow import FlowConfig, trajectory, kosterlitz_q_array
+from ktrg.flow import FlowConfig, corrections, trajectory, kosterlitz_q_array
 from ktrg.manifold import (
+    _tail_envelope,
     ManifoldProblem,
     WeightedSequence,
     diagonalize,
@@ -207,3 +208,77 @@ def test_non_finite_activity_rejected(bad):
         ManifoldProblem(y1=bad)
     with pytest.raises(ValueError, match="y1 must be finite"):
         solve_shooting(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_shooting_rejects_bad_tol(bad):
+    # a NaN tol used to end the bisection at once and return the bracket midpoint
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve_shooting(0.01, tol=bad)
+
+
+@pytest.mark.parametrize("bracket", [(0.1, 0.0), (0.05, 0.05), (float("nan"), 0.1), (0.0, float("inf"))])
+def test_shooting_rejects_bad_bracket(bracket):
+    with pytest.raises(ValueError, match="bracket must be finite with lo < hi"):
+        solve_shooting(0.01, bracket=bracket)
+
+
+@pytest.mark.parametrize("field", ["tau", "eps1"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_problem_rejects_bad_tau_and_eps1(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        ManifoldProblem(y1=0.3, **{field: bad})
+
+
+def test_fixed_point_out_of_iterations_raises():
+    with pytest.raises(RuntimeError, match=r"y1=0.01 not converged after 3 iterations: residual \d"):
+        solve_fixed_point(ManifoldProblem(y1=0.01), max_iter=3)
+
+
+def _apply_T_loop(seq, prob):
+    """The fixed-point map with one scalar kernel call per scale (oracle)."""
+    J, cfg = prob.J, prob.flow
+    q = prob.q()
+    q_next = np.append(q[1:], prob.y1 / (1.0 + abs(prob.y1) * J))
+    u = (seq.w_plus + 2.0 * seq.w_minus) / 3.0
+    v = (seq.w_plus - seq.w_minus) / 3.0
+    x, y = q + u, q + v
+    Ft, Mt, W0 = np.zeros(J), np.zeros(J), np.zeros(J)
+    for i in range(J):
+        Ft[i], Mt[i], W0[i] = corrections(i + 1, float(x[i]), float(y[i]), float(seq.kappa[i]), cfg)
+    U = -(v * v) - q * q * q_next + Ft
+    V = -(u * v) - q * q * q_next + Mt
+    Wp = U + 2.0 * V + (2.0 * q - q_next) * q_next * seq.w_plus
+    Wm = U - V
+    suffix = np.cumsum((q_next * Wm)[::-1])[::-1]
+    h = prob.h()
+    tail = (Wm[-1] / h[-1] ** 2 if h[-1] > 0 else 0.0) * _tail_envelope(prob)
+    w_minus = -(suffix + tail) / q
+    prefix = np.concatenate([[0.0], np.cumsum(Wp / q_next**2)[:-1]])
+    w_plus = q * q * (seq.w_minus[0] / q[0] ** 2 + prefix)
+    kap = np.empty(J)
+    acc = 0.0
+    for i in range(J):
+        kap[i] = acc
+        acc = cfg.rho * acc + cfg.c_R * W0[i]
+    return WeightedSequence(w_plus, w_minus, kap)
+
+
+@pytest.mark.parametrize("flow", [
+    FlowConfig(),
+    FlowConfig(mode="per-scale", a_seq=(1.05, 1.01, 1.002), b_seq=(1.03, 1.005), vol_seq=(1.01, 1.002),
+               a_limit=1.01, b_limit=0.99),
+    FlowConfig(surrogate=True, rho=0.2, c_R=0.2, c_F=0.2, c_M=0.05),
+    FlowConfig(mode="per-scale", surrogate=True, rho=0.3, c_R=0.4, c_F=0.1, c_M=0.2,
+               a_seq=(1.05, 1.01), b_seq=(1.03,), vol_seq=(1.01, 1.0)),
+], ids=["limit", "per-scale", "surrogate", "per-scale+surrogate"])
+def test_apply_T_matches_per_scale_loop(flow):
+    prob = ManifoldProblem(y1=0.01, J=3000, flow=flow)
+    th = prob.tau * prob.h()
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        seq = WeightedSequence(th * rng.uniform(-1, 1, prob.J), 0.5 * th * rng.uniform(-1, 1, prob.J),
+                               th**2 * rng.uniform(0, 1, prob.J))
+        new, old = apply_T(seq, prob), _apply_T_loop(seq, prob)
+        for a, b in ((new.w_plus, old.w_plus), (new.w_minus, old.w_minus), (new.kappa, old.kappa)):
+            np.testing.assert_array_equal(a, b)
