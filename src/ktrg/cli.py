@@ -13,8 +13,15 @@ import configparser
 import json
 import math
 import os
+import platform
+import subprocess
 import sys
 import time
+
+import numpy as np
+import scipy
+
+from . import __version__
 
 from .lattice import TorusLattice
 from .cutoffs import build_cutoffs, coulomb_constant_c, coulomb_constant_closed
@@ -210,6 +217,21 @@ def cmd_oracle(args, cfg) -> int:
     return 0 if rep.passed else CHECK_ERROR
 
 
+def _git_sha() -> str | None:
+    """HEAD of the git checkout holding this package, or None outside one."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=os.path.dirname(os.path.abspath(__file__)),
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _provenance() -> dict:
+    return {"ktrg": __version__, "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "git_sha": _git_sha()}
+
+
 def cmd_verify_all(args, cfg) -> int:
     t0 = time.time()
     checks = {}
@@ -235,14 +257,15 @@ def cmd_verify_all(args, cfg) -> int:
     for name, c in checks.items():
         c["pass"] = bool(c["value"] <= c["tol"])
         all_ok &= c["pass"]
-    report = {"checks": checks, "all_pass": all_ok, "runtime_s": round(time.time() - t0, 2)}
+    # the wall time goes to stdout only, so identical runs write identical reports
+    report = {"checks": checks, "all_pass": all_ok, "provenance": _provenance()}
     path = _out_path(args, "verify_report.json")
     with open(path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
     for name, c in checks.items():
         print(f"  {'PASS' if c['pass'] else 'FAIL'} {name}: {c['value']:.3e} (tol {c['tol']:.0e})")
-    print(f"verify-all: {'all pass' if all_ok else 'FAILURES'} in {report['runtime_s']}s; wrote {path}")
+    print(f"verify-all: {'all pass' if all_ok else 'FAILURES'} in {time.time() - t0:.2f}s; wrote {path}")
     return 0 if all_ok else CHECK_ERROR
 
 

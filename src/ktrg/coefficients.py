@@ -246,15 +246,56 @@ def coeff_b(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     return 0.5 * a2 * total
 
 
+def _cos_gaps(g) -> tuple[np.ndarray, np.ndarray]:
+    """c(p) = 2 sin^2(p/2) = 1 - cos p on the two folded axes of grid g.
+
+    The sine form keeps full relative accuracy as p -> 0, where 1 - cos p
+    cancels.
+    """
+    return 2.0 * np.sin(0.5 * g.p0) ** 2, 2.0 * np.sin(0.5 * g.p1) ** 2
+
+
 def _dd_at_zero(stack: CovarianceStack, j: int) -> np.ndarray:
     """(d^mu d^nu Gamma_j)(0) for the signed directions mu, nu = 0..3.
 
-    Each entry is one Parseval sum of the band against the two difference
-    symbols (the imaginary part integrates to zero by evenness).
+    Each entry is one Parseval sum of the band against the real part of
+    the two difference symbols, in closed form with c = 2 sin^2(p/2): on
+    one axis -2 cos(p) c for equal signs and 2c for opposite ones, across
+    the axes c0 c1 (the sin p0 sin p1 part is odd and integrates to zero).
+    Five sums fill the tensor.
     """
     g = stack.grid(j)
     G = g.band(stack.fine_scales(j))
-    return np.array([[g.parseval(G, g.diff_symbol((mu, nu)).real) for nu in range(4)] for mu in range(4)])
+    p = (g.p0, g.p1)
+    c = _cos_gaps(g)
+    same = [g.parseval(G, -2.0 * np.cos(p[a]) * c[a]) for a in range(2)]
+    opposite = [g.parseval(G, 2.0 * c[a]) for a in range(2)]
+    dd = np.full((4, 4), g.parseval(G, c[0], c[1]))
+    for mu in range(4):
+        for nu in range(mu % 2, 4, 2):
+            dd[mu, nu] = same[mu % 2] if mu == nu else opposite[mu % 2]
+    return dd
+
+
+def _e3_symbol(g) -> np.ndarray:
+    """sum over the forward axis pairs (a, b) of |e^{i p_a} - 1|^2 |e^{i p_b} - 1|^2.
+
+    Each pair's symbol is 2c_a 2c_b, so the four sum to (2c_0 + 2c_1)^2.
+    """
+    c0, c1 = _cos_gaps(g)
+    return (2.0 * c0 + 2.0 * c1) ** 2
+
+
+def _taylor_quad(dd_tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """0.25 sum_{mu nu} dd[mu, nu] y_mu y_nu over the window y x y, y_mu = DIRS[mu] . y.
+
+    That is the 2x2 form Q = 0.25 D^T dd D in the two axes, D the rows of
+    DIRS.
+    """
+    D = np.array(DIRS, dtype=float)
+    Q = 0.25 * D.T @ dd_tensor @ D
+    y0, y1 = y[:, None], y[None, :]
+    return Q[0, 0] * y0**2 + (Q[0, 1] + Q[1, 0]) * y0 * y1 + Q[1, 1] * y1**2
 
 
 def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> tuple[float, float, float]:
@@ -274,32 +315,18 @@ def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT)
     #      sign flips collapse onto forward axis pairs by evenness; the
     #      constant (dd Gamma_j)(0) drops because sum_y dd Gamma_m = 0
     #      exactly (vanishing symbol at p = 0), leaving pure quadratic
-    #      correlations evaluated by Parseval.  The symbol of axis pair
-    #      (a, b) is |e^{i p_a} - 1|^2 |e^{i p_b} - 1|^2.
-    e3 = 0.0
-    for a1 in range(2):
-        for a2_ax in range(2):
-            sym = g.diff_symbol((a1, a1 + 2, a2_ax, a2_ax + 2)).real
-            e3 += g.parseval(sym, psi[j], psi[j])
-            for m in range(j):
-                e3 += 3.0 * g.parseval(sym, psi[m], psi[j])
+    #      correlations evaluated by Parseval against _e3_symbol.
+    sym = _e3_symbol(g)
+    e3 = g.parseval(sym, psi[j], psi[j])
+    for m in range(j):
+        e3 += 3.0 * g.parseval(sym, psi[m], psi[j])
     e3 *= L2j / 4.0
 
     # e4: Taylor-subtracted w_b moment plus the single-scale pressure term
     e4 = 0.0
     for n in range(j):
         gn = stack.grid(n)
-        y0 = gn.y[:, None]
-        y1 = gn.y[None, :]
-        quad = np.zeros((len(gn.y), len(gn.y)))
-        for mu in range(4):
-            smu = DIRS[mu]
-            ymu = smu[0] * y0 + smu[1] * y1
-            for nu in range(4):
-                snu = DIRS[nu]
-                ynu = snu[0] * y0 + snu[1] * y1
-                quad += 0.25 * dd_tensor[mu, nu] * ymu * ynu
-        bracket = _origin_bracket(stack, j, n, a2) - 0.5 * a2 * quad
+        bracket = _origin_bracket(stack, j, n, a2) - 0.5 * a2 * _taylor_quad(dd_tensor, gn.y)
         e4 += 2.0 * L2j * gn.weight * float(np.sum(_w_b_term(stack, j, n, a2) * bracket))
     term2 = math.exp(-a2 * stack.gamma0(j)) * np.expm1(a2 * stack.kernel(j, j))
     e4 += L ** (-2 * j) * g.weight * float(np.sum(term2))

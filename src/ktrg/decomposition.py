@@ -21,6 +21,20 @@ coefficient sums of coefficients.py are evaluated.  Decimation keeps only
 the central copy of the folded fine zone; the dropped aliases are bounded
 at runtime and the bound is reported with each window (the bands decay fast
 enough that 243 samples per scale keep the bound near 1e-11).
+
+Bands depend on p only through lam(p), so they are even in each momentum
+component, and a grid folds itself by that reflection symmetry.  When its
+axis has odd length S and pairs every momentum with its exact negative,
+p[S-k] = -p[k] (the fftfreq layout of every per-scale grid and of the PSD
+probe), bands live on the quarter p0, p1 >= 0: n = S//2 + 1 points per axis,
+carrying multiplicity weights w = (1, 2, 2, ...), and the full grid is read
+back through the unfold index min(k, S-k).  The quarter holds the same
+momenta as the full grid, so unfolded bands are bit-identical to a full
+pass.  Parseval sums and real (cosine) zooms run on the quarter with the
+weights; windows, complex zooms and derivative symbols unfold on demand.
+Any other axis (the torus momenta 2 pi n / side of a materialized stack,
+the alias ring) takes the trivial fold, weights 1 and the identity index,
+through the same code.
 """
 
 from __future__ import annotations
@@ -82,6 +96,23 @@ def natural_step(cutoffs: CutoffFamily, h_min: int) -> int:
 # the spectral grid
 
 
+def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(folded axis, unfold index, multiplicity weights) of the momentum axis p.
+
+    An odd-length axis with p[S-k] == -p[k] for k = 1..S-1 folds onto its
+    first n = S//2 + 1 entries with weights (1, 2, 2, ...) and unfold index
+    min(k, S-k); any other axis folds trivially onto itself.
+    """
+    S = len(p)
+    k = np.arange(S)
+    if S % 2 == 0 or not np.array_equal(p[S - k[1:]], -p[1:]):
+        return p, k, np.ones(S)
+    n = S // 2 + 1
+    w = np.full(n, 2.0)
+    w[0] = 1.0
+    return p[:n], np.minimum(k, S - k), w
+
+
 class SpectralGrid:
     """Bands of a cutoff family on the product momentum grid p x p.
 
@@ -91,6 +122,10 @@ class SpectralGrid:
     |z|_inf <= radius.  Bands are summed over fine-scale lists in one pass
     over the residual products r_h, which restarts only when a lower fine
     scale is asked for after a higher one, and each list's band is cached.
+
+    Bands, lam, u and the momenta p0, p1 live on the folded grid over the
+    axis p_fold, with weights w (see the module docstring); p keeps the full
+    axis, and unfold() maps a folded array onto it.
     """
 
     def __init__(self, cutoffs: CutoffFamily, m: float, p: np.ndarray, step: int = 1, radius: int = 0):
@@ -98,9 +133,10 @@ class SpectralGrid:
         self.m = m
         self.b = m * m + 8.0
         self.p = p
-        self.p0 = p[:, None]
-        self.p1 = p[None, :]
         self.S = len(p)
+        self.p_fold, self.idx, self.w = _fold(p)
+        self.p0 = self.p_fold[:, None]
+        self.p1 = self.p_fold[None, :]
         self.step = step
         self.radius = radius
         self.weight = float(step) ** 2
@@ -116,7 +152,7 @@ class SpectralGrid:
 
     @property
     def lam(self) -> np.ndarray:
-        """Laplacian symbol on the grid (built on each access)."""
+        """Laplacian symbol on the folded grid (built on each access)."""
         return laplacian_symbol(self.p0, self.p1)
 
     @property
@@ -130,10 +166,16 @@ class SpectralGrid:
         y2 = self.y**2
         return y2[:, None] + y2[None, :]
 
+    def unfold(self, A: np.ndarray) -> np.ndarray:
+        """A folded-grid array on the full S x S grid; full-grid arrays pass through."""
+        if A.shape[0] == self.S:
+            return A
+        return A[np.ix_(self.idx, self.idx)]
+
     # -- bands --
 
     def residual(self, h: int) -> np.ndarray:
-        """r_h on the grid, continuing the pass of the bands."""
+        """r_h on the folded grid, continuing the pass of the bands."""
         cut = self.cutoffs
         if self._r is None or h < self._h:
             if self._theta is None:
@@ -153,39 +195,42 @@ class SpectralGrid:
         return out
 
     def band(self, hs) -> np.ndarray:
-        """sum_{h in hs} psi_h on the grid, cached per fine-scale list."""
+        """sum_{h in hs} psi_h on the folded grid, cached per fine-scale list."""
         hs = tuple(sorted(hs))
         if hs not in self._bands:
             self._bands[hs] = self._band_sum(hs)
         return self._bands[hs]
 
     def bands(self, groups):
-        """Yield the band of each fine-scale list in turn, without caching."""
+        """Yield the folded band of each fine-scale list in turn, without caching."""
         for hs in groups:
             yield self._band_sum(tuple(sorted(hs)))
 
     # -- symbols and sums --
 
     def diff_symbol(self, deriv: tuple[int, ...]) -> np.ndarray:
-        """prod_d (e^{i p.e_d} - 1): the symbol of the forward differences along DIRS[d]."""
+        """prod_d (e^{i p.e_d} - 1) on the full grid: the symbol of the forward differences along DIRS[d]."""
         out = None
         for d in deriv:
             s0, s1 = DIRS[d]
-            ph = np.exp(1j * (s0 * self.p0 if s1 == 0 else s1 * self.p1)) - 1.0
+            ph = np.exp(1j * (s0 * self.p[:, None] if s1 == 0 else s1 * self.p[None, :])) - 1.0
             out = ph if out is None else out * ph
         return out
 
     def parseval(self, *factors: np.ndarray) -> float:
         """(2 pi)^-2 int prod(factors) dp over the zone, as the grid mean.
 
-        For kernels K_a, K_b with spectral arrays G_a, G_b, parseval(G_a, G_b)
-        is sum_y K_a(y) K_b(y) and parseval(G_a) is K_a(0); exact when the
-        grid spans the support of the product (no position aliasing).
+        The factors are folded-grid arrays even in each momentum component
+        (bands and real symbols of p0, p1); the mean over the full grid is
+        w @ prod @ w / S^2.  For kernels K_a, K_b with spectral arrays G_a,
+        G_b, parseval(G_a, G_b) is sum_y K_a(y) K_b(y) and parseval(G_a) is
+        K_a(0); exact when the grid spans the support of the product (no
+        position aliasing).
         """
         prod = factors[0]
         for f in factors[1:]:
             prod = prod * f
-        return float(np.mean(prod)) / self.weight
+        return float(self.w @ prod @ self.w) / (self.S**2 * self.weight)
 
     def alias_bound(self, hs, symbol=None) -> float:
         """Bound on the dropped Brillouin-zone aliases of band hs (0 at step 1).
@@ -207,20 +252,34 @@ class SpectralGrid:
     # -- position space --
 
     def window(self, G: np.ndarray) -> np.ndarray:
-        """Kernel of the spectral array G at y = step*z, |z|_inf <= radius."""
-        K = np.fft.ifft2(G).real / self.weight
+        """Kernel of the spectral array G at y = step*z, |z|_inf <= radius.
+
+        A complex G spans the full grid.  A real G is a band on the folded
+        grid, even in each momentum component, so the first S//2 + 1
+        columns of its row-unfolded array are a full half spectrum, whose
+        real inverse FFT gives the kernel at half the cost of the complex
+        one.
+        """
+        if np.iscomplexobj(G):
+            K = np.fft.ifft2(G).real
+        else:
+            K = np.fft.irfft2(G[self.idx][:, : self.S // 2 + 1], s=(self.S, self.S))
+        K /= self.weight
         r = self.radius
         return np.roll(K, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1].copy()
 
     def zoom(self, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Kernel of the spectral array G at the product points ys x ys, off the grid."""
+        """Kernel of the spectral array G at the product points ys x ys, off the grid.
+
+        A complex G spans the full grid; a real G is a folded band, even in
+        each momentum component, and takes two weighted cosine transforms
+        over the folded axis.
+        """
         ys = np.asarray(ys, dtype=float)
         if np.iscomplexobj(G):
             ph = np.exp(1j * np.outer(ys, self.p))
             return (ph @ (G @ ph.T)).real / (self.S**2 * self.weight)
-        # real spectral arrays are bands, even in each momentum component:
-        # two real cosine transforms
-        ph = np.cos(np.outer(ys, self.p))
+        ph = np.cos(np.outer(ys, self.p_fold)) * self.w
         return ph @ (G @ ph.T) / (self.S**2 * self.weight)
 
 
@@ -272,9 +331,9 @@ def band_window(
     grid = SpectralGrid.decimated(cutoffs, m, step, S, radius)
     G = grid.band(h_list)
     if deriv:
-        G = G * grid.diff_symbol(deriv)
+        G = grid.unfold(G) * grid.diff_symbol(deriv)
     if shift != (0, 0):
-        G = G * np.exp(1j * (grid.p0 * shift[0] + grid.p1 * shift[1]))
+        G = grid.unfold(G) * np.exp(1j * (grid.p[:, None] * shift[0] + grid.p[None, :] * shift[1]))
     return Window(values=grid.window(G), step=step, radius=radius, shift=tuple(shift),
                   alias_bound=grid.alias_bound(h_list))
 
@@ -357,7 +416,7 @@ class CovarianceStack:
             src = g if fits and resolved else self.grid(j)
             G = src.band(self.fine_scales(j))
             if deriv:
-                G = G * src.diff_symbol(deriv)
+                G = src.unfold(G) * src.diff_symbol(deriv)
             self._cache[key] = src.window(G) if src is g else src.zoom(G, g.y)
         return self._cache[key]
 
@@ -368,15 +427,6 @@ class CovarianceStack:
         if self.gamma_tables is None:
             raise DecompositionError("stack not materialized; use windows or diagonals")
         return self.gamma_tables[j]
-
-    def fine_component_table(self, h: int) -> np.ndarray:
-        """Torus table of the single fine-scale piece C_h (Gamma_j sums M of them)."""
-        if not (0 <= h < self.lattice.n_fine_scales):
-            raise ValueError(f"fine scale {h} outside 0..{self.lattice.n_fine_scales - 1}")
-        if self.lattice.side > MATERIALIZE_CAP:
-            raise DecompositionError("torus too large for a full fine-component table")
-        grid = SpectralGrid(self.cutoffs, self.lattice.m, self.lattice.momenta())
-        return np.fft.ifft2(grid.band([h])).real
 
     def window(self, j: int, *, step=None, radius=None, shift=(0, 0), deriv=()) -> Window:
         """Gamma_j (optionally differenced) on a decimated window."""
@@ -412,15 +462,15 @@ class CovarianceStack:
 
         decompose records these from the bands it builds the tables from.
         Otherwise the bands are evaluated here on a throwaway grid: the
-        torus momenta, or for tori above PROBE_SIDE a PROBE_SIDE^2 probe
-        grid (the bands are nonnegative by construction; this is a
-        numerical confirmation, not the proof).
+        torus momenta, or for tori above PROBE_SIDE the folded probe grid
+        2 pi fftfreq(PROBE_SIDE) (the bands are nonnegative by construction;
+        this is a numerical confirmation, not the proof).
         """
         if "psd" not in self._cache:
             if self.lattice.side <= PROBE_SIDE:
                 k = self.lattice.momenta()
             else:
-                k = 2.0 * np.pi * np.arange(PROBE_SIDE) / PROBE_SIDE
+                k = 2.0 * np.pi * np.fft.fftfreq(PROBE_SIDE)
             grid = SpectralGrid(self.cutoffs, self.lattice.m, k)
             groups = [self.fine_scales(j) for j in range(self.n_scales)]
             self._cache["psd"] = [float(G.min()) for G in grid.bands(groups)]

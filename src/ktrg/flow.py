@@ -226,18 +226,6 @@ def step_original_zero(s: float, z: float, config: FlowConfig) -> tuple[float, f
     return s, vol0 * z, kappa1
 
 
-def sweep(starts, config: FlowConfig) -> list[dict]:
-    """Independent trajectories for (x1, y1) pairs, one row dict each."""
-    rows = []
-    for (x1, y1) in starts:
-        t = trajectory(x1, y1, config)
-        rows.append(
-            dict(x1=x1, y1=y1, diverged=int(t.diverged_at is not None),
-                 divergence_scale=t.diverged_at if t.diverged_at is not None else -1)
-        )
-    return rows
-
-
 def trajectory_csv(traj: FlowTrajectory, q1: float, path: str):
     q = kosterlitz_q_array(q1, traj.horizon)
     with open(path, "w", newline="\n") as f:

@@ -16,9 +16,7 @@ __all__ = [
     "DIRS",
     "TorusLattice",
     "laplacian_symbol",
-    "torus_yukawa",
     "yukawa_table",
-    "normalized_potential",
     "normalized_potential_table",
 ]
 
@@ -103,24 +101,9 @@ def yukawa_table(lattice: TorusLattice) -> np.ndarray:
     Returned as an array indexed by (x0 mod side, x1 mod side).
     """
     if lattice.m <= 0:
-        raise ValueError("massless torus potential has a zero mode; use normalized_potential")
+        raise ValueError("massless torus potential has a zero mode; use normalized_potential_table")
     sym = 1.0 / (lattice.m**2 + _symbol_grid(lattice))
     return np.fft.ifft2(sym).real
-
-
-def torus_yukawa(lattice: TorusLattice, x) -> float:
-    """W(x; m) at a single point by the exact momentum sum."""
-    if lattice.m <= 0:
-        raise ValueError("massless torus potential has a zero mode; use normalized_potential")
-    k = lattice.momenta()
-    ph0 = np.cos(k * x[0])
-    ph1 = np.cos(k * x[1])
-    s0 = np.sin(k * x[0])
-    s1 = np.sin(k * x[1])
-    g = 1.0 / (lattice.m**2 + laplacian_symbol(k[:, None], k[None, :]))
-    # real part of e^{ikx}: cos(k0 x0)cos(k1 x1) - sin(k0 x0)sin(k1 x1)
-    val = np.einsum("ij,i,j->", g, ph0, ph1) - np.einsum("ij,i,j->", g, s0, s1)
-    return float(val) / lattice.n_sites
 
 
 def normalized_potential_table(lattice: TorusLattice) -> np.ndarray:
@@ -134,14 +117,3 @@ def normalized_potential_table(lattice: TorusLattice) -> np.ndarray:
     g[mask] = 1.0 / sym[mask]
     w = np.fft.ifft2(g).real
     return w - w[0, 0]
-
-
-def normalized_potential(lattice: TorusLattice, x) -> float:
-    """W(x|0) at a single point by the zero-mode-excluded momentum sum."""
-    k = lattice.momenta()
-    g = np.zeros((lattice.side, lattice.side))
-    sym = laplacian_symbol(k[:, None], k[None, :])
-    mask = sym > 0
-    g[mask] = 1.0 / sym[mask]
-    ph = np.cos(k * x[0])[:, None] * np.cos(k * x[1])[None, :] - np.sin(k * x[0])[:, None] * np.sin(k * x[1])[None, :]
-    return float(np.sum(g * (ph - 1.0))) / lattice.n_sites

@@ -1,8 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+import ktrg
+import ktrg.cli as cli
 from ktrg.cli import main
 
 
@@ -26,13 +29,32 @@ def test_decompose_artifact_deterministic(tmp_path):
     assert a == b
 
 
-def test_verify_all_report(tmp_path):
-    assert main(["verify-all", "--out-dir", str(tmp_path)]) == 0
-    rep = json.loads((tmp_path / "verify_report.json").read_text())
+def test_verify_all_report(tmp_path, capsys):
+    # two identical runs write byte-identical reports: the wall time goes
+    # to stdout only, and the provenance block is fixed by the installation
+    for out in ("a", "b"):
+        assert main(["verify-all", "--out-dir", str(tmp_path / out)]) == 0
+    body = (tmp_path / "a" / "verify_report.json").read_bytes()
+    assert body == (tmp_path / "b" / "verify_report.json").read_bytes()
+    assert b"runtime" not in body
+    assert "all pass in" in capsys.readouterr().out
+    rep = json.loads(body)
     assert rep["all_pass"] is True
     assert set(rep["checks"]) >= {"telescoping", "leakage", "psd", "separatrix_agreement", "count_S", "siegert_kac"}
     for c in rep["checks"].values():
         assert set(c) == {"value", "tol", "pass"}
+    prov = rep["provenance"]
+    assert set(prov) == {"ktrg", "python", "numpy", "scipy", "git_sha"}
+    assert prov["ktrg"] == ktrg.__version__ and prov["numpy"] == np.__version__
+    assert prov["git_sha"] is None or len(prov["git_sha"]) == 40
+
+
+def test_git_sha_null_outside_a_checkout(monkeypatch):
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(cli.subprocess, "run", no_git)
+    assert cli._provenance()["git_sha"] is None
 
 
 def test_verify_all_forced_failure(tmp_path, capsys):

@@ -343,3 +343,71 @@ def test_dd_and_e2_match_literal_second_differences(stack_l3_massless, j):
             assert dd[mu, nu] == pytest.approx(lit[mu, nu], rel=1e-9)
     e2_lit = -(9.0**j / 2.0) * 0.5 * sum(lit[mu, mu] for mu in range(4))
     assert energy_coeffs(st, j)[0] == pytest.approx(e2_lit, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the folded grid against the parent's full-grid path
+
+
+def _mean_parseval(g, *factors):
+    """Full-grid oracle: the mean of the unfolded product."""
+    return float(np.mean(np.prod([g.unfold(f) for f in factors], axis=0))) / g.weight
+
+
+def _ifft_window(g, G):
+    """Full-grid oracle: the complex inverse FFT of the unfolded array."""
+    K = np.fft.ifft2(g.unfold(G)).real / g.weight
+    r = g.radius
+    return np.roll(K, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1].copy()
+
+
+def _complex_dd_at_zero(stack, j):
+    """Full-grid oracle: Parseval means against the complex difference symbols."""
+    g = stack.grid(j)
+    G = g.unfold(g.band(stack.fine_scales(j)))
+    return np.array([[float(np.mean(G * g.diff_symbol((mu, nu)).real)) / g.weight
+                      for nu in range(4)] for mu in range(4)])
+
+
+def _complex_e3_symbol(g):
+    return sum(g.diff_symbol((a, a + 2, b, b + 2)).real for a in range(2) for b in range(2))
+
+
+def _loop_taylor_quad(dd_tensor, y):
+    """Oracle: the quadratic Taylor term summed over the 16 signed direction pairs."""
+    dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    y0, y1 = y[:, None], y[None, :]
+    quad = np.zeros((len(y), len(y)))
+    for mu in range(4):
+        ymu = dirs[mu][0] * y0 + dirs[mu][1] * y1
+        for nu in range(4):
+            ynu = dirs[nu][0] * y0 + dirs[nu][1] * y1
+            quad += 0.25 * dd_tensor[mu, nu] * ymu * ynu
+    return quad
+
+
+def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypatch):
+    # every grid of a second stack takes the trivial fold, and its sums run
+    # through the full-grid formulas; e4 is Taylor-subtracted, so its ninth
+    # digit is rounding on both sides
+    import ktrg.coefficients as coefficients
+    import ktrg.decomposition as decomposition
+
+    st = stack_l3_massless
+    folded = compute_coefficients(st, 5)
+    assert all(st.grid(n).S % 2 == 1 and len(st.grid(n).w) < st.grid(n).S for n in range(6))
+    oracle = decomposition.CovarianceStack(
+        lattice=st.lattice, cutoffs=st.cutoffs, gamma_tables=st.gamma_tables,
+        tail_table=st.tail_table, tail_is_normalized=st.tail_is_normalized,
+    )
+    monkeypatch.setattr(decomposition, "_fold", lambda p: (p, np.arange(len(p)), np.ones(len(p))))
+    monkeypatch.setattr(decomposition.SpectralGrid, "parseval", _mean_parseval)
+    monkeypatch.setattr(decomposition.SpectralGrid, "window", _ifft_window)
+    monkeypatch.setattr(coefficients, "_dd_at_zero", _complex_dd_at_zero)
+    monkeypatch.setattr(coefficients, "_e3_symbol", _complex_e3_symbol)
+    monkeypatch.setattr(coefficients, "_taylor_quad", _loop_taylor_quad)
+    full = compute_coefficients(oracle, 5)
+    assert len(oracle.grid(5).w) == oracle.grid(5).S
+    for name in ("a", "b", "e2", "e3", "vol"):
+        assert getattr(folded, name) == pytest.approx(getattr(full, name), rel=1e-13, abs=0.0), name
+    assert folded.e4 == pytest.approx(full.e4, rel=1e-9, abs=0.0)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ktrg.lattice import TorusLattice
+from ktrg.lattice import TorusLattice, laplacian_symbol
 from ktrg.cutoffs import build_cutoffs
 from ktrg.decomposition import (
     decompose,
@@ -14,6 +14,7 @@ from ktrg.decomposition import (
     read_stack,
     DecompositionError,
     SpectralGrid,
+    PROBE_SIDE,
 )
 
 
@@ -59,11 +60,17 @@ def test_diagonal_law(stack_l3_massless):
     assert max(vs) <= 3.0 * vs[0]
 
 
+def fine_component_table(stack, h):
+    """Oracle: torus table of the single fine-scale piece C_h (Gamma_j sums M of them)."""
+    grid = SpectralGrid(stack.cutoffs, stack.lattice.m, stack.lattice.momenta())
+    return np.fft.ifft2(grid.band([h])).real
+
+
 def test_fine_components_aggregate(stack_l3_massive):
     st = stack_l3_massive
     M = st.lattice.M
     for j in range(st.n_scales):
-        total = sum(st.fine_component_table(h) for h in range(j * M, (j + 1) * M))
+        total = sum(fine_component_table(st, h) for h in range(j * M, (j + 1) * M))
         assert np.allclose(total, st.gamma_table(j), atol=1e-15)
 
 
@@ -233,15 +240,24 @@ def test_gates_fail_on_nan():
         st.validate()
 
 
+def _full_u(g):
+    """m^2 + lam on the full grid p x p, evaluated without the fold."""
+    return g.m * g.m + laplacian_symbol(g.p[:, None], g.p[None, :])
+
+
 def test_grid_bands_match_band_sum():
     # the single pass over the residual products reproduces the band
-    # evaluation from scratch bit for bit, in any request order
+    # evaluation from scratch bit for bit, in any request order, and the
+    # unfolded quarter reproduces a pass over the full grid
     lat = TorusLattice(L=9, R=3, m=0.1)
     cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
     g = SpectralGrid.decimated(cut, lat.m, 3, 45, 10)
+    u = _full_u(g)
     for hs in ([2, 3], [0, 1], [4, 5], [3]):
         assert np.array_equal(g.band(hs), cut.band_sum(g.u, g.b, hs))
+        assert np.array_equal(g.unfold(g.band(hs)), cut.band_sum(u, g.b, hs))
     assert np.array_equal(g.residual(6), cut.residual(g.u, g.b, 6))
+    assert np.array_equal(g.unfold(g.residual(6)), cut.residual(u, g.b, 6))
 
 
 def _count_band_evaluations(monkeypatch):
@@ -295,3 +311,119 @@ def test_psd_probe_grid_does_not_outlive_decompose(monkeypatch):
     gc.collect()
     assert all(r() is None for r in made)
     assert len(st.psd_margins()) == 6
+
+
+# ---------------------------------------------------------------------------
+# the reflection fold, against full-grid oracles
+
+
+def test_folded_bands_bit_identical_to_full_pass():
+    # the massless per-scale case on a larger odd grid; S = 45 at m = 0.1
+    # is test_grid_bands_match_band_sum
+    S = 243
+    lat = TorusLattice(L=9, R=3, m=0.0)
+    cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
+    g = SpectralGrid.decimated(cut, lat.m, 3, S, 10)
+    n = S // 2 + 1
+    assert g.u.shape == (n, n)
+    assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
+    assert np.array_equal(g.idx, np.minimum(np.arange(S), S - np.arange(S)))
+    u = _full_u(g)
+    for hs in ([2, 3], [0, 1], [4, 5]):
+        assert np.array_equal(g.unfold(g.band(hs)), cut.band_sum(u, g.b, hs))
+    assert np.array_equal(g.unfold(g.residual(6)), cut.residual(u, g.b, 6))
+
+
+def test_torus_and_even_grids_take_the_trivial_fold():
+    cut = build_cutoffs(3, 1, 4)
+    torus = TorusLattice(L=3, R=2, m=0.1).momenta()
+    even = 2.0 * np.pi * np.fft.fftfreq(10)
+    for p in (torus, even):
+        g = SpectralGrid(cut, 0.1, p)
+        assert g.u.shape == (len(p), len(p))
+        assert np.all(g.w == 1.0) and np.array_equal(g.idx, np.arange(len(p)))
+        assert np.array_equal(g.band([1, 2]), cut.band_sum(_full_u(g), g.b, [1, 2]))
+
+
+def test_psd_margins_on_folded_probe_match_full_grid(stack_l9_massless):
+    # one pass over the residual products on the full probe grid
+    st = stack_l9_massless
+    cut = st.cutoffs
+    k = 2.0 * np.pi * np.fft.fftfreq(PROBE_SIDE)
+    u = laplacian_symbol(k[:, None], k[None, :])  # massless: b = 8
+    theta = cut.theta(u, 8.0)
+    r = np.ones_like(u)
+    full = []
+    for j in range(st.n_scales):
+        band = np.zeros_like(u)
+        for h in st.fine_scales(j):
+            band += r * cut._one_minus_factor_over_u(u, theta, 8.0, cut.kappas[h])
+            r = r * cut._factor(theta, cut.kappas[h])
+        full.append(float(band.min()))
+    assert st.psd_margins() == full
+
+
+def test_folded_sums_match_full_grid_oracles(stack_l9_massless):
+    # the parent's full-grid formulas: the mean over unfolded arrays, the
+    # cosine zoom over the full axis and the complex inverse FFT
+    st = stack_l9_massless
+    g = st.grid(3)
+    assert g.step > 1
+    G, G1 = g.band(st.fine_scales(3)), g.band(st.fine_scales(1))
+    full = g.unfold(G)
+    for factors in ((G,), (g.lam, G, G), (G1, G)):
+        oracle = float(np.mean(np.prod([g.unfold(f) for f in factors], axis=0))) / g.weight
+        assert g.parseval(*factors) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+    ys = g.y[::27] + 1.0
+    ph = np.cos(np.outer(ys, g.p))
+    zoom = ph @ (full @ ph.T) / (g.S**2 * g.weight)
+    assert np.max(np.abs(g.zoom(G, ys) - zoom)) <= 1e-14 * np.max(np.abs(zoom))
+    r = g.radius
+    K = np.roll(np.fft.ifft2(full).real / g.weight, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1]
+    assert np.max(np.abs(g.window(G) - K)) <= 1e-14 * np.max(np.abs(K))
+
+
+def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
+    # the real closed forms on the folded grid against the parent's complex
+    # difference-symbol products and a longdouble evaluation, at the scale
+    # where 1 - cos p loses digits near p = 0
+    from ktrg.coefficients import _dd_at_zero, _e3_symbol
+
+    st = stack_l9_massless
+    j = 3
+    g = st.grid(j)
+    full = g.unfold(g.band(st.fine_scales(j)))
+    dd = _dd_at_zero(st, j)
+    assert np.array_equal(dd, dd.T)
+    # the complex products are symmetric in (mu, nu) too; their cross-axis
+    # entries carry the rounding of the odd sin p0 sin p1 part (7.2e-14)
+    for mu in range(4):
+        for nu in range(mu, 4):
+            ref = float(np.mean(full * g.diff_symbol((mu, nu)).real)) / g.weight
+            assert dd[mu, nu] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    ld = np.longdouble
+    p = g.p.astype(ld)
+    c = 2 * np.sin(p / 2) ** 2
+    norm = ld(g.S) ** 2 * ld(g.weight)
+    G = full.astype(ld)
+    row, col = np.sum(G, axis=1), np.sum(G, axis=0)  # G summed over p1, over p0
+    same = [np.sum(row * (-2 * np.cos(p) * c)), np.sum(col * (-2 * np.cos(p) * c))]
+    opposite = [np.sum(row * 2 * c), np.sum(col * 2 * c)]
+    cross = c @ G @ c
+    for mu in range(4):
+        for nu in range(4):
+            a = mu % 2
+            ref = (same[a] if mu == nu else opposite[a]) if a == nu % 2 else cross
+            assert abs(dd[mu, nu] - ref / norm) <= 1e-15 * abs(ref / norm)
+
+    # per grid point on the folded grid
+    q = g.p_fold.astype(ld)
+    cq = 2 * np.sin(q / 2) ** 2
+    e3_ref = (2 * cq[:, None] + 2 * cq[None, :]) ** 2
+    e3 = _e3_symbol(g)
+    assert e3[0, 0] == 0.0
+    nz = e3_ref > 0
+    assert np.max(np.abs(e3[nz] / e3_ref[nz] - 1)) <= 1e-15
+    e3_complex = sum(g.diff_symbol((a, a + 2, b, b + 2)).real for a in range(2) for b in range(2))
+    assert np.max(np.abs(g.unfold(e3) - e3_complex)) <= 1e-14 * np.max(e3)

@@ -13,8 +13,17 @@ from ktrg.flow import (
     to_rescaled,
     from_rescaled,
     step_original_zero,
-    sweep,
 )
+
+
+def sweep(starts, config):
+    """Independent trajectories for (x1, y1) pairs, one row dict each."""
+    rows = []
+    for (x1, y1) in starts:
+        t = trajectory(x1, y1, config)
+        rows.append(dict(x1=x1, y1=y1, diverged=int(t.diverged_at is not None),
+                         divergence_scale=t.diverged_at if t.diverged_at is not None else -1))
+    return rows
 
 
 def test_kosterlitz_q_values():

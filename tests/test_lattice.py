@@ -5,11 +5,33 @@ import pytest
 
 from ktrg.lattice import (
     TorusLattice,
-    torus_yukawa,
+    laplacian_symbol,
     yukawa_table,
-    normalized_potential,
     normalized_potential_table,
 )
+
+
+def torus_yukawa(lattice, x):
+    """Oracle: W(x; m) at a single point by the exact momentum sum."""
+    if lattice.m <= 0:
+        raise ValueError("massless torus potential has a zero mode")
+    k = lattice.momenta()
+    g = 1.0 / (lattice.m**2 + laplacian_symbol(k[:, None], k[None, :]))
+    # real part of e^{ikx}: cos(k0 x0)cos(k1 x1) - sin(k0 x0)sin(k1 x1)
+    val = (np.einsum("ij,i,j->", g, np.cos(k * x[0]), np.cos(k * x[1]))
+           - np.einsum("ij,i,j->", g, np.sin(k * x[0]), np.sin(k * x[1])))
+    return float(val) / lattice.n_sites
+
+
+def normalized_potential(lattice, x):
+    """Oracle: W(x|0) at a single point by the zero-mode-excluded momentum sum."""
+    k = lattice.momenta()
+    sym = laplacian_symbol(k[:, None], k[None, :])
+    g = np.zeros_like(sym)
+    mask = sym > 0
+    g[mask] = 1.0 / sym[mask]
+    ph = np.cos(k * x[0])[:, None] * np.cos(k * x[1])[None, :] - np.sin(k * x[0])[:, None] * np.sin(k * x[1])[None, :]
+    return float(np.sum(g * (ph - 1.0))) / lattice.n_sites
 
 
 def test_lattice_validation():
