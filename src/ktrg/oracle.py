@@ -6,6 +6,14 @@ sums are exact finite enumerations, vectorized over the last two particle
 slots, with per-total-charge bookkeeping so the massless limit can be
 watched sector by sector: non-neutral sectors carry the diverging
 self-energy weight e^{-beta Q^2 W(0;m)/2} and die as m -> 0.
+
+Only one configuration per translation and charge-conjugation orbit of the
+first particle is enumerated: particle 1 sits at (origin, +).  The slot
+coupling s s' W(x - x') depends on sites only through their difference mod
+side and flips with both charges, so every configuration weight equals its
+orbit partner's bit for bit, and the labeled sum by total charge Q is
+side^2 (S+[Q] + S+[-Q]) exactly up to summation order.  That cuts the work
+by 2 side^2 and makes the sectors Q and -Q bitwise equal.
 """
 
 from __future__ import annotations
@@ -103,39 +111,51 @@ def _slot_tables(side: int, W: np.ndarray):
 
 
 def _sector_sums(side: int, beta: float, n: int, W: np.ndarray) -> dict[int, float]:
-    """sum over labeled n-particle configurations of e^{-beta H}, by total charge."""
+    """sum over labeled n-particle configurations of e^{-beta H}, by total charge.
+
+    Only configurations with particle 1 in slot 0, (origin, +), are
+    enumerated; translations and charge conjugation carry them onto every
+    other first slot with bit-identical weights, so the full sum is
+    side^2 (S+[Q] + S+[-Q]).
+    """
     if n == 0:
         return {0: 1.0}
     slots, V, sigma = _slot_tables(side, W)
     ns = len(slots)
-    diag = np.diag(V)
-    out: dict[int, float] = {}
-    if n == 1:
-        w = np.exp(-0.5 * beta * diag)
-        for q in (-1, 1):
-            out[q] = float(np.sum(w[sigma == q]))
-        return out
     if ns ** max(0, n - 2) > 3_000_000:
         raise ValueError(f"combinatorial budget exceeded: {ns} slots at n = {n}")
+    diag = np.diag(V)
     # energy of the last two slots against each other and themselves
     E2 = diag[:, None] + diag[None, :] + 2.0 * V
     Q2 = sigma[:, None] + sigma[None, :]
-    q_masks = {qv: Q2 == qv for qv in (-2, 0, 2)}
-    for prefix in itertools.product(range(ns), repeat=n - 2):
-        e_pre = 0.0
-        cross = np.zeros(ns)
-        q_pre = 0
-        for i, a in enumerate(prefix):
-            e_pre += diag[a]
-            for b in prefix[:i]:
-                e_pre += 2.0 * V[a, b]
-            cross += V[a]
-            q_pre += sigma[a]
-        E = e_pre + E2 + 2.0 * (cross[:, None] + cross[None, :])
-        wts = np.exp(-0.5 * beta * E)
-        for qv, mask in q_masks.items():
-            out[q_pre + qv] = out.get(q_pre + qv, 0.0) + float(np.sum(wts[mask]))
-    return out
+    pinned: dict[int, float] = {}
+    if n == 1:
+        pinned[1] = float(np.exp(-0.5 * beta * diag[0]))
+    elif n == 2:
+        # the pinned slot is the first of the last two: row 0 of the block
+        wts = np.exp(-0.5 * beta * E2[0])
+        for qv in (-1, 1):
+            pinned[1 + qv] = float(np.sum(wts[sigma == qv]))
+    else:
+        q_masks = {qv: Q2 == qv for qv in (-2, 0, 2)}
+        for rest in itertools.product(range(ns), repeat=n - 3):
+            prefix = (0,) + rest
+            e_pre = 0.0
+            cross = np.zeros(ns)
+            q_pre = 0
+            for i, a in enumerate(prefix):
+                e_pre += diag[a]
+                for b in prefix[:i]:
+                    e_pre += 2.0 * V[a, b]
+                cross += V[a]
+                q_pre += sigma[a]
+            E = e_pre + E2 + 2.0 * (cross[:, None] + cross[None, :])
+            wts = np.exp(-0.5 * beta * E)
+            for qv, mask in q_masks.items():
+                pinned[q_pre + qv] = pinned.get(q_pre + qv, 0.0) + float(np.sum(wts[mask]))
+    orbit = side * side
+    charges = set(pinned) | {-q for q in pinned}
+    return {int(Q): orbit * (pinned.get(Q, 0.0) + pinned.get(-Q, 0.0)) for Q in sorted(charges)}
 
 
 @dataclass
@@ -145,8 +165,16 @@ class OracleResult:
     n_max: int
     side: int
     m_sequence: tuple
-    # sector_terms[m][(n, Q)] = z^n/n! * configuration sum
-    sector_terms: dict = field(default_factory=dict)
+    # sector_sums[m][(n, Q)] = configuration sum (free of z)
+    sector_sums: dict = field(default_factory=dict)
+
+    @property
+    def sector_terms(self) -> dict:
+        """sector_terms[m][(n, Q)] = z^n/n! * configuration sum."""
+        return {
+            m: {(n, Q): self.z**n / math.factorial(n) * s for (n, Q), s in sums.items()}
+            for m, sums in self.sector_sums.items()
+        }
 
     def Z(self, m: float) -> float:
         return sum(self.sector_terms[m].values())
@@ -158,58 +186,62 @@ class OracleResult:
         return sum(v for (n, q), v in self.sector_terms[m].items() if q == Q)
 
     def coefficient(self, m: float, n: int, neutral_only: bool = False) -> float:
-        """Coefficient of z^n (configuration sum / n!)."""
-        zn = self.z**n if self.z != 0 else (1.0 if n == 0 else 0.0)
+        """Coefficient of z^n (configuration sum / n!); independent of z."""
         tot = sum(
-            v for (nn, Q), v in self.sector_terms[m].items()
+            v for (nn, Q), v in self.sector_sums[m].items()
             if nn == n and (Q == 0 or not neutral_only)
         )
-        if self.z == 0:
-            return tot if n == 0 else 0.0
-        return tot / zn
+        return tot / math.factorial(n)
 
 
-def _check_budget(lattice: TorusLattice, n_max: int):
+def _check_inputs(lattice: TorusLattice, beta: float, z: float, n_max: int, m_sequence=None):
+    """Budget and domain gates shared by every public sum."""
     if lattice.side > MAX_SIDE:
         raise ValueError(f"oracle torus side {lattice.side} above the budget {MAX_SIDE}")
     if n_max > MAX_N:
         raise ValueError(f"oracle n_max {n_max} above the budget {MAX_N}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    if m_sequence is None:
+        return
+    if not m_sequence:
+        raise ValueError(f"m_sequence must be nonempty, got {m_sequence}")
+    if not all(math.isfinite(m) and m > 0.0 for m in m_sequence):
+        raise ValueError(f"m_sequence masses must be finite and > 0, got {m_sequence}")
+    if any(m1 <= m2 for m1, m2 in zip(m_sequence, m_sequence[1:])):
+        raise ValueError(f"m_sequence must be strictly decreasing, got {m_sequence}")
 
 
 def grand_Z(lattice: TorusLattice, beta: float, z: float, n_max: int,
             m_sequence=DEFAULT_M_SEQUENCE) -> OracleResult:
     """Exact per-n, per-charge-sector sums along a decreasing mass sequence."""
-    _check_budget(lattice, n_max)
-    if any(m <= 0 for m in m_sequence):
-        raise ValueError("masses in the sequence must be positive")
-    res = OracleResult(beta=beta, z=z, n_max=n_max, side=lattice.side, m_sequence=tuple(m_sequence))
+    m_sequence = tuple(m_sequence)
+    _check_inputs(lattice, beta, z, n_max, m_sequence)
+    res = OracleResult(beta=beta, z=z, n_max=n_max, side=lattice.side, m_sequence=m_sequence)
     for m in m_sequence:
         lat_m = TorusLattice(L=lattice.L, R=lattice.R, gamma=lattice.gamma, m=m)
         W = yukawa_table(lat_m)
-        terms = {}
+        sums = res.sector_sums.setdefault(m, {})
         for n in range(n_max + 1):
-            zn = z**n / math.factorial(n)
             for Q, s in _sector_sums(lattice.side, beta, n, W).items():
-                terms[(n, Q)] = terms.get((n, Q), 0.0) + zn * s
-        res.sector_terms[m] = terms
+                sums[(n, Q)] = s
     return res
 
 
 def neutral_Z(lattice: TorusLattice, beta: float, z: float, n_max: int) -> OracleResult:
     """Direct m = 0 evaluation: neutral sectors with the normalized potential."""
-    _check_budget(lattice, n_max)
+    _check_inputs(lattice, beta, z, n_max)
     lat0 = TorusLattice(L=lattice.L, R=lattice.R, gamma=lattice.gamma, m=0.0)
     Wn = normalized_potential_table(lat0)
     res = OracleResult(beta=beta, z=z, n_max=n_max, side=lattice.side, m_sequence=(0.0,))
-    terms = {}
-    for n in range(n_max + 1):
-        if n % 2 == 1:
-            continue  # no neutral configurations at odd n
-        zn = z**n / math.factorial(n)
-        for Q, s in _sector_sums(lattice.side, beta, n, Wn).items():
-            if Q == 0:
-                terms[(n, 0)] = terms.get((n, 0), 0.0) + zn * s
-    res.sector_terms[0.0] = terms
+    # no neutral configurations at odd n
+    res.sector_sums[0.0] = {
+        (n, 0): _sector_sums(lattice.side, beta, n, Wn)[0] for n in range(0, n_max + 1, 2)
+    }
     return res
 
 
@@ -237,7 +269,7 @@ def siegert_kac_check(lattice: TorusLattice, beta: float, z: float, n_max: int,
     characteristic function reproduces e^{-beta H} exactly, so the z^n
     coefficients must agree to rounding.
     """
-    _check_budget(lattice, n_max)
+    _check_inputs(lattice, beta, z, n_max)
     if not (0.0 <= s < 0.5):
         raise ValueError(f"s must be in [0, 1/2), got {s}")
     alpha_sq = (1.0 - s) * beta

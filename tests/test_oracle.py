@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ktrg.lattice import yukawa_table, normalized_potential_table
@@ -11,9 +13,51 @@ from ktrg.oracle import (
     neutral_Z,
     siegert_kac_check,
     pressure_estimate,
+    _sector_sums,
+    _slot_tables,
 )
 
 BETA = 8.0 * math.pi
+
+
+def _full_sector_sums(side, beta, n, W):
+    """Oracle: every labeled configuration, no symmetry reduction."""
+    if n == 0:
+        return {0: 1.0}
+    slots, V, sigma = _slot_tables(side, W)
+    ns = len(slots)
+    diag = np.diag(V)
+    out = {}
+    if n == 1:
+        w = np.exp(-0.5 * beta * diag)
+        for q in (-1, 1):
+            out[q] = float(np.sum(w[sigma == q]))
+        return out
+    E2 = diag[:, None] + diag[None, :] + 2.0 * V
+    Q2 = sigma[:, None] + sigma[None, :]
+    q_masks = {qv: Q2 == qv for qv in (-2, 0, 2)}
+    for prefix in itertools.product(range(ns), repeat=n - 2):
+        e_pre = 0.0
+        cross = np.zeros(ns)
+        q_pre = 0
+        for i, a in enumerate(prefix):
+            e_pre += diag[a]
+            for b in prefix[:i]:
+                e_pre += 2.0 * V[a, b]
+            cross += V[a]
+            q_pre += sigma[a]
+        E = e_pre + E2 + 2.0 * (cross[:, None] + cross[None, :])
+        wts = np.exp(-0.5 * beta * E)
+        for qv, mask in q_masks.items():
+            out[int(q_pre + qv)] = out.get(int(q_pre + qv), 0.0) + float(np.sum(wts[mask]))
+    return out
+
+
+def _potentials(side):
+    return {
+        "yukawa": yukawa_table(oracle_lattice(side, 0.25)),
+        "normalized": normalized_potential_table(oracle_lattice(side, 0.0)),
+    }
 
 
 def test_single_particle_split():
@@ -167,3 +211,92 @@ def test_per_configuration_weights_bounded():
     for n in range(4):
         total = sum(v for (nn, Q), v in res.sector_terms[0.5].items() if nn == n)
         assert total <= slots**n / math.factorial(n) + 1e-9
+
+
+@pytest.mark.parametrize("side, n_max", [(3, 5), (5, 4)])
+def test_orbit_sums_match_full_enumeration(side, n_max):
+    for name, W in _potentials(side).items():
+        for n in range(n_max + 1):
+            got = _sector_sums(side, BETA, n, W)
+            want = _full_sector_sums(side, BETA, n, W)
+            assert set(got) == set(want), (name, n)
+            for Q, v in want.items():
+                assert abs(got[Q] - v) <= 1e-12 * abs(v), (name, n, Q, got[Q], v)
+
+
+def test_orbit_sums_match_fsum_of_every_weight():
+    # side 3, n = 4: all 18^4 labeled configurations, energies from the slot
+    # coupling matrix, weights summed exactly per sector
+    side, n = 3, 4
+    for name, W in _potentials(side).items():
+        slots, V, sigma = _slot_tables(side, W)
+        ns = len(slots)
+        idx = np.indices((ns,) * n).reshape(n, -1)
+        E = sum(V[idx[i], idx[k]] for i in range(n) for k in range(n))
+        wts = np.exp(-0.5 * BETA * E)
+        Q = sigma[idx].sum(axis=0)
+        got = _sector_sums(side, BETA, n, W)
+        assert set(got) == set(Q.tolist())
+        for q, v in got.items():
+            ref = math.fsum(wts[Q == q].tolist())
+            assert abs(v - ref) <= 1e-13 * ref, (name, q, v, ref)
+
+
+def test_conjugate_sectors_bitwise_equal():
+    for side, n_max in ((3, 5), (5, 4)):
+        for W in _potentials(side).values():
+            for n in range(n_max + 1):
+                sums = _sector_sums(side, BETA, n, W)
+                for Q, v in sums.items():
+                    assert sums[-Q] == v
+    res = grand_Z(oracle_lattice(5), BETA, 0.05, 4)
+    for m in res.m_sequence:
+        for (n, Q), v in res.sector_terms[m].items():
+            assert res.sector_terms[m][(n, -Q)] == v
+
+
+def test_sector_budget_guard_unchanged():
+    W = yukawa_table(oracle_lattice(5, 0.5))
+    with pytest.raises(ValueError, match="budget"):
+        _sector_sums(5, BETA, 6, W)  # 50^4 > 3e6 labeled prefixes
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(beta=float("nan")), "beta"),
+    (dict(beta=float("inf")), "beta"),
+    (dict(beta=0.0), "beta"),
+    (dict(beta=-1.0), "beta"),
+    (dict(z=float("nan")), "z"),
+    (dict(z=float("inf")), "z"),
+    (dict(n_max=-1), "n_max"),
+])
+def test_oracle_input_gates(kwargs, name):
+    args = dict(lattice=oracle_lattice(3), beta=BETA, z=0.05, n_max=2)
+    args.update(kwargs)
+    bad = kwargs[name]
+    for fn in (grand_Z, neutral_Z, siegert_kac_check):
+        with pytest.raises(ValueError, match=name) as err:
+            fn(**args)
+        assert str(bad) in str(err.value)
+    with pytest.raises(ValueError, match=name):
+        pressure_estimate(**args)
+
+
+@pytest.mark.parametrize("m_sequence", [(), (0.25, 0.5), (0.5, 0.5), (0.5, float("nan")), (float("inf"), 0.5)])
+def test_grand_Z_mass_sequence_gate(m_sequence):
+    with pytest.raises(ValueError, match="m_sequence"):
+        grand_Z(oracle_lattice(3), BETA, 0.05, 2, m_sequence=m_sequence)
+
+
+def test_coefficient_independent_of_z():
+    # z^2 coefficient of the neutral side-5 sum, S_2 / 2! = 25.376...; at
+    # z = 1e-170 the factor z^2 underflows, at z = 0 every term is 0
+    lat = oracle_lattice(5)
+    coeffs = [neutral_Z(lat, BETA, z, 2).coefficient(0.0, 2) for z in (0.0, 1e-170, 0.05)]
+    assert coeffs[0] == coeffs[1] == coeffs[2]
+    assert coeffs[0] == pytest.approx(25.376, rel=1e-4)
+    at_zero = grand_Z(lat, BETA, 0.0, 2, m_sequence=(0.5,))
+    at_z = grand_Z(lat, BETA, 0.05, 2, m_sequence=(0.5,))
+    assert at_zero.coefficient(0.5, 0) == 1.0
+    assert at_zero.coefficient(0.5, 2) == at_z.coefficient(0.5, 2)
+    assert at_zero.coefficient(0.5, 2) > 0.0
