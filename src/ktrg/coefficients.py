@@ -280,10 +280,10 @@ def _dd_at_zero(stack: CovarianceStack, j: int) -> np.ndarray:
 def _e3_symbol(g) -> np.ndarray:
     """sum over the forward axis pairs (a, b) of |e^{i p_a} - 1|^2 |e^{i p_b} - 1|^2.
 
-    Each pair's symbol is 2c_a 2c_b, so the four sum to (2c_0 + 2c_1)^2.
+    Each pair's symbol is 2c_a 2c_b, so the four sum to (2c_0 + 2c_1)^2 =
+    lam^2 (2c = 4 sin^2(p/2) is the symbol's axis term, bit for bit).
     """
-    c0, c1 = _cos_gaps(g)
-    return (2.0 * c0 + 2.0 * c1) ** 2
+    return g.lam**2
 
 
 def _taylor_quad(dd_tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -365,12 +365,13 @@ class RgCoefficients:
     e3: list[float]
     e4: list[float]
     vol: list[float]
+    alias_bound: list[float]  # the scale-j grid's alias bound on Gamma_j (0 at step 1)
 
 
 def compute_coefficients(stack: CovarianceStack, j_max: int, alpha_sq: float = ALPHA_SQ_KT) -> RgCoefficients:
     scales = list(range(1, j_max + 1))
     rep = RgCoefficients(L=stack.lattice.L, alpha_sq=alpha_sq, scales=scales,
-                         a=[], b=[], e2=[], e3=[], e4=[], vol=[])
+                         a=[], b=[], e2=[], e3=[], e4=[], vol=[], alias_bound=[])
     for j in scales:
         rep.a.append(coeff_a(stack, j, alpha_sq))
         rep.b.append(coeff_b(stack, j, alpha_sq))
@@ -379,6 +380,7 @@ def compute_coefficients(stack: CovarianceStack, j_max: int, alpha_sq: float = A
         rep.e3.append(e3)
         rep.e4.append(e4)
         rep.vol.append(volume_factor(stack, j, alpha_sq))
+        rep.alias_bound.append(stack.grid(j).alias_bound(stack.fine_scales(j)))
     return rep
 
 
@@ -404,9 +406,9 @@ def flow_config(rep: RgCoefficients, c: float, **kwargs):
 
 def coefficients_csv(rep: RgCoefficients, path: str):
     with open(path, "w", newline="\n") as f:
-        f.write("j,a_j,b_j,e2_j,e3_j,e4_j,volume_factor_j\n")
+        f.write("j,a_j,b_j,e2_j,e3_j,e4_j,volume_factor_j,alias_bound_j\n")
         for i, j in enumerate(rep.scales):
             f.write(
                 f"{j},{rep.a[i]:.17g},{rep.b[i]:.17g},{rep.e2[i]:.17g},"
-                f"{rep.e3[i]:.17g},{rep.e4[i]:.17g},{rep.vol[i]:.17g}\n"
+                f"{rep.e3[i]:.17g},{rep.e4[i]:.17g},{rep.vol[i]:.17g},{rep.alias_bound[i]:.17g}\n"
             )

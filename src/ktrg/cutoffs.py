@@ -19,6 +19,11 @@ Laplacian has range d, so the schedule kappa_h = max(2, gamma^(h-1)) keeps
 the kernel of psi_h(m^2 - Delta) supported strictly inside |x| < gamma^(h+1)/2:
 finite range is exact, not a leakage tolerance.
 
+Every evaluation of the bands and residuals is one FejerPass over the points
+u: theta/2, sin(theta/2) and u/b are computed once, and each Fejer order
+costs one sine, shared by the residual factor s_h and the band term
+(1 - s_h)/u.
+
 The h -> infinity limit of r_h at momentum scale gamma^h is the radial
 profile  u_inf(q) = prod_{l>=1} sinc^2(gamma^-l q / sqrt(8))  used by the
 continuum diagnostics (tilde_c and the Coulomb constant).
@@ -34,6 +39,7 @@ non-oscillatory pieces use panels no longer than their distance from 0
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,8 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .lattice import laplacian_symbol
+
 __all__ = [
     "CutoffFamily",
+    "FejerPass",
     "build_cutoffs",
     "tilde_c",
     "CoulombConstant",
@@ -98,65 +107,33 @@ class CutoffFamily:
     @staticmethod
     def _factor(theta: np.ndarray, kappa: int) -> np.ndarray:
         """Normalized Fejer factor sin^2(K t/2) / (K sin(t/2))^2 in [0, 1]."""
-        half = 0.5 * theta
-        small = kappa * half < 1e-6
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(small, 1.0, np.sin(kappa * half) / (kappa * np.where(small, 1.0, np.sin(half))))
-        a = np.where(small, 1.0 - (kappa**2 - 1) * half**2 / 6.0, a)
-        return a * a
+        half = 0.5 * np.atleast_1d(np.asarray(theta, dtype=float))
+        sk, small = _fejer_sine(half, kappa)
+        return _fejer_factor(sk, np.sin(half), half, kappa, small)
 
     @staticmethod
     def _one_minus_factor_over_u(u: np.ndarray, theta: np.ndarray, b: float, kappa: int) -> np.ndarray:
-        """(1 - s_kappa(u)) / u at theta = theta(u, b), stable down to u = 0.
-
-        For kappa*theta/2 < 1e-3 uses
-        sin^2(a) - sin^2(Ka)/K^2 = (K^2-1) a^4/3 - 2(K^4-1) a^6/45 + O(a^8)
-        together with sin^2(a) = u/b (exact by the substitution).
-        """
-        u = np.asarray(u, dtype=float)
-        a = 0.5 * theta
-        k2 = float(kappa) ** 2
-        out = np.empty_like(u)
-        small = kappa * a < 1e-3
-        big = ~small
-        if np.any(big):
-            ub = u[big]
-            s2 = ub / b
-            sk = np.sin(kappa * a[big]) ** 2
-            out[big] = (1.0 - sk / (k2 * s2)) / ub
-        if np.any(small):
-            usm = u[small]
-            asm = a[small]
-            num = (k2 - 1.0) * asm**4 / 3.0 - 2.0 * (k2 * k2 - 1.0) * asm**6 / 45.0
-            # (1-s)/u = num / (sin^2 a * u) = num * b / u^2
-            lim = (k2 - 1.0) / (3.0 * b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = num * b / np.where(usm > 0, usm * usm, 1.0)
-            out[small] = np.where(usm > 0, val, lim)
-        return out
+        """(1 - s_kappa(u)) / u at theta = theta(u, b), stable down to u = 0."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        half = 0.5 * np.atleast_1d(np.asarray(theta, dtype=float))
+        sk, small = _fejer_sine(half, kappa)
+        return _fejer_one_minus_over_u(sk, u / b, u, half, b, kappa, small)
 
     def residual(self, u: np.ndarray, b: float, h: int) -> np.ndarray:
         """r_h(u) = prod_{n<=h} s_n(u); r_0 = 1."""
-        u = np.asarray(u, dtype=float)
-        theta = self.theta(u, b)
-        r = np.ones_like(u)
-        for n in range(1, h + 1):
-            r = r * self._factor(theta, self.kappas[n - 1])
-        return r
+        return FejerPass(self.kappas, u, b).advance(h).reshape(np.shape(u))
 
     def band_sum(self, u: np.ndarray, b: float, h_list) -> np.ndarray:
-        """Sum of bands, sharing the residual products across scales."""
-        u = np.asarray(u, dtype=float)
-        theta = self.theta(u, b)
-        out = np.zeros_like(u)
-        r = np.ones_like(u)
-        n_done = 0
-        for h in sorted(h_list):
-            for n in range(n_done + 1, h + 1):
-                r = r * self._factor(theta, self.kappas[n - 1])
-            n_done = max(n_done, h)
-            out += r * self._one_minus_factor_over_u(u, theta, b, self.kappas[h])
-        return out
+        """Sum of the bands of distinct fine scales, sharing the residual products."""
+        hs = sorted(h_list)
+        if len(set(hs)) < len(hs):
+            raise ValueError(f"band_sum needs distinct fine scales, got {hs}")
+        run = FejerPass(self.kappas, u, b)
+        out = np.zeros_like(run.u)
+        for h in hs:
+            run.advance(h)
+            out += run.band()
+        return out.reshape(np.shape(u))
 
     def band_degree(self, h: int) -> int:
         """Polynomial degree of psi_h in u = its exact kernel range in |x|_1.
@@ -180,8 +157,7 @@ class CutoffFamily:
         if h == 0:
             return np.ones(np.broadcast(p0, p1).shape)
         g = float(self.gamma**h)
-        lam = 4.0 - 2.0 * np.cos(p0 / g) - 2.0 * np.cos(p1 / g)
-        return self.residual(m * m + lam, m * m + 8.0, h)
+        return self.residual(m * m + laplacian_symbol(p0 / g, p1 / g), m * m + 8.0, h)
 
     def A_sq(self, p0, p1, h: int, n: int, m: float = 0.0) -> np.ndarray:
         """Squared factor function: F_h = prod_{n=0}^{h-1} A_sq(., h, n)."""
@@ -190,8 +166,7 @@ class CutoffFamily:
         p0 = np.asarray(p0, dtype=float)
         p1 = np.asarray(p1, dtype=float)
         g = float(self.gamma**h)
-        lam = 4.0 - 2.0 * np.cos(p0 / g) - 2.0 * np.cos(p1 / g)
-        u = m * m + lam
+        u = m * m + laplacian_symbol(p0 / g, p1 / g)
         return self._factor(self.theta(u, m * m + 8.0), self.kappas[h - n - 1])
 
     def u_profile(self, q) -> np.ndarray:
@@ -212,6 +187,102 @@ class CutoffFamily:
             if not live.any():
                 return out
             out *= np.where(live, np.sinc(x / np.pi) ** 2, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the band pass: one Fejer kernel for every evaluation of s_h and psi_h
+#
+# With a = theta/2, each order kappa costs one sine, sin(kappa a), shared by
+# the factor s_kappa = (sin(kappa a) / (kappa sin a))^2 and by
+# (1 - s_kappa)/u = (1 - sin^2(kappa a) / (kappa^2 u/b)) / u (sin^2 a = u/b
+# by the substitution).  Their small-angle series replace the closed forms
+# only on the points where kappa a < 1e-6 (s) or 1e-3 ((1 - s)/u); that set
+# lies near u = 0 and is found once per order.
+
+
+def _fejer_sine(half: np.ndarray, kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin(kappa a) at a = half, and the flat indices where kappa a < 1e-3."""
+    ka = kappa * half
+    small = np.flatnonzero(ka < 1e-3)
+    return np.sin(ka, out=ka), small
+
+
+def _fejer_factor(sk, sh, half, kappa: int, small) -> np.ndarray:
+    """s_kappa = (sin(kappa a) / (kappa sin a))^2; 1 - (kappa^2-1) a^2/6 for
+    the ratio where kappa a < 1e-6."""
+    q = kappa * sh
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(sk, q, out=q)
+    a = half.flat[small]
+    tiny = kappa * a < 1e-6
+    q.flat[small[tiny]] = 1.0 - (kappa**2 - 1) * a[tiny] ** 2 / 6.0
+    return np.square(q, out=q)
+
+
+def _fejer_one_minus_over_u(sk, s2, u, half, b: float, kappa: int, small) -> np.ndarray:
+    """(1 - s_kappa)/u from sin(kappa a) and s2 = u/b, stable down to u = 0.
+
+    For kappa a < 1e-3 uses
+    sin^2(a) - sin^2(Ka)/K^2 = (K^2-1) a^4/3 - 2(K^4-1) a^6/45 + O(a^8)
+    over sin^2(a) u = u^2/b, and the limit (K^2-1)/(3b) where u^2 is 0
+    (u = 0, or u below 1e-154, where u^2 underflows).
+    """
+    k2 = float(kappa) ** 2
+    out = sk * sk
+    d = s2 * k2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(out, d, out=out)
+        np.subtract(1.0, out, out=out)
+        np.divide(out, u, out=out)
+    if small.size:
+        a = half.flat[small]
+        us = u.flat[small]
+        num = (k2 - 1.0) * a**4 / 3.0 - 2.0 * (k2 * k2 - 1.0) * a**6 / 45.0
+        lim = (k2 - 1.0) / (3.0 * b)
+        u_sq = us * us
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = num * b / np.where(u_sq > 0, u_sq, 1.0)
+        out.flat[small] = np.where(u_sq > 0, val, lim)
+    return out
+
+
+class FejerPass:
+    """The residual products r_h at the points u, stepped one order at a time.
+
+    a = theta/2, sin(a) and u/b are computed once.  The step from r_h to
+    r_{h+1} = r_h s_{h+1} costs one sine, sin(kappa_{h+1} a); band() shares
+    that sine between psi_h = r_h (1 - s_{h+1})/u and the step.
+    """
+
+    def __init__(self, kappas: tuple[int, ...], u, b: float):
+        self.kappas = kappas
+        self.b = b
+        self.u = np.atleast_1d(np.asarray(u, dtype=float))
+        self.s2 = self.u / b
+        self.half = np.arcsin(np.sqrt(np.clip(self.s2, 0.0, 1.0)))
+        self.sh = np.sin(self.half)
+        self.h = 0
+        self.r = np.ones_like(self.u)
+
+    def _step(self, sk: np.ndarray, small: np.ndarray):
+        self.r *= _fejer_factor(sk, self.sh, self.half, self.kappas[self.h], small)
+        self.h += 1
+
+    def band(self) -> np.ndarray:
+        """psi_h = r_h (1 - s_{h+1})/u at the current order h, as a new array;
+        the pass then stands at h + 1."""
+        kappa = self.kappas[self.h]
+        sk, small = _fejer_sine(self.half, kappa)
+        out = _fejer_one_minus_over_u(sk, self.s2, self.u, self.half, self.b, kappa, small)
+        out *= self.r
+        self._step(sk, small)
+        return out
+
+    def advance(self, h: int) -> np.ndarray:
+        """Step on to r_h (h at or past the current order) and return it."""
+        while self.h < h:
+            self._step(*_fejer_sine(self.half, self.kappas[self.h]))
+        return self.r
 
 
 def build_cutoffs(gamma: int, M: int, horizon: int) -> CutoffFamily:
@@ -314,6 +385,14 @@ class CoulombConstant:
     quad_error: float     # n/2n panel gaps summed over the window values of gtilde
 
 
+@functools.cache
+def _bessel_panel_edges() -> np.ndarray:
+    """1 followed by the first 4000 zeros of J0 (read-only; built on first use)."""
+    edges = np.concatenate([[1.0], special.jn_zeros(0, 4000)])
+    edges.flags.writeable = False
+    return edges
+
+
 def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
     """gtilde(x|0) at |x| = r and its summed n/2n panel gap.
 
@@ -328,7 +407,7 @@ def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
                                f"gtilde head at r={r:g}")
     nonosc, e_nonosc = _panel_quad(lambda rho: u(rho) / rho, _edges(lo, 200.0, 8.0),
                                    f"gtilde non-oscillatory piece at r={r:g}")
-    zeros = np.concatenate([[1.0], special.jn_zeros(0, 4000)])
+    zeros = _bessel_panel_edges()
     osc, e_osc = _panel_quad(lambda s: special.j0(s) * u(s / r) / s, zeros,
                              f"gtilde Bessel-zero panels at r={r:g}")
     done = np.flatnonzero((zeros[1:] > 30.0 * r) & (np.abs(osc) < 1e-13))

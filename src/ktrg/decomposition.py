@@ -22,19 +22,23 @@ the central copy of the folded fine zone; the dropped aliases are bounded
 at runtime and the bound is reported with each window (the bands decay fast
 enough that 243 samples per scale keep the bound near 1e-11).
 
-Bands depend on p only through lam(p), so they are even in each momentum
-component, and a grid folds itself by that reflection symmetry.  When its
-axis has odd length S and pairs every momentum with its exact negative,
-p[S-k] = -p[k] (the fftfreq layout of every per-scale grid and of the PSD
-probe), bands live on the quarter p0, p1 >= 0: n = S//2 + 1 points per axis,
-carrying multiplicity weights w = (1, 2, 2, ...), and the full grid is read
-back through the unfold index min(k, S-k).  The quarter holds the same
-momenta as the full grid, so unfolded bands are bit-identical to a full
-pass.  Parseval sums and real (cosine) zooms run on the quarter with the
-weights; windows, complex zooms and derivative symbols unfold on demand.
-Any other axis (the torus momenta 2 pi n / side of a materialized stack,
-the alias ring) takes the trivial fold, weights 1 and the identity index,
-through the same code.
+Bands depend on p only through lam(p) = 4 sin^2(p0/2) + 4 sin^2(p1/2), so
+they are even in each momentum component and symmetric under p0 <-> p1, and
+a grid folds itself by these symmetries of the square (the 8-fold D4 fold).
+When its axis has odd length S and pairs every momentum with its exact
+negative, p[S-k] = -p[k] (the fftfreq layout of every per-scale grid, of
+the PSD probe and of the torus momenta), arrays live on the quarter
+p0, p1 >= 0: n = S//2 + 1 points per axis, carrying multiplicity weights
+w = (1, 2, 2, ...), and the full grid is read back through the unfold index
+min(k, S-k).  Any other axis (an even-length one, the alias ring) takes the
+trivial fold, weights 1 and the identity index, through the same code.  On
+either, lam is bit-for-bit symmetric under the swap, so the band pass runs
+on the triangle p1 <= p0 of the folded grid (rows packed, n(n+1)/2 points)
+and its bands and residuals are mirrored onto the folded grid.  The folded
+grid holds the same momenta as the full one, so unfolded bands are
+bit-identical to a pass over the full grid.  Parseval sums and real
+(cosine) zooms run on the folded grid with the weights; windows, complex
+zooms and derivative symbols unfold on demand.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from .cutoffs import CutoffFamily, build_cutoffs
+from .cutoffs import CutoffFamily, FejerPass, build_cutoffs
 from .lattice import DIRS, TorusLattice, laplacian_symbol, yukawa_table, normalized_potential_table
 
 __all__ = [
@@ -120,12 +124,15 @@ class SpectralGrid:
     central Brillouin zone of step*Z^2, so the inverse FFT of a spectral
     array gives step^2 times its kernel at y = step*z; windows cover
     |z|_inf <= radius.  Bands are summed over fine-scale lists in one pass
-    over the residual products r_h, which restarts only when a lower fine
-    scale is asked for after a higher one, and each list's band is cached.
+    over the residual products r_h, which restarts only when a fine scale
+    at or below one already evaluated is asked for, and each list's band is
+    cached.
 
     Bands, lam, u and the momenta p0, p1 live on the folded grid over the
     axis p_fold, with weights w (see the module docstring); p keeps the full
-    axis, and unfold() maps a folded array onto it.
+    axis, and unfold() maps a folded array onto it.  The running state of
+    the band pass (a cutoffs.FejerPass) lives on the triangle p1 <= p0 of
+    the folded grid only.
     """
 
     def __init__(self, cutoffs: CutoffFamily, m: float, p: np.ndarray, step: int = 1, radius: int = 0):
@@ -140,11 +147,8 @@ class SpectralGrid:
         self.step = step
         self.radius = radius
         self.weight = float(step) ** 2
-        self.u = m * m + self.lam
         self._bands: dict[tuple[int, ...], np.ndarray] = {}
-        self._theta = None
-        self._r = None
-        self._h = 0
+        self._pass = None
 
     @classmethod
     def decimated(cls, cutoffs: CutoffFamily, m: float, step: int, S: int, radius: int) -> "SpectralGrid":
@@ -154,6 +158,11 @@ class SpectralGrid:
     def lam(self) -> np.ndarray:
         """Laplacian symbol on the folded grid (built on each access)."""
         return laplacian_symbol(self.p0, self.p1)
+
+    @property
+    def u(self) -> np.ndarray:
+        """m^2 + lam on the folded grid (built on each access)."""
+        return self.m * self.m + self.lam
 
     @property
     def y(self) -> np.ndarray:
@@ -174,25 +183,42 @@ class SpectralGrid:
 
     # -- bands --
 
+    def _mirror(self, t: np.ndarray) -> np.ndarray:
+        """The folded-grid array of the triangle array t (row i holds columns 0..i)."""
+        n = len(self.p_fold)
+        out = np.empty((n, n))
+        start = 0
+        for i in range(n):
+            row = t[start : start + i + 1]
+            out[i, : i + 1] = row
+            out[:i, i] = row[:i]
+            start += i + 1
+        return out
+
+    def _advance(self, h: int) -> FejerPass:
+        """The band pass on the triangle, stepped on to order h.
+
+        It restarts when h lies behind it.  The triangle's u is m^2 plus the
+        two axis terms of lam, a[i] + a[k], added in the same order as in
+        lam itself.
+        """
+        if self._pass is None or h < self._pass.h:
+            a = laplacian_symbol(self.p_fold, 0.0)  # the axis term: sin(0) adds an exact 0
+            lam = np.concatenate([a[i] + a[: i + 1] for i in range(len(a))])
+            self._pass = FejerPass(self.cutoffs.kappas, self.m * self.m + lam, self.b)
+        self._pass.advance(h)
+        return self._pass
+
     def residual(self, h: int) -> np.ndarray:
         """r_h on the folded grid, continuing the pass of the bands."""
-        cut = self.cutoffs
-        if self._r is None or h < self._h:
-            if self._theta is None:
-                self._theta = cut.theta(self.u, self.b)
-            self._r, self._h = np.ones_like(self.u), 0
-        while self._h < h:
-            self._r = self._r * cut._factor(self._theta, cut.kappas[self._h])
-            self._h += 1
-        return self._r
+        return self._mirror(self._advance(h).r)
 
     def _band_sum(self, hs: tuple[int, ...]) -> np.ndarray:
-        cut = self.cutoffs
-        out = np.zeros_like(self.u)
+        n = len(self.p_fold)
+        out = np.zeros(n * (n + 1) // 2)
         for h in hs:
-            r = self.residual(h)
-            out += r * cut._one_minus_factor_over_u(self.u, self._theta, self.b, cut.kappas[h])
-        return out
+            out += self._advance(h).band()
+        return self._mirror(out)
 
     def band(self, hs) -> np.ndarray:
         """sum_{h in hs} psi_h on the folded grid, cached per fine-scale list."""
@@ -200,6 +226,16 @@ class SpectralGrid:
         if hs not in self._bands:
             self._bands[hs] = self._band_sum(hs)
         return self._bands[hs]
+
+    def fill(self, groups):
+        """Cache the band of each fine-scale list, then drop the pass state.
+
+        For a grid whose bands are all known up front: a later band or
+        residual outside the cache restarts the pass.
+        """
+        for hs in groups:
+            self.band(hs)
+        self._pass = None
 
     def bands(self, groups):
         """Yield the folded band of each fine-scale list in turn, without caching."""
@@ -394,8 +430,7 @@ class CovarianceStack:
             step = natural_step(self.cutoffs, n * self.lattice.M)
             radius = -(-(self.support_radius(n) + 2) // step)
             g = SpectralGrid.decimated(self.cutoffs, self.lattice.m, step, _odd_fast_len(2 * radius + 3), radius)
-            for k in range(n + 1):
-                g.band(self.fine_scales(k))
+            g.fill(self.fine_scales(k) for k in range(n + 1))
             self._cache[key] = g
         return self._cache[key]
 
@@ -531,7 +566,8 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
     """Build the covariance stack for the torus; validates PSD and leakage.
 
     The tables, the PSD margins and the tail come from one pass over the
-    bands on the torus momenta.
+    bands on the torus momenta, folded like any other grid; each array is
+    unfolded before its inverse FFT.
     """
     if cutoffs is None:
         cutoffs = build_cutoffs(lattice.gamma, lattice.M, lattice.n_fine_scales)
@@ -553,7 +589,7 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
         tables, margins = [], []
         groups = [range(j * lattice.M, (j + 1) * lattice.M) for j in range(lattice.R)]
         for vals in grid.bands(groups):
-            tables.append(np.fft.ifft2(vals).real)
+            tables.append(np.fft.ifft2(grid.unfold(vals)).real)
             margins.append(float(vals.min()))
         r = grid.residual(cutoffs.horizon)
         if normalized:
@@ -561,10 +597,10 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
             dens = np.zeros_like(lam)
             mask = lam > 0
             dens[mask] = r[mask] / lam[mask]
-            t = np.fft.ifft2(dens).real
+            t = np.fft.ifft2(grid.unfold(dens)).real
             tail = t - t[0, 0]
         else:
-            tail = np.fft.ifft2(r / grid.u).real
+            tail = np.fft.ifft2(grid.unfold(r / grid.u)).real
 
     stack = CovarianceStack(
         lattice=lattice,

@@ -1,8 +1,13 @@
 """Periodic 2D lattice, torus Yukawa/Coulomb potentials.
 
 The torus is a square of side L^R sites with periodic boundary conditions,
-L odd and > 1.  Momentum space is the dual grid k = 2*pi*n/side and the
-lattice Laplacian symbol is lam(k) = 4 - 2cos(k0) - 2cos(k1) in [0, 8].
+L odd and > 1.  Momentum space is the dual grid in the centered fftfreq
+layout k = 2*pi*n/side, n = 0, 1, ..., (side-1)/2, -(side-1)/2, ..., -1,
+which pairs every momentum with its exact negative.  The lattice Laplacian
+symbol is lam(k) = 4 sin^2(k0/2) + 4 sin^2(k1/2) in [0, 8]: the same
+function as 4 - 2cos(k0) - 2cos(k1), but with full relative accuracy as
+k -> 0 and, on that axis, bit-for-bit even in each component and symmetric
+under k0 <-> k1.
 """
 
 from __future__ import annotations
@@ -76,8 +81,12 @@ class TorusLattice:
         return self.M * self.R
 
     def momenta(self) -> np.ndarray:
-        """1D momentum grid 2*pi*n/side, n = 0..side-1."""
-        return 2.0 * np.pi * np.arange(self.side) / self.side
+        """1D momentum grid 2*pi*fftfreq(side): n = 0..(side-1)/2, then -(side-1)/2..-1.
+
+        The FFT order of the torus momenta, centered on 0 so that
+        k[side-n] == -k[n] exactly.
+        """
+        return 2.0 * np.pi * np.fft.fftfreq(self.side)
 
     def reduce(self, x) -> tuple[int, int]:
         """Reduce a lattice point to the centered fundamental domain."""
@@ -86,8 +95,13 @@ class TorusLattice:
 
 
 def laplacian_symbol(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    """-Delta hat: 4 - 2cos(k0) - 2cos(k1), broadcasting over the grid."""
-    return 4.0 - 2.0 * np.cos(k0) - 2.0 * np.cos(k1)
+    """-Delta hat: 4 sin^2(k0/2) + 4 sin^2(k1/2), broadcasting over the grid.
+
+    Each term is accurate to a few ulp down to k = 0, where 1 - cos k
+    cancels, and the sum of the two terms is exactly symmetric under
+    k0 <-> k1.
+    """
+    return 4.0 * np.sin(0.5 * k0) ** 2 + 4.0 * np.sin(0.5 * k1) ** 2
 
 
 def _symbol_grid(lattice: TorusLattice) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import TorusLattice, yukawa_table, normalized_potential_table
+from .lattice import TorusLattice, laplacian_symbol, yukawa_table, normalized_potential_table
 
 __all__ = [
     "ChargeConfiguration",
@@ -280,7 +280,7 @@ def siegert_kac_check(lattice: TorusLattice, beta: float, z: float, n_max: int,
     # characteristic function weight for a configuration is
     # exp(-(1/2) sum s s' Cov) and the comparison divides out beta
     k = lattice.momenta()
-    lam = 4.0 - 2.0 * np.cos(k[:, None]) - 2.0 * np.cos(k[None, :])
+    lam = laplacian_symbol(k[:, None], k[None, :])
     cov = alpha_sq * np.fft.ifft2(1.0 / (m * m + (1.0 - s) * lam)).real
     W_field = cov / beta  # equals W(x; m/sqrt(1-s)) when the split is right
     per_n = {}

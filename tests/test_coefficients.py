@@ -411,3 +411,102 @@ def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypat
     for name in ("a", "b", "e2", "e3", "vol"):
         assert getattr(folded, name) == pytest.approx(getattr(full, name), rel=1e-13, abs=0.0), name
     assert folded.e4 == pytest.approx(full.e4, rel=1e-9, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the sin^2 symbol against the cos form it replaced, kept as the oracle
+
+
+def _cos_symbol(k0, k1):
+    return 4.0 - 2.0 * np.cos(k0) - 2.0 * np.cos(k1)
+
+
+def _uncentered_momenta(self):
+    return 2.0 * np.pi * np.arange(self.side) / self.side
+
+
+def _gap_e3_symbol(g):
+    from ktrg.coefficients import _cos_gaps
+
+    c0, c1 = _cos_gaps(g)
+    return (2.0 * c0 + 2.0 * c1) ** 2
+
+
+@pytest.fixture(scope="module")
+def l9_report(stack_l9_massless):
+    return compute_coefficients(stack_l9_massless, 3)
+
+
+def _cos_symbol_report(monkeypatch, L, R, j_max):
+    """Coefficients with the cos-form symbol on the uncentered torus axis."""
+    import ktrg.coefficients as coefficients
+    import ktrg.decomposition as decomposition
+    from ktrg.lattice import TorusLattice
+
+    with monkeypatch.context() as mp:
+        mp.setattr(decomposition, "laplacian_symbol", _cos_symbol)
+        mp.setattr(TorusLattice, "momenta", _uncentered_momenta)
+        mp.setattr(coefficients, "_e3_symbol", _gap_e3_symbol)
+        return compute_coefficients(decomposition.decompose(TorusLattice(L=L, R=R)), j_max)
+
+
+def _shifts(new, old):
+    return {name: np.abs(np.array(getattr(new, name)) / np.array(getattr(old, name)) - 1.0)
+            for name in ("a", "b", "e2", "e3", "e4", "vol")}
+
+
+def test_symbol_shift_bounded_l3(stack_l3_massless, monkeypatch):
+    # measured: every coefficient at j <= 5 moves by <= 2.0e-12 (a_5)
+    new = compute_coefficients(stack_l3_massless, 5)
+    for name, rel in _shifts(new, _cos_symbol_report(monkeypatch, 3, 6, 5)).items():
+        assert np.all(rel <= 1e-11), (name, rel)
+
+
+def test_symbol_shift_bounded_l9(l9_report, monkeypatch):
+    # measured: j <= 2 moves by <= 1.0e-12 (a_2); at j = 3, a by 3.2e-10,
+    # vol 6.0e-11, e4 4.6e-11, b 8.8e-12, e2 and e3 1.8e-12.  Gamma_3(0)
+    # carries the cos form's error at small p (see the next test) and a_3
+    # amplifies it
+    bound_3 = {"a": 1e-9, "vol": 2e-10, "e4": 2e-10, "b": 3e-11, "e2": 1e-11, "e3": 1e-11}
+    for name, rel in _shifts(l9_report, _cos_symbol_report(monkeypatch, 9, 6, 3)).items():
+        assert np.all(rel[:2] <= 1e-11), (name, rel)
+        assert rel[2] <= bound_3[name], (name, rel)
+
+
+def test_gamma0_matches_longdouble_symbol(stack_l9_massless):
+    # the same band pass fed u from lam in long double, rounded once: the
+    # sin^2 symbol's Gamma_j(0) agrees to rounding, the cos form's is
+    # 6.7e-12 off at j = 3
+    st = stack_l9_massless
+    cut = st.cutoffs
+    for j in (2, 3):
+        g = st.grid(j)
+        hs = st.fine_scales(j)
+        axis = 4 * np.sin(g.p_fold.astype(np.longdouble) / 2) ** 2
+        ref = g.parseval(cut.band_sum((axis[:, None] + axis[None, :]).astype(float), g.b, hs))
+        assert abs(st.gamma0(j) - ref) <= 2 * np.finfo(float).eps * ref
+        old = g.parseval(cut.band_sum(_cos_symbol(g.p0, g.p1), g.b, hs))
+        if j == 3:
+            assert abs(old - ref) > 1e-12 * ref
+
+
+def test_alias_bound_column(l9_report, stack_l9_massless, tmp_path):
+    from ktrg.coefficients import coefficients_csv
+
+    st = stack_l9_massless
+    want = [st.grid(j).alias_bound(st.fine_scales(j)) for j in (1, 2, 3)]
+    assert l9_report.alias_bound == want
+    assert want[:2] == [0.0, 0.0] and 0.0 < want[2] < 1e-9  # steps 1, 1, 3
+    path = str(tmp_path / "coeff.csv")
+    coefficients_csv(l9_report, path)
+    lines = open(path).read().splitlines()
+    assert lines[0].split(",")[-1] == "alias_bound_j"
+    assert [float(line.split(",")[-1]) for line in lines[1:]] == want
+
+
+def test_e3_symbol_is_lam_squared_bit_for_bit(stack_l9_massless):
+    from ktrg.coefficients import _e3_symbol
+
+    for j in (1, 2, 3):
+        g = stack_l9_massless.grid(j)
+        assert np.array_equal(_e3_symbol(g), _gap_e3_symbol(g))

@@ -230,3 +230,136 @@ def test_panel_rule_flags_kink():
     # a sqrt|x - x0| kink inside the middle panel defeats both rules
     with pytest.raises(RuntimeError, match=r"quadrature of kinked integrand: panel 1 .*differ by"):
         _panel_quad(lambda x: np.sqrt(np.abs(x - 1.37)), [0.0, 1.0, 2.0, 3.0], "kinked integrand")
+
+
+# ---------------------------------------------------------------------------
+# the per-call Fejer factors the one-pass kernel replaced, kept as its oracle
+
+
+def _old_factor(theta, kappa):
+    half = 0.5 * theta
+    small = kappa * half < 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(small, 1.0, np.sin(kappa * half) / (kappa * np.where(small, 1.0, np.sin(half))))
+    a = np.where(small, 1.0 - (kappa**2 - 1) * half**2 / 6.0, a)
+    return a * a
+
+
+def _old_one_minus_factor_over_u(u, theta, b, kappa):
+    u = np.asarray(u, dtype=float)
+    a = 0.5 * theta
+    k2 = float(kappa) ** 2
+    out = np.empty_like(u)
+    small = kappa * a < 1e-3
+    big = ~small
+    if np.any(big):
+        ub = u[big]
+        s2 = ub / b
+        sk = np.sin(kappa * a[big]) ** 2
+        out[big] = (1.0 - sk / (k2 * s2)) / ub
+    if np.any(small):
+        usm = u[small]
+        asm = a[small]
+        num = (k2 - 1.0) * asm**4 / 3.0 - 2.0 * (k2 * k2 - 1.0) * asm**6 / 45.0
+        lim = (k2 - 1.0) / (3.0 * b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = num * b / np.where(usm > 0, usm * usm, 1.0)
+        out[small] = np.where(usm > 0, val, lim)
+    return out
+
+
+def _old_band_sum(cut, u, b, hs):
+    theta = 2.0 * np.arcsin(np.sqrt(np.clip(u / b, 0.0, 1.0)))
+    out = np.zeros_like(u)
+    r = np.ones_like(u)
+    done = 0
+    for h in sorted(hs):
+        for n in range(done + 1, h + 1):
+            r = r * _old_factor(theta, cut.kappas[n - 1])
+        done = max(done, h)
+        out += r * _old_one_minus_factor_over_u(u, theta, b, cut.kappas[h])
+    return out, r
+
+
+def _grids():
+    """A per-scale decimated grid, a torus grid, the PSD probe and an alias
+    ring, each with its cutoff family and mass."""
+    from ktrg.decomposition import PROBE_SIDE, SpectralGrid
+    from ktrg.lattice import TorusLattice
+
+    l9 = TorusLattice(L=9, R=6)
+    cut9 = build_cutoffs(3, l9.M, l9.n_fine_scales)
+    l3 = TorusLattice(L=3, R=4, m=0.1)
+    cut3 = build_cutoffs(3, l3.M, l3.n_fine_scales)
+    probe = np.linspace(-np.pi, np.pi, 33)
+    ring = np.concatenate([(probe + 2.0 * np.pi * a) / 27 for a in (-1, 0, 1)])
+    return {
+        "decimated": SpectralGrid.decimated(cut9, 0.0, 27, 405, 10),
+        "torus": SpectralGrid(cut3, l3.m, l3.momenta()),
+        "probe": SpectralGrid(cut9, 0.0, 2.0 * np.pi * np.fft.fftfreq(PROBE_SIDE)),
+        "ring": SpectralGrid(cut9, 0.0, ring),
+    }
+
+
+@pytest.mark.parametrize("kind", ["decimated", "torus", "probe", "ring"])
+def test_one_pass_bands_bit_identical_to_per_call_factors(kind):
+    # the triangle pass with one sine per order, against the per-call
+    # factors on the same u over the whole folded grid
+    g = _grids()[kind]
+    cut = g.cutoffs
+    u = g.u
+    top = min(cut.horizon, 8)
+    for hs in ([0, 1], [2, 3], [1, 2, 3], [top - 2, top - 1]):
+        want, _ = _old_band_sum(cut, u, g.b, hs)
+        assert np.array_equal(g.band(hs), want), hs
+        assert np.array_equal(cut.band_sum(u, g.b, hs), want), hs
+    _, r = _old_band_sum(cut, u, g.b, [top])
+    assert np.array_equal(g.residual(top), r)
+    assert np.array_equal(cut.residual(u, g.b, top), r)
+
+
+def test_per_call_factors_bit_identical_to_old(fam):
+    # the per-call views go through the pass kernel; near u = 0 both
+    # small-angle branches are hit
+    u = np.concatenate([[0.0, 1e-150, 1e-14, 1e-10], np.geomspace(1e-9, 8.0, 4001)])
+    th = fam.theta(u, 8.0)
+    for kappa in fam.kappas:
+        assert np.array_equal(fam._factor(th, kappa), _old_factor(th, kappa))
+        assert np.array_equal(fam._one_minus_factor_over_u(u, th, 8.0, kappa),
+                              _old_one_minus_factor_over_u(u, th, 8.0, kappa))
+
+
+def test_one_minus_factor_over_u_finite_where_u_squared_underflows(fam):
+    # the old per-call form divided by u^2 = 0 below u = 1e-154 (nan); the
+    # kernel takes the u -> 0 limit there
+    u = np.array([1e-200, 1e-300])
+    th = fam.theta(u, 8.0)
+    for kappa in (2, 3, 9):
+        assert np.all(np.isnan(_old_one_minus_factor_over_u(u, th, 8.0, kappa)))
+        got = fam._one_minus_factor_over_u(u, th, 8.0, kappa)
+        assert np.all(got == (kappa**2 - 1.0) / (3.0 * 8.0))
+
+
+def test_band_sum_rejects_repeated_fine_scale(fam):
+    with pytest.raises(ValueError, match="distinct fine scales"):
+        fam.band_sum(np.linspace(0.0, 8.0, 5), 8.0, [1, 1])
+
+
+def test_bessel_panel_edges_built_once_on_first_use(fam, monkeypatch):
+    import ktrg.cutoffs as cutoffs
+
+    calls = []
+    real = special.jn_zeros
+
+    def counted(n, nt):
+        calls.append((n, nt))
+        return real(n, nt)
+
+    monkeypatch.setattr(special, "jn_zeros", counted)
+    cutoffs._bessel_panel_edges.cache_clear()
+    for r in (50.0, 100.0, 200.0):
+        _gtilde_normalized(fam, r)
+    assert calls == [(0, 4000)]
+    edges = cutoffs._bessel_panel_edges()
+    assert np.array_equal(edges, np.concatenate([[1.0], real(0, 4000)]))
+    assert not edges.flags.writeable

@@ -63,7 +63,7 @@ def test_diagonal_law(stack_l3_massless):
 def fine_component_table(stack, h):
     """Oracle: torus table of the single fine-scale piece C_h (Gamma_j sums M of them)."""
     grid = SpectralGrid(stack.cutoffs, stack.lattice.m, stack.lattice.momenta())
-    return np.fft.ifft2(grid.band([h])).real
+    return np.fft.ifft2(grid.unfold(grid.band([h]))).real
 
 
 def test_fine_components_aggregate(stack_l3_massive):
@@ -334,11 +334,21 @@ def test_folded_bands_bit_identical_to_full_pass():
     assert np.array_equal(g.unfold(g.residual(6)), cut.residual(u, g.b, 6))
 
 
-def test_torus_and_even_grids_take_the_trivial_fold():
+def test_torus_axis_folds_and_even_and_ring_axes_take_the_trivial_fold():
+    # the torus momenta are in the centered fftfreq layout, so a materialized
+    # stack's grid folds onto the quarter like a per-scale grid; an
+    # even-length axis and the alias ring fold trivially through the same code
     cut = build_cutoffs(3, 1, 4)
     torus = TorusLattice(L=3, R=2, m=0.1).momenta()
+    g = SpectralGrid(cut, 0.1, torus)
+    n = len(torus) // 2 + 1
+    assert g.u.shape == (n, n)
+    assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
+    assert np.array_equal(g.unfold(g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
     even = 2.0 * np.pi * np.fft.fftfreq(10)
-    for p in (torus, even):
+    probe = np.linspace(-np.pi, np.pi, 5)
+    ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
+    for p in (even, ring):
         g = SpectralGrid(cut, 0.1, p)
         assert g.u.shape == (len(p), len(p))
         assert np.all(g.w == 1.0) and np.array_equal(g.idx, np.arange(len(p)))

@@ -113,3 +113,48 @@ def test_reduce_centered():
     lat = TorusLattice(L=3, R=2, m=0.0)
     assert lat.reduce((5, -5)) == (-4, 4)
     assert lat.reduce((4, 4)) == (4, 4)
+
+
+# ---------------------------------------------------------------------------
+# the sin^2 symbol on the centered momentum axis
+
+
+def _cos_symbol(k0, k1):
+    """The cos form 4 - 2cos(k0) - 2cos(k1) the sin^2 symbol replaced."""
+    return 4.0 - 2.0 * np.cos(k0) - 2.0 * np.cos(k1)
+
+
+def test_momenta_centered_fftfreq_layout():
+    lat = TorusLattice(L=3, R=3)
+    k = lat.momenta()
+    n = np.arange(lat.side)
+    assert k[0] == 0.0 and np.max(np.abs(k)) < np.pi
+    assert np.array_equal(k[lat.side - n[1:]], -k[1:])
+    assert np.allclose(np.mod(k, 2.0 * np.pi), 2.0 * np.pi * n / lat.side, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("S", [27, 2187, 4095])
+def test_symbol_symmetric_and_even_bit_for_bit(S):
+    k = 2.0 * np.pi * np.fft.fftfreq(S) / 3.0
+    lam = laplacian_symbol(k[:, None], k[None, :])
+    assert np.array_equal(lam, lam.T)
+    flip = np.concatenate([[0], np.arange(S - 1, 0, -1)])  # k -> -k
+    assert np.array_equal(lam[flip], lam) and np.array_equal(lam[:, flip], lam)
+    # the cos form is neither, in its last bit
+    old = _cos_symbol(k[:, None], k[None, :])
+    assert not np.array_equal(old, old.T)
+
+
+def test_symbol_within_few_ulp_of_mpmath_at_small_momenta():
+    import mpmath
+
+    mpmath.mp.prec = 200
+
+    def rel_error(symbol, k0, k1):
+        exact = 4 * mpmath.sin(mpmath.mpf(k0) / 2) ** 2 + 4 * mpmath.sin(mpmath.mpf(k1) / 2) ** 2
+        return float(abs(mpmath.mpf(float(symbol(k0, k1))) - exact) / exact)
+
+    ks = np.concatenate([np.geomspace(1e-8, 1.0, 41), [2.0 * np.pi / 3**11, 3.0]])
+    points = [(k0, k1) for k0 in ks for k1 in (0.0, k0 / 3.0, 2.0 * k0)]
+    assert max(rel_error(laplacian_symbol, *p) for p in points) <= 4 * np.finfo(float).eps
+    assert max(rel_error(_cos_symbol, *p) for p in points) > 1e-3  # 1 - cos k cancels as k -> 0
