@@ -32,7 +32,7 @@ from .manifold import (
     ManifoldProblem, solve_fixed_point, solve_shooting, empirical_contraction, separatrix_csv, seq_norm,
 )
 from .polymers import (
-    paving, count_S, count_polyominoes, connected_polymers_up_to, reblock_inequality,
+    paving, count_S, count_polyominoes, connected_polymers_up_to, reblock_inequality, j_extraction_defect,
 )
 from .oracle import oracle_lattice, grand_Z, siegert_kac_check
 
@@ -248,6 +248,7 @@ def cmd_verify_all(args, cfg) -> int:
     checks["separatrix_agreement"] = {"value": abs(fp.sigma - sh), "tol": 1e-8}
 
     checks["count_S"] = {"value": abs(count_S(3) - 99), "tol": 0}
+    checks["extraction_identities"] = {"value": j_extraction_defect(paving(3, 2, 0)), "tol": 0}
 
     lat5 = oracle_lattice(5)
     rep = siegert_kac_check(lat5, 8.0 * math.pi, 0.05, 2, s=0.0)

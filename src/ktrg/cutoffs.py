@@ -111,14 +111,6 @@ class CutoffFamily:
         sk, small = _fejer_sine(half, kappa)
         return _fejer_factor(sk, np.sin(half), half, kappa, small)
 
-    @staticmethod
-    def _one_minus_factor_over_u(u: np.ndarray, theta: np.ndarray, b: float, kappa: int) -> np.ndarray:
-        """(1 - s_kappa(u)) / u at theta = theta(u, b), stable down to u = 0."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        half = 0.5 * np.atleast_1d(np.asarray(theta, dtype=float))
-        sk, small = _fejer_sine(half, kappa)
-        return _fejer_one_minus_over_u(sk, u / b, u, half, b, kappa, small)
-
     def residual(self, u: np.ndarray, b: float, h: int) -> np.ndarray:
         """r_h(u) = prod_{n<=h} s_n(u); r_0 = 1."""
         return FejerPass(self.kappas, u, b).advance(h).reshape(np.shape(u))

@@ -8,14 +8,21 @@ when it has at most four blocks and does not wind around the torus;
 winding polymers count as non-small at every scale.
 
 The extraction bookkeeping J_j(D, Y) built from scalar stand-ins for the
-extracted activities satisfies three linear identities exactly; they are
-checked here in rational arithmetic.
+extracted activities satisfies three linear identities exactly.  They are
+expanded once per paving into a sparse integer map, which is evaluated
+exactly on rational inputs and whose collected coefficients prove the
+identities for all inputs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "BlockPaving",
@@ -34,6 +41,7 @@ __all__ = [
     "connected_polymers_up_to",
     "JExtractionReport",
     "j_extraction_check",
+    "j_extraction_defect",
 ]
 
 _NBRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -408,134 +416,178 @@ def _small_family(pav: BlockPaving) -> list[frozenset]:
     return sorted(out, key=lambda s: sorted(s))
 
 
-def j_extraction_check(pav_j: BlockPaving, qbar: dict, q: dict) -> JExtractionReport:
-    """Verify the three extraction identities with Fraction-valued stand-ins.
+@dataclass(frozen=True, eq=False)
+class _ExtractionMap:
+    """The three extraction identities of one paving as a sparse integer map.
 
-    qbar maps small j-polymers (frozensets of block coords) to rationals,
-    q maps small (j+1)-polymers likewise; missing keys count as zero.
+    The variables are u_X = qbar(X)/|X| for the small j-polymers X (indices
+    0..n_u-1, in `_small_family` order) and v_Y = q(Y)/|Y| for the small
+    (j+1)-polymers Y (the indices after).  Row r is its identity's left side
+    minus its right side, kept term by term: the sum of coef[t] * x[var[t]]
+    over t in row_ptr[r]:row_ptr[r+1].  The identities hold when every row
+    vanishes.
+    """
+
+    u_index: dict  # small j-polymer -> variable
+    v_index: dict  # small (j+1)-polymer -> variable
+    rows: tuple  # ("sum_over_Y", D) per coarse block, ("id1", Y'), ("id2", Y'*)
+    row_ptr: array  # int64, len(rows) + 1
+    var: array  # int32 variable index per term
+    coef: array  # int8 coefficient per term
+
+    def _variables(self, values: dict, index: dict, name: str) -> dict:
+        out = {}
+        for key, val in values.items():
+            i = index.get(key)
+            if i is None:
+                raise ValueError(f"{name} key {key!r} is not a small polymer of its paving")
+            if not isinstance(val, numbers.Rational):
+                raise TypeError(f"{name}[{key!r}] = {val!r} is not rational")
+            out[i] = Fraction(val) / len(key)
+        return out
+
+    def report(self, qbar: dict, q: dict) -> JExtractionReport:
+        """Sum the rows exactly on x = (M u, M v), M the common denominator of
+        the inputs; each identity stops at its first failing row."""
+        vals = self._variables(qbar, self.u_index, "qbar")
+        vals.update(self._variables(q, self.v_index, "q"))
+        den = math.lcm(*(f.denominator for f in vals.values()))
+        x = [0] * (len(self.u_index) + len(self.v_index))
+        for i, f in vals.items():
+            x[i] = f.numerator * (den // f.denominator)
+        get, ptr, var, coef = x.__getitem__, self.row_ptr, self.var, self.coef
+        failed = {}  # identity -> its first failing row, in row order
+        for r, key in enumerate(self.rows):
+            if key[0] in failed:
+                continue
+            lo, hi = ptr[r], ptr[r + 1]
+            if sum(map(mul, coef[lo:hi], map(get, var[lo:hi]))):
+                failed[key[0]] = key
+        return JExtractionReport(
+            n_small_j=len(self.u_index),
+            n_small_j1=len(self.v_index),
+            sum_over_Y_zero="sum_over_Y" not in failed,
+            id1_holds="id1" not in failed,
+            id2_holds="id2" not in failed,
+            counterexample=next(iter(failed.values()), None),
+        )
+
+    def defect(self) -> int:
+        """Nonzero coefficients left once each row's terms are collected per variable."""
+        n = 0
+        for r in range(len(self.rows)):
+            acc: dict = {}
+            lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
+            for v, c in zip(self.var[lo:hi], self.coef[lo:hi]):
+                acc[v] = acc.get(v, 0) + c
+            n += sum(1 for c in acc.values() if c)
+        return n
+
+
+@functools.lru_cache(maxsize=8)
+def _extraction_map(pav_j: BlockPaving) -> _ExtractionMap:
+    """Expand J_j(D, Y) into the identity rows, once per paving.
+
+    J(D, Y) for a small Y containing D is v_Y plus u_X for each fine block B
+    of D and small X containing B with closure Y; when Y = {D} it also
+    subtracts v_Y' for every small Y' containing D and u_X for every B in D
+    and small X containing B.
     """
     pav_up = BlockPaving(L=pav_j.L, R=pav_j.R, j=pav_j.j + 1)
     small_j = _small_family(pav_j)
-    small_j1 = _small_family(pav_up)
-    zero = Fraction(0)
+    u_index = {X: i for i, X in enumerate(small_j)}
+    v_index = {Y: len(small_j) + k for k, Y in enumerate(_small_family(pav_up))}
+    n, n_up, L = pav_j.n_axis, pav_up.n_axis, pav_j.L
+    coarse = [(b0, b1) for b0 in range(n_up) for b1 in range(n_up)]
 
-    def closure_set(s: frozenset) -> frozenset:
-        return closure(Polymer(pav_j, s)).blocks
-
-    clo = {s: closure_set(s) for s in small_j}
-
-    def blocks_of(D) -> list:
-        """Fine blocks inside the coarse block D."""
-        n_up = pav_up.n_axis
-        n = pav_j.n_axis
-        L = pav_j.L
-        D_c = tuple((c + (n_up - 1) // 2) % n_up - (n_up - 1) // 2 for c in D)
-        out = []
+    # for each coarse block D: the small X meeting it, once per fine block
+    # of D they contain, and the same grouped by the variable of their
+    # closure (-1 when the closure is not small)
+    by_block: dict = {}
+    members: dict = {}  # closure variable -> the X with that closure
+    for X, i in u_index.items():
+        c = v_index.get(closure(Polymer(pav_j, X)).blocks, -1)
+        members.setdefault(c, []).append(i)
+        for B in X:
+            by_block.setdefault(B, []).append((i, c))
+    shares, by_closure = {}, {}
+    for D in coarse:
+        D_c = [(a + (n_up - 1) // 2) % n_up - (n_up - 1) // 2 for a in D]
+        shares[D], by_closure[D] = [], {}
         for d0 in range(-(L - 1) // 2, (L + 1) // 2):
             for d1 in range(-(L - 1) // 2, (L + 1) // 2):
-                out.append(((D_c[0] * L + d0) % n, (D_c[1] * L + d1) % n))
-        return out
-
-    # lookups: for a fine block B, the small X containing B keyed by closure
-    by_block: dict = {}
-    for s in small_j:
-        val = qbar.get(s, zero)
-        if val == 0:
-            continue
-        share = Fraction(val, len(s))
-        for B in s:
-            by_block.setdefault(B, []).append((clo[s], share))
-
-    def inner(D, Y) -> Fraction:
-        """sum over B in D, X small, X contains B, closure X = Y of qbar/|X|."""
-        tot = zero
-        for B in blocks_of(D):
-            for cl_s, share in by_block.get(B, []):
-                if cl_s == Y:
-                    tot += share
-        return tot
-
-    def inner_all(D) -> Fraction:
-        tot = zero
-        for B in blocks_of(D):
-            for _, share in by_block.get(B, []):
-                tot += share
-        return tot
-
-    def q_of(Y) -> Fraction:
-        return q.get(Y, zero)
-
-    coarse_blocks = [(b0, b1) for b0 in range(pav_up.n_axis) for b1 in range(pav_up.n_axis)]
-    smalls_containing: dict = {}
-    for Y in small_j1:
+                for i, c in by_block.get(((D_c[0] * L + d0) % n, (D_c[1] * L + d1) % n), ()):
+                    shares[D].append(i)
+                    by_closure[D].setdefault(c, []).append(i)
+    del by_block
+    containing: dict = {D: [] for D in coarse}
+    for Y, k in v_index.items():
         for D in Y:
-            smalls_containing.setdefault(D, []).append(Y)
+            containing[D].append(k)
 
-    def J(D, Y) -> Fraction:
-        if D not in Y:
-            return zero
-        val = Fraction(q_of(Y), len(Y)) + inner(D, Y)
-        if frozenset([D]) == Y:
-            sub = zero
-            for Yp in smalls_containing.get(D, []):
-                sub += Fraction(q_of(Yp), len(Yp))
-            sub += inner_all(D)
-            val -= sub
-        return val
+    rows, row_ptr, var, coef = [], array("q", [0]), array("i"), array("b")
 
-    # (i) sum over connected Y of J(D, Y) = 0 for every D
-    ok_zero = True
-    bad = None
-    for D in coarse_blocks:
-        tot = zero
-        for Y in smalls_containing.get(D, []):
-            tot += J(D, Y)
-        if tot != 0:
-            ok_zero = False
-            bad = ("sum_over_Y", D)
-            break
+    def emit(v, c: int):
+        var.append(v)
+        coef.append(c)
 
-    # (ii) sum over D in Y' of J(D, Y') equals the four-term combination
-    ok_id1 = True
-    for Yp in small_j1:
-        lhs = zero
+    def emit_J(D, k: int):
+        emit(k, 1)
+        for i in by_closure[D].get(k, ()):
+            emit(i, 1)
+        if k == v_index[frozenset([D])]:
+            for kk in containing[D]:
+                emit(kk, -1)
+            for i in shares[D]:
+                emit(i, -1)
+
+    def close_row(key):
+        rows.append(key)
+        row_ptr.append(len(var))
+
+    for D in coarse:  # (i) sum over small Y of J(D, Y) = 0
+        for k in containing[D]:
+            emit_J(D, k)
+        close_row(("sum_over_Y", D))
+    for Yp, k in v_index.items():  # (ii) sum over D in Y' of J(D, Y') = four-term combination
         for D in Yp:
-            lhs += J(D, Yp)
-        rhs = q_of(Yp)
-        for s in small_j:
-            if clo[s] == Yp:
-                rhs += qbar.get(s, zero)
+            emit_J(D, k)
+        emit(k, -len(Yp))
+        for i in members.get(k, ()):
+            emit(i, -len(small_j[i]))
         if len(Yp) == 1:
-            D = next(iter(Yp))
-            for Ysub in smalls_containing.get(D, []):
-                rhs -= Fraction(q_of(Ysub), len(Ysub))
-            rhs -= inner_all(D)
-        if lhs != rhs:
-            ok_id1 = False
-            bad = bad or ("id1", Yp)
-            break
-
-    # (iii) sum over small Y and blocks D in Y with D* = Y' of J(D, Y) = 0
-    ok_id2 = True
-    nbhd = {D: neighborhood(Polymer(pav_up, frozenset([D]))).blocks for D in coarse_blocks}
-    targets = {}
-    for D in coarse_blocks:
-        targets.setdefault(nbhd[D], []).append(D)
-    for Yp_star, Ds in targets.items():
-        tot = zero
+            (D,) = Yp
+            for kk in containing[D]:
+                emit(kk, 1)
+            for i in shares[D]:
+                emit(i, 1)
+        close_row(("id1", Yp))
+    targets: dict = {}  # (iii) sum over D with D* = Y' and small Y of J(D, Y) = 0
+    for D in coarse:
+        targets.setdefault(neighborhood(Polymer(pav_up, frozenset([D]))).blocks, []).append(D)
+    for star, Ds in targets.items():
         for D in Ds:
-            for Y in smalls_containing.get(D, []):
-                tot += J(D, Y)
-        if tot != 0:
-            ok_id2 = False
-            bad = bad or ("id2", Yp_star)
-            break
+            for k in containing[D]:
+                emit_J(D, k)
+        close_row(("id2", star))
+    return _ExtractionMap(u_index, v_index, tuple(rows), row_ptr, var, coef)
 
-    return JExtractionReport(
-        n_small_j=len(small_j),
-        n_small_j1=len(small_j1),
-        sum_over_Y_zero=ok_zero,
-        id1_holds=ok_id1,
-        id2_holds=ok_id2,
-        counterexample=bad,
-    )
+
+def j_extraction_check(pav_j: BlockPaving, qbar: dict, q: dict) -> JExtractionReport:
+    """Verify the three extraction identities with rational stand-ins.
+
+    qbar maps small j-polymers (frozensets of block coords) to rationals,
+    q maps small (j+1)-polymers likewise; missing keys count as zero.  A key
+    that is not a small polymer of its paving raises ValueError, a value
+    that is not `numbers.Rational` TypeError.  The rows are evaluated
+    exactly, on the inputs scaled to one common denominator.
+    """
+    return _extraction_map(pav_j).report(qbar, q)
+
+
+def j_extraction_defect(pav_j: BlockPaving) -> int:
+    """Nonzero coefficients of the identity rows collected per variable.
+
+    0 proves the three identities for every input on this paving.
+    """
+    return _extraction_map(pav_j).defect()

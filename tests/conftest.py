@@ -1,7 +1,17 @@
+import numpy as np
 import pytest
 
+from ktrg.cutoffs import _fejer_one_minus_over_u, _fejer_sine
 from ktrg.lattice import TorusLattice
 from ktrg.decomposition import decompose
+
+
+def one_minus_factor_over_u(u, theta, b: float, kappa: int) -> np.ndarray:
+    """(1 - s_kappa(u)) / u at theta = theta(u, b) through the band-pass kernel."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    half = 0.5 * np.atleast_1d(np.asarray(theta, dtype=float))
+    sk, small = _fejer_sine(half, kappa)
+    return _fejer_one_minus_over_u(sk, u / b, u, half, b, kappa, small)
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,9 @@ def test_verify_all_report(tmp_path, capsys):
     assert "all pass in" in capsys.readouterr().out
     rep = json.loads(body)
     assert rep["all_pass"] is True
-    assert set(rep["checks"]) >= {"telescoping", "leakage", "psd", "separatrix_agreement", "count_S", "siegert_kac"}
+    assert set(rep["checks"]) >= {"telescoping", "leakage", "psd", "separatrix_agreement", "count_S", "siegert_kac",
+                                  "extraction_identities"}
+    assert rep["checks"]["extraction_identities"] == {"value": 0, "tol": 0, "pass": True}
     for c in rep["checks"].values():
         assert set(c) == {"value", "tol", "pass"}
     prov = rep["provenance"]
@@ -65,6 +67,15 @@ def test_verify_all_forced_failure(tmp_path, capsys):
     assert "FAIL leakage" in out
     rep = json.loads((tmp_path / "verify_report.json").read_text())
     assert rep["checks"]["leakage"]["pass"] is False
+
+
+def test_verify_all_fails_on_an_extraction_defect(tmp_path, capsys, monkeypatch):
+    # one uncancelled coefficient in the identity rows fails the run
+    monkeypatch.setattr(cli, "j_extraction_defect", lambda pav: 1)
+    assert main(["verify-all", "--out-dir", str(tmp_path)]) == 1
+    assert "FAIL extraction_identities" in capsys.readouterr().out
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert rep["checks"]["extraction_identities"] == {"value": 1, "tol": 0, "pass": False}
 
 
 def test_config_file_drives_command(tmp_path):

@@ -9,6 +9,8 @@ from ktrg.cutoffs import (
     coulomb_constant_closed,
 )
 
+from conftest import one_minus_factor_over_u
+
 
 @pytest.fixture(scope="module")
 def fam():
@@ -54,7 +56,7 @@ def test_one_minus_factor_over_u_limit(fam):
     for kappa in (2, 3, 9):
         lim = (kappa**2 - 1) / (3.0 * b)
         u = np.array([0.0, 1e-14, 1e-8])
-        got = fam._one_minus_factor_over_u(u, fam.theta(u, b), b, kappa)
+        got = one_minus_factor_over_u(u, fam.theta(u, b), b, kappa)
         assert got == pytest.approx([lim, lim, lim], rel=1e-6)
 
 
@@ -325,7 +327,7 @@ def test_per_call_factors_bit_identical_to_old(fam):
     th = fam.theta(u, 8.0)
     for kappa in fam.kappas:
         assert np.array_equal(fam._factor(th, kappa), _old_factor(th, kappa))
-        assert np.array_equal(fam._one_minus_factor_over_u(u, th, 8.0, kappa),
+        assert np.array_equal(one_minus_factor_over_u(u, th, 8.0, kappa),
                               _old_one_minus_factor_over_u(u, th, 8.0, kappa))
 
 
@@ -336,7 +338,7 @@ def test_one_minus_factor_over_u_finite_where_u_squared_underflows(fam):
     th = fam.theta(u, 8.0)
     for kappa in (2, 3, 9):
         assert np.all(np.isnan(_old_one_minus_factor_over_u(u, th, 8.0, kappa)))
-        got = fam._one_minus_factor_over_u(u, th, 8.0, kappa)
+        got = one_minus_factor_over_u(u, th, 8.0, kappa)
         assert np.all(got == (kappa**2 - 1.0) / (3.0 * 8.0))
 
 

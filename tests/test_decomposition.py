@@ -17,6 +17,8 @@ from ktrg.decomposition import (
     PROBE_SIDE,
 )
 
+from conftest import one_minus_factor_over_u
+
 
 def test_telescoping_massive(stack_l3_massive):
     assert stack_l3_massive.telescoping_error() < 1e-8
@@ -367,7 +369,7 @@ def test_psd_margins_on_folded_probe_match_full_grid(stack_l9_massless):
     for j in range(st.n_scales):
         band = np.zeros_like(u)
         for h in st.fine_scales(j):
-            band += r * cut._one_minus_factor_over_u(u, theta, 8.0, cut.kappas[h])
+            band += r * one_minus_factor_over_u(u, theta, 8.0, cut.kappas[h])
             r = r * cut._factor(theta, cut.kappas[h])
         full.append(float(band.min()))
     assert st.psd_margins() == full

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import random
+import re
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +23,9 @@ from ktrg.polymers import (
     max_reblock_eta,
     connected_polymers_up_to,
     j_extraction_check,
+    j_extraction_defect,
 )
-from ktrg.polymers import _small_family
+from ktrg.polymers import BlockPaving, Polymer, JExtractionReport, _extraction_map, _small_family
 
 
 def test_paving_counts():
@@ -232,6 +236,221 @@ def test_j_extraction_qbar_only():
     qbar = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for s in rng.sample(sj, 40)}
     rep = j_extraction_check(pav_j, qbar, {})
     assert rep.all_hold
+
+
+def _j_extraction_check_reference(pav_j: BlockPaving, qbar: dict, q: dict) -> JExtractionReport:
+    """The per-call extraction check: rebuilds the paving structure and sums
+    Fractions term by term (the oracle for the compiled map).
+
+    qbar maps small j-polymers (frozensets of block coords) to rationals,
+    q maps small (j+1)-polymers likewise; missing keys count as zero.
+    """
+    pav_up = BlockPaving(L=pav_j.L, R=pav_j.R, j=pav_j.j + 1)
+    small_j = _small_family(pav_j)
+    small_j1 = _small_family(pav_up)
+    zero = Fraction(0)
+
+    def closure_set(s: frozenset) -> frozenset:
+        return closure(Polymer(pav_j, s)).blocks
+
+    clo = {s: closure_set(s) for s in small_j}
+
+    def blocks_of(D) -> list:
+        """Fine blocks inside the coarse block D."""
+        n_up = pav_up.n_axis
+        n = pav_j.n_axis
+        L = pav_j.L
+        D_c = tuple((c + (n_up - 1) // 2) % n_up - (n_up - 1) // 2 for c in D)
+        out = []
+        for d0 in range(-(L - 1) // 2, (L + 1) // 2):
+            for d1 in range(-(L - 1) // 2, (L + 1) // 2):
+                out.append(((D_c[0] * L + d0) % n, (D_c[1] * L + d1) % n))
+        return out
+
+    # lookups: for a fine block B, the small X containing B keyed by closure
+    by_block: dict = {}
+    for s in small_j:
+        val = qbar.get(s, zero)
+        if val == 0:
+            continue
+        share = Fraction(val, len(s))
+        for B in s:
+            by_block.setdefault(B, []).append((clo[s], share))
+
+    def inner(D, Y) -> Fraction:
+        """sum over B in D, X small, X contains B, closure X = Y of qbar/|X|."""
+        tot = zero
+        for B in blocks_of(D):
+            for cl_s, share in by_block.get(B, []):
+                if cl_s == Y:
+                    tot += share
+        return tot
+
+    def inner_all(D) -> Fraction:
+        tot = zero
+        for B in blocks_of(D):
+            for _, share in by_block.get(B, []):
+                tot += share
+        return tot
+
+    def q_of(Y) -> Fraction:
+        return q.get(Y, zero)
+
+    coarse_blocks = [(b0, b1) for b0 in range(pav_up.n_axis) for b1 in range(pav_up.n_axis)]
+    smalls_containing: dict = {}
+    for Y in small_j1:
+        for D in Y:
+            smalls_containing.setdefault(D, []).append(Y)
+
+    def J(D, Y) -> Fraction:
+        if D not in Y:
+            return zero
+        val = Fraction(q_of(Y), len(Y)) + inner(D, Y)
+        if frozenset([D]) == Y:
+            sub = zero
+            for Yp in smalls_containing.get(D, []):
+                sub += Fraction(q_of(Yp), len(Yp))
+            sub += inner_all(D)
+            val -= sub
+        return val
+
+    # (i) sum over connected Y of J(D, Y) = 0 for every D
+    ok_zero = True
+    bad = None
+    for D in coarse_blocks:
+        tot = zero
+        for Y in smalls_containing.get(D, []):
+            tot += J(D, Y)
+        if tot != 0:
+            ok_zero = False
+            bad = ("sum_over_Y", D)
+            break
+
+    # (ii) sum over D in Y' of J(D, Y') equals the four-term combination
+    ok_id1 = True
+    for Yp in small_j1:
+        lhs = zero
+        for D in Yp:
+            lhs += J(D, Yp)
+        rhs = q_of(Yp)
+        for s in small_j:
+            if clo[s] == Yp:
+                rhs += qbar.get(s, zero)
+        if len(Yp) == 1:
+            D = next(iter(Yp))
+            for Ysub in smalls_containing.get(D, []):
+                rhs -= Fraction(q_of(Ysub), len(Ysub))
+            rhs -= inner_all(D)
+        if lhs != rhs:
+            ok_id1 = False
+            bad = bad or ("id1", Yp)
+            break
+
+    # (iii) sum over small Y and blocks D in Y with D* = Y' of J(D, Y) = 0
+    ok_id2 = True
+    nbhd = {D: neighborhood(Polymer(pav_up, frozenset([D]))).blocks for D in coarse_blocks}
+    targets = {}
+    for D in coarse_blocks:
+        targets.setdefault(nbhd[D], []).append(D)
+    for Yp_star, Ds in targets.items():
+        tot = zero
+        for D in Ds:
+            for Y in smalls_containing.get(D, []):
+                tot += J(D, Y)
+        if tot != 0:
+            ok_id2 = False
+            bad = bad or ("id2", Yp_star)
+            break
+
+    return JExtractionReport(
+        n_small_j=len(small_j),
+        n_small_j1=len(small_j1),
+        sum_over_Y_zero=ok_zero,
+        id1_holds=ok_id1,
+        id2_holds=ok_id2,
+        counterexample=bad,
+    )
+
+
+def _random_stand_ins(rng, sj, sj1, n_bar, n_q, big=False):
+    def val():
+        if big:  # denominators far past int64
+            return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30))
+        if rng.random() < 0.2:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 16))
+
+    return ({s: val() for s in rng.sample(sj, n_bar)}, {s: val() for s in rng.sample(sj1, n_q)})
+
+
+def test_j_extraction_map_matches_reference():
+    pav_j = paving(3, 2, 0)
+    sj = _small_family(pav_j)
+    sj1 = _small_family(paving(3, 2, 1))
+    rng = random.Random(77)
+    cases = [({}, {}), _random_stand_ins(rng, sj, sj1, 40, 0), _random_stand_ins(rng, sj, sj1, 0, 30)]
+    for trial in range(22):
+        cases.append(_random_stand_ins(rng, sj, sj1, rng.randint(1, 300), rng.randint(0, len(sj1)), big=trial % 4 == 3))
+    for qbar, q in cases:
+        got = j_extraction_check(pav_j, qbar, q)
+        want = _j_extraction_check_reference(pav_j, qbar, q)
+        assert got == want
+        assert got.all_hold and got.counterexample is None
+    assert (got.n_small_j, got.n_small_j1) == (2268, 108)
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 0), (3, 3, 1), (5, 2, 0)])
+def test_j_extraction_defect_zero(dims):
+    assert j_extraction_defect(paving(*dims)) == 0
+
+
+@pytest.mark.parametrize("family", ["sum_over_Y", "id1", "id2"])
+def test_j_extraction_corrupt_coefficient_names_its_row(family):
+    pav_j = paving(3, 2, 0)
+    emap = _extraction_map(pav_j)
+    r = max(i for i, key in enumerate(emap.rows) if key[0] == family)
+    t = (emap.row_ptr[r] + emap.row_ptr[r + 1]) // 2
+    coef = array("b", emap.coef)
+    coef[t] += 1
+    broken = dataclasses.replace(emap, coef=coef)
+    assert emap.defect() == 0 and broken.defect() == 1
+    v = emap.var[t]
+    key = next(k for k, i in {**emap.u_index, **emap.v_index}.items() if i == v)
+    inputs = ({key: Fraction(3, 7)}, {}) if v < len(emap.u_index) else ({}, {key: Fraction(3, 7)})
+    rep = broken.report(*inputs)
+    assert not rep.all_hold
+    assert rep.counterexample == emap.rows[r]
+    flags = {"sum_over_Y": rep.sum_over_Y_zero, "id1": rep.id1_holds, "id2": rep.id2_holds}
+    assert [name for name, ok in flags.items() if not ok] == [family]
+    assert emap.report(*inputs).all_hold
+
+
+def test_j_extraction_rejects_foreign_keys():
+    pav_j = paving(3, 2, 0)
+    far = frozenset({(0, 0), (4, 4)})  # two components: not small
+    with pytest.raises(ValueError, match=re.escape(repr(far))):
+        j_extraction_check(pav_j, {far: Fraction(1)}, {})
+    five = frozenset((b, 4) for b in range(5))  # five blocks: not small
+    with pytest.raises(ValueError, match="qbar key"):
+        j_extraction_check(pav_j, {five: 1}, {})
+    outside = frozenset({(3, 0)})  # a block of the 9x9 fine paving, not of the 3x3 coarse one
+    with pytest.raises(ValueError, match=re.escape("q key " + repr(outside))):
+        j_extraction_check(pav_j, {}, {outside: Fraction(1, 2)})
+    row = frozenset({(0, 0), (1, 0), (2, 0)})  # winds around the 3x3 coarse torus
+    with pytest.raises(ValueError, match="q key"):
+        j_extraction_check(pav_j, {}, {row: 1})
+
+
+def test_j_extraction_rejects_non_rational_values():
+    pav_j = paving(3, 2, 0)
+    X = _small_family(pav_j)[5]
+    Y = _small_family(paving(3, 2, 1))[3]
+    with pytest.raises(TypeError, match=re.escape(repr(X))):
+        j_extraction_check(pav_j, {X: 0.0}, {})
+    with pytest.raises(TypeError, match=re.escape(repr(Y))):
+        j_extraction_check(pav_j, {}, {Y: 0.5})
+    with pytest.raises(TypeError, match="qbar"):
+        j_extraction_check(pav_j, {X: "1/2"}, {})
 
 
 def test_size_additive_and_closure_minimal():
