@@ -497,6 +497,11 @@ def _extraction_map(pav_j: BlockPaving) -> _ExtractionMap:
     small_j = _small_family(pav_j)
     u_index = {X: i for i, X in enumerate(small_j)}
     v_index = {Y: len(small_j) + k for k, Y in enumerate(_small_family(pav_up))}
+    if not v_index:
+        # at j = R - 1 the one coarse block winds: every row would be empty
+        # and the identities would hold for any input
+        raise ValueError(f"paving (L, R, j) = ({pav_j.L}, {pav_j.R}, {pav_j.j}): the (j+1)-paving "
+                         f"has no small polymer, so the extraction identities are vacuous")
     n, n_up, L = pav_j.n_axis, pav_up.n_axis, pav_j.L
     coarse = [(b0, b1) for b0 in range(n_up) for b1 in range(n_up)]
 
@@ -579,8 +584,10 @@ def j_extraction_check(pav_j: BlockPaving, qbar: dict, q: dict) -> JExtractionRe
     qbar maps small j-polymers (frozensets of block coords) to rationals,
     q maps small (j+1)-polymers likewise; missing keys count as zero.  A key
     that is not a small polymer of its paving raises ValueError, a value
-    that is not `numbers.Rational` TypeError.  The rows are evaluated
-    exactly, on the inputs scaled to one common denominator.
+    that is not `numbers.Rational` TypeError.  At j = R - 1 the identities
+    have no term (the one coarse block winds), and the paving raises
+    ValueError.  The rows are evaluated exactly, on the inputs scaled to
+    one common denominator.
     """
     return _extraction_map(pav_j).report(qbar, q)
 
@@ -588,6 +595,7 @@ def j_extraction_check(pav_j: BlockPaving, qbar: dict, q: dict) -> JExtractionRe
 def j_extraction_defect(pav_j: BlockPaving) -> int:
     """Nonzero coefficients of the identity rows collected per variable.
 
-    0 proves the three identities for every input on this paving.
+    0 proves the three identities for every input on this paving; at
+    j = R - 1, where they have no term, the paving raises ValueError.
     """
     return _extraction_map(pav_j).defect()

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import ktrg.manifold
 from ktrg.flow import FlowConfig, corrections, trajectory, kosterlitz_q_array
 from ktrg.manifold import (
+    _classify,
     _tail_envelope,
     ManifoldProblem,
     WeightedSequence,
@@ -282,3 +284,65 @@ def test_apply_T_matches_per_scale_loop(flow):
         new, old = apply_T(seq, prob), _apply_T_loop(seq, prob)
         for a, b in ((new.w_plus, old.w_plus), (new.w_minus, old.w_minus), (new.kappa, old.kappa)):
             np.testing.assert_array_equal(a, b)
+
+
+def _classify_reference(x1, y1, ceiling, j_max):
+    """The shooting classification with the stable wedge and the ceilings as
+    its only exits (oracle): every unstable trajectory runs to the ceiling."""
+    x, y = float(x1), float(y1)
+    for _ in range(j_max):
+        if y >= ceiling or x <= -ceiling:
+            return "unstable"
+        if y <= 0.0 or x >= ceiling or (x > 0.0 and x >= 2.0 * y):
+            return "stable"
+        x, y = x - y * y, y - x * y
+    raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
+
+
+@pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
+def test_classify_matches_reference_on_random_points(ceiling):
+    rng = np.random.default_rng(int(10 * ceiling))
+    # uniform on the square, then a band along the separatrix x1 ~ y1, where
+    # trajectories are decided late
+    pts = rng.uniform(-1.5, 1.5, size=(10_000, 2)).tolist()
+    y = rng.uniform(0.005, 0.1, size=500)
+    pts += np.column_stack([y * (1.0 + rng.uniform(-0.01, 0.01, size=500)), y]).tolist()
+    j_max = 100_000
+    seen = {"stable": 0, "unstable": 0}
+    for x1, y1 in pts:
+        try:
+            want = _classify_reference(x1, y1, ceiling, j_max)
+        except RuntimeError:
+            continue
+        assert _classify(x1, y1, ceiling, j_max) == want, (x1, y1)
+        seen[want] += 1
+    assert min(seen.values()) > 2000 and sum(seen.values()) > 10_000
+
+
+def test_classify_unstable_wedge_needs_x_below_one():
+    # in the wedge y >= 2x but with x > 1: y' = y(1 - x) < 0, so y dies
+    assert _classify_reference(1.1, 2.3, 10.0, 100) == "stable"
+    assert _classify(1.1, 2.3, 10.0, 100) == "stable"
+
+
+def test_unstable_wedge_is_forward_invariant():
+    rng = np.random.default_rng(5)
+    for ceiling in (0.5, 1.0, 2.0, 10.0):
+        for _ in range(2000):
+            y = rng.uniform(1e-6, ceiling)
+            x = rng.uniform(-2.0 * ceiling, min(0.5 * y, 1.0 - 1e-12))
+            x, y = x - y * y, y - x * y
+            assert (y > 0.0 and y >= 2.0 * x and x < 1.0) or y >= ceiling, (x, y, ceiling)
+
+
+@pytest.mark.parametrize("y1", [0.02, 0.04])
+def test_shooting_matches_reference_bisection(y1, monkeypatch):
+    got = solve_shooting(y1, tol=1e-10)
+    monkeypatch.setattr(ktrg.manifold, "_classify", _classify_reference)
+    assert got == solve_shooting(y1, tol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 1e7, True, "100"])
+def test_shooting_rejects_bad_j_max(bad):
+    with pytest.raises(ValueError, match="j_max must be an int >= 1"):
+        solve_shooting(0.01, j_max=bad)

@@ -404,6 +404,19 @@ def test_j_extraction_defect_zero(dims):
     assert j_extraction_defect(paving(*dims)) == 0
 
 
+@pytest.mark.parametrize("dims", [(3, 1, 0), (3, 3, 2)])
+def test_j_extraction_vacuous_at_top_scale_rejected(dims):
+    # at j = R - 1 the one coarse block winds, so no row has a term and the
+    # check would hold for any input
+    assert _small_family(paving(dims[0], dims[1], dims[2] + 1)) == []
+    msg = re.escape(f"paving (L, R, j) = {dims}")
+    with pytest.raises(ValueError, match=msg):
+        j_extraction_defect(paving(*dims))
+    X = _small_family(paving(*dims))[0]
+    with pytest.raises(ValueError, match=msg):
+        j_extraction_check(paving(*dims), {X: Fraction(1, 3)}, {})
+
+
 @pytest.mark.parametrize("family", ["sum_over_Y", "id1", "id2"])
 def test_j_extraction_corrupt_coefficient_names_its_row(family):
     pav_j = paving(3, 2, 0)
