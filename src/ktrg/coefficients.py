@@ -219,9 +219,13 @@ def coeff_a(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
         total += g.weight * float(np.sum(g.y_sq * _w_b_term(stack, j, n, a2) * bracket))
     # second sum on the scale-j grid
     g = stack.grid(j)
-    term2 = math.exp(-a2 * g0j) * np.expm1(a2 * stack.kernel(j, j)) * L ** (-4 * j)
+    term2 = a2 * stack.kernel(j, j)
+    np.expm1(term2, out=term2)
+    term2 *= math.exp(-a2 * g0j)
+    term2 *= L ** (-4 * j)
     _guard_exp(term2, j)
-    total += g.weight * float(np.sum(g.y_sq * term2))
+    term2 *= g.y_sq
+    total += g.weight * float(np.sum(term2))
     return 0.5 * a2 * total
 
 
@@ -328,7 +332,9 @@ def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT)
         gn = stack.grid(n)
         bracket = _origin_bracket(stack, j, n, a2) - 0.5 * a2 * _taylor_quad(dd_tensor, gn.y)
         e4 += 2.0 * L2j * gn.weight * float(np.sum(_w_b_term(stack, j, n, a2) * bracket))
-    term2 = math.exp(-a2 * stack.gamma0(j)) * np.expm1(a2 * stack.kernel(j, j))
+    term2 = a2 * stack.kernel(j, j)
+    np.expm1(term2, out=term2)
+    term2 *= math.exp(-a2 * stack.gamma0(j))
     e4 += L ** (-2 * j) * g.weight * float(np.sum(term2))
     return float(e2), float(e3), float(e4)
 

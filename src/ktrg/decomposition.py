@@ -43,6 +43,7 @@ zooms and derivative symbols unfold on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,9 +301,10 @@ class SpectralGrid:
             K = np.fft.ifft2(G).real
         else:
             K = np.fft.irfft2(G[self.idx][:, : self.S // 2 + 1], s=(self.S, self.S))
-        K /= self.weight
-        r = self.radius
-        return np.roll(K, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1].copy()
+        z = np.arange(-self.radius, self.radius + 1) % self.S
+        W = K[np.ix_(z, z)]
+        W /= self.weight
+        return W
 
     def zoom(self, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Kernel of the spectral array G at the product points ys x ys, off the grid.
@@ -562,6 +564,15 @@ class CovarianceStack:
 MATERIALIZE_CAP = 2187  # largest torus side for which full tables are built
 
 
+def _table(G: np.ndarray) -> np.ndarray:
+    """The real part of the inverse FFT of G, as its own array.
+
+    A bare .real view would keep the complex transform, twice the table's
+    size, alive for as long as the table.
+    """
+    return np.fft.ifft2(G).real.copy()
+
+
 def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, materialize: bool | None = None) -> CovarianceStack:
     """Build the covariance stack for the torus; validates PSD and leakage.
 
@@ -589,7 +600,7 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
         tables, margins = [], []
         groups = [range(j * lattice.M, (j + 1) * lattice.M) for j in range(lattice.R)]
         for vals in grid.bands(groups):
-            tables.append(np.fft.ifft2(grid.unfold(vals)).real)
+            tables.append(_table(grid.unfold(vals)))
             margins.append(float(vals.min()))
         r = grid.residual(cutoffs.horizon)
         if normalized:
@@ -597,10 +608,10 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
             dens = np.zeros_like(lam)
             mask = lam > 0
             dens[mask] = r[mask] / lam[mask]
-            t = np.fft.ifft2(grid.unfold(dens)).real
+            t = _table(grid.unfold(dens))
             tail = t - t[0, 0]
         else:
-            tail = np.fft.ifft2(grid.unfold(r / grid.u)).real
+            tail = _table(grid.unfold(r / grid.u))
 
     stack = CovarianceStack(
         lattice=lattice,
@@ -617,78 +628,129 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
 # ---------------------------------------------------------------------------
 # serialization (bit-exact round trip via hex floats)
 
+STACK_HEADER = "# ktrg covariance stack v2"
+STACK_COLUMNS = "scale,x0,values"
+
 
 def write_stack(stack: CovarianceStack, path: str):
+    """Write the materialized tables of stack to path, one line per table row (layout v2).
+
+    The file is text: the version line STACK_HEADER, three metadata lines
+
+        # L=3 R=5 gamma=3 M=1 m=<float.hex of m>
+        # psd_tol=1e-10 leakage_tol=1e-06
+        # tail_is_normalized=0
+
+    the column line STACK_COLUMNS, then (R + 1) * side lines
+
+        j,x0,h_0,...,h_{side-1}
+
+    in scale order and x0 order within a scale, where h_x1 is float.hex of
+    table j at (x0, x1) and scale j = R is the tail.  Hex floats make the
+    round trip bit-exact, signed zeros and subnormals included.  Each row
+    is converted on its own, so no Python copy of a whole table is made.
+    """
     if stack.gamma_tables is None:
         raise DecompositionError("only materialized stacks serialize to tables")
     lat = stack.lattice
     with open(path, "w", newline="\n") as f:
-        f.write("# ktrg covariance stack v1\n")
+        f.write(f"{STACK_HEADER}\n")
         f.write(f"# L={lat.L} R={lat.R} gamma={lat.gamma} M={lat.M} m={lat.m.hex()}\n")
         f.write(f"# psd_tol={stack.psd_tol!r} leakage_tol={stack.leakage_tol!r}\n")
         f.write(f"# tail_is_normalized={int(stack.tail_is_normalized)}\n")
-        f.write("scale,x0,x1,value\n")
-        side = lat.side
-        for j in range(lat.R):
-            t = stack.gamma_tables[j]
-            for x0 in range(side):
-                row = t[x0]
-                for x1 in range(side):
-                    f.write(f"{j},{x0},{x1},{row[x1].hex()}\n")
-        t = stack.tail_table
-        for x0 in range(side):
-            row = t[x0]
-            for x1 in range(side):
-                f.write(f"{lat.R},{x0},{x1},{row[x1].hex()}\n")
+        f.write(f"{STACK_COLUMNS}\n")
+        for j, t in enumerate([*stack.gamma_tables, stack.tail_table]):
+            for x0 in range(lat.side):
+                f.write(f"{j},{x0},{','.join(map(float.hex, t[x0].tolist()))}\n")
+
+
+def _header_tol(path: str, meta: dict, key: str, bound: float) -> float:
+    """The file's gate tolerance key: absent means bound, and it may only tighten it."""
+    if key not in meta:
+        return bound
+    tol = float(meta[key])
+    if not (math.isfinite(tol) and tol <= bound):
+        raise DecompositionError(f"{path}: header {key}={meta[key]} is non-finite or looser than {bound:.0e}")
+    return tol
+
+
+def _malformed(path: str, lineno: int, fields: list[str], side: int) -> str:
+    """Why data line lineno does not parse, without echoing the line."""
+    try:
+        where = f" (scale, x0) = ({int(fields[0])}, {int(fields[1])})"
+    except (ValueError, IndexError):
+        where = ""
+    msg = f"{path}: line {lineno}: malformed row{where}, {len(fields)} fields"
+    if len(fields) != side + 2:
+        return f"{msg} (expected {side + 2})"
+    for k, v in enumerate(fields[2:]):
+        try:
+            float.fromhex(v)
+        except ValueError:
+            return f"{msg}, value {k} is not a hex float"
+    return msg
 
 
 def read_stack(path: str) -> CovarianceStack:
     """Read a write_stack file back, bit-exact, and check it.
 
-    Exactly one row per (scale, x0, x1) with scale 0..R (R is the tail) is
-    required; the stack then has to pass validate() and the telescoping
-    check.  Failures raise DecompositionError naming the path.
+    The first line must be STACK_HEADER.  Exactly one row per (scale, x0)
+    with scale 0..R (R is the tail) is required, each with side hex
+    floats; header tolerances may tighten the PSD and leakage gates but
+    not loosen them.  The stack then has to pass validate() and the
+    telescoping check.  Failures raise DecompositionError naming the path.
     """
-    meta = {}
     with open(path) as f:
-        header = []
+        first = f.readline().rstrip("\n")
+        if first != STACK_HEADER:
+            raise DecompositionError(
+                f"{path}: first line {first[:60]!r} is not {STACK_HEADER!r}; "
+                "regenerate the file with `ktrg decompose`"
+            )
+        meta = {}
+        lineno = 1
+        line = ""
         for line in f:
-            if line.startswith("#"):
-                header.append(line)
-                continue
-            if line.startswith("scale,"):
+            lineno += 1
+            if not line.startswith("#"):
                 break
-        for line in header[1:]:
             for tok in line[1:].split():
                 if "=" in tok:
                     k, v = tok.split("=", 1)
                     meta[k] = v
+        if line.rstrip("\n") != STACK_COLUMNS:
+            raise DecompositionError(f"{path}: line {lineno}: expected the column line {STACK_COLUMNS!r}")
         try:
             L, R, gamma = int(meta["L"]), int(meta["R"]), int(meta["gamma"])
             m = float.fromhex(meta["m"]) if "0x" in meta["m"] else float(meta["m"])
+            lat = TorusLattice(L=L, R=R, gamma=gamma, m=m)
+            normalized = bool(int(meta.get("tail_is_normalized", "0")))
+            psd_tol = _header_tol(path, meta, "psd_tol", PSD_TOL)
+            leakage_tol = _header_tol(path, meta, "leakage_tol", LEAKAGE_TOL)
         except (KeyError, ValueError) as e:
             raise DecompositionError(f"{path}: bad or missing header entry {e}") from e
-        lat = TorusLattice(L=L, R=R, gamma=gamma, m=m)
         side = lat.side
-        tables = np.zeros((R + 1, side, side))
-        seen = np.zeros((R + 1, side, side), dtype=bool)
-        for line in f:
+        tables = np.empty((R + 1, side, side))
+        seen = np.zeros((R + 1, side), dtype=bool)
+        for lineno, line in enumerate(f, lineno + 1):
+            fields = line.split(",")
             try:
-                j_s, x0_s, x1_s, v_s = line.rstrip("\n").split(",")
-                key = (int(j_s), int(x0_s), int(x1_s))
-                value = float.fromhex(v_s)
-            except ValueError as e:
-                raise DecompositionError(f"{path}: malformed data row {line.rstrip()!r}") from e
-            if not (0 <= key[0] <= R and 0 <= key[1] < side and 0 <= key[2] < side):
-                raise DecompositionError(f"{path}: row (scale, x0, x1) = {key} out of range")
+                if len(fields) != side + 2:
+                    raise ValueError
+                key = (int(fields[0]), int(fields[1]))
+                row = list(map(float.fromhex, fields[2:]))
+            except ValueError:
+                raise DecompositionError(_malformed(path, lineno, fields, side)) from None
+            if not (0 <= key[0] <= R and 0 <= key[1] < side):
+                raise DecompositionError(f"{path}: line {lineno}: row (scale, x0) = {key} out of range")
             if seen[key]:
-                raise DecompositionError(f"{path}: duplicated row (scale, x0, x1) = {key}")
+                raise DecompositionError(f"{path}: line {lineno}: duplicated row (scale, x0) = {key}")
             seen[key] = True
-            tables[key] = value
+            tables[key] = row
     if not seen.all():
-        first = tuple(int(i) for i in np.argwhere(~seen)[0])
+        first_missing = tuple(int(i) for i in np.argwhere(~seen)[0])
         raise DecompositionError(
-            f"{path}: {int((~seen).sum())} rows missing, first (scale, x0, x1) = {first}"
+            f"{path}: {int((~seen).sum())} rows missing, first (scale, x0) = {first_missing}"
         )
     cut = build_cutoffs(gamma, lat.M, lat.n_fine_scales)
     stack = CovarianceStack(
@@ -696,9 +758,9 @@ def read_stack(path: str) -> CovarianceStack:
         cutoffs=cut,
         gamma_tables=list(tables[:R]),
         tail_table=tables[R],
-        tail_is_normalized=bool(int(meta.get("tail_is_normalized", "0"))),
-        psd_tol=float(meta.get("psd_tol", PSD_TOL)),
-        leakage_tol=float(meta.get("leakage_tol", LEAKAGE_TOL)),
+        tail_is_normalized=normalized,
+        psd_tol=psd_tol,
+        leakage_tol=leakage_tol,
     )
     try:
         stack.validate()

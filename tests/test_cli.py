@@ -7,6 +7,8 @@ import pytest
 import ktrg
 import ktrg.cli as cli
 from ktrg.cli import main
+from ktrg.decomposition import decompose, read_stack
+from ktrg.lattice import TorusLattice
 
 
 def test_no_command_usage_error(capsys):
@@ -27,6 +29,16 @@ def test_decompose_artifact_deterministic(tmp_path):
     a = (out1 / "stack_L3_R2.csv").read_bytes()
     b = (out2 / "stack_L3_R2.csv").read_bytes()
     assert a == b
+
+
+def test_decompose_artifact_reads_back(tmp_path):
+    # the file ktrg decompose writes passes read_stack and holds decompose()'s tables bit for bit
+    assert main(["decompose", "--L", "3", "--R", "2", "--out-dir", str(tmp_path)]) == 0
+    back = read_stack(str(tmp_path / "stack_L3_R2.csv"))
+    ref = decompose(TorusLattice(L=3, R=2, m=0.1))
+    assert back.lattice == ref.lattice
+    for a, b in zip([*back.gamma_tables, back.tail_table], [*ref.gamma_tables, ref.tail_table]):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_verify_all_report(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import math
 import os
+import re
 import weakref
 
 import numpy as np
@@ -183,46 +185,122 @@ def test_horizon_too_short():
 
 
 def _damaged_copy(tmp_path, stack, edit):
-    """Write the stack, then rewrite its data rows through edit(rows)."""
+    """Write the stack, then rewrite its data rows (one per table row) through edit(rows)."""
     path = os.path.join(tmp_path, "stack.csv")
     write_stack(stack, path)
     lines = open(path).read().splitlines(keepends=True)
-    start = lines.index("scale,x0,x1,value\n") + 1
+    start = lines.index("scale,x0,values\n") + 1
     with open(path, "w") as f:
         f.writelines(lines[:start] + edit(lines[start:]))
     return path
 
 
-def test_read_stack_rejects_truncated_file(tmp_path, stack_l3_massive):
-    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows[: len(rows) // 2])
-    with pytest.raises(DecompositionError, match=r"rows missing, first \(scale, x0, x1\) = \(2, 0, 0\)") as e:
+def _rejected(path, pattern):
+    """The DecompositionError message read_stack raises on path; it matches pattern and names the path."""
+    with pytest.raises(DecompositionError, match=pattern) as e:
         read_stack(path)
     assert path in str(e.value)
+    return str(e.value)
+
+
+def test_read_stack_rejects_truncated_file(tmp_path, stack_l3_massive):
+    # 4 tables of 27 rows: the first half holds scales 0 and 1
+    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows[: len(rows) // 2])
+    _rejected(path, r"54 rows missing, first \(scale, x0\) = \(2, 0\)")
 
 
 def test_read_stack_rejects_duplicated_row(tmp_path, stack_l3_massive):
     # the last row is replaced by a second copy of the first: same count
     path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows[:-1] + rows[:1])
-    with pytest.raises(DecompositionError, match=r"duplicated row \(scale, x0, x1\) = \(0, 0, 0\)"):
-        read_stack(path)
+    _rejected(path, r"duplicated row \(scale, x0\) = \(0, 0\)")
 
 
 def test_read_stack_rejects_out_of_range_row(tmp_path, stack_l3_massive):
-    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows + ["4,0,0,0x0.0p+0\n"])
-    with pytest.raises(DecompositionError, match=r"\(4, 0, 0\) out of range"):
-        read_stack(path)
+    # a full-length row with scale R + 1 = 4
+    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows + ["4," + rows[0].split(",", 1)[1]])
+    _rejected(path, r"\(4, 0\) out of range")
 
 
 def test_read_stack_rejects_changed_value(tmp_path, stack_l3_massive):
-    # every row present once, one tail entry changed: only the telescoping
+    # every row present once, one tail value doubled: only the telescoping
     # check sees it (leakage and PSD do not look at the tail)
     def edit(rows):
-        j, x0, x1, v = rows[-5].split(",")
-        return rows[:-5] + [f"{j},{x0},{x1},{(2.0 * float.fromhex(v)).hex()}\n"] + rows[-4:]
+        fields = rows[-5].rstrip("\n").split(",")
+        fields[5] = (2.0 * float.fromhex(fields[5])).hex()
+        return rows[:-5] + [",".join(fields) + "\n"] + rows[-4:]
 
     path = _damaged_copy(tmp_path, stack_l3_massive, edit)
-    with pytest.raises(DecompositionError, match="telescoping"):
-        read_stack(path)
+    _rejected(path, "telescoping")
+
+
+def test_read_stack_rejects_short_row(tmp_path, stack_l3_massive):
+    # row (0, 3) loses its last value: side + 1 = 28 fields instead of 29;
+    # the message names line, row and field count, and does not echo the row
+    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0] + "\n"] + rows[4:])
+    msg = _rejected(path, r"line 9: malformed row \(scale, x0\) = \(0, 3\), 28 fields \(expected 29\)")
+    assert len(msg) < len(path) + 100
+
+
+def test_read_stack_rejects_bad_value(tmp_path, stack_l3_massive):
+    def edit(rows):
+        fields = rows[0].split(",")
+        fields[4] = "0x1.0q"
+        return [",".join(fields)] + rows[1:]
+
+    path = _damaged_copy(tmp_path, stack_l3_massive, edit)
+    _rejected(path, r"line 6: malformed row \(scale, x0\) = \(0, 0\), 29 fields, value 2 is not a hex float")
+
+
+def test_read_stack_refuses_v1_file(tmp_path):
+    # the previous layout, one line per table entry, is not read
+    path = os.path.join(tmp_path, "stack_v1.csv")
+    with open(path, "w") as f:
+        f.write("# ktrg covariance stack v1\n# L=3 R=1 gamma=3 M=1 m=0x0.0p+0\nscale,x0,x1,value\n0,0,0,0x1.0p+0\n")
+    _rejected(path, r"first line '# ktrg covariance stack v1' is not .*regenerate the file with `ktrg decompose`")
+
+
+def _shifted_leak(stack):
+    """stack with 1e-3 Gamma_0(0) moved from Gamma_1 into Gamma_0 at (13, 13), far from the origin.
+
+    The sum of the scales, and so the telescoping check, does not change,
+    but Gamma_0 leaks 1e-3 beyond its range.
+    """
+    g = [t.copy() for t in stack.gamma_tables]
+    d = 1e-3 * g[0][0, 0]
+    g[0][13, 13] += d
+    g[1][13, 13] -= d
+    return dataclasses.replace(stack, gamma_tables=g, _cache={})
+
+
+@pytest.mark.parametrize("tol", ["leakage_tol=inf", "leakage_tol=0.01", "leakage_tol=nan", "psd_tol=inf", "psd_tol=-inf"])
+def test_read_stack_header_cannot_loosen_gates(tmp_path, stack_l3_massive, tol):
+    path = os.path.join(tmp_path, "stack.csv")
+    write_stack(_shifted_leak(stack_l3_massive), path)
+    _rejected(path, r"leakage 1\.000e-03 beyond L\^1/2 in Gamma_0")
+    text = open(path).read()
+    key = tol.split("=")[0]
+    honest = "psd_tol=1e-10" if key == "psd_tol" else "leakage_tol=1e-06"
+    with open(path, "w") as f:
+        f.write(text.replace(honest, tol, 1))
+    _rejected(path, f"header {re.escape(tol)} is non-finite or looser than")
+
+
+def test_read_stack_header_may_tighten_gates(tmp_path, stack_l3_massive):
+    path = os.path.join(tmp_path, "stack.csv")
+    write_stack(dataclasses.replace(stack_l3_massive, leakage_tol=1e-7, _cache={}), path)
+    assert read_stack(path).leakage_tol == 1e-7
+
+
+def test_read_stack_keeps_signed_zero_and_subnormal(tmp_path, stack_l3_massive):
+    g = [t.copy() for t in stack_l3_massive.gamma_tables]
+    g[0][13, 13] = -0.0
+    g[0][13, 12] = 5e-324
+    path = os.path.join(tmp_path, "stack.csv")
+    write_stack(dataclasses.replace(stack_l3_massive, gamma_tables=g, _cache={}), path)
+    back = read_stack(path).gamma_table(0)
+    assert np.array_equal(back.view(np.uint64), g[0].view(np.uint64))
+    assert np.signbit(back[13, 13]) and back[13, 13] == 0.0
+    assert back[13, 12] == 5e-324
 
 
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), -0.1])
