@@ -688,6 +688,8 @@ def _malformed(path: str, lineno: int, fields: list[str], side: int) -> str:
             float.fromhex(v)
         except ValueError:
             return f"{msg}, value {k} is not a hex float"
+        if "0x" not in v:
+            return f"{msg}, value {k} has no 0x prefix"
     return msg
 
 
@@ -696,8 +698,8 @@ def read_stack(path: str) -> CovarianceStack:
 
     The first line must be STACK_HEADER.  Exactly one row per (scale, x0)
     with scale 0..R (R is the tail) is required, each with side hex
-    floats; header tolerances may tighten the PSD and leakage gates but
-    not loosen them.  The stack then has to pass validate() and the
+    floats written with their 0x prefix; header tolerances may tighten the
+    PSD and leakage gates but not loosen them.  The stack then has to pass validate() and the
     telescoping check.  Failures raise DecompositionError naming the path.
     """
     with open(path) as f:
@@ -735,7 +737,8 @@ def read_stack(path: str) -> CovarianceStack:
         for lineno, line in enumerate(f, lineno + 1):
             fields = line.split(",")
             try:
-                if len(fields) != side + 2:
+                # float.fromhex also reads '0.5' (as 0x0.5); every value must carry the prefix
+                if len(fields) != side + 2 or line.count("0x") != side:
                     raise ValueError
                 key = (int(fields[0]), int(fields[1]))
                 row = list(map(float.fromhex, fields[2:]))

@@ -41,6 +41,16 @@ def test_decompose_artifact_reads_back(tmp_path):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def test_coeffs_prints_fit_residual_in_c_units(tmp_path, capsys):
+    # c = 8 pi c_log, and the fit residual is in c_log units
+    assert main(["coeffs", "--L", "3", "--R", "3", "--j-max", "2", "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    lat = TorusLattice(L=3, R=3, m=0.0)
+    cc = cli.coulomb_constant_c(cli.build_cutoffs(3, lat.M, lat.n_fine_scales))
+    assert f"(8pi*fit_residual {8.0 * np.pi * cc.fit_residual:.2e} in c units," in out
+    assert 8.0 * np.pi * cc.fit_residual > 1e-8
+
+
 def test_verify_all_report(tmp_path, capsys):
     # two identical runs write byte-identical reports: the wall time goes
     # to stdout only, and the provenance block is fixed by the installation

@@ -251,6 +251,18 @@ def test_read_stack_rejects_bad_value(tmp_path, stack_l3_massive):
     _rejected(path, r"line 6: malformed row \(scale, x0\) = \(0, 0\), 29 fields, value 2 is not a hex float")
 
 
+@pytest.mark.parametrize("value", ["0.5", "-1.8p-3", "nan"])
+def test_read_stack_requires_hex_prefix(tmp_path, stack_l3_massive, value):
+    # float.fromhex would read '0.5' as 0x0.5 = 0.3125
+    def edit(rows):
+        fields = rows[0].split(",")
+        fields[4] = value
+        return [",".join(fields)] + rows[1:]
+
+    path = _damaged_copy(tmp_path, stack_l3_massive, edit)
+    _rejected(path, r"line 6: malformed row \(scale, x0\) = \(0, 0\), 29 fields, value 2 has no 0x prefix")
+
+
 def test_read_stack_refuses_v1_file(tmp_path):
     # the previous layout, one line per table entry, is not read
     path = os.path.join(tmp_path, "stack_v1.csv")

@@ -6,6 +6,7 @@ import pytest
 import ktrg.manifold
 from ktrg.flow import FlowConfig, corrections, trajectory, kosterlitz_q_array
 from ktrg.manifold import (
+    _BLOCK,
     _classify,
     _tail_envelope,
     ManifoldProblem,
@@ -299,17 +300,44 @@ def _classify_reference(x1, y1, ceiling, j_max):
     raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
 
 
-@pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
-def test_classify_matches_reference_on_random_points(ceiling):
+def _classify_stepwise(x1, y1, ceiling, j_max):
+    """The shooting classification with every exit tested before every step
+    (oracle for the block-stepped `_classify`)."""
+    x, y = float(x1), float(y1)
+    for _ in range(j_max):
+        if y <= 0.0:
+            return "unstable" if x <= -ceiling else "stable"
+        if y >= ceiling or (y >= 2.0 * x and x < 1.0):
+            return "unstable"
+        if x >= ceiling or x >= 2.0 * y:
+            return "stable"
+        x, y = x - y * y, y - x * y
+    raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
+
+
+def _outcome(classify, *args):
+    """The class, or the message of the RuntimeError raised."""
+    try:
+        return classify(*args)
+    except RuntimeError as e:
+        return str(e)
+
+
+def _classify_points(ceiling):
+    """Uniform on the square, then a band along the separatrix x1 ~ y1, where
+    trajectories are decided late."""
     rng = np.random.default_rng(int(10 * ceiling))
-    # uniform on the square, then a band along the separatrix x1 ~ y1, where
-    # trajectories are decided late
     pts = rng.uniform(-1.5, 1.5, size=(10_000, 2)).tolist()
     y = rng.uniform(0.005, 0.1, size=500)
     pts += np.column_stack([y * (1.0 + rng.uniform(-0.01, 0.01, size=500)), y]).tolist()
+    return pts
+
+
+@pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
+def test_classify_matches_reference_on_random_points(ceiling):
     j_max = 100_000
     seen = {"stable": 0, "unstable": 0}
-    for x1, y1 in pts:
+    for x1, y1 in _classify_points(ceiling):
         try:
             want = _classify_reference(x1, y1, ceiling, j_max)
         except RuntimeError:
@@ -317,6 +345,55 @@ def test_classify_matches_reference_on_random_points(ceiling):
         assert _classify(x1, y1, ceiling, j_max) == want, (x1, y1)
         seen[want] += 1
     assert min(seen.values()) > 2000 and sum(seen.values()) > 10_000
+
+
+@pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
+def test_classify_matches_stepwise_loop(ceiling):
+    # the same class, or the same "inconclusive" error, for step budgets
+    # below, at and above one block
+    pts = _classify_points(ceiling)
+    for j_max in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000, 100_000):
+        seen = set()
+        for x1, y1 in pts:
+            want = _outcome(_classify_stepwise, x1, y1, ceiling, j_max)
+            assert _outcome(_classify, x1, y1, ceiling, j_max) == want, (x1, y1, j_max)
+            seen.add(want)
+        assert {"stable", "unstable"} <= seen
+        if j_max <= 1000:
+            assert f"shooting trajectory inconclusive after {j_max} steps" in seen
+
+
+def _stepwise_decision_steps(x1, y1, ceiling):
+    """The least j_max with which the stepwise loop decides (x1, y1)."""
+    lo, hi = 0, 100_000
+    assert _outcome(_classify_stepwise, x1, y1, ceiling, hi) in ("stable", "unstable")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _outcome(_classify_stepwise, x1, y1, ceiling, mid) in ("stable", "unstable"):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("x1", [0.02003, 0.01997], ids=["stable", "unstable"])
+def test_classify_decides_at_the_stepwise_step(x1):
+    # A start near the separatrix Sigma(0.02) ~ 0.02 is decided after more
+    # than three blocks: a budget of N steps decides it, N - 1 steps do not.
+    # Stepped on so that its deciding state ends a block, it checks that such
+    # a block is replayed step by step rather than decided at its end.
+    y1, ceiling = 0.02, 1.0
+    n = _stepwise_decision_steps(x1, y1, ceiling)
+    assert n > 3 * _BLOCK
+    x, y = x1, y1
+    for _ in range((n - 1) % _BLOCK):
+        x, y = x - y * y, y - x * y
+    m = n - (n - 1) % _BLOCK
+    for start, steps in (((x1, y1), n), ((x, y), m)):
+        for classify in (_classify_stepwise, _classify):
+            assert classify(*start, ceiling, steps) == ("stable" if x1 > y1 else "unstable")
+            with pytest.raises(RuntimeError, match=f"inconclusive after {steps - 1} steps"):
+                classify(*start, ceiling, steps - 1)
 
 
 def test_classify_unstable_wedge_needs_x_below_one():
@@ -335,11 +412,28 @@ def test_unstable_wedge_is_forward_invariant():
             assert (y > 0.0 and y >= 2.0 * x and x < 1.0) or y >= ceiling, (x, y, ceiling)
 
 
-@pytest.mark.parametrize("y1", [0.02, 0.04])
+@pytest.mark.parametrize("y1", [0.01, 0.02, 0.03, 0.04])
 def test_shooting_matches_reference_bisection(y1, monkeypatch):
-    got = solve_shooting(y1, tol=1e-10)
-    monkeypatch.setattr(ktrg.manifold, "_classify", _classify_reference)
-    assert got == solve_shooting(y1, tol=1e-10)
+    # the block-stepped oracle bisects to the stepwise loop's Sigma bit for bit
+    tols = (1e-10, 2e-10)
+    got = [solve_shooting(y1, tol=tol) for tol in tols]
+    monkeypatch.setattr(ktrg.manifold, "_classify", _classify_stepwise)
+    assert got == [solve_shooting(y1, tol=tol) for tol in tols]
+
+
+def test_shooting_stops_at_adjacent_floats(monkeypatch):
+    # a tol below the float spacing near y1 ends the bisection at adjacent floats
+    y1 = 0.03
+    calls = []
+
+    def classify(x1, y, ceiling, j_max):
+        calls.append(x1)
+        return "unstable" if x1 < y else "stable"
+
+    monkeypatch.setattr(ktrg.manifold, "_classify", classify)
+    sigma = solve_shooting(y1, tol=1e-20)
+    assert abs(sigma - y1) <= math.ulp(y1)
+    assert len(calls) <= 2 + 64
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, 1e7, True, "100"])
