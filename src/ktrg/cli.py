@@ -98,9 +98,10 @@ def cmd_coeffs(args, cfg) -> int:
     cc = coulomb_constant_c(cut)
     a_lim, b_lim = limit_constants(L, ALPHA_SQ_KT, cc.c)
     print(f"coeffs L={L}: a_limit={a_lim:.6g} b_limit={b_lim:.6g}")
-    # fit_residual is in c_log units; c = 8 pi c_log
+    # fit_residual and quad_error are in c_log units; c = 8 pi c_log
     print(f"  c={cc.c:.10f} (8pi*fit_residual {8.0 * math.pi * cc.fit_residual:.2e} in c units, "
-          f"w_limit_error {cc.w_limit_error:.2e}, quad_error {cc.quad_error:.2e})")
+          f"w_limit_error {cc.w_limit_error:.2e}, "
+          f"8pi*quad_error {8.0 * math.pi * cc.quad_error:.2e} in c units)")
     for i, j in enumerate(rep.scales):
         print(f"  j={j}: a={rep.a[i]:.6g} b={rep.b[i]:.6g} vol={rep.vol[i]:.6f}")
     print(f"  wrote {path}")

@@ -17,8 +17,8 @@ vectors carries a factor 1/2.  Euclidean |y|^2 is used in the second-moment
 sums; the max norm only enters geometry/support statements.
 
 Out of numeric scope here: the energy feed e1_j and the flow feeds F_j, M_j
-depend on the full polymer activity, a function-space object; the flow
-module represents their effect through the scalar norm surrogate instead.
+depend on the full polymer activity, a function-space object.  The flow
+carries only the per-scale a_j, b_j and volume factors computed here.
 """
 
 from __future__ import annotations

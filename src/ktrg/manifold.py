@@ -7,12 +7,11 @@ the map T on weighted sequences,
 
     (Tw)+_j = (q_j/q_1)^2 w-_1 + sum_{s<j} (q_j/q_{s+1})^2 W+_s
     (Tw)-_j = -sum_{s>=j} (q_{s+1}/q_j) W-_s          (tail closed analytically)
-    (Tw)0_j = sum_{s<j} rho^{j-1-s} W0_s              (surrogate channel)
 
-whose unique fixed point in the ball |w+_j| <= tau h_j, |w-_j| <= tau h_j/2,
-kappa_j <= (tau h_j)^2 with h_j = y_1 (1 + y_1 (j-1))^(-3/2) reconstructs
-the separatrix x_1 = Sigma(y_1) = y_1 + w-_1.  An independent
-bisection-shooting solver provides the cross-check oracle.
+whose unique fixed point in the ball |w+_j| <= tau h_j, |w-_j| <= tau h_j/2
+with h_j = y_1 (1 + y_1 (j-1))^(-3/2) reconstructs the separatrix
+x_1 = Sigma(y_1) = y_1 + w-_1.  An independent bisection-shooting solver
+provides the cross-check oracle.
 """
 
 from __future__ import annotations
@@ -74,11 +73,10 @@ class ManifoldProblem:
 class WeightedSequence:
     w_plus: np.ndarray
     w_minus: np.ndarray
-    kappa: np.ndarray
 
     @staticmethod
     def zero(J: int) -> "WeightedSequence":
-        return WeightedSequence(np.zeros(J), np.zeros(J), np.zeros(J))
+        return WeightedSequence(np.zeros(J), np.zeros(J))
 
 
 def diagonalize(u: float, v: float) -> tuple[float, float]:
@@ -92,17 +90,16 @@ def undiagonalize(w_plus: float, w_minus: float) -> tuple[float, float]:
 
 
 def seq_norm(seq: WeightedSequence, prob: ManifoldProblem) -> float:
-    """Weighted sup norm: max over j of the three channel ratios."""
+    """Weighted sup norm: max over j of the two channel ratios."""
     th = prob.tau * prob.h()
     a = np.max(np.abs(seq.w_plus) / th)
     b = 2.0 * np.max(np.abs(seq.w_minus) / th)
-    c = np.max(seq.kappa / th**2)
-    return float(max(a, b, c))
+    return float(max(a, b))
 
 
 def _distance(a: WeightedSequence, b: WeightedSequence, prob: ManifoldProblem) -> float:
     """Weighted sup-norm distance between two sequences."""
-    return seq_norm(WeightedSequence(a.w_plus - b.w_plus, a.w_minus - b.w_minus, np.abs(a.kappa - b.kappa)), prob)
+    return seq_norm(WeightedSequence(a.w_plus - b.w_plus, a.w_minus - b.w_minus), prob)
 
 
 def _tail_envelope(prob: ManifoldProblem) -> float:
@@ -128,8 +125,7 @@ def apply_T(seq: WeightedSequence, prob: ManifoldProblem) -> WeightedSequence:
     q = prob.q()
     q_next = np.append(q[1:], prob.y1 / (1.0 + abs(prob.y1) * J))
     u, v = undiagonalize(seq.w_plus, seq.w_minus)
-    cfg = prob.flow
-    Ft, Mt, K = corrections(np.arange(1, J + 1), q + u, q + v, seq.kappa, cfg)
+    Ft, Mt = corrections(np.arange(1, J + 1), q + u, q + v, prob.flow)
     U = -(v * v) - q * q * q_next + Ft
     V = -(u * v) - q * q * q_next + Mt
     Wp = U + 2.0 * V + (2.0 * q - q_next) * q_next * seq.w_plus
@@ -144,15 +140,7 @@ def apply_T(seq: WeightedSequence, prob: ManifoldProblem) -> WeightedSequence:
     # stable channel: prefix sums, seeded by the shared initial datum w-_1
     prefix = np.concatenate([[0.0], np.cumsum(Wp / q_next**2)[:-1]])
     w_plus_new = q * q * (seq.w_minus[0] / q[0] ** 2 + prefix)
-
-    # surrogate channel: kappa_j = sum_{s<j} rho^{j-1-s} c_R K_s
-    kap = np.zeros(J)
-    if cfg.surrogate:
-        acc = 0.0
-        for i, w in enumerate((cfg.c_R * K)[:-1].tolist(), start=1):
-            acc = cfg.rho * acc + w
-            kap[i] = acc
-    return WeightedSequence(w_plus_new, w_minus_new, kap)
+    return WeightedSequence(w_plus_new, w_minus_new)
 
 
 @dataclass
@@ -283,12 +271,12 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
                    j_max: int = 10_000_000) -> float:
     """Bisection on x_1 between y-escape and y-death; only the quadratic flow.
 
-    The surrogate-free limit-mode flow is hard-coded in the inner loop; a
-    config requesting anything else is rejected to keep the oracle honest.
+    The limit-mode flow is hard-coded in the inner loop; a config
+    requesting anything else is rejected to keep the oracle honest.
     The bisection stops at width tol, or earlier once lo and hi are
     adjacent floats.
     """
-    if flow_config is not None and (flow_config.mode != "limit" or flow_config.surrogate):
+    if flow_config is not None and flow_config.mode != "limit":
         raise ValueError("shooting oracle runs the bare quadratic flow only")
     if not math.isfinite(y1):
         raise ValueError(f"y1 must be finite, got {y1}")
@@ -333,8 +321,7 @@ def empirical_contraction(prob: ManifoldProblem, n_samples: int = 100, seed: int
         for _ in range(2):
             wp = th * rng.uniform(-1.0, 1.0, prob.J)
             wm = 0.5 * th * rng.uniform(-1.0, 1.0, prob.J)
-            kp = th**2 * rng.uniform(0.0, 1.0, prob.J)
-            mats.append(WeightedSequence(wp, wm, kp))
+            mats.append(WeightedSequence(wp, wm))
         a, b = mats
         dn = _distance(a, b, prob)
         if dn == 0.0:

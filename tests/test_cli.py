@@ -42,13 +42,14 @@ def test_decompose_artifact_reads_back(tmp_path):
 
 
 def test_coeffs_prints_fit_residual_in_c_units(tmp_path, capsys):
-    # c = 8 pi c_log, and the fit residual is in c_log units
+    # c = 8 pi c_log, and the fit residual and quadrature error are in c_log units
     assert main(["coeffs", "--L", "3", "--R", "3", "--j-max", "2", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     lat = TorusLattice(L=3, R=3, m=0.0)
     cc = cli.coulomb_constant_c(cli.build_cutoffs(3, lat.M, lat.n_fine_scales))
     assert f"(8pi*fit_residual {8.0 * np.pi * cc.fit_residual:.2e} in c units," in out
     assert 8.0 * np.pi * cc.fit_residual > 1e-8
+    assert f"8pi*quad_error {8.0 * np.pi * cc.quad_error:.2e} in c units)" in out
 
 
 def test_verify_all_report(tmp_path, capsys):
@@ -141,6 +142,18 @@ def test_separatrix_inside_ball_passes(tmp_path, capsys):
     assert float(rec["shooting_tol"]) == 1e-10
     out = capsys.readouterr().out
     assert "fixed-point residual" in out and "shooting tol 1e-10" in out
+
+
+def test_flow_csv_columns_match_trajectory(tmp_path):
+    # x and y are the on-manifold trajectory's, written with 17 digits
+    assert main(["flow", "--y1", "0.01", "--horizon", "2000", "--out-dir", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "flow_y0.01.csv").read_text().splitlines()
+    assert header == "j,x,y,q_j,x_minus_q,y_minus_q"
+    fp = cli.solve_fixed_point(cli.ManifoldProblem(y1=0.01, J=2000))
+    traj = cli.trajectory(fp.sigma, 0.01, cli.FlowConfig(horizon=2000))
+    cols = np.array([[float(v) for v in r.split(",")[:3]] for r in rows])
+    assert np.array_equal(cols[:, 0], np.arange(1, 2001))
+    assert np.array_equal(cols[:, 1], traj.x) and np.array_equal(cols[:, 2], traj.y)
 
 
 def test_flow_outside_ball_fails(tmp_path, capsys):

@@ -46,7 +46,7 @@ def test_y_zero_invariant_line():
     cfg = FlowConfig(horizon=500)
     st = FlowState(j=1, x=0.3, y=0.0)
     nxt = step(st, cfg)
-    assert (nxt.x, nxt.y, nxt.kappa) == (0.3, 0.0, 0.0)
+    assert (nxt.x, nxt.y) == (0.3, 0.0)
     traj = trajectory(0.3, 0.0, cfg)
     assert traj.diverged_at is None
     assert np.all(traj.x == 0.3)
@@ -54,13 +54,11 @@ def test_y_zero_invariant_line():
 
 
 def test_sign_symmetry():
-    for surrogate in (False, True):
-        cfg = FlowConfig(horizon=300, surrogate=surrogate, rho=0.2, c_R=0.5, c_F=0.3, c_M=0.3)
-        tp = trajectory(0.05, 0.01, cfg)
-        tm = trajectory(0.05, -0.01, cfg)
-        assert np.allclose(tp.x, tm.x, atol=0, rtol=0)
-        assert np.allclose(tp.y, -tm.y, atol=0, rtol=0)
-        assert np.allclose(tp.kappa, tm.kappa, atol=0, rtol=0)
+    cfg = FlowConfig(horizon=300)
+    tp = trajectory(0.05, 0.01, cfg)
+    tm = trajectory(0.05, -0.01, cfg)
+    assert np.allclose(tp.x, tm.x, atol=0, rtol=0)
+    assert np.allclose(tp.y, -tm.y, atol=0, rtol=0)
 
 
 def test_rescale_roundtrip():
@@ -71,11 +69,9 @@ def test_rescale_roundtrip():
 
 
 def test_step_original_zero():
-    cfg = FlowConfig(surrogate=True, c_R=2.0, vol_seq=(0.9,))
-    s1, z1, k1 = step_original_zero(0.1, 0.05, cfg)
+    s1, z1 = step_original_zero(0.1, 0.05, FlowConfig(vol_seq=(0.9,)))
     assert s1 == 0.1
     assert z1 == pytest.approx(0.9 * 0.05)
-    assert k1 == pytest.approx(2.0 * 0.1**2)
 
 
 def test_below_separatrix_escapes():
@@ -159,17 +155,11 @@ def test_trajectory_rejects_non_finite_start(bad):
     for args in ((bad, 0.01), (0.01, bad)):
         with pytest.raises(ValueError, match="must be finite"):
             trajectory(*args, cfg)
-    with pytest.raises(ValueError, match="kappa1 must be finite"):
-        trajectory(0.01, 0.01, cfg, kappa1=bad)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(mode="bogus")
-    with pytest.raises(ValueError):
-        FlowConfig(rho=1.5)
-    with pytest.raises(ValueError):
-        FlowConfig(c_R=-1.0)
 
 
 def test_per_scale_mode_with_computed_coefficients(stack_l3_massless):
@@ -188,13 +178,6 @@ def test_per_scale_mode_with_computed_coefficients(stack_l3_massless):
         gaps.append(abs(step(st, cfg_ps).y - step(st, cfg_lim).y))
     assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     assert gaps[-1] < 1e-5
-
-
-@pytest.mark.parametrize("gain", ["c_R", "c_F", "c_M"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
-def test_config_rejects_bad_gain(gain, bad):
-    with pytest.raises(ValueError, match=f"{gain} must be finite and >= 0"):
-        FlowConfig(**{gain: bad})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
@@ -231,12 +214,12 @@ def test_config_rejects_non_finite_sequence(field, bad):
 
 
 def test_step_and_trajectory_share_one_step():
-    cfg = FlowConfig(mode="per-scale", surrogate=True, horizon=40, rho=0.3, c_R=0.4, c_F=0.1, c_M=0.2,
+    cfg = FlowConfig(mode="per-scale", horizon=40,
                      a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05), vol_seq=(1.1,), a_limit=1.01, b_limit=0.99)
-    traj = trajectory(0.02, -0.015, cfg, kappa1=1e-4)
-    st = FlowState(j=1, x=0.02, y=-0.015, kappa=1e-4)
+    traj = trajectory(0.02, -0.015, cfg)
+    st = FlowState(j=1, x=0.02, y=-0.015)
     for i in range(traj.horizon):
-        assert (st.x, st.y, st.kappa) == (traj.x[i], traj.y[i], traj.kappa[i])
+        assert (st.x, st.y) == (traj.x[i], traj.y[i])
         st = step(st, cfg)
 
 
@@ -244,28 +227,24 @@ _KERNEL_CONFIGS = {
     "limit": FlowConfig(),
     "per-scale": FlowConfig(mode="per-scale", a_seq=(1.5, 1.1, 1.02, 1.0), b_seq=(1.3, 1.05, 1.01),
                             vol_seq=(1.1, 1.02), a_limit=1.03, b_limit=0.97),
-    "surrogate": FlowConfig(surrogate=True, rho=0.2, c_R=0.5, c_F=0.3, c_M=0.07),
-    "per-scale+surrogate": FlowConfig(mode="per-scale", surrogate=True, rho=0.4, c_R=0.2, c_F=0.1, c_M=0.3,
-                                      a_seq=(1.2, 1.01), b_seq=(0.9,), vol_seq=(1.05, 1.0, 0.99)),
 }
 # full 53-bit mantissas times a power of two: rounding differences between
 # two code paths show up on such generic floats, seldom on the short ones
 # hypothesis favours
 _generic = st.builds(lambda m, e: m * 2.0**-e, st.integers(2**52, 2**53 - 1), st.integers(54, 66))
 _coupling = st.one_of(st.just(0.0), _generic, _generic.map(lambda v: -v))
-_kappa = st.one_of(st.just(0.0), _generic.map(lambda v: v / 8.0))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     mode=st.sampled_from(sorted(_KERNEL_CONFIGS)),
-    rows=st.lists(st.tuples(st.integers(1, 8), _coupling, _coupling, _kappa), min_size=1, max_size=12),
+    rows=st.lists(st.tuples(st.integers(1, 8), _coupling, _coupling), min_size=1, max_size=12),
 )
 def test_array_kernel_matches_scalar_kernel_bitwise(mode, rows):
     cfg = _KERNEL_CONFIGS[mode]
-    j, x, y, k = (np.array(c) for c in zip(*rows))
-    arrays = [np.broadcast_to(np.asarray(v, dtype=float), j.shape) for v in corrections(j, x, y, k, cfg)]
+    j, x, y = (np.array(c) for c in zip(*rows))
+    arrays = [np.broadcast_to(np.asarray(v, dtype=float), j.shape) for v in corrections(j, x, y, cfg)]
     for i, row in enumerate(rows):
-        scalars = corrections(row[0], row[1], row[2], row[3], cfg)
+        scalars = corrections(*row, cfg)
         for arr, sc in zip(arrays, scalars):
             assert np.float64(sc).view(np.int64) == arr[i].view(np.int64), (mode, row)

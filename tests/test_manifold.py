@@ -8,6 +8,7 @@ from ktrg.flow import FlowConfig, corrections, trajectory, kosterlitz_q_array
 from ktrg.manifold import (
     _BLOCK,
     _classify,
+    _distance,
     _tail_envelope,
     ManifoldProblem,
     WeightedSequence,
@@ -53,11 +54,7 @@ def test_fixed_point_residual(stack_l3_massless=None):
     prob = ManifoldProblem(y1=0.01, J=50_000)
     res = solve_fixed_point(prob)
     again = apply_T(res.seq, prob)
-    d = WeightedSequence(
-        again.w_plus - res.seq.w_plus,
-        again.w_minus - res.seq.w_minus,
-        np.abs(again.kappa - res.seq.kappa),
-    )
+    d = WeightedSequence(again.w_plus - res.seq.w_plus, again.w_minus - res.seq.w_minus)
     assert seq_norm(d, prob) < 1e-12
     assert res.in_ball
 
@@ -95,14 +92,31 @@ def test_contraction_below_half():
     assert lip <= 0.5
 
 
+def _unstable_contraction(prob, n_samples, seed=7):
+    """Max over the pairs `empirical_contraction` draws of the unstable
+    channel's ratio 2 |Delta (Tw)-| / (tau h) over the input distance."""
+    rng = np.random.default_rng(seed)
+    th = prob.tau * prob.h()
+    worst = 0.0
+    for _ in range(n_samples):
+        a, b = (WeightedSequence(th * rng.uniform(-1.0, 1.0, prob.J), 0.5 * th * rng.uniform(-1.0, 1.0, prob.J))
+                for _ in range(2))
+        dT = apply_T(a, prob).w_minus - apply_T(b, prob).w_minus
+        worst = max(worst, float(np.max(2.0 * np.abs(dT) / th)) / _distance(a, b, prob))
+    return worst
+
+
 def test_contraction_shrinks_with_tau():
-    # the quadratic part of T scales with tau; the measured Lipschitz
-    # constant floors at the linear terms, so test a wide sweep
-    lips = [
-        empirical_contraction(ManifoldProblem(y1=0.01, J=2000, tau=t), n_samples=40)
-        for t in (0.3, 0.1, 0.02)
-    ]
-    assert lips[0] > lips[1] >= lips[2]
+    # The estimate is set by the stable channel at j = 1, where (Tw)+_1 = w-_1
+    # is linear, so it does not depend on tau.  The unstable channel is
+    # quadratic in w: its ratio falls in proportion to tau.
+    taus = (0.3, 0.1, 0.02)
+    probs = [ManifoldProblem(y1=0.01, J=2000, tau=t) for t in taus]
+    lips = [empirical_contraction(p, n_samples=40) for p in probs]
+    assert max(lips) - min(lips) <= 4 * math.ulp(lips[0])
+    unstable = [_unstable_contraction(p, n_samples=40) for p in probs]
+    assert unstable[0] > unstable[1] > unstable[2]
+    assert max(u / t for u, t in zip(unstable, taus)) <= 1.1 * min(u / t for u, t in zip(unstable, taus))
 
 
 def test_contraction_requires_samples():
@@ -114,7 +128,7 @@ def test_shooting_bracket_validation():
     with pytest.raises(ValueError):
         solve_shooting(0.01, bracket=(0.05, 0.1))  # both stable
     with pytest.raises(ValueError):
-        solve_shooting(0.01, flow_config=FlowConfig(surrogate=True))
+        solve_shooting(0.01, flow_config=FlowConfig(mode="per-scale"))
 
 
 def test_shooting_tolerance_contract():
@@ -145,17 +159,6 @@ def test_off_manifold_perturbations_escape_envelope():
     assert dn is not None and dn < 10_000
 
 
-def test_surrogate_mode_solver_runs():
-    # unequal feedback gains so the kappa terms do not cancel out of W-
-    prob = ManifoldProblem(y1=0.01, J=20_000,
-                           flow=FlowConfig(surrogate=True, rho=0.2, c_R=0.2, c_F=0.2, c_M=0.05))
-    res = solve_fixed_point(prob)
-    assert res.residual < 1e-12
-    assert math.isfinite(res.sigma)
-    # feedback shifts the separatrix away from the bare value
-    assert res.sigma != pytest.approx(0.01, abs=1e-12)
-
-
 def test_problem_validation():
     with pytest.raises(ValueError):
         ManifoldProblem(y1=0.2)
@@ -184,11 +187,7 @@ def test_ball_image_stays_in_ball():
     th = prob.tau * prob.h()
     rng = np.random.default_rng(17)
     for _ in range(25):
-        seq = WeightedSequence(
-            th * rng.uniform(-1, 1, prob.J),
-            0.5 * th * rng.uniform(-1, 1, prob.J),
-            th**2 * rng.uniform(0, 1, prob.J),
-        )
+        seq = WeightedSequence(th * rng.uniform(-1, 1, prob.J), 0.5 * th * rng.uniform(-1, 1, prob.J))
         out = apply_T(seq, prob)
         assert seq_norm(out, prob) <= 1.0 + 1e-9
 
@@ -198,7 +197,7 @@ def test_apply_T_warns_outside_ball():
 
     prob = ManifoldProblem(y1=0.01, J=500)
     th = prob.tau * prob.h()
-    bad = WeightedSequence(5.0 * th, np.zeros(prob.J), np.zeros(prob.J))
+    bad = WeightedSequence(5.0 * th, np.zeros(prob.J))
     with _w.catch_warnings(record=True) as rec:
         _w.simplefilter("always")
         apply_T(bad, prob)
@@ -246,9 +245,9 @@ def _apply_T_loop(seq, prob):
     u = (seq.w_plus + 2.0 * seq.w_minus) / 3.0
     v = (seq.w_plus - seq.w_minus) / 3.0
     x, y = q + u, q + v
-    Ft, Mt, W0 = np.zeros(J), np.zeros(J), np.zeros(J)
+    Ft, Mt = np.zeros(J), np.zeros(J)
     for i in range(J):
-        Ft[i], Mt[i], W0[i] = corrections(i + 1, float(x[i]), float(y[i]), float(seq.kappa[i]), cfg)
+        Ft[i], Mt[i] = corrections(i + 1, float(x[i]), float(y[i]), cfg)
     U = -(v * v) - q * q * q_next + Ft
     V = -(u * v) - q * q * q_next + Mt
     Wp = U + 2.0 * V + (2.0 * q - q_next) * q_next * seq.w_plus
@@ -259,31 +258,22 @@ def _apply_T_loop(seq, prob):
     w_minus = -(suffix + tail) / q
     prefix = np.concatenate([[0.0], np.cumsum(Wp / q_next**2)[:-1]])
     w_plus = q * q * (seq.w_minus[0] / q[0] ** 2 + prefix)
-    kap = np.empty(J)
-    acc = 0.0
-    for i in range(J):
-        kap[i] = acc
-        acc = cfg.rho * acc + cfg.c_R * W0[i]
-    return WeightedSequence(w_plus, w_minus, kap)
+    return WeightedSequence(w_plus, w_minus)
 
 
 @pytest.mark.parametrize("flow", [
     FlowConfig(),
     FlowConfig(mode="per-scale", a_seq=(1.05, 1.01, 1.002), b_seq=(1.03, 1.005), vol_seq=(1.01, 1.002),
                a_limit=1.01, b_limit=0.99),
-    FlowConfig(surrogate=True, rho=0.2, c_R=0.2, c_F=0.2, c_M=0.05),
-    FlowConfig(mode="per-scale", surrogate=True, rho=0.3, c_R=0.4, c_F=0.1, c_M=0.2,
-               a_seq=(1.05, 1.01), b_seq=(1.03,), vol_seq=(1.01, 1.0)),
-], ids=["limit", "per-scale", "surrogate", "per-scale+surrogate"])
+], ids=["limit", "per-scale"])
 def test_apply_T_matches_per_scale_loop(flow):
     prob = ManifoldProblem(y1=0.01, J=3000, flow=flow)
     th = prob.tau * prob.h()
     rng = np.random.default_rng(11)
     for _ in range(3):
-        seq = WeightedSequence(th * rng.uniform(-1, 1, prob.J), 0.5 * th * rng.uniform(-1, 1, prob.J),
-                               th**2 * rng.uniform(0, 1, prob.J))
+        seq = WeightedSequence(th * rng.uniform(-1, 1, prob.J), 0.5 * th * rng.uniform(-1, 1, prob.J))
         new, old = apply_T(seq, prob), _apply_T_loop(seq, prob)
-        for a, b in ((new.w_plus, old.w_plus), (new.w_minus, old.w_minus), (new.kappa, old.kappa)):
+        for a, b in ((new.w_plus, old.w_plus), (new.w_minus, old.w_minus)):
             np.testing.assert_array_equal(a, b)
 
 
