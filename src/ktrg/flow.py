@@ -99,31 +99,42 @@ def kosterlitz_q_array(q1: float, horizon: int) -> np.ndarray:
     return q1 / (1.0 + abs(q1) * (js - 1.0))
 
 
-def _per_scale(config: FlowConfig, j):
-    """(a_j, b_j, vol_j) with the sequence frozen past its last entry."""
-    def pick(seq, default):
-        return np.asarray(seq)[np.minimum(j, len(seq)) - 1] if seq else default
-
-    return pick(config.a_seq, config.a_limit), pick(config.b_seq, config.b_limit), pick(config.vol_seq, 1.0)
+def _per_scale_tables(config: FlowConfig) -> tuple:
+    """(a, b, vol) as lists of floats; an empty sequence is [its limit value]."""
+    return tuple([float(v) for v in seq] or [default] for seq, default in (
+        (config.a_seq, config.a_limit), (config.b_seq, config.b_limit), (config.vol_seq, 1.0)))
 
 
-def corrections(j, x, y, config: FlowConfig):
+def _per_scale(tables: tuple, j):
+    """(a_j, b_j, vol_j), each table frozen past its last entry.
+
+    An int j indexes the lists, so a scalar step makes no numpy call; an
+    int array j gathers from them.
+    """
+    a, b, vol = tables
+    if isinstance(j, int):
+        return a[min(j, len(a)) - 1], b[min(j, len(b)) - 1], vol[min(j, len(vol)) - 1]
+    return tuple(np.asarray(t)[np.minimum(j, len(t)) - 1] for t in tables)
+
+
+def corrections(j, x, y, config: FlowConfig, tables: tuple | None = None):
     """(F~, M~): the per-scale corrections to the quadratic step.
 
-    Floats or equal-shape arrays; j is an int or an int array.  The limit
-    flow returns zeros and touches no numpy.
+    Floats or equal-shape arrays; j is an int or an int array.  tables is
+    `_per_scale_tables(config)`, passed in by callers that step many times.
+    The limit flow returns zeros and touches no numpy.
     """
     if config.mode != "per-scale":
         return 0.0, 0.0
-    a_j, b_j, vol_j = _per_scale(config, j)
+    a_j, b_j, vol_j = _per_scale(_per_scale_tables(config) if tables is None else tables, j)
     F = -(a_j / config.a_limit - 1.0) * y * y
     M = (vol_j - 1.0) * y - (vol_j * b_j / config.b_limit - 1.0) * x * y
     return F, M
 
 
-def _advance(j, x, y, config: FlowConfig):
+def _advance(j, x, y, config: FlowConfig, tables: tuple | None = None):
     """One RG step from scale j: (x, y) at scale j + 1."""
-    F, M = corrections(j, x, y, config)
+    F, M = corrections(j, x, y, config, tables)
     return x - y * y + F, y - x * y + M
 
 
@@ -143,13 +154,14 @@ def trajectory(x1: float, y1: float, config: FlowConfig) -> FlowTrajectory:
     ys = np.empty(J)
     x, y = float(x1), float(y1)
     ceiling = config.ceiling
+    tables = _per_scale_tables(config) if config.mode == "per-scale" else None
     for i in range(J):
         xs[i], ys[i] = x, y
         if abs(x) > ceiling or abs(y) > ceiling:
             n = i + 1
             return FlowTrajectory(config=config, x=xs[:n], y=ys[:n],
                                   diverged_at=n, diverged_in="y" if abs(y) >= abs(x) else "x")
-        x, y = _advance(i + 1, x, y, config)
+        x, y = _advance(i + 1, x, y, config, tables)
     return FlowTrajectory(config=config, x=xs, y=ys)
 
 

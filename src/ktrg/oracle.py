@@ -14,6 +14,14 @@ side and flips with both charges, so every configuration weight equals its
 orbit partner's bit for bit, and the labeled sum by total charge Q is
 side^2 (S+[Q] + S+[-Q]) exactly up to summation order.  That cuts the work
 by 2 side^2 and makes the sectors Q and -Q bitwise equal.
+
+The weight is also symmetric in the labels of particles 2..n.  For n >= 3
+the k = n - 3 free prefix slots run over non-decreasing tuples only, each
+weighted by the multinomial k!/prod(m!) of its multiplicities (exact in
+floating point), and the last two slots over the full ns x ns block, ns =
+2 side^2.  The budget counts these reduced configurations,
+C(ns + k - 1, k) ns^2: side 5 at n = 6 (5.5e7) runs, side 7 at n = 6
+(1.6e9) is refused.
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ __all__ = [
 DEFAULT_M_SEQUENCE = (0.5, 0.25, 0.125, 0.0625)
 MAX_SIDE = 7
 MAX_N = 6
+# reduced configurations one sector sum may visit: non-decreasing prefixes
+# times the ns x ns block of the last two slots
+_BUDGET = 100_000_000
+# entries of the last-two-slot block evaluated at once
+_CHUNK = 65_536
 
 
 def oracle_lattice(side: int, m: float = 0.0) -> TorusLattice:
@@ -99,15 +112,22 @@ def _slot_tables(side: int, W: np.ndarray):
     """Slot list [(site, sigma)] and the slot-coupling matrix V[a, b] = s s' W."""
     sites = [(x0, x1) for x0 in range(side) for x1 in range(side)]
     slots = [(p, 1) for p in sites] + [(p, -1) for p in sites]
-    ns = len(slots)
-    V = np.empty((ns, ns))
-    for a, (pa, sa) in enumerate(slots):
-        dx0 = (pa[0] - np.array([p[0] for p, _ in slots])) % side
-        dx1 = (pa[1] - np.array([p[1] for p, _ in slots])) % side
-        sg = sa * np.array([s for _, s in slots])
-        V[a] = sg * W[dx0, dx1]
+    x0 = np.array([p[0] for p, _ in slots])
+    x1 = np.array([p[1] for p, _ in slots])
     sigma = np.array([s for _, s in slots])
+    V = (sigma[:, None] * sigma[None, :]) * W[(x0[:, None] - x0) % side, (x1[:, None] - x1) % side]
     return slots, V, sigma
+
+
+def _multinomials(rest: np.ndarray) -> np.ndarray:
+    """k!/prod(m!) for each non-decreasing row of rest, m its multiplicities."""
+    k = rest.shape[1]
+    prod = np.ones(len(rest))
+    run = np.ones(len(rest))
+    for i in range(1, k):
+        run = np.where(rest[:, i] == rest[:, i - 1], run + 1.0, 1.0)
+        prod *= run
+    return math.factorial(k) / prod
 
 
 def _sector_sums(side: int, beta: float, n: int, W: np.ndarray) -> dict[int, float]:
@@ -116,18 +136,22 @@ def _sector_sums(side: int, beta: float, n: int, W: np.ndarray) -> dict[int, flo
     Only configurations with particle 1 in slot 0, (origin, +), are
     enumerated; translations and charge conjugation carry them onto every
     other first slot with bit-identical weights, so the full sum is
-    side^2 (S+[Q] + S+[-Q]).
+    side^2 (S+[Q] + S+[-Q]).  For n >= 3 the k = n - 3 free prefix slots
+    run over non-decreasing tuples weighted by k!/prod(m!), and the last
+    two slots over the ns x ns block, in chunks of about _CHUNK entries.
     """
     if n == 0:
         return {0: 1.0}
     slots, V, sigma = _slot_tables(side, W)
     ns = len(slots)
-    if ns ** max(0, n - 2) > 3_000_000:
-        raise ValueError(f"combinatorial budget exceeded: {ns} slots at n = {n}")
+    k = max(0, n - 3)
+    n_prefix = math.comb(ns + k - 1, k)
+    if n_prefix * ns * ns > _BUDGET:
+        raise ValueError(f"combinatorial budget exceeded: {n_prefix} sorted prefixes x {ns}^2 block "
+                         f"entries at n = {n}, above {_BUDGET}")
     diag = np.diag(V)
     # energy of the last two slots against each other and themselves
     E2 = diag[:, None] + diag[None, :] + 2.0 * V
-    Q2 = sigma[:, None] + sigma[None, :]
     pinned: dict[int, float] = {}
     if n == 1:
         pinned[1] = float(np.exp(-0.5 * beta * diag[0]))
@@ -137,22 +161,40 @@ def _sector_sums(side: int, beta: float, n: int, W: np.ndarray) -> dict[int, flo
         for qv in (-1, 1):
             pinned[1 + qv] = float(np.sum(wts[sigma == qv]))
     else:
-        q_masks = {qv: Q2 == qv for qv in (-2, 0, 2)}
-        for rest in itertools.product(range(ns), repeat=n - 3):
-            prefix = (0,) + rest
-            e_pre = 0.0
-            cross = np.zeros(ns)
-            q_pre = 0
-            for i, a in enumerate(prefix):
-                e_pre += diag[a]
-                for b in prefix[:i]:
-                    e_pre += 2.0 * V[a, b]
-                cross += V[a]
-                q_pre += sigma[a]
-            E = e_pre + E2 + 2.0 * (cross[:, None] + cross[None, :])
-            wts = np.exp(-0.5 * beta * E)
-            for qv, mask in q_masks.items():
-                pinned[q_pre + qv] = pinned.get(q_pre + qv, 0.0) + float(np.sum(wts[mask]))
+        # the slots list the + charges first: the block's charge quadrants
+        h = ns // 2
+        rest = np.array(list(itertools.combinations_with_replacement(range(ns), k)),
+                        dtype=np.intp).reshape(n_prefix, k)
+        prefix = np.hstack([np.zeros((n_prefix, 1), dtype=np.intp), rest])
+        mult = _multinomials(rest)
+        e_pre = diag[prefix].sum(axis=1)
+        for i in range(1, k + 1):
+            for b in range(i):
+                e_pre += 2.0 * V[prefix[:, i], prefix[:, b]]
+        q_pre = sigma[prefix].sum(axis=1)
+        # per prefix: the block sums of charge +2, 0 and -2
+        block = np.empty((n_prefix, 3))
+        step = max(1, _CHUNK // (ns * ns))
+        buf = np.empty((step, ns, ns))
+        for lo in range(0, n_prefix, step):
+            hi = min(lo + step, n_prefix)
+            E = buf[: hi - lo]
+            cross = V[prefix[lo:hi]].sum(axis=1)
+            np.add(cross[:, :, None], cross[:, None, :], out=E)
+            E *= 2.0
+            E += E2
+            E += e_pre[lo:hi, None, None]
+            E *= -0.5 * beta
+            np.exp(E, out=E)
+            plus = E[:, :, :h].sum(axis=2)
+            minus = E[:, :, h:].sum(axis=2)
+            block[lo:hi, 0] = plus[:, :h].sum(axis=1)
+            block[lo:hi, 1] = minus[:, :h].sum(axis=1) + plus[:, h:].sum(axis=1)
+            block[lo:hi, 2] = minus[:, h:].sum(axis=1)
+        # the total charge q_pre + qv lies in -n..n: bin it with offset n
+        bins = (q_pre[:, None] + np.array([2, 0, -2]) + n).ravel()
+        sums = np.bincount(bins, weights=(mult[:, None] * block).ravel())
+        pinned = {int(b) - n: float(sums[b]) for b in np.unique(bins)}
     orbit = side * side
     charges = set(pinned) | {-q for q in pinned}
     return {int(Q): orbit * (pinned.get(Q, 0.0) + pinned.get(-Q, 0.0)) for Q in sorted(charges)}

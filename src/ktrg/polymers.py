@@ -204,6 +204,30 @@ def neighborhood(X: Polymer) -> Polymer:
 # enumeration
 
 
+def _connected_sets(n_axis: int, max_size: int) -> list[frozenset]:
+    """Every connected block set with at most max_size blocks, each once.
+
+    Grown size by size from all single blocks; each layer is one set, so a
+    set reached from several of its subsets is kept once.
+    """
+    layer = {frozenset([(b0, b1)]) for b0 in range(n_axis) for b1 in range(n_axis)}
+    out = list(layer)
+    for _ in range(max_size - 1):
+        grown = set()
+        for cur in layer:
+            cand = set()
+            for b in cur:
+                for d in _NBRS:
+                    nb = ((b[0] + d[0]) % n_axis, (b[1] + d[1]) % n_axis)
+                    if nb not in cur:
+                        cand.add(nb)
+            for nb in cand:
+                grown.add(cur | {nb})
+        out.extend(grown)
+        layer = grown
+    return out
+
+
 def _connected_sets_containing(origin, n_axis: int, max_size: int):
     """All connected block sets through `origin` with at most max_size blocks."""
     seen = set()
@@ -264,14 +288,13 @@ def count_polyominoes(max_size: int) -> dict[int, int]:
 
 
 def connected_polymers_up_to(pav: BlockPaving, max_blocks: int) -> list[Polymer]:
-    """All connected polymers with at most max_blocks blocks on the paving."""
-    n = pav.n_axis
-    all_sets = set()
-    for b0 in range(n):
-        for b1 in range(n):
-            for s in _connected_sets_containing((b0, b1), n, max_blocks):
-                all_sets.add(s)
-    return [Polymer(pav, s) for s in sorted(all_sets, key=lambda s: sorted(s))]
+    """All connected polymers with at most max_blocks blocks on the paving.
+
+    max_blocks must be an int >= 1 (a bool is not one).
+    """
+    if isinstance(max_blocks, bool) or not isinstance(max_blocks, numbers.Integral) or max_blocks < 1:
+        raise ValueError(f"max_blocks must be an int >= 1, got {max_blocks!r}")
+    return [Polymer(pav, s) for s in sorted(_connected_sets(pav.n_axis, max_blocks), key=sorted)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +371,14 @@ def _enumerate_closure_preimages(V: Polymer, small_only: bool, budget: int = 1 <
     return counts
 
 
+def _check_A(A: float):
+    if not (math.isfinite(A) and A > 0.0):
+        raise ValueError(f"A must be finite and > 0, got {A}")
+
+
 def k_small(A: float, lam: float, V: Polymer) -> float:
     """k_s contribution of V: A^{|V|} sum over small Y with closure V of (lam A)^{-|Y|}."""
+    _check_A(A)
     if not (0.0 < lam < 1.0 or lam == 1.0):
         raise ValueError("lambda must be in (0, 1]")
     counts = _enumerate_closure_preimages(V, small_only=True)
@@ -358,6 +387,7 @@ def k_small(A: float, lam: float, V: Polymer) -> float:
 
 def k_large(A: float, lam: float, V: Polymer, budget: int = 1 << 22) -> float:
     """Non-small counterpart of k_small; exhaustive, budgeted enumeration."""
+    _check_A(A)
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must be in (0, 1]")
     counts = _enumerate_closure_preimages(V, small_only=False, budget=budget)
@@ -365,7 +395,9 @@ def k_large(A: float, lam: float, V: Polymer, budget: int = 1 << 22) -> float:
 
 
 def reblock_inequality(X: Polymer, eta: float) -> bool:
-    """(1 + 2 eta) |closure(X)| <= |X| + 8 (1 + 2 eta) |components(X)|."""
+    """(1 + 2 eta) |closure(X)| <= |X| + 8 (1 + 2 eta) |components(X)|; eta finite, >= 0."""
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     ncomp = len(_component_data(X.paving, X.blocks))
     return (1.0 + 2.0 * eta) * closure(X).size <= X.size + 8.0 * (1.0 + 2.0 * eta) * ncomp
 
@@ -401,19 +433,13 @@ class JExtractionReport:
 
 
 def _small_family(pav: BlockPaving) -> list[frozenset]:
-    n = pav.n_axis
-    fam = set()
-    for b0 in range(n):
-        for b1 in range(n):
-            for s in _connected_sets_containing((b0, b1), n, 4):
-                fam.add(s)
     # drop winding sets (non-small by convention)
     out = []
-    for s in fam:
-        comps = _component_data(pav, frozenset(s))
+    for s in _connected_sets(pav.n_axis, 4):
+        comps = _component_data(pav, s)
         if len(comps) == 1 and not comps[0][1]:
-            out.append(frozenset(s))
-    return sorted(out, key=lambda s: sorted(s))
+            out.append(s)
+    return sorted(out, key=sorted)
 
 
 @dataclass(frozen=True, eq=False)

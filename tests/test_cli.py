@@ -125,6 +125,13 @@ def test_oracle_command(tmp_path):
     assert len(lines) > 5
 
 
+def test_oracle_command_side5_n6(tmp_path, capsys):
+    assert main(["oracle", "--side", "5", "--nmax", "6", "--out-dir", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "oracle_side5.csv").read_text().splitlines()[1:]]
+    assert {int(n) for _, n, _, _ in rows} == set(range(7))
+    assert "(pass)" in capsys.readouterr().out
+
+
 def test_separatrix_outside_ball_fails(tmp_path, capsys):
     # |y1| = 0.045 is admissible but the fixed point leaves the weighted ball
     with pytest.warns(UserWarning, match="weighted ball"):

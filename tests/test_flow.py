@@ -223,6 +223,38 @@ def test_step_and_trajectory_share_one_step():
         st = step(st, cfg)
 
 
+def test_per_scale_trajectory_matches_array_gather_bitwise():
+    # reference: each step gathers (a_j, b_j, vol_j) from the sequences as
+    # numpy arrays, as the per-scale step did before the float lists
+    cfg = FlowConfig(mode="per-scale", horizon=3000, a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05),
+                     vol_seq=(), a_limit=1.01, b_limit=0.99)
+    traj = trajectory(0.031, 0.017, cfg)
+    x, y = 0.031, 0.017
+    for i in range(traj.horizon):
+        assert (x, y) == (traj.x[i], traj.y[i])
+        j = i + 1
+        a_j = np.asarray(cfg.a_seq)[min(j, 3) - 1]
+        b_j = np.asarray(cfg.b_seq)[min(j, 2) - 1]
+        F = -(a_j / cfg.a_limit - 1.0) * y * y
+        M = (1.0 - 1.0) * y - (1.0 * b_j / cfg.b_limit - 1.0) * x * y
+        x, y = x - y * y + F, y - x * y + M
+
+
+def test_trajectory_converts_per_scale_tables_once(monkeypatch):
+    import ktrg.flow as flow
+
+    calls = []
+    tables = flow._per_scale_tables
+    monkeypatch.setattr(flow, "_per_scale_tables", lambda cfg: calls.append(cfg) or tables(cfg))
+    cfg = FlowConfig(mode="per-scale", horizon=500, a_seq=(1.1, 1.02), b_seq=(1.05,), vol_seq=(1.0,))
+    assert trajectory(0.01, 0.01, cfg).horizon == 500
+    assert len(calls) == 1
+    # limit mode returns from `corrections` before any per-scale work
+    monkeypatch.setattr(flow, "_per_scale_tables", None)
+    monkeypatch.setattr(flow, "_per_scale", None)
+    assert trajectory(0.01, 0.01, FlowConfig(horizon=500)).horizon == 500
+
+
 _KERNEL_CONFIGS = {
     "limit": FlowConfig(),
     "per-scale": FlowConfig(mode="per-scale", a_seq=(1.5, 1.1, 1.02, 1.0), b_seq=(1.3, 1.05, 1.01),

@@ -53,6 +53,37 @@ def _full_sector_sums(side, beta, n, W):
     return out
 
 
+def _sector_sums_prefix_loop(side, beta, n, W):
+    """Oracle: particle 1 pinned at (origin, +), every ordered prefix of the
+    n - 3 free slots visited in a Python loop, no label-permutation reduction."""
+    if n < 3:
+        return _sector_sums(side, beta, n, W)
+    slots, V, sigma = _slot_tables(side, W)
+    ns = len(slots)
+    diag = np.diag(V)
+    E2 = diag[:, None] + diag[None, :] + 2.0 * V
+    Q2 = sigma[:, None] + sigma[None, :]
+    q_masks = {qv: Q2 == qv for qv in (-2, 0, 2)}
+    pinned = {}
+    for rest in itertools.product(range(ns), repeat=n - 3):
+        prefix = (0,) + rest
+        e_pre = 0.0
+        cross = np.zeros(ns)
+        q_pre = 0
+        for i, a in enumerate(prefix):
+            e_pre += diag[a]
+            for b in prefix[:i]:
+                e_pre += 2.0 * V[a, b]
+            cross += V[a]
+            q_pre += sigma[a]
+        E = e_pre + E2 + 2.0 * (cross[:, None] + cross[None, :])
+        wts = np.exp(-0.5 * beta * E)
+        for qv, mask in q_masks.items():
+            pinned[q_pre + qv] = pinned.get(q_pre + qv, 0.0) + float(np.sum(wts[mask]))
+    charges = set(pinned) | {-q for q in pinned}
+    return {int(Q): side * side * (pinned.get(Q, 0.0) + pinned.get(-Q, 0.0)) for Q in sorted(charges)}
+
+
 def _potentials(side):
     return {
         "yukawa": yukawa_table(oracle_lattice(side, 0.25)),
@@ -255,10 +286,41 @@ def test_conjugate_sectors_bitwise_equal():
             assert res.sector_terms[m][(n, -Q)] == v
 
 
-def test_sector_budget_guard_unchanged():
-    W = yukawa_table(oracle_lattice(5, 0.5))
+@pytest.mark.parametrize("side, n_max", [(3, 6), (5, 5)])
+def test_sorted_prefix_sums_match_prefix_loop(side, n_max):
+    # the non-decreasing prefixes with multinomial weights against every
+    # ordered prefix of the free slots
+    for name, W in _potentials(side).items():
+        for n in range(3, n_max + 1):
+            got = _sector_sums(side, BETA, n, W)
+            want = _sector_sums_prefix_loop(side, BETA, n, W)
+            assert set(got) == set(want), (name, n)
+            for Q, v in want.items():
+                assert abs(got[Q] - v) <= 1e-12 * abs(v), (name, n, Q, got[Q], v)
+
+
+def test_slot_tables_match_row_loop():
+    for side in (3, 5):
+        for W in _potentials(side).values():
+            slots, V, sigma = _slot_tables(side, W)
+            for a, (pa, sa) in enumerate(slots):
+                for b, (pb, sb) in enumerate(slots):
+                    assert V[a, b] == sa * sb * W[(pa[0] - pb[0]) % side, (pa[1] - pb[1]) % side]
+
+
+def test_sector_budget_counts_reduced_work():
+    # side 5, n = 6: C(52, 3) sorted prefixes times the 50 x 50 block,
+    # 5.5e7 entries, runs; side 7, n = 6 (1.6e9 entries) is refused
+    lat = oracle_lattice(5)
+    rep = siegert_kac_check(lat, BETA, 0.05, 6, s=0.0)
+    assert rep.passed
+    assert {n for n, _ in rep.per_n} == set(range(7))
+    sums = _sector_sums(5, BETA, 6, yukawa_table(oracle_lattice(5, 0.5)))
+    assert set(sums) == {-6, -4, -2, 0, 2, 4, 6}
+    for Q, v in sums.items():
+        assert sums[-Q] == v
     with pytest.raises(ValueError, match="budget"):
-        _sector_sums(5, BETA, 6, W)  # 50^4 > 3e6 labeled prefixes
+        _sector_sums(7, BETA, 6, yukawa_table(oracle_lattice(7, 0.5)))
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -25,7 +25,19 @@ from ktrg.polymers import (
     j_extraction_check,
     j_extraction_defect,
 )
-from ktrg.polymers import BlockPaving, Polymer, JExtractionReport, _extraction_map, _small_family
+from ktrg.polymers import (
+    BlockPaving, Polymer, JExtractionReport, _component_data, _connected_sets_containing, _extraction_map,
+    _small_family,
+)
+
+
+def _connected_sets_per_origin(n, max_size):
+    """Reference: the connected sets through each block, merged over all blocks."""
+    out = set()
+    for b0 in range(n):
+        for b1 in range(n):
+            out.update(_connected_sets_containing((b0, b1), n, max_size))
+    return sorted(out, key=lambda s: sorted(s))
 
 
 def test_paving_counts():
@@ -198,6 +210,41 @@ def test_reblock_inequality_family():
     assert len(fam) > 7000
     assert all(reblock_inequality(X, 0.05) for X in fam)
     assert max_reblock_eta(fam) > 0.05
+
+
+def test_connected_polymers_match_per_origin_enumeration():
+    pav = paving(3, 2, 0)
+    want = [Polymer(pav, s) for s in _connected_sets_per_origin(pav.n_axis, 5)]
+    assert connected_polymers_up_to(pav, 5) == want
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 0), (3, 2, 1), (3, 3, 1), (5, 2, 0)])
+def test_small_family_matches_per_origin_enumeration(dims):
+    pav = paving(*dims)
+    want = [s for s in _connected_sets_per_origin(pav.n_axis, 4)
+            if [wraps for _, wraps in _component_data(pav, s)] == [False]]
+    assert _small_family(pav) == want
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, False, "3", None])
+def test_connected_polymers_rejects_bad_max_blocks(bad):
+    with pytest.raises(ValueError, match="max_blocks"):
+        connected_polymers_up_to(paving(3, 1, 0), bad)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -0.01, float("-inf")])
+def test_reblock_inequality_rejects_bad_eta(bad):
+    X = polymer(paving(3, 2, 0), [(0, 0)])
+    with pytest.raises(ValueError, match="eta"):
+        reblock_inequality(X, bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -10.0])
+def test_k_small_and_k_large_reject_bad_A(bad):
+    V = polymer(paving(3, 2, 1), [(1, 1)])
+    for fn in (k_small, k_large):
+        with pytest.raises(ValueError, match="A must"):
+            fn(bad, 0.5, V)
 
 
 def test_reblock_inequality_multicomponent():
