@@ -99,42 +99,35 @@ def kosterlitz_q_array(q1: float, horizon: int) -> np.ndarray:
     return q1 / (1.0 + abs(q1) * (js - 1.0))
 
 
-def _per_scale_tables(config: FlowConfig) -> tuple:
-    """(a, b, vol) as lists of floats; an empty sequence is [its limit value]."""
-    return tuple([float(v) for v in seq] or [default] for seq, default in (
-        (config.a_seq, config.a_limit), (config.b_seq, config.b_limit), (config.vol_seq, 1.0)))
+def _per_scale(config: FlowConfig, j):
+    """(a_j, b_j, vol_j) with the sequence frozen past its last entry.
 
-
-def _per_scale(tables: tuple, j):
-    """(a_j, b_j, vol_j), each table frozen past its last entry.
-
-    An int j indexes the lists, so a scalar step makes no numpy call; an
-    int array j gathers from them.
+    An int j indexes the config tuples, so a scalar step makes no numpy
+    call; an int array j gathers from them.
     """
-    a, b, vol = tables
+    pairs = ((config.a_seq, config.a_limit), (config.b_seq, config.b_limit), (config.vol_seq, 1.0))
     if isinstance(j, int):
-        return a[min(j, len(a)) - 1], b[min(j, len(b)) - 1], vol[min(j, len(vol)) - 1]
-    return tuple(np.asarray(t)[np.minimum(j, len(t)) - 1] for t in tables)
+        return tuple(seq[min(j, len(seq)) - 1] if seq else default for seq, default in pairs)
+    return tuple(np.asarray(seq)[np.minimum(j, len(seq)) - 1] if seq else default for seq, default in pairs)
 
 
-def corrections(j, x, y, config: FlowConfig, tables: tuple | None = None):
+def corrections(j, x, y, config: FlowConfig):
     """(F~, M~): the per-scale corrections to the quadratic step.
 
-    Floats or equal-shape arrays; j is an int or an int array.  tables is
-    `_per_scale_tables(config)`, passed in by callers that step many times.
-    The limit flow returns zeros and touches no numpy.
+    Floats or equal-shape arrays; j is an int or an int array.  The limit
+    flow returns zeros and touches no numpy.
     """
     if config.mode != "per-scale":
         return 0.0, 0.0
-    a_j, b_j, vol_j = _per_scale(_per_scale_tables(config) if tables is None else tables, j)
+    a_j, b_j, vol_j = _per_scale(config, j)
     F = -(a_j / config.a_limit - 1.0) * y * y
     M = (vol_j - 1.0) * y - (vol_j * b_j / config.b_limit - 1.0) * x * y
     return F, M
 
 
-def _advance(j, x, y, config: FlowConfig, tables: tuple | None = None):
+def _advance(j, x, y, config: FlowConfig):
     """One RG step from scale j: (x, y) at scale j + 1."""
-    F, M = corrections(j, x, y, config, tables)
+    F, M = corrections(j, x, y, config)
     return x - y * y + F, y - x * y + M
 
 
@@ -154,14 +147,13 @@ def trajectory(x1: float, y1: float, config: FlowConfig) -> FlowTrajectory:
     ys = np.empty(J)
     x, y = float(x1), float(y1)
     ceiling = config.ceiling
-    tables = _per_scale_tables(config) if config.mode == "per-scale" else None
     for i in range(J):
         xs[i], ys[i] = x, y
         if abs(x) > ceiling or abs(y) > ceiling:
             n = i + 1
             return FlowTrajectory(config=config, x=xs[:n], y=ys[:n],
                                   diverged_at=n, diverged_in="y" if abs(y) >= abs(x) else "x")
-        x, y = _advance(i + 1, x, y, config, tables)
+        x, y = _advance(i + 1, x, y, config)
     return FlowTrajectory(config=config, x=xs, y=ys)
 
 

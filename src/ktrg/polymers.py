@@ -228,31 +228,6 @@ def _connected_sets(n_axis: int, max_size: int) -> list[frozenset]:
     return out
 
 
-def _connected_sets_containing(origin, n_axis: int, max_size: int):
-    """All connected block sets through `origin` with at most max_size blocks."""
-    seen = set()
-    out = []
-
-    def grow(cur: frozenset, frontier):
-        if cur in seen:
-            return
-        seen.add(cur)
-        out.append(cur)
-        if len(cur) == max_size:
-            return
-        cand = set()
-        for b in cur:
-            for d in _NBRS:
-                nb = ((b[0] + d[0]) % n_axis, (b[1] + d[1]) % n_axis)
-                if nb not in cur:
-                    cand.add(nb)
-        for nb in cand:
-            grow(cur | {nb}, None)
-
-    grow(frozenset([tuple(origin)]), None)
-    return out
-
-
 def count_S(L: int, side_blocks: int = 9) -> int:
     """Number of small polymers containing a fixed block (j-independent).
 
@@ -261,8 +236,8 @@ def count_S(L: int, side_blocks: int = 9) -> int:
     """
     if side_blocks < 9:
         raise ValueError("torus too small: counts would be wrap-inflated")
-    sets = _connected_sets_containing((side_blocks // 2, side_blocks // 2), side_blocks, 4)
-    return len(sets)
+    c = (side_blocks // 2, side_blocks // 2)
+    return sum(c in s for s in _connected_sets(side_blocks, 4))
 
 
 def count_polyominoes(max_size: int) -> dict[int, int]:

@@ -225,7 +225,7 @@ def test_step_and_trajectory_share_one_step():
 
 def test_per_scale_trajectory_matches_array_gather_bitwise():
     # reference: each step gathers (a_j, b_j, vol_j) from the sequences as
-    # numpy arrays, as the per-scale step did before the float lists
+    # numpy arrays, as the array branch of the per-scale lookup does
     cfg = FlowConfig(mode="per-scale", horizon=3000, a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05),
                      vol_seq=(), a_limit=1.01, b_limit=0.99)
     traj = trajectory(0.031, 0.017, cfg)
@@ -240,17 +240,10 @@ def test_per_scale_trajectory_matches_array_gather_bitwise():
         x, y = x - y * y + F, y - x * y + M
 
 
-def test_trajectory_converts_per_scale_tables_once(monkeypatch):
+def test_limit_trajectory_does_no_per_scale_work(monkeypatch):
+    # limit mode returns from `corrections` before any per-scale lookup
     import ktrg.flow as flow
 
-    calls = []
-    tables = flow._per_scale_tables
-    monkeypatch.setattr(flow, "_per_scale_tables", lambda cfg: calls.append(cfg) or tables(cfg))
-    cfg = FlowConfig(mode="per-scale", horizon=500, a_seq=(1.1, 1.02), b_seq=(1.05,), vol_seq=(1.0,))
-    assert trajectory(0.01, 0.01, cfg).horizon == 500
-    assert len(calls) == 1
-    # limit mode returns from `corrections` before any per-scale work
-    monkeypatch.setattr(flow, "_per_scale_tables", None)
     monkeypatch.setattr(flow, "_per_scale", None)
     assert trajectory(0.01, 0.01, FlowConfig(horizon=500)).horizon == 500
 

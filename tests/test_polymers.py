@@ -26,9 +26,33 @@ from ktrg.polymers import (
     j_extraction_defect,
 )
 from ktrg.polymers import (
-    BlockPaving, Polymer, JExtractionReport, _component_data, _connected_sets_containing, _extraction_map,
-    _small_family,
+    BlockPaving, Polymer, JExtractionReport, _NBRS, _component_data, _extraction_map, _small_family,
 )
+
+
+def _connected_sets_containing(origin, n_axis, max_size):
+    """Reference: all connected block sets through `origin`, grown recursively."""
+    seen = set()
+    out = []
+
+    def grow(cur):
+        if cur in seen:
+            return
+        seen.add(cur)
+        out.append(cur)
+        if len(cur) == max_size:
+            return
+        cand = set()
+        for b in cur:
+            for d in _NBRS:
+                nb = ((b[0] + d[0]) % n_axis, (b[1] + d[1]) % n_axis)
+                if nb not in cur:
+                    cand.add(nb)
+        for nb in cand:
+            grow(cur | {nb})
+
+    grow(frozenset([tuple(origin)]))
+    return out
 
 
 def _connected_sets_per_origin(n, max_size):
@@ -128,8 +152,6 @@ def test_count_S_value_and_invariance():
     assert counts == {1: 1, 2: 2, 3: 6, 4: 19}
     assert sum(n * c for n, c in counts.items()) == 99
     # translation invariance on the enumeration torus
-    from ktrg.polymers import _connected_sets_containing
-
     assert len(_connected_sets_containing((2, 3), 9, 4)) == 99
     assert len(_connected_sets_containing((0, 0), 11, 4)) == 99  # scale/size independent
     with pytest.raises(ValueError):
