@@ -170,17 +170,21 @@ def is_small(X: Polymer) -> bool:
     return len(blks) <= 4 and not wraps
 
 
+def _parent_blocks(pav: BlockPaving, blocks) -> frozenset:
+    """The (j+1)-blocks that contain the given j-blocks."""
+    if pav.j >= pav.R:
+        raise ValueError("no coarser paving available")
+    n, L = pav.n_axis, pav.L
+    up = n // L
+    return frozenset(tuple(((c + (n - 1) // 2) % n - (n - 1) // 2 + (L - 1) // 2) // L % up for c in b)
+                     for b in blocks)
+
+
 def closure(X: Polymer) -> Polymer:
     """Smallest (j+1)-polymer containing X."""
     pav = X.paving
-    if pav.j >= pav.R:
-        raise ValueError("no coarser paving available")
-    up = BlockPaving(L=pav.L, R=pav.R, j=pav.j + 1)
-    n, L = pav.n_axis, pav.L
-    parents = set()
-    for b in X.blocks:
-        parents.add(tuple(((c + (n - 1) // 2) % n - (n - 1) // 2 + (L - 1) // 2) // L % up.n_axis for c in b))
-    return Polymer(up, frozenset(parents))
+    parents = _parent_blocks(pav, X.blocks)
+    return Polymer(BlockPaving(L=pav.L, R=pav.R, j=pav.j + 1), parents)
 
 
 def neighborhood(X: Polymer) -> Polymer:
@@ -374,7 +378,8 @@ def reblock_inequality(X: Polymer, eta: float) -> bool:
     if not (math.isfinite(eta) and eta >= 0.0):
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     ncomp = len(_component_data(X.paving, X.blocks))
-    return (1.0 + 2.0 * eta) * closure(X).size <= X.size + 8.0 * (1.0 + 2.0 * eta) * ncomp
+    ncl = len(_parent_blocks(X.paving, X.blocks))
+    return (1.0 + 2.0 * eta) * ncl <= X.size + 8.0 * (1.0 + 2.0 * eta) * ncomp
 
 
 def max_reblock_eta(polymers) -> float:
@@ -382,7 +387,7 @@ def max_reblock_eta(polymers) -> float:
     best = float("inf")
     for X in polymers:
         nc = len(_component_data(X.paving, X.blocks))
-        cl = closure(X).size
+        cl = len(_parent_blocks(X.paving, X.blocks))
         slack = cl - 8 * nc
         if slack > 0:
             best = min(best, (X.size + 8 * nc - cl) / (2.0 * slack))
@@ -512,7 +517,7 @@ def _extraction_map(pav_j: BlockPaving) -> _ExtractionMap:
     by_block: dict = {}
     members: dict = {}  # closure variable -> the X with that closure
     for X, i in u_index.items():
-        c = v_index.get(closure(Polymer(pav_j, X)).blocks, -1)
+        c = v_index.get(_parent_blocks(pav_j, X), -1)
         members.setdefault(c, []).append(i)
         for B in X:
             by_block.setdefault(B, []).append((i, c))

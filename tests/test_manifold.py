@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ktrg.manifold
 from ktrg.flow import FlowConfig, corrections, trajectory, kosterlitz_q_array
 from ktrg.manifold import (
     _BLOCK,
+    _EPS,
+    _FLOOR,
     _classify,
     _distance,
     _tail_envelope,
@@ -290,19 +293,55 @@ def _classify_reference(x1, y1, ceiling, j_max):
     raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
 
 
-def _classify_stepwise(x1, y1, ceiling, j_max):
-    """The shooting classification with every exit tested before every step
-    (oracle for the block-stepped `_classify`)."""
+def _stepwise_run(x1, y1, ceiling, j_max):
+    """(class, steps taken before it) of the per-step loop whose only wedge
+    exits are the 2y wedges, or (None, j_max) if it does not decide."""
     x, y = float(x1), float(y1)
-    for _ in range(j_max):
+    for n in range(j_max):
         if y <= 0.0:
-            return "unstable" if x <= -ceiling else "stable"
+            return ("unstable" if x <= -ceiling else "stable"), n
         if y >= ceiling or (y >= 2.0 * x and x < 1.0):
-            return "unstable"
+            return "unstable", n
         if x >= ceiling or x >= 2.0 * y:
-            return "stable"
+            return "stable", n
         x, y = x - y * y, y - x * y
-    raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
+    return None, j_max
+
+
+def _classify_stepwise(x1, y1, ceiling, j_max):
+    """The shooting classification with the 2y wedges as its only wedge exits
+    and every exit tested before every step (oracle for the narrow wedges)."""
+    side, _ = _stepwise_run(x1, y1, ceiling, j_max)
+    if side is None:
+        raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
+    return side
+
+
+def _narrow_run(x1, y1, ceiling, j_max):
+    """(outcome, steps taken before it) of the per-step loop with the narrow
+    wedges and the diagonal as exits too, or (None, j_max)."""
+    x, y = float(x1), float(y1)
+    for n in range(j_max):
+        if y <= 0.0:
+            return ("unstable" if x <= -ceiling else "stable"), n
+        if y >= ceiling or (x < 1.0 and (y >= 2.0 * x or y - x >= _EPS * max(x, _FLOOR))):
+            return "unstable", n
+        if x >= ceiling or x >= 2.0 * y or (x < 1.0 and x - y >= _EPS * max(y, _FLOOR)):
+            return "stable", n
+        if x == y and x < 1.0:
+            return "diagonal", n
+        x, y = x - y * y, y - x * y
+    return None, j_max
+
+
+def _classify_narrow_stepwise(x1, y1, ceiling, j_max):
+    """The shooting classification with every exit, the narrow wedges and
+    the diagonal included, tested before every step (oracle for the
+    block-stepped `_classify`)."""
+    side, _ = _narrow_run(x1, y1, ceiling, j_max)
+    if side is None:
+        raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
+    return side
 
 
 def _outcome(classify, *args):
@@ -313,14 +352,18 @@ def _outcome(classify, *args):
         return str(e)
 
 
+def _near_separatrix(rng, n, rel):
+    """n starts x1 = y1 (1 + delta), |delta| < rel, where trajectories are
+    decided late."""
+    y = rng.uniform(0.005, 0.1, size=n)
+    return np.column_stack([y * (1.0 + rng.uniform(-rel, rel, size=n)), y]).tolist()
+
+
 def _classify_points(ceiling):
-    """Uniform on the square, then a band along the separatrix x1 ~ y1, where
-    trajectories are decided late."""
+    """Uniform on the square, then a band along the separatrix x1 ~ y1."""
     rng = np.random.default_rng(int(10 * ceiling))
     pts = rng.uniform(-1.5, 1.5, size=(10_000, 2)).tolist()
-    y = rng.uniform(0.005, 0.1, size=500)
-    pts += np.column_stack([y * (1.0 + rng.uniform(-0.01, 0.01, size=500)), y]).tolist()
-    return pts
+    return pts + _near_separatrix(rng, 500, 0.01)
 
 
 @pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
@@ -339,13 +382,15 @@ def test_classify_matches_reference_on_random_points(ceiling):
 
 @pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
 def test_classify_matches_stepwise_loop(ceiling):
-    # the same class, or the same "inconclusive" error, for step budgets
-    # below, at and above one block
-    pts = _classify_points(ceiling)
+    # the same class, or the same "inconclusive" error, as the per-step loop
+    # with the narrow exits, for step budgets below, at and above one block;
+    # the narrow wedges decide the 1% band within 1000 steps, so a tighter
+    # band keeps the error in play
+    pts = _classify_points(ceiling) + _near_separatrix(np.random.default_rng(int(10 * ceiling) + 1), 200, 1e-5)
     for j_max in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000, 100_000):
         seen = set()
         for x1, y1 in pts:
-            want = _outcome(_classify_stepwise, x1, y1, ceiling, j_max)
+            want = _outcome(_classify_narrow_stepwise, x1, y1, ceiling, j_max)
             assert _outcome(_classify, x1, y1, ceiling, j_max) == want, (x1, y1, j_max)
             seen.add(want)
         assert {"stable", "unstable"} <= seen
@@ -353,35 +398,40 @@ def test_classify_matches_stepwise_loop(ceiling):
             assert f"shooting trajectory inconclusive after {j_max} steps" in seen
 
 
-def _stepwise_decision_steps(x1, y1, ceiling):
-    """The least j_max with which the stepwise loop decides (x1, y1)."""
-    lo, hi = 0, 100_000
-    assert _outcome(_classify_stepwise, x1, y1, ceiling, hi) in ("stable", "unstable")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _outcome(_classify_stepwise, x1, y1, ceiling, mid) in ("stable", "unstable"):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+@pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
+def test_narrow_wedges_decide_as_the_2y_loop_in_no_more_steps(ceiling):
+    # wherever the 2y loop decides, the narrow wedges give its class with a
+    # budget of the steps it took; near the separatrix they decide far sooner
+    pts = _classify_points(ceiling) + _near_separatrix(np.random.default_rng(int(10 * ceiling) + 2), 200, 1e-4)
+    old_steps = new_steps = 0
+    for x1, y1 in pts:
+        side, n = _stepwise_run(x1, y1, ceiling, 200_000)
+        if side is None:
+            continue
+        narrow_side, m = _narrow_run(x1, y1, ceiling, n + 1)
+        assert narrow_side == side and _classify(x1, y1, ceiling, n + 1) == side, (x1, y1)
+        old_steps += n
+        new_steps += m
+    assert new_steps < old_steps / 10
 
 
-@pytest.mark.parametrize("x1", [0.02003, 0.01997], ids=["stable", "unstable"])
+@pytest.mark.parametrize("x1", [0.02000003, 0.01999997], ids=["stable", "unstable"])
 def test_classify_decides_at_the_stepwise_step(x1):
-    # A start near the separatrix Sigma(0.02) ~ 0.02 is decided after more
+    # A start near the separatrix Sigma(0.02) = 0.02 is decided after more
     # than three blocks: a budget of N steps decides it, N - 1 steps do not.
     # Stepped on so that its deciding state ends a block, it checks that such
     # a block is replayed step by step rather than decided at its end.
     y1, ceiling = 0.02, 1.0
-    n = _stepwise_decision_steps(x1, y1, ceiling)
+    side, n = _narrow_run(x1, y1, ceiling, 100_000)
+    n += 1
     assert n > 3 * _BLOCK
     x, y = x1, y1
     for _ in range((n - 1) % _BLOCK):
         x, y = x - y * y, y - x * y
     m = n - (n - 1) % _BLOCK
     for start, steps in (((x1, y1), n), ((x, y), m)):
-        for classify in (_classify_stepwise, _classify):
-            assert classify(*start, ceiling, steps) == ("stable" if x1 > y1 else "unstable")
+        for classify in (_classify_narrow_stepwise, _classify):
+            assert classify(*start, ceiling, steps) == side == ("stable" if x1 > y1 else "unstable")
             with pytest.raises(RuntimeError, match=f"inconclusive after {steps - 1} steps"):
                 classify(*start, ceiling, steps - 1)
 
@@ -390,6 +440,13 @@ def test_classify_unstable_wedge_needs_x_below_one():
     # in the wedge y >= 2x but with x > 1: y' = y(1 - x) < 0, so y dies
     assert _classify_reference(1.1, 2.3, 10.0, 100) == "stable"
     assert _classify(1.1, 2.3, 10.0, 100) == "stable"
+
+
+def test_narrow_stable_wedge_needs_x_below_one():
+    # x - y >= eps y with x > 1: y' < 0, and x' = x - y^2 may already be
+    # below -ceiling, which makes the trajectory unstable
+    for c in (_classify_stepwise, _classify_narrow_stepwise, _classify):
+        assert c(4.1, 4.0, 10.0, 100) == "unstable"
 
 
 def test_unstable_wedge_is_forward_invariant():
@@ -402,13 +459,91 @@ def test_unstable_wedge_is_forward_invariant():
             assert (y > 0.0 and y >= 2.0 * x and x < 1.0) or y >= ceiling, (x, y, ceiling)
 
 
-@pytest.mark.parametrize("y1", [0.01, 0.02, 0.03, 0.04])
+def test_narrow_floor_is_the_least_the_proof_allows():
+    # the wedge distance stops shrinking once it is at least 6u (_classify)
+    u = 2.0**-53
+    assert _EPS * _FLOOR >= 6 * u > _EPS * _FLOOR / 2
+
+
+# log-uniform on [2^-50, 1): every scale from eps F up to x, y < 1
+_SCALE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-50, -1))
+
+
+def _off_diagonal(lo, t, k):
+    """The coordinate above lo in a narrow-wedge state: the width
+    eps max(lo, F) plus t (lo - width), rounded up to at least the width,
+    then k doubles further up."""
+    w = _EPS * max(lo, _FLOOR)
+    hi = lo + (w + t * (lo - w))
+    while hi - lo < w:
+        hi = math.nextafter(hi, 2.0)
+    for _ in range(k):
+        hi = math.nextafter(hi, 2.0)
+    return hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(y=_SCALE, t=st.floats(0.0, 1.0), k=st.integers(0, 3))
+def test_narrow_stable_wedge_is_forward_invariant(y, t, k):
+    # a state of the narrow stable wedge off the 2y wedge, at, above and
+    # below the floor, steps into the narrow or the 2y stable wedge
+    x = _off_diagonal(y, t, k)
+    assume(x < 1.0 and x - y < y)
+    x, y = x - y * y, y - x * y
+    assert x >= 0.0 and (y == 0.0 or x >= 2.0 * y or x - y >= _EPS * max(y, _FLOOR)), (x, y)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=_SCALE, t=st.floats(0.0, 1.0), k=st.integers(0, 3))
+def test_narrow_unstable_wedge_is_forward_invariant(x, t, k):
+    # likewise: the narrow unstable wedge steps into itself or the 2y wedge
+    y = _off_diagonal(x, t, k)
+    assume(y - x < x)
+    x, y = x - y * y, y - x * y
+    assert y > 0.0 and x < 1.0 and (y >= 2.0 * x or y - x >= _EPS * max(x, _FLOOR)), (x, y)
+
+
+@pytest.mark.parametrize("ceiling", [0.5, 1.0, 10.0])
+@pytest.mark.parametrize("t", [2.0**-1074, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53])
+def test_classify_reports_the_diagonal(t, ceiling):
+    # x = y < 1 steps to x' = y' bit for bit, so no exit ever fires
+    want = "diagonal" if t < ceiling else "unstable"
+    for j_max in (1, _BLOCK + 1, 10_000):
+        assert _classify_narrow_stepwise(t, t, ceiling, j_max) == want
+        assert _classify(t, t, ceiling, j_max) == want
+    x, y = t, t
+    for _ in range(1000):
+        x, y = x - y * y, y - x * y
+        assert x == y and y > 0.0
+
+
+@pytest.mark.parametrize("y1", [0.05, 0.025, 0.0125])
+def test_shooting_returns_a_midpoint_on_the_diagonal(y1):
+    # y1 a dyadic fraction of the bracket (0, 0.1): a midpoint is y1 itself,
+    # whose trajectory stays on x = y; the 2y loop ran such a start to j_max
+    assert solve_shooting(y1) == y1
+    with pytest.raises(RuntimeError, match="inconclusive after 1000 steps"):
+        _classify_stepwise(y1, y1, 1.0, 1000)
+
+
+def test_shooting_returns_a_bracket_edge_on_the_diagonal():
+    assert solve_shooting(0.01, bracket=(0.01, 0.1)) == 0.01
+    assert solve_shooting(0.01, bracket=(0.0, 0.01)) == 0.01
+
+
+@pytest.mark.parametrize("y1", [0.005, 0.01, 0.02, 0.03, 0.04])
 def test_shooting_matches_reference_bisection(y1, monkeypatch):
     # the block-stepped oracle bisects to the stepwise loop's Sigma bit for bit
     tols = (1e-10, 2e-10)
     got = [solve_shooting(y1, tol=tol) for tol in tols]
     monkeypatch.setattr(ktrg.manifold, "_classify", _classify_stepwise)
     assert got == [solve_shooting(y1, tol=tol) for tol in tols]
+
+
+@pytest.mark.parametrize("y1", [0.01, 0.04])
+def test_shooting_reaches_tight_tolerances(y1):
+    # the 2y loop gave up on these after 1e7 steps; limit-mode Sigma is y1
+    assert abs(solve_shooting(y1, tol=1e-12) - y1) <= 1e-12
 
 
 def test_shooting_stops_at_adjacent_floats(monkeypatch):
