@@ -12,6 +12,15 @@ Sums quadratic in the kernels (b_j, e3_j) and second differences at the
 origin (e2_j, e4_j) are Parseval sums on the scale-j grid, whose period
 exceeds twice the support.
 
+The position sums of a_j and e4_j run on the quarter z0, z1 >= 0 of each
+scale's window (CovarianceStack.kernel): every kernel Gamma_j and every
+summand is even in each coordinate, so a full-window sum is m @ F @ m with
+the multiplicities m = (1, 2, 2, ...) (SpectralGrid.window_sum).  The
+y0 y1 cross term of the e4 Taylor subtraction is odd in each coordinate,
+sums to zero over the window and is dropped (its coefficient is exactly 0
+anyway).  Only the test-level w-kernel tables (kernels) are built on the
+full window, from the differenced kernels and mirrored quarters.
+
 Direction sums follow the convention that a sum over the four signed unit
 vectors carries a factor 1/2.  Euclidean |y|^2 is used in the second-moment
 sums; the max norm only enters geometry/support statements.
@@ -129,7 +138,8 @@ def kernels(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WK
     shape = (2 * g.radius + 1, 2 * g.radius + 1)
 
     def gam(m, deriv=()):
-        return stack.kernel(m, j - 1, deriv)
+        K = stack.kernel(m, j - 1, deriv)
+        return K if deriv else g.full_window(K)
 
     w_a = {}
     for a1 in range(2):
@@ -169,7 +179,7 @@ def kernels(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WK
     return WKernels(
         j=j, alpha_sq=alpha_sq, step=g.step, radius=g.radius,
         w_a=w_a, w_b=w_b, w_c=w_c, w_d=w_d, w_e=w_e,
-        y_sq=g.y_sq, alias_bound=g.alias_bound(stack.fine_scales(j - 1)),
+        y_sq=g.full_window(g.y_sq), alias_bound=g.alias_bound(stack.fine_scales(j - 1)),
     )
 
 
@@ -178,7 +188,7 @@ def kernels(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WK
 
 
 def _w_b_term(stack: CovarianceStack, j: int, n: int, a2: float) -> np.ndarray:
-    """Scale-n term of w_{b,j} on the scale-n grid."""
+    """Scale-n term of w_{b,j} on the quarter window of the scale-n grid."""
     pref = stack.prefix_diag(j - 1, n + 1) - sum(stack.kernel(m, n) for m in range(n + 1, j))
     wb_n = (np.exp(-a2 * pref) * math.exp(-a2 * stack.gamma0(n)) * np.expm1(a2 * stack.kernel(n, n))
             * float(stack.lattice.L) ** (-4 * n))
@@ -186,15 +196,14 @@ def _w_b_term(stack: CovarianceStack, j: int, n: int, a2: float) -> np.ndarray:
 
 
 def _origin_bracket(stack: CovarianceStack, j: int, n: int, a2: float) -> np.ndarray:
-    """expm1(-a2 (Gamma_j(0) - Gamma_j(y))) on the scale-n window.
+    """expm1(-a2 (Gamma_j(0) - Gamma_j(y))) on the quarter window of the scale-n grid.
 
-    Gamma_j(0) is the origin entry of the same kernel array, so the bracket
-    vanishes exactly at y = 0 instead of carrying the rounding gap between
-    two sums.
+    Gamma_j(0) is the origin entry [0, 0] of the same kernel array, so the
+    bracket vanishes exactly at y = 0 instead of carrying the rounding gap
+    between two sums.
     """
     K = stack.kernel(j, n)
-    r = stack.grid(n).radius
-    return np.expm1(-a2 * (K[r, r] - K))
+    return np.expm1(-a2 * (K[0, 0] - K))
 
 
 def _scale_bands(stack: CovarianceStack, j: int) -> list[np.ndarray]:
@@ -215,8 +224,7 @@ def coeff_a(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     # first sum, term by term in the w_b scale index n, each on the scale-n grid
     for n in range(j):
         g = stack.grid(n)
-        bracket = _origin_bracket(stack, j, n, a2)
-        total += g.weight * float(np.sum(g.y_sq * _w_b_term(stack, j, n, a2) * bracket))
+        total += g.window_sum(g.y_sq, _w_b_term(stack, j, n, a2), _origin_bracket(stack, j, n, a2))
     # second sum on the scale-j grid
     g = stack.grid(j)
     term2 = a2 * stack.kernel(j, j)
@@ -224,8 +232,7 @@ def coeff_a(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     term2 *= math.exp(-a2 * g0j)
     term2 *= L ** (-4 * j)
     _guard_exp(term2, j)
-    term2 *= g.y_sq
-    total += g.weight * float(np.sum(term2))
+    total += g.window_sum(g.y_sq, term2)
     return 0.5 * a2 * total
 
 
@@ -291,15 +298,17 @@ def _e3_symbol(g) -> np.ndarray:
 
 
 def _taylor_quad(dd_tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """0.25 sum_{mu nu} dd[mu, nu] y_mu y_nu over the window y x y, y_mu = DIRS[mu] . y.
+    """0.25 sum_{mu nu} dd[mu, nu] y_mu y_nu over the quarter window y x y, y_mu = DIRS[mu] . y.
 
     That is the 2x2 form Q = 0.25 D^T dd D in the two axes, D the rows of
-    DIRS.
+    DIRS, without its cross term: y0 y1 is odd in each coordinate and sums
+    to zero over the symmetric window, and its coefficient Q01 + Q10 is
+    exactly 0 anyway (all cross-axis entries of dd are one Parseval sum).
     """
     D = np.array(DIRS, dtype=float)
     Q = 0.25 * D.T @ dd_tensor @ D
-    y0, y1 = y[:, None], y[None, :]
-    return Q[0, 0] * y0**2 + (Q[0, 1] + Q[1, 0]) * y0 * y1 + Q[1, 1] * y1**2
+    y2 = y**2
+    return Q[0, 0] * y2[:, None] + Q[1, 1] * y2[None, :]
 
 
 def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> tuple[float, float, float]:
@@ -331,11 +340,11 @@ def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT)
     for n in range(j):
         gn = stack.grid(n)
         bracket = _origin_bracket(stack, j, n, a2) - 0.5 * a2 * _taylor_quad(dd_tensor, gn.y)
-        e4 += 2.0 * L2j * gn.weight * float(np.sum(_w_b_term(stack, j, n, a2) * bracket))
+        e4 += 2.0 * L2j * gn.window_sum(_w_b_term(stack, j, n, a2), bracket)
     term2 = a2 * stack.kernel(j, j)
     np.expm1(term2, out=term2)
     term2 *= math.exp(-a2 * stack.gamma0(j))
-    e4 += L ** (-2 * j) * g.weight * float(np.sum(term2))
+    e4 += L ** (-2 * j) * g.window_sum(term2)
     return float(e2), float(e3), float(e4)
 
 

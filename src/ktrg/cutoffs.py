@@ -385,6 +385,10 @@ def _bessel_panel_edges() -> np.ndarray:
     return edges
 
 
+# Bessel-zero panels integrated per block; the blocks past the stopping panel are never computed
+BESSEL_BLOCK = 256
+
+
 def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
     """gtilde(x|0) at |x| = r and its summed n/2n panel gap.
 
@@ -392,6 +396,8 @@ def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
     non-oscillatory int u drho/rho and the oscillatory int J0 u drho/rho,
     the last in panels between consecutive Bessel zeros of s = rho r,
     summed up to the first panel past s = 30 r whose value is below 1e-13.
+    Those panels are integrated BESSEL_BLOCK at a time, up to the block
+    that holds the stopping panel.
     """
     u = cutoffs.u_profile
     lo = 1.0 / r
@@ -400,10 +406,17 @@ def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
     nonosc, e_nonosc = _panel_quad(lambda rho: u(rho) / rho, _edges(lo, 200.0, 8.0),
                                    f"gtilde non-oscillatory piece at r={r:g}")
     zeros = _bessel_panel_edges()
-    osc, e_osc = _panel_quad(lambda s: special.j0(s) * u(s / r) / s, zeros,
-                             f"gtilde Bessel-zero panels at r={r:g}")
-    done = np.flatnonzero((zeros[1:] > 30.0 * r) & (np.abs(osc) < 1e-13))
-    n = int(done[0]) + 1 if done.size else len(osc)
+    blocks = []
+    n = len(zeros) - 1
+    for k in range(0, n, BESSEL_BLOCK):
+        edges = zeros[k : k + BESSEL_BLOCK + 1]
+        blocks.append(_panel_quad(lambda s: special.j0(s) * u(s / r) / s, edges,
+                                  f"gtilde Bessel-zero panels from panel {k} at r={r:g}"))
+        done = np.flatnonzero((edges[1:] > 30.0 * r) & (np.abs(blocks[-1][0]) < 1e-13))
+        if done.size:
+            n = k + int(done[0]) + 1
+            break
+    osc, e_osc = (np.concatenate(parts) for parts in zip(*blocks))
     value = float(np.sum(head)) + float(np.sum(osc[:n])) - float(np.sum(nonosc))
     error = float(np.sum(e_head)) + float(np.sum(e_osc[:n])) + float(np.sum(e_nonosc))
     return value / (2.0 * math.pi), error / (2.0 * math.pi)

@@ -37,8 +37,19 @@ on the triangle p1 <= p0 of the folded grid (rows packed, n(n+1)/2 points)
 and its bands and residuals are mirrored onto the folded grid.  The folded
 grid holds the same momenta as the full one, so unfolded bands are
 bit-identical to a pass over the full grid.  Parseval sums and real
-(cosine) zooms run on the folded grid with the weights; windows, complex
-zooms and derivative symbols unfold on demand.
+(cosine) zooms run on the folded grid with the weights; complex zooms and
+derivative symbols unfold on demand.
+
+Position space folds the same way.  The kernel of a real band is even in
+each coordinate, so its window is the quarter Q[z0, z1], 0 <= z <= radius,
+at the positions y = step*z with multiplicities (1, 2, 2, ...) in the full
+window; it comes from one real inverse FFT per folded axis, and a real
+zoom is evaluated at the r + 1 nonnegative positions only.  Sums over the
+full window of even summands are m @ F @ m on the quarter (window_sum), as
+Parseval sums are w @ prod @ w.  Full windows |z|_inf <= radius are built
+only where an API hands them out: the kernels of complex (differenced or
+shifted) arrays, band_window, and the mirror of a quarter through the
+index |z| (full_window).
 """
 
 from __future__ import annotations
@@ -124,10 +135,10 @@ class SpectralGrid:
     p holds fine-lattice momenta.  A decimated grid (step > 1) samples the
     central Brillouin zone of step*Z^2, so the inverse FFT of a spectral
     array gives step^2 times its kernel at y = step*z; windows cover
-    |z|_inf <= radius.  Bands are summed over fine-scale lists in one pass
-    over the residual products r_h, which restarts only when a fine scale
-    at or below one already evaluated is asked for, and each list's band is
-    cached.
+    |z|_inf <= radius, a real band's on the quarter z >= 0 only.  Bands
+    are summed over fine-scale lists in one pass over the residual products
+    r_h, which restarts only when a fine scale at or below one already
+    evaluated is asked for, and each list's band is cached.
 
     Bands, lam, u and the momenta p0, p1 live on the folded grid over the
     axis p_fold, with weights w (see the module docstring); p keeps the full
@@ -167,14 +178,26 @@ class SpectralGrid:
 
     @property
     def y(self) -> np.ndarray:
-        """Window positions step*z, |z| <= radius, along one axis."""
-        return self.step * np.arange(-self.radius, self.radius + 1, dtype=float)
+        """Quarter-window positions step*z, 0 <= z <= radius, along one axis."""
+        return self.step * np.arange(self.radius + 1, dtype=float)
+
+    @property
+    def y_mult(self) -> np.ndarray:
+        """Multiplicities (1, 2, 2, ...) of the quarter positions in the full window."""
+        m = np.full(self.radius + 1, 2.0)
+        m[0] = 1.0
+        return m
 
     @property
     def y_sq(self) -> np.ndarray:
-        """Euclidean |y|^2 over the window."""
+        """Euclidean |y|^2 over the quarter window."""
         y2 = self.y**2
         return y2[:, None] + y2[None, :]
+
+    def full_window(self, Q: np.ndarray) -> np.ndarray:
+        """The quarter array Q mirrored onto the full window |z|_inf <= radius (index |z|)."""
+        a = np.abs(np.arange(-self.radius, self.radius + 1))
+        return Q[np.ix_(a, a)]
 
     def unfold(self, A: np.ndarray) -> np.ndarray:
         """A folded-grid array on the full S x S grid; full-grid arrays pass through."""
@@ -289,29 +312,44 @@ class SpectralGrid:
     # -- position space --
 
     def window(self, G: np.ndarray) -> np.ndarray:
-        """Kernel of the spectral array G at y = step*z, |z|_inf <= radius.
+        """Kernel of the spectral array G on the window y = step*z.
 
-        A complex G spans the full grid.  A real G is a band on the folded
-        grid, even in each momentum component, so the first S//2 + 1
-        columns of its row-unfolded array are a full half spectrum, whose
-        real inverse FFT gives the kernel at half the cost of the complex
-        one.
+        A complex G spans the full grid, and its kernel comes back on the
+        full window |z|_inf <= radius.  A real G is a band on the folded
+        grid, even in each momentum component, so its kernel is even in
+        each coordinate: it comes back on the quarter 0 <= z0, z1 <= radius,
+        from one real inverse transform per folded axis, each reading the
+        half spectrum S//2 + 1 long.
         """
         if np.iscomplexobj(G):
-            K = np.fft.ifft2(G).real
+            z = np.arange(-self.radius, self.radius + 1) % self.S
+            K = np.fft.ifft2(G).real[np.ix_(z, z)]
         else:
-            K = np.fft.irfft2(G[self.idx][:, : self.S // 2 + 1], s=(self.S, self.S))
-        z = np.arange(-self.radius, self.radius + 1) % self.S
-        W = K[np.ix_(z, z)]
-        W /= self.weight
-        return W
+            n = self.radius + 1
+            K = np.fft.irfft(np.fft.irfft(G, n=self.S, axis=0)[:n], n=self.S, axis=1)[:, :n]
+        return K / self.weight
+
+    def window_sum(self, *factors: np.ndarray) -> float:
+        """sum_y prod(factors)(y) step^2 over the full window, from quarter arrays.
+
+        The factors are even in each coordinate (kernels of real bands and
+        functions of |y0|, |y1|), so the full-window sum is m @ prod @ m
+        with the multiplicities m = y_mult, as parseval is w @ prod @ w.
+        """
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = prod * f
+        m = self.y_mult
+        return self.weight * float(m @ prod @ m)
 
     def zoom(self, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Kernel of the spectral array G at the product points ys x ys, off the grid.
 
         A complex G spans the full grid; a real G is a folded band, even in
         each momentum component, and takes two weighted cosine transforms
-        over the folded axis.
+        over the folded axis.  Its kernel is even in each coordinate, so it
+        is only ever asked for at positions ys >= 0: the cosine rows of -y
+        are those of y.
         """
         ys = np.asarray(ys, dtype=float)
         if np.iscomplexobj(G):
@@ -365,14 +403,15 @@ def band_window(
     extent = supp + max(abs(shift[0]), abs(shift[1])) + len(deriv)
     if radius is None:
         radius = -(-extent // step)
-    S = sfft.next_fast_len(max(2 * radius + 1, 2 * (-(-extent // step)) + 1), real=False)
+    S = _odd_fast_len(max(2 * radius + 1, 2 * (-(-extent // step)) + 1))
     grid = SpectralGrid.decimated(cutoffs, m, step, S, radius)
     G = grid.band(h_list)
     if deriv:
         G = grid.unfold(G) * grid.diff_symbol(deriv)
     if shift != (0, 0):
         G = grid.unfold(G) * np.exp(1j * (grid.p[:, None] * shift[0] + grid.p[None, :] * shift[1]))
-    return Window(values=grid.window(G), step=step, radius=radius, shift=tuple(shift),
+    values = grid.window(G) if np.iscomplexobj(G) else grid.full_window(grid.window(G))
+    return Window(values=values, step=step, radius=radius, shift=tuple(shift),
                   alias_bound=grid.alias_bound(h_list))
 
 
@@ -439,6 +478,9 @@ class CovarianceStack:
     def kernel(self, j: int, n: int, deriv: tuple[int, ...] = ()) -> np.ndarray:
         """(d^deriv Gamma_j)(y) at the window points y of the scale-n grid.
 
+        Gamma_j itself is even in each coordinate and comes back on the
+        quarter window 0 <= z0, z1 <= radius (the grid's y); a differenced
+        kernel is not, and comes back on the full window |z|_inf <= radius.
         Read off the scale-n grid's FFT only when that grid both holds the
         support of Gamma_j and samples at least as finely as Gamma_j's own
         grid; the local FFT would otherwise position-alias a wide kernel or
@@ -452,9 +494,11 @@ class CovarianceStack:
             resolved = g.step <= natural_step(self.cutoffs, j * self.lattice.M)
             src = g if fits and resolved else self.grid(j)
             G = src.band(self.fine_scales(j))
+            ys = g.y
             if deriv:
                 G = src.unfold(G) * src.diff_symbol(deriv)
-            self._cache[key] = src.window(G) if src is g else src.zoom(G, g.y)
+                ys = np.concatenate([-ys[:0:-1], ys])
+            self._cache[key] = src.window(G) if src is g else src.zoom(G, ys)
         return self._cache[key]
 
     # -- values --

@@ -361,6 +361,71 @@ def _ifft_window(g, G):
     return np.roll(K, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1].copy()
 
 
+def _half_spectrum_window(g, G):
+    """Full-window oracle: the real inverse FFT of the row-unfolded half spectrum."""
+    K = np.fft.irfft2(G[g.idx][:, : g.S // 2 + 1], s=(g.S, g.S))
+    z = np.arange(-g.radius, g.radius + 1) % g.S
+    W = K[np.ix_(z, z)]
+    W /= g.weight
+    return W
+
+
+def _full_y(g):
+    """The full window positions step*z, |z| <= radius, along one axis."""
+    return g.step * np.arange(-g.radius, g.radius + 1, dtype=float)
+
+
+def _full_kernel(stack, j, n, window, cache):
+    """Gamma_j on the full scale-n window: kernel()'s choice of grid, without the fold."""
+    from ktrg.decomposition import natural_step
+
+    if (j, n) not in cache:
+        g = stack.grid(n)
+        fits = stack.support_radius(j) + 2 <= g.radius * g.step
+        resolved = g.step <= natural_step(stack.cutoffs, j * stack.lattice.M)
+        src = g if fits and resolved else stack.grid(j)
+        G = src.band(stack.fine_scales(j))
+        cache[(j, n)] = window(src, G) if src is g else src.zoom(G, _full_y(g))
+    return cache[(j, n)]
+
+
+def _full_window_a_e4(stack, j, window=_half_spectrum_window, a2=A2):
+    """Full-window oracle: a_j and e4_j summed over every point |z|_inf <= radius.
+
+    The sums coeff_a and energy_coeffs ran before they moved onto the
+    quarter window, with the 16-pair Taylor term (cross term included).
+    """
+    import ktrg.coefficients as coefficients
+
+    cache = {}
+
+    def ker(m, n):
+        return _full_kernel(stack, m, n, window, cache)
+
+    L = float(stack.lattice.L)
+    L2j = L ** (2 * j)
+    dd_tensor = coefficients._dd_at_zero(stack, j)
+    a, e4 = 0.0, 0.0
+    for n in range(j):
+        g = stack.grid(n)
+        y = _full_y(g)
+        y_sq = (y**2)[:, None] + (y**2)[None, :]
+        pref = stack.prefix_diag(j - 1, n + 1) - sum(ker(m, n) for m in range(n + 1, j))
+        wb = np.exp(-a2 * pref) * math.exp(-a2 * stack.gamma0(n)) * np.expm1(a2 * ker(n, n)) * L ** (-4 * n)
+        K = ker(j, n)
+        bracket = np.expm1(-a2 * (K[g.radius, g.radius] - K))
+        a += g.weight * float(np.sum(y_sq * wb * bracket))
+        taylor = _loop_taylor_quad(dd_tensor, y)
+        e4 += 2.0 * L2j * g.weight * float(np.sum(wb * (bracket - 0.5 * a2 * taylor)))
+    g = stack.grid(j)
+    y = _full_y(g)
+    y_sq = (y**2)[:, None] + (y**2)[None, :]
+    term2 = np.expm1(a2 * ker(j, j)) * math.exp(-a2 * stack.gamma0(j))
+    a += g.weight * float(np.sum(term2 * L ** (-4 * j) * y_sq))
+    e4 += L ** (-2 * j) * g.weight * float(np.sum(term2))
+    return 0.5 * a2 * a, e4
+
+
 def _complex_dd_at_zero(stack, j):
     """Full-grid oracle: Parseval means against the complex difference symbols."""
     g = stack.grid(j)
@@ -387,9 +452,10 @@ def _loop_taylor_quad(dd_tensor, y):
 
 
 def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypatch):
-    # every grid of a second stack takes the trivial fold, and its sums run
-    # through the full-grid formulas; e4 is Taylor-subtracted, so its ninth
-    # digit is rounding on both sides
+    # every grid of a second stack takes the trivial fold; b, e2, e3 and vol
+    # run through the full-grid formulas, and a and e4 through the
+    # full-window sums over complex inverse FFTs; e4 is Taylor-subtracted,
+    # so its ninth digit is rounding on both sides
     import ktrg.coefficients as coefficients
     import ktrg.decomposition as decomposition
 
@@ -402,15 +468,15 @@ def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypat
     )
     monkeypatch.setattr(decomposition, "_fold", lambda p: (p, np.arange(len(p)), np.ones(len(p))))
     monkeypatch.setattr(decomposition.SpectralGrid, "parseval", _mean_parseval)
-    monkeypatch.setattr(decomposition.SpectralGrid, "window", _ifft_window)
     monkeypatch.setattr(coefficients, "_dd_at_zero", _complex_dd_at_zero)
     monkeypatch.setattr(coefficients, "_e3_symbol", _complex_e3_symbol)
-    monkeypatch.setattr(coefficients, "_taylor_quad", _loop_taylor_quad)
     full = compute_coefficients(oracle, 5)
     assert len(oracle.grid(5).w) == oracle.grid(5).S
-    for name in ("a", "b", "e2", "e3", "vol"):
+    a, e4 = np.array([_full_window_a_e4(oracle, j, _ifft_window) for j in folded.scales]).T
+    for name in ("b", "e2", "e3", "vol"):
         assert getattr(folded, name) == pytest.approx(getattr(full, name), rel=1e-13, abs=0.0), name
-    assert folded.e4 == pytest.approx(full.e4, rel=1e-9, abs=0.0)
+    assert folded.a == pytest.approx(list(a), rel=1e-13, abs=0.0)
+    assert folded.e4 == pytest.approx(list(e4), rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +554,41 @@ def test_gamma0_matches_longdouble_symbol(stack_l9_massless):
         old = g.parseval(cut.band_sum(_cos_symbol(g.p0, g.p1), g.b, hs))
         if j == 3:
             assert abs(old - ref) > 1e-12 * ref
+
+
+def test_quarter_sums_match_full_window_oracle_l3(stack_l3_massless):
+    # measured: a_1 moves by 1.5e-14 relative, every other a_j and e4_j at
+    # L = 3 and L = 9 by <= 4.9e-15
+    st = stack_l3_massless
+    for j in range(1, 6):
+        a, e4 = _full_window_a_e4(st, j)
+        assert coeff_a(st, j) == pytest.approx(a, rel=1e-13, abs=0.0), j
+        assert energy_coeffs(st, j)[2] == pytest.approx(e4, rel=1e-13, abs=0.0), j
+
+
+def test_quarter_sums_match_full_window_oracle_l9(l9_report, stack_l9_massless):
+    for i, j in enumerate(l9_report.scales):
+        a, e4 = _full_window_a_e4(stack_l9_massless, j)
+        assert l9_report.a[i] == pytest.approx(a, rel=1e-13, abs=0.0), j
+        assert l9_report.e4[i] == pytest.approx(e4, rel=1e-13, abs=0.0), j
+
+
+def test_taylor_cross_coefficient_is_exactly_zero(stack_l3_massless, stack_l9_massless):
+    # the folded e4 drops the y0 y1 term of the Taylor subtraction, which is
+    # odd in each coordinate; its coefficient is exactly 0 to begin with
+    from ktrg.coefficients import _dd_at_zero, _taylor_quad
+    from ktrg.lattice import DIRS
+
+    D = np.array(DIRS, dtype=float)
+    for st, js in ((stack_l3_massless, range(1, 6)), (stack_l9_massless, range(1, 4))):
+        for j in js:
+            dd = _dd_at_zero(st, j)
+            Q = 0.25 * D.T @ dd @ D
+            assert Q[0, 1] + Q[1, 0] == 0.0
+            y = st.grid(j).y
+            r = len(y) - 1
+            full = _loop_taylor_quad(dd, np.concatenate([-y[:0:-1], y]))
+            assert np.max(np.abs(_taylor_quad(dd, y) - full[r:, r:])) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_alias_bound_column(l9_report, stack_l9_massless, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from ktrg.cutoffs import (
-    _c_log_closed_form, _gtilde_normalized, _panel_quad, build_cutoffs, tilde_c, coulomb_constant_c,
+    _c_log_closed_form, _edges, _gtilde_normalized, _panel_quad, build_cutoffs, tilde_c, coulomb_constant_c,
     coulomb_constant_closed,
 )
 
@@ -202,6 +202,49 @@ def _quad_c_log(cutoffs):
     corners = [math.sqrt(8.0) * cutoffs.gamma * math.pi * k for k in range(1, 40)]
     i2, _ = integrate.quad(tail, 1.0, 1e4, limit=2000, points=[c for c in corners if c < 1e4], epsabs=1e-11)
     return (math.log(2.0) - euler_gamma + i1 - i2) / (2.0 * math.pi)
+
+
+def _all_panels_gtilde_normalized(cutoffs, r):
+    """All-panels oracle: every Bessel-zero panel integrated in one call, then summed to the stop."""
+    u = cutoffs.u_profile
+    lo = 1.0 / r
+    head, e_head = _panel_quad(lambda rho: (special.j0(rho * r) - 1.0) * u(rho) / rho, [0.0, lo], "head")
+    nonosc, e_nonosc = _panel_quad(lambda rho: u(rho) / rho, _edges(lo, 200.0, 8.0), "non-oscillatory")
+    zeros = np.concatenate([[1.0], special.jn_zeros(0, 4000)])
+    osc, e_osc = _panel_quad(lambda s: special.j0(s) * u(s / r) / s, zeros, "Bessel-zero panels")
+    done = np.flatnonzero((zeros[1:] > 30.0 * r) & (np.abs(osc) < 1e-13))
+    n = int(done[0]) + 1 if done.size else len(osc)
+    value = float(np.sum(head)) + float(np.sum(osc[:n])) - float(np.sum(nonosc))
+    error = float(np.sum(e_head)) + float(np.sum(e_osc[:n])) + float(np.sum(e_nonosc))
+    return value / (2.0 * math.pi), error / (2.0 * math.pi), n
+
+
+@pytest.mark.parametrize("r, stop", [(50.0, 1258), (100.0, 1698), (200.0, 3393)])
+def test_blockwise_gtilde_bit_identical_to_all_panels(fam, monkeypatch, r, stop):
+    # the block-wise stop integrates only the blocks up to the stopping
+    # panel and sums exactly what the all-panels evaluation sums
+    import ktrg.cutoffs as cutoffs
+
+    value, gap, n = _all_panels_gtilde_normalized(fam, r)
+    assert n == stop
+    panels = []
+    real = cutoffs._panel_quad
+
+    def counted(f, edges, name):
+        if "Bessel" in name:
+            panels.append(len(edges) - 1)
+        return real(f, edges, name)
+
+    monkeypatch.setattr(cutoffs, "_panel_quad", counted)
+    assert _gtilde_normalized(fam, r) == (value, gap)
+    assert sum(panels) == -(-stop // cutoffs.BESSEL_BLOCK) * cutoffs.BESSEL_BLOCK
+
+
+def test_coulomb_constant_bit_identical_to_all_panels(fam, cc, monkeypatch):
+    import ktrg.cutoffs as cutoffs
+
+    monkeypatch.setattr(cutoffs, "_gtilde_normalized", lambda c, r: _all_panels_gtilde_normalized(c, r)[:2])
+    assert coulomb_constant_c(fam) == cc
 
 
 def test_gtilde_matches_quad_oracle(fam):

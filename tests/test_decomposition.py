@@ -465,9 +465,16 @@ def test_psd_margins_on_folded_probe_match_full_grid(stack_l9_massless):
     assert st.psd_margins() == full
 
 
+def _full_ifft_window(g, G):
+    """Full-grid oracle: the complex inverse FFT of the unfolded array on the full window."""
+    r = g.radius
+    return np.roll(np.fft.ifft2(g.unfold(G)).real / g.weight, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1]
+
+
 def test_folded_sums_match_full_grid_oracles(stack_l9_massless):
-    # the parent's full-grid formulas: the mean over unfolded arrays, the
-    # cosine zoom over the full axis and the complex inverse FFT
+    # the full-grid formulas: the mean over unfolded arrays, the cosine zoom
+    # over the full axis and the complex inverse FFT (the window is the
+    # quarter z >= 0 of its kernel)
     st = stack_l9_massless
     g = st.grid(3)
     assert g.step > 1
@@ -481,8 +488,35 @@ def test_folded_sums_match_full_grid_oracles(stack_l9_massless):
     zoom = ph @ (full @ ph.T) / (g.S**2 * g.weight)
     assert np.max(np.abs(g.zoom(G, ys) - zoom)) <= 1e-14 * np.max(np.abs(zoom))
     r = g.radius
-    K = np.roll(np.fft.ifft2(full).real / g.weight, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1]
-    assert np.max(np.abs(g.window(G) - K)) <= 1e-14 * np.max(np.abs(K))
+    K = _full_ifft_window(g, G)
+    assert np.max(np.abs(g.window(G) - K[r:, r:])) <= 1e-14 * np.max(np.abs(K))
+
+
+@pytest.mark.parametrize("j, step", [(1, 1), (3, 3)])
+def test_quarter_window_and_half_zoom_match_full_grid_oracles(stack_l9_massless, j, step):
+    # the quarter window against the complex inverse FFT of the unfolded
+    # band, and the cosine zoom at nonnegative positions against the zoom
+    # over the full axis at the mirrored positions, on a step-1 grid and on
+    # the decimated scale-3 grid at L = 9
+    st = stack_l9_massless
+    g = st.grid(j)
+    assert g.step == step
+    r = g.radius
+    G = g.band(st.fine_scales(j))
+    K = _full_ifft_window(g, G)
+    Q = g.window(G)
+    assert Q.shape == (r + 1, r + 1) and np.array_equal(st.kernel(j, j), Q)
+    assert np.max(np.abs(Q - K[r:, r:])) <= 1e-14 * np.max(np.abs(K))
+    assert np.max(np.abs(g.full_window(Q) - K)) <= 1e-14 * np.max(np.abs(K))
+
+    ys = g.y[:: max(1, r // 40)] + 0.5
+    k = len(ys) - 1
+    ph = np.cos(np.outer(np.concatenate([-ys[:0:-1], ys]), g.p))
+    full = ph @ (g.unfold(G) @ ph.T) / (g.S**2 * g.weight)
+    half = g.zoom(G, ys)
+    assert half.shape == (k + 1, k + 1)
+    assert np.max(np.abs(half - full[k:, k:])) <= 1e-14 * np.max(np.abs(full))
+    assert np.max(np.abs(half[::-1, ::-1] - full[: k + 1, : k + 1])) <= 1e-14 * np.max(np.abs(full))
 
 
 def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
