@@ -128,6 +128,16 @@ def _tail_envelope(prob: ManifoldProblem) -> float:
 def apply_T(seq: WeightedSequence, prob: ManifoldProblem) -> WeightedSequence:
     """One application of the fixed-point map T.
 
+    With q' = q/(1 + q) the next envelope value, q - q^2 = q' - q^2 q', so
+    the step x' = x - y^2 + F, y' = y - x y + M becomes
+
+        w+' = (1 - 2q) w+ + U + 2V,    w-' = (1 + q) w- + U - V,
+        U = -v^2 - q^2 q' + F,         V = -u v - q^2 q' + M.
+
+    T propagates w- by q/q' = 1 + q, exactly, and w+ by (q'/q)^2; the
+    stable channel's remainder is then (1 - 2q) - (q'/q)^2 =
+    -(3 + 2q) q'^2, so W+ = U + 2V - (3 + 2q) q'^2 w+ and W- = U - V.
+
     Inputs outside the weighted ball are accepted but warned about: the
     contraction estimates only cover the ball, so the image may leave it.
     """
@@ -143,7 +153,7 @@ def apply_T(seq: WeightedSequence, prob: ManifoldProblem) -> WeightedSequence:
     Ft, Mt = corrections(np.arange(1, J + 1), q + u, q + v, prob.flow)
     U = -(v * v) - q * q * q_next + Ft
     V = -(u * v) - q * q * q_next + Mt
-    Wp = U + 2.0 * V + (2.0 * q - q_next) * q_next * seq.w_plus
+    Wp = U + 2.0 * V - (3.0 + 2.0 * q) * q_next**2 * seq.w_plus
     Wm = U - V
 
     # unstable channel: suffix sums plus the analytic tail closure, which

@@ -5,7 +5,9 @@ at the origin of the centered fundamental domain; block coordinates live
 on a torus of side L^(R-j).  Connectivity is nearest-neighbor adjacency of
 blocks (diagonal contact does not connect).  A connected polymer is small
 when it has at most four blocks and does not wind around the torus;
-winding polymers count as non-small at every scale.
+winding polymers count as non-small at every scale.  Each paving keeps a
+table of every block's neighbours and of its parent block, so component
+searches and closures look blocks up instead of reducing coordinates.
 
 The extraction bookkeeping J_j(D, Y) built from scalar stand-ins for the
 extracted activities satisfies three linear identities exactly.  They are
@@ -45,6 +47,12 @@ __all__ = [
 ]
 
 _NBRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _neighbours(n_axis: int) -> dict:
+    """Each block of the n_axis^2 block torus -> its four neighbours, in _NBRS order."""
+    return {(b0, b1): tuple(((b0 + d0) % n_axis, (b1 + d1) % n_axis) for d0, d1 in _NBRS)
+            for b0 in range(n_axis) for b1 in range(n_axis)}
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,29 @@ class BlockPaving:
             cs.append(range(lo, lo + b))
         return [(c0, c1) for c0 in cs[0] for c1 in cs[1]]
 
+    # Per-paving tables, built on first use and kept with the paving.
+
+    @functools.cached_property
+    def _lift_steps(self) -> dict:
+        """Each block -> ((neighbour, step), ...) in _NBRS order.
+
+        The step is the neighbour's offset on the universal cover, coded as
+        the integer d0 * K + d1 with K = 2 n_axis^2 + 1: a lift (x0, x1)
+        reached inside one component has |x1| < n_axis^2, so x0 * K + x1
+        determines it.
+        """
+        K = 2 * self.n_axis**2 + 1
+        steps = tuple(d0 * K + d1 for d0, d1 in _NBRS)
+        return {b: tuple(zip(nbrs, steps)) for b, nbrs in _neighbours(self.n_axis).items()}
+
+    @functools.cached_property
+    def _parents(self) -> dict:
+        """Each block -> the (j+1)-block that contains it (j < R)."""
+        n, L = self.n_axis, self.L
+        up = n // L
+        axis = [((c + (n - 1) // 2) % n - (n - 1) // 2 + (L - 1) // 2) // L % up for c in range(n)]
+        return {(b0, b1): (axis[b0], axis[b1]) for b0 in range(n) for b1 in range(n)}
+
 
 @dataclass(frozen=True)
 class Polymer:
@@ -127,31 +158,32 @@ def polymer(pav: BlockPaving, blocks) -> Polymer:
 
 
 def _component_data(pav: BlockPaving, blocks: frozenset):
-    """Connected components with winding detection via BFS unfolding."""
-    n = pav.n_axis
+    """Connected components with winding detection via BFS unfolding.
+
+    Each component is unfolded onto the universal cover from one seed; it
+    winds when a block is reached at two different lifts.
+    """
+    steps = pav._lift_steps
     remaining = set(blocks)
     comps = []
     while remaining:
         seed = remaining.pop()
-        lift = {seed: (0, 0)}
+        lift = {seed: 0}
         queue = [seed]
         wraps = False
         while queue:
             cur = queue.pop()
             cx = lift[cur]
-            for d in _NBRS:
-                nxt = ((cur[0] + d[0]) % n, (cur[1] + d[1]) % n)
+            for nxt, step in steps[cur]:
                 if nxt not in blocks:
                     continue
-                cand = (cx[0] + d[0], cx[1] + d[1])
-                if nxt in lift:
-                    if lift[nxt] != cand:
-                        wraps = True
-                    continue
-                if nxt in remaining:
+                seen = lift.get(nxt)
+                if seen is None:
                     remaining.discard(nxt)
-                lift[nxt] = cand
-                queue.append(nxt)
+                    lift[nxt] = cx + step
+                    queue.append(nxt)
+                elif seen != cx + step:
+                    wraps = True
         comps.append((frozenset(lift), wraps))
     return comps
 
@@ -174,10 +206,7 @@ def _parent_blocks(pav: BlockPaving, blocks) -> frozenset:
     """The (j+1)-blocks that contain the given j-blocks."""
     if pav.j >= pav.R:
         raise ValueError("no coarser paving available")
-    n, L = pav.n_axis, pav.L
-    up = n // L
-    return frozenset(tuple(((c + (n - 1) // 2) % n - (n - 1) // 2 + (L - 1) // 2) // L % up for c in b)
-                     for b in blocks)
+    return frozenset(map(pav._parents.__getitem__, blocks))
 
 
 def closure(X: Polymer) -> Polymer:
@@ -193,13 +222,13 @@ def neighborhood(X: Polymer) -> Polymer:
     A block belongs to X* iff its graph distance to X is at most 3 (a
     connected 4-block path realizes exactly those).
     """
-    n = X.paving.n_axis
+    steps = X.paving._lift_steps
     cur = set(X.blocks)
     for _ in range(3):
         new = set(cur)
         for b in cur:
-            for d in _NBRS:
-                new.add(((b[0] + d[0]) % n, (b[1] + d[1]) % n))
+            for nb, _step in steps[b]:
+                new.add(nb)
         cur = new
     return Polymer(X.paving, frozenset(cur))
 
@@ -214,6 +243,7 @@ def _connected_sets(n_axis: int, max_size: int) -> list[frozenset]:
     Grown size by size from all single blocks; each layer is one set, so a
     set reached from several of its subsets is kept once.
     """
+    nbrs = _neighbours(n_axis)
     layer = {frozenset([(b0, b1)]) for b0 in range(n_axis) for b1 in range(n_axis)}
     out = list(layer)
     for _ in range(max_size - 1):
@@ -221,8 +251,7 @@ def _connected_sets(n_axis: int, max_size: int) -> list[frozenset]:
         for cur in layer:
             cand = set()
             for b in cur:
-                for d in _NBRS:
-                    nb = ((b[0] + d[0]) % n_axis, (b[1] + d[1]) % n_axis)
+                for nb in nbrs[b]:
                     if nb not in cur:
                         cand.add(nb)
             for nb in cand:

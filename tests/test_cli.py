@@ -133,12 +133,12 @@ def test_oracle_command_side5_n6(tmp_path, capsys):
 
 
 def test_separatrix_outside_ball_fails(tmp_path, capsys):
-    # |y1| = 0.045 is admissible but the fixed point leaves the weighted ball
+    # |y1| = 0.05 is admissible but the fixed point leaves the weighted ball
     with pytest.warns(UserWarning, match="weighted ball"):
-        assert main(["separatrix", "--y1", "0.045", "--out-dir", str(tmp_path)]) == 1
+        assert main(["separatrix", "--y1", "0.05", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "y1=0.045" in err and "sequence norm" in err
-    assert not (tmp_path / "separatrix_y0.045.csv").exists()
+    assert "y1=0.05" in err and "sequence norm" in err
+    assert not (tmp_path / "separatrix_y0.05.csv").exists()
 
 
 def test_separatrix_inside_ball_passes(tmp_path, capsys):
@@ -166,7 +166,7 @@ def test_flow_csv_columns_match_trajectory(tmp_path):
 def test_flow_outside_ball_fails(tmp_path, capsys):
     # without --x1 the start comes from the fixed point, gated like separatrix
     with pytest.warns(UserWarning, match="weighted ball"):
-        assert main(["flow", "--y1", "0.045", "--out-dir", str(tmp_path)]) == 1
+        assert main(["flow", "--y1", "0.05", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "y1=0.045" in err and "sequence norm" in err
-    assert not (tmp_path / "flow_y0.045.csv").exists()
+    assert "y1=0.05" in err and "sequence norm" in err
+    assert not (tmp_path / "flow_y0.05.csv").exists()

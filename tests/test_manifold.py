@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ktrg.manifold
-from ktrg.flow import FlowConfig, corrections, trajectory, kosterlitz_q_array
+from ktrg.flow import FlowConfig, _advance, corrections, trajectory, kosterlitz_q_array
 from ktrg.manifold import (
     _BLOCK,
     _EPS,
@@ -253,7 +253,7 @@ def _apply_T_loop(seq, prob):
         Ft[i], Mt[i] = corrections(i + 1, float(x[i]), float(y[i]), cfg)
     U = -(v * v) - q * q * q_next + Ft
     V = -(u * v) - q * q * q_next + Mt
-    Wp = U + 2.0 * V + (2.0 * q - q_next) * q_next * seq.w_plus
+    Wp = U + 2.0 * V - (3.0 + 2.0 * q) * q_next**2 * seq.w_plus
     Wm = U - V
     suffix = np.cumsum((q_next * Wm)[::-1])[::-1]
     h = prob.h()
@@ -278,6 +278,25 @@ def test_apply_T_matches_per_scale_loop(flow):
         new, old = apply_T(seq, prob), _apply_T_loop(seq, prob)
         for a, b in ((new.w_plus, old.w_plus), (new.w_minus, old.w_minus)):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("flow", [
+    FlowConfig(),
+    FlowConfig(mode="per-scale", a_seq=(1.05, 1.02, 1.01), b_seq=(1.03, 0.99), vol_seq=(1.01, 1.0),
+               a_limit=1.01, b_limit=0.99),
+], ids=["limit", "per-scale"])
+@pytest.mark.parametrize("y1", [0.01, 0.04])
+def test_fixed_point_is_a_flow_trajectory(flow, y1):
+    # x = q + u, y = q + v of the fixed point step into each other under the
+    # flow; the per-scale table ends at its limits, so no scale is frozen
+    # away from them
+    prob = ManifoldProblem(y1=y1, flow=flow)
+    seq = solve_fixed_point(prob).seq
+    u, v = undiagonalize(seq.w_plus, seq.w_minus)
+    x, y = prob.q() + u, prob.q() + v
+    x_next, y_next = _advance(np.arange(1, prob.J), x[:-1], y[:-1], flow)
+    assert np.max(np.abs(x_next - x[1:])) <= 1e-15
+    assert np.max(np.abs(y_next - y[1:])) <= 1e-15
 
 
 def _classify_reference(x1, y1, ceiling, j_max):

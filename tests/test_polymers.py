@@ -546,3 +546,93 @@ def test_size_additive_and_closure_minimal():
     up = closure(union)
     parents = {closure(polymer(pav, [b])).blocks for b in union.blocks}
     assert up.blocks == frozenset().union(*parents)
+
+
+# ---------------------------------------------------------------------------
+# table-driven component and parent maps against their per-probe originals
+
+
+def _component_data_reference(pav, blocks):
+    """Components and winding by BFS unfolding, neighbours and lifts computed per probe."""
+    n = pav.n_axis
+    remaining = set(blocks)
+    comps = []
+    while remaining:
+        seed = remaining.pop()
+        lift = {seed: (0, 0)}
+        queue = [seed]
+        wraps = False
+        while queue:
+            cur = queue.pop()
+            cx = lift[cur]
+            for d in _NBRS:
+                nxt = ((cur[0] + d[0]) % n, (cur[1] + d[1]) % n)
+                if nxt not in blocks:
+                    continue
+                cand = (cx[0] + d[0], cx[1] + d[1])
+                if nxt in lift:
+                    if lift[nxt] != cand:
+                        wraps = True
+                    continue
+                if nxt in remaining:
+                    remaining.discard(nxt)
+                lift[nxt] = cand
+                queue.append(nxt)
+        comps.append((frozenset(lift), wraps))
+    return comps
+
+
+def _parent_blocks_reference(pav, blocks):
+    n, L = pav.n_axis, pav.L
+    up = n // L
+    return frozenset(tuple(((c + (n - 1) // 2) % n - (n - 1) // 2 + (L - 1) // 2) // L % up for c in b)
+                     for b in blocks)
+
+
+def _reblock_reference(X, eta):
+    ncomp = len(_component_data_reference(X.paving, X.blocks))
+    ncl = len(_parent_blocks_reference(X.paving, X.blocks))
+    return (1.0 + 2.0 * eta) * ncl <= X.size + 8.0 * (1.0 + 2.0 * eta) * ncomp
+
+
+def _max_reblock_eta_reference(polymers):
+    best = float("inf")
+    for X in polymers:
+        nc = len(_component_data_reference(X.paving, X.blocks))
+        cl = len(_parent_blocks_reference(X.paving, X.blocks))
+        slack = cl - 8 * nc
+        if slack > 0:
+            best = min(best, (X.size + 8 * nc - cl) / (2.0 * slack))
+    return best
+
+
+def _oracle_family():
+    """The connected <= 5-block polymers of paving(3, 2, 0), 200 random
+    6-block sets, a staircase winding along (1, -1), a winding row and a row
+    with a gap."""
+    pav = paving(3, 2, 0)
+    rng = random.Random(17)
+    sets = [polymer(pav, rng.sample([(a, b) for a in range(9) for b in range(9)], 6)) for _ in range(200)]
+    stairs = polymer(pav, [(k % 9, -k % 9) for k in range(9)] + [((k + 1) % 9, -k % 9) for k in range(9)])
+    rows = [polymer(pav, [(4, b) for b in range(9)]), polymer(pav, [(4, b) for b in range(8)])]
+    return connected_polymers_up_to(pav, 5) + sets + [stairs] + rows
+
+
+def test_components_and_reblocking_match_per_probe_reference():
+    fam = _oracle_family()
+    assert len(fam) == 7371 + 203
+    for X in fam:
+        want = _component_data_reference(X.paving, X.blocks)
+        got = _component_data(X.paving, X.blocks)
+        assert got == want
+        # each component iterates its blocks in the same order
+        assert [tuple(c) for c, _ in got] == [tuple(c) for c, _ in want]
+        assert components(X) == [Polymer(X.paving, c) for c, _ in want]
+        assert is_small(X) == (len(want) == 1 and len(want[0][0]) <= 4 and not want[0][1])
+        assert closure(X).blocks == _parent_blocks_reference(X.paving, X.blocks)
+        for eta in (0.0, 0.05, 1.0):
+            assert reblock_inequality(X, eta) == _reblock_reference(X, eta)
+    assert max_reblock_eta(fam) == _max_reblock_eta_reference(fam)
+    assert [wraps for _, wraps in _component_data(fam[-3].paving, fam[-3].blocks)] == [True]
+    assert [wraps for _, wraps in _component_data(fam[-2].paving, fam[-2].blocks)] == [True]
+    assert [wraps for _, wraps in _component_data(fam[-1].paving, fam[-1].blocks)] == [False]
