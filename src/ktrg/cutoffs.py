@@ -26,7 +26,7 @@ costs one sine, shared by the residual factor s_h and the band term
 
 The h -> infinity limit of r_h at momentum scale gamma^h is the radial
 profile  u_inf(q) = prod_{l>=1} sinc^2(gamma^-l q / sqrt(8))  used by the
-continuum diagnostics (tilde_c and the Coulomb constant).
+continuum diagnostics (the Coulomb constant).
 
 Their radial integrals all go through one fixed-node panel rule: each panel
 is integrated with QUAD_NODES and with 2*QUAD_NODES Gauss-Legendre nodes,
@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .lattice import laplacian_symbol
 
@@ -53,7 +52,6 @@ __all__ = [
     "CutoffFamily",
     "FejerPass",
     "build_cutoffs",
-    "tilde_c",
     "CoulombConstant",
     "coulomb_constant_c",
     "coulomb_constant_closed",
@@ -340,25 +338,6 @@ def _edges(a: float, b: float, width: float) -> np.ndarray:
     return np.array(out)
 
 
-def tilde_c(cutoffs: CutoffFamily, x) -> float:
-    """C~(x) = int d^2p/(2pi)^2 e^{ipx} (u(p) - u(gamma p))/p^2 by quadrature.
-
-    Radial form: (1/2pi) int_0^120 (u(rho) - u(gamma rho)) J0(rho |x|) drho/rho.
-    The integrand is entire, so fixed-width panels suffice; the width
-    shrinks as 1/(1 + |x|) to resolve J0.
-    """
-    r = math.hypot(float(x[0]), float(x[1])) if np.ndim(x) else float(abs(x))
-    if not math.isfinite(r):
-        raise ValueError(f"tilde_c needs a finite point, got |x| = {r}")
-    g = cutoffs.gamma
-
-    def integrand(rho):
-        return (cutoffs.u_profile(rho) - cutoffs.u_profile(g * rho)) * special.j0(rho * r) / rho
-
-    vals, _ = _panel_quad(integrand, _edges(0.0, 120.0, 4.0 / (1.0 + r)), f"tilde_c at |x|={r:g}")
-    return float(np.sum(vals)) / (2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class CoulombConstant:
     """Large-distance data of the normalized continuum potential.
@@ -380,6 +359,8 @@ class CoulombConstant:
 @functools.cache
 def _bessel_panel_edges() -> np.ndarray:
     """1 followed by the first 4000 zeros of J0 (read-only; built on first use)."""
+    from scipy import special  # only the Coulomb fit needs J0; scipy.special is slow to import
+
     edges = np.concatenate([[1.0], special.jn_zeros(0, 4000)])
     edges.flags.writeable = False
     return edges
@@ -399,6 +380,8 @@ def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
     Those panels are integrated BESSEL_BLOCK at a time, up to the block
     that holds the stopping panel.
     """
+    from scipy import special  # only the Coulomb fit needs J0; scipy.special is slow to import
+
     u = cutoffs.u_profile
     lo = 1.0 / r
     head, e_head = _panel_quad(lambda rho: (special.j0(rho * r) - 1.0) * u(rho) / rho, [0.0, lo],

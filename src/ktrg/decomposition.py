@@ -58,7 +58,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .cutoffs import CutoffFamily, FejerPass, build_cutoffs
 from .lattice import DIRS, TorusLattice, laplacian_symbol, yukawa_table, normalized_potential_table
@@ -96,11 +95,27 @@ class DecompositionError(RuntimeError):
 
 
 def _odd_fast_len(n: int) -> int:
-    """Smallest FFT-friendly odd length >= n (keeps the momentum grid +/- symmetric)."""
-    s = sfft.next_fast_len(n)
-    while s % 2 == 0:
-        s = sfft.next_fast_len(s + 1)
-    return s
+    """Smallest length >= n whose only prime factors are 3, 5, 7 and 11.
+
+    These are the odd lengths among pocketfft's 11-smooth fast sizes; an odd
+    length keeps the momentum grid +/- symmetric.  Each product of powers of
+    11, 7 and 5 below the best length so far is raised by powers of 3 to >= n.
+    """
+    best = 3 * n  # exceeds the smallest power of 3 that is >= n
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                f3 = f5
+                while f3 < n:
+                    f3 *= 3
+                best = min(best, f3)
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
 
 
 def natural_step(cutoffs: CutoffFamily, h_min: int) -> int:

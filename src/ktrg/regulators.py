@@ -53,11 +53,6 @@ class FieldOnTorus:
     def side(self) -> int:
         return self.values.shape[0]
 
-    def diff(self, d: int) -> np.ndarray:
-        """Forward difference along the signed direction d."""
-        s0, s1 = DIRS[d]
-        return np.roll(self.values, (-s0, -s1), axis=(0, 1)) - self.values
-
 
 @dataclass(frozen=True)
 class RegulatorConstants:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,3 +172,30 @@ def test_flow_outside_ball_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "y1=0.05" in err and "sequence norm" in err
     assert not (tmp_path / "flow_y0.05.csv").exists()
+
+
+# the scipy modules that load scipy's array-API layer on import
+SCIPY_HEAVY = ("scipy.fft", "scipy.special", "scipy._lib._array_api")
+
+
+@pytest.mark.parametrize("argv, loads_special", [
+    (["separatrix", "--y1", "0.01"], False),
+    (["decompose", "--L", "3", "--R", "3"], False),
+    (["coeffs", "--L", "3", "--R", "3", "--j-max", "2"], True),
+], ids=["separatrix", "decompose", "coeffs"])
+def test_scipy_submodules_load_only_for_the_coulomb_fit(tmp_path, argv, loads_special):
+    # a fresh interpreter: the test process itself has imported scipy.special
+    script = (
+        "import json, sys\n"
+        "import ktrg.cli as cli\n"
+        f"assert cli.main({argv + ['--out-dir', str(tmp_path)]!r}) == 0\n"
+        f"print(json.dumps([m for m in {SCIPY_HEAVY!r} if m in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ktrg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    if loads_special:
+        assert "scipy.special" in loaded
+    else:
+        assert loaded == []

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from ktrg.cutoffs import (
-    _c_log_closed_form, _edges, _gtilde_normalized, _panel_quad, build_cutoffs, tilde_c, coulomb_constant_c,
+    _c_log_closed_form, _edges, _gtilde_normalized, _panel_quad, build_cutoffs, coulomb_constant_c,
     coulomb_constant_closed,
 )
 
@@ -15,6 +15,25 @@ from conftest import one_minus_factor_over_u
 @pytest.fixture(scope="module")
 def fam():
     return build_cutoffs(3, 1, 8)
+
+
+def tilde_c(cutoffs, x) -> float:
+    """C~(x) = int d^2p/(2pi)^2 e^{ipx} (u(p) - u(gamma p))/p^2 by the panel rule.
+
+    Radial form: (1/2pi) int_0^120 (u(rho) - u(gamma rho)) J0(rho |x|) drho/rho.
+    The integrand is entire, so fixed-width panels suffice; the width
+    shrinks as 1/(1 + |x|) to resolve J0.
+    """
+    r = math.hypot(float(x[0]), float(x[1])) if np.ndim(x) else float(abs(x))
+    if not math.isfinite(r):
+        raise ValueError(f"tilde_c needs a finite point, got |x| = {r}")
+    g = cutoffs.gamma
+
+    def integrand(rho):
+        return (cutoffs.u_profile(rho) - cutoffs.u_profile(g * rho)) * special.j0(rho * r) / rho
+
+    vals, _ = _panel_quad(integrand, _edges(0.0, 120.0, 4.0 / (1.0 + r)), f"tilde_c at |x|={r:g}")
+    return float(np.sum(vals)) / (2.0 * math.pi)
 
 
 def test_F0_is_one(fam):

@@ -1,4 +1,5 @@
 import dataclasses
+import filecmp
 import gc
 import math
 import os
@@ -7,7 +8,10 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
+from ktrg import decomposition
+from ktrg.coefficients import compute_coefficients
 from ktrg.lattice import TorusLattice, laplacian_symbol
 from ktrg.cutoffs import build_cutoffs
 from ktrg.decomposition import (
@@ -17,6 +21,7 @@ from ktrg.decomposition import (
     DecompositionError,
     SpectralGrid,
     PROBE_SIDE,
+    _odd_fast_len,
 )
 
 from conftest import one_minus_factor_over_u
@@ -169,6 +174,41 @@ def test_serialization_roundtrip(tmp_path, stack_l3_massive):
         assert np.array_equal(back.gamma_table(j), stack_l3_massive.gamma_table(j))
     assert np.array_equal(back.tail_table, stack_l3_massive.tail_table)
     assert back.lattice == stack_l3_massive.lattice
+
+
+def _scipy_odd_fast_len(n):
+    """The scipy.fft search _odd_fast_len replaced, kept as its oracle."""
+    s = sfft.next_fast_len(n)
+    while s % 2 == 0:
+        s = sfft.next_fast_len(s + 1)
+    return s
+
+
+def test_odd_fast_len_matches_scipy_oracle():
+    assert [n for n in range(1, 100_001) if _odd_fast_len(n) != _scipy_odd_fast_len(n)] == []
+
+
+def test_stack_and_coefficients_match_scipy_grid_lengths(tmp_path, monkeypatch):
+    # write_stack's tables come from the torus momenta; the grid lengths
+    # enter through the coefficient grids, so both artifacts are compared
+    def artifacts(name):
+        stack = decompose(TorusLattice(L=3, R=6, m=0.0))
+        path = os.path.join(tmp_path, name)
+        write_stack(stack, path)
+        return path, compute_coefficients(stack, 3)
+
+    new_path, new_rep = artifacts("new.csv")
+    lengths = []
+
+    def oracle(n):
+        lengths.append(n)
+        return _scipy_odd_fast_len(n)
+
+    monkeypatch.setattr(decomposition, "_odd_fast_len", oracle)
+    old_path, old_rep = artifacts("old.csv")
+    assert lengths
+    assert filecmp.cmp(new_path, old_path, shallow=False)
+    assert old_rep == new_rep
 
 
 def test_materialize_cap():
