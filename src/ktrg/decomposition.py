@@ -49,11 +49,19 @@ full window of even summands are m @ F @ m on the quarter (window_sum), as
 Parseval sums are w @ prod @ w.  Full windows |z|_inf <= radius are built
 only where an API hands them out: the kernels of complex (differenced or
 shifted) arrays, band_window, and the mirror of a quarter through the
-index |z| (full_window).
+index |z| (full_window).  A materialized table takes the same two real
+inverse transforms (SpectralGrid.synthesize) on rows 0..S//2 of the torus
+and mirrors them onto the full torus through the unfold index; the torus
+side L^R is odd, so its grid always folds.
+
+The stack file holds float.hex text.  write_stack encodes it from the IEEE
+bits with numpy lookup tables, byte for byte as float.hex would, a block of
+rows at a time; read_stack parses it back with float.fromhex.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -326,22 +334,42 @@ class SpectralGrid:
 
     # -- position space --
 
+    def synthesize(self, G: np.ndarray, n: int) -> np.ndarray:
+        """Inverse FFT of the real folded-grid array G on rows 0..n-1, all S columns.
+
+        G is even in each momentum component, so each folded axis is the
+        half spectrum S//2 + 1 long of a real transform: one real inverse
+        transform per axis, the first cut to its n leading rows.  The kernel
+        is even in each coordinate, so rows 0..S//2 read through the unfold
+        index give the full S x S table.  irfft reads the first S//2 + 1
+        entries of each axis, so the axis must start with the nonnegative
+        momenta 2 pi k / (S step), k = 0..S//2, in order, as every folded
+        axis does; any other axis (the alias ring, an even-length fftfreq
+        axis) raises.
+        """
+        h = self.S // 2 + 1
+        k = self.p[:h] * (self.S * self.step / (2.0 * np.pi))
+        if not np.allclose(k, np.arange(h), rtol=0.0, atol=1e-9):
+            raise DecompositionError(
+                f"real synthesis needs a folded grid; the axis of length {self.S} does not start with its momenta >= 0"
+            )
+        return np.fft.irfft(np.fft.irfft(G, n=self.S, axis=0)[:n], n=self.S, axis=1)
+
     def window(self, G: np.ndarray) -> np.ndarray:
         """Kernel of the spectral array G on the window y = step*z.
 
         A complex G spans the full grid, and its kernel comes back on the
         full window |z|_inf <= radius.  A real G is a band on the folded
         grid, even in each momentum component, so its kernel is even in
-        each coordinate: it comes back on the quarter 0 <= z0, z1 <= radius,
-        from one real inverse transform per folded axis, each reading the
-        half spectrum S//2 + 1 long.
+        each coordinate: it comes back on the quarter 0 <= z0, z1 <= radius
+        (synthesize).
         """
         if np.iscomplexobj(G):
             z = np.arange(-self.radius, self.radius + 1) % self.S
             K = np.fft.ifft2(G).real[np.ix_(z, z)]
         else:
             n = self.radius + 1
-            K = np.fft.irfft(np.fft.irfft(G, n=self.S, axis=0)[:n], n=self.S, axis=1)[:, :n]
+            K = self.synthesize(G, n)[:, :n]
         return K / self.weight
 
     def window_sum(self, *factors: np.ndarray) -> float:
@@ -576,33 +604,40 @@ class CovarianceStack:
         """Max |sum_j Gamma_j + tail - W| relative to |W(0)| (normalized form at m=0)."""
         if self.gamma_tables is None:
             raise DecompositionError("materialized tables required")
+        # the reference first: its transforms run before the sum is allocated
+        if self.tail_is_normalized:
+            ref = normalized_potential_table(self.lattice)
+            scale = float(np.max(np.abs(ref)))
+        else:
+            ref = yukawa_table(self.lattice)
+            scale = abs(float(ref[0, 0]))
         total = np.zeros_like(self.gamma_tables[0])
         for t in self.gamma_tables:
-            total = total + t
-        if not self.tail_is_normalized:
-            total = total + self.tail_table
-            ref = yukawa_table(self.lattice)
-            return float(np.max(np.abs(total - ref)) / abs(ref[0, 0]))
-        # normalized: W(x|0) = sum_j [Gamma_j(x) - Gamma_j(0)] + tail(x)
-        total = total - total[0, 0] + self.tail_table
-        ref = normalized_potential_table(self.lattice)
-        scale = float(np.max(np.abs(ref)))
-        return float(np.max(np.abs(total - ref)) / scale)
+            total += t
+        if self.tail_is_normalized:
+            # W(x|0) = sum_j [Gamma_j(x) - Gamma_j(0)] + tail(x)
+            total -= total[0, 0]
+        total += self.tail_table
+        total -= ref
+        return float(np.max(np.abs(total)) / scale)
 
     def leakage(self, j: int) -> float:
-        """max_{|x| >= L^(j+1)/2} |Gamma_j(x)| / Gamma_j(0)."""
+        """max_{|x| >= L^(j+1)/2} |Gamma_j(x)| / Gamma_j(0).
+
+        With the torus coordinate c = x or x - side in -(side-1)/2..(side-1)/2,
+        |x|_inf >= L^(j+1)/2 means some |c| >= k = ceil(L^(j+1)/2), that is
+        some index in k..side-k: the region is the union of the row slab and
+        the column slab over that index range.
+        """
         self._check_scale(j)
         t = self.gamma_table(j)
         side = self.lattice.side
-        half = (side - 1) // 2
-        c = np.arange(side)
-        c = np.where(c <= half, c, c - side)
-        rr = np.maximum(np.abs(c)[:, None], np.abs(c)[None, :])
-        cut = self.lattice.L ** (j + 1) / 2.0
-        mask = rr >= cut
-        if not mask.any():
+        k = (self.lattice.L ** (j + 1) + 1) // 2
+        if k > (side - 1) // 2:
             return 0.0
-        return float(np.max(np.abs(t[mask])) / t[0, 0])
+        slab = slice(k, side - k + 1)
+        leak = np.maximum(np.max(np.abs(t[slab, :])), np.max(np.abs(t[:, slab])))
+        return float(leak / t[0, 0])
 
     def validate(self):
         """PSD + leakage gates; raises DecompositionError naming the scale.
@@ -623,21 +658,13 @@ class CovarianceStack:
 MATERIALIZE_CAP = 2187  # largest torus side for which full tables are built
 
 
-def _table(G: np.ndarray) -> np.ndarray:
-    """The real part of the inverse FFT of G, as its own array.
-
-    A bare .real view would keep the complex transform, twice the table's
-    size, alive for as long as the table.
-    """
-    return np.fft.ifft2(G).real.copy()
-
-
 def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, materialize: bool | None = None) -> CovarianceStack:
     """Build the covariance stack for the torus; validates PSD and leakage.
 
     The tables, the PSD margins and the tail come from one pass over the
-    bands on the torus momenta, folded like any other grid; each array is
-    unfolded before its inverse FFT.
+    bands on the torus momenta, folded like any other grid (the side L^R is
+    odd); each table is the real synthesis of its folded array on rows
+    0..S//2, mirrored onto the full S x S torus through the unfold index.
     """
     if cutoffs is None:
         cutoffs = build_cutoffs(lattice.gamma, lattice.M, lattice.n_fine_scales)
@@ -656,10 +683,14 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
                 f"torus side {lattice.side} too large to materialize (cap {MATERIALIZE_CAP})"
             )
         grid = SpectralGrid(cutoffs, lattice.m, lattice.momenta())
+
+        def table(G):
+            return grid.synthesize(G, len(grid.p_fold))[grid.idx]
+
         tables, margins = [], []
         groups = [range(j * lattice.M, (j + 1) * lattice.M) for j in range(lattice.R)]
         for vals in grid.bands(groups):
-            tables.append(_table(grid.unfold(vals)))
+            tables.append(table(vals))
             margins.append(float(vals.min()))
         r = grid.residual(cutoffs.horizon)
         if normalized:
@@ -667,10 +698,10 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
             dens = np.zeros_like(lam)
             mask = lam > 0
             dens[mask] = r[mask] / lam[mask]
-            t = _table(grid.unfold(dens))
-            tail = t - t[0, 0]
+            tail = table(dens)
+            tail -= tail[0, 0]
         else:
-            tail = _table(grid.unfold(r / grid.u))
+            tail = table(r / grid.u)
 
     stack = CovarianceStack(
         lattice=lattice,
@@ -690,6 +721,63 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
 STACK_HEADER = "# ktrg covariance stack v2"
 STACK_COLUMNS = "scale,x0,values"
 
+# rows encoded per block: at side 729 a block's arrays peak near 1.5 MB, and
+# near 3 MB with its list of value strings (tracemalloc)
+HEX_BLOCK_ROWS = 32
+
+
+@functools.cache
+def _hex_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The encoder's lookup tables, built on first use.
+
+    A 256-entry uint16 table holding the two lowercase hex digits of each
+    byte, and a 2047-entry '<u8' table holding, per biased exponent, a NUL
+    byte then the NUL-padded tail 'p%+d' (exponent 0, the subnormals, reads
+    p-1022 like exponent 1).
+    """
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    pairs = np.stack([np.repeat(digits, 16), np.tile(digits, 16)], axis=1).view(np.uint16).ravel()
+    tails = np.array([b"\0p%+d" % (max(e, 1) - 1023) for e in range(2047)], dtype="S8").view("<u8")
+    pairs.flags.writeable = tails.flags.writeable = False  # shared by every call
+    return pairs, tails
+
+
+_HEX_HEAD = np.frombuffer(b"0x0.0x1.", dtype="<u4")  # by lead digit
+_HEX_ZERO = np.frombuffer(b"0x0.0p+0".ljust(24, b"\0"), dtype="<u8")
+
+
+def _hex_rows(block: np.ndarray) -> list[bytes]:
+    """','.join(map(float.hex, row)) as bytes for each row of the finite 2D array block.
+
+    Each value is written from its IEEE bits into a 24-byte NUL-padded slot,
+    seen as three little-endian words: '0x', the lead digit (0 for zeros and
+    subnormals) and '.' in bytes 0..3, the 13 mantissa digits in 4..16, the
+    exponent tail from 17 on.  Zeros read '0x0.0p+0' as in float.hex, and a
+    negative value's slot moves one byte up behind its '-' (the longest,
+    '-0x1.<13 digits>p-1022', fills the 24 bytes).  The 'S24' view's
+    tolist() drops the padding.
+    """
+    pairs, tails = _hex_tables()
+    u = np.uint64
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(u).ravel()
+    expo = ((bits >> u(52)) & u(0x7FF)).astype(np.intp)
+    # 52 mantissa bits shifted to 56: bytes 1..7 of the big-endian word are 13 digits and a 0
+    mant = ((bits & u((1 << 52) - 1)) << u(4)).astype(">u8").view(np.uint8).reshape(-1, 8)[:, 1:]
+    slots = np.empty((len(bits), 24), dtype=np.uint8)
+    words = slots.view("<u8")
+    slots.view("<u4")[:, 0] = np.take(_HEX_HEAD, expo > 0)
+    digits = slots.view(np.uint16)
+    for i in range(7):  # a byte at a time: one N-long index array at a time
+        digits[:, 2 + i] = np.take(pairs, mant[:, i])
+    words[:, 2] &= u(0xFF)  # keep digit 13 in byte 16, the tail overwrites the 0 after it
+    words[:, 2] |= np.take(tails, expo)
+    words[(bits << u(1)) == 0] = _HEX_ZERO
+    neg = (bits >> u(63)).astype(bool)
+    for k in (2, 1):  # high word first: each reads the old word below it
+        words[:, k] = np.where(neg, (words[:, k] << u(8)) | (words[:, k - 1] >> u(56)), words[:, k])
+    words[:, 0] = np.where(neg, (words[:, 0] << u(8)) | u(ord("-")), words[:, 0])
+    return [b",".join(row) for row in slots.view("S24").reshape(block.shape).tolist()]
+
 
 def write_stack(stack: CovarianceStack, path: str):
     """Write the materialized tables of stack to path, one line per table row (layout v2).
@@ -706,21 +794,32 @@ def write_stack(stack: CovarianceStack, path: str):
 
     in scale order and x0 order within a scale, where h_x1 is float.hex of
     table j at (x0, x1) and scale j = R is the tail.  Hex floats make the
-    round trip bit-exact, signed zeros and subnormals included.  Each row
-    is converted on its own, so no Python copy of a whole table is made.
+    round trip bit-exact, signed zeros and subnormals included.  The values
+    are encoded HEX_BLOCK_ROWS rows at a time from their IEEE bits
+    (_hex_rows), byte for byte as float.hex writes them.  A table with a
+    non-finite entry is refused before the file is opened.
     """
     if stack.gamma_tables is None:
         raise DecompositionError("only materialized stacks serialize to tables")
     lat = stack.lattice
-    with open(path, "w", newline="\n") as f:
-        f.write(f"{STACK_HEADER}\n")
-        f.write(f"# L={lat.L} R={lat.R} gamma={lat.gamma} M={lat.M} m={lat.m.hex()}\n")
-        f.write(f"# psd_tol={stack.psd_tol!r} leakage_tol={stack.leakage_tol!r}\n")
-        f.write(f"# tail_is_normalized={int(stack.tail_is_normalized)}\n")
-        f.write(f"{STACK_COLUMNS}\n")
-        for j, t in enumerate([*stack.gamma_tables, stack.tail_table]):
-            for x0 in range(lat.side):
-                f.write(f"{j},{x0},{','.join(map(float.hex, t[x0].tolist()))}\n")
+    tables = [*stack.gamma_tables, stack.tail_table]
+    for j, t in enumerate(tables):
+        if not np.isfinite(t).all():
+            x0, x1 = (int(i) for i in np.argwhere(~np.isfinite(t))[0])
+            raise DecompositionError(f"{path}: non-finite value {t[x0, x1]} in scale {j} at x0={x0}, x1={x1}; nothing written")
+    head = (
+        f"{STACK_HEADER}\n"
+        f"# L={lat.L} R={lat.R} gamma={lat.gamma} M={lat.M} m={lat.m.hex()}\n"
+        f"# psd_tol={stack.psd_tol!r} leakage_tol={stack.leakage_tol!r}\n"
+        f"# tail_is_normalized={int(stack.tail_is_normalized)}\n"
+        f"{STACK_COLUMNS}\n"
+    )
+    with open(path, "wb") as f:
+        f.write(head.encode())
+        for j, t in enumerate(tables):
+            for start in range(0, lat.side, HEX_BLOCK_ROWS):
+                rows = _hex_rows(t[start : start + HEX_BLOCK_ROWS])
+                f.writelines(b"%d,%d,%s\n" % (j, x0, row) for x0, row in enumerate(rows, start))
 
 
 def _header_tol(path: str, meta: dict, key: str, bound: float) -> float:

@@ -8,11 +8,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
 from ktrg import decomposition
 from ktrg.coefficients import compute_coefficients
-from ktrg.lattice import TorusLattice, laplacian_symbol
+from ktrg.lattice import TorusLattice, laplacian_symbol, normalized_potential_table, yukawa_table
 from ktrg.cutoffs import build_cutoffs
 from ktrg.decomposition import (
     decompose,
@@ -43,6 +44,48 @@ def test_psd_all_scales(stack_l3_massive, stack_l3_massless):
 def test_leakage_below_tolerance(stack_l3_massless):
     for j in range(stack_l3_massless.n_scales):
         assert stack_l3_massless.leakage(j) < 1e-6
+
+
+def _leakage_mask_oracle(stack, j):
+    """max |Gamma_j| over the Chebyshev-radius mask |x|_inf >= L^(j+1)/2, over Gamma_j(0)."""
+    t = stack.gamma_table(j)
+    side = stack.lattice.side
+    c = np.arange(side)
+    c = np.where(c <= (side - 1) // 2, c, c - side)
+    rr = np.maximum(np.abs(c)[:, None], np.abs(c)[None, :])
+    mask = rr >= stack.lattice.L ** (j + 1) / 2.0
+    if not mask.any():
+        return 0.0
+    return float(np.max(np.abs(t[mask])) / t[0, 0])
+
+
+def _telescoping_oracle(stack):
+    """The telescoping error summed with fresh arrays and the reference built last."""
+    total = np.zeros_like(stack.gamma_tables[0])
+    for t in stack.gamma_tables:
+        total = total + t
+    if not stack.tail_is_normalized:
+        ref = yukawa_table(stack.lattice)
+        return float(np.max(np.abs(total + stack.tail_table - ref)) / abs(ref[0, 0]))
+    total = total - total[0, 0] + stack.tail_table
+    ref = normalized_potential_table(stack.lattice)
+    return float(np.max(np.abs(total - ref)) / float(np.max(np.abs(ref))))
+
+
+def test_leakage_slabs_and_telescoping_match_oracles(stack_l3_massless, stack_l3_massive):
+    # the row and column slabs hold the same entries as the mask, and the
+    # in-place sum makes the same roundings: both equal their oracles exactly
+    stacks = [
+        stack_l3_massless,
+        decompose(TorusLattice(L=3, R=5, m=0.1)),
+        decompose(TorusLattice(L=3, R=3, m=0.25)),
+        _shifted_leak(stack_l3_massive),
+    ]
+    for stack in stacks:
+        for j in range(stack.n_scales):
+            assert stack.leakage(j) == _leakage_mask_oracle(stack, j)
+        assert stack.telescoping_error() == _telescoping_oracle(stack)
+    assert stacks[-1].leakage(0) == pytest.approx(1e-3)
 
 
 def test_exact_support_beyond_budget(stack_l3_r5):
@@ -81,6 +124,54 @@ def test_fine_components_aggregate(stack_l3_massive):
     for j in range(st.n_scales):
         total = sum(fine_component_table(st, h) for h in range(j * M, (j + 1) * M))
         assert np.allclose(total, st.gamma_table(j), atol=1e-15)
+
+
+def _ifft2_tables(stack):
+    """Oracle: each Gamma_j and the tail by the complex inverse FFT of the unfolded band."""
+    lat = stack.lattice
+    grid = SpectralGrid(stack.cutoffs, lat.m, lat.momenta())
+    groups = [stack.fine_scales(j) for j in range(stack.n_scales)]
+    tables = [np.fft.ifft2(grid.unfold(G)).real for G in grid.bands(groups)]
+    r = grid.residual(stack.cutoffs.horizon)
+    if stack.tail_is_normalized:
+        lam = grid.lam
+        dens = np.divide(r, lam, out=np.zeros_like(lam), where=lam > 0)
+        t = np.fft.ifft2(grid.unfold(dens)).real
+        return tables, t - t[0, 0]
+    return tables, np.fft.ifft2(grid.unfold(r / grid.u)).real
+
+
+@pytest.mark.parametrize("L, R, m", [(3, 6, 0.0), (3, 5, 0.1), (3, 4, 0.0), (3, 3, 0.25)])
+def test_real_synthesis_tables_match_complex_ifft2_oracle(stack_l3_massless, L, R, m):
+    stack = stack_l3_massless if (R, m) == (6, 0.0) else decompose(TorusLattice(L=L, R=R, m=m))
+    tables, tail = _ifft2_tables(stack)
+    for t, ref in zip([*stack.gamma_tables, stack.tail_table], [*tables, tail]):
+        assert t.shape == ref.shape == (stack.lattice.side,) * 2
+        assert np.max(np.abs(t - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_real_synthesis_coefficients_match_complex_ifft2_oracle(stack_l3_massless):
+    # the coefficients read Gamma_j(0) off the tables
+    tables, tail = _ifft2_tables(stack_l3_massless)
+    oracle = dataclasses.replace(stack_l3_massless, gamma_tables=tables, tail_table=tail, _cache={})
+    new, ref = compute_coefficients(stack_l3_massless, 3), compute_coefficients(oracle, 3)
+    for name in ("a", "b", "e2", "e3", "e4", "vol"):
+        assert np.allclose(getattr(new, name), getattr(ref, name), rtol=1e-14, atol=0.0), name
+
+
+def test_real_synthesis_refuses_unfolded_grid():
+    # an even-length fftfreq axis ends its first half on -pi, and the alias
+    # ring does not start at 0: neither holds a half spectrum
+    cut = build_cutoffs(3, 1, 4)
+    probe = np.linspace(-np.pi, np.pi, 5)
+    ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
+    for p in (2.0 * np.pi * np.fft.fftfreq(10), ring):
+        g = SpectralGrid(cut, 0.1, p, radius=2)
+        G = g.band([1])
+        with pytest.raises(DecompositionError, match="folded grid"):
+            g.synthesize(G, len(p))
+        with pytest.raises(DecompositionError, match="folded grid"):
+            g.window(G)
 
 
 def test_derivative_scaling_flat_in_j(stack_l3_massless):
@@ -174,6 +265,50 @@ def test_serialization_roundtrip(tmp_path, stack_l3_massive):
         assert np.array_equal(back.gamma_table(j), stack_l3_massive.gamma_table(j))
     assert np.array_equal(back.tail_table, stack_l3_massive.tail_table)
     assert back.lattice == stack_l3_massive.lattice
+
+
+# finite doubles as raw bits: +-0, +-5e-324, the smallest normal, the largest finite value
+_EDGE_BITS = [
+    int(np.float64(v).view(np.uint64))
+    for v in (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308)
+]
+_finite_bits = st.one_of(
+    st.sampled_from(_EDGE_BITS),
+    st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF),
+)
+
+
+def _float_hex_rows(block):
+    """Oracle: the rows as float.hex writes them, one value at a time."""
+    return [",".join(map(float.hex, row)).encode() for row in block.tolist()]
+
+
+def test_hex_encoder_edge_values():
+    block = np.array(_EDGE_BITS, dtype=np.uint64).view(np.float64).reshape(2, 4)
+    assert decomposition._hex_rows(block) == _float_hex_rows(block)
+    assert decomposition._hex_rows(block)[0].split(b",")[:3] == [b"0x0.0p+0", b"-0x0.0p+0", b"0x0.0000000000001p-1022"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda w: st.lists(st.lists(_finite_bits, min_size=w, max_size=w), min_size=1, max_size=8)))
+def test_hex_encoder_matches_float_hex(rows):
+    block = np.array(rows, dtype=np.uint64).view(np.float64)
+    assert decomposition._hex_rows(block) == _float_hex_rows(block)
+
+
+@pytest.mark.parametrize("bad, j, x0", [(float("nan"), 1, 5), (float("inf"), 3, 0), (-float("inf"), 0, 26)])
+def test_write_stack_refuses_non_finite(tmp_path, stack_l3_massive, bad, j, x0):
+    # scale 3 is the tail; nothing is written, not even the header
+    g = [t.copy() for t in stack_l3_massive.gamma_tables]
+    tail = stack_l3_massive.tail_table.copy()
+    (tail if j == 3 else g[j])[x0, 7] = bad
+    stack = dataclasses.replace(stack_l3_massive, gamma_tables=g, tail_table=tail, _cache={})
+    path = os.path.join(tmp_path, "stack.csv")
+    with pytest.raises(DecompositionError, match=rf"non-finite value {bad} in scale {j} at x0={x0}, x1=7") as e:
+        write_stack(stack, path)
+    assert path in str(e.value)
+    assert not os.path.exists(path)
 
 
 def _scipy_odd_fast_len(n):
@@ -347,12 +482,18 @@ def test_read_stack_keeps_signed_zero_and_subnormal(tmp_path, stack_l3_massive):
     g = [t.copy() for t in stack_l3_massive.gamma_tables]
     g[0][13, 13] = -0.0
     g[0][13, 12] = 5e-324
+    g[0][13, 11] = -5e-324
+    g[0][13, 10] = 2.2250738585072014e-308  # the smallest normal, 0x1.0000000000000p-1022
+    g[0][13, 9] = -float.fromhex("0x1.8000000000001p-1022")
     path = os.path.join(tmp_path, "stack.csv")
     write_stack(dataclasses.replace(stack_l3_massive, gamma_tables=g, _cache={}), path)
+    row = open(path).read().splitlines()[5 + 13].split(",")[2:]
+    assert row[9:14] == ["-0x1.8000000000001p-1022", "0x1.0000000000000p-1022", "-0x0.0000000000001p-1022",
+                         "0x0.0000000000001p-1022", "-0x0.0p+0"]
     back = read_stack(path).gamma_table(0)
     assert np.array_equal(back.view(np.uint64), g[0].view(np.uint64))
     assert np.signbit(back[13, 13]) and back[13, 13] == 0.0
-    assert back[13, 12] == 5e-324
+    assert back[13, 12] == 5e-324 and back[13, 11] == -5e-324
 
 
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), -0.1])
