@@ -230,16 +230,18 @@ class SpectralGrid:
 
     # -- bands --
 
+    @functools.cached_property
+    def _lower(self) -> np.ndarray:
+        """Mask of the triangle k <= i of the folded grid; its row-major order
+        is the order of the triangle arrays of the band pass."""
+        return np.tri(len(self.p_fold), dtype=bool)
+
     def _mirror(self, t: np.ndarray) -> np.ndarray:
         """The folded-grid array of the triangle array t (row i holds columns 0..i)."""
         n = len(self.p_fold)
         out = np.empty((n, n))
-        start = 0
-        for i in range(n):
-            row = t[start : start + i + 1]
-            out[i, : i + 1] = row
-            out[:i, i] = row[:i]
-            start += i + 1
+        out[self._lower] = t
+        out.T[self._lower] = t
         return out
 
     def _advance(self, h: int) -> FejerPass:
@@ -627,17 +629,23 @@ class CovarianceStack:
         With the torus coordinate c = x or x - side in -(side-1)/2..(side-1)/2,
         |x|_inf >= L^(j+1)/2 means some |c| >= k = ceil(L^(j+1)/2), that is
         some index in k..side-k: the region is the union of the row slab and
-        the column slab over that index range.
+        the column slab over that index range.  Cached per scale, so the
+        gates of validate() and later reports share one evaluation; a stack
+        with other tables is a new stack (dataclasses.replace with _cache={}).
         """
         self._check_scale(j)
-        t = self.gamma_table(j)
-        side = self.lattice.side
-        k = (self.lattice.L ** (j + 1) + 1) // 2
-        if k > (side - 1) // 2:
-            return 0.0
-        slab = slice(k, side - k + 1)
-        leak = np.maximum(np.max(np.abs(t[slab, :])), np.max(np.abs(t[:, slab])))
-        return float(leak / t[0, 0])
+        key = ("leakage", j)
+        if key not in self._cache:
+            t = self.gamma_table(j)
+            side = self.lattice.side
+            k = (self.lattice.L ** (j + 1) + 1) // 2
+            if k > (side - 1) // 2:
+                leak = 0.0
+            else:
+                slab = slice(k, side - k + 1)
+                leak = float(np.maximum(np.max(np.abs(t[slab, :])), np.max(np.abs(t[:, slab]))) / t[0, 0])
+            self._cache[key] = leak
+        return self._cache[key]
 
     def validate(self):
         """PSD + leakage gates; raises DecompositionError naming the scale.

@@ -11,8 +11,10 @@ of scope, so the flow carries only the two couplings (x, y).
 takes floats or equal-shape arrays (j an int or an int array) and rounds
 both the same way.  `_advance`, the one step built on it, serves `step` and
 `trajectory`; the fixed-point map `manifold.apply_T` calls the kernel once
-on whole sequences.  Only the shooting oracle (`manifold._classify`) spells
-out the bare quadratic step on its own.
+on whole sequences.  The shooting oracle (`manifold._classify`) shares none
+of this: it classes a start in the unit square by the sign of x - y, and
+writes out the bare quadratic step only for the one step a start outside
+the square may need to reach an exit.
 """
 
 from __future__ import annotations

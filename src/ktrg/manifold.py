@@ -17,7 +17,6 @@ provides the cross-check oracle.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -209,164 +208,52 @@ def solve_fixed_point(prob: ManifoldProblem, tol: float = 1e-13, max_iter: int =
 # ---------------------------------------------------------------------------
 # shooting oracle
 
-# Flow steps per unchecked block of the shooting oracle (see _classify).
-_BLOCK = 256
-# Relative width of the narrow wedges around x = y, and the floor under the
-# coordinate that scales it (see _classify): the smallest power of two F
-# with _EPS * F >= 6u, u = 2^-53.
-_EPS = 2.0**-10
-_FLOOR = 2.0**-40
 
-
-def _classify(x1: float, y1: float, ceiling: float, j_max: int) -> str:
+def _classify(x1: float, y1: float, ceiling: float) -> str:
     """'unstable' if the growing-y side wins, 'stable' if y dies out,
-    'diagonal' if the trajectory sits on x = y for good.
+    'diagonal' for a start on the limit-mode separatrix x = y itself.
 
-    Below the separatrix y escapes towards the ceiling (with x running off
-    to -infinity); above it the activity decays to zero while x stays
-    bounded.  A trajectory is decided at the first of these exits, tested
-    before each of at most j_max steps (eps = _EPS = 2^-10, F = _FLOOR =
-    2^-40):
+    Outside the square 0 < x, y < min(1, ceiling) the exits decide: y <= 0
+    is stable (unstable if x <= -ceiling), y >= ceiling and x <= 0 < y
+    unstable, x >= ceiling stable.  A finite start with x or y in
+    [1, ceiling) meets one of them after one bare step: x >= 1 gives y' <= 0, and
+    x < 1 <= y gives x' < 0 <= y'.
 
-    - y <= 0: stable, unless x <= -ceiling already;
-    - y >= ceiling, or x < 1 and one of the unstable wedges y >= 2x or
-      y - x >= eps max(x, F): unstable;
-    - x >= ceiling, the stable wedge x >= 2y, or x < 1 and the narrow
-      stable wedge x - y >= eps max(y, F): stable;
-    - x = y < 1: diagonal.
-
-    The 2y wedges are forward invariant.  In the stable one y' = y(1 - x)
-    only decays.  In the unstable one x < 1 keeps y' = y(1 - x) > 0, and
-    x' = x - y^2 < x keeps x' < 1; for x <= 0 also x' < 0 < y', and for
-    0 < x <= y/2 the ratio x/y does not increase, since
-    x'/y' <= x/y <=> x^2 <= y^2.  There y - x > 0 grows by the factor
-    1 + y each step, and y stays away from 0 (y >= y - x while x >= 0, and
-    y grows once x < 0), so the trajectory reaches y >= ceiling or
-    x <= -ceiling, where the ceiling rule alone also says 'unstable'.  No
-    point of a wedge meets the other class's exits on the way, so every
-    class is the one the ceiling rule gives, only decided sooner.  The
-    guard x < 1 matters: (1.1, 2.3) has y' < 0 and is stable for the
-    ceiling 10.  Under the rounded step, with s and p the rounded y^2 and
-    xy: in the stable wedge xy >= y^2 gives p >= s, so x - s >= 2(y - p);
-    in the unstable wedge with x > 0, y^2 >= xy gives s >= p, so
-    2(x - s) <= y - p.  Monotone rounding, and doubling, which commutes
-    with rounding a difference of two doubles, turn these into x' >= 2y'
-    and 2x' <= y'.  x <= 0 gives x' <= 0 < y <= y'.
-
-    The narrow wedges use the exact structure of the step:
-    x' - y' = (x - y)(1 + y), so the distance from the diagonal grows while,
-    for 0 < x < 1, neither coordinate grows.  Three facts make them exits
-    of the same class, at the same step as the 2y loop or sooner:
-
-    - Both sides of each narrow test are exact.  Where y/2 <= x <= 2y,
-      fl(x - y) = x - y by Sterbenz's lemma; eps max(y, F) is a
-      power-of-two scaling of a double >= 2^-40, so it is exact too.
-      Outside that cone the 2y test of the same class fires, or x - y has
-      the wrong sign for the narrow test, and monotone rounding keeps it.
-    - The rounded step keeps each narrow wedge.  Take a state of the
-      stable one outside the 2y wedge: 0 < y < x < 2y, x < 1, and
-      d = x - y >= eps max(y, F).  Then
-      x' - y' = d(1 + y) + E, E = (p - xy) - (s - y^2) + r1 - r2,
-      with r1, r2 the rounding errors of x - s and y - p.  Each of the four
-      roundings errs by at most u = 2^-53 times its exact result (x and y
-      exceed d >= 2^-50, so nothing is subnormal), and xy, y^2 < y,
-      x - s <= x < 2y and y - p <= y, so |E| < 5uy.  In the unstable one
-      (0 < x < y < 2x, x < 1, so y < 2), y' - x' = e(1 + y) - E for
-      e = y - x, and |E| < 6uy, since there |x - s| < 2y and y^2 < 2y.
-      So d' >= d + y(d - 5u) >= d and e' >= e, because both are at least
-      eps F = 2^-50 = 8u; F is the smallest power of two that gives
-      eps F >= 6u.  The width does not grow either: y' <= y in the stable
-      wedge and x' <= x in the unstable one.  So d' >= eps max(y', F)
-      with x' >= 0: the next state is in the narrow stable wedge, in the
-      2y wedge, or has y' = 0 and x' > -ceiling, stable again.  And
-      e' >= eps max(x', F) with 0 < y' < 2 puts the next state in the
-      narrow unstable wedge, or in the 2y wedge when x' <= 0.  The floor
-      sits on the width and not on y: a narrow test cut off below a floor
-      y_0 would let a state cross y_0 before reaching x >= 2y, undecided
-      again.
-    - Every class is the class the 2y loop returns.  In the narrow stable
-      wedge d stays at least its first value d_0 while
-      y' <= y(1 - x(1 - u))(1 + u) < y(1 - d_0/2), as x > d_0 >= 8u; so
-      the 2y loop meets y <= d, that is x >= 2y, or y <= 0 with x > 0, or
-      x >= ceiling: 'stable'.  Its unstable exits would need y >= ceiling
-      (y does not grow) or y >= 2x > 2y.  In the narrow unstable wedge e
-      stays at least e_0 while x' < x(1 - e_0/2) or x' <= 0, as
-      s >= x^2(1 - u); so the 2y loop meets x <= e, that is y >= 2x, the
-      2y wedge: 'unstable'.  Its stable exits would need x >= 2y, y <= 0
-      (y' > 0 there) or x >= ceiling, which y > x reaches first as
-      y >= ceiling.
-
-    The narrow tests contain the 2y tests wherever x < 1 and min(x, y)
-    >= 2^-50; the 2y tests stay for x >= 1 and for smaller coordinates,
-    so no state is decided later than by the 2y loop.  On the diagonal
-    x = y < 1 the rounded step gives x' = y' bit for bit, with y' > 0, so
-    no exit ever fires: the trajectory is the separatrix itself, which in
-    limit mode is x = y, and it is reported as such rather than run to
-    j_max.
-
-    Near the separatrix a trajectory spends almost all its steps in the
-    undecided band Q = {0 < y < ceiling, x < min(1, ceiling), y/2 < x < 2y,
-    -eps max(x, F) < x - y < eps max(y, F), x != y}, where no exit fires.
-    So the loop takes _BLOCK steps at a time with no test while the state
-    lies in Q, tests Q once per block, and hands the rest to the per-step
-    loop from the last state known to lie in Q.  That gives the per-step
-    loop's outcome, or its "inconclusive after j_max steps" error, bit for
-    bit, because a block that ends in Q never left it:
-
-    - From Q, x' <= x and 0 <= y' <= y (rounding is monotone, x > 0 and
-      x < 1), so a step leaves Q only into y = 0, one of the four wedges
-      or the diagonal, never through a ceiling or x >= min(1, ceiling).
-    - None of these leads back into Q under the rounded step: y = 0 stays
-      0, the diagonal stays the diagonal, and the wedges are forward
-      invariant as shown above.  Past an overflow the state stays
-      non-finite.
-    - Every state is stepped by the same expression, so the states and the
-      step count at which the per-step loop decides are unchanged.
-
-    The bare step is written out here rather than taken from `flow._advance`:
-    this loop is the oracle that the fixed point is checked against, so it
-    shares no code with it.  One pass of the benchmark's bisections at
-    y1 = 0.02, 0.03, 0.04 is 96 classifications: 9.66e6 steps with the 2y
-    wedges as the only wedge exits, 3.73e5 steps with the narrow ones, of
-    which all but 6.0e3 run in blocks.
+    Inside the square the sign of x - y decides, by the order lemma: the
+    rounded step (x - fl(y^2), y - fl(xy)) keeps the weak order of x and y.
+    If x > y then xy > y^2, so fl(xy) >= fl(y^2) by monotone rounding,
+    x - fl(y^2) > y - fl(xy), and x' >= y'; likewise with x < y.  So a
+    rounded trajectory never crosses the diagonal, and in exact arithmetic
+    x' - y' = (x - y)(1 + y) leaves it: y dies out where x > y and runs to
+    the ceiling where x < y.  A start a few ulps off the diagonal may round
+    onto it (x' = y') and stay there; it is classed by the side it starts
+    on, its class in exact arithmetic.
     """
     x, y = float(x1), float(y1)
-    x_cap = min(1.0, ceiling)
-    left = j_max
-    x0, y0, left0 = x, y, left
-    while (0.0 < y < ceiling and x < x_cap and y < 2.0 * x and x < 2.0 * y and x != y
-           and -_EPS * max(x, _FLOOR) < x - y < _EPS * max(y, _FLOOR)):
-        x0, y0, left0 = x, y, left
-        if left < _BLOCK:
-            break
-        for _ in range(_BLOCK):
-            x, y = x - y * y, y - x * y
-        left -= _BLOCK
-    x, y = x0, y0
-    for _ in range(left0):
+    while True:
         if y <= 0.0:
             return "unstable" if x <= -ceiling else "stable"
-        if y >= ceiling or (x < 1.0 and (y >= 2.0 * x or y - x >= _EPS * max(x, _FLOOR))):
+        if y >= ceiling:
             return "unstable"
-        if x >= ceiling or x >= 2.0 * y or (x < 1.0 and x - y >= _EPS * max(y, _FLOOR)):
+        if x >= ceiling:
             return "stable"
-        if x == y and x < 1.0:
-            return "diagonal"
+        if x <= 0.0:
+            return "unstable"
+        if x < 1.0 and y < 1.0:
+            return "stable" if x > y else "unstable" if x < y else "diagonal"
+        # the bare step, written out: this oracle shares no code with the fixed point
         x, y = x - y * y, y - x * y
-    raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
 
 
 def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
-                   bracket: tuple[float, float] = (0.0, 0.1), tol: float = 1e-10,
-                   j_max: int = 10_000_000) -> float:
+                   bracket: tuple[float, float] = (0.0, 0.1), tol: float = 1e-10) -> float:
     """Bisection on x_1 between y-escape and y-death; only the quadratic flow.
 
-    The limit-mode flow is hard-coded in the inner loop; a config
-    requesting anything else is rejected to keep the oracle honest.
-    The bisection stops at width tol, or earlier once lo and hi are
-    adjacent floats.  A start whose trajectory lands on the diagonal
-    x = y (a bracket edge or a midpoint) is returned as it is: it lies
-    on the separatrix.
+    The classifier holds for the limit-mode flow, whose separatrix is
+    x = y; a config requesting anything else is rejected to keep the
+    oracle honest.  The bisection stops at width tol, or earlier once lo
+    and hi are adjacent floats.  A start on the diagonal x = y (a bracket
+    edge or a midpoint) is returned as it is: it lies on the separatrix.
     """
     if flow_config is not None and flow_config.mode != "limit":
         raise ValueError("shooting oracle runs the bare quadratic flow only")
@@ -374,8 +261,6 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
         raise ValueError(f"y1 must be finite, got {y1}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"shooting tol must be finite and > 0, got {tol}")
-    if isinstance(j_max, bool) or not isinstance(j_max, numbers.Integral) or j_max < 1:
-        raise ValueError(f"j_max must be an int >= 1, got {j_max!r}")
     lo, hi = bracket
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"shooting bracket must be finite with lo < hi, got {bracket}")
@@ -384,8 +269,8 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
         return 0.0
     # Sigma is even in y1 (flow parity), so shoot with |y1|
     y1 = abs(y1)
-    c_lo = _classify(lo, y1, ceiling, j_max)
-    c_hi = _classify(hi, y1, ceiling, j_max)
+    c_lo = _classify(lo, y1, ceiling)
+    c_hi = _classify(hi, y1, ceiling)
     if "diagonal" in (c_lo, c_hi):
         return lo if c_lo == "diagonal" else hi
     if c_lo == c_hi:
@@ -396,7 +281,7 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats
-        side = _classify(mid, y1, ceiling, j_max)
+        side = _classify(mid, y1, ceiling)
         if side == "diagonal":
             return mid
         if side == "unstable":

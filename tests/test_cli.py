@@ -153,6 +153,15 @@ def test_separatrix_inside_ball_passes(tmp_path, capsys):
     assert "fixed-point residual" in out and "shooting tol 1e-10" in out
 
 
+def test_separatrix_at_a_bisection_midpoint_one_ulp_off_the_diagonal(tmp_path):
+    # the third midpoint of the shooting bracket (0, 0.1) at y1 = 0.0375
+    # lies one ulp off x = y; the shooting oracle still classes it
+    assert main(["separatrix", "--y1", "0.0375", "--out-dir", str(tmp_path)]) == 0
+    header, row = (tmp_path / "separatrix_y0.0375.csv").read_text().splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert abs(float(rec["sigma_shooting"]) - float(rec["sigma_fixed_point"])) <= 1e-8
+
+
 def test_flow_csv_columns_match_trajectory(tmp_path):
     # x and y are the on-manifold trajectory's, written with 17 digits
     assert main(["flow", "--y1", "0.01", "--horizon", "2000", "--out-dir", str(tmp_path)]) == 0

@@ -508,9 +508,54 @@ def test_gates_fail_on_nan():
     with pytest.raises(DecompositionError, match="nan in Gamma_0"):
         st.validate()
     st = decompose(TorusLattice(L=3, R=2, m=0.1))
-    st.gamma_tables[0] = st.gamma_tables[0] * float("nan")
+    # leakage is cached per stack, so other tables make a new stack
+    st = dataclasses.replace(st, gamma_tables=[st.gamma_tables[0] * float("nan"), *st.gamma_tables[1:]], _cache={})
     with pytest.raises(DecompositionError, match="leakage nan"):
         st.validate()
+
+
+def test_leakage_is_cached_per_scale(stack_l3_massive, monkeypatch):
+    # the first call per scale reads the table, a second returns the same
+    # float without reading it; decompose's validate() has filled the cache
+    reads = []
+    table = decomposition.CovarianceStack.gamma_table
+    monkeypatch.setattr(decomposition.CovarianceStack, "gamma_table", lambda self, j: reads.append(j) or table(self, j))
+    st = dataclasses.replace(stack_l3_massive, _cache={})
+    first = [st.leakage(j) for j in range(st.n_scales)]
+    assert reads == list(range(st.n_scales))
+    second = [st.leakage(j) for j in range(st.n_scales)]
+    assert reads == list(range(st.n_scales))
+    assert all(type(a) is float and a is b for a, b in zip(first, second))
+    built = decompose(TorusLattice(L=3, R=3, m=0.1))
+    reads.clear()
+    assert [built.leakage(j) for j in range(built.n_scales)] == first and reads == []
+
+
+def _mirror_loop(g, t):
+    """The folded-grid array of the triangle array t, copied row by row (oracle)."""
+    n = len(g.p_fold)
+    out = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        row = t[start : start + i + 1]
+        out[i, : i + 1] = row
+        out[:i, i] = row[:i]
+        start += i + 1
+    return out
+
+
+@pytest.mark.parametrize("S", [1, 44, 45, 729])
+def test_mirror_gather_matches_row_loop(S):
+    # the two masked copies through the lower-triangle mask copy what the
+    # row loop copies, on random triangles and on the band pass; S = 44
+    # takes the trivial fold
+    cut = build_cutoffs(3, 1, 6)
+    g = SpectralGrid.decimated(cut, 0.1, 1, S, 0)
+    n = len(g.p_fold)
+    assert n == (S if S % 2 == 0 else S // 2 + 1)
+    t = np.random.default_rng(S).standard_normal(n * (n + 1) // 2)
+    for tri in (t, g._advance(2).r, g._advance(4).band()):
+        assert np.array_equal(g._mirror(tri), _mirror_loop(g, tri))
 
 
 def _full_u(g):

@@ -7,9 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 import ktrg.manifold
 from ktrg.flow import FlowConfig, _advance, corrections, trajectory, kosterlitz_q_array
 from ktrg.manifold import (
-    _BLOCK,
-    _EPS,
-    _FLOOR,
     _classify,
     _distance,
     _tail_envelope,
@@ -299,6 +296,13 @@ def test_fixed_point_is_a_flow_trajectory(flow, y1):
     assert np.max(np.abs(y_next - y[1:])) <= 1e-15
 
 
+# Relative width of the narrow wedges around x = y in the per-step oracle
+# below, and the floor under the coordinate that scales it: the smallest
+# power of two F with _EPS * F >= 6u, u = 2^-53.
+_EPS = 2.0**-10
+_FLOOR = 2.0**-40
+
+
 def _classify_reference(x1, y1, ceiling, j_max):
     """The shooting classification with the stable wedge and the ceilings as
     its only exits (oracle): every unstable trajectory runs to the ceiling."""
@@ -355,8 +359,8 @@ def _narrow_run(x1, y1, ceiling, j_max):
 
 def _classify_narrow_stepwise(x1, y1, ceiling, j_max):
     """The shooting classification with every exit, the narrow wedges and
-    the diagonal included, tested before every step (oracle for the
-    block-stepped `_classify`)."""
+    the diagonal included, tested before every step (oracle for the sign
+    test of `_classify`)."""
     side, _ = _narrow_run(x1, y1, ceiling, j_max)
     if side is None:
         raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
@@ -394,27 +398,45 @@ def test_classify_matches_reference_on_random_points(ceiling):
             want = _classify_reference(x1, y1, ceiling, j_max)
         except RuntimeError:
             continue
-        assert _classify(x1, y1, ceiling, j_max) == want, (x1, y1)
+        assert _classify(x1, y1, ceiling) == want, (x1, y1)
         seen[want] += 1
     assert min(seen.values()) > 2000 and sum(seen.values()) > 10_000
 
 
+# x1 one ulp above y1 whose first rounded step lands exactly on x = y
+_COLLAPSE = (float.fromhex("0x1.6d6356d40d834p-3"), float.fromhex("0x1.6d6356d40d833p-3"))
+
+
+def _ulps_off_diagonal(rng, n):
+    """n starts 1 to 3 ulps off x1 = y1, y1 log-uniform on [2^-12, 1)."""
+    pts = []
+    for _ in range(n):
+        y = math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(-12, 0)))
+        k = int(rng.integers(1, 4))
+        pts.append([_ulps_away(y, k if rng.random() < 0.5 else -k), y])
+    return pts
+
+
 @pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
 def test_classify_matches_stepwise_loop(ceiling):
-    # the same class, or the same "inconclusive" error, as the per-step loop
-    # with the narrow exits, for step budgets below, at and above one block;
-    # the narrow wedges decide the 1% band within 1000 steps, so a tighter
-    # band keeps the error in play
-    pts = _classify_points(ceiling) + _near_separatrix(np.random.default_rng(int(10 * ceiling) + 1), 200, 1e-5)
-    for j_max in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000, 100_000):
-        seen = set()
-        for x1, y1 in pts:
-            want = _outcome(_classify_narrow_stepwise, x1, y1, ceiling, j_max)
-            assert _outcome(_classify, x1, y1, ceiling, j_max) == want, (x1, y1, j_max)
-            seen.add(want)
-        assert {"stable", "unstable"} <= seen
-        if j_max <= 1000:
-            assert f"shooting trajectory inconclusive after {j_max} steps" in seen
+    # the per-step loop with the narrow exits gives the sign test's class
+    # wherever it decides a side; where a start off x = y rounds onto the
+    # diagonal it says "diagonal", and the sign test gives the start's side
+    # (the ulp-off starts that collapse do so within a few dozen steps)
+    rng = np.random.default_rng(int(10 * ceiling) + 1)
+    runs = [(x1, y1, 10_000) for x1, y1 in _classify_points(ceiling) + _near_separatrix(rng, 200, 1e-5)]
+    runs += [(x1, y1, 100) for x1, y1 in _ulps_off_diagonal(rng, 2000) + [list(_COLLAPSE)]]
+    seen = {"stable": 0, "unstable": 0, "collapsed": 0}
+    for x1, y1, j_max in runs:
+        want = _outcome(_classify_narrow_stepwise, x1, y1, ceiling, j_max)
+        got = _classify(x1, y1, ceiling)
+        if want == "diagonal" and x1 != y1:
+            assert got == ("stable" if x1 > y1 else "unstable"), (x1, y1)
+            seen["collapsed"] += 1
+        elif want in ("stable", "unstable"):
+            assert got == want, (x1, y1)
+            seen[want] += 1
+    assert seen["stable"] > 2000 and seen["unstable"] > 2000 and seen["collapsed"] >= 2
 
 
 @pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
@@ -428,44 +450,24 @@ def test_narrow_wedges_decide_as_the_2y_loop_in_no_more_steps(ceiling):
         if side is None:
             continue
         narrow_side, m = _narrow_run(x1, y1, ceiling, n + 1)
-        assert narrow_side == side and _classify(x1, y1, ceiling, n + 1) == side, (x1, y1)
+        assert narrow_side == side and _classify(x1, y1, ceiling) == side, (x1, y1)
         old_steps += n
         new_steps += m
     assert new_steps < old_steps / 10
 
 
-@pytest.mark.parametrize("x1", [0.02000003, 0.01999997], ids=["stable", "unstable"])
-def test_classify_decides_at_the_stepwise_step(x1):
-    # A start near the separatrix Sigma(0.02) = 0.02 is decided after more
-    # than three blocks: a budget of N steps decides it, N - 1 steps do not.
-    # Stepped on so that its deciding state ends a block, it checks that such
-    # a block is replayed step by step rather than decided at its end.
-    y1, ceiling = 0.02, 1.0
-    side, n = _narrow_run(x1, y1, ceiling, 100_000)
-    n += 1
-    assert n > 3 * _BLOCK
-    x, y = x1, y1
-    for _ in range((n - 1) % _BLOCK):
-        x, y = x - y * y, y - x * y
-    m = n - (n - 1) % _BLOCK
-    for start, steps in (((x1, y1), n), ((x, y), m)):
-        for classify in (_classify_narrow_stepwise, _classify):
-            assert classify(*start, ceiling, steps) == side == ("stable" if x1 > y1 else "unstable")
-            with pytest.raises(RuntimeError, match=f"inconclusive after {steps - 1} steps"):
-                classify(*start, ceiling, steps - 1)
-
-
 def test_classify_unstable_wedge_needs_x_below_one():
     # in the wedge y >= 2x but with x > 1: y' = y(1 - x) < 0, so y dies
     assert _classify_reference(1.1, 2.3, 10.0, 100) == "stable"
-    assert _classify(1.1, 2.3, 10.0, 100) == "stable"
+    assert _classify(1.1, 2.3, 10.0) == "stable"
 
 
 def test_narrow_stable_wedge_needs_x_below_one():
     # x - y >= eps y with x > 1: y' < 0, and x' = x - y^2 may already be
     # below -ceiling, which makes the trajectory unstable
-    for c in (_classify_stepwise, _classify_narrow_stepwise, _classify):
+    for c in (_classify_stepwise, _classify_narrow_stepwise):
         assert c(4.1, 4.0, 10.0, 100) == "unstable"
+    assert _classify(4.1, 4.0, 10.0) == "unstable"
 
 
 def test_unstable_wedge_is_forward_invariant():
@@ -479,7 +481,7 @@ def test_unstable_wedge_is_forward_invariant():
 
 
 def test_narrow_floor_is_the_least_the_proof_allows():
-    # the wedge distance stops shrinking once it is at least 6u (_classify)
+    # the wedge distance stops shrinking once it is at least 6u (_narrow_run)
     u = 2.0**-53
     assert _EPS * _FLOOR >= 6 * u > _EPS * _FLOOR / 2
 
@@ -522,14 +524,34 @@ def test_narrow_unstable_wedge_is_forward_invariant(x, t, k):
     assert y > 0.0 and x < 1.0 and (y >= 2.0 * x or y - x >= _EPS * max(x, _FLOOR)), (x, y)
 
 
+def _ulps_away(x, k):
+    """x moved |k| ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, 2.0 if k > 0 else 0.0)
+    return x
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=_SCALE, other=st.one_of(st.integers(-3, 3).filter(bool), _SCALE,
+                                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_rounded_step_keeps_the_order_of_x_and_y(x, other):
+    # the order lemma behind _classify: for 0 < x != y < 1, 1 to 3 ulps
+    # apart or not, one rounded bare step never reverses the sign of x - y
+    y = _ulps_away(x, other) if isinstance(other, int) else other
+    assume(x != y and 0.0 < y < 1.0)
+    for a, b in ((x, y), (y, x)):
+        a2, b2 = a - b * b, b - a * b
+        assert (a2 >= b2 if a > b else a2 <= b2), (a, b, a2, b2)
+
+
 @pytest.mark.parametrize("ceiling", [0.5, 1.0, 10.0])
 @pytest.mark.parametrize("t", [2.0**-1074, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53])
 def test_classify_reports_the_diagonal(t, ceiling):
     # x = y < 1 steps to x' = y' bit for bit, so no exit ever fires
     want = "diagonal" if t < ceiling else "unstable"
-    for j_max in (1, _BLOCK + 1, 10_000):
+    for j_max in (1, 10_000):
         assert _classify_narrow_stepwise(t, t, ceiling, j_max) == want
-        assert _classify(t, t, ceiling, j_max) == want
+    assert _classify(t, t, ceiling) == want
     x, y = t, t
     for _ in range(1000):
         x, y = x - y * y, y - x * y
@@ -552,16 +574,18 @@ def test_shooting_returns_a_bracket_edge_on_the_diagonal():
 
 @pytest.mark.parametrize("y1", [0.005, 0.01, 0.02, 0.03, 0.04])
 def test_shooting_matches_reference_bisection(y1, monkeypatch):
-    # the block-stepped oracle bisects to the stepwise loop's Sigma bit for bit
+    # the sign test bisects to the stepwise loop's Sigma bit for bit
     tols = (1e-10, 2e-10)
     got = [solve_shooting(y1, tol=tol) for tol in tols]
-    monkeypatch.setattr(ktrg.manifold, "_classify", _classify_stepwise)
+    monkeypatch.setattr(ktrg.manifold, "_classify", lambda x1, y, ceiling: _classify_stepwise(x1, y, ceiling, 10_000_000))
     assert got == [solve_shooting(y1, tol=tol) for tol in tols]
 
 
-@pytest.mark.parametrize("y1", [0.01, 0.04])
+@pytest.mark.parametrize("y1", [0.01, 0.04, 0.0375])
 def test_shooting_reaches_tight_tolerances(y1):
-    # the 2y loop gave up on these after 1e7 steps; limit-mode Sigma is y1
+    # the 2y loop gave up on 0.01 and 0.04 after 1e7 steps, the narrow
+    # wedges on 0.0375, whose third midpoint lies one ulp off x = y;
+    # limit-mode Sigma is y1
     assert abs(solve_shooting(y1, tol=1e-12) - y1) <= 1e-12
 
 
@@ -570,7 +594,7 @@ def test_shooting_stops_at_adjacent_floats(monkeypatch):
     y1 = 0.03
     calls = []
 
-    def classify(x1, y, ceiling, j_max):
+    def classify(x1, y, ceiling):
         calls.append(x1)
         return "unstable" if x1 < y else "stable"
 
@@ -578,9 +602,3 @@ def test_shooting_stops_at_adjacent_floats(monkeypatch):
     sigma = solve_shooting(y1, tol=1e-20)
     assert abs(sigma - y1) <= math.ulp(y1)
     assert len(calls) <= 2 + 64
-
-
-@pytest.mark.parametrize("bad", [0, -3, 2.5, 1e7, True, "100"])
-def test_shooting_rejects_bad_j_max(bad):
-    with pytest.raises(ValueError, match="j_max must be an int >= 1"):
-        solve_shooting(0.01, j_max=bad)
