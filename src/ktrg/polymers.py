@@ -9,6 +9,12 @@ winding polymers count as non-small at every scale.  Each paving keeps a
 table of every block's neighbours and of its parent block, so component
 searches and closures look blocks up instead of reducing coordinates.
 
+Every family of connected sets comes from one rooted enumerator
+(Redelmeier's growth over a neighbour table), which yields each connected
+set once, from its least vertex: the connected polymers up to a size, the
+small family, `count_S`, the closure preimages summed by `k_small` and
+`k_large`, and the fixed polyominoes of `count_polyominoes`.
+
 The extraction bookkeeping J_j(D, Y) built from scalar stand-ins for the
 extracted activities satisfies three linear identities exactly.  They are
 expanded once per paving into a sparse integer map, which is evaluated
@@ -55,6 +61,11 @@ def _neighbours(n_axis: int) -> dict:
             for b0 in range(n_axis) for b1 in range(n_axis)}
 
 
+def _centered(a: int, n: int) -> int:
+    """The representative of a mod n in -(n - 1) // 2 .. n // 2."""
+    return (a + (n - 1) // 2) % n - (n - 1) // 2
+
+
 @dataclass(frozen=True)
 class BlockPaving:
     """Scale-j paving of the side L^R torus into L^(2(R-j)) blocks."""
@@ -89,8 +100,7 @@ class BlockPaving:
         s, b = self.side, self.block_side
         out = []
         for c in x:
-            cc = (c + (s - 1) // 2) % s - (s - 1) // 2  # centered representative
-            out.append(((cc + (b - 1) // 2) // b) % self.n_axis)
+            out.append(((_centered(c, s) + (b - 1) // 2) // b) % self.n_axis)
         return tuple(out)
 
     def sites_of(self, blk) -> list[tuple[int, int]]:
@@ -98,8 +108,7 @@ class BlockPaving:
         b = self.block_side
         cs = []
         for a in blk:
-            a_c = (a + (self.n_axis - 1) // 2) % self.n_axis - (self.n_axis - 1) // 2
-            lo = a_c * b - (b - 1) // 2
+            lo = _centered(a, self.n_axis) * b - (b - 1) // 2
             cs.append(range(lo, lo + b))
         return [(c0, c1) for c0 in cs[0] for c1 in cs[1]]
 
@@ -123,7 +132,7 @@ class BlockPaving:
         """Each block -> the (j+1)-block that contains it (j < R)."""
         n, L = self.n_axis, self.L
         up = n // L
-        axis = [((c + (n - 1) // 2) % n - (n - 1) // 2 + (L - 1) // 2) // L % up for c in range(n)]
+        axis = [(_centered(c, n) + (L - 1) // 2) // L % up for c in range(n)]
         return {(b0, b1): (axis[b0], axis[b1]) for b0 in range(n) for b1 in range(n)}
 
 
@@ -237,27 +246,53 @@ def neighborhood(X: Polymer) -> Polymer:
 # enumeration
 
 
-def _connected_sets(n_axis: int, max_size: int) -> list[frozenset]:
-    """Every connected block set with at most max_size blocks, each once.
+def _rooted_sets(nbrs, root: int, max_size: int):
+    """Each connected set of at most max_size vertices that contains root and
+    otherwise only vertices greater than root, once.
 
-    Grown size by size from all single blocks; each layer is one set, so a
-    set reached from several of its subsets is kept once.
+    nbrs[v] holds the neighbours of the integer vertex v.  Redelmeier's rooted
+    growth (Discrete Math. 36, 1981): a set grows by one untried vertex at a
+    time, a tried vertex stays out of the subtrees of its later siblings, and
+    a vertex enters the untried list only when first reached.  Each set is
+    yielded as a list that the enumeration goes on to change.
     """
-    nbrs = _neighbours(n_axis)
-    layer = {frozenset([(b0, b1)]) for b0 in range(n_axis) for b1 in range(n_axis)}
-    out = list(layer)
-    for _ in range(max_size - 1):
-        grown = set()
-        for cur in layer:
-            cand = set()
-            for b in cur:
-                for nb in nbrs[b]:
-                    if nb not in cur:
-                        cand.add(nb)
-            for nb in cand:
-                grown.add(cur | {nb})
-        out.extend(grown)
-        layer = grown
+    cur, reached = [], {root}
+
+    def grow(untried):
+        while untried:
+            v = untried.pop()
+            cur.append(v)
+            yield cur
+            if len(cur) < max_size:
+                new = []
+                for u in nbrs[v]:
+                    if u > root and u not in reached:
+                        reached.add(u)
+                        new.append(u)
+                yield from grow(untried + new)
+                reached.difference_update(new)
+            cur.pop()
+
+    return grow([root])
+
+
+def _torus_sets(n_axis: int, max_size: int) -> list[frozenset]:
+    """Every connected block set of the n_axis^2 block torus with at most
+    max_size blocks, once, in `sorted(..., key=sorted)` order.
+
+    Block (b0, b1) is vertex b0 * n_axis + b1, so vertices order like blocks.
+    Each set is grown from its least block, so the sets of one root, sorted,
+    follow those of the roots before it.
+    """
+    table = _neighbours(n_axis)
+    blocks = list(table)
+    nbrs = [tuple(b0 * n_axis + b1 for b0, b1 in nb) for nb in table.values()]
+    out = []
+    for root in range(n_axis**2):
+        for k in sorted(tuple(sorted(s)) for s in _rooted_sets(nbrs, root, max_size)):
+            # copied from a set, a frozenset is sized for its blocks: 472
+            # bytes for five, against 728 when grown one block at a time
+            out.append(frozenset({blocks[v] for v in k}))
     return out
 
 
@@ -270,28 +305,24 @@ def count_S(L: int, side_blocks: int = 9) -> int:
     if side_blocks < 9:
         raise ValueError("torus too small: counts would be wrap-inflated")
     c = (side_blocks // 2, side_blocks // 2)
-    return sum(c in s for s in _connected_sets(side_blocks, 4))
+    return sum(c in s for s in _torus_sets(side_blocks, 4))
 
 
 def count_polyominoes(max_size: int) -> dict[int, int]:
-    """Fixed polyominoes by size, counted by canonical-translate enumeration."""
-    counts = {}
-    shapes = {frozenset([(0, 0)])}
-    counts[1] = 1
-    for size in range(2, max_size + 1):
-        new = set()
-        for sh in shapes:
-            for b in sh:
-                for d in _NBRS:
-                    nb = (b[0] + d[0], b[1] + d[1])
-                    if nb in sh:
-                        continue
-                    grown = sh | {nb}
-                    m0 = min(c[0] for c in grown)
-                    m1 = min(c[1] for c in grown)
-                    new.add(frozenset((c[0] - m0, c[1] - m1) for c in grown))
-        shapes = new
-        counts[size] = len(shapes)
+    """Fixed polyominoes by size.
+
+    Each is counted once, at its translate whose least cell in (y, x) order
+    sits at the origin: the sets grown from (0, 0) on the half-plane y > 0 or
+    (y = 0, x >= 0), cut to the cells a set of max_size cells can reach.
+    """
+    r = max(max_size, 1) - 1
+    w = 2 * r + 1
+    cells = {(x, y): y * w + x for y in range(r + 1) for x in range(-r, r + 1) if y > 0 or x >= 0}
+    nbrs = {v: [cells[c] for c in ((x + d0, y + d1) for d0, d1 in _NBRS) if c in cells]
+            for (x, y), v in cells.items()}
+    counts: dict[int, int] = {}
+    for s in _rooted_sets(nbrs, 0, max_size):
+        counts[len(s)] = counts.get(len(s), 0) + 1
     return counts
 
 
@@ -302,7 +333,7 @@ def connected_polymers_up_to(pav: BlockPaving, max_blocks: int) -> list[Polymer]
     """
     if isinstance(max_blocks, bool) or not isinstance(max_blocks, numbers.Integral) or max_blocks < 1:
         raise ValueError(f"max_blocks must be an int >= 1, got {max_blocks!r}")
-    return [Polymer(pav, s) for s in sorted(_connected_sets(pav.n_axis, max_blocks), key=sorted)]
+    return [Polymer(pav, s) for s in _torus_sets(pav.n_axis, max_blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,70 +343,42 @@ def connected_polymers_up_to(pav: BlockPaving, max_blocks: int) -> list[Polymer]
 def _enumerate_closure_preimages(V: Polymer, small_only: bool, budget: int = 1 << 22):
     """Connected j-polymers Y with closure exactly V (V at scale j+1).
 
-    Yields (size, count) aggregated by |Y|_j.  Non-small enumeration walks
+    Returns {size: count}, aggregated by |Y|_j.  Non-small enumeration walks
     all connected subsets of the fine blocks of V, so it is budgeted.
     """
     pav_up = V.paving
     if pav_up.j < 1:
         raise ValueError("V must live at scale >= 1")
-    pav = BlockPaving(L=pav_up.L, R=pav_up.R, j=pav_up.j - 1)
     L = pav_up.L
     n_up = pav_up.n_axis
     # fine blocks inside V, in centered coordinates of the fine block torus
     fine = []
     for B in sorted(V.blocks):
-        B_c0 = (B[0] + (n_up - 1) // 2) % n_up - (n_up - 1) // 2
-        B_c1 = (B[1] + (n_up - 1) // 2) % n_up - (n_up - 1) // 2
+        B_c0, B_c1 = _centered(B[0], n_up), _centered(B[1], n_up)
         for d0 in range(-(L - 1) // 2, (L + 1) // 2):
             for d1 in range(-(L - 1) // 2, (L + 1) // 2):
                 fine.append((B_c0 * L + d0, B_c1 * L + d1))
-    fine_set = set(fine)
     idx = {b: i for i, b in enumerate(fine)}
-    nb_lists = []
-    for b in fine:
-        nb_lists.append([idx[(b[0] + d[0], b[1] + d[1])] for d in _NBRS if (b[0] + d[0], b[1] + d[1]) in fine_set])
+    nb_lists = [[idx[c] for c in ((b[0] + d0, b[1] + d1) for d0, d1 in _NBRS) if c in idx] for b in fine]
+    up = [((b[0] + (L - 1) // 2) // L, (b[1] + (L - 1) // 2) // L) for b in fine]
+    target = {(_centered(B[0], n_up), _centered(B[1], n_up)) for B in V.blocks}
 
-    target = frozenset(
-        (
-            (B[0] + (n_up - 1) // 2) % n_up - (n_up - 1) // 2,
-            (B[1] + (n_up - 1) // 2) % n_up - (n_up - 1) // 2,
-        )
-        for B in V.blocks
-    )
-
-    def closure_ok(sel) -> bool:
-        got = set()
-        for i in sel:
-            got.add(((fine[i][0] + (L - 1) // 2) // L, ((fine[i][1] + (L - 1) // 2) // L)))
-        return frozenset(got) == target
-
-    # connected-subgraph enumeration: grow sets from their minimal element,
-    # adding only larger-indexed neighbors (each connected set found once)
-    m = len(fine)
+    # each connected set is grown once, from its least index; sizes enter
+    # counts by (least index, size) of their first preimage, so the sums of
+    # k_small and k_large keep one order
     counts: dict[int, int] = {}
     seen = 0
-    max_size = 4 if small_only else m
-    for start in range(m):
-        layer = {frozenset([start])}
-        size = 1
-        while layer:
-            for s in layer:
-                seen += 1
-                if seen > budget:
-                    raise RuntimeError(f"enumeration budget exceeded after {seen} subsets")
-                small = len(s) <= 4
-                if small == small_only and closure_ok(s):
-                    counts[len(s)] = counts.get(len(s), 0) + 1
-            if size == max_size:
-                break
-            nxt = set()
-            for s in layer:
-                for i in s:
-                    for nb in nb_lists[i]:
-                        if nb > start and nb not in s:
-                            nxt.add(s | {nb})
-            layer = nxt
-            size += 1
+    max_size = 4 if small_only else len(fine)
+    for start in range(len(fine)):
+        found: dict[int, int] = {}
+        for s in _rooted_sets(nb_lists, start, max_size):
+            seen += 1
+            if seen > budget:
+                raise RuntimeError(f"enumeration budget exceeded after {seen} subsets")
+            if (len(s) <= 4) == small_only and {up[i] for i in s} == target:
+                found[len(s)] = found.get(len(s), 0) + 1
+        for size in sorted(found):
+            counts[size] = counts.get(size, 0) + found[size]
     return counts
 
 
@@ -442,13 +445,9 @@ class JExtractionReport:
 
 
 def _small_family(pav: BlockPaving) -> list[frozenset]:
-    # drop winding sets (non-small by convention)
-    out = []
-    for s in _connected_sets(pav.n_axis, 4):
-        comps = _component_data(pav, s)
-        if len(comps) == 1 and not comps[0][1]:
-            out.append(s)
-    return sorted(out, key=sorted)
+    """The small polymers of the paving as block sets, in `sorted(..., key=sorted)`
+    order: the connected sets of at most four blocks that do not wind."""
+    return [s for s in _torus_sets(pav.n_axis, 4) if not _component_data(pav, s)[0][1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,7 +551,7 @@ def _extraction_map(pav_j: BlockPaving) -> _ExtractionMap:
             by_block.setdefault(B, []).append((i, c))
     shares, by_closure = {}, {}
     for D in coarse:
-        D_c = [(a + (n_up - 1) // 2) % n_up - (n_up - 1) // 2 for a in D]
+        D_c = [_centered(a, n_up) for a in D]
         shares[D], by_closure[D] = [], {}
         for d0 in range(-(L - 1) // 2, (L + 1) // 2):
             for d1 in range(-(L - 1) // 2, (L + 1) // 2):

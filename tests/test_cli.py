@@ -8,6 +8,7 @@ import pytest
 
 import ktrg
 import ktrg.cli as cli
+import ktrg.polymers as polymers
 from ktrg.cli import main
 from ktrg.decomposition import decompose, read_stack
 from ktrg.lattice import TorusLattice
@@ -118,6 +119,21 @@ def test_polymers_command(tmp_path, capsys):
     assert main(["polymers", "--out-dir", str(tmp_path)]) == 0
     body = (tmp_path / "polymers.csv").read_text()
     assert "count_S,99" in body
+
+
+@pytest.mark.parametrize("dropped, count_S, n_connected", [
+    ((40, 41), 98, 7370),  # the domino {(4, 4), (4, 5)} through the counted block
+    ((0, 1), 99, 7370),  # the domino {(0, 0), (0, 1)}, which count_S does not see
+])
+def test_polymers_gate_fails_on_a_dropped_set(tmp_path, capsys, monkeypatch, dropped, count_S, n_connected):
+    # the enumerator loses one set of the 9 x 9 block torus (block (b0, b1) is vertex 9 b0 + b1)
+    rooted = polymers._rooted_sets
+    monkeypatch.setattr(polymers, "_rooted_sets", lambda nbrs, root, max_size: (
+        s for s in rooted(nbrs, root, max_size) if sorted(s) != list(dropped)))
+    assert main(["polymers", "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+    body = (tmp_path / "polymers.csv").read_text()
+    assert f"count_S,{count_S}\ncount_S_oracle,99\nn_connected_le5,{n_connected}\n" in body
+    assert f"{n_connected} connected sets of <= 5 blocks (oracle 7371)" in capsys.readouterr().out
 
 
 def test_oracle_command(tmp_path):

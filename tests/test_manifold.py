@@ -310,7 +310,7 @@ def _classify_reference(x1, y1, ceiling, j_max):
     for _ in range(j_max):
         if y >= ceiling or x <= -ceiling:
             return "unstable"
-        if y <= 0.0 or x >= ceiling or (x > 0.0 and x >= 2.0 * y):
+        if y <= 0.0 or x >= ceiling or (0.0 < x < 1.0 and x >= 2.0 * y):
             return "stable"
         x, y = x - y * y, y - x * y
     raise RuntimeError(f"shooting trajectory inconclusive after {j_max} steps")
@@ -325,7 +325,7 @@ def _stepwise_run(x1, y1, ceiling, j_max):
             return ("unstable" if x <= -ceiling else "stable"), n
         if y >= ceiling or (y >= 2.0 * x and x < 1.0):
             return "unstable", n
-        if x >= ceiling or x >= 2.0 * y:
+        if x >= ceiling or (x >= 2.0 * y and x < 1.0):
             return "stable", n
         x, y = x - y * y, y - x * y
     return None, j_max
@@ -349,7 +349,7 @@ def _narrow_run(x1, y1, ceiling, j_max):
             return ("unstable" if x <= -ceiling else "stable"), n
         if y >= ceiling or (x < 1.0 and (y >= 2.0 * x or y - x >= _EPS * max(x, _FLOOR))):
             return "unstable", n
-        if x >= ceiling or x >= 2.0 * y or (x < 1.0 and x - y >= _EPS * max(y, _FLOOR)):
+        if x >= ceiling or (x < 1.0 and (x >= 2.0 * y or x - y >= _EPS * max(y, _FLOOR))):
             return "stable", n
         if x == y and x < 1.0:
             return "diagonal", n
@@ -383,10 +383,11 @@ def _near_separatrix(rng, n, rel):
 
 
 def _classify_points(ceiling):
-    """Uniform on the square, then a band along the separatrix x1 ~ y1."""
+    """Uniform on the square, then a band along the separatrix x1 ~ y1, then
+    (9, 4.5), which the first bare step takes past x = -10."""
     rng = np.random.default_rng(int(10 * ceiling))
     pts = rng.uniform(-1.5, 1.5, size=(10_000, 2)).tolist()
-    return pts + _near_separatrix(rng, 500, 0.01)
+    return pts + _near_separatrix(rng, 500, 0.01) + [[9.0, 4.5]]
 
 
 @pytest.mark.parametrize("ceiling", [0.5, 1.0, 2.0, 10.0])
@@ -460,6 +461,14 @@ def test_classify_unstable_wedge_needs_x_below_one():
     # in the wedge y >= 2x but with x > 1: y' = y(1 - x) < 0, so y dies
     assert _classify_reference(1.1, 2.3, 10.0, 100) == "stable"
     assert _classify(1.1, 2.3, 10.0) == "stable"
+
+
+def test_stable_2y_wedge_needs_x_below_one():
+    # x >= 2y with x > 1: y' = y(1 - x) < 0, and x' = x - y^2 = -11.25 is
+    # already past -ceiling, which makes the trajectory unstable
+    for c in (_classify_reference, _classify_stepwise, _classify_narrow_stepwise):
+        assert c(9.0, 4.5, 10.0, 100) == "unstable"
+    assert _classify(9.0, 4.5, 10.0) == "unstable"
 
 
 def test_narrow_stable_wedge_needs_x_below_one():

@@ -26,8 +26,52 @@ from ktrg.polymers import (
     j_extraction_defect,
 )
 from ktrg.polymers import (
-    BlockPaving, Polymer, JExtractionReport, _NBRS, _component_data, _extraction_map, _small_family,
+    BlockPaving, Polymer, JExtractionReport, _NBRS, _component_data, _enumerate_closure_preimages, _extraction_map,
+    _neighbours, _rooted_sets, _small_family, _torus_sets,
 )
+
+# fixed polyominoes with 1..8 cells (OEIS A001168)
+A001168 = (1, 2, 6, 19, 63, 216, 760, 2725)
+
+
+def _connected_sets(n_axis: int, max_size: int) -> list[frozenset]:
+    """Reference: every connected block set with at most max_size blocks, each once.
+
+    Grown size by size from all single blocks; each layer is one set, so a
+    set reached from several of its subsets is kept once.
+    """
+    nbrs = _neighbours(n_axis)
+    layer = {frozenset([(b0, b1)]) for b0 in range(n_axis) for b1 in range(n_axis)}
+    out = list(layer)
+    for _ in range(max_size - 1):
+        grown = set()
+        for cur in layer:
+            cand = set()
+            for b in cur:
+                for nb in nbrs[b]:
+                    if nb not in cur:
+                        cand.add(nb)
+            for nb in cand:
+                grown.add(cur | {nb})
+        out.extend(grown)
+        layer = grown
+    return out
+
+
+def _connected_subsets(nbrs):
+    """Reference: every connected vertex set of a small graph, by testing all subsets."""
+    out = set()
+    for mask in range(1, 1 << len(nbrs)):
+        sel = {v for v in range(len(nbrs)) if mask >> v & 1}
+        seen, stack = {min(sel)}, [min(sel)]
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if u in sel and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if seen == sel:
+            out.add(frozenset(sel))
+    return out
 
 
 def _connected_sets_containing(origin, n_axis, max_size):
@@ -219,6 +263,26 @@ def test_k_budget():
         k_large(10.0, 1.0, V, budget=1000)
 
 
+def test_k_large_budget_is_the_number_of_connected_subsets():
+    # the non-small walk visits every connected set of V's 3 x 3 fine blocks once
+    V = polymer(paving(3, 2, 1), [(1, 1)])
+    cells = [(a, b) for a in range(3) for b in range(3)]
+    grid = [[cells.index(c) for c in ((a + d0, b + d1) for d0, d1 in _NBRS) if c in cells] for a, b in cells]
+    n_sets = len(_connected_subsets(grid))
+    assert k_large(10.0, 1.0, V, budget=n_sets) == k_large(10.0, 1.0, V)
+    with pytest.raises(RuntimeError, match=f"after {n_sets} subsets"):
+        k_large(10.0, 1.0, V, budget=n_sets - 1)
+
+
+def test_closure_preimage_sizes_keep_their_order():
+    # the sizes enter by (least fine block, size) of their first preimage:
+    # the first fine block of V = {(0, 0), (1, 0)} lies three steps from V's
+    # other block, so its first preimage has 4 blocks; fine blocks nearer to
+    # that block come later and meet it at 3 and 2
+    V = polymer(paving(3, 2, 1), [(0, 0), (1, 0)])
+    assert list(_enumerate_closure_preimages(V, small_only=True).items()) == [(4, 51), (3, 14), (2, 3)]
+
+
 def test_reblock_inequality_single_block():
     pav = paving(3, 2, 0)
     X = polymer(pav, [(4, 4)])
@@ -235,17 +299,60 @@ def test_reblock_inequality_family():
 
 
 def test_connected_polymers_match_per_origin_enumeration():
+    # and the layered enumeration, order included
     pav = paving(3, 2, 0)
     want = [Polymer(pav, s) for s in _connected_sets_per_origin(pav.n_axis, 5)]
     assert connected_polymers_up_to(pav, 5) == want
+    assert want == [Polymer(pav, s) for s in sorted(_connected_sets(pav.n_axis, 5), key=sorted)]
 
 
 @pytest.mark.parametrize("dims", [(3, 2, 0), (3, 2, 1), (3, 3, 1), (5, 2, 0)])
 def test_small_family_matches_per_origin_enumeration(dims):
+    # and the layered enumeration, order included
     pav = paving(*dims)
-    want = [s for s in _connected_sets_per_origin(pav.n_axis, 4)
-            if [wraps for _, wraps in _component_data(pav, s)] == [False]]
-    assert _small_family(pav) == want
+    for sets in (_connected_sets_per_origin(pav.n_axis, 4), sorted(_connected_sets(pav.n_axis, 4), key=sorted)):
+        want = [s for s in sets if [wraps for _, wraps in _component_data(pav, s)] == [False]]
+        assert _small_family(pav) == want
+
+
+def test_count_polyominoes_is_A001168():
+    assert count_polyominoes(8) == dict(enumerate(A001168, 1))
+    assert count_polyominoes(1) == count_polyominoes(0) == {1: 1}
+
+
+@pytest.mark.parametrize("n_axis, max_size", [(9, 4), (9, 5), (11, 6)])
+def test_torus_sets_match_layered_enumeration(n_axis, max_size):
+    # on an n x n torus with k < n there are n^2 A001168(k) connected sets
+    # of k blocks: 2268, 7371 and 37147 sets here, each once
+    got = _torus_sets(n_axis, max_size)
+    assert len(got) == n_axis**2 * sum(A001168[:max_size])
+    sizes = [0] * max_size
+    for s in got:
+        sizes[len(s) - 1] += 1
+    assert sizes == [n_axis**2 * a for a in A001168[:max_size]]
+    assert got == sorted(_connected_sets(n_axis, max_size), key=sorted)
+
+
+@pytest.mark.parametrize("n_axis", [1, 2, 3])
+def test_torus_sets_on_tori_smaller_than_the_sets(n_axis):
+    # neighbours repeat on these tori (on the 1 x 1 torus a block is its own
+    # neighbour), and the sets may wind
+    assert _torus_sets(n_axis, 5) == sorted(_connected_sets(n_axis, 5), key=sorted)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rooted_sets_yield_each_connected_set_once(seed):
+    rng = random.Random(seed)
+    m = 9
+    edges = [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.35]
+    nbrs = [[b for a, b in edges if a == v] + [a for a, b in edges if b == v] for v in range(m)]
+    want = _connected_subsets(nbrs)
+    for max_size in (1, 3, m):
+        got = [frozenset(s) for root in range(m) for s in _rooted_sets(nbrs, root, max_size)]
+        assert len(got) == len(set(got))
+        assert set(got) == {s for s in want if len(s) <= max_size}
+        for root in range(m):
+            assert all(min(s) == root for s in map(frozenset, _rooted_sets(nbrs, root, max_size)))
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True, False, "3", None])
