@@ -27,7 +27,7 @@ from .lattice import TorusLattice
 from .cutoffs import build_cutoffs, coulomb_constant_c, coulomb_constant_closed
 from .decomposition import decompose, write_stack, LEAKAGE_TOL, TELESCOPING_TOL
 from .coefficients import compute_coefficients, coefficients_csv, limit_constants, ALPHA_SQ_KT
-from .flow import FlowConfig, trajectory, deviation_profile, trajectory_csv
+from .flow import FlowConfig, trajectory, deviation_profile, trajectory_csv, from_rescaled
 from .manifold import (
     ManifoldProblem, solve_fixed_point, solve_shooting, empirical_contraction, separatrix_csv, seq_norm,
 )
@@ -160,8 +160,7 @@ def cmd_separatrix(args, cfg) -> int:
     # original variables at base L: x = b s, y = sqrt(ab) z
     cut = build_cutoffs(3, 1, 8)
     a_lim, b_lim = limit_constants(L, ALPHA_SQ_KT, coulomb_constant_closed(cut))
-    s = fp.sigma / b_lim
-    z = y1 / math.sqrt(a_lim * b_lim)
+    s, z = from_rescaled(fp.sigma, y1, a_lim, b_lim)
     beta = ALPHA_SQ_KT / (1.0 - s) if s < 1 else float("nan")
     rows = [dict(y1=y1, sigma_fixed_point=fp.sigma, sigma_shooting=sh,
                  iterations=fp.iterations, contraction_estimate=lip,

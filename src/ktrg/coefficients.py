@@ -400,7 +400,7 @@ def compute_coefficients(stack: CovarianceStack, j_max: int, alpha_sq: float = A
 
 
 def flow_config(rep: RgCoefficients, c: float, **kwargs):
-    """FlowConfig in per-scale mode from a coefficient report.
+    """FlowConfig carrying the per-scale tables of a coefficient report.
 
     c is the Coulomb constant fixing the limit a = 8 pi^2 e^c ln L; the
     volume factors enter the activity recursion directly.
@@ -409,7 +409,6 @@ def flow_config(rep: RgCoefficients, c: float, **kwargs):
 
     a_lim, b_lim = limit_constants(rep.L, rep.alpha_sq, c)
     return FlowConfig(
-        mode="per-scale",
         a_seq=tuple(rep.a),
         b_seq=tuple(rep.b),
         vol_seq=tuple(rep.vol),

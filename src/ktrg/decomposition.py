@@ -49,10 +49,13 @@ full window of even summands are m @ F @ m on the quarter (window_sum), as
 Parseval sums are w @ prod @ w.  Full windows |z|_inf <= radius are built
 only where an API hands them out: the kernels of complex (differenced or
 shifted) arrays, band_window, and the mirror of a quarter through the
-index |z| (full_window).  A materialized table takes the same two real
-inverse transforms (SpectralGrid.synthesize) on rows 0..S//2 of the torus
-and mirrors them onto the full torus through the unfold index; the torus
-side L^R is odd, so its grid always folds.
+index |z| (full_window).  A materialized table is lattice.folded_table of
+its folded array: the same two real inverse transforms, on rows 0..S//2 of
+the torus, mirrored onto the full torus through the unfold index; the
+torus side L^R is odd, so its grid always folds.  The reference potentials
+of the telescoping check come from the same synthesis.  Only the kernels
+of complex arrays take a complex inverse FFT: an odd kernel (differenced
+or shifted) has no cosine synthesis.
 
 The stack file holds float.hex text.  write_stack encodes it from the IEEE
 bits with numpy lookup tables, byte for byte as float.hex would, a block of
@@ -68,7 +71,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import CutoffFamily, FejerPass, build_cutoffs
-from .lattice import DIRS, TorusLattice, laplacian_symbol, yukawa_table, normalized_potential_table
+from .lattice import (
+    DIRS, TorusLattice, _half_synthesis, folded_table, laplacian_symbol, normalized_potential_table, yukawa_table,
+)
 
 __all__ = [
     "DecompositionError",
@@ -341,13 +346,12 @@ class SpectralGrid:
 
         G is even in each momentum component, so each folded axis is the
         half spectrum S//2 + 1 long of a real transform: one real inverse
-        transform per axis, the first cut to its n leading rows.  The kernel
-        is even in each coordinate, so rows 0..S//2 read through the unfold
-        index give the full S x S table.  irfft reads the first S//2 + 1
-        entries of each axis, so the axis must start with the nonnegative
-        momenta 2 pi k / (S step), k = 0..S//2, in order, as every folded
-        axis does; any other axis (the alias ring, an even-length fftfreq
-        axis) raises.
+        transform per axis, the first cut to its n leading rows, as in
+        lattice.folded_table, which mirrors rows 0..S//2 onto the full
+        table.  irfft reads the first S//2 + 1 entries of each axis, so the
+        axis must start with the nonnegative momenta 2 pi k / (S step),
+        k = 0..S//2, in order, as every folded axis does; any other axis
+        (the alias ring, an even-length fftfreq axis) raises.
         """
         h = self.S // 2 + 1
         k = self.p[:h] * (self.S * self.step / (2.0 * np.pi))
@@ -355,7 +359,7 @@ class SpectralGrid:
             raise DecompositionError(
                 f"real synthesis needs a folded grid; the axis of length {self.S} does not start with its momenta >= 0"
             )
-        return np.fft.irfft(np.fft.irfft(G, n=self.S, axis=0)[:n], n=self.S, axis=1)
+        return _half_synthesis(G[:h, :h], n)
 
     def window(self, G: np.ndarray) -> np.ndarray:
         """Kernel of the spectral array G on the window y = step*z.
@@ -671,8 +675,8 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
 
     The tables, the PSD margins and the tail come from one pass over the
     bands on the torus momenta, folded like any other grid (the side L^R is
-    odd); each table is the real synthesis of its folded array on rows
-    0..S//2, mirrored onto the full S x S torus through the unfold index.
+    odd); each table is the real synthesis of its folded array
+    (lattice.folded_table).
     """
     if cutoffs is None:
         cutoffs = build_cutoffs(lattice.gamma, lattice.M, lattice.n_fine_scales)
@@ -691,9 +695,12 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
                 f"torus side {lattice.side} too large to materialize (cap {MATERIALIZE_CAP})"
             )
         grid = SpectralGrid(cutoffs, lattice.m, lattice.momenta())
+        q = slice(lattice.side // 2 + 1)
 
         def table(G):
-            return grid.synthesize(G, len(grid.p_fold))[grid.idx]
+            # the quarter k0, k1 >= 0: all of a folded array, and on an axis
+            # in another layout the S//2 + 1 leading entries that irfft reads
+            return folded_table(G[q, q])
 
         tables, margins = [], []
         groups = [range(j * lattice.M, (j + 1) * lattice.M) for j in range(lattice.R)]

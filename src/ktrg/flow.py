@@ -2,10 +2,12 @@
 
 The rescaled variables are x = b*s and y = sqrt(a*b)*z, so the quadratic
 truncation reads x' = x - y^2, y' = y - x*y with the approximate solution
-envelope q_j = q_1/(1 + |q_1|(j-1)).  The per-scale mode replaces the limit
-constants by the computed a_j, b_j and volume factors.  The feeds F_j, M_j
-of the irrelevant remainder depend on the full polymer activity and are out
-of scope, so the flow carries only the two couplings (x, y).
+envelope q_j = q_1/(1 + |q_1|(j-1)).  A config that carries per-scale
+tables (a_j, b_j or volume factors) runs the per-scale flow, which replaces
+the limit constants by those tables; one without them runs the limit flow.
+The feeds F_j, M_j of the irrelevant remainder depend on the full polymer
+activity and are out of scope, so the flow carries only the two couplings
+(x, y).
 
 `corrections` is the one place where the per-scale terms are written; it
 takes floats or equal-shape arrays (j an int or an int array) and rounds
@@ -44,10 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowConfig:
-    mode: str = "limit"  # "limit" or "per-scale"
     ceiling: float = 1.0
     horizon: int = 100_000
-    # per-scale data, indexed by j starting at 1 (frozen at the last entry)
+    # per-scale data, indexed by j starting at 1 (frozen at the last entry);
+    # any non-empty table selects the per-scale flow
     a_seq: tuple = ()
     b_seq: tuple = ()
     vol_seq: tuple = ()
@@ -55,8 +57,6 @@ class FlowConfig:
     b_limit: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("limit", "per-scale"):
-            raise ValueError(f"unknown flow mode {self.mode!r}")
         if not (math.isfinite(self.ceiling) and self.ceiling > 0.0):
             raise ValueError(f"ceiling must be finite and > 0, got {self.ceiling}")
         if self.horizon < 1:
@@ -116,10 +116,11 @@ def _per_scale(config: FlowConfig, j):
 def corrections(j, x, y, config: FlowConfig):
     """(F~, M~): the per-scale corrections to the quadratic step.
 
-    Floats or equal-shape arrays; j is an int or an int array.  The limit
-    flow returns zeros and touches no numpy.
+    Floats or equal-shape arrays; j is an int or an int array.  A config
+    without tables is the limit flow: it returns zeros and touches no numpy
+    (its per-scale terms, a_limit/a_limit - 1 and the like, are exactly 0).
     """
-    if config.mode != "per-scale":
+    if not (config.a_seq or config.b_seq or config.vol_seq):
         return 0.0, 0.0
     a_j, b_j, vol_j = _per_scale(config, j)
     F = -(a_j / config.a_limit - 1.0) * y * y

@@ -8,6 +8,14 @@ symbol is lam(k) = 4 sin^2(k0/2) + 4 sin^2(k1/2) in [0, 8]: the same
 function as 4 - 2cos(k0) - 2cos(k1), but with full relative accuracy as
 k -> 0 and, on that axis, bit-for-bit even in each component and symmetric
 under k0 <-> k1.
+
+The torus tables (the potentials below, the decomposition's Gamma_j and
+tail, the Siegert-Kac covariance of the oracle) are inverse FFTs of symbols
+even in each momentum component, so each is built from the folded quarter
+k0, k1 >= 0 alone, side//2 + 1 momenta per axis: one real inverse
+transform per axis, the first cut to rows 0..side//2, then the mirror of
+those rows through the index min(x, side - x) (folded_table).  The
+decomposition's windows of real bands take the same two transforms.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ __all__ = [
     "DIRS",
     "TorusLattice",
     "laplacian_symbol",
+    "folded_table",
     "yukawa_table",
     "normalized_potential_table",
 ]
@@ -104,8 +113,35 @@ def laplacian_symbol(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     return 4.0 * np.sin(0.5 * k0) ** 2 + 4.0 * np.sin(0.5 * k1) ** 2
 
 
-def _symbol_grid(lattice: TorusLattice) -> np.ndarray:
-    k = lattice.momenta()
+def _half_synthesis(G: np.ndarray, rows: int) -> np.ndarray:
+    """Rows 0..rows-1, all S columns, of the inverse FFT of the even array G.
+
+    G is the folded quarter, n = S//2 + 1 entries per axis, of a real
+    spectral array on an odd S x S grid even in each momentum component.
+    Each folded axis is then the half spectrum of a real transform, so one
+    irfft per axis gives the table; the first is cut to its leading rows.
+    """
+    S = 2 * G.shape[0] - 1
+    return np.fft.irfft(np.fft.irfft(G, n=S, axis=0)[:rows], n=S, axis=1)
+
+
+def folded_table(G: np.ndarray) -> np.ndarray:
+    """Full S x S inverse FFT of the even array G given on its folded quarter.
+
+    G[k0, k1], 0 <= k0, k1 <= S//2, holds the momenta 2 pi k / S >= 0 of an
+    odd S x S grid (S = 2 len(G) - 1).  The table is even in each
+    coordinate, so rows 0..S//2 read through the index min(x, S - x) give
+    every row.
+    """
+    n = G.shape[0]
+    S = 2 * n - 1
+    x = np.arange(S)
+    return _half_synthesis(G, n)[np.minimum(x, S - x)]
+
+
+def _quarter_symbol(lattice: TorusLattice) -> np.ndarray:
+    """lam on the folded quarter of the torus momenta, k0, k1 >= 0."""
+    k = lattice.momenta()[: lattice.side // 2 + 1]
     return laplacian_symbol(k[:, None], k[None, :])
 
 
@@ -116,8 +152,7 @@ def yukawa_table(lattice: TorusLattice) -> np.ndarray:
     """
     if lattice.m <= 0:
         raise ValueError("massless torus potential has a zero mode; use normalized_potential_table")
-    sym = 1.0 / (lattice.m**2 + _symbol_grid(lattice))
-    return np.fft.ifft2(sym).real
+    return folded_table(1.0 / (lattice.m**2 + _quarter_symbol(lattice)))
 
 
 def normalized_potential_table(lattice: TorusLattice) -> np.ndarray:
@@ -125,9 +160,9 @@ def normalized_potential_table(lattice: TorusLattice) -> np.ndarray:
 
     The m -> 0 limit of W(x;m) - W(0;m); W(0|0) = 0 by construction.
     """
-    sym = _symbol_grid(lattice)
+    sym = _quarter_symbol(lattice)
     g = np.zeros_like(sym)
     mask = sym > 0
     g[mask] = 1.0 / sym[mask]
-    w = np.fft.ifft2(g).real
+    w = folded_table(g)
     return w - w[0, 0]

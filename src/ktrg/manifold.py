@@ -211,7 +211,7 @@ def solve_fixed_point(prob: ManifoldProblem, tol: float = 1e-13, max_iter: int =
 
 def _classify(x1: float, y1: float, ceiling: float) -> str:
     """'unstable' if the growing-y side wins, 'stable' if y dies out,
-    'diagonal' for a start on the limit-mode separatrix x = y itself.
+    'diagonal' for a start on the limit-flow separatrix x = y itself.
 
     Outside the square 0 < x, y < min(1, ceiling) the exits decide: y <= 0
     is stable (unstable if x <= -ceiling), y >= ceiling and x <= 0 < y
@@ -249,13 +249,13 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
                    bracket: tuple[float, float] = (0.0, 0.1), tol: float = 1e-10) -> float:
     """Bisection on x_1 between y-escape and y-death; only the quadratic flow.
 
-    The classifier holds for the limit-mode flow, whose separatrix is
-    x = y; a config requesting anything else is rejected to keep the
-    oracle honest.  The bisection stops at width tol, or earlier once lo
-    and hi are adjacent floats.  A start on the diagonal x = y (a bracket
-    edge or a midpoint) is returned as it is: it lies on the separatrix.
+    The classifier holds for the limit flow, whose separatrix is x = y; a
+    config with per-scale tables is rejected to keep the oracle honest.
+    The bisection stops at width tol, or earlier once lo and hi are
+    adjacent floats.  A start on the diagonal x = y (a bracket edge or a
+    midpoint) is returned as it is: it lies on the separatrix.
     """
-    if flow_config is not None and flow_config.mode != "limit":
+    if flow_config is not None and (flow_config.a_seq or flow_config.b_seq or flow_config.vol_seq):
         raise ValueError("shooting oracle runs the bare quadratic flow only")
     if not math.isfinite(y1):
         raise ValueError(f"y1 must be finite, got {y1}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import TorusLattice, laplacian_symbol, yukawa_table, normalized_potential_table
+from .lattice import TorusLattice, folded_table, laplacian_symbol, yukawa_table, normalized_potential_table
 
 __all__ = [
     "ChargeConfiguration",
@@ -318,12 +318,13 @@ def siegert_kac_check(lattice: TorusLattice, beta: float, z: float, n_max: int,
     # configuration side
     lat_shift = TorusLattice(L=lattice.L, R=lattice.R, gamma=lattice.gamma, m=m / math.sqrt(1.0 - s))
     W_conf = yukawa_table(lat_shift)
-    # field side: Cov(x) = alpha^2 * ifft[ 1 / (m^2 + (1-s) lam) ]; the
-    # characteristic function weight for a configuration is
-    # exp(-(1/2) sum s s' Cov) and the comparison divides out beta
-    k = lattice.momenta()
+    # field side: Cov(x) = alpha^2 * ifft[ 1 / (m^2 + (1-s) lam) ], the
+    # symbol given on the folded quarter k0, k1 >= 0; the characteristic
+    # function weight for a configuration is exp(-(1/2) sum s s' Cov) and
+    # the comparison divides out beta
+    k = lattice.momenta()[: lattice.side // 2 + 1]
     lam = laplacian_symbol(k[:, None], k[None, :])
-    cov = alpha_sq * np.fft.ifft2(1.0 / (m * m + (1.0 - s) * lam)).real
+    cov = alpha_sq * folded_table(1.0 / (m * m + (1.0 - s) * lam))
     W_field = cov / beta  # equals W(x; m/sqrt(1-s)) when the split is right
     per_n = {}
     worst = 0.0

@@ -343,25 +343,36 @@ def connected_polymers_up_to(pav: BlockPaving, max_blocks: int) -> list[Polymer]
 def _enumerate_closure_preimages(V: Polymer, small_only: bool, budget: int = 1 << 22):
     """Connected j-polymers Y with closure exactly V (V at scale j+1).
 
-    Returns {size: count}, aggregated by |Y|_j.  Non-small enumeration walks
-    all connected subsets of the fine blocks of V, so it is budgeted.
+    Returns {size: count}, aggregated by |Y|_j, of the small Y or of the
+    others.  Non-small enumeration walks all connected subsets of the fine
+    blocks of V, so it is budgeted.
     """
     pav_up = V.paving
     if pav_up.j < 1:
         raise ValueError("V must live at scale >= 1")
     L = pav_up.L
     n_up = pav_up.n_axis
-    # fine blocks inside V, in centered coordinates of the fine block torus
-    fine = []
+    n = n_up * L
+    # fine blocks inside V, in centered coordinates of the fine block torus,
+    # each with its parent block; neighbours are reduced mod n, so fine
+    # blocks that meet across the seam of the centered domain are adjacent
+    fine, up = [], []
     for B in sorted(V.blocks):
         B_c0, B_c1 = _centered(B[0], n_up), _centered(B[1], n_up)
         for d0 in range(-(L - 1) // 2, (L + 1) // 2):
             for d1 in range(-(L - 1) // 2, (L + 1) // 2):
                 fine.append((B_c0 * L + d0, B_c1 * L + d1))
+                up.append(B)
     idx = {b: i for i, b in enumerate(fine)}
-    nb_lists = [[idx[c] for c in ((b[0] + d0, b[1] + d1) for d0, d1 in _NBRS) if c in idx] for b in fine]
-    up = [((b[0] + (L - 1) // 2) // L, (b[1] + (L - 1) // 2) // L) for b in fine]
-    target = {(_centered(B[0], n_up), _centered(B[1], n_up)) for B in V.blocks}
+    nb_lists = [[idx[c] for c in ((_centered(b[0] + d0, n), _centered(b[1] + d1, n)) for d0, d1 in _NBRS) if c in idx]
+                for b in fine]
+    # a set of at most four blocks winds only around a fine torus of fewer
+    # than five blocks per axis (the top scale of L = 3); winding sets are
+    # not small
+    pav = BlockPaving(L=L, R=pav_up.R, j=pav_up.j - 1)
+
+    def winds(s) -> bool:
+        return _component_data(pav, frozenset((fine[i][0] % n, fine[i][1] % n) for i in s))[0][1]
 
     # each connected set is grown once, from its least index; sizes enter
     # counts by (least index, size) of their first preimage, so the sums of
@@ -375,7 +386,8 @@ def _enumerate_closure_preimages(V: Polymer, small_only: bool, budget: int = 1 <
             seen += 1
             if seen > budget:
                 raise RuntimeError(f"enumeration budget exceeded after {seen} subsets")
-            if (len(s) <= 4) == small_only and {up[i] for i in s} == target:
+            small = len(s) <= 4 and not (n < 5 and winds(s))
+            if small == small_only and {up[i] for i in s} == V.blocks:
                 found[len(s)] = found.get(len(s), 0) + 1
         for size in sorted(found):
             counts[size] = counts.get(size, 0) + found[size]
@@ -402,7 +414,7 @@ def k_large(A: float, lam: float, V: Polymer, budget: int = 1 << 22) -> float:
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must be in (0, 1]")
     counts = _enumerate_closure_preimages(V, small_only=False, budget=budget)
-    return A ** V.size * sum(c * (lam * A) ** (-size) for size, c in counts.items() if size > 4)
+    return A ** V.size * sum(c * (lam * A) ** (-size) for size, c in counts.items())
 
 
 def reblock_inequality(X: Polymer, eta: float) -> bool:

@@ -104,6 +104,26 @@ def test_verify_all_fails_on_an_extraction_defect(tmp_path, capsys, monkeypatch)
     assert rep["checks"]["extraction_identities"] == {"value": 1, "tol": 0, "pass": False}
 
 
+def test_verify_all_fails_on_a_wrong_reference_entry(tmp_path, capsys, monkeypatch):
+    # one entry of the reference table that the telescoping check reads is
+    # off by 1e-6: that check fails, and no other
+    import ktrg.decomposition as decomposition
+
+    exact = decomposition.yukawa_table
+
+    def one_wrong_entry(lattice):
+        W = exact(lattice)
+        W[3, 5] += 1e-6
+        return W
+
+    monkeypatch.setattr(decomposition, "yukawa_table", one_wrong_entry)
+    assert main(["verify-all", "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+    assert "FAIL telescoping" in capsys.readouterr().out
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [name for name, c in rep["checks"].items() if not c["pass"]] == ["telescoping"]
+    assert rep["checks"]["telescoping"]["value"] > 1e-6
+
+
 def test_config_file_drives_command(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("# desk-scale run\n[decompose]\nL = 3\nR = 2\nm = 0.25  # mass\n")

@@ -222,7 +222,7 @@ def test_flow_config_from_report(stack_l3_massless):
     rep = compute_coefficients(stack_l3_massless, 3)
     c = coulomb_constant_closed(build_cutoffs(3, 1, 8))
     cfg = flow_config(rep, c, horizon=2000)
-    assert cfg.mode == "per-scale"
+    assert (cfg.a_seq, cfg.b_seq, cfg.vol_seq) == (tuple(rep.a), tuple(rep.b), tuple(rep.vol))
     t = trajectory(0.01, 0.01, cfg)
     assert t.horizon >= 1
 

@@ -104,7 +104,7 @@ def test_per_scale_vs_limit_mode_agree():
     # sequences converged to the limits the two modes coincide
     cfg_lim = FlowConfig(horizon=200)
     cfg_ps = FlowConfig(
-        mode="per-scale", horizon=200,
+        horizon=200,
         a_seq=(1.5, 1.1, 1.02, 1.0), b_seq=(1.3, 1.05, 1.01, 1.0), vol_seq=(1.1, 1.02, 1.0, 1.0),
         a_limit=1.0, b_limit=1.0,
     )
@@ -157,9 +157,12 @@ def test_trajectory_rejects_non_finite_start(bad):
             trajectory(*args, cfg)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(mode="bogus")
+@pytest.mark.parametrize("tables", [dict(a_seq=(1.5,)), dict(b_seq=(1.3,)), dict(vol_seq=(1.1,))])
+def test_any_table_selects_the_per_scale_flow(tables):
+    # a config with tables runs the per-scale flow; one without is the limit flow
+    F, M = corrections(1, 0.02, 0.03, FlowConfig(**tables))
+    assert (F, M) != (0.0, 0.0)
+    assert corrections(1, 0.02, 0.03, FlowConfig(a_limit=1.5, b_limit=0.7)) == (0.0, 0.0)
 
 
 def test_per_scale_mode_with_computed_coefficients(stack_l3_massless):
@@ -203,18 +206,18 @@ def test_config_rejects_short_horizon(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_limit(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        FlowConfig(mode="per-scale", **{field: bad})
+        FlowConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("field", ["a_seq", "b_seq", "vol_seq"])
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
 def test_config_rejects_non_finite_sequence(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        FlowConfig(mode="per-scale", **{field: (1.1, bad, 1.0)})
+        FlowConfig(**{field: (1.1, bad, 1.0)})
 
 
 def test_step_and_trajectory_share_one_step():
-    cfg = FlowConfig(mode="per-scale", horizon=40,
+    cfg = FlowConfig(horizon=40,
                      a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05), vol_seq=(1.1,), a_limit=1.01, b_limit=0.99)
     traj = trajectory(0.02, -0.015, cfg)
     st = FlowState(j=1, x=0.02, y=-0.015)
@@ -226,7 +229,7 @@ def test_step_and_trajectory_share_one_step():
 def test_per_scale_trajectory_matches_array_gather_bitwise():
     # reference: each step gathers (a_j, b_j, vol_j) from the sequences as
     # numpy arrays, as the array branch of the per-scale lookup does
-    cfg = FlowConfig(mode="per-scale", horizon=3000, a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05),
+    cfg = FlowConfig(horizon=3000, a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05),
                      vol_seq=(), a_limit=1.01, b_limit=0.99)
     traj = trajectory(0.031, 0.017, cfg)
     x, y = 0.031, 0.017
@@ -250,7 +253,7 @@ def test_limit_trajectory_does_no_per_scale_work(monkeypatch):
 
 _KERNEL_CONFIGS = {
     "limit": FlowConfig(),
-    "per-scale": FlowConfig(mode="per-scale", a_seq=(1.5, 1.1, 1.02, 1.0), b_seq=(1.3, 1.05, 1.01),
+    "per-scale": FlowConfig(a_seq=(1.5, 1.1, 1.02, 1.0), b_seq=(1.3, 1.05, 1.01),
                             vol_seq=(1.1, 1.02), a_limit=1.03, b_limit=0.97),
 }
 # full 53-bit mantissas times a power of two: rounding differences between

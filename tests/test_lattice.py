@@ -11,6 +11,20 @@ from ktrg.lattice import (
 )
 
 
+def complex_table(lattice):
+    """Oracle: the table of W(x; m), or of W(x|0) at m = 0, as the complex
+    inverse FFT of the symbol on the full side x side momentum grid."""
+    k = lattice.momenta()
+    sym = laplacian_symbol(k[:, None], k[None, :])
+    if lattice.m > 0:
+        return np.fft.ifft2(1.0 / (lattice.m**2 + sym)).real
+    g = np.zeros_like(sym)
+    mask = sym > 0
+    g[mask] = 1.0 / sym[mask]
+    w = np.fft.ifft2(g).real
+    return w - w[0, 0]
+
+
 def torus_yukawa(lattice, x):
     """Oracle: W(x; m) at a single point by the exact momentum sum."""
     if lattice.m <= 0:
@@ -107,6 +121,16 @@ def test_normalized_potential_log_asymptotics():
         rr = math.hypot(d, d)
         vals.append(-W[d, d] - math.log(rr) / (2.0 * math.pi))
     assert max(vals) - min(vals) < 0.02
+
+
+@pytest.mark.parametrize("L, R", [(3, 1), (5, 1), (7, 1), (3, 5), (3, 6)])  # sides 3, 5, 7, 243, 729
+@pytest.mark.parametrize("m", [0.0, 0.1, 0.5])
+def test_tables_match_the_complex_transform(L, R, m):
+    lat = TorusLattice(L=L, R=R, gamma=3 if L == 3 else L, m=m)
+    W = yukawa_table(lat) if m > 0 else normalized_potential_table(lat)
+    ref = complex_table(lat)
+    assert W.shape == ref.shape == (lat.side, lat.side)
+    assert np.max(np.abs(W - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_reduce_centered():

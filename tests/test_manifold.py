@@ -128,7 +128,7 @@ def test_shooting_bracket_validation():
     with pytest.raises(ValueError):
         solve_shooting(0.01, bracket=(0.05, 0.1))  # both stable
     with pytest.raises(ValueError):
-        solve_shooting(0.01, flow_config=FlowConfig(mode="per-scale"))
+        solve_shooting(0.01, flow_config=FlowConfig(vol_seq=(1.0,)))
 
 
 def test_shooting_tolerance_contract():
@@ -263,7 +263,7 @@ def _apply_T_loop(seq, prob):
 
 @pytest.mark.parametrize("flow", [
     FlowConfig(),
-    FlowConfig(mode="per-scale", a_seq=(1.05, 1.01, 1.002), b_seq=(1.03, 1.005), vol_seq=(1.01, 1.002),
+    FlowConfig(a_seq=(1.05, 1.01, 1.002), b_seq=(1.03, 1.005), vol_seq=(1.01, 1.002),
                a_limit=1.01, b_limit=0.99),
 ], ids=["limit", "per-scale"])
 def test_apply_T_matches_per_scale_loop(flow):
@@ -279,7 +279,7 @@ def test_apply_T_matches_per_scale_loop(flow):
 
 @pytest.mark.parametrize("flow", [
     FlowConfig(),
-    FlowConfig(mode="per-scale", a_seq=(1.05, 1.02, 1.01), b_seq=(1.03, 0.99), vol_seq=(1.01, 1.0),
+    FlowConfig(a_seq=(1.05, 1.02, 1.01), b_seq=(1.03, 0.99), vol_seq=(1.01, 1.0),
                a_limit=1.01, b_limit=0.99),
 ], ids=["limit", "per-scale"])
 @pytest.mark.parametrize("y1", [0.01, 0.04])

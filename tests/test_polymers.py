@@ -283,6 +283,40 @@ def test_closure_preimage_sizes_keep_their_order():
     assert list(_enumerate_closure_preimages(V, small_only=True).items()) == [(4, 51), (3, 14), (2, 3)]
 
 
+@pytest.mark.parametrize("step", [(0, 1), (1, 0)])
+def test_closure_preimages_agree_between_translates_across_the_seam(step):
+    # on the 3 x 3 block torus of paving (3, 2, 1) every domino is a translate
+    # of {(0, 0), (0, 0) + step}; those whose blocks sit in the centered
+    # columns (or rows) 1 and -1 meet across the seam of the centered domain
+    pav = paving(3, 2, 1)
+    ref = polymer(pav, [(0, 0), step])
+    counts = _enumerate_closure_preimages(ref, small_only=True)
+    assert counts == {4: 51, 3: 14, 2: 3}
+    for b0, b1 in itertools.product(range(3), repeat=2):
+        V = polymer(pav, [(b0, b1), ((b0 + step[0]) % 3, (b1 + step[1]) % 3)])
+        assert _enumerate_closure_preimages(V, small_only=True) == counts
+        assert k_small(10.0, 0.5, V) == pytest.approx(k_small(10.0, 0.5, ref), rel=1e-15)
+        assert k_large(10.0, 1.0, V) == pytest.approx(k_large(10.0, 1.0, ref), rel=1e-15)
+
+
+def test_closure_preimages_of_a_top_scale_block_match_subset_enumeration():
+    # at paving (3, 1, 1) the closure of every nonempty set is the one block,
+    # and its preimages are the connected sets of the 3 x 3 fine torus; some
+    # of three and four blocks wind around it and are not small
+    V = polymer(paving(3, 1, 1), [(0, 0)])
+    fine = paving(3, 1, 0)
+    small, other = {}, {}
+    for r in range(1, 10):
+        for blocks in itertools.combinations(itertools.product(range(3), repeat=2), r):
+            X = polymer(fine, blocks)
+            if len(components(X)) == 1:
+                side = small if is_small(X) else other
+                side[r] = side.get(r, 0) + 1
+    assert other[3] == 6
+    assert _enumerate_closure_preimages(V, small_only=True) == small
+    assert _enumerate_closure_preimages(V, small_only=False) == other
+
+
 def test_reblock_inequality_single_block():
     pav = paving(3, 2, 0)
     X = polymer(pav, [(4, 4)])
