@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,14 +8,30 @@ from ktrg.flow import (
     FlowConfig,
     FlowState,
     corrections,
-    kosterlitz_q,
+    diagonal,
     step,
     trajectory,
     deviation_profile,
-    to_rescaled,
     from_rescaled,
-    step_original_zero,
 )
+
+
+def kosterlitz_q(q1: float, j: int) -> float:
+    """q_j = q_1 / (1 + |q_1| (j-1))."""
+    if j < 1:
+        raise ValueError(f"scale index must be >= 1, got {j}")
+    return q1 / (1.0 + abs(q1) * (j - 1))
+
+
+def to_rescaled(s: float, z: float, a: float, b: float) -> tuple[float, float]:
+    """(x, y) = (b s, sqrt(a b) z), the inverse of `from_rescaled`."""
+    return b * s, math.sqrt(a * b) * z
+
+
+def step_original_zero(s: float, z: float, config: FlowConfig) -> tuple[float, float]:
+    """The j = 0 step in original variables: (s_1, z_1)."""
+    vol0 = config.vol_seq[0] if config.vol_seq else 1.0
+    return s, vol0 * z
 
 
 def sweep(starts, config):
@@ -209,6 +227,15 @@ def test_config_rejects_non_finite_limit(field, bad):
         FlowConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("field", ["a_limit", "b_limit"])
+@pytest.mark.parametrize("bad", [0.0, -0.0])
+def test_config_rejects_zero_limit(field, bad):
+    # `corrections` divides by the limits: the config names the field
+    # instead of a ZeroDivisionError at the first per-scale step
+    with pytest.raises(ValueError, match=f"{field} must be nonzero"):
+        FlowConfig(a_seq=(1.0,), **{field: bad})
+
+
 @pytest.mark.parametrize("field", ["a_seq", "b_seq", "vol_seq"])
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
 def test_config_rejects_non_finite_sequence(field, bad):
@@ -276,3 +303,41 @@ def test_array_kernel_matches_scalar_kernel_bitwise(mode, rows):
         scalars = corrections(*row, cfg)
         for arr, sc in zip(arrays, scalars):
             assert np.float64(sc).view(np.int64) == arr[i].view(np.int64), (mode, row)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# starts in [0, 1]: full mantissas on [2^-14, 1/2), any float (-0.0, which
+# keeps its sign in `diagonal`, left out) and the ends
+_diagonal_start = st.one_of(_generic, st.floats(0.0, 1.0).filter(lambda v: math.copysign(1.0, v) > 0),
+                            st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(s1=_diagonal_start, horizon=st.integers(1, 3000))
+def test_diagonal_is_the_limit_trajectory_bitwise(s1, horizon):
+    traj = trajectory(s1, s1, FlowConfig(horizon=horizon))
+    assert traj.diverged_at is None
+    d = diagonal(s1, horizon)
+    assert d.shape == (horizon,)
+    np.testing.assert_array_equal(_bits(d), _bits(traj.x))
+    np.testing.assert_array_equal(_bits(d), _bits(traj.y))
+
+
+@pytest.mark.parametrize("s1", [0.005, 0.02, 0.05])
+def test_diagonal_matches_the_limit_trajectory_at_full_horizon(s1):
+    traj = trajectory(s1, s1, FlowConfig(horizon=100_000))
+    np.testing.assert_array_equal(_bits(diagonal(s1, 100_000)), _bits(traj.x))
+
+
+@pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0**-52, float("nan"), float("inf")])
+def test_diagonal_rejects_starts_off_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"diagonal start must lie in \[0, 1\]"):
+        diagonal(bad, 10)
+
+
+def test_diagonal_rejects_short_horizon():
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        diagonal(0.01, 0)

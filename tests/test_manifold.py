@@ -1,11 +1,13 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ktrg.manifold
-from ktrg.flow import FlowConfig, _advance, corrections, trajectory, kosterlitz_q_array
+from ktrg.flow import FlowConfig, _advance, corrections, diagonal, trajectory, kosterlitz_q_array
 from ktrg.manifold import (
     _classify,
     _distance,
@@ -232,12 +234,88 @@ def test_problem_rejects_bad_tau_and_eps1(field, bad):
         ManifoldProblem(y1=0.3, **{field: bad})
 
 
+# per-scale tables that end at their limits: the fixed point leaves the
+# diagonal, and T takes 12 applications to reach it from either start
+_PER_SCALE = FlowConfig(a_seq=(1.05, 1.02, 1.01), b_seq=(1.03, 0.99), vol_seq=(1.01, 1.0),
+                        a_limit=1.01, b_limit=0.99)
+
+
 def test_fixed_point_out_of_iterations_raises():
+    # in limit mode the diagonal seed converges in 2 applications; the
+    # per-scale problem still needs more than 3
     with pytest.raises(RuntimeError, match=r"y1=0.01 not converged after 3 iterations: residual \d"):
-        solve_fixed_point(ManifoldProblem(y1=0.01), max_iter=3)
+        solve_fixed_point(ManifoldProblem(y1=0.01, flow=_PER_SCALE), max_iter=3)
 
 
-def _apply_T_loop(seq, prob):
+def _solve_from_zero(prob, tol=1e-13, max_iter=200, T=apply_T):
+    """(sigma, seq) of T iterated from the zero sequence, the solver's
+    start before the diagonal seed (oracle)."""
+    if prob.y1 == 0.0:
+        return 0.0, WeightedSequence.zero(prob.J)
+    if prob.y1 < 0.0:
+        return _solve_from_zero(replace(prob, y1=-prob.y1), tol, max_iter, T)
+    seq = WeightedSequence.zero(prob.J)
+    prev_res = None
+    for it in range(1, max_iter + 1):
+        new = T(seq, prob)
+        res = _distance(new, seq, prob)
+        seq = new
+        if res <= tol:
+            return prob.y1 + float(seq.w_minus[0]), seq
+        if prev_res is not None and prev_res > 0 and res / prev_res > 0.95 and res > 100 * tol:
+            raise RuntimeError(f"fixed-point iteration not contracting: ratio {res / prev_res:.3f}")
+        prev_res = res
+    raise RuntimeError(f"fixed point at y1={prob.y1} not converged after {max_iter} iterations")
+
+
+@pytest.mark.parametrize("flow", [FlowConfig(), _PER_SCALE], ids=["limit", "per-scale"])
+@pytest.mark.parametrize("J", [8, 20_000, 100_000])
+def test_diagonal_seed_matches_zero_start(flow, J):
+    # same Sigma bit for bit, same ball verdict, sequences within 1e-15
+    # (weighted); at y1 = 0.05 both leave the ball past the shortest horizon
+    # and T warns
+    for y1 in (0.005, 0.01, 0.02, 0.04, -0.02, 0.05):
+        prob = ManifoldProblem(y1=y1, J=J, flow=flow)
+        outside = y1 == 0.05 and J > 8
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            fp = solve_fixed_point(prob)
+            sigma, seq = _solve_from_zero(prob)
+        assert fp.sigma == sigma, (y1, J)
+        assert _distance(fp.seq, seq, prob) <= 1e-15, (y1, J)
+        assert fp.in_ball == (seq_norm(seq, prob) <= 1.0 + 1e-9) == (not outside), (y1, J)
+        assert any("ball" in str(r.message) for r in rec) == outside, (y1, J)
+        assert fp.iterations == (12 if flow == _PER_SCALE else 2 if J > 8 else 1), (y1, J)
+
+
+def _diagonal_miss(seq, prob):
+    """max |w+ - 3 (s - q)|, s the diagonal flow from y1."""
+    return float(np.max(np.abs(seq.w_plus - 3.0 * (diagonal(prob.y1, prob.J) - prob.q()))))
+
+
+def _old_stable_term(q, q_next, w_plus):
+    """The linear W+ term before its derivation was corrected (wrong)."""
+    return (2.0 * q - q_next) * q_next * w_plus
+
+
+@pytest.mark.parametrize("y1", [0.005, 0.01, 0.02, 0.04])
+def test_limit_fixed_point_is_the_diagonal(y1):
+    # the limit flow keeps x = y: w- vanishes exactly and w+ is the explicit
+    # diagonal flow; the W+ term before its correction misses that bound
+    prob = ManifoldProblem(y1=y1)
+    seq = solve_fixed_point(prob).seq
+    assert np.all(seq.w_minus == 0.0)
+    assert _diagonal_miss(seq, prob) <= 1e-16
+    _, old = _solve_from_zero(prob, T=lambda w, p: _apply_T_loop(w, p, stable_term=_old_stable_term))
+    assert _diagonal_miss(old, prob) > 1e-8
+
+
+def _stable_term(q, q_next, w_plus):
+    """The linear W+ term of `apply_T`."""
+    return -(3.0 + 2.0 * q) * q_next**2 * w_plus
+
+
+def _apply_T_loop(seq, prob, stable_term=_stable_term):
     """The fixed-point map with one scalar kernel call per scale (oracle)."""
     J, cfg = prob.J, prob.flow
     q = prob.q()
@@ -250,7 +328,7 @@ def _apply_T_loop(seq, prob):
         Ft[i], Mt[i] = corrections(i + 1, float(x[i]), float(y[i]), cfg)
     U = -(v * v) - q * q * q_next + Ft
     V = -(u * v) - q * q * q_next + Mt
-    Wp = U + 2.0 * V - (3.0 + 2.0 * q) * q_next**2 * seq.w_plus
+    Wp = U + 2.0 * V + stable_term(q, q_next, seq.w_plus)
     Wm = U - V
     suffix = np.cumsum((q_next * Wm)[::-1])[::-1]
     h = prob.h()
