@@ -1,9 +1,15 @@
-"""Batch front-end: config loading, pipeline orchestration, CSV/JSON artifacts.
+"""Batch front-end: option parsing, pipeline orchestration, CSV/JSON artifacts.
 
-Config files are INI-style (configparser): one section per command, plain
-`key = value` entries, `#` comments.  Command-line flags override config
-values.  Artifacts are deterministic: fixed summation orders and no
-wall-clock content inside data files.
+Every option belongs to a subcommand and is declared once, with its type
+and default, in `build_parser`; the commands read `args` only.  Config
+files are INI-style (configparser): one section per command, plain
+`key = value` entries, `#` comments.  A section's entries become
+`--key=value` flags placed ahead of the command line's own, and the
+result goes through the same subparser, so a key spells its flag exactly,
+an unknown key or a value that does not convert is a usage error (exit 2),
+and command-line flags override config values.  Artifacts are
+deterministic: fixed summation orders and no wall-clock content inside
+data files.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ from .lattice import TorusLattice
 from .cutoffs import build_cutoffs, coulomb_constant_c, coulomb_constant_closed
 from .decomposition import decompose, write_stack, LEAKAGE_TOL, TELESCOPING_TOL
 from .coefficients import compute_coefficients, coefficients_csv, limit_constants, ALPHA_SQ_KT
-from .flow import FlowConfig, trajectory, deviation_profile, trajectory_csv, from_rescaled
+from .flow import FlowConfig, trajectory, diagonal, deviation_profile, trajectory_csv, from_rescaled
 from .manifold import (
     ManifoldProblem, solve_fixed_point, solve_shooting, empirical_contraction, separatrix_csv, seq_norm,
 )
 from .polymers import (
-    paving, count_S, connected_polymers_up_to, reblock_inequality, j_extraction_defect,
+    paving, count_S, connected_polymers_up_to, reblock_inequality, j_extraction_defect, closure, is_small,
 )
 from .oracle import oracle_lattice, grand_Z, siegert_kac_check
 
@@ -45,16 +51,13 @@ FIXED_POLYOMINOES = (1, 2, 6, 19, 63)
 COUNT_S_ORACLE = sum(n * c for n, c in enumerate(FIXED_POLYOMINOES[:4], 1))
 
 
-def _load_config(path: str | None, section: str) -> dict:
-    if path is None:
-        return {}
+def _config_flags(path: str, section: str) -> list[str]:
+    """The entries of `section` as `--key=value` flags: each key spells its flag."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keep key case: L and j-max spell like the flags
     with open(path) as f:
         cp.read_file(f)
-    if section not in cp:
-        return {}
-    return dict(cp[section])
+    return [f"--{key}={value}" for key, value in cp[section].items()] if section in cp else []
 
 
 def _out_path(args, name: str) -> str:
@@ -62,19 +65,8 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _get(args, cfg: dict, key: str, cast, default):
-    cli_val = getattr(args, key.replace("-", "_"), None)
-    if cli_val is not None:
-        return cli_val
-    if key in cfg:
-        return cast(cfg[key])
-    return default
-
-
-def cmd_decompose(args, cfg) -> int:
-    L = _get(args, cfg, "L", int, 3)
-    R = _get(args, cfg, "R", int, 3)
-    m = _get(args, cfg, "m", float, 0.1)
+def cmd_decompose(args) -> int:
+    L, R, m = args.L, args.R, args.m
     lat = TorusLattice(L=L, R=R, m=m)
     stack = decompose(lat)
     err = stack.telescoping_error()
@@ -89,10 +81,9 @@ def cmd_decompose(args, cfg) -> int:
     return 0 if ok else CHECK_ERROR
 
 
-def cmd_coeffs(args, cfg) -> int:
-    L = _get(args, cfg, "L", int, 3)
-    R = _get(args, cfg, "R", int, 6)
-    j_max = _get(args, cfg, "j-max", int, min(4, R - 1))
+def cmd_coeffs(args) -> int:
+    L, R = args.L, args.R
+    j_max = min(4, R - 1) if args.j_max is None else args.j_max
     lat = TorusLattice(L=L, R=R, m=0.0)
     stack = decompose(lat)
     rep = compute_coefficients(stack, j_max)
@@ -127,10 +118,8 @@ def _in_ball_fixed_point(prob: ManifoldProblem):
     return fp
 
 
-def cmd_flow(args, cfg) -> int:
-    y1 = _get(args, cfg, "y1", float, 0.01)
-    x1 = _get(args, cfg, "x1", float, None)
-    J = _get(args, cfg, "horizon", int, 100_000)
+def cmd_flow(args) -> int:
+    y1, x1, J = args.y1, args.x1, args.horizon
     flow_cfg = FlowConfig(horizon=J)
     if x1 is None:
         fp = _in_ball_fixed_point(ManifoldProblem(y1=y1, J=J, flow=flow_cfg))
@@ -148,10 +137,8 @@ def cmd_flow(args, cfg) -> int:
     return 0
 
 
-def cmd_separatrix(args, cfg) -> int:
-    y1 = _get(args, cfg, "y1", float, 0.01)
-    J = _get(args, cfg, "horizon", int, 100_000)
-    L = _get(args, cfg, "L", int, 9)
+def cmd_separatrix(args) -> int:
+    y1, J, L = args.y1, args.horizon, args.L
     fp = _in_ball_fixed_point(ManifoldProblem(y1=y1, J=J))
     if fp is None:
         return CHECK_ERROR
@@ -175,9 +162,8 @@ def cmd_separatrix(args, cfg) -> int:
     return 0 if agree <= 1e-8 and lip <= 0.5 else CHECK_ERROR
 
 
-def cmd_polymers(args, cfg) -> int:
-    L = _get(args, cfg, "L", int, 3)
-    S = count_S(L)
+def cmd_polymers(args) -> int:
+    S = count_S(3)
     pav = paving(3, 2, 0)
     fam = connected_polymers_up_to(pav, 5)
     # on the 9 x 9 block torus each fixed polyomino of k <= 5 < 9 cells has 81 translates
@@ -191,8 +177,6 @@ def cmd_polymers(args, cfg) -> int:
         f.write(f"n_connected_le5,{len(fam)}\n")
         f.write(f"reblock_eta_0.05,{int(eta_ok)}\n")
     shapes_path = _out_path(args, "polymer_shapes.csv")
-    from ktrg.polymers import closure, is_small
-
     with open(shapes_path, "w", newline="\n") as f:
         f.write("shape_id,block_count,small,closure_size\n")
         for i, X in enumerate(fam):
@@ -203,11 +187,8 @@ def cmd_polymers(args, cfg) -> int:
     return 0 if S == COUNT_S_ORACLE and len(fam) == n_expected and eta_ok else CHECK_ERROR
 
 
-def cmd_oracle(args, cfg) -> int:
-    side = _get(args, cfg, "side", int, 5)
-    beta = _get(args, cfg, "beta", float, 8.0 * math.pi)
-    z = _get(args, cfg, "z", float, 0.05)
-    n_max = _get(args, cfg, "nmax", int, 4)
+def cmd_oracle(args) -> int:
+    side, beta, z, n_max = args.side, args.beta, args.z, args.nmax
     lat = oracle_lattice(side)
     res = grand_Z(lat, beta, z, n_max)
     rep = siegert_kac_check(lat, beta, z, n_max, s=0.0)
@@ -238,7 +219,7 @@ def _provenance() -> dict:
             "scipy": scipy.__version__, "git_sha": _git_sha()}
 
 
-def cmd_verify_all(args, cfg) -> int:
+def cmd_verify_all(args) -> int:
     t0 = time.time()
     checks = {}
 
@@ -252,6 +233,10 @@ def cmd_verify_all(args, cfg) -> int:
     fp = solve_fixed_point(prob)
     sh = solve_shooting(0.01, tol=1e-10)
     checks["separatrix_agreement"] = {"value": abs(fp.sigma - sh), "tol": 1e-8}
+    # in limit mode the fixed point is the diagonal flow: w- = 0 and w+ = 3 (s - q)
+    diag_miss = np.abs(fp.seq.w_plus - 3.0 * (diagonal(prob.y1, prob.J) - prob.q()))
+    checks["separatrix_diagonal"] = {"value": float(max(np.max(np.abs(fp.seq.w_minus)), np.max(diag_miss))),
+                                     "tol": 1e-16}
 
     checks["count_S"] = {"value": abs(count_S(3) - COUNT_S_ORACLE), "tol": 0}
     checks["extraction_identities"] = {"value": j_extraction_defect(paving(3, 2, 0)), "tol": 0}
@@ -288,46 +273,53 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI config file; sections named after commands")
-    common.add_argument("--out-dir", default="out", help="artifact directory")
-    common.add_argument("--seed", type=int, default=7, help="seed for sampled checks")
-    common.add_argument("--leakage-tol", type=float, default=LEAKAGE_TOL)
-    p = argparse.ArgumentParser(prog="ktrg", description="KT-line RG toolkit", parents=[common])
+    """The top level takes the command only; each option lives on the subcommands that read it."""
+    p = argparse.ArgumentParser(prog="ktrg", description="KT-line RG toolkit")
     sub = p.add_subparsers(dest="command")
     sp = {}
     for name in _COMMANDS:
-        sp[name] = sub.add_parser(name, parents=[common])
-    for name in ("decompose", "coeffs", "polymers"):
-        sp[name].add_argument("--L", type=int)
-        sp[name].add_argument("--R", type=int)
-    sp["decompose"].add_argument("--m", type=float)
-    sp["coeffs"].add_argument("--j-max", type=int)
+        # no abbreviations: a config key, like a flag, spells its option exactly
+        sp[name] = sub.add_parser(name, allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sp[name].add_argument("--config", help="INI file; the section named after the command supplies flags")
+        sp[name].add_argument("--out-dir", default="out", help="artifact directory")
+    for name, R in (("decompose", 3), ("coeffs", 6)):
+        sp[name].add_argument("--L", type=int, default=3, help="blocking factor of the L^R torus")
+        sp[name].add_argument("--R", type=int, default=R, help="number of scales of the L^R torus")
+    sp["decompose"].add_argument("--m", type=float, default=0.1, help="Yukawa mass; 0 subtracts the zero mode")
+    sp["coeffs"].add_argument("--j-max", type=int, help="last scale; unset means min(4, R - 1)")
+    # coeffs samples nothing; it keeps --seed so that callers passing one still run
+    for name in ("coeffs", "separatrix"):
+        sp[name].add_argument("--seed", type=int, default=7, help="seed for sampled checks")
     for name in ("flow", "separatrix"):
-        sp[name].add_argument("--y1", type=float)
-        sp[name].add_argument("--horizon", type=int)
-    sp["flow"].add_argument("--x1", type=float)
-    sp["separatrix"].add_argument("--L", type=int)
-    sp["oracle"].add_argument("--side", type=int)
-    sp["oracle"].add_argument("--beta", type=float)
-    sp["oracle"].add_argument("--z", type=float)
-    sp["oracle"].add_argument("--nmax", type=int)
+        sp[name].add_argument("--y1", type=float, default=0.01, help="activity at scale 1")
+        sp[name].add_argument("--horizon", type=int, default=100_000, help="number of flow steps J")
+    sp["flow"].add_argument("--x1", type=float, help="start x; unset means the fixed point Sigma(y1)")
+    sp["separatrix"].add_argument("--L", type=int, default=9, help="base mapping sigma to (z, beta)")
+    sp["oracle"].add_argument("--side", type=int, default=5, help="torus side")
+    sp["oracle"].add_argument("--beta", type=float, default=8.0 * math.pi, help="inverse temperature")
+    sp["oracle"].add_argument("--z", type=float, default=0.05, help="activity")
+    sp["oracle"].add_argument("--nmax", type=int, default=4, help="largest particle number")
+    sp["verify-all"].add_argument("--leakage-tol", type=float, default=LEAKAGE_TOL, help="leakage check tolerance")
     return p
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
+    if args.config is not None:
+        try:
+            flags = _config_flags(args.config, args.command)
+        except (OSError, configparser.Error) as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return USAGE_ERROR
+        # argv[0] is the command; its own flags come after the config's, so they win
+        args = parser.parse_args([argv[0], *flags, *argv[1:]])
     try:
-        cfg = _load_config(args.config, args.command)
-    except (OSError, configparser.Error) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return CHECK_ERROR

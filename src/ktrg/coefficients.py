@@ -384,6 +384,9 @@ class RgCoefficients:
 
 
 def compute_coefficients(stack: CovarianceStack, j_max: int, alpha_sq: float = ALPHA_SQ_KT) -> RgCoefficients:
+    R = stack.lattice.R
+    if not 1 <= j_max <= R - 1:
+        raise ValueError(f"j_max must be in 1..{R - 1} (R = {R}), got {j_max}")
     scales = list(range(1, j_max + 1))
     rep = RgCoefficients(L=stack.lattice.L, alpha_sq=alpha_sq, scales=scales,
                          a=[], b=[], e2=[], e3=[], e4=[], vol=[], alias_bound=[])

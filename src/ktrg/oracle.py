@@ -309,7 +309,8 @@ def siegert_kac_check(lattice: TorusLattice, beta: float, z: float, n_max: int,
     Gaussian measure of covariance alpha^2 (m^2 - (1-s) Delta)^(-1) (the
     split measure at alpha^2 = (1-s) beta) evaluated in closed form; its
     characteristic function reproduces e^{-beta H} exactly, so the z^n
-    coefficients must agree to rounding.
+    coefficients must agree to rounding.  A mismatch is reported, not
+    raised: the caller gates on `passed` (1e-10) or on `max_rel_mismatch`.
     """
     _check_inputs(lattice, beta, z, n_max)
     if not (0.0 <= s < 0.5):
@@ -337,10 +338,7 @@ def siegert_kac_check(lattice: TorusLattice, beta: float, z: float, n_max: int,
             rel = abs(va - vb) / scale
             per_n[(n, Q)] = rel
             worst = max(worst, rel)
-    rep = SiegertKacReport(beta=beta, s=s, alpha_sq=alpha_sq, max_rel_mismatch=worst, per_n=per_n)
-    if not rep.passed:
-        raise RuntimeError(f"Siegert-Kac mismatch {worst:.3e} beyond 1e-10")
-    return rep
+    return SiegertKacReport(beta=beta, s=s, alpha_sq=alpha_sq, max_rel_mismatch=worst, per_n=per_n)
 
 
 def pressure_estimate(lattice: TorusLattice, beta: float, z: float, n_max: int) -> float:

@@ -244,3 +244,138 @@ def test_scipy_submodules_load_only_for_the_coulomb_fit(tmp_path, argv, loads_sp
         assert "scipy.special" in loaded
     else:
         assert loaded == []
+
+
+EXAMPLE_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "run.example.ini")
+
+
+def test_flag_before_the_command_is_a_usage_error(tmp_path, monkeypatch):
+    # options belong to the subcommands; the top level takes the command only
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(["--out-dir", str(tmp_path / "x"), "polymers"])
+    assert e.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["polymers", "--L", "5"],
+    ["polymers", "--R", "9"],
+    ["decompose", "--seed", "1"],
+    ["flow", "--leakage-tol", "0"],
+], ids=["polymers-L", "polymers-R", "decompose-seed", "flow-leakage-tol"])
+def test_an_option_the_command_ignores_is_a_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert e.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_misspelled_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[coeffs]\nj_max = 1\n")
+    with pytest.raises(SystemExit) as e:
+        main(["coeffs", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert e.value.code == 2
+    assert "j_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_abbreviated_config_key_is_a_usage_error(tmp_path, capsys):
+    # a key spells its flag exactly: "horiz" does not stand for --horizon
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[flow]\nhoriz = 5\n")
+    with pytest.raises(SystemExit) as e:
+        main(["flow", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert e.value.code == 2
+    assert "horiz" in capsys.readouterr().err
+
+
+def test_malformed_config_value_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[decompose]\nL = three\n")
+    with pytest.raises(SystemExit) as e:
+        main(["decompose", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert e.value.code == 2
+    assert "argument --L: invalid int value: 'three'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_value_is_used_and_a_flag_overrides_it(tmp_path, capsys):
+    # every option of a command can come from its section, the shared ones too
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[verify-all]\nleakage-tol = 0\nout-dir = {tmp_path / 'cfg'}\n")
+    assert main(["verify-all", "--config", str(cfg)]) == cli.CHECK_ERROR
+    assert "FAIL leakage" in capsys.readouterr().out
+    assert json.loads((tmp_path / "cfg" / "verify_report.json").read_text())["checks"]["leakage"]["tol"] == 0
+    assert main(["verify-all", "--config", str(cfg), "--leakage-tol", "1e-6", "--out-dir", str(tmp_path / "cli")]) == 0
+    assert json.loads((tmp_path / "cli" / "verify_report.json").read_text())["checks"]["leakage"]["tol"] == 1e-6
+
+
+def test_example_config_parses_for_every_section():
+    # each section names a command, and each key is one of its flags with a value that converts
+    import configparser
+
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(EXAMPLE_CONFIG)
+    assert cp.sections()
+    for section in cp.sections():
+        assert section in cli._COMMANDS, section
+        flags = cli._config_flags(EXAMPLE_CONFIG, section)
+        try:
+            args = cli.build_parser().parse_args([section, *flags])
+        except SystemExit:
+            pytest.fail(f"[{section}] of run.example.ini does not parse: {flags}")
+        assert args.command == section and len(flags) == len(cp[section])
+
+
+def test_coeffs_rejects_an_out_of_range_j_max(tmp_path, capsys):
+    for j_max in ("0", "3"):
+        assert main(["coeffs", "--L", "3", "--R", "3", "--j-max", j_max, "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+        assert f"j_max must be in 1..2 (R = 3), got {j_max}" in capsys.readouterr().err
+    assert not (tmp_path / "coefficients_L3.csv").exists()
+
+
+def test_verify_all_fails_on_a_siegert_kac_mismatch(tmp_path, capsys, monkeypatch):
+    # one field-side covariance entry off by 1e-6: the report is written and
+    # names siegert_kac as the only failing check
+    import ktrg.oracle as oracle
+
+    exact = oracle.folded_table
+
+    def one_wrong_entry(symbol):
+        W = exact(symbol)
+        W[1, 2] += 1e-6
+        return W
+
+    monkeypatch.setattr(oracle, "folded_table", one_wrong_entry)
+    assert main(["verify-all", "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+    assert "FAIL siegert_kac" in capsys.readouterr().out
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [name for name, c in rep["checks"].items() if not c["pass"]] == ["siegert_kac"]
+    assert rep["checks"]["siegert_kac"]["value"] > 1e-10
+
+
+def test_verify_all_fails_on_a_wrong_stable_term(tmp_path, capsys, monkeypatch):
+    # T with the W+ term before its correction, -(3 + 2q) q'^2 w+ replaced by
+    # (2q - q') q' w+: Sigma still agrees with shooting, but the fixed point
+    # leaves the diagonal flow
+    import ktrg.manifold as manifold
+
+    exact = manifold.apply_T
+
+    def old_term_T(seq, prob):
+        new = exact(seq, prob)
+        q = prob.q()
+        q_next = np.append(q[1:], prob.y1 / (1.0 + abs(prob.y1) * prob.J))
+        dWp = ((2.0 * q - q_next) * q_next + (3.0 + 2.0 * q) * q_next**2) * seq.w_plus
+        prefix = np.concatenate([[0.0], np.cumsum(dWp / q_next**2)[:-1]])
+        return manifold.WeightedSequence(new.w_plus + q * q * prefix, new.w_minus)
+
+    monkeypatch.setattr(manifold, "apply_T", old_term_T)
+    assert main(["verify-all", "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+    assert "FAIL separatrix_diagonal" in capsys.readouterr().out
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [name for name, c in rep["checks"].items() if not c["pass"]] == ["separatrix_diagonal"]
+    assert rep["checks"]["separatrix_diagonal"]["value"] > 1e-8
+    assert rep["checks"]["separatrix_agreement"]["pass"] is True

@@ -611,3 +611,13 @@ def test_e3_symbol_is_lam_squared_bit_for_bit(stack_l9_massless):
     for j in (1, 2, 3):
         g = stack_l9_massless.grid(j)
         assert np.array_equal(_e3_symbol(g), _gap_e3_symbol(g))
+
+
+@pytest.mark.parametrize("j_max", [0, 3])
+def test_compute_coefficients_rejects_j_max_outside_1_to_R_minus_1(stack_l3_massive, monkeypatch, j_max):
+    # the range is checked before any scale is computed
+    import ktrg.coefficients as coefficients
+
+    monkeypatch.setattr(coefficients, "coeff_a", lambda *a, **k: pytest.fail("coeff_a ran"))
+    with pytest.raises(ValueError, match=rf"j_max must be in 1\.\.2 \(R = 3\), got {j_max}"):
+        compute_coefficients(stack_l3_massive, j_max)
