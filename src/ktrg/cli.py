@@ -1,15 +1,17 @@
 """Batch front-end: option parsing, pipeline orchestration, CSV/JSON artifacts.
 
 Every option belongs to a subcommand and is declared once, with its type
-and default, in `build_parser`; the commands read `args` only.  Config
-files are INI-style (configparser): one section per command, plain
-`key = value` entries, `#` comments.  A section's entries become
-`--key=value` flags placed ahead of the command line's own, and the
-result goes through the same subparser, so a key spells its flag exactly,
-an unknown key or a value that does not convert is a usage error (exit 2),
-and command-line flags override config values.  Artifacts are
-deterministic: fixed summation orders and no wall-clock content inside
-data files.
+and default, in `build_parser`; the commands read `args` only.  The
+command's own parser reads everything after the command, so an unknown
+option is reported with that command's usage line.  Config files are
+INI-style (configparser): one section per command, plain `key = value`
+entries, `#` comments.  A section's entries become `--key=value` flags
+placed ahead of the command line's own, and the result goes through the
+same subparser, so a key spells its flag exactly, command-line flags
+override config values, and an unknown key (named with its section and
+file) or a value that does not convert is a usage error (exit 2).
+Artifacts are deterministic: fixed summation orders and no wall-clock
+content inside data files.
 """
 
 from __future__ import annotations
@@ -273,10 +275,13 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The top level takes the command only; each option lives on the subcommands that read it."""
+    """The top level takes the command only; each option lives on the subcommands that read it.
+
+    The parser's `commands` attribute maps each command to its own parser.
+    """
     p = argparse.ArgumentParser(prog="ktrg", description="KT-line RG toolkit")
     sub = p.add_subparsers(dest="command")
-    sp = {}
+    sp = p.commands = {}
     for name in _COMMANDS:
         # no abbreviations: a config key, like a flag, spells its option exactly
         sp[name] = sub.add_parser(name, allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -306,20 +311,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    if not argv or argv[0] not in parser.commands:
+        # no command, or something before it: the top-level parser reports
+        # it (exit 2), prints help, or finds no command
+        parser.parse_args(argv)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
+    command, rest = argv[0], argv[1:]
+    sub = parser.commands[command]
+    args = sub.parse_args(rest)
     if args.config is not None:
         try:
-            flags = _config_flags(args.config, args.command)
+            flags = _config_flags(args.config, command)
         except (OSError, configparser.Error) as e:
             print(f"config error: {e}", file=sys.stderr)
             return USAGE_ERROR
-        # argv[0] is the command; its own flags come after the config's, so they win
-        args = parser.parse_args([argv[0], *flags, *argv[1:]])
+        unknown = sub.parse_known_args(flags)[1]
+        if unknown:
+            keys = ", ".join(repr(flag[2:].split("=", 1)[0]) for flag in unknown)
+            sub.error(f"{args.config}: section [{command}] has no key {keys}")
+        # the command line's own flags come after the config's, so they win
+        args = sub.parse_args([*flags, *rest])
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command](args)
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return CHECK_ERROR

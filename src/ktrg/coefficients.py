@@ -10,7 +10,9 @@ sampled with 3^5 points per length and alias-certified by the grid's ring
 probe; grids are step 1 (exact sums) whenever the support is small enough.
 Sums quadratic in the kernels (b_j, e3_j) and second differences at the
 origin (e2_j, e4_j) are Parseval sums on the scale-j grid, whose period
-exceeds twice the support.
+exceeds twice the support; they run on the triangle p1 <= p0 of its
+folded grid, where the bands are stored, so every symbol in them is
+symmetric under p0 <-> p1.
 
 The position sums of a_j and e4_j run on the quarter z0, z1 >= 0 of each
 scale's window (CovarianceStack.kernel): every kernel Gamma_j and every
@@ -257,13 +259,13 @@ def coeff_b(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     return 0.5 * a2 * total
 
 
-def _cos_gaps(g) -> tuple[np.ndarray, np.ndarray]:
-    """c(p) = 2 sin^2(p/2) = 1 - cos p on the two folded axes of grid g.
+def _cos_gaps(g) -> np.ndarray:
+    """c(p) = 2 sin^2(p/2) = 1 - cos p along the folded axis of grid g.
 
     The sine form keeps full relative accuracy as p -> 0, where 1 - cos p
     cancels.
     """
-    return 2.0 * np.sin(0.5 * g.p0) ** 2, 2.0 * np.sin(0.5 * g.p1) ** 2
+    return 2.0 * np.sin(0.5 * g.p_fold) ** 2
 
 
 def _dd_at_zero(stack: CovarianceStack, j: int) -> np.ndarray:
@@ -273,18 +275,20 @@ def _dd_at_zero(stack: CovarianceStack, j: int) -> np.ndarray:
     the two difference symbols, in closed form with c = 2 sin^2(p/2): on
     one axis -2 cos(p) c for equal signs and 2c for opposite ones, across
     the axes c0 c1 (the sin p0 sin p1 part is odd and integrates to zero).
-    Five sums fill the tensor.
+    The band is symmetric under p0 <-> p1, so a one-axis symbol f(p_a)
+    sums like (f(p0) + f(p1))/2, the symmetric integrand that a sum over
+    the triangle needs; the two axes then share each entry, and three sums
+    fill the tensor.
     """
     g = stack.grid(j)
     G = g.band(stack.fine_scales(j))
-    p = (g.p0, g.p1)
     c = _cos_gaps(g)
-    same = [g.parseval(G, -2.0 * np.cos(p[a]) * c[a]) for a in range(2)]
-    opposite = [g.parseval(G, 2.0 * c[a]) for a in range(2)]
-    dd = np.full((4, 4), g.parseval(G, c[0], c[1]))
+    same = g.parseval(G, g.outer(np.add, -np.cos(g.p_fold) * c))  # f = -2 cos(p) c
+    opposite = g.parseval(G, g.outer(np.add, c))  # f = 2c
+    dd = np.full((4, 4), g.parseval(G, g.outer(np.multiply, c)))
     for mu in range(4):
         for nu in range(mu % 2, 4, 2):
-            dd[mu, nu] = same[mu % 2] if mu == nu else opposite[mu % 2]
+            dd[mu, nu] = same if mu == nu else opposite
     return dd
 
 

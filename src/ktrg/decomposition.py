@@ -27,35 +27,45 @@ they are even in each momentum component and symmetric under p0 <-> p1, and
 a grid folds itself by these symmetries of the square (the 8-fold D4 fold).
 When its axis has odd length S and pairs every momentum with its exact
 negative, p[S-k] = -p[k] (the fftfreq layout of every per-scale grid, of
-the PSD probe and of the torus momenta), arrays live on the quarter
+the PSD probe and of the torus momenta), the folded grid is the quarter
 p0, p1 >= 0: n = S//2 + 1 points per axis, carrying multiplicity weights
 w = (1, 2, 2, ...), and the full grid is read back through the unfold index
 min(k, S-k).  Any other axis (an even-length one, the alias ring) takes the
 trivial fold, weights 1 and the identity index, through the same code.  On
 either, lam is bit-for-bit symmetric under the swap, so the band pass runs
-on the triangle p1 <= p0 of the folded grid (rows packed, n(n+1)/2 points)
-and its bands and residuals are mirrored onto the folded grid.  The folded
-grid holds the same momenta as the full one, so unfolded bands are
-bit-identical to a pass over the full grid.  Parseval sums and real
-(cosine) zooms run on the folded grid with the weights; complex zooms and
-derivative symbols unfold on demand.
+on the triangle p1 <= p0 of the folded grid, and its bands, residuals and
+lam stay there as triangle arrays: rows packed, row i holding columns
+0..i, n(n+1)/2 values, half the folded square.  The folded grid holds the
+same momenta as the full one, so unfolded bands are bit-identical to a
+pass over the full grid.
+
+Parseval sums run on the triangle: the weights are w_i w_k, doubled off the
+diagonal, and the weighted product goes through numpy's pairwise np.sum.
+That is the full sum only for integrands symmetric under the swap, so every
+factor must be a triangle array: a band, lam, or a symmetric combination of
+one-axis terms (SpectralGrid.outer); a one-axis symbol f(p0) is summed as
+(f(p0) + f(p1))/2, which the symmetric bands sum alike.  Only the consumers
+that transform a band build its folded square (_mirror), and drop it after
+the call: window, zoom, unfold (complex zooms, derivative symbols), the
+alias ring and decompose's tables.
 
 Position space folds the same way.  The kernel of a real band is even in
 each coordinate, so its window is the quarter Q[z0, z1], 0 <= z <= radius,
 at the positions y = step*z with multiplicities (1, 2, 2, ...) in the full
-window; it comes from one real inverse FFT per folded axis, and a real
-zoom is evaluated at the r + 1 nonnegative positions only.  Sums over the
-full window of even summands are m @ F @ m on the quarter (window_sum), as
-Parseval sums are w @ prod @ w.  Full windows |z|_inf <= radius are built
-only where an API hands them out: the kernels of complex (differenced or
-shifted) arrays, band_window, and the mirror of a quarter through the
-index |z| (full_window).  A materialized table is lattice.folded_table of
-its folded array: the same two real inverse transforms, on rows 0..S//2 of
-the torus, mirrored onto the full torus through the unfold index; the
-torus side L^R is odd, so its grid always folds.  The reference potentials
-of the telescoping check come from the same synthesis.  Only the kernels
-of complex arrays take a complex inverse FFT: an odd kernel (differenced
-or shifted) has no cosine synthesis.
+window; it comes from one real inverse FFT per folded axis
+(lattice._half_synthesis: both along the contiguous axis, a block of lines
+at a time, writing only the quarter), and a real zoom is evaluated at the
+r + 1 nonnegative positions only.  Sums over the full window of even
+summands are m @ F @ m on the quarter (window_sum).  Full windows
+|z|_inf <= radius are built only where an API hands them out: the kernels
+of complex (differenced or shifted) arrays, band_window, and the mirror of
+a quarter through the index |z| (full_window).  A materialized table is
+lattice.folded_table of its folded square: the same two real inverse
+transforms, on rows 0..S//2 of the torus, and row x past them a copy of row
+S - x; the torus side L^R is odd, so its grid always folds.  The reference
+potentials of the telescoping check come from the same synthesis.  Only
+the kernels of complex arrays take a complex inverse FFT: an odd kernel
+(differenced or shifted) has no cosine synthesis.
 
 The stack file holds float.hex text.  write_stack encodes it from the IEEE
 bits with numpy lookup tables, byte for byte as float.hex would, a block of
@@ -168,11 +178,11 @@ class SpectralGrid:
     r_h, which restarts only when a fine scale at or below one already
     evaluated is asked for, and each list's band is cached.
 
-    Bands, lam, u and the momenta p0, p1 live on the folded grid over the
-    axis p_fold, with weights w (see the module docstring); p keeps the full
-    axis, and unfold() maps a folded array onto it.  The running state of
-    the band pass (a cutoffs.FejerPass) lives on the triangle p1 <= p0 of
-    the folded grid only.
+    Bands, residuals, lam and u are triangle arrays: the values on the
+    triangle k <= i of the folded grid over the axis p_fold, rows packed
+    (row i holds columns 0..i), n(n+1)/2 of them (see the module
+    docstring).  _mirror builds the folded square of one, with weights w
+    per axis, and unfold() the full S x S grid over p.
     """
 
     def __init__(self, cutoffs: CutoffFamily, m: float, p: np.ndarray, step: int = 1, radius: int = 0):
@@ -194,14 +204,34 @@ class SpectralGrid:
     def decimated(cls, cutoffs: CutoffFamily, m: float, step: int, S: int, radius: int) -> "SpectralGrid":
         return cls(cutoffs, m, 2.0 * np.pi * np.fft.fftfreq(S) / step, step, radius)
 
+    def outer(self, ufunc, a: np.ndarray) -> np.ndarray:
+        """The triangle array of ufunc(a[i], a[k]): ufunc.outer(a, a) on k <= i, rows packed.
+
+        a holds one value per folded momentum; for a symmetric ufunc (add,
+        multiply) the result is a function of the two axes symmetric under
+        the swap, as every triangle array is.
+        """
+        n = len(a)
+        out = np.empty(n * (n + 1) // 2)
+        start = 0
+        for i in range(n):
+            ufunc(a[i], a[: i + 1], out=out[start : start + i + 1])
+            start += i + 1
+        return out
+
     @property
     def lam(self) -> np.ndarray:
-        """Laplacian symbol on the folded grid (built on each access)."""
-        return laplacian_symbol(self.p0, self.p1)
+        """Laplacian symbol on the triangle (built on each access).
+
+        The two axis terms a[i] + a[k], added in the same order as in
+        laplacian_symbol itself, so these are its values on the folded grid
+        bit for bit.
+        """
+        return self.outer(np.add, laplacian_symbol(self.p_fold, 0.0))  # sin(0) adds an exact 0
 
     @property
     def u(self) -> np.ndarray:
-        """m^2 + lam on the folded grid (built on each access)."""
+        """m^2 + lam on the triangle (built on each access)."""
         return self.m * self.m + self.lam
 
     @property
@@ -228,7 +258,9 @@ class SpectralGrid:
         return Q[np.ix_(a, a)]
 
     def unfold(self, A: np.ndarray) -> np.ndarray:
-        """A folded-grid array on the full S x S grid; full-grid arrays pass through."""
+        """A triangle array (or a folded square) on the full S x S grid; full-grid arrays pass through."""
+        if A.ndim == 1:
+            A = self._mirror(A)
         if A.shape[0] == self.S:
             return A
         return A[np.ix_(self.idx, self.idx)]
@@ -238,11 +270,15 @@ class SpectralGrid:
     @functools.cached_property
     def _lower(self) -> np.ndarray:
         """Mask of the triangle k <= i of the folded grid; its row-major order
-        is the order of the triangle arrays of the band pass."""
+        is the order of the triangle arrays."""
         return np.tri(len(self.p_fold), dtype=bool)
 
     def _mirror(self, t: np.ndarray) -> np.ndarray:
-        """The folded-grid array of the triangle array t (row i holds columns 0..i)."""
+        """The folded square of the triangle array t, a new array.
+
+        Only the consumers that transform a band build it, and drop it
+        after the call: window, zoom, unfold and the alias ring.
+        """
         n = len(self.p_fold)
         out = np.empty((n, n))
         out[self._lower] = t
@@ -250,32 +286,25 @@ class SpectralGrid:
         return out
 
     def _advance(self, h: int) -> FejerPass:
-        """The band pass on the triangle, stepped on to order h.
-
-        It restarts when h lies behind it.  The triangle's u is m^2 plus the
-        two axis terms of lam, a[i] + a[k], added in the same order as in
-        lam itself.
-        """
+        """The band pass on the triangle, stepped on to order h; it restarts when h lies behind it."""
         if self._pass is None or h < self._pass.h:
-            a = laplacian_symbol(self.p_fold, 0.0)  # the axis term: sin(0) adds an exact 0
-            lam = np.concatenate([a[i] + a[: i + 1] for i in range(len(a))])
-            self._pass = FejerPass(self.cutoffs.kappas, self.m * self.m + lam, self.b)
+            self._pass = FejerPass(self.cutoffs.kappas, self.u, self.b)
         self._pass.advance(h)
         return self._pass
 
     def residual(self, h: int) -> np.ndarray:
-        """r_h on the folded grid, continuing the pass of the bands."""
-        return self._mirror(self._advance(h).r)
+        """r_h on the triangle, continuing the pass of the bands."""
+        return self._advance(h).r.copy()
 
     def _band_sum(self, hs: tuple[int, ...]) -> np.ndarray:
         n = len(self.p_fold)
         out = np.zeros(n * (n + 1) // 2)
         for h in hs:
             out += self._advance(h).band()
-        return self._mirror(out)
+        return out
 
     def band(self, hs) -> np.ndarray:
-        """sum_{h in hs} psi_h on the folded grid, cached per fine-scale list."""
+        """sum_{h in hs} psi_h on the triangle, cached per fine-scale list."""
         hs = tuple(sorted(hs))
         if hs not in self._bands:
             self._bands[hs] = self._band_sum(hs)
@@ -292,7 +321,7 @@ class SpectralGrid:
         self._pass = None
 
     def bands(self, groups):
-        """Yield the folded band of each fine-scale list in turn, without caching."""
+        """Yield the triangle band of each fine-scale list in turn, without caching."""
         for hs in groups:
             yield self._band_sum(tuple(sorted(hs)))
 
@@ -307,20 +336,40 @@ class SpectralGrid:
             out = ph if out is None else out * ph
         return out
 
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        """Multiplicity of each triangle point in the full grid: w_i w_k, doubled off the diagonal.
+
+        Every entry is a power of two, so weighting a product is exact.
+        """
+        W = self.outer(np.multiply, self.w)
+        W *= 2.0
+        W[np.cumsum(np.arange(1, len(self.w) + 1)) - 1] *= 0.5  # the diagonal k = i
+        return W
+
     def parseval(self, *factors: np.ndarray) -> float:
         """(2 pi)^-2 int prod(factors) dp over the zone, as the grid mean.
 
-        The factors are folded-grid arrays even in each momentum component
-        (bands and real symbols of p0, p1); the mean over the full grid is
-        w @ prod @ w / S^2.  For kernels K_a, K_b with spectral arrays G_a,
-        G_b, parseval(G_a, G_b) is sum_y K_a(y) K_b(y) and parseval(G_a) is
-        K_a(0); exact when the grid spans the support of the product (no
-        position aliasing).
+        The factors are triangle arrays (bands, lam, and the symmetric
+        symbols of outer), so the product is symmetric under p0 <-> p1 and
+        even in each component, and its mean over the full grid is the
+        weighted sum over the triangle, divided by S^2.  The sum is numpy's
+        pairwise np.sum of the weighted product.  For kernels K_a, K_b with
+        spectral arrays G_a, G_b, parseval(G_a, G_b) is sum_y K_a(y) K_b(y)
+        and parseval(G_a) is K_a(0); exact when the grid spans the support
+        of the product (no position aliasing).  A factor that is not a
+        triangle array raises: a sum over the triangle is only the full
+        sum for integrands symmetric under the swap.
         """
-        prod = factors[0]
-        for f in factors[1:]:
+        W = self._weights
+        prod = W
+        for f in factors:
+            if np.ndim(f) != 1 or len(f) != len(W):
+                raise DecompositionError(
+                    f"parseval takes triangle arrays of {len(W)} entries, got shape {np.shape(f)}"
+                )
             prod = prod * f
-        return float(self.w @ prod @ self.w) / (self.S**2 * self.weight)
+        return float(np.sum(prod)) / (self.S**2 * self.weight)
 
     def alias_bound(self, hs, symbol=None) -> float:
         """Bound on the dropped Brillouin-zone aliases of band hs (0 at step 1).
@@ -334,56 +383,51 @@ class SpectralGrid:
             return 0.0
         probe = np.linspace(-np.pi, np.pi, ALIAS_PROBE_POINTS)
         ring = SpectralGrid(self.cutoffs, self.m, np.concatenate([(probe + 2.0 * np.pi * a) / self.step for a in (-1, 0, 1)]))
-        vals = np.abs(ring.band(hs) if symbol is None else symbol(ring.p0, ring.p1) * ring.band(hs))
+        vals = np.abs(ring._mirror(ring.band(hs)))
+        if symbol is not None:
+            vals *= np.abs(symbol(ring.p0, ring.p1))
         n = ALIAS_PROBE_POINTS
         vals[n : 2 * n, n : 2 * n] = 0.0  # the kept central cell
         return 2.0 * 8.0 * float(vals.max()) / self.weight
 
     # -- position space --
 
-    def synthesize(self, G: np.ndarray, n: int) -> np.ndarray:
-        """Inverse FFT of the real folded-grid array G on rows 0..n-1, all S columns.
-
-        G is even in each momentum component, so each folded axis is the
-        half spectrum S//2 + 1 long of a real transform: one real inverse
-        transform per axis, the first cut to its n leading rows, as in
-        lattice.folded_table, which mirrors rows 0..S//2 onto the full
-        table.  irfft reads the first S//2 + 1 entries of each axis, so the
-        axis must start with the nonnegative momenta 2 pi k / (S step),
-        k = 0..S//2, in order, as every folded axis does; any other axis
-        (the alias ring, an even-length fftfreq axis) raises.
-        """
-        h = self.S // 2 + 1
-        k = self.p[:h] * (self.S * self.step / (2.0 * np.pi))
-        if not np.allclose(k, np.arange(h), rtol=0.0, atol=1e-9):
-            raise DecompositionError(
-                f"real synthesis needs a folded grid; the axis of length {self.S} does not start with its momenta >= 0"
-            )
-        return _half_synthesis(G[:h, :h], n)
-
     def window(self, G: np.ndarray) -> np.ndarray:
         """Kernel of the spectral array G on the window y = step*z.
 
         A complex G spans the full grid, and its kernel comes back on the
-        full window |z|_inf <= radius.  A real G is a band on the folded
-        grid, even in each momentum component, so its kernel is even in
-        each coordinate: it comes back on the quarter 0 <= z0, z1 <= radius
-        (synthesize).
+        full window |z|_inf <= radius.  A real G is a band on the triangle,
+        even in each momentum component, so its kernel is even in each
+        coordinate: it comes back on the quarter 0 <= z0, z1 <= radius,
+        from the real synthesis of its folded square (lattice's
+        _half_synthesis, cut to the quarter).  irfft reads the first
+        S//2 + 1 entries of each axis, so the axis must start with the
+        nonnegative momenta 2 pi k / (S step), k = 0..S//2, in order, as
+        every folded axis does; any other axis (the alias ring, an
+        even-length fftfreq axis) raises.
         """
         if np.iscomplexobj(G):
             z = np.arange(-self.radius, self.radius + 1) % self.S
             K = np.fft.ifft2(G).real[np.ix_(z, z)]
         else:
+            h = self.S // 2 + 1
+            k = self.p[:h] * (self.S * self.step / (2.0 * np.pi))
+            if not np.allclose(k, np.arange(h), rtol=0.0, atol=1e-9):
+                raise DecompositionError(
+                    f"real synthesis needs a folded grid; the axis of length {self.S} does not start with its momenta >= 0"
+                )
             n = self.radius + 1
-            K = self.synthesize(G, n)[:, :n]
-        return K / self.weight
+            K = _half_synthesis(self._mirror(G)[:h, :h], n, n)
+        K /= self.weight
+        return K
 
     def window_sum(self, *factors: np.ndarray) -> float:
         """sum_y prod(factors)(y) step^2 over the full window, from quarter arrays.
 
         The factors are even in each coordinate (kernels of real bands and
         functions of |y0|, |y1|), so the full-window sum is m @ prod @ m
-        with the multiplicities m = y_mult, as parseval is w @ prod @ w.
+        with the multiplicities m = y_mult, as parseval is a weighted sum
+        over the momentum triangle.
         """
         prod = factors[0]
         for f in factors[1:]:
@@ -394,18 +438,18 @@ class SpectralGrid:
     def zoom(self, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Kernel of the spectral array G at the product points ys x ys, off the grid.
 
-        A complex G spans the full grid; a real G is a folded band, even in
-        each momentum component, and takes two weighted cosine transforms
-        over the folded axis.  Its kernel is even in each coordinate, so it
-        is only ever asked for at positions ys >= 0: the cosine rows of -y
-        are those of y.
+        A complex G spans the full grid; a real G is a band on the
+        triangle, even in each momentum component, and takes two weighted
+        cosine transforms over its folded square.  Its kernel is even in
+        each coordinate, so it is only ever asked for at positions ys >= 0:
+        the cosine rows of -y are those of y.
         """
         ys = np.asarray(ys, dtype=float)
         if np.iscomplexobj(G):
             ph = np.exp(1j * np.outer(ys, self.p))
             return (ph @ (G @ ph.T)).real / (self.S**2 * self.weight)
         ph = np.cos(np.outer(ys, self.p_fold)) * self.w
-        return ph @ (G @ ph.T) / (self.S**2 * self.weight)
+        return ph @ (self._mirror(G) @ ph.T) / (self.S**2 * self.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +742,10 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, mat
         q = slice(lattice.side // 2 + 1)
 
         def table(G):
-            # the quarter k0, k1 >= 0: all of a folded array, and on an axis
-            # in another layout the S//2 + 1 leading entries that irfft reads
-            return folded_table(G[q, q])
+            # the quarter k0, k1 >= 0 of the triangle array's square: all of
+            # it on a folded axis, and on an axis in another layout the
+            # S//2 + 1 leading entries that irfft reads
+            return folded_table(grid._mirror(G)[q, q])
 
         tables, margins = [], []
         groups = [range(j * lattice.M, (j + 1) * lattice.M) for j in range(lattice.R)]

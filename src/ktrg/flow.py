@@ -14,11 +14,12 @@ takes floats or equal-shape arrays (j an int or an int array) and rounds
 both the same way.  `_advance`, the one step built on it, serves `step` and
 `trajectory`; the fixed-point map `manifold.apply_T` calls the kernel once
 on whole sequences.  `diagonal` is the limit flow on its separatrix x = y,
-where the step reduces to s' = s - s^2; it seeds
-`manifold.solve_fixed_point`.  The shooting oracle (`manifold._classify`)
-shares none of this: it classes a start in the unit square by the sign of
-x - y, and writes out the bare quadratic step only for the one step a start
-outside the square may need to reach an exit.
+where the step reduces to s' = s - s^2; `trajectory` takes it for starts
+on the diagonal, and it seeds `manifold.solve_fixed_point`.  The shooting
+oracle (`manifold._classify`) shares none of this: it classes a start in
+the unit square by the sign of x - y, and writes out the bare quadratic
+step only for the one step a start outside the square may need to reach an
+exit.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class FlowConfig:
             if getattr(self, name) == 0.0:
                 raise ValueError(f"{name} must be nonzero, got {getattr(self, name)}")
 
+    @property
+    def per_scale(self) -> bool:
+        """Whether the config carries tables (the per-scale flow) or not (the limit flow)."""
+        return bool(self.a_seq or self.b_seq or self.vol_seq)
+
 
 @dataclass(frozen=True)
 class FlowState:
@@ -117,7 +123,7 @@ def corrections(j, x, y, config: FlowConfig):
     without tables is the limit flow: it returns zeros and touches no numpy
     (its per-scale terms, a_limit/a_limit - 1 and the like, are exactly 0).
     """
-    if not (config.a_seq or config.b_seq or config.vol_seq):
+    if not config.per_scale:
         return 0.0, 0.0
     a_j, b_j, vol_j = _per_scale(config, j)
     F = -(a_j / config.a_limit - 1.0) * y * y
@@ -138,11 +144,19 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
 
 def trajectory(x1: float, y1: float, config: FlowConfig) -> FlowTrajectory:
-    """Iterate the flow for config.horizon scales, recording first divergence."""
+    """Iterate the flow for config.horizon scales, recording first divergence.
+
+    A limit-flow start on the diagonal, 0 < x1 == y1 <= min(1, ceiling),
+    takes `diagonal`, which gives the same x and y bit for bit: the
+    sequence then decreases and never passes the ceiling.
+    """
     for name, v in (("x1", x1), ("y1", y1)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     J = config.horizon
+    if not config.per_scale and 0.0 < x1 == y1 <= min(1.0, config.ceiling):
+        s = diagonal(y1, J)
+        return FlowTrajectory(config=config, x=s, y=s.copy())
     xs = np.empty(J)
     ys = np.empty(J)
     x, y = float(x1), float(y1)
@@ -160,10 +174,11 @@ def trajectory(x1: float, y1: float, config: FlowConfig) -> FlowTrajectory:
 def diagonal(s1: float, horizon: int) -> np.ndarray:
     """s_j, j = 1..horizon, of the limit flow started on x = y at s1.
 
-    On x = y the limit step is x' = y' = s - s^2, so this is
-    `trajectory(s1, s1, FlowConfig(horizon=horizon))`'s x and y, bit for
-    bit, at about a sixth of its cost per step.  For 0 <= s1 <= 1 the
-    sequence stays in [0, 1] and never reaches the default ceiling.  (A
+    On x = y the limit step is x' = y' = s - s^2, so this is the x and y
+    of the step loop in `trajectory` started at (s1, s1) in limit mode, bit
+    for bit, at about a sixth of its cost per step; `trajectory` takes it
+    for such starts.  For 0 <= s1 <= 1 the sequence stays in [0, 1] and
+    never reaches the default ceiling.  (A
     start at -0.0 keeps its sign here; trajectory's zero correction turns
     it into +0.0 from j = 2 on.)
     """

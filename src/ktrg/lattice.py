@@ -13,9 +13,10 @@ The torus tables (the potentials below, the decomposition's Gamma_j and
 tail, the Siegert-Kac covariance of the oracle) are inverse FFTs of symbols
 even in each momentum component, so each is built from the folded quarter
 k0, k1 >= 0 alone, side//2 + 1 momenta per axis: one real inverse
-transform per axis, the first cut to rows 0..side//2, then the mirror of
-those rows through the index min(x, side - x) (folded_table).  The
-decomposition's windows of real bands take the same two transforms.
+transform per axis, the first cut to rows 0..side//2, each run along the
+contiguous axis a block of lines at a time (_half_synthesis); row x past
+side//2 is a copy of row side - x (folded_table).  The decomposition's
+windows of real bands take the same two transforms, cut to the window.
 """
 
 from __future__ import annotations
@@ -113,16 +114,39 @@ def laplacian_symbol(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     return 4.0 * np.sin(0.5 * k0) ** 2 + 4.0 * np.sin(0.5 * k1) ** 2
 
 
-def _half_synthesis(G: np.ndarray, rows: int) -> np.ndarray:
-    """Rows 0..rows-1, all S columns, of the inverse FFT of the even array G.
+# lines per block of the real synthesis: a block holds its transposed input
+# (SYNTHESIS_BLOCK x (S//2 + 1) reals), that input as complex numbers and the
+# transform's output (SYNTHESIS_BLOCK x S reals), about 20 * SYNTHESIS_BLOCK * S
+# bytes in all (1.4 MB at S = 2187, tracemalloc)
+SYNTHESIS_BLOCK = 32
+
+
+def _half_synthesis(G: np.ndarray, rows: int, cols: int, out: np.ndarray | None = None) -> np.ndarray:
+    """T[x0, x1], 0 <= x0 < rows, 0 <= x1 < cols, of the inverse FFT of the even array G.
 
     G is the folded quarter, n = S//2 + 1 entries per axis, of a real
     spectral array on an odd S x S grid even in each momentum component.
     Each folded axis is then the half spectrum of a real transform, so one
-    irfft per axis gives the table; the first is cut to its leading rows.
+    irfft per axis gives the table: first over k0, cut to its leading rows,
+    then over k1, cut to its leading columns.  Both run along the
+    contiguous axis, on a transposed copy of one block of SYNTHESIS_BLOCK
+    lines at a time, so besides out the synthesis holds only the first
+    transform's n x rows result and one block (about 20 * SYNTHESIS_BLOCK
+    * S bytes).  Each lane is the same one-dimensional transform as along a
+    strided axis, so the values are those of
+    irfft(irfft(G, n=S, axis=0)[:rows], n=S, axis=1)[:, :cols], bit for
+    bit.  The table goes to out (rows x cols) when given.
     """
-    S = 2 * G.shape[0] - 1
-    return np.fft.irfft(np.fft.irfft(G, n=S, axis=0)[:rows], n=S, axis=1)
+    n = G.shape[0]
+    S = 2 * n - 1
+    B = np.empty((n, rows))  # B[k1, x0]
+    for s in range(0, n, SYNTHESIS_BLOCK):
+        B[s : s + SYNTHESIS_BLOCK] = np.fft.irfft(G[:, s : s + SYNTHESIS_BLOCK].T.copy(), n=S)[:, :rows]
+    if out is None:
+        out = np.empty((rows, cols))
+    for s in range(0, rows, SYNTHESIS_BLOCK):
+        out[s : s + SYNTHESIS_BLOCK] = np.fft.irfft(B[:, s : s + SYNTHESIS_BLOCK].T.copy(), n=S)[:, :cols]
+    return out
 
 
 def folded_table(G: np.ndarray) -> np.ndarray:
@@ -130,13 +154,15 @@ def folded_table(G: np.ndarray) -> np.ndarray:
 
     G[k0, k1], 0 <= k0, k1 <= S//2, holds the momenta 2 pi k / S >= 0 of an
     odd S x S grid (S = 2 len(G) - 1).  The table is even in each
-    coordinate, so rows 0..S//2 read through the index min(x, S - x) give
-    every row.
+    coordinate: rows 0..S//2 are synthesized into the table, and row x
+    past them is a copy of row S - x.
     """
     n = G.shape[0]
     S = 2 * n - 1
-    x = np.arange(S)
-    return _half_synthesis(G, n)[np.minimum(x, S - x)]
+    out = np.empty((S, S))
+    _half_synthesis(G, n, S, out[:n])
+    out[n:] = out[n - 1 : 0 : -1]
+    return out
 
 
 def _quarter_symbol(lattice: TorusLattice) -> np.ndarray:

@@ -156,9 +156,12 @@ def apply_T(seq: WeightedSequence, prob: ManifoldProblem) -> WeightedSequence:
     q = prob.q()
     q_next = np.append(q[1:], prob.y1 / (1.0 + abs(prob.y1) * J))
     u, v = undiagonalize(seq.w_plus, seq.w_minus)
-    Ft, Mt = corrections(np.arange(1, J + 1), q + u, q + v, prob.flow)
-    U = -(v * v) - q * q * q_next + Ft
-    V = -(u * v) - q * q * q_next + Mt
+    U = -(v * v) - q * q * q_next
+    V = -(u * v) - q * q * q_next
+    if prob.flow.per_scale:  # the limit flow's corrections are zero
+        Ft, Mt = corrections(np.arange(1, J + 1), q + u, q + v, prob.flow)
+        U += Ft
+        V += Mt
     Wp = U + 2.0 * V - (3.0 + 2.0 * q) * q_next**2 * seq.w_plus
     Wm = U - V
 
@@ -274,7 +277,7 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
     adjacent floats.  A start on the diagonal x = y (a bracket edge or a
     midpoint) is returned as it is: it lies on the separatrix.
     """
-    if flow_config is not None and (flow_config.a_seq or flow_config.b_seq or flow_config.vol_seq):
+    if flow_config is not None and flow_config.per_scale:
         raise ValueError("shooting oracle runs the bare quadratic flow only")
     if not math.isfinite(y1):
         raise ValueError(f"y1 must be finite, got {y1}")

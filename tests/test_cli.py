@@ -271,6 +271,35 @@ def test_an_option_the_command_ignores_is_a_usage_error(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["polymers", "--L", "5"], "--L 5"),
+    (["coeffs", "--j_max", "1"], "--j_max 1"),
+    (["flow", "--y1", "0.01", "--bogus"], "--bogus"),
+], ids=["polymers-L", "coeffs-j_max", "flow-bogus"])
+def test_an_unknown_option_gets_the_command_usage(tmp_path, capsys, argv, unknown):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ktrg {argv[0]} [-h]")
+    assert f"ktrg {argv[0]}: error: unrecognized arguments: {unknown}" in err
+    assert "{decompose," not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unknown_config_key_is_named_with_its_section_and_file(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[coeffs]\nj_max = 1\nR = 4\nhoriz = 5\n")
+    with pytest.raises(SystemExit) as e:
+        main(["coeffs", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ktrg coeffs [-h]")
+    assert f"ktrg coeffs: error: {cfg}: section [coeffs] has no key 'j_max', 'horiz'" in err
+    assert "--j_max" not in err and "{decompose," not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_misspelled_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[coeffs]\nj_max = 1\n")

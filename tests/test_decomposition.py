@@ -4,6 +4,7 @@ import gc
 import math
 import os
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -167,11 +168,8 @@ def test_real_synthesis_refuses_unfolded_grid():
     ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
     for p in (2.0 * np.pi * np.fft.fftfreq(10), ring):
         g = SpectralGrid(cut, 0.1, p, radius=2)
-        G = g.band([1])
         with pytest.raises(DecompositionError, match="folded grid"):
-            g.synthesize(G, len(p))
-        with pytest.raises(DecompositionError, match="folded grid"):
-            g.window(G)
+            g.window(g.band([1]))
 
 
 def test_derivative_scaling_flat_in_j(stack_l3_massless):
@@ -643,13 +641,62 @@ def test_folded_bands_bit_identical_to_full_pass():
     cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
     g = SpectralGrid.decimated(cut, lat.m, 3, S, 10)
     n = S // 2 + 1
-    assert g.u.shape == (n, n)
+    assert g.u.shape == (n * (n + 1) // 2,)
     assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
     assert np.array_equal(g.idx, np.minimum(np.arange(S), S - np.arange(S)))
     u = _full_u(g)
     for hs in ([2, 3], [0, 1], [4, 5]):
         assert np.array_equal(g.unfold(g.band(hs)), cut.band_sum(u, g.b, hs))
     assert np.array_equal(g.unfold(g.residual(6)), cut.residual(u, g.b, 6))
+
+
+def test_triangle_lam_is_the_square_symbol_on_the_triangle():
+    # the pass's a[i] + a[k] is laplacian_symbol on the folded grid, bit for
+    # bit, on a folded axis and on the trivially folded alias ring
+    cut = build_cutoffs(3, 1, 4)
+    probe = np.linspace(-np.pi, np.pi, 5)
+    ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
+    for g in (SpectralGrid.decimated(cut, 0.1, 3, 243, 10), SpectralGrid(cut, 0.1, ring)):
+        assert np.array_equal(g.lam, laplacian_symbol(g.p0, g.p1)[g._lower])
+        assert np.array_equal(g._mirror(g.lam), laplacian_symbol(g.p0, g.p1))
+
+
+def test_parseval_refuses_a_factor_off_the_triangle():
+    # a sum over the triangle is the full sum only for swap-symmetric
+    # integrands, so a folded square (or any other shape) is refused
+    g = SpectralGrid.decimated(build_cutoffs(3, 1, 4), 0.1, 1, 45, 10)
+    G = g.band([1])
+    assert g.parseval(G, g.lam) > 0.0
+    for bad in (g._mirror(G), G[:-1], np.float64(1.0)):
+        with pytest.raises(DecompositionError, match="triangle arrays"):
+            g.parseval(G, bad)
+
+
+def test_filled_grids_cache_one_triangle_per_band(stack_l9_massless):
+    st = stack_l9_massless
+    for n in range(4):
+        g = st.grid(n)
+        k = len(g.p_fold)
+        assert sorted(g._bands) == [tuple(st.fine_scales(m)) for m in range(n + 1)]
+        assert all(b.shape == (k * (k + 1) // 2,) for b in g._bands.values())
+
+
+def test_window_peak_memory_within_four_windows(stack_l9_massless):
+    # the transient square of the band, the first transform's rows and the
+    # window itself, plus one block of the synthesis (tracemalloc)
+    st = stack_l9_massless
+    g = st.grid(3)
+    G = g.band(st.fine_scales(3))
+    assert len(g.p_fold) > 1000
+    g.window(G)  # the grid's triangle mask is built once, on first use
+    tracemalloc.start()
+    try:
+        K = g.window(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (g.radius + 1,) * 2
+    assert peak <= 4 * K.nbytes
 
 
 def test_torus_axis_folds_and_even_and_ring_axes_take_the_trivial_fold():
@@ -660,7 +707,7 @@ def test_torus_axis_folds_and_even_and_ring_axes_take_the_trivial_fold():
     torus = TorusLattice(L=3, R=2, m=0.1).momenta()
     g = SpectralGrid(cut, 0.1, torus)
     n = len(torus) // 2 + 1
-    assert g.u.shape == (n, n)
+    assert g.u.shape == (n * (n + 1) // 2,)
     assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
     assert np.array_equal(g.unfold(g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
     even = 2.0 * np.pi * np.fft.fftfreq(10)
@@ -668,9 +715,9 @@ def test_torus_axis_folds_and_even_and_ring_axes_take_the_trivial_fold():
     ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
     for p in (even, ring):
         g = SpectralGrid(cut, 0.1, p)
-        assert g.u.shape == (len(p), len(p))
+        assert g.u.shape == (len(p) * (len(p) + 1) // 2,)
         assert np.all(g.w == 1.0) and np.array_equal(g.idx, np.arange(len(p)))
-        assert np.array_equal(g.band([1, 2]), cut.band_sum(_full_u(g), g.b, [1, 2]))
+        assert np.array_equal(g.unfold(g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
 
 
 def test_psd_margins_on_folded_probe_match_full_grid(stack_l9_massless):
@@ -784,7 +831,8 @@ def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
     cq = 2 * np.sin(q / 2) ** 2
     e3_ref = (2 * cq[:, None] + 2 * cq[None, :]) ** 2
     e3 = _e3_symbol(g)
-    assert e3[0, 0] == 0.0
+    assert e3[0] == 0.0
+    e3_ref = e3_ref[g._lower]
     nz = e3_ref > 0
     assert np.max(np.abs(e3[nz] / e3_ref[nz] - 1)) <= 1e-15
     e3_complex = sum(g.diff_symbol((a, a + 2, b, b + 2)).real for a in range(2) for b in range(2))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ktrg.flow import (
     FlowConfig,
     FlowState,
+    _advance,
     corrections,
     diagonal,
     step,
@@ -315,21 +316,67 @@ _diagonal_start = st.one_of(_generic, st.floats(0.0, 1.0).filter(lambda v: math.
                             st.sampled_from([0.0, 1.0]))
 
 
+def _loop_trajectory(x1, y1, config):
+    """The step loop of `trajectory` for every start (oracle of its diagonal path)."""
+    J = config.horizon
+    xs, ys = np.empty(J), np.empty(J)
+    x, y = float(x1), float(y1)
+    for i in range(J):
+        xs[i], ys[i] = x, y
+        if abs(x) > config.ceiling or abs(y) > config.ceiling:
+            n = i + 1
+            return xs[:n], ys[:n], n
+        x, y = _advance(i + 1, x, y, config)
+    return xs, ys, None
+
+
 @settings(max_examples=100, deadline=None)
 @given(s1=_diagonal_start, horizon=st.integers(1, 3000))
 def test_diagonal_is_the_limit_trajectory_bitwise(s1, horizon):
-    traj = trajectory(s1, s1, FlowConfig(horizon=horizon))
-    assert traj.diverged_at is None
+    x, y, diverged = _loop_trajectory(s1, s1, FlowConfig(horizon=horizon))
+    assert diverged is None
     d = diagonal(s1, horizon)
     assert d.shape == (horizon,)
-    np.testing.assert_array_equal(_bits(d), _bits(traj.x))
-    np.testing.assert_array_equal(_bits(d), _bits(traj.y))
+    np.testing.assert_array_equal(_bits(d), _bits(x))
+    np.testing.assert_array_equal(_bits(d), _bits(y))
+    traj = trajectory(s1, s1, FlowConfig(horizon=horizon))
+    assert traj.diverged_at is None
+    np.testing.assert_array_equal(_bits(traj.x), _bits(x))
+    np.testing.assert_array_equal(_bits(traj.y), _bits(y))
 
 
 @pytest.mark.parametrize("s1", [0.005, 0.02, 0.05])
 def test_diagonal_matches_the_limit_trajectory_at_full_horizon(s1):
-    traj = trajectory(s1, s1, FlowConfig(horizon=100_000))
-    np.testing.assert_array_equal(_bits(diagonal(s1, 100_000)), _bits(traj.x))
+    x, _, _ = _loop_trajectory(s1, s1, FlowConfig(horizon=100_000))
+    np.testing.assert_array_equal(_bits(diagonal(s1, 100_000)), _bits(x))
+
+
+_PER_SCALE = FlowConfig(horizon=2000, a_seq=(1.05, 1.01), b_seq=(1.03,), vol_seq=(1.01,), a_limit=1.01, b_limit=0.99)
+
+
+@pytest.mark.parametrize("x1, y1, config, fast", [
+    (0.01, 0.01, FlowConfig(horizon=100_000), True),
+    (1.0, 1.0, FlowConfig(horizon=50), True),
+    (0.01, 0.01, FlowConfig(horizon=100, ceiling=0.01), True),
+    (0.0101, 0.01, FlowConfig(horizon=100_000), False),
+    (0.01, 0.0101, FlowConfig(horizon=100_000), False),
+    (0.0, 0.0, FlowConfig(horizon=100), False),
+    (-0.01, -0.01, FlowConfig(horizon=100), False),
+    (0.02, 0.02, FlowConfig(horizon=100, ceiling=0.01), False),
+    (0.01, 0.01, _PER_SCALE, False),
+], ids=["J1e5", "one", "at-ceiling", "x-above", "y-above", "zero", "negative", "past-ceiling", "per-scale"])
+def test_trajectory_takes_the_diagonal_only_for_limit_starts_on_it(monkeypatch, x1, y1, config, fast):
+    import ktrg.flow as flow
+
+    calls = []
+    monkeypatch.setattr(flow, "diagonal", lambda s1, horizon: calls.append(s1) or diagonal(s1, horizon))
+    traj = trajectory(x1, y1, config)
+    assert calls == ([y1] if fast else [])
+    x, y, diverged = _loop_trajectory(x1, y1, config)
+    assert traj.diverged_at == diverged
+    np.testing.assert_array_equal(_bits(traj.x), _bits(x))
+    np.testing.assert_array_equal(_bits(traj.y), _bits(y))
+    assert traj.x is not traj.y
 
 
 @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0**-52, float("nan"), float("inf")])

@@ -182,3 +182,29 @@ def test_symbol_within_few_ulp_of_mpmath_at_small_momenta():
     points = [(k0, k1) for k0 in ks for k1 in (0.0, k0 / 3.0, 2.0 * k0)]
     assert max(rel_error(laplacian_symbol, *p) for p in points) <= 4 * np.finfo(float).eps
     assert max(rel_error(_cos_symbol, *p) for p in points) > 1e-3  # 1 - cos k cancels as k -> 0
+
+
+def _two_irfft_synthesis(G, rows, cols):
+    """Oracle: the two strided real inverse transforms, irfft over k0 cut to
+    its leading rows, then over k1, cut to its leading columns."""
+    S = 2 * G.shape[0] - 1
+    return np.fft.irfft(np.fft.irfft(G, n=S, axis=0)[:rows], n=S, axis=1)[:, :cols]
+
+
+@pytest.mark.parametrize("n", [1, 6, 41, 365, 1094])
+def test_blocked_synthesis_bit_identical_to_strided_transforms(n):
+    # the blocked transforms along the contiguous axis give every bit of
+    # the strided ones, on a quarter window, on the rows of a folded table
+    # (a nonsymmetric array too) and on the full table
+    from ktrg.lattice import SYNTHESIS_BLOCK, _half_synthesis, folded_table
+
+    assert n <= 6 or n > SYNTHESIS_BLOCK
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    G = A + A.T
+    S = 2 * n - 1
+    r = max(1, n - 2)
+    assert np.array_equal(_half_synthesis(G, r, r), _two_irfft_synthesis(G, r, r))
+    assert np.array_equal(_half_synthesis(A, n, S), _two_irfft_synthesis(A, n, S))
+    x = np.arange(S)
+    assert np.array_equal(folded_table(G), _two_irfft_synthesis(G, n, S)[np.minimum(x, S - x)])

@@ -355,6 +355,44 @@ def test_apply_T_matches_per_scale_loop(flow):
             np.testing.assert_array_equal(a, b)
 
 
+def _apply_T_with_zero_corrections(seq, prob):
+    """`apply_T` with the limit flow's corrections added as arrays (oracle)."""
+    J = prob.J
+    q = prob.q()
+    q_next = np.append(q[1:], prob.y1 / (1.0 + abs(prob.y1) * J))
+    u, v = undiagonalize(seq.w_plus, seq.w_minus)
+    Ft, Mt = corrections(np.arange(1, J + 1), q + u, q + v, prob.flow)
+    U = -(v * v) - q * q * q_next + Ft
+    V = -(u * v) - q * q * q_next + Mt
+    Wp = U + 2.0 * V - (3.0 + 2.0 * q) * q_next**2 * seq.w_plus
+    Wm = U - V
+    suffix = np.cumsum((q_next * Wm)[::-1])[::-1]
+    h = prob.h()
+    tail = (Wm[-1] / h[-1] ** 2 if h[-1] > 0 else 0.0) * _tail_envelope(prob)
+    w_minus = -(suffix + tail) / q
+    prefix = np.concatenate([[0.0], np.cumsum(Wp / q_next**2)[:-1]])
+    w_plus = q * q * (seq.w_minus[0] / q[0] ** 2 + prefix)
+    return WeightedSequence(w_plus, w_minus)
+
+
+@pytest.mark.parametrize("J", [8, 3000, 100_000])
+def test_limit_apply_T_skips_the_zero_corrections_bitwise(monkeypatch, J):
+    # limit mode adds no corrections; the sum with the zeros is the oracle
+    import ktrg.manifold as manifold
+
+    prob = ManifoldProblem(y1=0.01, J=J)
+    th = prob.tau * prob.h()
+    rng = np.random.default_rng(J)
+    seqs = [WeightedSequence(th * rng.uniform(-1, 1, J), 0.5 * th * rng.uniform(-1, 1, J)) for _ in range(2)]
+    seqs.append(solve_fixed_point(prob).seq)
+    want = [_apply_T_with_zero_corrections(seq, prob) for seq in seqs]
+    monkeypatch.setattr(manifold, "corrections", None)
+    for seq, old in zip(seqs, want):
+        new = apply_T(seq, prob)
+        for a, b in ((new.w_plus, old.w_plus), (new.w_minus, old.w_minus)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @pytest.mark.parametrize("flow", [
     FlowConfig(),
     FlowConfig(a_seq=(1.05, 1.02, 1.01), b_seq=(1.03, 0.99), vol_seq=(1.01, 1.0),
