@@ -3,13 +3,15 @@
 Every option belongs to a subcommand and is declared once, with its type
 and default, in `build_parser`; the commands read `args` only.  The
 command's own parser reads everything after the command, so an unknown
-option is reported with that command's usage line.  Config files are
-INI-style (configparser): one section per command, plain `key = value`
-entries, `#` comments.  A section's entries become `--key=value` flags
-placed ahead of the command line's own, and the result goes through the
-same subparser, so a key spells its flag exactly, command-line flags
-override config values, and an unknown key (named with its section and
-file) or a value that does not convert is a usage error (exit 2).
+option is reported with that command's usage line, and an option placed
+before the command is refused with a note that it goes after it.  Config
+files are INI-style (configparser): one section per command, plain
+`key = value` entries, `#` comments.  A section's entries become
+`--key=value` flags placed ahead of the command line's own, and the result
+goes through the same subparser, so a key spells its flag exactly,
+command-line flags override config values, and an unknown key (named with
+its section and file) or a value that does not convert is a usage error
+(exit 2).
 Artifacts are deterministic: fixed summation orders and no wall-clock
 content inside data files.
 """
@@ -91,12 +93,13 @@ def cmd_coeffs(args) -> int:
     rep = compute_coefficients(stack, j_max)
     path = _out_path(args, f"coefficients_L{L}.csv")
     coefficients_csv(rep, path)
-    cut = build_cutoffs(3, lat.M, lat.n_fine_scales)
-    cc = coulomb_constant_c(cut)
-    a_lim, b_lim = limit_constants(L, ALPHA_SQ_KT, cc.c)
-    print(f"coeffs L={L}: a_limit={a_lim:.6g} b_limit={b_lim:.6g}")
+    # the limits take the closed-form c, as separatrix does; the window fit checks it
+    cc = coulomb_constant_c(stack.cutoffs)
+    a_lim, b_lim = limit_constants(L, ALPHA_SQ_KT, cc.c_closed)
+    print(f"coeffs L={L}: limits a={a_lim:.6g} b={b_lim:.6g} at closed-form c={cc.c_closed:.10f}")
     # fit_residual and quad_error are in c_log units; c = 8 pi c_log
-    print(f"  c={cc.c:.10f} (8pi*fit_residual {8.0 * math.pi * cc.fit_residual:.2e} in c units, "
+    print(f"  window fit c={cc.c:.10f} (8pi*fit_residual {8.0 * math.pi * cc.fit_residual:.2e} in c units, "
+          f"gap {abs(cc.c - cc.c_closed):.2e} to the closed form, "
           f"w_limit_error {cc.w_limit_error:.2e}, "
           f"8pi*quad_error {8.0 * math.pi * cc.quad_error:.2e} in c units)")
     for i, j in enumerate(rep.scales):
@@ -312,8 +315,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     if not argv or argv[0] not in parser.commands:
-        # no command, or something before it: the top-level parser reports
-        # it (exit 2), prints help, or finds no command
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            # argparse would take the option's value for the command
+            command = next((a for a in argv if a in parser.commands), "COMMAND")
+            parser.error(f"options go after the command: ktrg {command} {argv[0].split('=', 1)[0]} ...")
+        # no command, or something else before it: the top-level parser
+        # reports it (exit 2), prints help, or finds no command
         parser.parse_args(argv)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR

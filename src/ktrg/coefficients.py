@@ -407,22 +407,17 @@ def compute_coefficients(stack: CovarianceStack, j_max: int, alpha_sq: float = A
 
 
 def flow_config(rep: RgCoefficients, c: float, **kwargs):
-    """FlowConfig carrying the per-scale tables of a coefficient report.
+    """FlowConfig carrying the deviation table of a coefficient report.
 
-    c is the Coulomb constant fixing the limit a = 8 pi^2 e^c ln L; the
-    volume factors enter the activity recursion directly.
+    c is the Coulomb constant fixing the limits a = 8 pi^2 e^c ln L and b;
+    row j - 1 holds a_j/a - 1, vol_j - 1 and vol_j b_j/b - 1, and past the
+    last scale of the report the flow is the limit flow.
     """
     from .flow import FlowConfig
 
     a_lim, b_lim = limit_constants(rep.L, rep.alpha_sq, c)
-    return FlowConfig(
-        a_seq=tuple(rep.a),
-        b_seq=tuple(rep.b),
-        vol_seq=tuple(rep.vol),
-        a_limit=a_lim,
-        b_limit=b_lim,
-        **kwargs,
-    )
+    rows = tuple((a / a_lim - 1.0, vol - 1.0, vol * b / b_lim - 1.0) for a, b, vol in zip(rep.a, rep.b, rep.vol))
+    return FlowConfig(deviations=rows, **kwargs)
 
 
 def coefficients_csv(rep: RgCoefficients, path: str):

@@ -354,6 +354,7 @@ class CoulombConstant:
     fit_residual: float   # rms residual of the window fit
     w_limit_error: float  # relative gap between e^c and w(y) at the window edge
     quad_error: float     # n/2n panel gaps summed over the window values of gtilde
+    c_closed: float       # 8*pi times the closed-form c_log the fit is checked against
 
 
 @functools.cache
@@ -447,4 +448,4 @@ def coulomb_constant_c(cutoffs: CutoffFamily, window=(50.0, 200.0), npts: int = 
     w = y**4 * math.exp(alpha_sq * float(vals[-1]))
     w_err = abs(w - math.exp(c)) / math.exp(c)
     return CoulombConstant(c=c, c_log=float(c_log), slope=float(slope), fit_residual=residual,
-                           w_limit_error=w_err, quad_error=float(np.sum(errs)))
+                           w_limit_error=w_err, quad_error=float(np.sum(errs)), c_closed=alpha_sq * closed)

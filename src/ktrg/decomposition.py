@@ -714,30 +714,25 @@ class CovarianceStack:
 MATERIALIZE_CAP = 2187  # largest torus side for which full tables are built
 
 
-def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None, *, materialize: bool | None = None) -> CovarianceStack:
+def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None) -> CovarianceStack:
     """Build the covariance stack for the torus; validates PSD and leakage.
 
     The tables, the PSD margins and the tail come from one pass over the
     bands on the torus momenta, folded like any other grid (the side L^R is
     odd); each table is the real synthesis of its folded array
-    (lattice.folded_table).
+    (lattice.folded_table).  Only a side up to MATERIALIZE_CAP gets tables;
+    a larger torus is served by the per-scale grids alone.
     """
     if cutoffs is None:
         cutoffs = build_cutoffs(lattice.gamma, lattice.M, lattice.n_fine_scales)
     if cutoffs.horizon < lattice.n_fine_scales:
         raise ValueError("cutoff horizon shorter than the torus scale count")
-    if materialize is None:
-        materialize = lattice.side <= MATERIALIZE_CAP
 
     tables = None
     tail = None
     normalized = lattice.m == 0.0
     margins = None
-    if materialize:
-        if lattice.side > MATERIALIZE_CAP:
-            raise DecompositionError(
-                f"torus side {lattice.side} too large to materialize (cap {MATERIALIZE_CAP})"
-            )
+    if lattice.side <= MATERIALIZE_CAP:
         grid = SpectralGrid(cutoffs, lattice.m, lattice.momenta())
         q = slice(lattice.side // 2 + 1)
 

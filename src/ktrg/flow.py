@@ -2,24 +2,26 @@
 
 The rescaled variables are x = b*s and y = sqrt(a*b)*z, so the quadratic
 truncation reads x' = x - y^2, y' = y - x*y with the approximate solution
-envelope q_j = q_1/(1 + |q_1|(j-1)).  A config that carries per-scale
-tables (a_j, b_j or volume factors) runs the per-scale flow, which replaces
-the limit constants by those tables; one without them runs the limit flow.
+envelope q_j = q_1/(1 + |q_1|(j-1)).  The per-scale coefficients a_j, b_j
+and volume factors vol_j enter the step only through their deviations from
+the limit flow (a, b the limit constants): a_j/a - 1, vol_j - 1 and
+vol_j b_j/b - 1.  A config carries these as one table, row j - 1 for scale
+j; past its depth the flow is the limit flow, so depth 0 is limit mode.
 The feeds F_j, M_j of the irrelevant remainder depend on the full polymer
 activity and are out of scope, so the flow carries only the two couplings
 (x, y).
 
 `corrections` is the one place where the per-scale terms are written; it
-takes floats or equal-shape arrays (j an int or an int array) and rounds
-both the same way.  `_advance`, the one step built on it, serves `step` and
-`trajectory`; the fixed-point map `manifold.apply_T` calls the kernel once
-on whole sequences.  `diagonal` is the limit flow on its separatrix x = y,
-where the step reduces to s' = s - s^2; `trajectory` takes it for starts
-on the diagonal, and it seeds `manifold.solve_fixed_point`.  The shooting
-oracle (`manifold._classify`) shares none of this: it classes a start in
-the unit square by the sign of x - y, and writes out the bare quadratic
-step only for the one step a start outside the square may need to reach an
-exit.
+takes floats or equal-shape arrays (j an int or an int array), rounds both
+the same way and returns exact zeros past the table.  `_advance`, the one
+step built on it, serves `step` and `trajectory`; the fixed-point map
+`manifold.apply_T` calls the kernel once, on the scales of the table.
+`diagonal` is the limit flow on its separatrix x = y, where the step
+reduces to s' = s - s^2; `trajectory` takes it for starts on the diagonal,
+and it seeds `manifold.solve_fixed_point`.  The shooting oracle
+(`manifold._classify`) shares none of this: it classes a start in the unit
+square by the sign of x - y, and writes out the bare quadratic step only
+for the one step a start outside the square may need to reach an exit.
 """
 
 from __future__ import annotations
@@ -49,31 +51,25 @@ __all__ = [
 class FlowConfig:
     ceiling: float = 1.0
     horizon: int = 100_000
-    # per-scale data, indexed by j starting at 1 (frozen at the last entry);
-    # any non-empty table selects the per-scale flow
-    a_seq: tuple = ()
-    b_seq: tuple = ()
-    vol_seq: tuple = ()
-    a_limit: float = 1.0
-    b_limit: float = 1.0
+    # row j - 1: the deviations (a_j/a - 1, vol_j - 1, vol_j b_j/b - 1) of
+    # scale j from the limit flow; past the table the flow is the limit
+    # flow, so the empty table (depth 0) is limit mode
+    deviations: tuple = ()
 
     def __post_init__(self):
         if not (math.isfinite(self.ceiling) and self.ceiling > 0.0):
             raise ValueError(f"ceiling must be finite and > 0, got {self.ceiling}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        for name in ("a_limit", "b_limit", "a_seq", "b_seq", "vol_seq"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        # `corrections` divides by the limits
-        for name in ("a_limit", "b_limit"):
-            if getattr(self, name) == 0.0:
-                raise ValueError(f"{name} must be nonzero, got {getattr(self, name)}")
+        rows = tuple(tuple(map(float, row)) for row in self.deviations)
+        if not all(len(row) == 3 and all(map(math.isfinite, row)) for row in rows):
+            raise ValueError(f"deviations must be rows of 3 finite numbers, got {self.deviations}")
+        object.__setattr__(self, "deviations", rows)
 
     @property
-    def per_scale(self) -> bool:
-        """Whether the config carries tables (the per-scale flow) or not (the limit flow)."""
-        return bool(self.a_seq or self.b_seq or self.vol_seq)
+    def depth(self) -> int:
+        """The number of scales with a deviation row (0: the limit flow)."""
+        return len(self.deviations)
 
 
 @dataclass(frozen=True)
@@ -104,31 +100,27 @@ def kosterlitz_q_array(q1: float, horizon: int) -> np.ndarray:
     return q1 / (1.0 + abs(q1) * (js - 1.0))
 
 
-def _per_scale(config: FlowConfig, j):
-    """(a_j, b_j, vol_j) with the sequence frozen past its last entry.
-
-    An int j indexes the config tuples, so a scalar step makes no numpy
-    call; an int array j gathers from them.
-    """
-    pairs = ((config.a_seq, config.a_limit), (config.b_seq, config.b_limit), (config.vol_seq, 1.0))
-    if isinstance(j, int):
-        return tuple(seq[min(j, len(seq)) - 1] if seq else default for seq, default in pairs)
-    return tuple(np.asarray(seq)[np.minimum(j, len(seq)) - 1] if seq else default for seq, default in pairs)
-
-
 def corrections(j, x, y, config: FlowConfig):
     """(F~, M~): the per-scale corrections to the quadratic step.
 
-    Floats or equal-shape arrays; j is an int or an int array.  A config
-    without tables is the limit flow: it returns zeros and touches no numpy
-    (its per-scale terms, a_limit/a_limit - 1 and the like, are exactly 0).
+    Floats or equal-shape arrays; j is an int or an int array.  Row j - 1
+    of the deviation table gives the terms at scale j; past the table they
+    are exact zeros, which an int j past it returns without numpy.
     """
-    if not config.per_scale:
-        return 0.0, 0.0
-    a_j, b_j, vol_j = _per_scale(config, j)
-    F = -(a_j / config.a_limit - 1.0) * y * y
-    M = (vol_j - 1.0) * y - (vol_j * b_j / config.b_limit - 1.0) * x * y
-    return F, M
+    past = j > config.depth
+    if isinstance(j, int):
+        if past:
+            return 0.0, 0.0
+        da, dv, dvb = config.deviations[j - 1]
+    else:
+        rows = np.asarray(config.deviations + ((0.0, 0.0, 0.0),))
+        da, dv, dvb = rows[np.minimum(j, config.depth + 1) - 1].T
+    F = -da * y * y
+    M = dv * y - dvb * x * y
+    if isinstance(j, int):
+        return F, M
+    # the zero row gives -0.0 terms where the scalar path returns +0.0
+    return np.where(past, 0.0, F), np.where(past, 0.0, M)
 
 
 def _advance(j, x, y, config: FlowConfig):
@@ -146,15 +138,15 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 def trajectory(x1: float, y1: float, config: FlowConfig) -> FlowTrajectory:
     """Iterate the flow for config.horizon scales, recording first divergence.
 
-    A limit-flow start on the diagonal, 0 < x1 == y1 <= min(1, ceiling),
-    takes `diagonal`, which gives the same x and y bit for bit: the
-    sequence then decreases and never passes the ceiling.
+    A limit-mode (depth 0) start on the diagonal, 0 < x1 == y1 <=
+    min(1, ceiling), takes `diagonal`, which gives the same x and y bit for
+    bit: the sequence then decreases and never passes the ceiling.
     """
     for name, v in (("x1", x1), ("y1", y1)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     J = config.horizon
-    if not config.per_scale and 0.0 < x1 == y1 <= min(1.0, config.ceiling):
+    if not config.depth and 0.0 < x1 == y1 <= min(1.0, config.ceiling):
         s = diagonal(y1, J)
         return FlowTrajectory(config=config, x=s, y=s.copy())
     xs = np.empty(J)

@@ -19,6 +19,11 @@ s' = s - s^2 (`flow.diagonal`).  `solve_fixed_point` starts T from that
 sequence in both modes; in limit mode two applications of T reach its
 float fixed point, which rounding in the J-long prefix sums puts up to
 about 2.4e-11 (weighted norm) off the exact diagonal.
+
+A per-scale config enters T through `flow.corrections` on the first
+min(depth, J) scales, those of its deviation table.  Past the table T is
+the limit flow's map: a table that ends away from zero no longer acts at
+every scale up to J, and limit mode (depth 0) adds no corrections at all.
 """
 
 from __future__ import annotations
@@ -158,10 +163,12 @@ def apply_T(seq: WeightedSequence, prob: ManifoldProblem) -> WeightedSequence:
     u, v = undiagonalize(seq.w_plus, seq.w_minus)
     U = -(v * v) - q * q * q_next
     V = -(u * v) - q * q * q_next
-    if prob.flow.per_scale:  # the limit flow's corrections are zero
-        Ft, Mt = corrections(np.arange(1, J + 1), q + u, q + v, prob.flow)
-        U += Ft
-        V += Mt
+    # past the table (everywhere in limit mode) the corrections are zero
+    n = min(prob.flow.depth, J)
+    if n:
+        Ft, Mt = corrections(np.arange(1, n + 1), q[:n] + u[:n], q[:n] + v[:n], prob.flow)
+        U[:n] += Ft
+        V[:n] += Mt
     Wp = U + 2.0 * V - (3.0 + 2.0 * q) * q_next**2 * seq.w_plus
     Wm = U - V
 
@@ -272,12 +279,12 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
     """Bisection on x_1 between y-escape and y-death; only the quadratic flow.
 
     The classifier holds for the limit flow, whose separatrix is x = y; a
-    config with per-scale tables is rejected to keep the oracle honest.
+    config with a deviation table is rejected to keep the oracle honest.
     The bisection stops at width tol, or earlier once lo and hi are
     adjacent floats.  A start on the diagonal x = y (a bracket edge or a
     midpoint) is returned as it is: it lies on the separatrix.
     """
-    if flow_config is not None and flow_config.per_scale:
+    if flow_config is not None and flow_config.depth:
         raise ValueError("shooting oracle runs the bare quadratic flow only")
     if not math.isfinite(y1):
         raise ValueError(f"y1 must be finite, got {y1}")

@@ -14,6 +14,14 @@ def one_minus_factor_over_u(u, theta, b: float, kappa: int) -> np.ndarray:
     return _fejer_one_minus_over_u(sk, u / b, u, half, b, kappa, small)
 
 
+def deviation_table(a=(), b=(), vol=(), a_lim=1.0, b_lim=1.0) -> tuple:
+    """FlowConfig rows (a_j/a - 1, vol_j - 1, vol_j b_j/b - 1) of coefficient
+    tables, each table taken at its limit past its last entry."""
+    n = max(len(a), len(b), len(vol))
+    a, b, vol = (tuple(t) + (lim,) * (n - len(t)) for t, lim in ((a, a_lim), (b, b_lim), (vol, 1.0)))
+    return tuple((aj / a_lim - 1.0, vj - 1.0, vj * bj / b_lim - 1.0) for aj, bj, vj in zip(a, b, vol))
+
+
 @pytest.fixture(scope="session")
 def stack_l3_massive():
     """(L, R, m) = (3, 3, 0.1): the small massive reference stack."""

@@ -55,6 +55,29 @@ def test_coeffs_prints_fit_residual_in_c_units(tmp_path, capsys):
     assert f"8pi*quad_error {8.0 * np.pi * cc.quad_error:.2e} in c units)" in out
 
 
+def test_coeffs_takes_the_closed_form_c_and_prints_the_window_fit_gap(tmp_path, capsys, monkeypatch):
+    # one c for the commands: the limits come from the closed form that the
+    # fit computes anyway, and the fit runs on the stack's own cutoff family
+    from ktrg.cutoffs import coulomb_constant_c, coulomb_constant_closed
+
+    stacks, fits = [], []
+    monkeypatch.setattr(cli, "decompose", lambda lat: stacks.append(decompose(lat)) or stacks[-1])
+    monkeypatch.setattr(cli, "coulomb_constant_c",
+                        lambda cut: fits.append((cut, coulomb_constant_c(cut))) or fits[-1][1])
+    monkeypatch.setattr(cli, "coulomb_constant_closed", None)
+    assert main(["coeffs", "--L", "3", "--R", "3", "--j-max", "2", "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    (cut, cc), = fits
+    assert cut is stacks[0].cutoffs
+    closed = coulomb_constant_closed(cut)
+    assert cc.c_closed == closed
+    a_lim, b_lim = cli.limit_constants(3, cli.ALPHA_SQ_KT, closed)
+    assert f"coeffs L=3: limits a={a_lim:.6g} b={b_lim:.6g} at closed-form c={closed:.10f}" in out
+    assert f"window fit c={cc.c:.10f} (" in out
+    assert f"gap {abs(cc.c - closed):.2e} to the closed form," in out
+    assert 0.0 < abs(cc.c - closed) < 1e-5
+
+
 def test_verify_all_report(tmp_path, capsys):
     # two identical runs write byte-identical reports: the wall time goes
     # to stdout only, and the provenance block is fixed by the installation
@@ -256,6 +279,28 @@ def test_flag_before_the_command_is_a_usage_error(tmp_path, monkeypatch):
         main(["--out-dir", str(tmp_path / "x"), "polymers"])
     assert e.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (["--out-dir", "X", "polymers"], "ktrg polymers --out-dir ..."),
+    (["--out-dir=X", "flow", "--y1", "0.02"], "ktrg flow --out-dir ..."),
+    (["--seed", "3"], "ktrg COMMAND --seed ..."),
+], ids=["value", "equals", "no-command"])
+def test_an_option_before_the_command_is_named_with_where_it_goes(capsys, argv, hint):
+    # argparse alone would report the option's value as an invalid command
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"ktrg: error: options go after the command: {hint}" in err
+    assert "invalid choice" not in err
+
+
+def test_help_before_the_command_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    assert "KT-line RG toolkit" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

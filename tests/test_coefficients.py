@@ -218,12 +218,19 @@ def test_compute_coefficients_report(stack_l3_massive, tmp_path):
 def test_flow_config_from_report(stack_l3_massless):
     from ktrg.coefficients import flow_config
     from ktrg.cutoffs import build_cutoffs, coulomb_constant_closed
-    from ktrg.flow import trajectory
+    from ktrg.flow import corrections, trajectory
 
     rep = compute_coefficients(stack_l3_massless, 3)
     c = coulomb_constant_closed(build_cutoffs(3, 1, 8))
     cfg = flow_config(rep, c, horizon=2000)
-    assert (cfg.a_seq, cfg.b_seq, cfg.vol_seq) == (tuple(rep.a), tuple(rep.b), tuple(rep.vol))
+    # row j - 1: (a_j/a - 1, vol_j - 1, vol_j b_j/b - 1); the limit flow past it
+    a_lim, b_lim = limit_constants(rep.L, rep.alpha_sq, c)
+    assert cfg.depth == 3
+    for (da, dv, dvb), a, b, vol in zip(cfg.deviations, rep.a, rep.b, rep.vol):
+        assert a_lim * (1.0 + da) == pytest.approx(a, rel=1e-14)
+        assert 1.0 + dv == pytest.approx(vol, rel=1e-14)
+        assert b_lim * (1.0 + dvb) == pytest.approx(vol * b, rel=1e-14)
+    assert corrections(4, 0.01, 0.01, cfg) == (0.0, 0.0)
     t = trajectory(0.01, 0.01, cfg)
     assert t.horizon >= 1
 

@@ -344,10 +344,12 @@ def test_stack_and_coefficients_match_scipy_grid_lengths(tmp_path, monkeypatch):
     assert old_rep == new_rep
 
 
-def test_materialize_cap():
-    lat = TorusLattice(L=9, R=6, m=0.0)
-    with pytest.raises(DecompositionError):
-        decompose(lat, materialize=True)
+def test_materialize_cap(stack_l9_massless):
+    # the side 9^6 is above the cap: the stack keeps no tables
+    assert stack_l9_massless.lattice.side > decomposition.MATERIALIZE_CAP
+    assert stack_l9_massless.gamma_tables is None and stack_l9_massless.tail_table is None
+    with pytest.raises(DecompositionError, match="not materialized"):
+        stack_l9_massless.gamma_table(1)
 
 
 def test_horizon_too_short():

@@ -16,6 +16,8 @@ from ktrg.flow import (
     from_rescaled,
 )
 
+from conftest import deviation_table
+
 
 def kosterlitz_q(q1: float, j: int) -> float:
     """q_j = q_1 / (1 + |q_1| (j-1))."""
@@ -31,7 +33,7 @@ def to_rescaled(s: float, z: float, a: float, b: float) -> tuple[float, float]:
 
 def step_original_zero(s: float, z: float, config: FlowConfig) -> tuple[float, float]:
     """The j = 0 step in original variables: (s_1, z_1)."""
-    vol0 = config.vol_seq[0] if config.vol_seq else 1.0
+    vol0 = 1.0 + config.deviations[0][1] if config.depth else 1.0
     return s, vol0 * z
 
 
@@ -88,7 +90,7 @@ def test_rescale_roundtrip():
 
 
 def test_step_original_zero():
-    s1, z1 = step_original_zero(0.1, 0.05, FlowConfig(vol_seq=(0.9,)))
+    s1, z1 = step_original_zero(0.1, 0.05, FlowConfig(deviations=deviation_table(vol=(0.9,))))
     assert s1 == 0.1
     assert z1 == pytest.approx(0.9 * 0.05)
 
@@ -119,18 +121,15 @@ def test_divergence_time_monotone_in_x1():
 
 
 def test_per_scale_vs_limit_mode_agree():
-    # per-scale corrections shrink like the coefficient deviations: with
-    # sequences converged to the limits the two modes coincide
+    # per-scale corrections shrink like the coefficient deviations: past the
+    # table the two modes coincide
     cfg_lim = FlowConfig(horizon=200)
-    cfg_ps = FlowConfig(
-        horizon=200,
-        a_seq=(1.5, 1.1, 1.02, 1.0), b_seq=(1.3, 1.05, 1.01, 1.0), vol_seq=(1.1, 1.02, 1.0, 1.0),
-        a_limit=1.0, b_limit=1.0,
-    )
+    cfg_ps = FlowConfig(horizon=200, deviations=deviation_table(
+        a=(1.5, 1.1, 1.02, 1.0), b=(1.3, 1.05, 1.01, 1.0), vol=(1.1, 1.02, 1.0, 1.0)))
     t_lim = trajectory(0.01, 0.01, cfg_lim)
     t_ps = trajectory(0.01, 0.01, cfg_ps)
-    # early differences O(a_j - a), no blowup; after the sequences freeze at
-    # the limit values the step maps agree exactly
+    # early differences O(a_j - a), no blowup; past the table the step maps
+    # agree exactly
     assert abs(t_ps.x[5] - t_lim.x[5]) < 1e-3
     st = FlowState(j=50, x=0.005, y=0.004)
     assert step(st, cfg_ps).x == pytest.approx(step(st, cfg_lim).x, rel=1e-14)
@@ -176,12 +175,13 @@ def test_trajectory_rejects_non_finite_start(bad):
             trajectory(*args, cfg)
 
 
-@pytest.mark.parametrize("tables", [dict(a_seq=(1.5,)), dict(b_seq=(1.3,)), dict(vol_seq=(1.1,))])
+@pytest.mark.parametrize("tables", [dict(a=(1.5,)), dict(b=(1.3,)), dict(vol=(1.1,))])
 def test_any_table_selects_the_per_scale_flow(tables):
-    # a config with tables runs the per-scale flow; one without is the limit flow
-    F, M = corrections(1, 0.02, 0.03, FlowConfig(**tables))
+    # a deviation in any column runs the per-scale flow; the empty table is
+    # the limit flow
+    F, M = corrections(1, 0.02, 0.03, FlowConfig(deviations=deviation_table(**tables)))
     assert (F, M) != (0.0, 0.0)
-    assert corrections(1, 0.02, 0.03, FlowConfig(a_limit=1.5, b_limit=0.7)) == (0.0, 0.0)
+    assert corrections(1, 0.02, 0.03, FlowConfig()) == (0.0, 0.0)
 
 
 def test_per_scale_mode_with_computed_coefficients(stack_l3_massless):
@@ -221,32 +221,35 @@ def test_config_rejects_short_horizon(bad):
         FlowConfig(horizon=bad)
 
 
-@pytest.mark.parametrize("field", ["a_limit", "b_limit"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_config_rejects_non_finite_limit(field, bad):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        FlowConfig(**{field: bad})
-
-
-@pytest.mark.parametrize("field", ["a_limit", "b_limit"])
-@pytest.mark.parametrize("bad", [0.0, -0.0])
-def test_config_rejects_zero_limit(field, bad):
-    # `corrections` divides by the limits: the config names the field
-    # instead of a ZeroDivisionError at the first per-scale step
-    with pytest.raises(ValueError, match=f"{field} must be nonzero"):
-        FlowConfig(a_seq=(1.0,), **{field: bad})
-
-
 @pytest.mark.parametrize("field", ["a_seq", "b_seq", "vol_seq"])
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
 def test_config_rejects_non_finite_sequence(field, bad):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        FlowConfig(**{field: (1.1, bad, 1.0)})
+    # a non-finite coefficient gives a non-finite deviation
+    tables = dict(a=(1.1, 1.0), b=(1.1, 1.0), vol=(1.1, 1.0))
+    tables[field.split("_")[0]] = (1.1, bad)
+    with pytest.raises(ValueError, match="deviations must be rows of 3 finite numbers"):
+        FlowConfig(deviations=deviation_table(**tables))
+
+
+@pytest.mark.parametrize("rows", [((0.1, 0.2),), ((0.1, 0.2, 0.3, 0.4),), ((0.1, 0.2, 0.3), (0.1,))])
+def test_config_rejects_a_row_without_three_deviations(rows):
+    with pytest.raises(ValueError, match="deviations must be rows of 3 finite numbers"):
+        FlowConfig(deviations=rows)
+
+
+def test_config_holds_the_table_as_float_rows():
+    # an array table becomes tuples of floats: configs compare and hash by value
+    rows = ((0.05, 0.01, -0.02), (0.01, 0.0, 0.005))
+    cfg = FlowConfig(deviations=np.array(rows))
+    assert cfg.deviations == rows and cfg.depth == 2
+    assert all(type(d) is float for row in cfg.deviations for d in row)
+    assert cfg == FlowConfig(deviations=rows) and hash(cfg) == hash(FlowConfig(deviations=rows))
+    assert FlowConfig().depth == 0
 
 
 def test_step_and_trajectory_share_one_step():
-    cfg = FlowConfig(horizon=40,
-                     a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05), vol_seq=(1.1,), a_limit=1.01, b_limit=0.99)
+    cfg = FlowConfig(horizon=40, deviations=deviation_table(
+        a=(1.5, 1.1, 1.02), b=(1.3, 1.05), vol=(1.1,), a_lim=1.01, b_lim=0.99))
     traj = trajectory(0.02, -0.015, cfg)
     st = FlowState(j=1, x=0.02, y=-0.015)
     for i in range(traj.horizon):
@@ -255,34 +258,40 @@ def test_step_and_trajectory_share_one_step():
 
 
 def test_per_scale_trajectory_matches_array_gather_bitwise():
-    # reference: each step gathers (a_j, b_j, vol_j) from the sequences as
-    # numpy arrays, as the array branch of the per-scale lookup does
-    cfg = FlowConfig(horizon=3000, a_seq=(1.5, 1.1, 1.02), b_seq=(1.3, 1.05),
-                     vol_seq=(), a_limit=1.01, b_limit=0.99)
+    # reference: each step in the table gathers its row from the table as a
+    # numpy array, as the array branch of `corrections` does; past the table
+    # it is the bare limit step
+    cfg = FlowConfig(horizon=3000, deviations=deviation_table(
+        a=(1.5, 1.1, 1.02), b=(1.3, 1.05), a_lim=1.01, b_lim=0.99))
     traj = trajectory(0.031, 0.017, cfg)
     x, y = 0.031, 0.017
     for i in range(traj.horizon):
         assert (x, y) == (traj.x[i], traj.y[i])
-        j = i + 1
-        a_j = np.asarray(cfg.a_seq)[min(j, 3) - 1]
-        b_j = np.asarray(cfg.b_seq)[min(j, 2) - 1]
-        F = -(a_j / cfg.a_limit - 1.0) * y * y
-        M = (1.0 - 1.0) * y - (1.0 * b_j / cfg.b_limit - 1.0) * x * y
-        x, y = x - y * y + F, y - x * y + M
+        if i < cfg.depth:
+            da, dv, dvb = np.asarray(cfg.deviations)[i]
+            x, y = x - y * y + -da * y * y, y - x * y + (dv * y - dvb * x * y)
+        else:
+            x, y = x - y * y, y - x * y
 
 
 def test_limit_trajectory_does_no_per_scale_work(monkeypatch):
-    # limit mode returns from `corrections` before any per-scale lookup
+    # past the table, and so everywhere in limit mode, an int scale gets
+    # exact zeros before any table lookup or numpy call
     import ktrg.flow as flow
 
-    monkeypatch.setattr(flow, "_per_scale", None)
-    assert trajectory(0.01, 0.01, FlowConfig(horizon=500)).horizon == 500
+    table = FlowConfig(deviations=deviation_table(a=(1.5, 1.1), vol=(1.1,)))
+    monkeypatch.setattr(flow, "np", None)
+    for cfg, j in ((FlowConfig(), 1), (table, 3), (table, 10**6)):
+        F, M = corrections(j, 0.0101, -0.01, cfg)
+        assert (F, M) == (0.0, 0.0) and math.copysign(1.0, F) == math.copysign(1.0, M) == 1.0
+        nxt = step(FlowState(j=j, x=0.0101, y=-0.01), cfg)
+        assert (nxt.x, nxt.y) == (0.0101 - 0.01 * 0.01, -0.01 + 0.0101 * 0.01)
 
 
 _KERNEL_CONFIGS = {
     "limit": FlowConfig(),
-    "per-scale": FlowConfig(a_seq=(1.5, 1.1, 1.02, 1.0), b_seq=(1.3, 1.05, 1.01),
-                            vol_seq=(1.1, 1.02), a_limit=1.03, b_limit=0.97),
+    "per-scale": FlowConfig(deviations=deviation_table(a=(1.5, 1.1, 1.02, 1.0), b=(1.3, 1.05, 1.01),
+                                                       vol=(1.1, 1.02), a_lim=1.03, b_lim=0.97)),
 }
 # full 53-bit mantissas times a power of two: rounding differences between
 # two code paths show up on such generic floats, seldom on the short ones
@@ -351,7 +360,8 @@ def test_diagonal_matches_the_limit_trajectory_at_full_horizon(s1):
     np.testing.assert_array_equal(_bits(diagonal(s1, 100_000)), _bits(x))
 
 
-_PER_SCALE = FlowConfig(horizon=2000, a_seq=(1.05, 1.01), b_seq=(1.03,), vol_seq=(1.01,), a_limit=1.01, b_limit=0.99)
+_PER_SCALE = FlowConfig(horizon=2000, deviations=deviation_table(a=(1.05, 1.01), b=(1.03,), vol=(1.01,),
+                                                                 a_lim=1.01, b_lim=0.99))
 
 
 @pytest.mark.parametrize("x1, y1, config, fast", [

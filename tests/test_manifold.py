@@ -23,6 +23,8 @@ from ktrg.manifold import (
     empirical_contraction,
 )
 
+from conftest import deviation_table
+
 
 def test_diagonalize_examples():
     assert diagonalize(1.0, 0.0) == (1.0, 1.0)
@@ -130,7 +132,7 @@ def test_shooting_bracket_validation():
     with pytest.raises(ValueError):
         solve_shooting(0.01, bracket=(0.05, 0.1))  # both stable
     with pytest.raises(ValueError):
-        solve_shooting(0.01, flow_config=FlowConfig(vol_seq=(1.0,)))
+        solve_shooting(0.01, flow_config=FlowConfig(deviations=((0.0, 0.0, 0.0),)))
 
 
 def test_shooting_tolerance_contract():
@@ -236,8 +238,13 @@ def test_problem_rejects_bad_tau_and_eps1(field, bad):
 
 # per-scale tables that end at their limits: the fixed point leaves the
 # diagonal, and T takes 12 applications to reach it from either start
-_PER_SCALE = FlowConfig(a_seq=(1.05, 1.02, 1.01), b_seq=(1.03, 0.99), vol_seq=(1.01, 1.0),
-                        a_limit=1.01, b_limit=0.99)
+_PER_SCALE = FlowConfig(deviations=deviation_table(a=(1.05, 1.02, 1.01), b=(1.03, 0.99), vol=(1.01, 1.0),
+                                                   a_lim=1.01, b_lim=0.99))
+# tables that end away from their limits (a_3 = 1.002 against 1.01): past
+# the table the flow is the limit flow, so the fixed point does not depend
+# on how far J reaches beyond it
+_AWAY = FlowConfig(deviations=deviation_table(a=(1.05, 1.01, 1.002), b=(1.03, 1.005), vol=(1.01, 1.002),
+                                              a_lim=1.01, b_lim=0.99))
 
 
 def test_fixed_point_out_of_iterations_raises():
@@ -339,11 +346,7 @@ def _apply_T_loop(seq, prob, stable_term=_stable_term):
     return WeightedSequence(w_plus, w_minus)
 
 
-@pytest.mark.parametrize("flow", [
-    FlowConfig(),
-    FlowConfig(a_seq=(1.05, 1.01, 1.002), b_seq=(1.03, 1.005), vol_seq=(1.01, 1.002),
-               a_limit=1.01, b_limit=0.99),
-], ids=["limit", "per-scale"])
+@pytest.mark.parametrize("flow", [FlowConfig(), _AWAY], ids=["limit", "per-scale"])
 def test_apply_T_matches_per_scale_loop(flow):
     prob = ManifoldProblem(y1=0.01, J=3000, flow=flow)
     th = prob.tau * prob.h()
@@ -393,16 +396,53 @@ def test_limit_apply_T_skips_the_zero_corrections_bitwise(monkeypatch, J):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("flow", [
-    FlowConfig(),
-    FlowConfig(a_seq=(1.05, 1.02, 1.01), b_seq=(1.03, 0.99), vol_seq=(1.01, 1.0),
-               a_limit=1.01, b_limit=0.99),
-], ids=["limit", "per-scale"])
+@pytest.mark.parametrize("flow, J", [(_AWAY, 3000), (FlowConfig(deviations=deviation_table(a=(1.05,) * 12)), 8)],
+                         ids=["depth-3", "deeper-than-J"])
+def test_per_scale_apply_T_corrects_the_scales_of_the_table_only(monkeypatch, flow, J):
+    # one kernel call on the first min(depth, J) scales; past them T is the
+    # limit map
+    import ktrg.manifold as manifold
+
+    calls = []
+
+    def recording(j, x, y, config):
+        calls.append((np.array(j), len(x), len(y)))
+        return corrections(j, x, y, config)
+
+    prob = ManifoldProblem(y1=0.01, J=J, flow=flow)
+    th = prob.tau * prob.h()
+    seq = WeightedSequence(th * np.linspace(-1, 1, J), 0.5 * th * np.linspace(1, -1, J))
+    want = _apply_T_loop(seq, prob)
+    monkeypatch.setattr(manifold, "corrections", recording)
+    new = apply_T(seq, prob)
+    n = min(flow.depth, J)
+    assert len(calls) == 1
+    j, nx, ny = calls[0]
+    np.testing.assert_array_equal(j, np.arange(1, n + 1))
+    assert nx == ny == n
+    for a, b in ((new.w_plus, want.w_plus), (new.w_minus, want.w_minus)):
+        np.testing.assert_array_equal(a, b)
+
+
+# Sigma of the table ending away from its limits, the same at every J
+_AWAY_SIGMA = {0.005: 0.0050587788223798273, 0.01: 0.010114995936847464, 0.04: 0.040404582297643925}
+
+
+@pytest.mark.parametrize("y1", sorted(_AWAY_SIGMA))
+def test_fixed_point_of_a_table_ending_away_from_its_limits(y1):
+    # the table acts on its own three scales only, so T converges as on a
+    # table that ends at its limits, and Sigma does not move with J
+    fps = [solve_fixed_point(ManifoldProblem(y1=y1, J=J, flow=_AWAY)) for J in (3000, 20_000)]
+    assert [fp.iterations for fp in fps] == [12, 12]
+    assert all(fp.in_ball for fp in fps)
+    assert fps[0].sigma == fps[1].sigma == _AWAY_SIGMA[y1]
+
+
+@pytest.mark.parametrize("flow", [FlowConfig(), _PER_SCALE, _AWAY], ids=["limit", "per-scale", "away"])
 @pytest.mark.parametrize("y1", [0.01, 0.04])
 def test_fixed_point_is_a_flow_trajectory(flow, y1):
     # x = q + u, y = q + v of the fixed point step into each other under the
-    # flow; the per-scale table ends at its limits, so no scale is frozen
-    # away from them
+    # flow, also for a table that ends away from its limits
     prob = ManifoldProblem(y1=y1, flow=flow)
     seq = solve_fixed_point(prob).seq
     u, v = undiagonalize(seq.w_plus, seq.w_minus)
