@@ -1,5 +1,4 @@
-"""Scale-dependent second-order RG data: a_j, b_j, energy coefficients and
-the irrelevant y-kernels.
+"""Scale-dependent second-order RG data: a_j, b_j and the energy coefficients.
 
 All quantities are sums over y in Z^2 of products of per-scale covariance
 kernels and their lattice differences.  Every summand is compactly
@@ -20,8 +19,7 @@ summand is even in each coordinate, so a full-window sum is m @ F @ m with
 the multiplicities m = (1, 2, 2, ...) (SpectralGrid.window_sum).  The
 y0 y1 cross term of the e4 Taylor subtraction is odd in each coordinate,
 sums to zero over the window and is dropped (its coefficient is exactly 0
-anyway).  Only the test-level w-kernel tables (kernels) are built on the
-full window, from the differenced kernels and mirrored quarters.
+anyway).
 
 Direction sums follow the convention that a sum over the four signed unit
 vectors carries a factor 1/2.  Euclidean |y|^2 is used in the second-moment
@@ -43,9 +41,7 @@ from .decomposition import CovarianceStack
 from .lattice import DIRS
 
 __all__ = [
-    "WKernels",
     "RgCoefficients",
-    "kernels",
     "coeff_a",
     "coeff_b",
     "energy_coeffs",
@@ -64,125 +60,10 @@ def _check_scale(stack: CovarianceStack, j: int):
         raise ValueError(f"scale {j} outside 1..{stack.n_scales - 1}")
 
 
-def _guard_exp(x: np.ndarray, n: int | None = None):
+def _guard_exp(x: np.ndarray, n: int):
     if not np.all(np.isfinite(x)):
-        where = f" at scale term n={n}" if n is not None else ""
-        raise FloatingPointError(f"overflow in covariance exponential{where}")
+        raise FloatingPointError(f"overflow in covariance exponential at scale term n={n}")
     return x
-
-
-# ---------------------------------------------------------------------------
-# w-kernel tables
-
-
-@dataclass
-class WKernels:
-    """Irrelevant-kernel tables at scale j, sampled on y = step*z.
-
-    w_a[(mu,nu)] and w_d[mu] are keyed by the two lattice axes; the signed
-    direction variants reduce to these by evenness of the covariances.
-    Tables are (2*radius+1)^2 arrays over the z window; position sums carry
-    weight step^2.
-    """
-
-    j: int
-    alpha_sq: float
-    step: int
-    radius: int
-    w_a: dict
-    w_b: np.ndarray
-    w_c: np.ndarray
-    w_d: dict
-    w_e: np.ndarray
-    y_sq: np.ndarray
-    alias_bound: float
-
-    @property
-    def weight(self) -> float:
-        return float(self.step) ** 2
-
-    def support_check(self, L: int, gamma: int) -> float:
-        """Max |kernel| relative beyond |y| > L^j * gamma / 2 over all tables."""
-        zz = self.step * np.arange(-self.radius, self.radius + 1)
-        rr = np.maximum(np.abs(zz)[:, None], np.abs(zz)[None, :])
-        cut = (L**self.j) * gamma / 2.0
-        mask = rr > cut
-        if not mask.any():
-            return 0.0
-        worst = 0.0
-        for t in [*self.w_a.values(), self.w_b, self.w_c, *self.w_d.values(), self.w_e]:
-            scale = np.max(np.abs(t)) or 1.0
-            worst = max(worst, float(np.max(np.abs(t[mask])) / scale))
-        return worst
-
-
-def kernels(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WKernels:
-    """w_{a..e,j}(y) by direct summation over n = 0..j-1.
-
-    At j = 0 all kernels vanish identically; returned as 1x1 zero tables.
-    """
-    if j == 0:
-        z = np.zeros((1, 1))
-        return WKernels(
-            j=0, alpha_sq=alpha_sq, step=1, radius=0,
-            w_a={(a1, a2): z.copy() for a1 in range(2) for a2 in range(2)},
-            w_b=z.copy(), w_c=z.copy(),
-            w_d={a: z.copy() for a in range(2)}, w_e=z.copy(),
-            y_sq=z.copy(), alias_bound=0.0,
-        )
-    _check_scale(stack, j)
-    a2 = alpha_sq
-    L = float(stack.lattice.L)
-
-    # output grid of the widest contributing factor (scale j-1); finer-scale
-    # terms are zoom-evaluated at the same positions through their own grids
-    g = stack.grid(j - 1)
-    shape = (2 * g.radius + 1, 2 * g.radius + 1)
-
-    def gam(m, deriv=()):
-        K = stack.kernel(m, j - 1, deriv)
-        return K if deriv else g.full_window(K)
-
-    w_a = {}
-    for a1 in range(2):
-        for a2_ax in range(2):
-            acc = np.zeros(shape)
-            for m in range(j):
-                acc += gam(m, (a1, a2_ax))
-            w_a[(a1, a2_ax)] = 0.5 * acc
-
-    w_b = np.zeros(shape)
-    w_c = np.zeros(shape)
-    w_d = {a: np.zeros(shape) for a in range(2)}
-    w_e = np.zeros(shape)
-    for n in range(j):
-        pref_hi = stack.prefix_diag(j - 1, n + 1)
-        pref_tab = np.zeros(shape)
-        for m in range(n + 1, j):
-            pref_tab += gam(m)
-        g0n = stack.gamma0(n)
-        gn = gam(n)
-        l4 = L ** (-4 * n)
-        w_b += np.exp(-a2 * (pref_hi - pref_tab)) * math.exp(-a2 * g0n) * np.expm1(a2 * gn) * l4
-        w_c += 0.5 * np.exp(-a2 * (pref_hi + pref_tab)) * math.exp(-a2 * g0n) * np.expm1(-a2 * gn) * l4
-        fac = math.exp(-0.5 * a2 * stack.prefix_diag(j - 1, n)) * L ** (-2 * n)
-        for a in range(2):
-            w_d[a] += (math.sqrt(a2) / 2.0) * fac * gam(n, (a,))
-        grad_sq_hi = np.zeros(shape)
-        grad_sq_lo = np.zeros(shape)
-        for d in range(4):
-            d_hi = gam(n, (d,)) + sum(gam(m, (d,)) for m in range(n + 1, j))
-            d_lo = d_hi - gam(n, (d,))
-            grad_sq_hi += 0.5 * d_hi**2
-            grad_sq_lo += 0.5 * d_lo**2
-        w_e += (a2 / 4.0) * fac * (grad_sq_hi - grad_sq_lo)
-    _guard_exp(w_b)
-    _guard_exp(w_c)
-    return WKernels(
-        j=j, alpha_sq=alpha_sq, step=g.step, radius=g.radius,
-        w_a=w_a, w_b=w_b, w_c=w_c, w_d=w_d, w_e=w_e,
-        y_sq=g.full_window(g.y_sq), alias_bound=g.alias_bound(stack.fine_scales(j - 1)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -406,22 +406,29 @@ def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
     return value / (2.0 * math.pi), error / (2.0 * math.pi)
 
 
+_C_LOG_CLOSED: dict[int, float] = {}  # by gamma
+
+
 def _c_log_closed_form(cutoffs: CutoffFamily) -> float:
     """c_log = (1/2pi)[ln2 - gamma_E + int_0^1 (1-u)/rho - int_1^inf u/rho].
 
     Splitting J0 - 1 at the scale 1/|x| turns the large-|x| limit of
     gtilde + (1/2pi)ln|x| into mass integrals of the profile alone; the
-    tail integral stops at rho = 1e4.
+    tail integral stops at rho = 1e4.  The profile depends on gamma alone,
+    so every family of one gamma shares the value, computed once per
+    process (_C_LOG_CLOSED).
     """
-    euler_gamma = 0.5772156649015329
-    u = cutoffs.u_profile
-    i1, _ = _panel_quad(lambda rho: (1.0 - u(rho)) / rho, [0.0, 1.0], "c_log head")
-    i2, _ = _panel_quad(lambda rho: u(rho) / rho, _edges(1.0, 1e4, 8.0), "c_log tail")
-    return (math.log(2.0) - euler_gamma + float(np.sum(i1)) - float(np.sum(i2))) / (2.0 * math.pi)
+    if cutoffs.gamma not in _C_LOG_CLOSED:
+        euler_gamma = 0.5772156649015329
+        u = cutoffs.u_profile
+        i1, _ = _panel_quad(lambda rho: (1.0 - u(rho)) / rho, [0.0, 1.0], "c_log head")
+        i2, _ = _panel_quad(lambda rho: u(rho) / rho, _edges(1.0, 1e4, 8.0), "c_log tail")
+        _C_LOG_CLOSED[cutoffs.gamma] = (math.log(2.0) - euler_gamma + float(np.sum(i1)) - float(np.sum(i2))) / (2.0 * math.pi)
+    return _C_LOG_CLOSED[cutoffs.gamma]
 
 
 def coulomb_constant_closed(cutoffs: CutoffFamily) -> float:
-    """c = 8 pi c_log from the closed-form limit alone (fast path)."""
+    """c = 8 pi c_log from the closed-form limit alone (fast path; one quadrature per gamma)."""
     return 8.0 * math.pi * _c_log_closed_form(cutoffs)
 
 

@@ -12,7 +12,7 @@ which the budget guarantees for every h < M*R.
 
 Every spectral evaluation goes through one SpectralGrid: a product momentum
 grid (the torus momenta, or a decimated grid p = 2 pi fftfreq(S) / step
-whose inverse FFT gives kernel values at y = step*z + shift).  A grid
+whose inverse FFT gives kernel values at y = step*z).  A grid
 evaluates the bands in one pass over the residual products r_h and caches
 them; it also owns the only probe of the dropped Brillouin-zone aliases,
 window extraction, evaluation off the grid and Parseval sums.  The stack
@@ -29,15 +29,16 @@ When its axis has odd length S and pairs every momentum with its exact
 negative, p[S-k] = -p[k] (the fftfreq layout of every per-scale grid, of
 the PSD probe and of the torus momenta), the folded grid is the quarter
 p0, p1 >= 0: n = S//2 + 1 points per axis, carrying multiplicity weights
-w = (1, 2, 2, ...), and the full grid is read back through the unfold index
-min(k, S-k).  Any other axis (an even-length one, the alias ring) takes the
-trivial fold, weights 1 and the identity index, through the same code.  On
-either, lam is bit-for-bit symmetric under the swap, so the band pass runs
-on the triangle p1 <= p0 of the folded grid, and its bands, residuals and
-lam stay there as triangle arrays: rows packed, row i holding columns
-0..i, n(n+1)/2 values, half the folded square.  The folded grid holds the
-same momenta as the full one, so unfolded bands are bit-identical to a
-pass over the full grid.
+w = (1, 2, 2, ...).  Any other axis (an even-length one, the alias ring)
+takes the trivial fold, weights 1, through the same code.  On either, lam
+is bit-for-bit symmetric under the swap, so the band pass runs on the
+triangle p1 <= p0 of the folded grid, and its bands, residuals and lam stay
+there as triangle arrays: rows packed, row i holding columns 0..i,
+n(n+1)/2 values, half the folded square.  The folded grid holds the same
+momenta as the full one, so its bands are bit-identical to a pass over the
+full grid.  Every spectral array of the package is such a real triangle
+band: the covariances are real and even, and the second differences at the
+origin that the coefficients need are real closed-form symbols.
 
 Parseval sums run on the triangle: the weights are w_i w_k, doubled off the
 diagonal, and the weighted product goes through numpy's pairwise np.sum.
@@ -46,26 +47,23 @@ factor must be a triangle array: a band, lam, or a symmetric combination of
 one-axis terms (SpectralGrid.outer); a one-axis symbol f(p0) is summed as
 (f(p0) + f(p1))/2, which the symmetric bands sum alike.  Only the consumers
 that transform a band build its folded square (_mirror), and drop it after
-the call: window, zoom, unfold (complex zooms, derivative symbols), the
-alias ring and decompose's tables.
+the call: window, zoom, the alias ring and decompose's tables.
 
-Position space folds the same way.  The kernel of a real band is even in
-each coordinate, so its window is the quarter Q[z0, z1], 0 <= z <= radius,
-at the positions y = step*z with multiplicities (1, 2, 2, ...) in the full
+Position space folds the same way.  The kernel of a band is even in each
+coordinate, so its window is the quarter Q[z0, z1], 0 <= z <= radius, at
+the positions y = step*z with multiplicities (1, 2, 2, ...) in the full
 window; it comes from one real inverse FFT per folded axis
 (lattice._half_synthesis: both along the contiguous axis, a block of lines
-at a time, writing only the quarter), and a real zoom is evaluated at the
-r + 1 nonnegative positions only.  Sums over the full window of even
-summands are m @ F @ m on the quarter (window_sum).  Full windows
-|z|_inf <= radius are built only where an API hands them out: the kernels
-of complex (differenced or shifted) arrays, band_window, and the mirror of
-a quarter through the index |z| (full_window).  A materialized table is
-lattice.folded_table of its folded square: the same two real inverse
-transforms, on rows 0..S//2 of the torus, and row x past them a copy of row
-S - x; the torus side L^R is odd, so its grid always folds.  The reference
-potentials of the telescoping check come from the same synthesis.  Only
-the kernels of complex arrays take a complex inverse FFT: an odd kernel
-(differenced or shifted) has no cosine synthesis.
+at a time, writing only the quarter), and a zoom is evaluated at the r + 1
+nonnegative positions only.  Sums over the full window of even summands
+are m @ F @ m on the quarter (window_sum).  The full window
+|z|_inf <= radius is built only where band_window hands it out, as the
+mirror of a quarter through the index |z| (full_window).  A materialized
+table is lattice.folded_table of its folded square: the same two real
+inverse transforms, on rows 0..S//2 of the torus, and row x past them a
+copy of row S - x; the torus side L^R is odd, so its grid always folds.
+The reference potentials of the telescoping check come from the same
+synthesis.
 
 The stack file holds float.hex text.  write_stack encodes it from the IEEE
 bits with numpy lookup tables, byte for byte as float.hex would, a block of
@@ -82,7 +80,7 @@ import numpy as np
 
 from .cutoffs import CutoffFamily, FejerPass, build_cutoffs
 from .lattice import (
-    DIRS, TorusLattice, _half_synthesis, folded_table, laplacian_symbol, normalized_potential_table, yukawa_table,
+    TorusLattice, _half_synthesis, folded_table, laplacian_symbol, normalized_potential_table, yukawa_table,
 )
 
 __all__ = [
@@ -114,7 +112,13 @@ ALIAS_PROBE_POINTS = 33
 
 
 class DecompositionError(RuntimeError):
-    pass
+    """A refused input; a failed gate of validate() also sets its check ("psd" or "leakage"),
+    the scale, the value as verify-all measures it (-margin or the leakage) and the tolerance."""
+
+    def __init__(self, message: str, check: str | None = None, scale: int | None = None,
+                 value: float | None = None, tol: float | None = None):
+        super().__init__(message)
+        self.check, self.scale, self.value, self.tol = check, scale, value, tol
 
 
 def _odd_fast_len(n: int) -> int:
@@ -150,21 +154,20 @@ def natural_step(cutoffs: CutoffFamily, h_min: int) -> int:
 # the spectral grid
 
 
-def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(folded axis, unfold index, multiplicity weights) of the momentum axis p.
+def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(folded axis, multiplicity weights) of the momentum axis p.
 
     An odd-length axis with p[S-k] == -p[k] for k = 1..S-1 folds onto its
-    first n = S//2 + 1 entries with weights (1, 2, 2, ...) and unfold index
-    min(k, S-k); any other axis folds trivially onto itself.
+    first n = S//2 + 1 entries with weights (1, 2, 2, ...); any other axis
+    folds trivially onto itself.
     """
     S = len(p)
-    k = np.arange(S)
-    if S % 2 == 0 or not np.array_equal(p[S - k[1:]], -p[1:]):
-        return p, k, np.ones(S)
+    if S % 2 == 0 or not np.array_equal(p[:0:-1], -p[1:]):
+        return p, np.ones(S)
     n = S // 2 + 1
     w = np.full(n, 2.0)
     w[0] = 1.0
-    return p[:n], np.minimum(k, S - k), w
+    return p[:n], w
 
 
 class SpectralGrid:
@@ -172,8 +175,8 @@ class SpectralGrid:
 
     p holds fine-lattice momenta.  A decimated grid (step > 1) samples the
     central Brillouin zone of step*Z^2, so the inverse FFT of a spectral
-    array gives step^2 times its kernel at y = step*z; windows cover
-    |z|_inf <= radius, a real band's on the quarter z >= 0 only.  Bands
+    array gives step^2 times its kernel at y = step*z; windows cover the
+    quarter 0 <= z0, z1 <= radius.  Bands
     are summed over fine-scale lists in one pass over the residual products
     r_h, which restarts only when a fine scale at or below one already
     evaluated is asked for, and each list's band is cached.
@@ -182,7 +185,7 @@ class SpectralGrid:
     triangle k <= i of the folded grid over the axis p_fold, rows packed
     (row i holds columns 0..i), n(n+1)/2 of them (see the module
     docstring).  _mirror builds the folded square of one, with weights w
-    per axis, and unfold() the full S x S grid over p.
+    per axis.
     """
 
     def __init__(self, cutoffs: CutoffFamily, m: float, p: np.ndarray, step: int = 1, radius: int = 0):
@@ -191,7 +194,7 @@ class SpectralGrid:
         self.b = m * m + 8.0
         self.p = p
         self.S = len(p)
-        self.p_fold, self.idx, self.w = _fold(p)
+        self.p_fold, self.w = _fold(p)
         self.p0 = self.p_fold[:, None]
         self.p1 = self.p_fold[None, :]
         self.step = step
@@ -257,14 +260,6 @@ class SpectralGrid:
         a = np.abs(np.arange(-self.radius, self.radius + 1))
         return Q[np.ix_(a, a)]
 
-    def unfold(self, A: np.ndarray) -> np.ndarray:
-        """A triangle array (or a folded square) on the full S x S grid; full-grid arrays pass through."""
-        if A.ndim == 1:
-            A = self._mirror(A)
-        if A.shape[0] == self.S:
-            return A
-        return A[np.ix_(self.idx, self.idx)]
-
     # -- bands --
 
     @functools.cached_property
@@ -277,7 +272,7 @@ class SpectralGrid:
         """The folded square of the triangle array t, a new array.
 
         Only the consumers that transform a band build it, and drop it
-        after the call: window, zoom, unfold and the alias ring.
+        after the call: window, zoom and the alias ring.
         """
         n = len(self.p_fold)
         out = np.empty((n, n))
@@ -327,15 +322,6 @@ class SpectralGrid:
 
     # -- symbols and sums --
 
-    def diff_symbol(self, deriv: tuple[int, ...]) -> np.ndarray:
-        """prod_d (e^{i p.e_d} - 1) on the full grid: the symbol of the forward differences along DIRS[d]."""
-        out = None
-        for d in deriv:
-            s0, s1 = DIRS[d]
-            ph = np.exp(1j * (s0 * self.p[:, None] if s1 == 0 else s1 * self.p[None, :])) - 1.0
-            out = ph if out is None else out * ph
-        return out
-
     @functools.cached_property
     def _weights(self) -> np.ndarray:
         """Multiplicity of each triangle point in the full grid: w_i w_k, doubled off the diagonal.
@@ -346,6 +332,17 @@ class SpectralGrid:
         W *= 2.0
         W[np.cumsum(np.arange(1, len(self.w) + 1)) - 1] *= 0.5  # the diagonal k = i
         return W
+
+    def _check_triangle(self, name: str, A) -> None:
+        """Raise unless A is a real triangle array of this grid: 1-D, n(n+1)/2 entries."""
+        n = len(self.p_fold)
+        size = n * (n + 1) // 2
+        real = np.isrealobj(A)
+        if not (real and np.ndim(A) == 1 and len(A) == size):
+            raise DecompositionError(
+                f"{name} takes real triangle arrays of {size} entries, "
+                f"got {'an' if real else 'a complex'} array of shape {np.shape(A)}"
+            )
 
     def parseval(self, *factors: np.ndarray) -> float:
         """(2 pi)^-2 int prod(factors) dp over the zone, as the grid mean.
@@ -361,13 +358,9 @@ class SpectralGrid:
         triangle array raises: a sum over the triangle is only the full
         sum for integrands symmetric under the swap.
         """
-        W = self._weights
-        prod = W
+        prod = self._weights
         for f in factors:
-            if np.ndim(f) != 1 or len(f) != len(W):
-                raise DecompositionError(
-                    f"parseval takes triangle arrays of {len(W)} entries, got shape {np.shape(f)}"
-                )
+            self._check_triangle("parseval", f)
             prod = prod * f
         return float(np.sum(prod)) / (self.S**2 * self.weight)
 
@@ -393,31 +386,26 @@ class SpectralGrid:
     # -- position space --
 
     def window(self, G: np.ndarray) -> np.ndarray:
-        """Kernel of the spectral array G on the window y = step*z.
+        """Kernel of the band G on the quarter window y = step*z, 0 <= z0, z1 <= radius.
 
-        A complex G spans the full grid, and its kernel comes back on the
-        full window |z|_inf <= radius.  A real G is a band on the triangle,
-        even in each momentum component, so its kernel is even in each
-        coordinate: it comes back on the quarter 0 <= z0, z1 <= radius,
-        from the real synthesis of its folded square (lattice's
+        G is a triangle array (anything else raises), even in each momentum
+        component, so its kernel is even in each coordinate: the quarter
+        is the real synthesis of its folded square (lattice's
         _half_synthesis, cut to the quarter).  irfft reads the first
         S//2 + 1 entries of each axis, so the axis must start with the
         nonnegative momenta 2 pi k / (S step), k = 0..S//2, in order, as
         every folded axis does; any other axis (the alias ring, an
         even-length fftfreq axis) raises.
         """
-        if np.iscomplexobj(G):
-            z = np.arange(-self.radius, self.radius + 1) % self.S
-            K = np.fft.ifft2(G).real[np.ix_(z, z)]
-        else:
-            h = self.S // 2 + 1
-            k = self.p[:h] * (self.S * self.step / (2.0 * np.pi))
-            if not np.allclose(k, np.arange(h), rtol=0.0, atol=1e-9):
-                raise DecompositionError(
-                    f"real synthesis needs a folded grid; the axis of length {self.S} does not start with its momenta >= 0"
-                )
-            n = self.radius + 1
-            K = _half_synthesis(self._mirror(G)[:h, :h], n, n)
+        self._check_triangle("window", G)
+        h = self.S // 2 + 1
+        k = self.p[:h] * (self.S * self.step / (2.0 * np.pi))
+        if not np.allclose(k, np.arange(h), rtol=0.0, atol=1e-9):
+            raise DecompositionError(
+                f"real synthesis needs a folded grid; the axis of length {self.S} does not start with its momenta >= 0"
+            )
+        n = self.radius + 1
+        K = _half_synthesis(self._mirror(G)[:h, :h], n, n)
         K /= self.weight
         return K
 
@@ -436,19 +424,15 @@ class SpectralGrid:
         return self.weight * float(m @ prod @ m)
 
     def zoom(self, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Kernel of the spectral array G at the product points ys x ys, off the grid.
+        """Kernel of the band G at the product points ys x ys, off the grid.
 
-        A complex G spans the full grid; a real G is a band on the
-        triangle, even in each momentum component, and takes two weighted
-        cosine transforms over its folded square.  Its kernel is even in
-        each coordinate, so it is only ever asked for at positions ys >= 0:
-        the cosine rows of -y are those of y.
+        G is a triangle array (anything else raises), even in each momentum
+        component, and takes two weighted cosine transforms over its folded
+        square.  Its kernel is even in each coordinate, so it is only ever
+        asked for at positions ys >= 0: the cosine rows of -y are those of y.
         """
-        ys = np.asarray(ys, dtype=float)
-        if np.iscomplexobj(G):
-            ph = np.exp(1j * np.outer(ys, self.p))
-            return (ph @ (G @ ph.T)).real / (self.S**2 * self.weight)
-        ph = np.cos(np.outer(ys, self.p_fold)) * self.w
+        self._check_triangle("zoom", G)
+        ph = np.cos(np.outer(np.asarray(ys, dtype=float), self.p_fold)) * self.w
         return ph @ (self._mirror(G) @ ph.T) / (self.S**2 * self.weight)
 
 
@@ -458,9 +442,9 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class Window:
-    """Kernel values on the decimated window y = step*z + shift, |z|_inf <= radius.
+    """Kernel values on the decimated window y = step*z, |z|_inf <= radius.
 
-    values[z0 + radius, z1 + radius] is the kernel at y = step*(z0, z1) + shift.
+    values[z0 + radius, z1 + radius] is the kernel at y = step*(z0, z1).
     alias_bound is a rigorous-side estimate of the absolute error from the
     dropped Brillouin-zone aliases (zero when step == 1).
     """
@@ -468,7 +452,6 @@ class Window:
     values: np.ndarray
     step: int
     radius: int
-    shift: tuple[int, int]
     alias_bound: float
 
     def at(self, z0: int, z1: int) -> float:
@@ -482,29 +465,19 @@ def band_window(
     *,
     step: int = 1,
     radius: int | None = None,
-    shift: tuple[int, int] = (0, 0),
-    deriv: tuple[int, ...] = (),
 ) -> Window:
-    """Synthesize sum_{h in h_list} (d^deriv C_h)(step*z + shift) on a window.
+    """Synthesize sum_{h in h_list} C_h(step*z) on the full window |z|_inf <= radius.
 
     radius is in z units; default covers the full kernel support.  The
     synthesis is exact for step == 1; for step > 1 the central alias of the
     folded zone is kept and the remainder is bounded (Window.alias_bound).
     """
     h_list = sorted(h_list)
-    supp = max(cutoffs.band_degree(h) for h in h_list)
-    extent = supp + max(abs(shift[0]), abs(shift[1])) + len(deriv)
+    supp = -(-max(cutoffs.band_degree(h) for h in h_list) // step)
     if radius is None:
-        radius = -(-extent // step)
-    S = _odd_fast_len(max(2 * radius + 1, 2 * (-(-extent // step)) + 1))
-    grid = SpectralGrid.decimated(cutoffs, m, step, S, radius)
-    G = grid.band(h_list)
-    if deriv:
-        G = grid.unfold(G) * grid.diff_symbol(deriv)
-    if shift != (0, 0):
-        G = grid.unfold(G) * np.exp(1j * (grid.p[:, None] * shift[0] + grid.p[None, :] * shift[1]))
-    values = grid.window(G) if np.iscomplexobj(G) else grid.full_window(grid.window(G))
-    return Window(values=values, step=step, radius=radius, shift=tuple(shift),
+        radius = supp
+    grid = SpectralGrid.decimated(cutoffs, m, step, _odd_fast_len(2 * max(radius, supp) + 1), radius)
+    return Window(values=grid.full_window(grid.window(grid.band(h_list))), step=step, radius=radius,
                   alias_bound=grid.alias_bound(h_list))
 
 
@@ -568,30 +541,25 @@ class CovarianceStack:
             self._cache[key] = g
         return self._cache[key]
 
-    def kernel(self, j: int, n: int, deriv: tuple[int, ...] = ()) -> np.ndarray:
-        """(d^deriv Gamma_j)(y) at the window points y of the scale-n grid.
+    def kernel(self, j: int, n: int) -> np.ndarray:
+        """Gamma_j(y) at the window points y of the scale-n grid.
 
-        Gamma_j itself is even in each coordinate and comes back on the
-        quarter window 0 <= z0, z1 <= radius (the grid's y); a differenced
-        kernel is not, and comes back on the full window |z|_inf <= radius.
-        Read off the scale-n grid's FFT only when that grid both holds the
-        support of Gamma_j and samples at least as finely as Gamma_j's own
-        grid; the local FFT would otherwise position-alias a wide kernel or
+        Gamma_j is even in each coordinate and comes back on the quarter
+        window 0 <= z0, z1 <= radius (the grid's y).  It is read off the
+        scale-n grid's FFT only when that grid both holds the support of
+        Gamma_j and samples at least as finely as Gamma_j's own grid; the
+        local FFT would otherwise position-alias a wide kernel or
         momentum-alias a fine one, so Gamma_j is zoom-evaluated on its own
         grid instead.  Cached on the stack.
         """
-        key = ("kernel", j, n, deriv)
+        key = ("kernel", j, n)
         if key not in self._cache:
             g = self.grid(n)
             fits = self.support_radius(j) + 2 <= g.radius * g.step
             resolved = g.step <= natural_step(self.cutoffs, j * self.lattice.M)
             src = g if fits and resolved else self.grid(j)
             G = src.band(self.fine_scales(j))
-            ys = g.y
-            if deriv:
-                G = src.unfold(G) * src.diff_symbol(deriv)
-                ys = np.concatenate([-ys[:0:-1], ys])
-            self._cache[key] = src.window(G) if src is g else src.zoom(G, ys)
+            self._cache[key] = src.window(G) if src is g else src.zoom(G, g.y)
         return self._cache[key]
 
     # -- values --
@@ -602,15 +570,13 @@ class CovarianceStack:
             raise DecompositionError("stack not materialized; use windows or diagonals")
         return self.gamma_tables[j]
 
-    def window(self, j: int, *, step=None, radius=None, shift=(0, 0), deriv=()) -> Window:
-        """Gamma_j (optionally differenced) on a decimated window."""
+    def window(self, j: int, *, step=None, radius=None) -> Window:
+        """Gamma_j on a decimated window (band_window)."""
         self._check_scale(j)
         hs = self.fine_scales(j)
         if step is None:
             step = natural_step(self.cutoffs, hs[0])
-        return band_window(
-            self.cutoffs, self.lattice.m, hs, step=step, radius=radius, shift=shift, deriv=deriv
-        )
+        return band_window(self.cutoffs, self.lattice.m, hs, step=step, radius=radius)
 
     def gamma0(self, j: int) -> float:
         """Gamma_j(0): the table entry, or the Parseval sum on the scale-j grid."""
@@ -702,12 +668,13 @@ class CovarianceStack:
         """
         for j, margin in enumerate(self.psd_margins()):
             if not (margin >= -self.psd_tol):
-                raise DecompositionError(f"negative Fourier mode {margin:.3e} in Gamma_{j}")
+                raise DecompositionError(f"negative Fourier mode {margin:.3e} in Gamma_{j}", "psd", j, -margin, self.psd_tol)
         if self.gamma_tables is not None:
             for j in range(self.n_scales):
                 leak = self.leakage(j)
                 if not (leak <= self.leakage_tol):
-                    raise DecompositionError(f"leakage {leak:.3e} beyond L^{j + 1}/2 in Gamma_{j}")
+                    raise DecompositionError(f"leakage {leak:.3e} beyond L^{j + 1}/2 in Gamma_{j}",
+                                             "leakage", j, leak, self.leakage_tol)
         return self
 
 

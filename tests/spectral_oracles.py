@@ -1,0 +1,225 @@
+"""Full-grid oracles of the spectral engine, shared by the test files.
+
+The package keeps every spectral array as a real band on the triangle of
+its folded grid.  The oracles here work on the full S x S momentum grid
+instead: the unfold of a triangle array, the complex inverse FFT and the
+complex zoom of any full-grid array (differenced and shifted kernels
+included), the difference symbols, the grid mean as a Parseval sum, and
+the w-kernel tables of the second-order expansion, which no command
+reports.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from ktrg.coefficients import ALPHA_SQ_KT, _check_scale
+from ktrg.decomposition import natural_step
+from ktrg.lattice import DIRS
+
+# ---------------------------------------------------------------------------
+# the full grid
+
+
+def fold_index(g) -> np.ndarray:
+    """Folded-axis index of each momentum of the full axis: min(k, S-k), or k on a trivially folded axis."""
+    k = np.arange(g.S)
+    return k if len(g.p_fold) == g.S else np.minimum(k, g.S - k)
+
+
+def unfold(g, A: np.ndarray) -> np.ndarray:
+    """A triangle array (or a folded square) of grid g on the full S x S grid; full-grid arrays pass through."""
+    if A.ndim == 1:
+        A = g._mirror(A)
+    if A.shape[0] == g.S:
+        return A
+    idx = fold_index(g)
+    return A[np.ix_(idx, idx)]
+
+
+def diff_symbol(g, deriv: tuple[int, ...]) -> np.ndarray:
+    """prod_d (e^{i p.e_d} - 1) on the full grid: the symbol of the forward differences along DIRS[d]."""
+    out = None
+    for d in deriv:
+        s0, s1 = DIRS[d]
+        ph = np.exp(1j * (s0 * g.p[:, None] if s1 == 0 else s1 * g.p[None, :])) - 1.0
+        out = ph if out is None else out * ph
+    return out
+
+
+def mean_parseval(g, *factors: np.ndarray) -> float:
+    """The Parseval sum as the mean of the unfolded product over the full grid."""
+    return float(np.mean(np.prod([unfold(g, f) for f in factors], axis=0))) / g.weight
+
+
+def ifft_kernel(g, G: np.ndarray) -> np.ndarray:
+    """Kernel of the spectral array G over one period S x S of step*z: the complex inverse FFT of its unfold."""
+    return np.fft.ifft2(unfold(g, G)).real / g.weight
+
+
+def ifft_window(g, G: np.ndarray) -> np.ndarray:
+    """ifft_kernel on the full window |z|_inf <= radius, indexed [z0 + radius, z1 + radius]."""
+    r = g.radius
+    return np.roll(ifft_kernel(g, G), (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1].copy()
+
+
+def complex_zoom(g, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Kernel of the spectral array G at the product points ys x ys, by complex exponentials over the full grid."""
+    ph = np.exp(1j * np.outer(np.asarray(ys, dtype=float), g.p))
+    return (ph @ (unfold(g, G) @ ph.T)).real / (g.S**2 * g.weight)
+
+
+def full_y(g) -> np.ndarray:
+    """The full window positions step*z, |z| <= radius, along one axis."""
+    return g.step * np.arange(-g.radius, g.radius + 1, dtype=float)
+
+
+def complex_dd_at_zero(stack, j: int) -> np.ndarray:
+    """(d^mu d^nu Gamma_j)(0) as Parseval means against the complex difference symbols."""
+    g = stack.grid(j)
+    G = unfold(g, g.band(stack.fine_scales(j)))
+    return np.array([[float(np.mean(G * diff_symbol(g, (mu, nu)).real)) / g.weight
+                      for nu in range(4)] for mu in range(4)])
+
+
+def complex_e3_symbol(g) -> np.ndarray:
+    """sum over the forward axis pairs (a, b) of |e^{i p_a} - 1|^2 |e^{i p_b} - 1|^2 on the full grid."""
+    return sum(diff_symbol(g, (a, a + 2, b, b + 2)).real for a in range(2) for b in range(2))
+
+
+def differenced_kernel(stack, j: int, n: int, deriv: tuple[int, ...]) -> np.ndarray:
+    """(d^deriv Gamma_j)(y) on the full window of the scale-n grid.
+
+    The grid is CovarianceStack.kernel's choice: the scale-n grid when it
+    holds and resolves Gamma_j, the scale-j grid zoomed at the window
+    positions otherwise.  A differenced kernel is odd along its directions,
+    so it takes the complex transforms over the full grid.
+    """
+    g = stack.grid(n)
+    fits = stack.support_radius(j) + 2 <= g.radius * g.step
+    resolved = g.step <= natural_step(stack.cutoffs, j * stack.lattice.M)
+    src = g if fits and resolved else stack.grid(j)
+    G = unfold(src, src.band(stack.fine_scales(j))) * diff_symbol(src, deriv)
+    return ifft_window(src, G) if src is g else complex_zoom(src, G, full_y(g))
+
+
+# ---------------------------------------------------------------------------
+# w-kernel tables
+
+
+@dataclass
+class WKernels:
+    """Irrelevant-kernel tables at scale j, sampled on y = step*z.
+
+    w_a[(mu,nu)] and w_d[mu] are keyed by the two lattice axes; the signed
+    direction variants reduce to these by evenness of the covariances.
+    Tables are (2*radius+1)^2 arrays over the z window; position sums carry
+    weight step^2.
+    """
+
+    j: int
+    alpha_sq: float
+    step: int
+    radius: int
+    w_a: dict
+    w_b: np.ndarray
+    w_c: np.ndarray
+    w_d: dict
+    w_e: np.ndarray
+    y_sq: np.ndarray
+    alias_bound: float
+
+    @property
+    def weight(self) -> float:
+        return float(self.step) ** 2
+
+    def support_check(self, L: int, gamma: int) -> float:
+        """Max |kernel| relative beyond |y| > L^j * gamma / 2 over all tables."""
+        zz = self.step * np.arange(-self.radius, self.radius + 1)
+        rr = np.maximum(np.abs(zz)[:, None], np.abs(zz)[None, :])
+        cut = (L**self.j) * gamma / 2.0
+        mask = rr > cut
+        if not mask.any():
+            return 0.0
+        worst = 0.0
+        for t in [*self.w_a.values(), self.w_b, self.w_c, *self.w_d.values(), self.w_e]:
+            scale = np.max(np.abs(t)) or 1.0
+            worst = max(worst, float(np.max(np.abs(t[mask])) / scale))
+        return worst
+
+
+def kernels(stack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WKernels:
+    """w_{a..e,j}(y) by direct summation over n = 0..j-1.
+
+    At j = 0 all kernels vanish identically; returned as 1x1 zero tables.
+    """
+    if j == 0:
+        z = np.zeros((1, 1))
+        return WKernels(
+            j=0, alpha_sq=alpha_sq, step=1, radius=0,
+            w_a={(a1, a2): z.copy() for a1 in range(2) for a2 in range(2)},
+            w_b=z.copy(), w_c=z.copy(),
+            w_d={a: z.copy() for a in range(2)}, w_e=z.copy(),
+            y_sq=z.copy(), alias_bound=0.0,
+        )
+    _check_scale(stack, j)
+    a2 = alpha_sq
+    L = float(stack.lattice.L)
+
+    # output grid of the widest contributing factor (scale j-1); finer-scale
+    # terms are zoom-evaluated at the same positions through their own grids
+    g = stack.grid(j - 1)
+    shape = (2 * g.radius + 1, 2 * g.radius + 1)
+    differenced = {}
+
+    def gam(m, deriv=()):
+        if not deriv:
+            return g.full_window(stack.kernel(m, j - 1))
+        if (m, deriv) not in differenced:
+            differenced[(m, deriv)] = differenced_kernel(stack, m, j - 1, deriv)
+        return differenced[(m, deriv)]
+
+    w_a = {}
+    for a1 in range(2):
+        for a2_ax in range(2):
+            acc = np.zeros(shape)
+            for m in range(j):
+                acc += gam(m, (a1, a2_ax))
+            w_a[(a1, a2_ax)] = 0.5 * acc
+
+    w_b = np.zeros(shape)
+    w_c = np.zeros(shape)
+    w_d = {a: np.zeros(shape) for a in range(2)}
+    w_e = np.zeros(shape)
+    for n in range(j):
+        pref_hi = stack.prefix_diag(j - 1, n + 1)
+        pref_tab = np.zeros(shape)
+        for m in range(n + 1, j):
+            pref_tab += gam(m)
+        g0n = stack.gamma0(n)
+        gn = gam(n)
+        l4 = L ** (-4 * n)
+        w_b += np.exp(-a2 * (pref_hi - pref_tab)) * math.exp(-a2 * g0n) * np.expm1(a2 * gn) * l4
+        w_c += 0.5 * np.exp(-a2 * (pref_hi + pref_tab)) * math.exp(-a2 * g0n) * np.expm1(-a2 * gn) * l4
+        fac = math.exp(-0.5 * a2 * stack.prefix_diag(j - 1, n)) * L ** (-2 * n)
+        for a in range(2):
+            w_d[a] += (math.sqrt(a2) / 2.0) * fac * gam(n, (a,))
+        grad_sq_hi = np.zeros(shape)
+        grad_sq_lo = np.zeros(shape)
+        for d in range(4):
+            d_hi = gam(n, (d,)) + sum(gam(m, (d,)) for m in range(n + 1, j))
+            d_lo = d_hi - gam(n, (d,))
+            grad_sq_hi += 0.5 * d_hi**2
+            grad_sq_lo += 0.5 * d_lo**2
+        w_e += (a2 / 4.0) * fac * (grad_sq_hi - grad_sq_lo)
+    for w in (w_b, w_c):
+        if not np.all(np.isfinite(w)):
+            raise FloatingPointError("overflow in covariance exponential")
+    return WKernels(
+        j=j, alpha_sq=alpha_sq, step=g.step, radius=g.radius,
+        w_a=w_a, w_b=w_b, w_c=w_c, w_d=w_d, w_e=w_e,
+        y_sq=g.full_window(g.y_sq), alias_bound=g.alias_bound(stack.fine_scales(j - 1)),
+    )

@@ -147,6 +147,60 @@ def test_verify_all_fails_on_a_wrong_reference_entry(tmp_path, capsys, monkeypat
     assert rep["checks"]["telescoping"]["value"] > 1e-6
 
 
+def _failing_checks(tmp_path, capsys):
+    """Run verify-all; the report must be written.  Returns (failing check names, report, stdout)."""
+    assert main(["verify-all", "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+    out = capsys.readouterr().out
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert rep["all_pass"] is False
+    return [name for name, c in rep["checks"].items() if not c["pass"]], rep["checks"], out
+
+
+def test_verify_all_reports_a_negative_fourier_mode(tmp_path, capsys, monkeypatch):
+    # one band entry of Gamma_1 at -1e-9: decompose's gate refuses the stack,
+    # and verify-all still writes its report with psd failing at scale 1
+    import ktrg.decomposition as decomposition
+
+    exact = decomposition.SpectralGrid.bands
+
+    def one_negative_mode(self, groups):
+        for j, G in enumerate(exact(self, groups)):
+            if j == 1:
+                G = G.copy()
+                G[5] = -1e-9
+            yield G
+
+    monkeypatch.setattr(decomposition.SpectralGrid, "bands", one_negative_mode)
+    failing, checks, out = _failing_checks(tmp_path, capsys)
+    assert failing == ["psd"]
+    assert checks["psd"] == {"value": 1e-9, "tol": 1e-10, "scale": 1, "pass": False}
+    assert "FAIL psd: 1.000e-09 (tol 1e-10) in Gamma_1" in out
+    assert "not run: telescoping, leakage (decompose refused the stack: negative Fourier mode -1.000e-09 in Gamma_1)" in out
+    assert {"separatrix_agreement", "separatrix_diagonal", "count_S", "extraction_identities", "siegert_kac"} <= set(checks)
+
+
+def test_verify_all_fails_on_a_leaking_scale(tmp_path, capsys, monkeypatch):
+    # Gamma_2 leaks 1e-3 beyond its range: that check alone fails, at scale 2
+    import ktrg.decomposition as decomposition
+
+    exact = decomposition.CovarianceStack.leakage
+    monkeypatch.setattr(decomposition.CovarianceStack, "leakage", lambda self, j: 1e-3 if j == 2 else exact(self, j))
+    failing, checks, out = _failing_checks(tmp_path, capsys)
+    assert failing == ["leakage"]
+    assert checks["leakage"] == {"value": 1e-3, "tol": 1e-6, "scale": 2, "pass": False}
+    assert "FAIL leakage: 1.000e-03 (tol 1e-06) in Gamma_2" in out
+
+
+def test_verify_all_fails_on_a_shooting_gap(tmp_path, capsys, monkeypatch):
+    # shooting off by 1e-7: the two solvers disagree, and no other check sees it
+    exact = cli.solve_shooting
+    monkeypatch.setattr(cli, "solve_shooting", lambda y1, tol: exact(y1, tol=tol) + 1e-7)
+    failing, checks, out = _failing_checks(tmp_path, capsys)
+    assert failing == ["separatrix_agreement"]
+    assert checks["separatrix_agreement"]["value"] == pytest.approx(1e-7, rel=1e-3)
+    assert "FAIL separatrix_agreement" in out
+
+
 def test_config_file_drives_command(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("# desk-scale run\n[decompose]\nL = 3\nR = 2\nm = 0.25  # mass\n")

@@ -7,13 +7,16 @@ import pytest
 from ktrg.cutoffs import build_cutoffs, coulomb_constant_closed
 from ktrg.coefficients import (
     ALPHA_SQ_KT,
-    kernels,
     coeff_a,
     coeff_b,
     energy_coeffs,
     volume_factor,
     limit_constants,
     compute_coefficients,
+)
+
+from spectral_oracles import (
+    complex_dd_at_zero, complex_e3_symbol, full_y, ifft_window, kernels, mean_parseval, unfold,
 )
 
 A2 = ALPHA_SQ_KT
@@ -357,30 +360,13 @@ def test_dd_and_e2_match_literal_second_differences(stack_l3_massless, j):
 # the folded grid against the parent's full-grid path
 
 
-def _mean_parseval(g, *factors):
-    """Full-grid oracle: the mean of the unfolded product."""
-    return float(np.mean(np.prod([g.unfold(f) for f in factors], axis=0))) / g.weight
-
-
-def _ifft_window(g, G):
-    """Full-grid oracle: the complex inverse FFT of the unfolded array."""
-    K = np.fft.ifft2(g.unfold(G)).real / g.weight
-    r = g.radius
-    return np.roll(K, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1].copy()
-
-
 def _half_spectrum_window(g, G):
     """Full-window oracle: the real inverse FFT of the row-unfolded half spectrum."""
-    K = np.fft.irfft2(g.unfold(G)[:, : g.S // 2 + 1], s=(g.S, g.S))
+    K = np.fft.irfft2(unfold(g, G)[:, : g.S // 2 + 1], s=(g.S, g.S))
     z = np.arange(-g.radius, g.radius + 1) % g.S
     W = K[np.ix_(z, z)]
     W /= g.weight
     return W
-
-
-def _full_y(g):
-    """The full window positions step*z, |z| <= radius, along one axis."""
-    return g.step * np.arange(-g.radius, g.radius + 1, dtype=float)
 
 
 def _full_kernel(stack, j, n, window, cache):
@@ -393,7 +379,7 @@ def _full_kernel(stack, j, n, window, cache):
         resolved = g.step <= natural_step(stack.cutoffs, j * stack.lattice.M)
         src = g if fits and resolved else stack.grid(j)
         G = src.band(stack.fine_scales(j))
-        cache[(j, n)] = window(src, G) if src is g else src.zoom(G, _full_y(g))
+        cache[(j, n)] = window(src, G) if src is g else src.zoom(G, full_y(g))
     return cache[(j, n)]
 
 
@@ -416,7 +402,7 @@ def _full_window_a_e4(stack, j, window=_half_spectrum_window, a2=A2):
     a, e4 = 0.0, 0.0
     for n in range(j):
         g = stack.grid(n)
-        y = _full_y(g)
+        y = full_y(g)
         y_sq = (y**2)[:, None] + (y**2)[None, :]
         pref = stack.prefix_diag(j - 1, n + 1) - sum(ker(m, n) for m in range(n + 1, j))
         wb = np.exp(-a2 * pref) * math.exp(-a2 * stack.gamma0(n)) * np.expm1(a2 * ker(n, n)) * L ** (-4 * n)
@@ -426,24 +412,12 @@ def _full_window_a_e4(stack, j, window=_half_spectrum_window, a2=A2):
         taylor = _loop_taylor_quad(dd_tensor, y)
         e4 += 2.0 * L2j * g.weight * float(np.sum(wb * (bracket - 0.5 * a2 * taylor)))
     g = stack.grid(j)
-    y = _full_y(g)
+    y = full_y(g)
     y_sq = (y**2)[:, None] + (y**2)[None, :]
     term2 = np.expm1(a2 * ker(j, j)) * math.exp(-a2 * stack.gamma0(j))
     a += g.weight * float(np.sum(term2 * L ** (-4 * j) * y_sq))
     e4 += L ** (-2 * j) * g.weight * float(np.sum(term2))
     return 0.5 * a2 * a, e4
-
-
-def _complex_dd_at_zero(stack, j):
-    """Full-grid oracle: Parseval means against the complex difference symbols."""
-    g = stack.grid(j)
-    G = g.unfold(g.band(stack.fine_scales(j)))
-    return np.array([[float(np.mean(G * g.diff_symbol((mu, nu)).real)) / g.weight
-                      for nu in range(4)] for mu in range(4)])
-
-
-def _complex_e3_symbol(g):
-    return sum(g.diff_symbol((a, a + 2, b, b + 2)).real for a in range(2) for b in range(2))
 
 
 def _loop_taylor_quad(dd_tensor, y):
@@ -545,13 +519,13 @@ def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypat
         lattice=st.lattice, cutoffs=st.cutoffs, gamma_tables=st.gamma_tables,
         tail_table=st.tail_table, tail_is_normalized=st.tail_is_normalized,
     )
-    monkeypatch.setattr(decomposition, "_fold", lambda p: (p, np.arange(len(p)), np.ones(len(p))))
-    monkeypatch.setattr(decomposition.SpectralGrid, "parseval", _mean_parseval)
-    monkeypatch.setattr(coefficients, "_dd_at_zero", _complex_dd_at_zero)
-    monkeypatch.setattr(coefficients, "_e3_symbol", _complex_e3_symbol)
+    monkeypatch.setattr(decomposition, "_fold", lambda p: (p, np.ones(len(p))))
+    monkeypatch.setattr(decomposition.SpectralGrid, "parseval", mean_parseval)
+    monkeypatch.setattr(coefficients, "_dd_at_zero", complex_dd_at_zero)
+    monkeypatch.setattr(coefficients, "_e3_symbol", complex_e3_symbol)
     full = compute_coefficients(oracle, 5)
     assert len(oracle.grid(5).w) == oracle.grid(5).S
-    a, e4 = np.array([_full_window_a_e4(oracle, j, _ifft_window) for j in folded.scales]).T
+    a, e4 = np.array([_full_window_a_e4(oracle, j, ifft_window) for j in folded.scales]).T
     for name in ("b", "e2", "e3", "vol"):
         assert getattr(folded, name) == pytest.approx(getattr(full, name), rel=1e-13, abs=0.0), name
     assert folded.a == pytest.approx(list(a), rel=1e-13, abs=0.0)

@@ -151,6 +151,36 @@ def test_coulomb_closed_form_agreement(fam, cc):
     assert coulomb_constant_closed(fam) == pytest.approx(cc.c, abs=1e-5)
 
 
+def test_closed_form_c_is_computed_once_per_gamma(monkeypatch, cc):
+    # the profile reads gamma alone: the families of separatrix (3, 1, 8) and
+    # of coeffs at L = 9 R = 9 (3, 2, 18) share one quadrature, bit for bit
+    import ktrg.cutoffs as cutoffs
+
+    calls = []
+    profile = cutoffs.CutoffFamily.u_profile
+    monkeypatch.setattr(cutoffs.CutoffFamily, "u_profile", lambda self, q: calls.append(self.gamma) or profile(self, q))
+    families = [build_cutoffs(3, 1, 8), build_cutoffs(3, 2, 18)]
+    fresh = []
+    for fam_ in families:
+        monkeypatch.setattr(cutoffs, "_C_LOG_CLOSED", {})
+        fresh.append(coulomb_constant_closed(fam_))
+    assert fresh[0] == fresh[1] == cc.c_closed
+    monkeypatch.setattr(cutoffs, "_C_LOG_CLOSED", {})
+    calls.clear()
+    assert coulomb_constant_closed(families[0]) == fresh[0] and calls
+    calls.clear()
+    assert coulomb_constant_closed(families[1]) == fresh[0] and calls == []
+    # the window fit checks against the same value without a second c_log quadrature
+    names = []
+    quad = cutoffs._panel_quad
+    monkeypatch.setattr(cutoffs, "_panel_quad", lambda f, edges, name: names.append(name) or quad(f, edges, name))
+    assert coulomb_constant_c(families[1]).c_closed == cc.c_closed
+    assert names and not [n for n in names if n.startswith("c_log")]
+    # another gamma is another profile
+    calls.clear()
+    assert coulomb_constant_closed(build_cutoffs(5, 1, 4)) != fresh[0] and set(calls) == {5}
+
+
 def test_coulomb_window_independence(fam, cc):
     other = coulomb_constant_c(fam, window=(60.0, 150.0), npts=3)
     assert other.c == pytest.approx(cc.c, abs=max(1e-6, 8 * math.pi * (cc.fit_residual + other.fit_residual)))

@@ -27,6 +27,9 @@ from ktrg.decomposition import (
 )
 
 from conftest import one_minus_factor_over_u
+from spectral_oracles import (
+    complex_dd_at_zero, complex_e3_symbol, fold_index, ifft_kernel, ifft_window, kernels, mean_parseval, unfold,
+)
 
 
 def test_telescoping_massive(stack_l3_massive):
@@ -116,7 +119,7 @@ def test_diagonal_law(stack_l3_massless):
 def fine_component_table(stack, h):
     """Oracle: torus table of the single fine-scale piece C_h (Gamma_j sums M of them)."""
     grid = SpectralGrid(stack.cutoffs, stack.lattice.m, stack.lattice.momenta())
-    return np.fft.ifft2(grid.unfold(grid.band([h]))).real
+    return ifft_kernel(grid, grid.band([h]))
 
 
 def test_fine_components_aggregate(stack_l3_massive):
@@ -132,14 +135,14 @@ def _ifft2_tables(stack):
     lat = stack.lattice
     grid = SpectralGrid(stack.cutoffs, lat.m, lat.momenta())
     groups = [stack.fine_scales(j) for j in range(stack.n_scales)]
-    tables = [np.fft.ifft2(grid.unfold(G)).real for G in grid.bands(groups)]
+    tables = [ifft_kernel(grid, G) for G in grid.bands(groups)]
     r = grid.residual(stack.cutoffs.horizon)
     if stack.tail_is_normalized:
         lam = grid.lam
         dens = np.divide(r, lam, out=np.zeros_like(lam), where=lam > 0)
-        t = np.fft.ifft2(grid.unfold(dens)).real
+        t = ifft_kernel(grid, dens)
         return tables, t - t[0, 0]
-    return tables, np.fft.ifft2(grid.unfold(r / grid.u)).real
+    return tables, ifft_kernel(grid, r / grid.u)
 
 
 @pytest.mark.parametrize("L, R, m", [(3, 6, 0.0), (3, 5, 0.1), (3, 4, 0.0), (3, 3, 0.25)])
@@ -225,11 +228,11 @@ def test_window_decimated_and_shifted(stack_l3_r5):
     st = stack_l3_r5
     side = st.lattice.side
     t = st.gamma_table(4)
-    w = st.window(4, step=3, shift=(1, 0))
+    w = st.window(4, step=3)
     assert 0.0 < w.alias_bound < 1e-3
     for z0 in (-20, 0, 13):
         for z1 in (-7, 0, 20):
-            ref = t[(3 * z0 + 1) % side, (3 * z1) % side]
+            ref = t[(3 * z0) % side, (3 * z1) % side]
             assert w.at(z0, z1) == pytest.approx(ref, abs=max(1e-12, w.alias_bound))
 
 
@@ -242,17 +245,6 @@ def test_window_natural_step_tight(stack_l3_r5):
     w = st.window(4)  # natural step for h = 4 at L = 3 is 1: exact
     assert w.alias_bound == 0.0
     assert w.at(7, -2) == pytest.approx(t[7 % side, -2 % side], abs=1e-13)
-
-
-def test_window_derivative(stack_l3_r5):
-    st = stack_l3_r5
-    side = st.lattice.side
-    t = st.gamma_table(2)
-    w = st.window(2, step=1, deriv=(1,))
-    for z0 in (-4, 0, 6):
-        for z1 in (-6, 0, 3):
-            ref = t[z0 % side, (z1 + 1) % side] - t[z0 % side, z1 % side]
-            assert w.at(z0, z1) == pytest.approx(ref, abs=1e-13)
 
 
 def test_serialization_roundtrip(tmp_path, stack_l3_massive):
@@ -573,9 +565,9 @@ def test_grid_bands_match_band_sum():
     u = _full_u(g)
     for hs in ([2, 3], [0, 1], [4, 5], [3]):
         assert np.array_equal(g.band(hs), cut.band_sum(g.u, g.b, hs))
-        assert np.array_equal(g.unfold(g.band(hs)), cut.band_sum(u, g.b, hs))
+        assert np.array_equal(unfold(g, g.band(hs)), cut.band_sum(u, g.b, hs))
     assert np.array_equal(g.residual(6), cut.residual(g.u, g.b, 6))
-    assert np.array_equal(g.unfold(g.residual(6)), cut.residual(u, g.b, 6))
+    assert np.array_equal(unfold(g, g.residual(6)), cut.residual(u, g.b, 6))
 
 
 def _count_band_evaluations(monkeypatch):
@@ -601,8 +593,6 @@ def test_decompose_evaluates_each_band_once(monkeypatch):
 
 
 def test_coefficients_evaluate_each_band_once_per_grid(monkeypatch):
-    from ktrg.coefficients import compute_coefficients, kernels
-
     calls = _count_band_evaluations(monkeypatch)
     st = decompose(TorusLattice(L=9, R=4))
     compute_coefficients(st, 2)
@@ -645,11 +635,11 @@ def test_folded_bands_bit_identical_to_full_pass():
     n = S // 2 + 1
     assert g.u.shape == (n * (n + 1) // 2,)
     assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
-    assert np.array_equal(g.idx, np.minimum(np.arange(S), S - np.arange(S)))
+    assert np.array_equal(g.p_fold[fold_index(g)], np.abs(g.p))
     u = _full_u(g)
     for hs in ([2, 3], [0, 1], [4, 5]):
-        assert np.array_equal(g.unfold(g.band(hs)), cut.band_sum(u, g.b, hs))
-    assert np.array_equal(g.unfold(g.residual(6)), cut.residual(u, g.b, 6))
+        assert np.array_equal(unfold(g, g.band(hs)), cut.band_sum(u, g.b, hs))
+    assert np.array_equal(unfold(g, g.residual(6)), cut.residual(u, g.b, 6))
 
 
 def test_triangle_lam_is_the_square_symbol_on_the_triangle():
@@ -672,6 +662,26 @@ def test_parseval_refuses_a_factor_off_the_triangle():
     for bad in (g._mirror(G), G[:-1], np.float64(1.0)):
         with pytest.raises(DecompositionError, match="triangle arrays"):
             g.parseval(G, bad)
+
+
+@pytest.mark.parametrize("method", ["window", "zoom"])
+def test_window_and_zoom_refuse_anything_but_a_real_triangle(method):
+    # a complex triangle, a folded square and a wrong length each raise and
+    # name the shape; a band on the triangle is the only array they transform
+    g = SpectralGrid.decimated(build_cutoffs(3, 1, 4), 0.1, 1, 45, 10)
+    G = g.band([1])
+    n = len(G)
+    assert n == 23 * 24 // 2
+
+    def transform(A):
+        return g.window(A) if method == "window" else g.zoom(A, g.y[:3])
+
+    assert transform(G).shape == ((11, 11) if method == "window" else (3, 3))
+    for bad, got in ((G + 0j, rf"a complex array of shape \({n},\)"),
+                     (g._mirror(G), r"an array of shape \(23, 23\)"),
+                     (G[:-1], rf"an array of shape \({n - 1},\)")):
+        with pytest.raises(DecompositionError, match=rf"{method} takes real triangle arrays of {n} entries, got {got}"):
+            transform(bad)
 
 
 def test_filled_grids_cache_one_triangle_per_band(stack_l9_massless):
@@ -711,15 +721,16 @@ def test_torus_axis_folds_and_even_and_ring_axes_take_the_trivial_fold():
     n = len(torus) // 2 + 1
     assert g.u.shape == (n * (n + 1) // 2,)
     assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
-    assert np.array_equal(g.unfold(g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
+    assert np.array_equal(g.p_fold[fold_index(g)], np.abs(g.p))
+    assert np.array_equal(unfold(g, g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
     even = 2.0 * np.pi * np.fft.fftfreq(10)
     probe = np.linspace(-np.pi, np.pi, 5)
     ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
     for p in (even, ring):
         g = SpectralGrid(cut, 0.1, p)
         assert g.u.shape == (len(p) * (len(p) + 1) // 2,)
-        assert np.all(g.w == 1.0) and np.array_equal(g.idx, np.arange(len(p)))
-        assert np.array_equal(g.unfold(g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
+        assert np.all(g.w == 1.0) and np.array_equal(g.p_fold, p)
+        assert np.array_equal(unfold(g, g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
 
 
 def test_psd_margins_on_folded_probe_match_full_grid(stack_l9_massless):
@@ -740,12 +751,6 @@ def test_psd_margins_on_folded_probe_match_full_grid(stack_l9_massless):
     assert st.psd_margins() == full
 
 
-def _full_ifft_window(g, G):
-    """Full-grid oracle: the complex inverse FFT of the unfolded array on the full window."""
-    r = g.radius
-    return np.roll(np.fft.ifft2(g.unfold(G)).real / g.weight, (r, r), axis=(0, 1))[: 2 * r + 1, : 2 * r + 1]
-
-
 def test_folded_sums_match_full_grid_oracles(stack_l9_massless):
     # the full-grid formulas: the mean over unfolded arrays, the cosine zoom
     # over the full axis and the complex inverse FFT (the window is the
@@ -754,16 +759,16 @@ def test_folded_sums_match_full_grid_oracles(stack_l9_massless):
     g = st.grid(3)
     assert g.step > 1
     G, G1 = g.band(st.fine_scales(3)), g.band(st.fine_scales(1))
-    full = g.unfold(G)
+    full = unfold(g, G)
     for factors in ((G,), (g.lam, G, G), (G1, G)):
-        oracle = float(np.mean(np.prod([g.unfold(f) for f in factors], axis=0))) / g.weight
+        oracle = mean_parseval(g, *factors)
         assert g.parseval(*factors) == pytest.approx(oracle, rel=1e-14, abs=0.0)
     ys = g.y[::27] + 1.0
     ph = np.cos(np.outer(ys, g.p))
     zoom = ph @ (full @ ph.T) / (g.S**2 * g.weight)
     assert np.max(np.abs(g.zoom(G, ys) - zoom)) <= 1e-14 * np.max(np.abs(zoom))
     r = g.radius
-    K = _full_ifft_window(g, G)
+    K = ifft_window(g, G)
     assert np.max(np.abs(g.window(G) - K[r:, r:])) <= 1e-14 * np.max(np.abs(K))
 
 
@@ -778,7 +783,7 @@ def test_quarter_window_and_half_zoom_match_full_grid_oracles(stack_l9_massless,
     assert g.step == step
     r = g.radius
     G = g.band(st.fine_scales(j))
-    K = _full_ifft_window(g, G)
+    K = ifft_window(g, G)
     Q = g.window(G)
     assert Q.shape == (r + 1, r + 1) and np.array_equal(st.kernel(j, j), Q)
     assert np.max(np.abs(Q - K[r:, r:])) <= 1e-14 * np.max(np.abs(K))
@@ -787,7 +792,7 @@ def test_quarter_window_and_half_zoom_match_full_grid_oracles(stack_l9_massless,
     ys = g.y[:: max(1, r // 40)] + 0.5
     k = len(ys) - 1
     ph = np.cos(np.outer(np.concatenate([-ys[:0:-1], ys]), g.p))
-    full = ph @ (g.unfold(G) @ ph.T) / (g.S**2 * g.weight)
+    full = ph @ (unfold(g, G) @ ph.T) / (g.S**2 * g.weight)
     half = g.zoom(G, ys)
     assert half.shape == (k + 1, k + 1)
     assert np.max(np.abs(half - full[k:, k:])) <= 1e-14 * np.max(np.abs(full))
@@ -803,15 +808,15 @@ def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
     st = stack_l9_massless
     j = 3
     g = st.grid(j)
-    full = g.unfold(g.band(st.fine_scales(j)))
+    full = unfold(g, g.band(st.fine_scales(j)))
     dd = _dd_at_zero(st, j)
     assert np.array_equal(dd, dd.T)
     # the complex products are symmetric in (mu, nu) too; their cross-axis
     # entries carry the rounding of the odd sin p0 sin p1 part (7.2e-14)
+    complex_dd = complex_dd_at_zero(st, j)
     for mu in range(4):
         for nu in range(mu, 4):
-            ref = float(np.mean(full * g.diff_symbol((mu, nu)).real)) / g.weight
-            assert dd[mu, nu] == pytest.approx(ref, rel=1e-13, abs=0.0)
+            assert dd[mu, nu] == pytest.approx(complex_dd[mu, nu], rel=1e-13, abs=0.0)
 
     ld = np.longdouble
     p = g.p.astype(ld)
@@ -837,5 +842,4 @@ def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
     e3_ref = e3_ref[g._lower]
     nz = e3_ref > 0
     assert np.max(np.abs(e3[nz] / e3_ref[nz] - 1)) <= 1e-15
-    e3_complex = sum(g.diff_symbol((a, a + 2, b, b + 2)).real for a in range(2) for b in range(2))
-    assert np.max(np.abs(g.unfold(e3) - e3_complex)) <= 1e-14 * np.max(e3)
+    assert np.max(np.abs(unfold(g, e3) - complex_e3_symbol(g))) <= 1e-14 * np.max(e3)
