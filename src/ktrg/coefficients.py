@@ -11,15 +11,20 @@ Sums quadratic in the kernels (b_j, e3_j) and second differences at the
 origin (e2_j, e4_j) are Parseval sums on the scale-j grid, whose period
 exceeds twice the support; they run on the triangle p1 <= p0 of its
 folded grid, where the bands are stored, so every symbol in them is
-symmetric under p0 <-> p1.
+symmetric under p0 <-> p1.  The sums of b_j and e3_j, which pair psi_j with
+psi_n for every n <= j, are summed by the scale-j grid's band pass as it
+evaluates the bands (lam_sums, lam2_sums), so the grid keeps psi_j alone;
+Gamma_j(0) and the second differences of e2_j and e4_j are parseval sums
+against that band.
 
 The position sums of a_j and e4_j run on the quarter z0, z1 >= 0 of each
 scale's window (CovarianceStack.kernel): every kernel Gamma_j and every
 summand is even in each coordinate, so a full-window sum is m @ F @ m with
-the multiplicities m = (1, 2, 2, ...) (SpectralGrid.window_sum).  The
-y0 y1 cross term of the e4 Taylor subtraction is odd in each coordinate,
-sums to zero over the window and is dropped (its coefficient is exactly 0
-anyway).
+the multiplicities m = (1, 2, 2, ...) (SpectralGrid.window_sum), and the
+|y|^2 moments of a_j separate, |y|^2 = y0^2 + y1^2, into two products of
+F with a vector (SpectralGrid.window_moment).  The y0 y1 cross term of
+the e4 Taylor subtraction is odd in each coordinate, sums to zero over the
+window and is dropped (its coefficient is exactly 0 anyway).
 
 Direction sums follow the convention that a sum over the four signed unit
 vectors carries a factor 1/2.  Euclidean |y|^2 is used in the second-moment
@@ -86,13 +91,9 @@ def _origin_bracket(stack: CovarianceStack, j: int, n: int, a2: float) -> np.nda
     between two sums.
     """
     K = stack.kernel(j, n)
-    return np.expm1(-a2 * (K[0, 0] - K))
-
-
-def _scale_bands(stack: CovarianceStack, j: int) -> list[np.ndarray]:
-    """Bands of scales 0..j on the scale-j grid."""
-    g = stack.grid(j)
-    return [g.band(stack.fine_scales(n)) for n in range(j + 1)]
+    out = K[0, 0] - K
+    out *= -a2
+    return np.expm1(out, out=out)
 
 
 def coeff_a(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> float:
@@ -107,7 +108,9 @@ def coeff_a(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     # first sum, term by term in the w_b scale index n, each on the scale-n grid
     for n in range(j):
         g = stack.grid(n)
-        total += g.window_sum(g.y_sq, _w_b_term(stack, j, n, a2), _origin_bracket(stack, j, n, a2))
+        F = _w_b_term(stack, j, n, a2)
+        F *= _origin_bracket(stack, j, n, a2)
+        total += g.window_moment(F)
     # second sum on the scale-j grid
     g = stack.grid(j)
     term2 = a2 * stack.kernel(j, j)
@@ -115,7 +118,7 @@ def coeff_a(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     term2 *= math.exp(-a2 * g0j)
     term2 *= L ** (-4 * j)
     _guard_exp(term2, j)
-    total += g.window_sum(g.y_sq, term2)
+    total += g.window_moment(term2)
     return 0.5 * a2 * total
 
 
@@ -125,18 +128,17 @@ def coeff_b(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> fl
     The gradient correlations are quadratic in the kernels, so the y-sums
     are evaluated as exact Parseval integrals: the half-weighted sum over
     the four signed directions of |e^{i p_mu} - 1|^2 is the Laplacian
-    symbol itself.
+    symbol itself.  The sums of lam psi_n psi_j, n <= j, are the scale-j
+    grid's lam_sums, summed by its band pass.
     """
     _check_scale(stack, j)
     a2 = alpha_sq
     L = float(stack.lattice.L)
-    g = stack.grid(j)
-    psi = _scale_bands(stack, j)
-    lam = g.lam
-    total = g.parseval(lam, psi[j], psi[j])
+    sums = stack.grid(j).lam_sums
+    total = sums[j]
     for n in range(j):
         fac = math.exp(-0.5 * a2 * stack.prefix_diag(j - 1, n)) * L ** (2 * (j - n))
-        total += 2.0 * fac * g.parseval(lam, psi[n], psi[j])
+        total += 2.0 * fac * sums[n]
     return 0.5 * a2 * total
 
 
@@ -173,15 +175,6 @@ def _dd_at_zero(stack: CovarianceStack, j: int) -> np.ndarray:
     return dd
 
 
-def _e3_symbol(g) -> np.ndarray:
-    """sum over the forward axis pairs (a, b) of |e^{i p_a} - 1|^2 |e^{i p_b} - 1|^2.
-
-    Each pair's symbol is 2c_a 2c_b, so the four sum to (2c_0 + 2c_1)^2 =
-    lam^2 (2c = 4 sin^2(p/2) is the symbol's axis term, bit for bit).
-    """
-    return g.lam**2
-
-
 def _taylor_quad(dd_tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
     """0.25 sum_{mu nu} dd[mu, nu] y_mu y_nu over the quarter window y x y, y_mu = DIRS[mu] . y.
 
@@ -203,7 +196,6 @@ def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT)
     L = float(stack.lattice.L)
     L2j = L ** (2 * j)
     g = stack.grid(j)
-    psi = _scale_bands(stack, j)
     dd_tensor = _dd_at_zero(stack, j)
     # e2 = -(L^2j / 2) * (1/2) sum_{4 dirs} (d^mu d^mu Gamma_j)(0)
     e2 = -(L2j / 2.0) * 0.5 * sum(dd_tensor[mu, mu] for mu in range(4))
@@ -213,11 +205,14 @@ def energy_coeffs(stack: CovarianceStack, j: int, alpha_sq: float = ALPHA_SQ_KT)
     #      sign flips collapse onto forward axis pairs by evenness; the
     #      constant (dd Gamma_j)(0) drops because sum_y dd Gamma_m = 0
     #      exactly (vanishing symbol at p = 0), leaving pure quadratic
-    #      correlations evaluated by Parseval against _e3_symbol.
-    sym = _e3_symbol(g)
-    e3 = g.parseval(sym, psi[j], psi[j])
+    #      correlations evaluated by Parseval.  The symbol of a forward axis
+    #      pair (a, b) is |e^{i p_a} - 1|^2 |e^{i p_b} - 1|^2 = 2c_a 2c_b, so
+    #      the four sum to (2c_0 + 2c_1)^2 = lam^2, and the sums of
+    #      lam^2 psi_m psi_j, m <= j, are the grid's lam2_sums.
+    sums = g.lam2_sums
+    e3 = sums[j]
     for m in range(j):
-        e3 += 3.0 * g.parseval(sym, psi[m], psi[j])
+        e3 += 3.0 * sums[m]
     e3 *= L2j / 4.0
 
     # e4: Taylor-subtracted w_b moment plus the single-scale pressure term

@@ -17,7 +17,11 @@ evaluates the bands in one pass over the residual products r_h and caches
 them; it also owns the only probe of the dropped Brillouin-zone aliases,
 window extraction, evaluation off the grid and Parseval sums.  The stack
 keeps one decimated grid per scale (CovarianceStack.grid), on which the
-coefficient sums of coefficients.py are evaluated.  Decimation keeps only
+coefficient sums of coefficients.py are evaluated.  The scale-n grid is
+filled by a band pass over blocks of triangle rows (SpectralGrid.band_pass):
+each block runs through the fine orders of scales 0..n, and the grid keeps
+the band of scale n only, with the Parseval sums of lam and lam^2 times it
+and each lower band, which b_n and e3_n read.  Decimation keeps only
 the central copy of the folded fine zone; the dropped aliases are bounded
 at runtime and the bound is reported with each window (the bands decay fast
 enough that 243 samples per scale keep the bound near 1e-11).
@@ -56,9 +60,10 @@ window; it comes from one real inverse FFT per folded axis
 (lattice._half_synthesis: both along the contiguous axis, a block of lines
 at a time, writing only the quarter), and a zoom is evaluated at the r + 1
 nonnegative positions only.  Sums over the full window of even summands
-are m @ F @ m on the quarter (window_sum).  The full window
-|z|_inf <= radius is built only where band_window hands it out, as the
-mirror of a quarter through the index |z| (full_window).  A materialized
+are m @ F @ m on the quarter (window_sum), and their |y|^2 moments,
+|y|^2 = y0^2 + y1^2, two products of F with a vector (window_moment).  The
+full window |z|_inf <= radius is built only where band_window hands it
+out, as the mirror of a quarter through the index |z| (full_window).  A materialized
 table is lattice.folded_table of its folded square: the same two real
 inverse transforms, on rows 0..S//2 of the torus, and row x past them a
 copy of row S - x; the torus side L^R is odd, so its grid always folds.
@@ -110,6 +115,10 @@ PROBE_SIDE = 729
 
 ALIAS_PROBE_POINTS = 33
 
+# triangle points per block of the scale-grid band pass (SpectralGrid.band_pass):
+# each of the block's arrays holds about 0.5 MB
+BAND_BLOCK = 65536
+
 
 class DecompositionError(RuntimeError):
     """A refused input; a failed gate of validate() also sets its check ("psd" or "leakage"),
@@ -152,6 +161,23 @@ def natural_step(cutoffs: CutoffFamily, h_min: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the spectral grid
+
+
+def _tri(n: int) -> int:
+    """Entries in the first n rows of a packed triangle: row i holds i + 1."""
+    return n * (n + 1) // 2
+
+
+def _row_blocks(n: int, size: int):
+    """Consecutive ranges of the triangle rows 0..n-1, each of at most size
+    points, or of one row where a row alone holds more."""
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and _tri(stop + 1) - _tri(start) <= size:
+            stop += 1
+        yield range(start, stop)
+        start = stop
 
 
 def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,25 +228,33 @@ class SpectralGrid:
         self.weight = float(step) ** 2
         self._bands: dict[tuple[int, ...], np.ndarray] = {}
         self._pass = None
+        self.lam_sums: list[float] | None = None  # set by band_pass
+        self.lam2_sums: list[float] | None = None
 
     @classmethod
     def decimated(cls, cutoffs: CutoffFamily, m: float, step: int, S: int, radius: int) -> "SpectralGrid":
         return cls(cutoffs, m, 2.0 * np.pi * np.fft.fftfreq(S) / step, step, radius)
 
-    def outer(self, ufunc, a: np.ndarray) -> np.ndarray:
+    def outer(self, ufunc, a: np.ndarray, rows: range | None = None) -> np.ndarray:
         """The triangle array of ufunc(a[i], a[k]): ufunc.outer(a, a) on k <= i, rows packed.
 
         a holds one value per folded momentum; for a symmetric ufunc (add,
         multiply) the result is a function of the two axes symmetric under
-        the swap, as every triangle array is.
+        the swap, as every triangle array is.  rows (default all) is a range
+        of triangle rows i: the result is then the piece of the full one
+        that holds those rows, at its packed offset.
         """
-        n = len(a)
-        out = np.empty(n * (n + 1) // 2)
+        if rows is None:
+            rows = range(len(a))
+        out = np.empty(_tri(rows.stop) - _tri(rows.start))
         start = 0
-        for i in range(n):
+        for i in rows:
             ufunc(a[i], a[: i + 1], out=out[start : start + i + 1])
             start += i + 1
         return out
+
+    def _lam(self, rows: range | None = None) -> np.ndarray:
+        return self.outer(np.add, laplacian_symbol(self.p_fold, 0.0), rows)  # sin(0) adds an exact 0
 
     @property
     def lam(self) -> np.ndarray:
@@ -230,7 +264,7 @@ class SpectralGrid:
         laplacian_symbol itself, so these are its values on the folded grid
         bit for bit.
         """
-        return self.outer(np.add, laplacian_symbol(self.p_fold, 0.0))  # sin(0) adds an exact 0
+        return self._lam()
 
     @property
     def u(self) -> np.ndarray:
@@ -248,12 +282,6 @@ class SpectralGrid:
         m = np.full(self.radius + 1, 2.0)
         m[0] = 1.0
         return m
-
-    @property
-    def y_sq(self) -> np.ndarray:
-        """Euclidean |y|^2 over the quarter window."""
-        y2 = self.y**2
-        return y2[:, None] + y2[None, :]
 
     def full_window(self, Q: np.ndarray) -> np.ndarray:
         """The quarter array Q mirrored onto the full window |z|_inf <= radius (index |z|)."""
@@ -292,8 +320,7 @@ class SpectralGrid:
         return self._advance(h).r.copy()
 
     def _band_sum(self, hs: tuple[int, ...]) -> np.ndarray:
-        n = len(self.p_fold)
-        out = np.zeros(n * (n + 1) // 2)
+        out = np.zeros(_tri(len(self.p_fold)))
         for h in hs:
             out += self._advance(h).band()
         return out
@@ -305,15 +332,56 @@ class SpectralGrid:
             self._bands[hs] = self._band_sum(hs)
         return self._bands[hs]
 
-    def fill(self, groups):
-        """Cache the band of each fine-scale list, then drop the pass state.
+    def band_pass(self, groups):
+        """Cache the band of the last fine-scale list, and its Parseval sums against the others.
 
-        For a grid whose bands are all known up front: a later band or
-        residual outside the cache restarts the pass.
+        groups are fine-scale lists in increasing order.  One pass runs over
+        blocks of consecutive triangle rows, at most BAND_BLOCK points each
+        (a row that alone holds more is a block): per block, lam and the
+        weights come from outer on the block's rows, a FejerPass over its
+        points evaluates each fine order once, and the bands of every list
+        live only while the block does.  The block's piece of the last
+        band psi goes into the cache, and the pairwise np.sum of
+        W lam psi_k psi and of W lam^2 psi_k psi for each list k into two
+        tables of block partials; math.fsum combines them into
+
+            lam_sums[k] = parseval(lam, psi_k, psi),
+            lam2_sums[k] = parseval(lam^2, psi_k, psi)
+
+        up to the summation order.  The pass is elementwise, so the cached
+        band is bit-identical to band(groups[-1]).  Any other band is left
+        to band, which evaluates it lazily.
         """
-        for hs in groups:
-            self.band(hs)
-        self._pass = None
+        groups = [tuple(sorted(hs)) for hs in groups]
+        n = len(self.p_fold)
+        psi = np.empty(_tri(n))
+        lam_parts, lam2_parts = [[] for _ in groups], [[] for _ in groups]
+        for rows in _row_blocks(n, BAND_BLOCK):
+            lam = self._lam(rows)
+            run = FejerPass(self.cutoffs.kappas, self.m * self.m + lam, self.b)
+            bands = []
+            for hs in groups:
+                band = np.zeros(len(lam))
+                for h in hs:
+                    run.advance(h)
+                    band += run.band()
+                bands.append(band)
+            last = bands[-1]
+            psi[_tri(rows.start) : _tri(rows.stop)] = last
+            W = self._pair_weights(rows)
+            W_lam, W_lam2 = W * lam, W * lam**2
+            for band, lam_part, lam2_part in zip(bands, lam_parts, lam2_parts):
+                # multiplied in parseval's order: ((W lam) psi_k) psi
+                prod = W_lam * band
+                prod *= last
+                lam_part.append(float(np.sum(prod)))
+                np.multiply(W_lam2, band, out=prod)
+                prod *= last
+                lam2_part.append(float(np.sum(prod)))
+        norm = self.S**2 * self.weight
+        self.lam_sums = [math.fsum(parts) / norm for parts in lam_parts]
+        self.lam2_sums = [math.fsum(parts) / norm for parts in lam2_parts]
+        self._bands[groups[-1]] = psi
 
     def bands(self, groups):
         """Yield the triangle band of each fine-scale list in turn, without caching."""
@@ -322,21 +390,28 @@ class SpectralGrid:
 
     # -- symbols and sums --
 
-    @functools.cached_property
-    def _weights(self) -> np.ndarray:
+    def _pair_weights(self, rows: range | None = None) -> np.ndarray:
         """Multiplicity of each triangle point in the full grid: w_i w_k, doubled off the diagonal.
 
-        Every entry is a power of two, so weighting a product is exact.
+        On the triangle rows in rows (default all), packed as outer packs
+        them.  Every entry is a power of two, so weighting a product is exact.
         """
-        W = self.outer(np.multiply, self.w)
+        if rows is None:
+            rows = range(len(self.w))
+        W = self.outer(np.multiply, self.w, rows)
         W *= 2.0
-        W[np.cumsum(np.arange(1, len(self.w) + 1)) - 1] *= 0.5  # the diagonal k = i
+        i = np.arange(rows.start, rows.stop)
+        W[_tri(i + 1) - 1 - _tri(rows.start)] *= 0.5  # the diagonal k = i
         return W
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        """_pair_weights on the whole triangle, for parseval."""
+        return self._pair_weights()
 
     def _check_triangle(self, name: str, A) -> None:
         """Raise unless A is a real triangle array of this grid: 1-D, n(n+1)/2 entries."""
-        n = len(self.p_fold)
-        size = n * (n + 1) // 2
+        size = _tri(len(self.p_fold))
         real = np.isrealobj(A)
         if not (real and np.ndim(A) == 1 and len(A) == size):
             raise DecompositionError(
@@ -422,6 +497,17 @@ class SpectralGrid:
             prod = prod * f
         m = self.y_mult
         return self.weight * float(m @ prod @ m)
+
+    def window_moment(self, F: np.ndarray) -> float:
+        """sum_y |y|^2 F(y) step^2 over the full window, from the quarter array F.
+
+        |y|^2 = y0^2 + y1^2 separates: with the multiplicities m = y_mult the
+        sum is (m y^2) @ F @ m + m @ F @ (m y^2), two products of F with a
+        vector, so no window of |y|^2 or of its product with F is built.
+        """
+        m = self.y_mult
+        my2 = m * self.y**2
+        return self.weight * float(my2 @ (F @ m) + (m @ F) @ my2)
 
     def zoom(self, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Kernel of the band G at the product points ys x ys, off the grid.
@@ -524,7 +610,13 @@ class CovarianceStack:
     # -- spectral grids --
 
     def grid(self, n: int) -> SpectralGrid:
-        """The decimated grid of scale n, holding the bands of scales 0..n.
+        """The decimated grid of scale n, holding the band of scale n.
+
+        Its band pass (SpectralGrid.band_pass) runs through the fine orders
+        of scales 0..n and also leaves the grid the Parseval sums of lam and
+        lam^2 times band n and each band k <= n (lam_sums, lam2_sums), the
+        only sums that pair scale n with finer scales.  Any other band on
+        it is evaluated lazily.
 
         It resolves scale n at its natural step, and its window spans the
         scale-n support plus a margin of two sites: windows of scales <= n
@@ -537,7 +629,7 @@ class CovarianceStack:
             step = natural_step(self.cutoffs, n * self.lattice.M)
             radius = -(-(self.support_radius(n) + 2) // step)
             g = SpectralGrid.decimated(self.cutoffs, self.lattice.m, step, _odd_fast_len(2 * radius + 3), radius)
-            g.fill(self.fine_scales(k) for k in range(n + 1))
+            g.band_pass(self.fine_scales(k) for k in range(n + 1))
             self._cache[key] = g
         return self._cache[key]
 
@@ -569,14 +661,6 @@ class CovarianceStack:
         if self.gamma_tables is None:
             raise DecompositionError("stack not materialized; use windows or diagonals")
         return self.gamma_tables[j]
-
-    def window(self, j: int, *, step=None, radius=None) -> Window:
-        """Gamma_j on a decimated window (band_window)."""
-        self._check_scale(j)
-        hs = self.fine_scales(j)
-        if step is None:
-            step = natural_step(self.cutoffs, hs[0])
-        return band_window(self.cutoffs, self.lattice.m, hs, step=step, radius=radius)
 
     def gamma0(self, j: int) -> float:
         """Gamma_j(0): the table entry, or the Parseval sum on the scale-j grid."""
@@ -868,6 +952,8 @@ def _malformed(path: str, lineno: int, fields: list[str], side: int) -> str:
             float.fromhex(v)
         except ValueError:
             return f"{msg}, value {k} is not a hex float"
+        except OverflowError:
+            return f"{msg}, value {k} overflows a float"
         if "0x" not in v:
             return f"{msg}, value {k} has no 0x prefix"
     return msg
@@ -909,7 +995,7 @@ def read_stack(path: str) -> CovarianceStack:
             normalized = bool(int(meta.get("tail_is_normalized", "0")))
             psd_tol = _header_tol(path, meta, "psd_tol", PSD_TOL)
             leakage_tol = _header_tol(path, meta, "leakage_tol", LEAKAGE_TOL)
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, OverflowError) as e:
             raise DecompositionError(f"{path}: bad or missing header entry {e}") from e
         side = lat.side
         tables = np.empty((R + 1, side, side))
@@ -922,7 +1008,7 @@ def read_stack(path: str) -> CovarianceStack:
                     raise ValueError
                 key = (int(fields[0]), int(fields[1]))
                 row = list(map(float.fromhex, fields[2:]))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise DecompositionError(_malformed(path, lineno, fields, side)) from None
             if not (0 <= key[0] <= R and 0 <= key[1] < side):
                 raise DecompositionError(f"{path}: line {lineno}: row (scale, x0) = {key} out of range")

@@ -6,7 +6,9 @@ instead: the unfold of a triangle array, the complex inverse FFT and the
 complex zoom of any full-grid array (differenced and shifted kernels
 included), the difference symbols, the grid mean as a Parseval sum, and
 the w-kernel tables of the second-order expansion, which no command
-reports.
+reports.  Beside them sit the full-triangle forms that the scale grids'
+row-block band pass replaced: the bands of scales 0..j on the scale-j
+grid, the Parseval sums of b_j and e3_j over them, and |y|^2 as a window.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ktrg.coefficients import ALPHA_SQ_KT, _check_scale
-from ktrg.decomposition import natural_step
+from ktrg.decomposition import Window, band_window, natural_step
 from ktrg.lattice import DIRS
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,67 @@ def differenced_kernel(stack, j: int, n: int, deriv: tuple[int, ...]) -> np.ndar
     src = g if fits and resolved else stack.grid(j)
     G = unfold(src, src.band(stack.fine_scales(j))) * diff_symbol(src, deriv)
     return ifft_window(src, G) if src is g else complex_zoom(src, G, full_y(g))
+
+
+# ---------------------------------------------------------------------------
+# the full-triangle sums of the scale grids
+
+
+def scale_bands(stack, j: int) -> list[np.ndarray]:
+    """Bands of scales 0..j on the scale-j grid, each summed over the whole triangle (not cached)."""
+    return list(stack.grid(j).bands(stack.fine_scales(n) for n in range(j + 1)))
+
+
+def e3_symbol(g) -> np.ndarray:
+    """sum over the forward axis pairs (a, b) of |e^{i p_a} - 1|^2 |e^{i p_b} - 1|^2 on the triangle.
+
+    Each pair's symbol is 2c_a 2c_b, so the four sum to (2c_0 + 2c_1)^2 =
+    lam^2 (2c = 4 sin^2(p/2) is the symbol's axis term, bit for bit).
+    """
+    return g.lam**2
+
+
+def pass_sums(stack, j: int, symbol) -> list[float]:
+    """g.parseval(symbol(g), psi_n, psi_j) for n = 0..j on the scale-j grid g: what its band pass sums."""
+    g = stack.grid(j)
+    psi = scale_bands(stack, j)
+    sym = symbol(g)
+    return [g.parseval(sym, band, psi[j]) for band in psi]
+
+
+def parseval_b(stack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> float:
+    """b_j from full-triangle Parseval sums."""
+    sums = pass_sums(stack, j, lambda g: g.lam)
+    L = float(stack.lattice.L)
+    total = sums[j]
+    for n in range(j):
+        fac = math.exp(-0.5 * alpha_sq * stack.prefix_diag(j - 1, n)) * L ** (2 * (j - n))
+        total += 2.0 * fac * sums[n]
+    return 0.5 * alpha_sq * total
+
+
+def parseval_e3(stack, j: int, symbol=e3_symbol) -> float:
+    """e3_j from full-triangle Parseval sums against symbol(g)."""
+    sums = pass_sums(stack, j, symbol)
+    e3 = sums[j]
+    for m in range(j):
+        e3 += 3.0 * sums[m]
+    return e3 * float(stack.lattice.L) ** (2 * j) / 4.0
+
+
+def y_sq(g) -> np.ndarray:
+    """Euclidean |y|^2 over the quarter window of grid g."""
+    y2 = g.y**2
+    return y2[:, None] + y2[None, :]
+
+
+def stack_window(stack, j: int, *, step=None, radius=None) -> Window:
+    """Gamma_j on a decimated window (band_window), at the natural step of its finest order by default."""
+    stack._check_scale(j)
+    hs = stack.fine_scales(j)
+    if step is None:
+        step = natural_step(stack.cutoffs, hs[0])
+    return band_window(stack.cutoffs, stack.lattice.m, hs, step=step, radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -221,5 +284,5 @@ def kernels(stack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WKernels:
     return WKernels(
         j=j, alpha_sq=alpha_sq, step=g.step, radius=g.radius,
         w_a=w_a, w_b=w_b, w_c=w_c, w_d=w_d, w_e=w_e,
-        y_sq=g.full_window(g.y_sq), alias_bound=g.alias_bound(stack.fine_scales(j - 1)),
+        y_sq=g.full_window(y_sq(g)), alias_bound=g.alias_bound(stack.fine_scales(j - 1)),
     )

@@ -16,7 +16,8 @@ from ktrg.coefficients import (
 )
 
 from spectral_oracles import (
-    complex_dd_at_zero, complex_e3_symbol, full_y, ifft_window, kernels, mean_parseval, unfold,
+    complex_dd_at_zero, complex_e3_symbol, e3_symbol, full_y, ifft_window, kernels, mean_parseval, parseval_b,
+    parseval_e3, scale_bands, unfold,
 )
 
 A2 = ALPHA_SQ_KT
@@ -463,8 +464,9 @@ def _square_dd_at_zero(stack, j):
 
 def test_l9_coefficients_match_the_folded_square_sums(stack_l9_massless, l9_report, monkeypatch):
     # the square sums w @ prod @ w the triangle sums replaced, on a stack
-    # with a fresh cache; measured: a moves by 5.6e-15, e4 by 3.1e-15, the
-    # others by <= 1.7e-15; e4 carries about 9 digits at j = 3
+    # with a fresh cache, b and e3 from the full-triangle bands; measured: a
+    # moves by 5.6e-15, e4 by 3.1e-15, the others by <= 1.7e-15; e4 carries
+    # about 9 digits at j = 3
     import ktrg.coefficients as coefficients
     from ktrg.decomposition import SpectralGrid
 
@@ -472,16 +474,26 @@ def test_l9_coefficients_match_the_folded_square_sums(stack_l9_massless, l9_repo
     monkeypatch.setattr(SpectralGrid, "parseval", _square_parseval)
     monkeypatch.setattr(coefficients, "_dd_at_zero", _square_dd_at_zero)
     ref = compute_coefficients(oracle, 3)
+    ref.b = [parseval_b(oracle, j) for j in ref.scales]
+    ref.e3 = [parseval_e3(oracle, j) for j in ref.scales]
     for name in ("a", "b", "e2", "e3", "vol"):
         assert getattr(l9_report, name) == pytest.approx(getattr(ref, name), rel=1e-13, abs=0.0), name
     assert l9_report.e4 == pytest.approx(ref.e4, rel=1e-9, abs=0.0)
 
 
+def _check_triangle_sum(g, value, *factors):
+    """value against math.fsum of the weighted full-triangle product and against the folded-square sum, at 2e-15."""
+    ref = math.fsum(g._weights * np.prod(factors, axis=0)) / (g.S**2 * g.weight)
+    assert abs(value - ref) <= 2e-15 * abs(ref), (g.S, len(factors))
+    assert value == pytest.approx(_square_parseval(g, *factors), rel=2e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("L, j_max", [(9, 3), (3, 5)])
 def test_triangle_parseval_sums_within_2e_15_of_fsum(stack_l9_massless, stack_l3_massless, monkeypatch, L, j_max):
-    # every Parseval sum of the coefficients (the b_j, e3_j and dd sums) and
-    # Gamma_j(0) on each scale grid, against math.fsum of the same weighted
-    # triangle product and against the folded-square sum
+    # every Parseval sum of the coefficients (the dd sums) and Gamma_j(0) on
+    # each scale grid, and every sum of its band pass (lam and lam^2 times
+    # psi_n psi_j, n <= j, of b_j and e3_j), against math.fsum of the same
+    # weighted full-triangle product and against the folded-square sum
     from ktrg.decomposition import SpectralGrid
 
     st = stack_l9_massless if L == 9 else stack_l3_massless
@@ -490,9 +502,7 @@ def test_triangle_parseval_sums_within_2e_15_of_fsum(stack_l9_massless, stack_l3
 
     def checked(g, *factors):
         value = exact(g, *factors)
-        ref = math.fsum(g._weights * np.prod(factors, axis=0)) / (g.S**2 * g.weight)
-        assert abs(value - ref) <= 2e-15 * abs(ref), (g.S, len(factors))
-        assert value == pytest.approx(_square_parseval(g, *factors), rel=2e-15, abs=0.0)
+        _check_triangle_sum(g, value, *factors)
         seen.append(g.S)
         return value
 
@@ -501,7 +511,18 @@ def test_triangle_parseval_sums_within_2e_15_of_fsum(stack_l9_massless, stack_l3
     for j in range(j_max + 1):
         g = st.grid(j)
         g.parseval(g.band(st.fine_scales(j)))
-    assert len(seen) >= 5 * j_max and max(seen) == st.grid(j_max).S
+    assert len(seen) >= 4 * j_max + 1 and max(seen) == st.grid(j_max).S
+    pass_sums = 0
+    for j in range(j_max + 1):
+        g = st.grid(j)
+        psi = scale_bands(st, j)
+        lam = g.lam
+        assert len(g.lam_sums) == len(g.lam2_sums) == j + 1
+        for n in range(j + 1):
+            _check_triangle_sum(g, g.lam_sums[n], lam, psi[n], psi[j])
+            _check_triangle_sum(g, g.lam2_sums[n], lam**2, psi[n], psi[j])
+            pass_sums += 2
+    assert pass_sums == (j_max + 1) * (j_max + 2)
 
 
 def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypatch):
@@ -522,8 +543,9 @@ def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypat
     monkeypatch.setattr(decomposition, "_fold", lambda p: (p, np.ones(len(p))))
     monkeypatch.setattr(decomposition.SpectralGrid, "parseval", mean_parseval)
     monkeypatch.setattr(coefficients, "_dd_at_zero", complex_dd_at_zero)
-    monkeypatch.setattr(coefficients, "_e3_symbol", complex_e3_symbol)
     full = compute_coefficients(oracle, 5)
+    full.b = [parseval_b(oracle, j) for j in full.scales]
+    full.e3 = [parseval_e3(oracle, j, complex_e3_symbol) for j in full.scales]
     assert len(oracle.grid(5).w) == oracle.grid(5).S
     a, e4 = np.array([_full_window_a_e4(oracle, j, ifft_window) for j in folded.scales]).T
     for name in ("b", "e2", "e3", "vol"):
@@ -557,14 +579,12 @@ def l9_report(stack_l9_massless):
 
 def _cos_symbol_report(monkeypatch, L, R, j_max):
     """Coefficients with the cos-form symbol on the uncentered torus axis."""
-    import ktrg.coefficients as coefficients
     import ktrg.decomposition as decomposition
     from ktrg.lattice import TorusLattice
 
     with monkeypatch.context() as mp:
         mp.setattr(decomposition, "laplacian_symbol", _cos_symbol)
         mp.setattr(TorusLattice, "momenta", _uncentered_momenta)
-        mp.setattr(coefficients, "_e3_symbol", _gap_e3_symbol)
         return compute_coefficients(decomposition.decompose(TorusLattice(L=L, R=R)), j_max)
 
 
@@ -625,6 +645,33 @@ def test_quarter_sums_match_full_window_oracle_l9(l9_report, stack_l9_massless):
         assert l9_report.e4[i] == pytest.approx(e4, rel=1e-13, abs=0.0), j
 
 
+def test_a_moments_within_1e_15_of_a_longdouble_sum(l9_report, stack_l9_massless):
+    # coeff_a's factor windows summed against |y|^2 in long double; measured:
+    # the separable sums are off by <= 3.1e-16 at j <= 3, the y_sq product
+    # sums they replaced by 1.4e-15 at j = 3
+    from ktrg.coefficients import _origin_bracket, _w_b_term
+
+    st = stack_l9_massless
+    ld = np.longdouble
+    L = float(st.lattice.L)
+    for i, j in enumerate(l9_report.scales):
+        ref = ld(0.0)
+        for n in range(j + 1):
+            g = st.grid(n)
+            if n < j:
+                F = _w_b_term(st, j, n, A2).astype(ld)
+                F *= _origin_bracket(st, j, n, A2)
+            else:
+                F = (np.expm1(A2 * st.kernel(j, j)) * math.exp(-A2 * st.gamma0(j)) * L ** (-4 * j)).astype(ld)
+            y2 = g.y.astype(ld) ** 2
+            F *= y2[:, None] + y2[None, :]
+            F *= g.y_mult[:, None]
+            F *= g.y_mult[None, :]
+            ref += g.weight * np.sum(F)
+        ref *= 0.5 * A2
+        assert abs(l9_report.a[i] - ref) <= 1e-15 * abs(ref), j
+
+
 def test_taylor_cross_coefficient_is_exactly_zero(stack_l3_massless, stack_l9_massless):
     # the folded e4 drops the y0 y1 term of the Taylor subtraction, which is
     # odd in each coordinate; its coefficient is exactly 0 to begin with
@@ -658,11 +705,10 @@ def test_alias_bound_column(l9_report, stack_l9_massless, tmp_path):
 
 
 def test_e3_symbol_is_lam_squared_bit_for_bit(stack_l9_massless):
-    from ktrg.coefficients import _e3_symbol
-
+    # the band pass sums e3_j against lam^2: the forward-pair symbol, bit for bit
     for j in (1, 2, 3):
         g = stack_l9_massless.grid(j)
-        assert np.array_equal(_e3_symbol(g), _gap_e3_symbol(g))
+        assert np.array_equal(e3_symbol(g), _gap_e3_symbol(g))
 
 
 @pytest.mark.parametrize("j_max", [0, 3])

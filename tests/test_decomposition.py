@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import filecmp
 import gc
@@ -15,7 +16,7 @@ from scipy import fft as sfft
 from ktrg import decomposition
 from ktrg.coefficients import compute_coefficients
 from ktrg.lattice import TorusLattice, laplacian_symbol, normalized_potential_table, yukawa_table
-from ktrg.cutoffs import build_cutoffs
+from ktrg.cutoffs import FejerPass, build_cutoffs
 from ktrg.decomposition import (
     decompose,
     write_stack,
@@ -28,7 +29,8 @@ from ktrg.decomposition import (
 
 from conftest import one_minus_factor_over_u
 from spectral_oracles import (
-    complex_dd_at_zero, complex_e3_symbol, fold_index, ifft_kernel, ifft_window, kernels, mean_parseval, unfold,
+    complex_dd_at_zero, complex_e3_symbol, e3_symbol, fold_index, ifft_kernel, ifft_window, mean_parseval,
+    stack_window, unfold,
 )
 
 
@@ -216,7 +218,7 @@ def test_window_matches_table(stack_l3_r5):
     st = stack_l3_r5
     side = st.lattice.side
     t = st.gamma_table(3)
-    w = st.window(3, step=1)
+    w = stack_window(st, 3, step=1)
     for z0 in (-5, 0, 7):
         for z1 in (-3, 0, 11):
             assert w.at(z0, z1) == pytest.approx(t[z0 % side, z1 % side], abs=1e-13)
@@ -228,7 +230,7 @@ def test_window_decimated_and_shifted(stack_l3_r5):
     st = stack_l3_r5
     side = st.lattice.side
     t = st.gamma_table(4)
-    w = st.window(4, step=3)
+    w = stack_window(st, 4, step=3)
     assert 0.0 < w.alias_bound < 1e-3
     for z0 in (-20, 0, 13):
         for z1 in (-7, 0, 20):
@@ -242,7 +244,7 @@ def test_window_natural_step_tight(stack_l3_r5):
     st = stack_l3_r5
     side = st.lattice.side
     t = st.gamma_table(4)
-    w = st.window(4)  # natural step for h = 4 at L = 3 is 1: exact
+    w = stack_window(st, 4)  # natural step for h = 4 at L = 3 is 1: exact
     assert w.alias_bound == 0.0
     assert w.at(7, -2) == pytest.approx(t[7 % side, -2 % side], abs=1e-13)
 
@@ -416,6 +418,26 @@ def test_read_stack_rejects_bad_value(tmp_path, stack_l3_massive):
 
     path = _damaged_copy(tmp_path, stack_l3_massive, edit)
     _rejected(path, r"line 6: malformed row \(scale, x0\) = \(0, 0\), 29 fields, value 2 is not a hex float")
+
+
+def test_read_stack_rejects_value_beyond_the_float_range(tmp_path, stack_l3_massive):
+    # float.fromhex raises OverflowError, not ValueError, on an exponent past
+    # the largest double; row (1, 4) is data line 32, file line 37
+    def edit(rows):
+        fields = rows[31].split(",")
+        fields[5] = "0x1.0000000000000p+1024"
+        return rows[:31] + [",".join(fields)] + rows[32:]
+
+    path = _damaged_copy(tmp_path, stack_l3_massive, edit)
+    _rejected(path, r"line 37: malformed row \(scale, x0\) = \(1, 4\), 29 fields, value 3 overflows a float")
+
+
+def test_read_stack_rejects_header_mass_beyond_the_float_range(tmp_path, stack_l3_massive):
+    path = _damaged_copy(tmp_path, stack_l3_massive, lambda rows: rows)
+    text = open(path).read().replace(f"m={stack_l3_massive.lattice.m.hex()}", "m=0x1.0p+1024")
+    with open(path, "w") as f:
+        f.write(text)
+    _rejected(path, "bad or missing header entry")
 
 
 @pytest.mark.parametrize("value", ["0.5", "-1.8p-3", "nan"])
@@ -592,17 +614,48 @@ def test_decompose_evaluates_each_band_once(monkeypatch):
     assert len(calls) == 4
 
 
+def _count_fine_orders(monkeypatch) -> collections.Counter:
+    """Points at which each grid's band passes (band_pass and band) evaluate each fine order."""
+    counts = collections.Counter()
+    grids = []
+    band = FejerPass.band
+
+    def counted(run):
+        counts[(grids[-1], run.h)] += run.u.size
+        return band(run)
+
+    def on_grid(name):
+        method = getattr(SpectralGrid, name)
+
+        def run(self, *args):
+            grids.append(self)
+            try:
+                return method(self, *args)
+            finally:
+                grids.pop()
+
+        monkeypatch.setattr(SpectralGrid, name, run)
+
+    monkeypatch.setattr(FejerPass, "band", counted)
+    on_grid("band_pass")
+    on_grid("_band_sum")
+    return counts
+
+
 def test_coefficients_evaluate_each_band_once_per_grid(monkeypatch):
-    calls = _count_band_evaluations(monkeypatch)
+    # the scale-n grid evaluates every fine order of scales 0..n once at
+    # each triangle point, in its row-block pass, and caches the band of
+    # scale n only
+    counts = _count_fine_orders(monkeypatch)
     st = decompose(TorusLattice(L=9, R=4))
     compute_coefficients(st, 2)
-    kernels(st, 2)
-    keys = [(id(g), hs) for g, hs in calls]
-    assert len(keys) == len(set(keys))
-    # the scale-n grid holds the bands of scales 0..n, each evaluated once
-    scale_grids = [st.grid(n) for n in range(3)]
-    for n, g in enumerate(scale_grids):
-        assert sorted(hs for h, hs in calls if h is g) == [tuple(st.fine_scales(k)) for k in range(n + 1)]
+    for n in range(3):
+        g = st.grid(n)
+        k = len(g.p_fold)
+        assert {h: c for (grid, h), c in counts.items() if grid is g} == {
+            h: k * (k + 1) // 2 for h in range((n + 1) * st.lattice.M)
+        }
+        assert list(g._bands) == [tuple(st.fine_scales(n))]
 
 
 def test_psd_probe_grid_does_not_outlive_decompose(monkeypatch):
@@ -685,12 +738,77 @@ def test_window_and_zoom_refuse_anything_but_a_real_triangle(method):
 
 
 def test_filled_grids_cache_one_triangle_per_band(stack_l9_massless):
-    st = stack_l9_massless
+    # a fresh cache: the test oracles ask the shared stack's grids for
+    # lower bands, which band then caches lazily
+    st = dataclasses.replace(stack_l9_massless, _cache={})
     for n in range(4):
         g = st.grid(n)
         k = len(g.p_fold)
-        assert sorted(g._bands) == [tuple(st.fine_scales(m)) for m in range(n + 1)]
-        assert all(b.shape == (k * (k + 1) // 2,) for b in g._bands.values())
+        assert list(g._bands) == [tuple(st.fine_scales(n))]
+        assert g._bands[tuple(st.fine_scales(n))].shape == (k * (k + 1) // 2,)
+
+
+def test_row_blocks_cover_the_triangle_in_order():
+    for n, size in ((1, 1), (7, 1), (50, 12), (50, 10**9), (122, 777)):
+        blocks = list(decomposition._row_blocks(n, size))
+        assert [i for rows in blocks for i in rows] == list(range(n))
+        for rows in blocks:
+            points = decomposition._tri(rows.stop) - decomposition._tri(rows.start)
+            assert points <= size or len(rows) == 1
+
+
+@pytest.mark.parametrize("block", [1, 777, 10**9])
+def test_band_pass_blocks_bit_identical_to_the_full_triangle(monkeypatch, block):
+    # blocks of one row, of an odd size and one block past the whole
+    # triangle: the cached band is the full-triangle pass's bit for bit, and
+    # each pair sum is its Parseval sum up to the order of summation
+    cut = build_cutoffs(3, 2, 6)
+    groups = [[0, 1], [2, 3], [4, 5]]
+    full = SpectralGrid.decimated(cut, 0.0, 3, 243, 10)
+    psi = [full.band(hs) for hs in groups]
+    lam = full.lam
+    monkeypatch.setattr(decomposition, "BAND_BLOCK", block)
+    g = SpectralGrid.decimated(cut, 0.0, 3, 243, 10)
+    g.band_pass(groups)
+    assert list(g._bands) == [(4, 5)]
+    assert np.array_equal(g.band([4, 5]), psi[2])
+    assert np.array_equal(psi[2], cut.band_sum(g.u, g.b, [4, 5]))
+    for k in range(3):
+        assert g.lam_sums[k] == pytest.approx(full.parseval(lam, psi[k], psi[2]), rel=2e-15, abs=0.0)
+        assert g.lam2_sums[k] == pytest.approx(full.parseval(lam**2, psi[k], psi[2]), rel=2e-15, abs=0.0)
+
+
+def test_grid_peak_memory_within_four_triangles(stack_l9_massless):
+    # the band pass holds the scale-3 band and one block of rows at a time
+    # (tracemalloc: 14.8 MB, where caching every band of scales 0..3 peaked
+    # at 57.5 MB)
+    st = dataclasses.replace(stack_l9_massless, _cache={})
+    tracemalloc.start()
+    try:
+        g = st.grid(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = len(g.p_fold)
+    assert k > 1000
+    assert peak <= 4 * 8 * k * (k + 1) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_window_moment_matches_the_y_sq_product(radius, step, seed):
+    # |y|^2 = y0^2 + y1^2 separates; against the window of |y|^2 times F,
+    # summed by window_sum, within a few ulps of the sum of |terms| (at most
+    # 3.0 ulps over 20000 random arrays)
+    from spectral_oracles import y_sq
+
+    g = SpectralGrid.decimated(build_cutoffs(3, 1, 4), 0.0, step, 2 * radius + 3, radius)
+    rng = np.random.default_rng(seed)
+    n = radius + 1
+    F = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 6, (n, n))
+    Y = y_sq(g)
+    size = g.window_sum(Y, np.abs(F))
+    assert abs(g.window_moment(F) - g.window_sum(Y, F)) <= 6 * np.finfo(float).eps * size
 
 
 def test_window_peak_memory_within_four_windows(stack_l9_massless):
@@ -803,7 +921,7 @@ def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
     # the real closed forms on the folded grid against the parent's complex
     # difference-symbol products and a longdouble evaluation, at the scale
     # where 1 - cos p loses digits near p = 0
-    from ktrg.coefficients import _dd_at_zero, _e3_symbol
+    from ktrg.coefficients import _dd_at_zero
 
     st = stack_l9_massless
     j = 3
@@ -837,7 +955,7 @@ def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
     q = g.p_fold.astype(ld)
     cq = 2 * np.sin(q / 2) ** 2
     e3_ref = (2 * cq[:, None] + 2 * cq[None, :]) ** 2
-    e3 = _e3_symbol(g)
+    e3 = e3_symbol(g)
     assert e3[0] == 0.0
     e3_ref = e3_ref[g._lower]
     nz = e3_ref > 0
