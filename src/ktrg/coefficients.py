@@ -164,7 +164,7 @@ def _dd_at_zero(stack: CovarianceStack, j: int) -> np.ndarray:
     fill the tensor.
     """
     g = stack.grid(j)
-    G = g.band(stack.fine_scales(j))
+    G = g.psi
     c = _cos_gaps(g)
     same = g.parseval(G, g.outer(np.add, -np.cos(g.p_fold) * c))  # f = -2 cos(p) c
     opposite = g.parseval(G, g.outer(np.add, c))  # f = 2c

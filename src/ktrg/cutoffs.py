@@ -22,7 +22,8 @@ finite range is exact, not a leakage tolerance.
 Every evaluation of the bands and residuals is one FejerPass over the points
 u: theta/2, sin(theta/2) and u/b are computed once, and each Fejer order
 costs one sine, shared by the residual factor s_h and the band term
-(1 - s_h)/u.
+(1 - s_h)/u.  FejerPass.band_sum is the one loop that sums the bands of a
+fine-scale list.
 
 The h -> infinity limit of r_h at momentum scale gamma^h is the radial
 profile  u_inf(q) = prod_{l>=1} sinc^2(gamma^-l q / sqrt(8))  used by the
@@ -115,15 +116,7 @@ class CutoffFamily:
 
     def band_sum(self, u: np.ndarray, b: float, h_list) -> np.ndarray:
         """Sum of the bands of distinct fine scales, sharing the residual products."""
-        hs = sorted(h_list)
-        if len(set(hs)) < len(hs):
-            raise ValueError(f"band_sum needs distinct fine scales, got {hs}")
-        run = FejerPass(self.kappas, u, b)
-        out = np.zeros_like(run.u)
-        for h in hs:
-            run.advance(h)
-            out += run.band()
-        return out.reshape(np.shape(u))
+        return FejerPass(self.kappas, u, b).band_sum(h_list).reshape(np.shape(u))
 
     def band_degree(self, h: int) -> int:
         """Polynomial degree of psi_h in u = its exact kernel range in |x|_1.
@@ -273,6 +266,22 @@ class FejerPass:
         while self.h < h:
             self._step(*_fejer_sine(self.half, self.kappas[self.h]))
         return self.r
+
+    def band_sum(self, hs) -> np.ndarray:
+        """sum_{h in hs} psi_h, as a new array; the pass then stands past max(hs).
+
+        The fine scales are taken in increasing order and must be distinct
+        and at or past the current order: a pass only steps forward, so a
+        scale behind it raises ValueError instead of yielding a band at the
+        wrong order.
+        """
+        out = np.zeros_like(self.u)
+        for h in sorted(hs):
+            if h < self.h:
+                raise ValueError(f"band_sum needs distinct fine scales at or past the pass's order {self.h}, got h={h}")
+            self.advance(h)
+            out += self.band()
+        return out
 
 
 def build_cutoffs(gamma: int, M: int, horizon: int) -> CutoffFamily:

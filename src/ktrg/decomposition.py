@@ -12,19 +12,23 @@ which the budget guarantees for every h < M*R.
 
 Every spectral evaluation goes through one SpectralGrid: a product momentum
 grid (the torus momenta, or a decimated grid p = 2 pi fftfreq(S) / step
-whose inverse FFT gives kernel values at y = step*z).  A grid
-evaluates the bands in one pass over the residual products r_h and caches
-them; it also owns the only probe of the dropped Brillouin-zone aliases,
-window extraction, evaluation off the grid and Parseval sums.  The stack
-keeps one decimated grid per scale (CovarianceStack.grid), on which the
-coefficient sums of coefficients.py are evaluated.  The scale-n grid is
-filled by a band pass over blocks of triangle rows (SpectralGrid.band_pass):
-each block runs through the fine orders of scales 0..n, and the grid keeps
-the band of scale n only, with the Parseval sums of lam and lam^2 times it
-and each lower band, which b_n and e3_n read.  Decimation keeps only
-the central copy of the folded fine zone; the dropped aliases are bounded
-at runtime and the bound is reported with each window (the bands decay fast
-enough that 243 samples per scale keep the bound near 1e-11).
+whose inverse FFT gives kernel values at y = step*z).  A grid evaluates
+bands only by a FejerPass over its triangle points, which steps forward
+through the residual products r_h: each consumer sums its fine-scale lists
+in increasing order on one pass (FejerPass.band_sum).  decompose, the PSD
+probe, the alias ring and band_window each run one pass over the whole
+triangle.  A grid also owns the only probe of the dropped Brillouin-zone
+aliases, window extraction, evaluation off the grid and Parseval sums.  The
+stack keeps one decimated grid per scale (CovarianceStack.grid), on which
+the coefficient sums of coefficients.py are evaluated.  The scale-n grid is
+filled by a band pass over blocks of triangle rows (SpectralGrid.band_pass),
+one FejerPass per block through the fine orders of scales 0..n; the grid
+keeps the band of scale n only, as psi, with the Parseval sums of lam and
+lam^2 times it and each lower band, which b_n and e3_n read.  Decimation
+keeps only the central copy of the folded fine zone; the dropped aliases
+are bounded at runtime and the bound is reported with each window (the
+bands decay fast enough that 243 samples per scale keep the bound near
+1e-11).
 
 Bands depend on p only through lam(p) = 4 sin^2(p0/2) + 4 sin^2(p1/2), so
 they are even in each momentum component and symmetric under p0 <-> p1, and
@@ -202,12 +206,13 @@ class SpectralGrid:
     p holds fine-lattice momenta.  A decimated grid (step > 1) samples the
     central Brillouin zone of step*Z^2, so the inverse FFT of a spectral
     array gives step^2 times its kernel at y = step*z; windows cover the
-    quarter 0 <= z0, z1 <= radius.  Bands
-    are summed over fine-scale lists in one pass over the residual products
-    r_h, which restarts only when a fine scale at or below one already
-    evaluated is asked for, and each list's band is cached.
+    quarter 0 <= z0, z1 <= radius.  Bands are evaluated by a FejerPass over
+    triangle points (fejer_pass), which steps forward through the fine
+    orders only: each consumer sums its fine-scale lists, in increasing
+    order, on one pass (FejerPass.band_sum).  A grid keeps one band, psi,
+    the one its band_pass leaves.
 
-    Bands, residuals, lam and u are triangle arrays: the values on the
+    Bands, residuals and lam are triangle arrays: the values on the
     triangle k <= i of the folded grid over the axis p_fold, rows packed
     (row i holds columns 0..i), n(n+1)/2 of them (see the module
     docstring).  _mirror builds the folded square of one, with weights w
@@ -226,9 +231,8 @@ class SpectralGrid:
         self.step = step
         self.radius = radius
         self.weight = float(step) ** 2
-        self._bands: dict[tuple[int, ...], np.ndarray] = {}
-        self._pass = None
-        self.lam_sums: list[float] | None = None  # set by band_pass
+        self.psi: np.ndarray | None = None  # set by band_pass
+        self.lam_sums: list[float] | None = None
         self.lam2_sums: list[float] | None = None
 
     @classmethod
@@ -254,22 +258,20 @@ class SpectralGrid:
         return out
 
     def _lam(self, rows: range | None = None) -> np.ndarray:
-        return self.outer(np.add, laplacian_symbol(self.p_fold, 0.0), rows)  # sin(0) adds an exact 0
-
-    @property
-    def lam(self) -> np.ndarray:
-        """Laplacian symbol on the triangle (built on each access).
+        """Laplacian symbol on the triangle rows in rows (default all), a new array.
 
         The two axis terms a[i] + a[k], added in the same order as in
         laplacian_symbol itself, so these are its values on the folded grid
         bit for bit.
         """
-        return self._lam()
+        return self.outer(np.add, laplacian_symbol(self.p_fold, 0.0), rows)  # sin(0) adds an exact 0
 
-    @property
-    def u(self) -> np.ndarray:
-        """m^2 + lam on the triangle (built on each access)."""
-        return self.m * self.m + self.lam
+    def fejer_pass(self, lam: np.ndarray | None = None) -> FejerPass:
+        """A FejerPass at order 0 over u = m^2 + lam, lam the Laplacian symbol
+        on some triangle rows (_lam; default the whole triangle)."""
+        if lam is None:
+            lam = self._lam()
+        return FejerPass(self.cutoffs.kappas, self.m * self.m + lam, self.b)
 
     @property
     def y(self) -> np.ndarray:
@@ -300,7 +302,7 @@ class SpectralGrid:
         """The folded square of the triangle array t, a new array.
 
         Only the consumers that transform a band build it, and drop it
-        after the call: window, zoom and the alias ring.
+        after the call: window, zoom, the alias ring and decompose's tables.
         """
         n = len(self.p_fold)
         out = np.empty((n, n))
@@ -308,64 +310,34 @@ class SpectralGrid:
         out.T[self._lower] = t
         return out
 
-    def _advance(self, h: int) -> FejerPass:
-        """The band pass on the triangle, stepped on to order h; it restarts when h lies behind it."""
-        if self._pass is None or h < self._pass.h:
-            self._pass = FejerPass(self.cutoffs.kappas, self.u, self.b)
-        self._pass.advance(h)
-        return self._pass
-
-    def residual(self, h: int) -> np.ndarray:
-        """r_h on the triangle, continuing the pass of the bands."""
-        return self._advance(h).r.copy()
-
-    def _band_sum(self, hs: tuple[int, ...]) -> np.ndarray:
-        out = np.zeros(_tri(len(self.p_fold)))
-        for h in hs:
-            out += self._advance(h).band()
-        return out
-
-    def band(self, hs) -> np.ndarray:
-        """sum_{h in hs} psi_h on the triangle, cached per fine-scale list."""
-        hs = tuple(sorted(hs))
-        if hs not in self._bands:
-            self._bands[hs] = self._band_sum(hs)
-        return self._bands[hs]
-
     def band_pass(self, groups):
-        """Cache the band of the last fine-scale list, and its Parseval sums against the others.
+        """Keep the band of the last fine-scale list as psi, with its Parseval sums against the others.
 
         groups are fine-scale lists in increasing order.  One pass runs over
         blocks of consecutive triangle rows, at most BAND_BLOCK points each
         (a row that alone holds more is a block): per block, lam and the
         weights come from outer on the block's rows, a FejerPass over its
-        points evaluates each fine order once, and the bands of every list
-        live only while the block does.  The block's piece of the last
-        band psi goes into the cache, and the pairwise np.sum of
-        W lam psi_k psi and of W lam^2 psi_k psi for each list k into two
-        tables of block partials; math.fsum combines them into
+        points sums each list's band (FejerPass.band_sum, each fine order
+        once), and the bands of every list live only while the block does.
+        The block's piece of the last band goes into psi, and the pairwise
+        np.sum of W lam psi_k psi and of W lam^2 psi_k psi for each list k
+        into two tables of block partials; math.fsum combines them into
 
             lam_sums[k] = parseval(lam, psi_k, psi),
             lam2_sums[k] = parseval(lam^2, psi_k, psi)
 
-        up to the summation order.  The pass is elementwise, so the cached
-        band is bit-identical to band(groups[-1]).  Any other band is left
-        to band, which evaluates it lazily.
+        up to the summation order.  The pass is elementwise, so psi is
+        bit-identical to fejer_pass().band_sum(groups[-1]) on the whole
+        triangle.
         """
-        groups = [tuple(sorted(hs)) for hs in groups]
+        groups = list(groups)
         n = len(self.p_fold)
         psi = np.empty(_tri(n))
         lam_parts, lam2_parts = [[] for _ in groups], [[] for _ in groups]
         for rows in _row_blocks(n, BAND_BLOCK):
             lam = self._lam(rows)
-            run = FejerPass(self.cutoffs.kappas, self.m * self.m + lam, self.b)
-            bands = []
-            for hs in groups:
-                band = np.zeros(len(lam))
-                for h in hs:
-                    run.advance(h)
-                    band += run.band()
-                bands.append(band)
+            run = self.fejer_pass(lam)
+            bands = [run.band_sum(hs) for hs in groups]
             last = bands[-1]
             psi[_tri(rows.start) : _tri(rows.stop)] = last
             W = self._pair_weights(rows)
@@ -381,12 +353,7 @@ class SpectralGrid:
         norm = self.S**2 * self.weight
         self.lam_sums = [math.fsum(parts) / norm for parts in lam_parts]
         self.lam2_sums = [math.fsum(parts) / norm for parts in lam2_parts]
-        self._bands[groups[-1]] = psi
-
-    def bands(self, groups):
-        """Yield the triangle band of each fine-scale list in turn, without caching."""
-        for hs in groups:
-            yield self._band_sum(tuple(sorted(hs)))
+        self.psi = psi
 
     # -- symbols and sums --
 
@@ -439,11 +406,11 @@ class SpectralGrid:
             prod = prod * f
         return float(np.sum(prod)) / (self.S**2 * self.weight)
 
-    def alias_bound(self, hs, symbol=None) -> float:
+    def alias_bound(self, hs) -> float:
         """Bound on the dropped Brillouin-zone aliases of band hs (0 at step 1).
 
-        max |symbol * band| over the eight first-ring alias cells of the
-        decimated zone, probed on ALIAS_PROBE_POINTS^2 points per cell; the
+        max |band| over the eight first-ring alias cells of the decimated
+        zone, probed on ALIAS_PROBE_POINTS^2 points per cell; the
         nested-Fejer tails decay faster than geometrically from there, so
         twice the first ring bounds the full dropped sum.
         """
@@ -451,9 +418,7 @@ class SpectralGrid:
             return 0.0
         probe = np.linspace(-np.pi, np.pi, ALIAS_PROBE_POINTS)
         ring = SpectralGrid(self.cutoffs, self.m, np.concatenate([(probe + 2.0 * np.pi * a) / self.step for a in (-1, 0, 1)]))
-        vals = np.abs(ring._mirror(ring.band(hs)))
-        if symbol is not None:
-            vals *= np.abs(symbol(ring.p0, ring.p1))
+        vals = np.abs(ring._mirror(ring.fejer_pass().band_sum(hs)))
         n = ALIAS_PROBE_POINTS
         vals[n : 2 * n, n : 2 * n] = 0.0  # the kept central cell
         return 2.0 * 8.0 * float(vals.max()) / self.weight
@@ -558,12 +523,11 @@ def band_window(
     synthesis is exact for step == 1; for step > 1 the central alias of the
     folded zone is kept and the remainder is bounded (Window.alias_bound).
     """
-    h_list = sorted(h_list)
     supp = -(-max(cutoffs.band_degree(h) for h in h_list) // step)
     if radius is None:
         radius = supp
     grid = SpectralGrid.decimated(cutoffs, m, step, _odd_fast_len(2 * max(radius, supp) + 1), radius)
-    return Window(values=grid.full_window(grid.window(grid.band(h_list))), step=step, radius=radius,
+    return Window(values=grid.full_window(grid.window(grid.fejer_pass().band_sum(h_list))), step=step, radius=radius,
                   alias_bound=grid.alias_bound(h_list))
 
 
@@ -610,13 +574,13 @@ class CovarianceStack:
     # -- spectral grids --
 
     def grid(self, n: int) -> SpectralGrid:
-        """The decimated grid of scale n, holding the band of scale n.
+        """The decimated grid of scale n, holding the band of scale n as psi.
 
         Its band pass (SpectralGrid.band_pass) runs through the fine orders
         of scales 0..n and also leaves the grid the Parseval sums of lam and
         lam^2 times band n and each band k <= n (lam_sums, lam2_sums), the
-        only sums that pair scale n with finer scales.  Any other band on
-        it is evaluated lazily.
+        only sums that pair scale n with finer scales.  The grid holds no
+        other band.
 
         It resolves scale n at its natural step, and its window spans the
         scale-n support plus a margin of two sites: windows of scales <= n
@@ -634,24 +598,23 @@ class CovarianceStack:
         return self._cache[key]
 
     def kernel(self, j: int, n: int) -> np.ndarray:
-        """Gamma_j(y) at the window points y of the scale-n grid.
+        """Gamma_j(y) at the window points y of the scale-n grid, j >= n.
 
         Gamma_j is even in each coordinate and comes back on the quarter
-        window 0 <= z0, z1 <= radius (the grid's y).  It is read off the
-        scale-n grid's FFT only when that grid both holds the support of
-        Gamma_j and samples at least as finely as Gamma_j's own grid; the
-        local FFT would otherwise position-alias a wide kernel or
-        momentum-alias a fine one, so Gamma_j is zoom-evaluated on its own
-        grid instead.  Cached on the stack.
+        window 0 <= z0, z1 <= radius (the grid's y).  Gamma_n is the window
+        of the scale-n grid's band; a wider Gamma_j, j > n, would
+        position-alias in that grid's FFT, so it is zoom-evaluated on its
+        own grid at the scale-n positions.  A finer Gamma_j, j < n, raises:
+        its grid's period is shorter than the scale-n window, so a zoom
+        would alias.  Cached on the stack.
         """
+        if j < n:
+            raise ValueError(f"kernel of scale {j} on the coarser scale-{n} grid: only j >= n is served")
         key = ("kernel", j, n)
         if key not in self._cache:
             g = self.grid(n)
-            fits = self.support_radius(j) + 2 <= g.radius * g.step
-            resolved = g.step <= natural_step(self.cutoffs, j * self.lattice.M)
-            src = g if fits and resolved else self.grid(j)
-            G = src.band(self.fine_scales(j))
-            self._cache[key] = src.window(G) if src is g else src.zoom(G, g.y)
+            src = self.grid(j)
+            self._cache[key] = g.window(g.psi) if j == n else src.zoom(src.psi, g.y)
         return self._cache[key]
 
     # -- values --
@@ -670,7 +633,7 @@ class CovarianceStack:
         key = ("g0", j)
         if key not in self._cache:
             g = self.grid(j)
-            self._cache[key] = g.parseval(g.band(self.fine_scales(j)))
+            self._cache[key] = g.parseval(g.psi)
         return self._cache[key]
 
     def prefix_diag(self, j_hi: int, j_lo: int) -> float:
@@ -685,19 +648,18 @@ class CovarianceStack:
         """Min Fourier mode of each Gamma_j over the torus momenta.
 
         decompose records these from the bands it builds the tables from.
-        Otherwise the bands are evaluated here on a throwaway grid: the
-        torus momenta, or for tori above PROBE_SIDE the folded probe grid
-        2 pi fftfreq(PROBE_SIDE) (the bands are nonnegative by construction;
-        this is a numerical confirmation, not the proof).
+        Otherwise the bands are evaluated here by one pass on a throwaway
+        grid: the torus momenta, or for tori above PROBE_SIDE the folded
+        probe grid 2 pi fftfreq(PROBE_SIDE) (the bands are nonnegative by
+        construction; this is a numerical confirmation, not the proof).
         """
         if "psd" not in self._cache:
             if self.lattice.side <= PROBE_SIDE:
                 k = self.lattice.momenta()
             else:
                 k = 2.0 * np.pi * np.fft.fftfreq(PROBE_SIDE)
-            grid = SpectralGrid(self.cutoffs, self.lattice.m, k)
-            groups = [self.fine_scales(j) for j in range(self.n_scales)]
-            self._cache["psd"] = [float(G.min()) for G in grid.bands(groups)]
+            run = SpectralGrid(self.cutoffs, self.lattice.m, k).fejer_pass()
+            self._cache["psd"] = [float(run.band_sum(self.fine_scales(j)).min()) for j in range(self.n_scales)]
         return list(self._cache["psd"])
 
     def telescoping_error(self) -> float:
@@ -770,7 +732,9 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None) -> Cov
 
     The tables, the PSD margins and the tail come from one pass over the
     bands on the torus momenta, folded like any other grid (the side L^R is
-    odd); each table is the real synthesis of its folded array
+    odd): each band's table and margin are taken before the next band is
+    evaluated, and the pass then steps on to the residual r_horizon of the
+    tail.  Each table is the real synthesis of its folded array
     (lattice.folded_table).  Only a side up to MATERIALIZE_CAP gets tables;
     a larger torus is served by the per-scale grids alone.
     """
@@ -794,20 +758,21 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None) -> Cov
             return folded_table(grid._mirror(G)[q, q])
 
         tables, margins = [], []
-        groups = [range(j * lattice.M, (j + 1) * lattice.M) for j in range(lattice.R)]
-        for vals in grid.bands(groups):
+        run = grid.fejer_pass()
+        for j in range(lattice.R):
+            vals = run.band_sum(range(j * lattice.M, (j + 1) * lattice.M))
             tables.append(table(vals))
             margins.append(float(vals.min()))
-        r = grid.residual(cutoffs.horizon)
+        r = run.advance(cutoffs.horizon)
         if normalized:
-            lam = grid.lam
+            lam = grid._lam()
             dens = np.zeros_like(lam)
             mask = lam > 0
             dens[mask] = r[mask] / lam[mask]
             tail = table(dens)
             tail -= tail[0, 0]
         else:
-            tail = table(r / grid.u)
+            tail = table(r / run.u)
 
     stack = CovarianceStack(
         lattice=lattice,

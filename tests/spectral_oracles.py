@@ -6,9 +6,11 @@ instead: the unfold of a triangle array, the complex inverse FFT and the
 complex zoom of any full-grid array (differenced and shifted kernels
 included), the difference symbols, the grid mean as a Parseval sum, and
 the w-kernel tables of the second-order expansion, which no command
-reports.  Beside them sit the full-triangle forms that the scale grids'
-row-block band pass replaced: the bands of scales 0..j on the scale-j
-grid, the Parseval sums of b_j and e3_j over them, and |y|^2 as a window.
+reports, with the windows of finer kernels on coarser grids that the
+stack does not serve.  Beside them sit the full-triangle forms that the
+scale grids' row-block band pass replaced: the bands of scales 0..j on the
+scale-j grid, the Parseval sums of b_j and e3_j over them, the b_j-weighted
+alias bound, and |y|^2 as a window.
 """
 
 from __future__ import annotations
@@ -19,11 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ktrg.coefficients import ALPHA_SQ_KT, _check_scale
-from ktrg.decomposition import Window, band_window, natural_step
+from ktrg.decomposition import ALIAS_PROBE_POINTS, SpectralGrid, Window, band_window, natural_step
 from ktrg.lattice import DIRS
 
 # ---------------------------------------------------------------------------
 # the full grid
+
+
+def grid_band(g, hs) -> np.ndarray:
+    """sum_{h in hs} psi_h on the triangle of grid g, from a fresh pass over the whole triangle."""
+    return g.fejer_pass().band_sum(hs)
 
 
 def fold_index(g) -> np.ndarray:
@@ -82,7 +89,7 @@ def full_y(g) -> np.ndarray:
 def complex_dd_at_zero(stack, j: int) -> np.ndarray:
     """(d^mu d^nu Gamma_j)(0) as Parseval means against the complex difference symbols."""
     g = stack.grid(j)
-    G = unfold(g, g.band(stack.fine_scales(j)))
+    G = unfold(g, g.psi)
     return np.array([[float(np.mean(G * diff_symbol(g, (mu, nu)).real)) / g.weight
                       for nu in range(4)] for mu in range(4)])
 
@@ -92,19 +99,40 @@ def complex_e3_symbol(g) -> np.ndarray:
     return sum(diff_symbol(g, (a, a + 2, b, b + 2)).real for a in range(2) for b in range(2))
 
 
-def differenced_kernel(stack, j: int, n: int, deriv: tuple[int, ...]) -> np.ndarray:
-    """(d^deriv Gamma_j)(y) on the full window of the scale-n grid.
-
-    The grid is CovarianceStack.kernel's choice: the scale-n grid when it
-    holds and resolves Gamma_j, the scale-j grid zoomed at the window
-    positions otherwise.  A differenced kernel is odd along its directions,
-    so it takes the complex transforms over the full grid.
-    """
+def kernel_source(stack, j: int, n: int):
+    """The grid that Gamma_j is read off for the scale-n window: the scale-n
+    grid when it holds and resolves Gamma_j, the scale-j grid otherwise (its
+    band is then zoomed at the window positions)."""
     g = stack.grid(n)
     fits = stack.support_radius(j) + 2 <= g.radius * g.step
     resolved = g.step <= natural_step(stack.cutoffs, j * stack.lattice.M)
-    src = g if fits and resolved else stack.grid(j)
-    G = unfold(src, src.band(stack.fine_scales(j))) * diff_symbol(src, deriv)
+    return g if fits and resolved else stack.grid(j)
+
+
+def scale_kernel(stack, j: int, n: int) -> np.ndarray:
+    """Gamma_j on the quarter window of the scale-n grid, for any scale j.
+
+    j >= n is CovarianceStack.kernel.  A finer Gamma_j, j < n, which the
+    stack does not serve, is the window of a pass on the scale-n grid where
+    that grid resolves it, and its own grid's band zoomed otherwise.
+    """
+    if j >= n:
+        return stack.kernel(j, n)
+    g = stack.grid(n)
+    src = kernel_source(stack, j, n)
+    G = grid_band(src, stack.fine_scales(j))
+    return src.window(G) if src is g else src.zoom(G, g.y)
+
+
+def differenced_kernel(stack, j: int, n: int, deriv: tuple[int, ...]) -> np.ndarray:
+    """(d^deriv Gamma_j)(y) on the full window of the scale-n grid.
+
+    The grid is kernel_source's choice.  A differenced kernel is odd along
+    its directions, so it takes the complex transforms over the full grid.
+    """
+    g = stack.grid(n)
+    src = kernel_source(stack, j, n)
+    G = unfold(src, grid_band(src, stack.fine_scales(j))) * diff_symbol(src, deriv)
     return ifft_window(src, G) if src is g else complex_zoom(src, G, full_y(g))
 
 
@@ -113,8 +141,9 @@ def differenced_kernel(stack, j: int, n: int, deriv: tuple[int, ...]) -> np.ndar
 
 
 def scale_bands(stack, j: int) -> list[np.ndarray]:
-    """Bands of scales 0..j on the scale-j grid, each summed over the whole triangle (not cached)."""
-    return list(stack.grid(j).bands(stack.fine_scales(n) for n in range(j + 1)))
+    """Bands of scales 0..j on the scale-j grid, summed on one pass over the whole triangle."""
+    run = stack.grid(j).fejer_pass()
+    return [run.band_sum(stack.fine_scales(n)) for n in range(j + 1)]
 
 
 def e3_symbol(g) -> np.ndarray:
@@ -123,7 +152,7 @@ def e3_symbol(g) -> np.ndarray:
     Each pair's symbol is 2c_a 2c_b, so the four sum to (2c_0 + 2c_1)^2 =
     lam^2 (2c = 4 sin^2(p/2) is the symbol's axis term, bit for bit).
     """
-    return g.lam**2
+    return g._lam() ** 2
 
 
 def pass_sums(stack, j: int, symbol) -> list[float]:
@@ -136,7 +165,7 @@ def pass_sums(stack, j: int, symbol) -> list[float]:
 
 def parseval_b(stack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> float:
     """b_j from full-triangle Parseval sums."""
-    sums = pass_sums(stack, j, lambda g: g.lam)
+    sums = pass_sums(stack, j, lambda g: g._lam())
     L = float(stack.lattice.L)
     total = sums[j]
     for n in range(j):
@@ -152,6 +181,18 @@ def parseval_e3(stack, j: int, symbol=e3_symbol) -> float:
     for m in range(j):
         e3 += 3.0 * sums[m]
     return e3 * float(stack.lattice.L) ** (2 * j) / 4.0
+
+
+def weighted_alias_bound(g, hs, symbol) -> float:
+    """SpectralGrid.alias_bound of the band hs weighted by |symbol(p0, p1)| on the alias ring."""
+    if g.step == 1:
+        return 0.0
+    probe = np.linspace(-np.pi, np.pi, ALIAS_PROBE_POINTS)
+    ring = SpectralGrid(g.cutoffs, g.m, np.concatenate([(probe + 2.0 * np.pi * a) / g.step for a in (-1, 0, 1)]))
+    vals = np.abs(ring._mirror(grid_band(ring, hs))) * np.abs(symbol(ring.p0, ring.p1))
+    n = ALIAS_PROBE_POINTS
+    vals[n : 2 * n, n : 2 * n] = 0.0  # the kept central cell
+    return 2.0 * 8.0 * float(vals.max()) / g.weight
 
 
 def y_sq(g) -> np.ndarray:
@@ -236,14 +277,13 @@ def kernels(stack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WKernels:
     # terms are zoom-evaluated at the same positions through their own grids
     g = stack.grid(j - 1)
     shape = (2 * g.radius + 1, 2 * g.radius + 1)
-    differenced = {}
+    tables = {}
 
     def gam(m, deriv=()):
-        if not deriv:
-            return g.full_window(stack.kernel(m, j - 1))
-        if (m, deriv) not in differenced:
-            differenced[(m, deriv)] = differenced_kernel(stack, m, j - 1, deriv)
-        return differenced[(m, deriv)]
+        if (m, deriv) not in tables:
+            tables[(m, deriv)] = (differenced_kernel(stack, m, j - 1, deriv) if deriv
+                                  else g.full_window(scale_kernel(stack, m, j - 1)))
+        return tables[(m, deriv)]
 
     w_a = {}
     for a1 in range(2):

@@ -159,18 +159,19 @@ def _failing_checks(tmp_path, capsys):
 def test_verify_all_reports_a_negative_fourier_mode(tmp_path, capsys, monkeypatch):
     # one band entry of Gamma_1 at -1e-9: decompose's gate refuses the stack,
     # and verify-all still writes its report with psd failing at scale 1
-    import ktrg.decomposition as decomposition
+    # (the stack is at L = 3, M = 1: Gamma_1 is fine scale 1 alone)
+    from ktrg.cutoffs import FejerPass
 
-    exact = decomposition.SpectralGrid.bands
+    exact = FejerPass.band_sum
 
-    def one_negative_mode(self, groups):
-        for j, G in enumerate(exact(self, groups)):
-            if j == 1:
-                G = G.copy()
-                G[5] = -1e-9
-            yield G
+    def one_negative_mode(self, hs):
+        hs = list(hs)
+        G = exact(self, hs)
+        if hs == [1]:
+            G[5] = -1e-9
+        return G
 
-    monkeypatch.setattr(decomposition.SpectralGrid, "bands", one_negative_mode)
+    monkeypatch.setattr(FejerPass, "band_sum", one_negative_mode)
     failing, checks, out = _failing_checks(tmp_path, capsys)
     assert failing == ["psd"]
     assert checks["psd"] == {"value": 1e-9, "tol": 1e-10, "scale": 1, "pass": False}

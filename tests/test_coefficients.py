@@ -16,8 +16,8 @@ from ktrg.coefficients import (
 )
 
 from spectral_oracles import (
-    complex_dd_at_zero, complex_e3_symbol, e3_symbol, full_y, ifft_window, kernels, mean_parseval, parseval_b,
-    parseval_e3, scale_bands, unfold,
+    complex_dd_at_zero, complex_e3_symbol, e3_symbol, full_y, grid_band, ifft_window, kernel_source, kernels,
+    mean_parseval, parseval_b, parseval_e3, scale_bands, unfold, weighted_alias_bound,
 )
 
 A2 = ALPHA_SQ_KT
@@ -323,7 +323,7 @@ def test_cross_grid_alias_certified(stack_l9_massless):
     b3 = coeff_b(st, 3)
     g = st.grid(3)
     assert g.step > 1
-    assert g.alias_bound(st.fine_scales(3), laplacian_symbol) < 1e-8 * abs(b3)
+    assert weighted_alias_bound(g, st.fine_scales(3), laplacian_symbol) < 1e-8 * abs(b3)
 
 
 def _literal_dd_at_zero(t):
@@ -371,15 +371,11 @@ def _half_spectrum_window(g, G):
 
 
 def _full_kernel(stack, j, n, window, cache):
-    """Gamma_j on the full scale-n window: kernel()'s choice of grid, without the fold."""
-    from ktrg.decomposition import natural_step
-
+    """Gamma_j on the full scale-n window: kernel_source's choice of grid, without the fold."""
     if (j, n) not in cache:
         g = stack.grid(n)
-        fits = stack.support_radius(j) + 2 <= g.radius * g.step
-        resolved = g.step <= natural_step(stack.cutoffs, j * stack.lattice.M)
-        src = g if fits and resolved else stack.grid(j)
-        G = src.band(stack.fine_scales(j))
+        src = kernel_source(stack, j, n)
+        G = grid_band(src, stack.fine_scales(j))
         cache[(j, n)] = window(src, G) if src is g else src.zoom(G, full_y(g))
     return cache[(j, n)]
 
@@ -443,7 +439,7 @@ def _square_parseval(g, *factors):
 def _square_dd_at_zero(stack, j):
     """Oracle: the dd tensor from five sums over the folded square, one-axis symbols unsymmetrized."""
     g = stack.grid(j)
-    G = g._mirror(g.band(stack.fine_scales(j)))
+    G = g._mirror(grid_band(g, stack.fine_scales(j)))
     p = (g.p0, g.p1)
     c = [2.0 * np.sin(0.5 * q) ** 2 for q in p]
 
@@ -510,13 +506,13 @@ def test_triangle_parseval_sums_within_2e_15_of_fsum(stack_l9_massless, stack_l3
     compute_coefficients(st, j_max)
     for j in range(j_max + 1):
         g = st.grid(j)
-        g.parseval(g.band(st.fine_scales(j)))
+        g.parseval(g.psi)
     assert len(seen) >= 4 * j_max + 1 and max(seen) == st.grid(j_max).S
     pass_sums = 0
     for j in range(j_max + 1):
         g = st.grid(j)
         psi = scale_bands(st, j)
-        lam = g.lam
+        lam = g._lam()
         assert len(g.lam_sums) == len(g.lam2_sums) == j + 1
         for n in range(j + 1):
             _check_triangle_sum(g, g.lam_sums[n], lam, psi[n], psi[j])

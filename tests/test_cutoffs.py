@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from ktrg.cutoffs import (
-    _c_log_closed_form, _edges, _gtilde_normalized, _panel_quad, build_cutoffs, coulomb_constant_c,
+    FejerPass, _c_log_closed_form, _edges, _gtilde_normalized, _panel_quad, build_cutoffs, coulomb_constant_c,
     coulomb_constant_closed,
 )
 
@@ -401,14 +401,14 @@ def test_one_pass_bands_bit_identical_to_per_call_factors(kind):
     # factors on the same u over the whole folded grid
     g = _grids()[kind]
     cut = g.cutoffs
-    u = g.u
+    u = g.fejer_pass().u
     top = min(cut.horizon, 8)
     for hs in ([0, 1], [2, 3], [1, 2, 3], [top - 2, top - 1]):
         want, _ = _old_band_sum(cut, u, g.b, hs)
-        assert np.array_equal(g.band(hs), want), hs
+        assert np.array_equal(g.fejer_pass().band_sum(hs), want), hs
         assert np.array_equal(cut.band_sum(u, g.b, hs), want), hs
     _, r = _old_band_sum(cut, u, g.b, [top])
-    assert np.array_equal(g.residual(top), r)
+    assert np.array_equal(g.fejer_pass().advance(top), r)
     assert np.array_equal(cut.residual(u, g.b, top), r)
 
 
@@ -437,6 +437,21 @@ def test_one_minus_factor_over_u_finite_where_u_squared_underflows(fam):
 def test_band_sum_rejects_repeated_fine_scale(fam):
     with pytest.raises(ValueError, match="distinct fine scales"):
         fam.band_sum(np.linspace(0.0, 8.0, 5), 8.0, [1, 1])
+
+
+def test_pass_band_sum_refuses_a_scale_behind_the_pass(fam):
+    # a pass only steps forward: a fine scale behind its order, or a repeated
+    # one, raises and names h and the order; a list at or past the order
+    # continues the pass, bit for bit as a fresh one
+    u = np.linspace(0.0, 8.0, 9)
+    run = FejerPass(fam.kappas, u, 8.0)
+    run.band_sum([0, 1])
+    assert np.array_equal(run.band_sum([2, 4]), fam.band_sum(u, 8.0, [2, 4]))
+    for hs, h in (([4], 4), ([3, 6], 3), ([0], 0)):
+        with pytest.raises(ValueError, match=rf"order 5, got h={h}$"):
+            run.band_sum(hs)
+    with pytest.raises(ValueError, match=r"order 2, got h=1$"):
+        FejerPass(fam.kappas, u, 8.0).band_sum([1, 1])
 
 
 def test_bessel_panel_edges_built_once_on_first_use(fam, monkeypatch):

@@ -29,8 +29,8 @@ from ktrg.decomposition import (
 
 from conftest import one_minus_factor_over_u
 from spectral_oracles import (
-    complex_dd_at_zero, complex_e3_symbol, e3_symbol, fold_index, ifft_kernel, ifft_window, mean_parseval,
-    stack_window, unfold,
+    complex_dd_at_zero, complex_e3_symbol, e3_symbol, fold_index, grid_band, ifft_kernel, ifft_window,
+    mean_parseval, stack_window, unfold,
 )
 
 
@@ -121,7 +121,7 @@ def test_diagonal_law(stack_l3_massless):
 def fine_component_table(stack, h):
     """Oracle: torus table of the single fine-scale piece C_h (Gamma_j sums M of them)."""
     grid = SpectralGrid(stack.cutoffs, stack.lattice.m, stack.lattice.momenta())
-    return ifft_kernel(grid, grid.band([h]))
+    return ifft_kernel(grid, grid_band(grid, [h]))
 
 
 def test_fine_components_aggregate(stack_l3_massive):
@@ -136,15 +136,15 @@ def _ifft2_tables(stack):
     """Oracle: each Gamma_j and the tail by the complex inverse FFT of the unfolded band."""
     lat = stack.lattice
     grid = SpectralGrid(stack.cutoffs, lat.m, lat.momenta())
-    groups = [stack.fine_scales(j) for j in range(stack.n_scales)]
-    tables = [ifft_kernel(grid, G) for G in grid.bands(groups)]
-    r = grid.residual(stack.cutoffs.horizon)
+    run = grid.fejer_pass()
+    tables = [ifft_kernel(grid, run.band_sum(stack.fine_scales(j))) for j in range(stack.n_scales)]
+    r = run.advance(stack.cutoffs.horizon)
     if stack.tail_is_normalized:
-        lam = grid.lam
+        lam = grid._lam()
         dens = np.divide(r, lam, out=np.zeros_like(lam), where=lam > 0)
         t = ifft_kernel(grid, dens)
         return tables, t - t[0, 0]
-    return tables, ifft_kernel(grid, r / grid.u)
+    return tables, ifft_kernel(grid, r / run.u)
 
 
 @pytest.mark.parametrize("L, R, m", [(3, 6, 0.0), (3, 5, 0.1), (3, 4, 0.0), (3, 3, 0.25)])
@@ -174,7 +174,7 @@ def test_real_synthesis_refuses_unfolded_grid():
     for p in (2.0 * np.pi * np.fft.fftfreq(10), ring):
         g = SpectralGrid(cut, 0.1, p, radius=2)
         with pytest.raises(DecompositionError, match="folded grid"):
-            g.window(g.band([1]))
+            g.window(grid_band(g, [1]))
 
 
 def test_derivative_scaling_flat_in_j(stack_l3_massless):
@@ -568,7 +568,8 @@ def test_mirror_gather_matches_row_loop(S):
     n = len(g.p_fold)
     assert n == (S if S % 2 == 0 else S // 2 + 1)
     t = np.random.default_rng(S).standard_normal(n * (n + 1) // 2)
-    for tri in (t, g._advance(2).r, g._advance(4).band()):
+    run = g.fejer_pass()
+    for tri in (t, run.advance(2).copy(), run.band_sum([4])):
         assert np.array_equal(g._mirror(tri), _mirror_loop(g, tri))
 
 
@@ -578,29 +579,48 @@ def _full_u(g):
 
 
 def test_grid_bands_match_band_sum():
-    # the single pass over the residual products reproduces the band
-    # evaluation from scratch bit for bit, in any request order, and the
-    # unfolded quarter reproduces a pass over the full grid
+    # the grid's pass over the triangle reproduces the band evaluation from
+    # scratch bit for bit, in a fresh pass or continuing one through lists
+    # in increasing order, and the unfolded quarter reproduces a pass over
+    # the full grid
     lat = TorusLattice(L=9, R=3, m=0.1)
     cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
     g = SpectralGrid.decimated(cut, lat.m, 3, 45, 10)
     u = _full_u(g)
+    run = g.fejer_pass()
     for hs in ([2, 3], [0, 1], [4, 5], [3]):
-        assert np.array_equal(g.band(hs), cut.band_sum(g.u, g.b, hs))
-        assert np.array_equal(unfold(g, g.band(hs)), cut.band_sum(u, g.b, hs))
-    assert np.array_equal(g.residual(6), cut.residual(g.u, g.b, 6))
-    assert np.array_equal(unfold(g, g.residual(6)), cut.residual(u, g.b, 6))
+        assert np.array_equal(grid_band(g, hs), cut.band_sum(run.u, g.b, hs))
+        assert np.array_equal(unfold(g, grid_band(g, hs)), cut.band_sum(u, g.b, hs))
+    for hs in ([0, 1], [2], [4, 5]):
+        assert np.array_equal(run.band_sum(hs), cut.band_sum(run.u, g.b, hs))
+    assert np.array_equal(g.fejer_pass().advance(6), cut.residual(run.u, g.b, 6))
+    assert np.array_equal(unfold(g, g.fejer_pass().advance(6)), cut.residual(u, g.b, 6))
+
+
+def _tag_passes(monkeypatch):
+    """Tag each FejerPass that a SpectralGrid makes with that grid, as run.grid."""
+    orig = SpectralGrid.fejer_pass
+
+    def tagged(self, *args):
+        run = orig(self, *args)
+        run.grid = self
+        return run
+
+    monkeypatch.setattr(SpectralGrid, "fejer_pass", tagged)
 
 
 def _count_band_evaluations(monkeypatch):
+    """(grid, fine-scale list) of each band sum on a grid's pass."""
     calls = []
-    orig = SpectralGrid._band_sum
+    orig = FejerPass.band_sum
+    _tag_passes(monkeypatch)
 
-    def counted(self, hs):
-        calls.append((self, hs))
-        return orig(self, hs)
+    def counted(run, hs):
+        hs = tuple(hs)
+        calls.append((getattr(run, "grid", None), hs))
+        return orig(run, hs)
 
-    monkeypatch.setattr(SpectralGrid, "_band_sum", counted)
+    monkeypatch.setattr(FejerPass, "band_sum", counted)
     return calls
 
 
@@ -615,36 +635,22 @@ def test_decompose_evaluates_each_band_once(monkeypatch):
 
 
 def _count_fine_orders(monkeypatch) -> collections.Counter:
-    """Points at which each grid's band passes (band_pass and band) evaluate each fine order."""
+    """Points at which the passes of each grid (band_pass's and every other) evaluate each fine order."""
     counts = collections.Counter()
-    grids = []
     band = FejerPass.band
+    _tag_passes(monkeypatch)
 
     def counted(run):
-        counts[(grids[-1], run.h)] += run.u.size
+        counts[(getattr(run, "grid", None), run.h)] += run.u.size
         return band(run)
 
-    def on_grid(name):
-        method = getattr(SpectralGrid, name)
-
-        def run(self, *args):
-            grids.append(self)
-            try:
-                return method(self, *args)
-            finally:
-                grids.pop()
-
-        monkeypatch.setattr(SpectralGrid, name, run)
-
     monkeypatch.setattr(FejerPass, "band", counted)
-    on_grid("band_pass")
-    on_grid("_band_sum")
     return counts
 
 
 def test_coefficients_evaluate_each_band_once_per_grid(monkeypatch):
     # the scale-n grid evaluates every fine order of scales 0..n once at
-    # each triangle point, in its row-block pass, and caches the band of
+    # each triangle point, in its row-block pass, and keeps the band of
     # scale n only
     counts = _count_fine_orders(monkeypatch)
     st = decompose(TorusLattice(L=9, R=4))
@@ -655,7 +661,7 @@ def test_coefficients_evaluate_each_band_once_per_grid(monkeypatch):
         assert {h: c for (grid, h), c in counts.items() if grid is g} == {
             h: k * (k + 1) // 2 for h in range((n + 1) * st.lattice.M)
         }
-        assert list(g._bands) == [tuple(st.fine_scales(n))]
+        assert g.psi.shape == (k * (k + 1) // 2,)
 
 
 def test_psd_probe_grid_does_not_outlive_decompose(monkeypatch):
@@ -686,13 +692,13 @@ def test_folded_bands_bit_identical_to_full_pass():
     cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
     g = SpectralGrid.decimated(cut, lat.m, 3, S, 10)
     n = S // 2 + 1
-    assert g.u.shape == (n * (n + 1) // 2,)
+    assert g.fejer_pass().u.shape == (n * (n + 1) // 2,)
     assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
     assert np.array_equal(g.p_fold[fold_index(g)], np.abs(g.p))
     u = _full_u(g)
     for hs in ([2, 3], [0, 1], [4, 5]):
-        assert np.array_equal(unfold(g, g.band(hs)), cut.band_sum(u, g.b, hs))
-    assert np.array_equal(unfold(g, g.residual(6)), cut.residual(u, g.b, 6))
+        assert np.array_equal(unfold(g, grid_band(g, hs)), cut.band_sum(u, g.b, hs))
+    assert np.array_equal(unfold(g, g.fejer_pass().advance(6)), cut.residual(u, g.b, 6))
 
 
 def test_triangle_lam_is_the_square_symbol_on_the_triangle():
@@ -702,16 +708,16 @@ def test_triangle_lam_is_the_square_symbol_on_the_triangle():
     probe = np.linspace(-np.pi, np.pi, 5)
     ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
     for g in (SpectralGrid.decimated(cut, 0.1, 3, 243, 10), SpectralGrid(cut, 0.1, ring)):
-        assert np.array_equal(g.lam, laplacian_symbol(g.p0, g.p1)[g._lower])
-        assert np.array_equal(g._mirror(g.lam), laplacian_symbol(g.p0, g.p1))
+        assert np.array_equal(g._lam(), laplacian_symbol(g.p0, g.p1)[g._lower])
+        assert np.array_equal(g._mirror(g._lam()), laplacian_symbol(g.p0, g.p1))
 
 
 def test_parseval_refuses_a_factor_off_the_triangle():
     # a sum over the triangle is the full sum only for swap-symmetric
     # integrands, so a folded square (or any other shape) is refused
     g = SpectralGrid.decimated(build_cutoffs(3, 1, 4), 0.1, 1, 45, 10)
-    G = g.band([1])
-    assert g.parseval(G, g.lam) > 0.0
+    G = grid_band(g, [1])
+    assert g.parseval(G, g._lam()) > 0.0
     for bad in (g._mirror(G), G[:-1], np.float64(1.0)):
         with pytest.raises(DecompositionError, match="triangle arrays"):
             g.parseval(G, bad)
@@ -722,7 +728,7 @@ def test_window_and_zoom_refuse_anything_but_a_real_triangle(method):
     # a complex triangle, a folded square and a wrong length each raise and
     # name the shape; a band on the triangle is the only array they transform
     g = SpectralGrid.decimated(build_cutoffs(3, 1, 4), 0.1, 1, 45, 10)
-    G = g.band([1])
+    G = grid_band(g, [1])
     n = len(G)
     assert n == 23 * 24 // 2
 
@@ -737,15 +743,25 @@ def test_window_and_zoom_refuse_anything_but_a_real_triangle(method):
             transform(bad)
 
 
+def test_kernel_refuses_a_finer_scale_on_a_coarser_grid(stack_l9_massless):
+    # the scale-j grid's period is shorter than the scale-n window for j < n,
+    # so its zoom would alias: the stack serves j >= n only
+    st = stack_l9_massless
+    for j, n in ((0, 1), (2, 3)):
+        with pytest.raises(ValueError, match=rf"kernel of scale {j} on the coarser scale-{n} grid"):
+            st.kernel(j, n)
+    assert st.kernel(3, 3).shape == (st.grid(3).radius + 1,) * 2
+
+
 def test_filled_grids_cache_one_triangle_per_band(stack_l9_massless):
-    # a fresh cache: the test oracles ask the shared stack's grids for
-    # lower bands, which band then caches lazily
+    # each grid keeps one triangle, psi, the band of its own scale: bit for
+    # bit a pass over the whole triangle
     st = dataclasses.replace(stack_l9_massless, _cache={})
     for n in range(4):
         g = st.grid(n)
         k = len(g.p_fold)
-        assert list(g._bands) == [tuple(st.fine_scales(n))]
-        assert g._bands[tuple(st.fine_scales(n))].shape == (k * (k + 1) // 2,)
+        assert g.psi.shape == (k * (k + 1) // 2,)
+        assert np.array_equal(g.psi, grid_band(g, st.fine_scales(n)))
 
 
 def test_row_blocks_cover_the_triangle_in_order():
@@ -760,19 +776,19 @@ def test_row_blocks_cover_the_triangle_in_order():
 @pytest.mark.parametrize("block", [1, 777, 10**9])
 def test_band_pass_blocks_bit_identical_to_the_full_triangle(monkeypatch, block):
     # blocks of one row, of an odd size and one block past the whole
-    # triangle: the cached band is the full-triangle pass's bit for bit, and
+    # triangle: the kept band is the full-triangle pass's bit for bit, and
     # each pair sum is its Parseval sum up to the order of summation
     cut = build_cutoffs(3, 2, 6)
     groups = [[0, 1], [2, 3], [4, 5]]
     full = SpectralGrid.decimated(cut, 0.0, 3, 243, 10)
-    psi = [full.band(hs) for hs in groups]
-    lam = full.lam
+    run = full.fejer_pass()
+    psi = [run.band_sum(hs) for hs in groups]
+    lam = full._lam()
     monkeypatch.setattr(decomposition, "BAND_BLOCK", block)
     g = SpectralGrid.decimated(cut, 0.0, 3, 243, 10)
     g.band_pass(groups)
-    assert list(g._bands) == [(4, 5)]
-    assert np.array_equal(g.band([4, 5]), psi[2])
-    assert np.array_equal(psi[2], cut.band_sum(g.u, g.b, [4, 5]))
+    assert np.array_equal(g.psi, psi[2])
+    assert np.array_equal(psi[2], cut.band_sum(run.u, g.b, [4, 5]))
     for k in range(3):
         assert g.lam_sums[k] == pytest.approx(full.parseval(lam, psi[k], psi[2]), rel=2e-15, abs=0.0)
         assert g.lam2_sums[k] == pytest.approx(full.parseval(lam**2, psi[k], psi[2]), rel=2e-15, abs=0.0)
@@ -816,7 +832,7 @@ def test_window_peak_memory_within_four_windows(stack_l9_massless):
     # window itself, plus one block of the synthesis (tracemalloc)
     st = stack_l9_massless
     g = st.grid(3)
-    G = g.band(st.fine_scales(3))
+    G = g.psi
     assert len(g.p_fold) > 1000
     g.window(G)  # the grid's triangle mask is built once, on first use
     tracemalloc.start()
@@ -837,18 +853,18 @@ def test_torus_axis_folds_and_even_and_ring_axes_take_the_trivial_fold():
     torus = TorusLattice(L=3, R=2, m=0.1).momenta()
     g = SpectralGrid(cut, 0.1, torus)
     n = len(torus) // 2 + 1
-    assert g.u.shape == (n * (n + 1) // 2,)
+    assert g.fejer_pass().u.shape == (n * (n + 1) // 2,)
     assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
     assert np.array_equal(g.p_fold[fold_index(g)], np.abs(g.p))
-    assert np.array_equal(unfold(g, g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
+    assert np.array_equal(unfold(g, grid_band(g, [1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
     even = 2.0 * np.pi * np.fft.fftfreq(10)
     probe = np.linspace(-np.pi, np.pi, 5)
     ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
     for p in (even, ring):
         g = SpectralGrid(cut, 0.1, p)
-        assert g.u.shape == (len(p) * (len(p) + 1) // 2,)
+        assert g.fejer_pass().u.shape == (len(p) * (len(p) + 1) // 2,)
         assert np.all(g.w == 1.0) and np.array_equal(g.p_fold, p)
-        assert np.array_equal(unfold(g, g.band([1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
+        assert np.array_equal(unfold(g, grid_band(g, [1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
 
 
 def test_psd_margins_on_folded_probe_match_full_grid(stack_l9_massless):
@@ -876,9 +892,9 @@ def test_folded_sums_match_full_grid_oracles(stack_l9_massless):
     st = stack_l9_massless
     g = st.grid(3)
     assert g.step > 1
-    G, G1 = g.band(st.fine_scales(3)), g.band(st.fine_scales(1))
+    G, G1 = g.psi, grid_band(g, st.fine_scales(1))
     full = unfold(g, G)
-    for factors in ((G,), (g.lam, G, G), (G1, G)):
+    for factors in ((G,), (g._lam(), G, G), (G1, G)):
         oracle = mean_parseval(g, *factors)
         assert g.parseval(*factors) == pytest.approx(oracle, rel=1e-14, abs=0.0)
     ys = g.y[::27] + 1.0
@@ -900,7 +916,7 @@ def test_quarter_window_and_half_zoom_match_full_grid_oracles(stack_l9_massless,
     g = st.grid(j)
     assert g.step == step
     r = g.radius
-    G = g.band(st.fine_scales(j))
+    G = g.psi
     K = ifft_window(g, G)
     Q = g.window(G)
     assert Q.shape == (r + 1, r + 1) and np.array_equal(st.kernel(j, j), Q)
@@ -926,7 +942,7 @@ def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
     st = stack_l9_massless
     j = 3
     g = st.grid(j)
-    full = unfold(g, g.band(st.fine_scales(j)))
+    full = unfold(g, g.psi)
     dd = _dd_at_zero(st, j)
     assert np.array_equal(dd, dd.T)
     # the complex products are symmetric in (mu, nu) too; their cross-axis
