@@ -35,7 +35,7 @@ from . import __version__
 
 from .lattice import TorusLattice
 from .cutoffs import build_cutoffs, coulomb_constant_c, coulomb_constant_closed
-from .decomposition import DecompositionError, decompose, write_stack, LEAKAGE_TOL, TELESCOPING_TOL
+from .decomposition import DecompositionError, decompose, write_stack, LEAKAGE_TOL, PSD_TOL, TELESCOPING_TOL
 from .coefficients import compute_coefficients, coefficients_csv, limit_constants, ALPHA_SQ_KT
 from .flow import FlowConfig, trajectory, diagonal, deviation_profile, trajectory_csv, from_rescaled
 from .manifold import (
@@ -144,6 +144,12 @@ def cmd_flow(args) -> int:
 
 def cmd_separatrix(args) -> int:
     y1, J, L = args.y1, args.horizon, args.L
+    # the (z, beta) map takes the Coulomb constant of the gamma = 3 family,
+    # so L must be the blocking factor of a gamma = 3 lattice
+    try:
+        TorusLattice(L=L, R=1)
+    except ValueError as e:
+        raise ValueError(f"separatrix --L {L}: {e}") from None
     fp = _in_ball_fixed_point(ManifoldProblem(y1=y1, J=J))
     if fp is None:
         return CHECK_ERROR
@@ -238,8 +244,8 @@ def cmd_verify_all(args) -> int:
         print(f"  not run: {', '.join(skipped)} (decompose refused the stack: {e})")
     else:
         checks["telescoping"] = {"value": stack.telescoping_error(), "tol": TELESCOPING_TOL}
-        checks["leakage"] = {"value": max(stack.leakage(j) for j in range(3)), "tol": args.leakage_tol}
-        checks["psd"] = {"value": -min(stack.psd_margins()), "tol": 1e-10}
+        checks["leakage"] = {"value": max(stack.leakage(j) for j in range(3)), "tol": LEAKAGE_TOL}
+        checks["psd"] = {"value": -min(stack.psd_margins()), "tol": PSD_TOL}
 
     prob = ManifoldProblem(y1=0.01, J=20_000)
     fp = solve_fixed_point(prob)
@@ -310,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp[name].add_argument("--y1", type=float, default=0.01, help="activity at scale 1")
         sp[name].add_argument("--horizon", type=int, default=100_000, help="number of flow steps J")
     sp["flow"].add_argument("--x1", type=float, help="start x; unset means the fixed point Sigma(y1)")
-    sp["separatrix"].add_argument("--L", type=int, default=9, help="base mapping sigma to (z, beta)")
+    sp["separatrix"].add_argument("--L", type=int, default=9,
+                                  help="base mapping sigma to (z, beta): odd, > 1 and a power of 3")
     sp["oracle"].add_argument("--side", type=int, default=5, help="torus side")
     sp["oracle"].add_argument("--beta", type=float, default=8.0 * math.pi, help="inverse temperature")
     sp["oracle"].add_argument("--z", type=float, default=0.05, help="activity")
     sp["oracle"].add_argument("--nmax", type=int, default=4, help="largest particle number")
-    sp["verify-all"].add_argument("--leakage-tol", type=float, default=LEAKAGE_TOL, help="leakage check tolerance")
     return p
 
 

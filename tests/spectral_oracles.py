@@ -86,6 +86,31 @@ def full_y(g) -> np.ndarray:
     return g.step * np.arange(-g.radius, g.radius + 1, dtype=float)
 
 
+def dd_tensor(stack, j: int) -> np.ndarray:
+    """(d^mu d^nu Gamma_j)(0) for the signed directions mu, nu = 0..3 on the triangle.
+
+    Three Parseval sums of the band against the real parts of the difference
+    symbols, c = 2 sin^2(p/2): on one axis -2 cos(p) c for equal signs and 2c
+    for opposite ones, across the axes c0 c1 (the sin p0 sin p1 part is odd
+    and integrates to zero).
+    """
+    g = stack.grid(j)
+    c = 2.0 * np.sin(0.5 * g.p_fold) ** 2
+    same = g.parseval(g.psi, g.outer(np.add, -np.cos(g.p_fold) * c))
+    opposite = g.parseval(g.psi, g.outer(np.add, c))
+    tensor = np.full((4, 4), g.parseval(g.psi, g.outer(np.multiply, c)))
+    for mu in range(4):
+        tensor[mu, mu] = same
+        tensor[mu, (mu + 2) % 4] = opposite
+    return tensor
+
+
+def tensor_sums(tensor: np.ndarray) -> tuple[float, float]:
+    """(dd, opposite) read off a 4 x 4 second-difference tensor: the means of its equal and of its opposite pairs."""
+    return (float(np.mean(np.diag(tensor))),
+            float(np.mean([tensor[mu, (mu + 2) % 4] for mu in range(4)])))
+
+
 def complex_dd_at_zero(stack, j: int) -> np.ndarray:
     """(d^mu d^nu Gamma_j)(0) as Parseval means against the complex difference symbols."""
     g = stack.grid(j)

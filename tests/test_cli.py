@@ -108,16 +108,6 @@ def test_git_sha_null_outside_a_checkout(monkeypatch):
     assert cli._provenance()["git_sha"] is None
 
 
-def test_verify_all_forced_failure(tmp_path, capsys):
-    # an impossible leakage tolerance must fail and name the check
-    code = main(["verify-all", "--leakage-tol", "0", "--out-dir", str(tmp_path)])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "FAIL leakage" in out
-    rep = json.loads((tmp_path / "verify_report.json").read_text())
-    assert rep["checks"]["leakage"]["pass"] is False
-
-
 def test_verify_all_fails_on_an_extraction_defect(tmp_path, capsys, monkeypatch):
     # one uncancelled coefficient in the identity rows fails the run
     monkeypatch.setattr(cli, "j_extraction_defect", lambda pav: 1)
@@ -255,6 +245,17 @@ def test_separatrix_outside_ball_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "y1=0.05" in err and "sequence norm" in err
     assert not (tmp_path / "separatrix_y0.05.csv").exists()
+
+
+@pytest.mark.parametrize("L", [1, 4, 5])
+def test_separatrix_refuses_a_base_of_no_gamma_3_lattice(tmp_path, capsys, monkeypatch, L):
+    # (z, beta) take the gamma = 3 Coulomb constant, so L must be odd, > 1
+    # and a power of 3; the base is checked before any solve
+    monkeypatch.setattr(cli, "solve_fixed_point", lambda *a, **k: pytest.fail("solved"))
+    assert main(["separatrix", "--L", str(L), "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: separatrix --L {L}: ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_separatrix_inside_ball_passes(tmp_path, capsys):
@@ -433,12 +434,12 @@ def test_malformed_config_value_is_a_usage_error(tmp_path, capsys):
 def test_config_value_is_used_and_a_flag_overrides_it(tmp_path, capsys):
     # every option of a command can come from its section, the shared ones too
     cfg = tmp_path / "run.ini"
-    cfg.write_text(f"[verify-all]\nleakage-tol = 0\nout-dir = {tmp_path / 'cfg'}\n")
-    assert main(["verify-all", "--config", str(cfg)]) == cli.CHECK_ERROR
-    assert "FAIL leakage" in capsys.readouterr().out
-    assert json.loads((tmp_path / "cfg" / "verify_report.json").read_text())["checks"]["leakage"]["tol"] == 0
-    assert main(["verify-all", "--config", str(cfg), "--leakage-tol", "1e-6", "--out-dir", str(tmp_path / "cli")]) == 0
-    assert json.loads((tmp_path / "cli" / "verify_report.json").read_text())["checks"]["leakage"]["tol"] == 1e-6
+    cfg.write_text(f"[decompose]\nR = 2\nout-dir = {tmp_path / 'cfg'}\n")
+    assert main(["decompose", "--config", str(cfg)]) == 0
+    assert "decompose L=3 R=2" in capsys.readouterr().out
+    assert os.listdir(tmp_path / "cfg") == ["stack_L3_R2.csv"]
+    assert main(["decompose", "--config", str(cfg), "--R", "3", "--out-dir", str(tmp_path / "cli")]) == 0
+    assert os.listdir(tmp_path / "cli") == ["stack_L3_R3.csv"]
 
 
 def test_example_config_parses_for_every_section():

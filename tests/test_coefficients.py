@@ -16,8 +16,8 @@ from ktrg.coefficients import (
 )
 
 from spectral_oracles import (
-    complex_dd_at_zero, complex_e3_symbol, e3_symbol, full_y, grid_band, ifft_window, kernel_source, kernels,
-    mean_parseval, parseval_b, parseval_e3, scale_bands, unfold, weighted_alias_bound,
+    complex_dd_at_zero, complex_e3_symbol, dd_tensor, e3_symbol, full_y, grid_band, ifft_window, kernel_source,
+    kernels, mean_parseval, parseval_b, parseval_e3, scale_bands, tensor_sums, unfold, weighted_alias_bound,
 )
 
 A2 = ALPHA_SQ_KT
@@ -132,12 +132,6 @@ def test_volume_factor(stack_l3_massless):
     assert 9.0 * math.exp(-0.5 * A2 * 0.0) == 9.0
 
 
-def test_volume_factor_above_kt(stack_l3_massless):
-    # alpha^2 = 9 pi: the factor falls strictly below 1 at large j
-    v = volume_factor(stack_l3_massless, 5, alpha_sq=9.0 * math.pi)
-    assert v < 1.0
-
-
 def test_energy_coeff_bounds(stack_l3_massless):
     e2s, e3s, e4s = [], [], []
     for j in (1, 2, 3, 4):
@@ -190,6 +184,27 @@ def test_brackets_insensitive_to_last_bit_of_gamma0(stack_l3_massless, monkeypat
         assert energy_coeffs(st, j)[2] == pytest.approx(e4, rel=1e-10, abs=0.0)
 
 
+def test_single_scale_overflow_raises_naming_the_scale(stack_l3_massless, monkeypatch):
+    # one entry of Gamma_2 large enough that e^{a2 Gamma_2(y)} overflows:
+    # a_2 and e4_2 both refuse it instead of returning a non-finite sum
+    st = stack_l3_massless
+    exact = st.kernel
+
+    def overflowing(j, n):
+        K = exact(j, n)
+        if (j, n) == (2, 2):
+            K = K.copy()
+            K[1, 1] = 1e3
+        return K
+
+    monkeypatch.setattr(st, "kernel", overflowing)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="n=2"):
+            coeff_a(st, 2)
+        with pytest.raises(FloatingPointError, match="n=2"):
+            energy_coeffs(st, 2)
+
+
 def test_convergence_rate_exponent(stack_l3_massless):
     # |a_j - a_5| and |b_j - b_5| decay with fitted exponent >= 1/4 in L^-j
     js = np.array([2, 3, 4])
@@ -228,7 +243,7 @@ def test_flow_config_from_report(stack_l3_massless):
     c = coulomb_constant_closed(build_cutoffs(3, 1, 8))
     cfg = flow_config(rep, c, horizon=2000)
     # row j - 1: (a_j/a - 1, vol_j - 1, vol_j b_j/b - 1); the limit flow past it
-    a_lim, b_lim = limit_constants(rep.L, rep.alpha_sq, c)
+    a_lim, b_lim = limit_constants(rep.L, A2, c)
     assert cfg.depth == 3
     for (da, dv, dvb), a, b, vol in zip(cfg.deviations, rep.a, rep.b, rep.vol):
         assert a_lim * (1.0 + da) == pytest.approx(a, rel=1e-14)
@@ -343,16 +358,22 @@ def _literal_dd_at_zero(t):
 
 @pytest.mark.parametrize("j", [2, 3])
 def test_dd_and_e2_match_literal_second_differences(stack_l3_massless, j):
-    # the Parseval second differences at the origin against literal table
+    # the Parseval second differences at the origin, the oracle's 4 x 4
+    # tensor and the two sums the coefficients take, against literal table
     # differences (the spectral grid never enters the reference)
-    from ktrg.coefficients import _dd_at_zero
+    from ktrg.coefficients import _second_differences
 
     st = stack_l3_massless
     lit = _literal_dd_at_zero(st.gamma_table(j))
-    dd = _dd_at_zero(st, j)
+    dd = dd_tensor(st, j)
     for mu in range(4):
         for nu in range(4):
             assert dd[mu, nu] == pytest.approx(lit[mu, nu], rel=1e-9)
+    same, opposite = _second_differences(st, j)
+    assert (same, opposite) == tensor_sums(dd)
+    for mu in range(4):
+        assert same == pytest.approx(lit[mu, mu], rel=1e-9)
+        assert opposite == pytest.approx(lit[mu, (mu + 2) % 4], rel=1e-9)
     e2_lit = -(9.0**j / 2.0) * 0.5 * sum(lit[mu, mu] for mu in range(4))
     assert energy_coeffs(st, j)[0] == pytest.approx(e2_lit, rel=1e-9)
 
@@ -380,14 +401,13 @@ def _full_kernel(stack, j, n, window, cache):
     return cache[(j, n)]
 
 
-def _full_window_a_e4(stack, j, window=_half_spectrum_window, a2=A2):
+def _full_window_a_e4(stack, j, window=_half_spectrum_window, tensor_of=dd_tensor, a2=A2):
     """Full-window oracle: a_j and e4_j summed over every point |z|_inf <= radius.
 
     The sums coeff_a and energy_coeffs ran before they moved onto the
-    quarter window, with the 16-pair Taylor term (cross term included).
+    quarter window, with the 16-pair Taylor term (cross term included) of
+    the tensor tensor_of(stack, j).
     """
-    import ktrg.coefficients as coefficients
-
     cache = {}
 
     def ker(m, n):
@@ -395,7 +415,7 @@ def _full_window_a_e4(stack, j, window=_half_spectrum_window, a2=A2):
 
     L = float(stack.lattice.L)
     L2j = L ** (2 * j)
-    dd_tensor = coefficients._dd_at_zero(stack, j)
+    tensor = tensor_of(stack, j)
     a, e4 = 0.0, 0.0
     for n in range(j):
         g = stack.grid(n)
@@ -406,7 +426,7 @@ def _full_window_a_e4(stack, j, window=_half_spectrum_window, a2=A2):
         K = ker(j, n)
         bracket = np.expm1(-a2 * (K[g.radius, g.radius] - K))
         a += g.weight * float(np.sum(y_sq * wb * bracket))
-        taylor = _loop_taylor_quad(dd_tensor, y)
+        taylor = _loop_taylor_quad(tensor, y)
         e4 += 2.0 * L2j * g.weight * float(np.sum(wb * (bracket - 0.5 * a2 * taylor)))
     g = stack.grid(j)
     y = full_y(g)
@@ -436,8 +456,8 @@ def _square_parseval(g, *factors):
     return float(g.w @ prod @ g.w) / (g.S**2 * g.weight)
 
 
-def _square_dd_at_zero(stack, j):
-    """Oracle: the dd tensor from five sums over the folded square, one-axis symbols unsymmetrized."""
+def _square_second_differences(stack, j):
+    """Oracle: (dd, opposite) from the dd tensor of five sums over the folded square, one-axis symbols unsymmetrized."""
     g = stack.grid(j)
     G = g._mirror(grid_band(g, stack.fine_scales(j)))
     p = (g.p0, g.p1)
@@ -455,7 +475,7 @@ def _square_dd_at_zero(stack, j):
     for mu in range(4):
         for nu in range(mu % 2, 4, 2):
             dd[mu, nu] = same[mu % 2] if mu == nu else opposite[mu % 2]
-    return dd
+    return tensor_sums(dd)
 
 
 def test_l9_coefficients_match_the_folded_square_sums(stack_l9_massless, l9_report, monkeypatch):
@@ -468,7 +488,7 @@ def test_l9_coefficients_match_the_folded_square_sums(stack_l9_massless, l9_repo
 
     oracle = dataclasses.replace(stack_l9_massless, _cache={})
     monkeypatch.setattr(SpectralGrid, "parseval", _square_parseval)
-    monkeypatch.setattr(coefficients, "_dd_at_zero", _square_dd_at_zero)
+    monkeypatch.setattr(coefficients, "_second_differences", _square_second_differences)
     ref = compute_coefficients(oracle, 3)
     ref.b = [parseval_b(oracle, j) for j in ref.scales]
     ref.e3 = [parseval_e3(oracle, j) for j in ref.scales]
@@ -486,7 +506,7 @@ def _check_triangle_sum(g, value, *factors):
 
 @pytest.mark.parametrize("L, j_max", [(9, 3), (3, 5)])
 def test_triangle_parseval_sums_within_2e_15_of_fsum(stack_l9_massless, stack_l3_massless, monkeypatch, L, j_max):
-    # every Parseval sum of the coefficients (the dd sums) and Gamma_j(0) on
+    # every Parseval sum of the coefficients (the two second differences) and Gamma_j(0) on
     # each scale grid, and every sum of its band pass (lam and lam^2 times
     # psi_n psi_j, n <= j, of b_j and e3_j), against math.fsum of the same
     # weighted full-triangle product and against the folded-square sum
@@ -507,7 +527,7 @@ def test_triangle_parseval_sums_within_2e_15_of_fsum(stack_l9_massless, stack_l3
     for j in range(j_max + 1):
         g = st.grid(j)
         g.parseval(g.psi)
-    assert len(seen) >= 4 * j_max + 1 and max(seen) == st.grid(j_max).S
+    assert len(seen) >= 3 * j_max + 1 and max(seen) == st.grid(j_max).S
     pass_sums = 0
     for j in range(j_max + 1):
         g = st.grid(j)
@@ -538,12 +558,12 @@ def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypat
     )
     monkeypatch.setattr(decomposition, "_fold", lambda p: (p, np.ones(len(p))))
     monkeypatch.setattr(decomposition.SpectralGrid, "parseval", mean_parseval)
-    monkeypatch.setattr(coefficients, "_dd_at_zero", complex_dd_at_zero)
+    monkeypatch.setattr(coefficients, "_second_differences", lambda st, j: tensor_sums(complex_dd_at_zero(st, j)))
     full = compute_coefficients(oracle, 5)
     full.b = [parseval_b(oracle, j) for j in full.scales]
     full.e3 = [parseval_e3(oracle, j, complex_e3_symbol) for j in full.scales]
     assert len(oracle.grid(5).w) == oracle.grid(5).S
-    a, e4 = np.array([_full_window_a_e4(oracle, j, ifft_window) for j in folded.scales]).T
+    a, e4 = np.array([_full_window_a_e4(oracle, j, ifft_window, complex_dd_at_zero) for j in folded.scales]).T
     for name in ("b", "e2", "e3", "vol"):
         assert getattr(folded, name) == pytest.approx(getattr(full, name), rel=1e-13, abs=0.0), name
     assert folded.a == pytest.approx(list(a), rel=1e-13, abs=0.0)
@@ -563,9 +583,8 @@ def _uncentered_momenta(self):
 
 
 def _gap_e3_symbol(g):
-    from ktrg.coefficients import _cos_gaps
-
-    return g.outer(np.add, 2.0 * _cos_gaps(g)) ** 2
+    """The forward-pair symbol from c = 2 sin^2(p/2): (2c_0 + 2c_1)^2."""
+    return g.outer(np.add, 2.0 * (2.0 * np.sin(0.5 * g.p_fold) ** 2)) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -655,8 +674,8 @@ def test_a_moments_within_1e_15_of_a_longdouble_sum(l9_report, stack_l9_massless
         for n in range(j + 1):
             g = st.grid(n)
             if n < j:
-                F = _w_b_term(st, j, n, A2).astype(ld)
-                F *= _origin_bracket(st, j, n, A2)
+                F = _w_b_term(st, j, n).astype(ld)
+                F *= _origin_bracket(st, j, n)
             else:
                 F = (np.expm1(A2 * st.kernel(j, j)) * math.exp(-A2 * st.gamma0(j)) * L ** (-4 * j)).astype(ld)
             y2 = g.y.astype(ld) ** 2
@@ -669,21 +688,26 @@ def test_a_moments_within_1e_15_of_a_longdouble_sum(l9_report, stack_l9_massless
 
 
 def test_taylor_cross_coefficient_is_exactly_zero(stack_l3_massless, stack_l9_massless):
-    # the folded e4 drops the y0 y1 term of the Taylor subtraction, which is
-    # odd in each coordinate; its coefficient is exactly 0 to begin with
-    from ktrg.coefficients import _dd_at_zero, _taylor_quad
+    # the e4 Taylor term is q |y|^2, q = (dd - opposite)/2: the 2 x 2 form
+    # 0.25 D^T T D of the 4 x 4 tensor T in the axes has Q00 = Q11 = q and a
+    # y0 y1 coefficient of exactly 0, and q |y|^2 matches the 16-pair sum
+    from ktrg.coefficients import _second_differences
     from ktrg.lattice import DIRS
 
     D = np.array(DIRS, dtype=float)
     for st, js in ((stack_l3_massless, range(1, 6)), (stack_l9_massless, range(1, 4))):
         for j in js:
-            dd = _dd_at_zero(st, j)
-            Q = 0.25 * D.T @ dd @ D
+            dd, opposite = _second_differences(st, j)
+            q = 0.5 * (dd - opposite)
+            tensor = dd_tensor(st, j)
+            Q = 0.25 * D.T @ tensor @ D
             assert Q[0, 1] + Q[1, 0] == 0.0
+            assert Q[0, 0] == Q[1, 1] == q
             y = st.grid(j).y
             r = len(y) - 1
-            full = _loop_taylor_quad(dd, np.concatenate([-y[:0:-1], y]))
-            assert np.max(np.abs(_taylor_quad(dd, y) - full[r:, r:])) <= 1e-15 * np.max(np.abs(full))
+            full = _loop_taylor_quad(tensor, np.concatenate([-y[:0:-1], y]))
+            y2 = y**2
+            assert np.max(np.abs(q * (y2[:, None] + y2[None, :]) - full[r:, r:])) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_alias_bound_column(l9_report, stack_l9_massless, tmp_path):

@@ -29,8 +29,8 @@ from ktrg.decomposition import (
 
 from conftest import one_minus_factor_over_u
 from spectral_oracles import (
-    complex_dd_at_zero, complex_e3_symbol, e3_symbol, fold_index, grid_band, ifft_kernel, ifft_window,
-    mean_parseval, stack_window, unfold,
+    complex_dd_at_zero, complex_e3_symbol, dd_tensor, e3_symbol, fold_index, grid_band, ifft_kernel, ifft_window,
+    mean_parseval, stack_window, tensor_sums, unfold,
 )
 
 
@@ -937,14 +937,16 @@ def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
     # the real closed forms on the folded grid against the parent's complex
     # difference-symbol products and a longdouble evaluation, at the scale
     # where 1 - cos p loses digits near p = 0
-    from ktrg.coefficients import _dd_at_zero
+    from ktrg.coefficients import _second_differences
 
     st = stack_l9_massless
     j = 3
     g = st.grid(j)
     full = unfold(g, g.psi)
-    dd = _dd_at_zero(st, j)
+    dd = dd_tensor(st, j)
     assert np.array_equal(dd, dd.T)
+    # the two sums the coefficients take are the tensor's equal and opposite pairs
+    assert _second_differences(st, j) == tensor_sums(dd)
     # the complex products are symmetric in (mu, nu) too; their cross-axis
     # entries carry the rounding of the odd sin p0 sin p1 part (7.2e-14)
     complex_dd = complex_dd_at_zero(st, j)
