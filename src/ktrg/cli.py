@@ -113,6 +113,15 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+def _check_activity(command: str, y1: float):
+    """Refuse a negative (or NaN) activity before anything is solved or written.
+
+    The manifold solves at |y1|, so a negative y1 would run and map to z < 0.
+    """
+    if not y1 >= 0.0:
+        raise ValueError(f"{command} --y1 {y1}: the activity y1 must be >= 0")
+
+
 def _in_ball_fixed_point(prob: ManifoldProblem):
     """The fixed point of prob, or None (reported) when it leaves the weighted ball."""
     fp = solve_fixed_point(prob)
@@ -125,6 +134,7 @@ def _in_ball_fixed_point(prob: ManifoldProblem):
 
 def cmd_flow(args) -> int:
     y1, x1, J = args.y1, args.x1, args.horizon
+    _check_activity("flow", y1)
     flow_cfg = FlowConfig(horizon=J)
     if x1 is None:
         fp = _in_ball_fixed_point(ManifoldProblem(y1=y1, J=J, flow=flow_cfg))
@@ -144,6 +154,7 @@ def cmd_flow(args) -> int:
 
 def cmd_separatrix(args) -> int:
     y1, J, L = args.y1, args.horizon, args.L
+    _check_activity("separatrix", y1)
     # the (z, beta) map takes the Coulomb constant of the gamma = 3 family,
     # so L must be the blocking factor of a gamma = 3 lattice
     try:

@@ -15,8 +15,8 @@ folded grid, where the bands are stored, so every symbol in them is
 symmetric under p0 <-> p1.  The sums of b_j and e3_j, which pair psi_j with
 psi_n for every n <= j, are summed by the scale-j grid's band pass as it
 evaluates the bands (lam_sums, lam2_sums), so the grid keeps psi_j alone;
-Gamma_j(0) and the two second differences of e2_j and e4_j are parseval
-sums against that band.
+Gamma_j(0) and the two second differences of e2_j and e4_j are Parseval
+sums against that band, which the grid takes once as it is built.
 
 The position sums of a_j and e4_j run on the quarter z0, z1 >= 0 of each
 scale's window (CovarianceStack.kernel): every kernel Gamma_j and every
@@ -25,6 +25,14 @@ the multiplicities m = (1, 2, 2, ...) (SpectralGrid.window_sum), and the
 |y|^2 moments of a_j separate, |y|^2 = y0^2 + y1^2, into two products of
 F with a vector (SpectralGrid.window_moment).  The e4 Taylor subtraction
 is the scalar form q |y|^2, q = (dd - opposite)/2, with no y0 y1 term.
+Both sums read, for each n < j, Gamma_j zoomed onto the scale-n window and
+the w_b term of scale n, which depends on the windows of Gamma_{n+1..j-1}
+only through their sum.  compute_coefficients therefore takes them on one
+walk up the scales (_Walk): at scale j it zooms each Gamma_j(y) once, forms
+w_b once from the running sum of the coarser kernels on that window, feeds
+both sums from it, and adds Gamma_j to the running sum.  The walk holds one
+window per grid besides the stack's cached Gamma_n; no zoom is cached.
+coeff_a and energy_coeffs called alone walk up to their scale.
 
 Direction sums follow the convention that a sum over the four signed unit
 vectors carries a factor 1/2.  Euclidean |y|^2 is used in the second-moment
@@ -74,23 +82,28 @@ def _guard_exp(x: np.ndarray, n: int):
 # scalar coefficients
 
 
-def _w_b_term(stack: CovarianceStack, j: int, n: int) -> np.ndarray:
-    """Scale-n term of w_{b,j} on the quarter window of the scale-n grid."""
+def _w_b_term(stack: CovarianceStack, j: int, n: int, coarser) -> np.ndarray:
+    """Scale-n term of w_{b,j} on the quarter window of the scale-n grid.
+
+    coarser is the walk's running sum of Gamma_m, m = n+1..j-1, on that
+    window (the int 0 while empty), so pref is
+    Gamma_{j-1,n+1}(0) - sum(kernel(m, n) for m in range(n + 1, j)) bit
+    for bit.
+    """
     a2 = ALPHA_SQ_KT
-    pref = stack.prefix_diag(j - 1, n + 1) - sum(stack.kernel(m, n) for m in range(n + 1, j))
+    pref = stack.prefix_diag(j - 1, n + 1) - coarser
     wb_n = (np.exp(-a2 * pref) * math.exp(-a2 * stack.gamma0(n)) * np.expm1(a2 * stack.kernel(n, n))
             * float(stack.lattice.L) ** (-4 * n))
     return _guard_exp(wb_n, n)
 
 
-def _origin_bracket(stack: CovarianceStack, j: int, n: int) -> np.ndarray:
-    """expm1(-a2 (Gamma_j(0) - Gamma_j(y))) on the quarter window of the scale-n grid.
+def _origin_bracket(K: np.ndarray) -> np.ndarray:
+    """expm1(-a2 (Gamma_j(0) - Gamma_j(y))) from the quarter window K of Gamma_j.
 
     Gamma_j(0) is the origin entry [0, 0] of the same kernel array, so the
     bracket vanishes exactly at y = 0 instead of carrying the rounding gap
     between two sums.
     """
-    K = stack.kernel(j, n)
     out = K[0, 0] - K
     out *= -ALPHA_SQ_KT
     return np.expm1(out, out=out)
@@ -104,21 +117,92 @@ def _single_scale_term(stack: CovarianceStack, j: int) -> np.ndarray:
     return _guard_exp(term, j)
 
 
+class _Walk:
+    """One walk up the scales, summing the position sums of a_j and e4_j.
+
+    Both sums read, for each n < j, the w_b term of grid n and the origin
+    bracket of Gamma_j on grid n's window.  Scale j (step) zooms each
+    Gamma_j(y) onto grid n once, forms w_b once from the running sum
+    coarser[n] of Gamma_{n+1..j-1} on that window, feeds the one w_b and
+    one bracket to both sums, then adds Gamma_j to coarser[n] and drops it.
+    So the walk holds one window per grid n < j besides the stack's
+    Gamma_n, and no zoom outlives its scale.  The single-scale term is
+    built once, after the n-loop's windows are freed.  Each product and
+    sum is taken in the order of a sum over scale j alone, and coarser[n]
+    adds in the order of Python's sum, from the int 0, so a_j and e4_j are
+    those of the per-scale sums bit for bit.
+    """
+
+    def __init__(self, stack: CovarianceStack):
+        self.stack = stack
+        self.j = 0
+        self.coarser: list = []
+        self.a: float | None = None
+        self.e4: float | None = None
+
+    def step(self):
+        """Move the walk from scale j to j + 1, leaving a_{j+1} and e4_{j+1}."""
+        stack = self.stack
+        j = self.j + 1
+        _check_scale(stack, j)
+        a2 = ALPHA_SQ_KT
+        L = float(stack.lattice.L)
+        L2j = L ** (2 * j)
+        # e4's Taylor term (1/4) sum_{mu nu} (d^mu d^nu Gamma_j)(0) y_mu y_nu over
+        # the signed directions, y_mu = e_mu . y, is q |y|^2: the equal and
+        # opposite pairs on each axis give (dd - opposite)/2 times y_a^2, and
+        # the cross-axis pairs cancel in sign, so the y0 y1 coefficient is exactly 0
+        dd, opposite = _second_differences(stack, j)
+        q = 0.5 * (dd - opposite)
+        self.coarser.append(0)
+        a = e4 = 0.0
+        for n in range(j):
+            gn = stack.grid(n)
+            K = stack.kernel(j, n)
+            wb = _w_b_term(stack, j, n, self.coarser[n])
+            bracket = _origin_bracket(K)
+            self.coarser[n] += K
+            del K
+            a += gn.window_moment(wb * bracket)
+            y2 = gn.y**2
+            taylor = q * y2[:, None] + q * y2[None, :]
+            taylor *= 0.5 * a2
+            np.subtract(bracket, taylor, out=taylor)
+            e4 += 2.0 * L2j * gn.window_sum(wb, taylor)
+            del wb, bracket, taylor
+        g = stack.grid(j)
+        term = _single_scale_term(stack, j)
+        e4 += L ** (-2 * j) * g.window_sum(term)
+        term *= L ** (-4 * j)
+        a += g.window_moment(term)
+        self.j, self.a, self.e4 = j, 0.5 * a2 * a, e4
+
+
+def _walk_at(stack: CovarianceStack, j: int) -> _Walk:
+    """The walk standing at scale j.
+
+    compute_coefficients keeps its walk on the stack while it runs, and
+    coeff_a steps it on from j - 1; any other call walks a fresh one up to
+    j, which no later call reads.
+    """
+    walk = stack._cache.get("walk")
+    if walk is None or not j - 1 <= walk.j <= j:
+        walk = _Walk(stack)
+    while walk.j < j:
+        walk.step()
+    return walk
+
+
 def coeff_a(stack: CovarianceStack, j: int) -> float:
     """a_j = (alpha^2/2) sum_y |y|^2 [w_b (e^{-a2 Gamma_j(0|y)} - 1)
-    + e^{-a2 Gamma_j(0)} (e^{a2 Gamma_j(y)} - 1) L^{-4j}]."""
+    + e^{-a2 Gamma_j(0)} (e^{a2 Gamma_j(y)} - 1) L^{-4j}].
+
+    The first sum runs term by term in the w_b scale index n, each on the
+    scale-n grid, the second on the scale-j grid; both are the walk's
+    (_Walk).
+    """
     _check_scale(stack, j)
-    total = 0.0
-    # first sum, term by term in the w_b scale index n, each on the scale-n grid
-    for n in range(j):
-        F = _w_b_term(stack, j, n)
-        F *= _origin_bracket(stack, j, n)
-        total += stack.grid(n).window_moment(F)
-    # second sum on the scale-j grid
-    term2 = _single_scale_term(stack, j)
-    term2 *= float(stack.lattice.L) ** (-4 * j)
-    total += stack.grid(j).window_moment(term2)
-    return 0.5 * ALPHA_SQ_KT * total
+    return _walk_at(stack, j).a
 
 
 def coeff_b(stack: CovarianceStack, j: int) -> float:
@@ -144,30 +228,19 @@ def _second_differences(stack: CovarianceStack, j: int) -> tuple[float, float]:
     """(dd, opposite): second differences of Gamma_j at the origin.
 
     dd is (d^mu d^mu Gamma_j)(0) along one signed unit vector e_mu, and
-    opposite is (d^mu d^nu Gamma_j)(0) for e_nu = -e_mu; by the lattice
-    symmetries neither depends on mu.  Each is one Parseval sum of the band
-    against the real part of its difference symbol, in closed form with
-    c = 2 sin^2(p/2) (the sine form keeps full relative accuracy as p -> 0,
-    where 1 - cos p cancels): -2 cos(p) c for dd and 2c for opposite, along
-    one axis.  The band is symmetric under p0 <-> p1, so a one-axis symbol
-    f(p_a) sums like (f(p0) + f(p1))/2, the symmetric integrand that a sum
-    over the triangle needs.
+    opposite is (d^mu d^nu Gamma_j)(0) for e_nu = -e_mu: the Parseval sums
+    the scale-j grid took after its band pass (SpectralGrid.second_differences).
     """
     g = stack.grid(j)
-    c = 2.0 * np.sin(0.5 * g.p_fold) ** 2
-    dd = g.parseval(g.psi, g.outer(np.add, -np.cos(g.p_fold) * c))
-    opposite = g.parseval(g.psi, g.outer(np.add, c))
-    return dd, opposite
+    return g.dd, g.opposite
 
 
 def energy_coeffs(stack: CovarianceStack, j: int) -> tuple[float, float, float]:
     """(e2, e3, e4) at scale j, per the second-order energy extraction."""
     _check_scale(stack, j)
-    a2 = ALPHA_SQ_KT
-    L = float(stack.lattice.L)
-    L2j = L ** (2 * j)
+    L2j = float(stack.lattice.L) ** (2 * j)
     g = stack.grid(j)
-    dd, opposite = _second_differences(stack, j)
+    dd = _second_differences(stack, j)[0]
     # e2 = -(L^2j / 2) * (1/2) sum_{4 dirs} (d^mu d^mu Gamma_j)(0), four equal terms
     e2 = -L2j * dd
 
@@ -186,20 +259,9 @@ def energy_coeffs(stack: CovarianceStack, j: int) -> tuple[float, float, float]:
         e3 += 3.0 * sums[m]
     e3 *= L2j / 4.0
 
-    # e4: Taylor-subtracted w_b moment plus the single-scale pressure term.
-    # The Taylor term (1/4) sum_{mu nu} (d^mu d^nu Gamma_j)(0) y_mu y_nu over
-    # the signed directions, y_mu = e_mu . y, is q |y|^2: the equal and
-    # opposite pairs on each axis give (dd - opposite)/2 times y_a^2, and the
-    # cross-axis pairs cancel in sign, so the y0 y1 coefficient is exactly 0
-    q = 0.5 * (dd - opposite)
-    e4 = 0.0
-    for n in range(j):
-        gn = stack.grid(n)
-        y2 = gn.y**2
-        bracket = _origin_bracket(stack, j, n) - 0.5 * a2 * (q * y2[:, None] + q * y2[None, :])
-        e4 += 2.0 * L2j * gn.window_sum(_w_b_term(stack, j, n), bracket)
-    e4 += L ** (-2 * j) * g.window_sum(_single_scale_term(stack, j))
-    return float(e2), float(e3), float(e4)
+    # e4: Taylor-subtracted w_b moment plus the single-scale pressure term,
+    # summed by the walk (_Walk)
+    return float(e2), float(e3), _walk_at(stack, j).e4
 
 
 def volume_factor(stack: CovarianceStack, j: int) -> float:
@@ -241,15 +303,20 @@ def compute_coefficients(stack: CovarianceStack, j_max: int) -> RgCoefficients:
         raise ValueError(f"j_max must be in 1..{R - 1} (R = {R}), got {j_max}")
     scales = list(range(1, j_max + 1))
     rep = RgCoefficients(L=stack.lattice.L, scales=scales, a=[], b=[], e2=[], e3=[], e4=[], vol=[], alias_bound=[])
-    for j in scales:
-        rep.a.append(coeff_a(stack, j))
-        rep.b.append(coeff_b(stack, j))
-        e2, e3, e4 = energy_coeffs(stack, j)
-        rep.e2.append(e2)
-        rep.e3.append(e3)
-        rep.e4.append(e4)
-        rep.vol.append(volume_factor(stack, j))
-        rep.alias_bound.append(stack.grid(j).alias_bound(stack.fine_scales(j)))
+    # one walk up the scales: coeff_a steps it on to j, energy_coeffs reads it there
+    stack._cache["walk"] = _Walk(stack)
+    try:
+        for j in scales:
+            rep.a.append(coeff_a(stack, j))
+            rep.b.append(coeff_b(stack, j))
+            e2, e3, e4 = energy_coeffs(stack, j)
+            rep.e2.append(e2)
+            rep.e3.append(e3)
+            rep.e4.append(e4)
+            rep.vol.append(volume_factor(stack, j))
+            rep.alias_bound.append(stack.grid(j).alias_bound(stack.fine_scales(j)))
+    finally:
+        del stack._cache["walk"]
     return rep
 
 

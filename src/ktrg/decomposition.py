@@ -24,7 +24,10 @@ the coefficient sums of coefficients.py are evaluated.  The scale-n grid is
 filled by a band pass over blocks of triangle rows (SpectralGrid.band_pass),
 one FejerPass per block through the fine orders of scales 0..n; the grid
 keeps the band of scale n only, as psi, with the Parseval sums of lam and
-lam^2 times it and each lower band, which b_n and e3_n read.  Decimation
+lam^2 times it and each lower band, which b_n and e3_n read.  Right after
+the pass it takes the sums of psi at the origin once: Gamma_n(0) (where the
+stack has no tables) and the second differences dd and opposite, which
+e2_n and e4_n read; the grid then holds no array but psi.  Decimation
 keeps only the central copy of the folded fine zone; the dropped aliases
 are bounded at runtime and the bound is reported with each window (the
 bands decay fast enough that 243 samples per scale keep the bound near
@@ -49,13 +52,17 @@ band: the covariances are real and even, and the second differences at the
 origin that the coefficients need are real closed-form symbols.
 
 Parseval sums run on the triangle: the weights are w_i w_k, doubled off the
-diagonal, and the weighted product goes through numpy's pairwise np.sum.
+diagonal, built for each sum and dropped after it, and the weighted product
+goes through numpy's pairwise np.sum.
 That is the full sum only for integrands symmetric under the swap, so every
 factor must be a triangle array: a band, lam, or a symmetric combination of
 one-axis terms (SpectralGrid.outer); a one-axis symbol f(p0) is summed as
-(f(p0) + f(p1))/2, which the symmetric bands sum alike.  Only the consumers
-that transform a band build its folded square (_mirror), and drop it after
-the call: window, zoom, the alias ring and decompose's tables.
+(f(p0) + f(p1))/2, which the symmetric bands sum alike.  Only zoom, the
+alias ring and decompose's tables build a band's folded square (_mirror),
+and drop it after the call.  window builds none:
+the square is symmetric, so the blocks of columns that the synthesis's first
+transform reads are its rows, unpacked from the triangle one block at a time
+(_square_rows).
 
 Position space folds the same way.  The kernel of a band is even in each
 coordinate, so its window is the quarter Q[z0, z1], 0 <= z <= radius, at
@@ -234,6 +241,10 @@ class SpectralGrid:
         self.psi: np.ndarray | None = None  # set by band_pass
         self.lam_sums: list[float] | None = None
         self.lam2_sums: list[float] | None = None
+        # Parseval sums of psi, taken once after band_pass (CovarianceStack.grid)
+        self.origin: float | None = None  # the kernel of psi at y = 0
+        self.dd: float | None = None
+        self.opposite: float | None = None
 
     @classmethod
     def decimated(cls, cutoffs: CutoffFamily, m: float, step: int, S: int, radius: int) -> "SpectralGrid":
@@ -292,22 +303,34 @@ class SpectralGrid:
 
     # -- bands --
 
-    @functools.cached_property
-    def _lower(self) -> np.ndarray:
-        """Mask of the triangle k <= i of the folded grid; its row-major order
-        is the order of the triangle arrays."""
-        return np.tri(len(self.p_fold), dtype=bool)
+    def _square_rows(self, t: np.ndarray, s: int, e: int) -> np.ndarray:
+        """Rows s..e-1 of the folded square of the triangle array t, a new (e - s) x n array.
+
+        Entry (i, k) is t at triangle row max(i, k), column min(i, k): the
+        square is symmetric, so its row i is also its column i.  Columns
+        k >= s are gathered as triangle rows k at column i, and each row's
+        columns k < i are then copied as the slice of triangle row i.
+        """
+        n = len(self.p_fold)
+        out = np.empty((e - s, n))
+        out[:, s:] = t[_tri(np.arange(s, n)) + np.arange(s, e)[:, None]]
+        for i in range(s, e):
+            out[i - s, :i] = t[_tri(i) : _tri(i) + i]
+        return out
 
     def _mirror(self, t: np.ndarray) -> np.ndarray:
         """The folded square of the triangle array t, a new array.
 
-        Only the consumers that transform a band build it, and drop it
-        after the call: window, zoom, the alias ring and decompose's tables.
+        Only zoom, the alias ring and decompose's tables build it, and drop
+        it after the call; window reads the rows straight from t.  The mask
+        of the triangle k <= i, whose row-major order is the order of the
+        triangle arrays, is built for the call (an eighth of the square).
         """
         n = len(self.p_fold)
+        lower = np.tri(n, dtype=bool)
         out = np.empty((n, n))
-        out[self._lower] = t
-        out.T[self._lower] = t
+        out[lower] = t
+        out.T[lower] = t
         return out
 
     def band_pass(self, groups):
@@ -371,11 +394,6 @@ class SpectralGrid:
         W[_tri(i + 1) - 1 - _tri(rows.start)] *= 0.5  # the diagonal k = i
         return W
 
-    @functools.cached_property
-    def _weights(self) -> np.ndarray:
-        """_pair_weights on the whole triangle, for parseval."""
-        return self._pair_weights()
-
     def _check_triangle(self, name: str, A) -> None:
         """Raise unless A is a real triangle array of this grid: 1-D, n(n+1)/2 entries."""
         size = _tri(len(self.p_fold))
@@ -398,13 +416,34 @@ class SpectralGrid:
         and parseval(G_a) is K_a(0); exact when the grid spans the support
         of the product (no position aliasing).  A factor that is not a
         triangle array raises: a sum over the triangle is only the full
-        sum for integrands symmetric under the swap.
+        sum for integrands symmetric under the swap.  The weights are built
+        for the call and multiplied by each factor in place, so a sum holds
+        one triangle besides its factors.
         """
-        prod = self._weights
         for f in factors:
             self._check_triangle("parseval", f)
-            prod = prod * f
+        prod = self._pair_weights()
+        for f in factors:
+            prod *= f
         return float(np.sum(prod)) / (self.S**2 * self.weight)
+
+    def second_differences(self) -> tuple[float, float]:
+        """(dd, opposite): the second differences of the kernel of psi at the origin.
+
+        dd is (d^mu d^mu K)(0) along one signed unit vector e_mu, and
+        opposite is (d^mu d^nu K)(0) for e_nu = -e_mu; by the lattice
+        symmetries neither depends on mu.  Each is one Parseval sum of psi
+        against the real part of its difference symbol, in closed form with
+        c = 2 sin^2(p/2) (the sine form keeps full relative accuracy as
+        p -> 0, where 1 - cos p cancels): -2 cos(p) c for dd and 2c for
+        opposite, along one axis.  The band is symmetric under p0 <-> p1, so
+        a one-axis symbol f(p_a) sums like (f(p0) + f(p1))/2, the symmetric
+        integrand that a sum over the triangle needs.
+        """
+        c = 2.0 * np.sin(0.5 * self.p_fold) ** 2
+        dd = self.parseval(self.psi, self.outer(np.add, -np.cos(self.p_fold) * c))
+        opposite = self.parseval(self.psi, self.outer(np.add, c))
+        return dd, opposite
 
     def alias_bound(self, hs) -> float:
         """Bound on the dropped Brillouin-zone aliases of band hs (0 at step 1).
@@ -431,11 +470,14 @@ class SpectralGrid:
         G is a triangle array (anything else raises), even in each momentum
         component, so its kernel is even in each coordinate: the quarter
         is the real synthesis of its folded square (lattice's
-        _half_synthesis, cut to the quarter).  irfft reads the first
-        S//2 + 1 entries of each axis, so the axis must start with the
-        nonnegative momenta 2 pi k / (S step), k = 0..S//2, in order, as
-        every folded axis does; any other axis (the alias ring, an
-        even-length fftfreq axis) raises.
+        _half_synthesis, cut to the quarter).  The square is symmetric, so
+        the first transform's blocks are its rows, unpacked from G one
+        block at a time (_square_rows); no square is built.  irfft reads
+        the first S//2 + 1 entries of each axis, so the axis must start
+        with the nonnegative momenta 2 pi k / (S step), k = 0..S//2, in
+        order, as every folded axis does (and a trivially folded fftfreq
+        axis of odd length); any other axis (the alias ring, an even-length
+        fftfreq axis) raises.
         """
         self._check_triangle("window", G)
         h = self.S // 2 + 1
@@ -445,7 +487,7 @@ class SpectralGrid:
                 f"real synthesis needs a folded grid; the axis of length {self.S} does not start with its momenta >= 0"
             )
         n = self.radius + 1
-        K = _half_synthesis(self._mirror(G)[:h, :h], n, n)
+        K = _half_synthesis(lambda s, e: np.ascontiguousarray(self._square_rows(G, s, e)[:, :h]), n, n, n=h)
         K /= self.weight
         return K
 
@@ -580,7 +622,11 @@ class CovarianceStack:
         of scales 0..n and also leaves the grid the Parseval sums of lam and
         lam^2 times band n and each band k <= n (lam_sums, lam2_sums), the
         only sums that pair scale n with finer scales.  The grid holds no
-        other band.
+        other band.  Right after the pass, while the grid holds psi alone,
+        its sums at the origin are taken once: Gamma_n(0) as origin (for a
+        stack without tables, where gamma0 reads the grid) and the two
+        second differences dd and opposite.  Each builds its pair weights
+        and drops them, so the grid keeps no array but psi.
 
         It resolves scale n at its natural step, and its window spans the
         scale-n support plus a margin of two sites: windows of scales <= n
@@ -594,6 +640,9 @@ class CovarianceStack:
             radius = -(-(self.support_radius(n) + 2) // step)
             g = SpectralGrid.decimated(self.cutoffs, self.lattice.m, step, _odd_fast_len(2 * radius + 3), radius)
             g.band_pass(self.fine_scales(k) for k in range(n + 1))
+            if self.gamma_tables is None:
+                g.origin = g.parseval(g.psi)
+            g.dd, g.opposite = g.second_differences()
             self._cache[key] = g
         return self._cache[key]
 
@@ -606,15 +655,19 @@ class CovarianceStack:
         position-alias in that grid's FFT, so it is zoom-evaluated on its
         own grid at the scale-n positions.  A finer Gamma_j, j < n, raises:
         its grid's period is shorter than the scale-n window, so a zoom
-        would alias.  Cached on the stack.
+        would alias.  Gamma_n is cached on the stack, since every coarser
+        scale of the coefficient walk reads it; a zoom is not, since the
+        walk reads each one once.
         """
         if j < n:
             raise ValueError(f"kernel of scale {j} on the coarser scale-{n} grid: only j >= n is served")
-        key = ("kernel", j, n)
+        if j > n:
+            src = self.grid(j)
+            return src.zoom(src.psi, self.grid(n).y)
+        key = ("kernel", n, n)
         if key not in self._cache:
             g = self.grid(n)
-            src = self.grid(j)
-            self._cache[key] = g.window(g.psi) if j == n else src.zoom(src.psi, g.y)
+            self._cache[key] = g.window(g.psi)
         return self._cache[key]
 
     # -- values --
@@ -626,15 +679,11 @@ class CovarianceStack:
         return self.gamma_tables[j]
 
     def gamma0(self, j: int) -> float:
-        """Gamma_j(0): the table entry, or the Parseval sum on the scale-j grid."""
+        """Gamma_j(0): the table entry, or the Parseval sum the scale-j grid took after its band pass."""
         self._check_scale(j)
         if self.gamma_tables is not None:
             return float(self.gamma_tables[j][0, 0])
-        key = ("g0", j)
-        if key not in self._cache:
-            g = self.grid(j)
-            self._cache[key] = g.parseval(g.psi)
-        return self._cache[key]
+        return self.grid(j).origin
 
     def prefix_diag(self, j_hi: int, j_lo: int) -> float:
         """Gamma_{j_hi, j_lo}(0) = sum_{n=j_lo}^{j_hi} Gamma_n(0); 0 if empty."""

@@ -226,12 +226,21 @@ def from_rescaled(x: float, y: float, a: float, b: float) -> tuple[float, float]
     return x / b, y / math.sqrt(a * b)
 
 
+# rows of the trajectory CSV formatted per chunk (trajectory_csv)
+CSV_CHUNK_ROWS = 4096
+
+
 def trajectory_csv(traj: FlowTrajectory, q1: float, path: str):
+    """Write the trajectory and the envelope q_j of q1 to path, one row per scale j.
+
+    Each chunk of CSV_CHUNK_ROWS rows is one %-format of its values, with
+    %.17g as the per-row f-string's .17g writes them.
+    """
     q = kosterlitz_q_array(q1, traj.horizon)
     with open(path, "w", newline="\n") as f:
         f.write("j,x,y,q_j,x_minus_q,y_minus_q\n")
-        for i in range(traj.horizon):
-            f.write(
-                f"{i + 1},{traj.x[i]:.17g},{traj.y[i]:.17g},"
-                f"{q[i]:.17g},{traj.x[i] - q[i]:.17g},{traj.y[i] - q[i]:.17g}\n"
-            )
+        for s in range(0, traj.horizon, CSV_CHUNK_ROWS):
+            e = min(s + CSV_CHUNK_ROWS, traj.horizon)
+            x, y, qs = traj.x[s:e], traj.y[s:e], q[s:e]
+            cols = np.column_stack([np.arange(s + 1, e + 1), x, y, qs, x - qs, y - qs])
+            f.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" * (e - s) % tuple(cols.ravel().tolist()))

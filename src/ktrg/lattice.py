@@ -16,7 +16,9 @@ k0, k1 >= 0 alone, side//2 + 1 momenta per axis: one real inverse
 transform per axis, the first cut to rows 0..side//2, each run along the
 contiguous axis a block of lines at a time (_half_synthesis); row x past
 side//2 is a copy of row side - x (folded_table).  The decomposition's
-windows of real bands take the same two transforms, cut to the window.
+windows of real bands take the same two transforms, cut to the window, fed
+blocks of rows of the band's symmetric quarter unpacked from its packed
+triangle.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def laplacian_symbol(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
 SYNTHESIS_BLOCK = 32
 
 
-def _half_synthesis(G: np.ndarray, rows: int, cols: int, out: np.ndarray | None = None) -> np.ndarray:
+def _half_synthesis(G, rows: int, cols: int, out: np.ndarray | None = None, n: int | None = None) -> np.ndarray:
     """T[x0, x1], 0 <= x0 < rows, 0 <= x1 < cols, of the inverse FFT of the even array G.
 
     G is the folded quarter, n = S//2 + 1 entries per axis, of a real
@@ -136,12 +138,23 @@ def _half_synthesis(G: np.ndarray, rows: int, cols: int, out: np.ndarray | None 
     strided axis, so the values are those of
     irfft(irfft(G, n=S, axis=0)[:rows], n=S, axis=1)[:, :cols], bit for
     bit.  The table goes to out (rows x cols) when given.
+
+    G may instead be a function, with n given: G(s, e) returns the block
+    G[:, s:e].T of the first transform as a new C-contiguous (e - s) x n
+    array.  A G symmetric under k0 <-> k1 hands out its rows s..e-1, so a
+    quarter stored packed (a band on its triangle) is never unpacked whole.
     """
-    n = G.shape[0]
+    if n is None:
+        n = G.shape[0]
+
+        def lines(s: int, e: int) -> np.ndarray:
+            return G[:, s:e].T.copy()
+    else:
+        lines = G
     S = 2 * n - 1
     B = np.empty((n, rows))  # B[k1, x0]
     for s in range(0, n, SYNTHESIS_BLOCK):
-        B[s : s + SYNTHESIS_BLOCK] = np.fft.irfft(G[:, s : s + SYNTHESIS_BLOCK].T.copy(), n=S)[:, :rows]
+        B[s : s + SYNTHESIS_BLOCK] = np.fft.irfft(lines(s, min(s + SYNTHESIS_BLOCK, n)), n=S)[:, :rows]
     if out is None:
         out = np.empty((rows, cols))
     for s in range(0, rows, SYNTHESIS_BLOCK):

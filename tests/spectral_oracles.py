@@ -10,7 +10,11 @@ reports, with the windows of finer kernels on coarser grids that the
 stack does not serve.  Beside them sit the full-triangle forms that the
 scale grids' row-block band pass replaced: the bands of scales 0..j on the
 scale-j grid, the Parseval sums of b_j and e3_j over them, the b_j-weighted
-alias bound, and |y|^2 as a window.
+alias bound, and |y|^2 as a window.  Last come the paths that the
+coefficient walk and the triangle-fed window replaced: the Parseval sum
+whose weights each call builds and multiplies into fresh products, the
+window synthesized from the folded square, and a_j and e4_j summed per
+scale, each re-summing the zooms of the coarser kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from ktrg.coefficients import ALPHA_SQ_KT, _check_scale
 from ktrg.decomposition import ALIAS_PROBE_POINTS, SpectralGrid, Window, band_window, natural_step
-from ktrg.lattice import DIRS
+from ktrg.lattice import DIRS, _half_synthesis
 
 # ---------------------------------------------------------------------------
 # the full grid
@@ -351,3 +355,78 @@ def kernels(stack, j: int, alpha_sq: float = ALPHA_SQ_KT) -> WKernels:
         w_a=w_a, w_b=w_b, w_c=w_c, w_d=w_d, w_e=w_e,
         y_sq=g.full_window(y_sq(g)), alias_bound=g.alias_bound(stack.fine_scales(j - 1)),
     )
+
+
+# ---------------------------------------------------------------------------
+# the paths the coefficient walk and the triangle-fed window replaced
+
+
+def fresh_parseval(g, *factors: np.ndarray) -> float:
+    """The Parseval sum over the triangle: the pair weights times each factor in turn, one np.sum."""
+    prod = g._pair_weights()
+    for f in factors:
+        prod = prod * f
+    return float(np.sum(prod)) / (g.S**2 * g.weight)
+
+
+def origin_sums(g) -> tuple[float, float, float]:
+    """(Gamma(0), dd, opposite) of the band psi of grid g, each from fresh_parseval."""
+    c = 2.0 * np.sin(0.5 * g.p_fold) ** 2
+    return (fresh_parseval(g, g.psi),
+            fresh_parseval(g, g.psi, g.outer(np.add, -np.cos(g.p_fold) * c)),
+            fresh_parseval(g, g.psi, g.outer(np.add, c)))
+
+
+def square_window(g, G: np.ndarray) -> np.ndarray:
+    """The quarter window of the triangle array G, synthesized from its whole folded square."""
+    h = g.S // 2 + 1
+    n = g.radius + 1
+    K = _half_synthesis(g._mirror(G)[:h, :h], n, n)
+    K /= g.weight
+    return K
+
+
+def w_b_term(stack, j: int, n: int) -> np.ndarray:
+    """Scale-n term of w_{b,j} on the quarter window of the scale-n grid, re-summing kernel(m, n), m = n+1..j-1."""
+    a2 = ALPHA_SQ_KT
+    pref = stack.prefix_diag(j - 1, n + 1) - sum(stack.kernel(m, n) for m in range(n + 1, j))
+    return (np.exp(-a2 * pref) * math.exp(-a2 * stack.gamma0(n)) * np.expm1(a2 * stack.kernel(n, n))
+            * float(stack.lattice.L) ** (-4 * n))
+
+
+def origin_bracket(stack, j: int, n: int) -> np.ndarray:
+    """expm1(-a2 (Gamma_j(0) - Gamma_j(y))) on the quarter window of the scale-n grid."""
+    K = stack.kernel(j, n)
+    return np.expm1(-ALPHA_SQ_KT * (K[0, 0] - K))
+
+
+def single_scale_term(stack, j: int) -> np.ndarray:
+    """e^{-a2 Gamma_j(0)} (e^{a2 Gamma_j(y)} - 1) on the quarter window of the scale-j grid."""
+    return np.expm1(ALPHA_SQ_KT * stack.kernel(j, j)) * math.exp(-ALPHA_SQ_KT * stack.gamma0(j))
+
+
+def per_scale_a(stack, j: int) -> float:
+    """a_j summed for scale j alone: one w_b term and bracket per n < j, then the single-scale term."""
+    total = 0.0
+    for n in range(j):
+        total += stack.grid(n).window_moment(w_b_term(stack, j, n) * origin_bracket(stack, j, n))
+    term = single_scale_term(stack, j) * float(stack.lattice.L) ** (-4 * j)
+    total += stack.grid(j).window_moment(term)
+    return 0.5 * ALPHA_SQ_KT * total
+
+
+def per_scale_e4(stack, j: int) -> float:
+    """e4_j summed for scale j alone, with the second differences of fresh Parseval sums."""
+    a2 = ALPHA_SQ_KT
+    L = float(stack.lattice.L)
+    L2j = L ** (2 * j)
+    _, dd, opposite = origin_sums(stack.grid(j))
+    q = 0.5 * (dd - opposite)
+    e4 = 0.0
+    for n in range(j):
+        gn = stack.grid(n)
+        y2 = gn.y**2
+        bracket = origin_bracket(stack, j, n) - 0.5 * a2 * (q * y2[:, None] + q * y2[None, :])
+        e4 += 2.0 * L2j * gn.window_sum(w_b_term(stack, j, n), bracket)
+    e4 += L ** (-2 * j) * stack.grid(j).window_sum(single_scale_term(stack, j))
+    return e4

@@ -258,6 +258,16 @@ def test_separatrix_refuses_a_base_of_no_gamma_3_lattice(tmp_path, capsys, monke
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", ["separatrix", "flow"])
+def test_a_negative_activity_is_refused_before_anything_is_written(tmp_path, capsys, command):
+    # the manifold solves at |y1|, so y1 = -0.01 used to run and write a
+    # CSV (separatrix with z = -0.02876); it now exits 1 naming y1
+    assert main([command, "--y1", "-0.01", "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} --y1 -0.01: ") and "y1 must be >= 0" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_separatrix_inside_ball_passes(tmp_path, capsys):
     assert main(["separatrix", "--y1", "0.01", "--out-dir", str(tmp_path)]) == 0
     header, row = (tmp_path / "separatrix_y0.01.csv").read_text().splitlines()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from ktrg.coefficients import (
 
 from spectral_oracles import (
     complex_dd_at_zero, complex_e3_symbol, dd_tensor, e3_symbol, full_y, grid_band, ifft_window, kernel_source,
-    kernels, mean_parseval, parseval_b, parseval_e3, scale_bands, tensor_sums, unfold, weighted_alias_bound,
+    kernels, mean_parseval, origin_bracket, parseval_b, parseval_e3, per_scale_a, per_scale_e4, scale_bands,
+    tensor_sums, unfold, w_b_term, weighted_alias_bound,
 )
 
 A2 = ALPHA_SQ_KT
@@ -499,20 +501,22 @@ def test_l9_coefficients_match_the_folded_square_sums(stack_l9_massless, l9_repo
 
 def _check_triangle_sum(g, value, *factors):
     """value against math.fsum of the weighted full-triangle product and against the folded-square sum, at 2e-15."""
-    ref = math.fsum(g._weights * np.prod(factors, axis=0)) / (g.S**2 * g.weight)
+    ref = math.fsum(g._pair_weights() * np.prod(factors, axis=0)) / (g.S**2 * g.weight)
     assert abs(value - ref) <= 2e-15 * abs(ref), (g.S, len(factors))
     assert value == pytest.approx(_square_parseval(g, *factors), rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("L, j_max", [(9, 3), (3, 5)])
 def test_triangle_parseval_sums_within_2e_15_of_fsum(stack_l9_massless, stack_l3_massless, monkeypatch, L, j_max):
-    # every Parseval sum of the coefficients (the two second differences) and Gamma_j(0) on
-    # each scale grid, and every sum of its band pass (lam and lam^2 times
-    # psi_n psi_j, n <= j, of b_j and e3_j), against math.fsum of the same
-    # weighted full-triangle product and against the folded-square sum
+    # every Parseval sum of the coefficients (the two second differences and,
+    # without tables, Gamma_j(0), which each scale grid takes as it is built,
+    # on a stack with a fresh cache) and Gamma_j(0) on each scale grid, and
+    # every sum of its band pass (lam and lam^2 times psi_n psi_j, n <= j, of
+    # b_j and e3_j), against math.fsum of the same weighted full-triangle
+    # product and against the folded-square sum
     from ktrg.decomposition import SpectralGrid
 
-    st = stack_l9_massless if L == 9 else stack_l3_massless
+    st = dataclasses.replace(stack_l9_massless if L == 9 else stack_l3_massless, _cache={})
     exact = SpectralGrid.parseval
     seen = []
 
@@ -636,9 +640,10 @@ def test_gamma0_matches_longdouble_symbol(stack_l9_massless):
         g = st.grid(j)
         hs = st.fine_scales(j)
         axis = 4 * np.sin(g.p_fold.astype(np.longdouble) / 2) ** 2
-        ref = g.parseval(cut.band_sum((axis[:, None] + axis[None, :]).astype(float)[g._lower], g.b, hs))
+        lower = np.tri(len(g.p_fold), dtype=bool)
+        ref = g.parseval(cut.band_sum((axis[:, None] + axis[None, :]).astype(float)[lower], g.b, hs))
         assert abs(st.gamma0(j) - ref) <= 2 * np.finfo(float).eps * ref
-        old = g.parseval(cut.band_sum(_cos_symbol(g.p0, g.p1)[g._lower], g.b, hs))
+        old = g.parseval(cut.band_sum(_cos_symbol(g.p0, g.p1)[lower], g.b, hs))
         if j == 3:
             assert abs(old - ref) > 1e-12 * ref
 
@@ -664,8 +669,6 @@ def test_a_moments_within_1e_15_of_a_longdouble_sum(l9_report, stack_l9_massless
     # coeff_a's factor windows summed against |y|^2 in long double; measured:
     # the separable sums are off by <= 3.1e-16 at j <= 3, the y_sq product
     # sums they replaced by 1.4e-15 at j = 3
-    from ktrg.coefficients import _origin_bracket, _w_b_term
-
     st = stack_l9_massless
     ld = np.longdouble
     L = float(st.lattice.L)
@@ -674,8 +677,8 @@ def test_a_moments_within_1e_15_of_a_longdouble_sum(l9_report, stack_l9_massless
         for n in range(j + 1):
             g = st.grid(n)
             if n < j:
-                F = _w_b_term(st, j, n).astype(ld)
-                F *= _origin_bracket(st, j, n)
+                F = w_b_term(st, j, n).astype(ld)
+                F *= origin_bracket(st, j, n)
             else:
                 F = (np.expm1(A2 * st.kernel(j, j)) * math.exp(-A2 * st.gamma0(j)) * L ** (-4 * j)).astype(ld)
             y2 = g.y.astype(ld) ** 2
@@ -685,6 +688,50 @@ def test_a_moments_within_1e_15_of_a_longdouble_sum(l9_report, stack_l9_massless
             ref += g.weight * np.sum(F)
         ref *= 0.5 * A2
         assert abs(l9_report.a[i] - ref) <= 1e-15 * abs(ref), j
+
+
+@pytest.mark.parametrize("L, R, j_max", [(9, 6, 3), (3, 6, 5), (3, 7, 6)])
+def test_walk_bit_identical_to_the_per_scale_sums(stack_l9_massless, stack_l3_massless, L, R, j_max):
+    # compute_coefficients' one walk up the scales, and the fresh walk of a
+    # call for one scale, against a_j and e4_j summed for each scale alone,
+    # re-summing the coarser kernels' zooms for every pair (j, n)
+    from ktrg.decomposition import decompose
+    from ktrg.lattice import TorusLattice
+
+    base = {(9, 6): stack_l9_massless, (3, 6): stack_l3_massless}.get((L, R))
+    st = decompose(TorusLattice(L=L, R=R)) if base is None else dataclasses.replace(base, _cache={})
+    rep = compute_coefficients(st, j_max)
+    for i, j in enumerate(rep.scales):
+        assert rep.a[i] == per_scale_a(st, j), j
+        assert rep.e4[i] == per_scale_e4(st, j), j
+    assert coeff_a(st, j_max) == rep.a[-1]
+    assert energy_coeffs(st, j_max) == (rep.e2[-1], rep.e3[-1], rep.e4[-1])
+
+
+def test_compute_coefficients_holds_only_the_windows_later_scales_read(stack_l9_massless):
+    # the traced peak at (L, R, j-max) = (9, 6, 3) was 38.7 MiB with every
+    # zoom cached and the window synthesized from the folded square, and is
+    # 26.7 MiB with the walk; afterwards each grid keeps psi as its only
+    # triangle- or square-sized array, and the stack no zoom kernel(j > n, n)
+    from ktrg.decomposition import _tri
+
+    st = dataclasses.replace(stack_l9_massless, _cache={})
+    tracemalloc.start()
+    try:
+        compute_coefficients(st, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
+    grids = [key for key in st._cache if key[0] == "grid"]
+    assert sorted(grids) == [("grid", n) for n in range(4)]
+    for key in grids:
+        g = st._cache[key]
+        k = len(g.p_fold)
+        held = {name for name, v in vars(g).items() if isinstance(v, np.ndarray) and v.size >= min(_tri(k), k * k)}
+        assert held == {"psi"}, (key, held)
+    assert all(key[1] == key[2] for key in st._cache if key[0] == "kernel")
+    assert "walk" not in st._cache
 
 
 def test_taylor_cross_coefficient_is_exactly_zero(stack_l3_massless, stack_l9_massless):

@@ -398,3 +398,36 @@ def test_diagonal_rejects_starts_off_the_unit_interval(bad):
 def test_diagonal_rejects_short_horizon():
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         diagonal(0.01, 0)
+
+
+def _row_by_row_csv(traj, q1, path):
+    """Oracle: the trajectory CSV written one f-string per row."""
+    from ktrg.flow import kosterlitz_q_array
+
+    q = kosterlitz_q_array(q1, traj.horizon)
+    with open(path, "w", newline="\n") as f:
+        f.write("j,x,y,q_j,x_minus_q,y_minus_q\n")
+        for i in range(traj.horizon):
+            f.write(
+                f"{i + 1},{traj.x[i]:.17g},{traj.y[i]:.17g},"
+                f"{q[i]:.17g},{traj.x[i] - q[i]:.17g},{traj.y[i] - q[i]:.17g}\n"
+            )
+
+
+@pytest.mark.parametrize("x1, y1, horizon", [
+    (0.0082982043844087878, 0.01, 10_000),  # near the separatrix: two full chunks and a partial one
+    (0.0082982043844087878, 0.01, 4096),    # one full chunk
+    (-0.3, 0.2, 4096),                      # diverges after 6 rows
+    (0.0, -0.0, 3),                         # signed zeros
+    (0.01, 0.01, 1),
+])
+def test_chunked_trajectory_csv_matches_the_row_by_row_writer(tmp_path, x1, y1, horizon):
+    from ktrg.flow import CSV_CHUNK_ROWS, trajectory_csv
+
+    assert CSV_CHUNK_ROWS == 4096
+    traj = trajectory(x1, y1, FlowConfig(horizon=horizon))
+    trajectory_csv(traj, y1, str(tmp_path / "chunked.csv"))
+    _row_by_row_csv(traj, y1, str(tmp_path / "rows.csv"))
+    chunked = (tmp_path / "chunked.csv").read_bytes()
+    assert chunked == (tmp_path / "rows.csv").read_bytes()
+    assert chunked.count(b"\n") == traj.horizon + 1
