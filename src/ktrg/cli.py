@@ -35,7 +35,9 @@ from . import __version__
 
 from .lattice import TorusLattice
 from .cutoffs import build_cutoffs, coulomb_constant_c, coulomb_constant_closed
-from .decomposition import DecompositionError, decompose, write_stack, LEAKAGE_TOL, PSD_TOL, TELESCOPING_TOL
+from .decomposition import (
+    DecompositionError, decompose, write_stack, LEAKAGE_TOL, MATERIALIZE_CAP, PSD_TOL, TELESCOPING_TOL,
+)
 from .coefficients import compute_coefficients, coefficients_csv, limit_constants, ALPHA_SQ_KT
 from .flow import FlowConfig, trajectory, diagonal, deviation_profile, trajectory_csv, from_rescaled
 from .manifold import (
@@ -72,6 +74,9 @@ def _out_path(args, name: str) -> str:
 def cmd_decompose(args) -> int:
     L, R, m = args.L, args.R, args.m
     lat = TorusLattice(L=L, R=R, m=m)
+    if lat.side > MATERIALIZE_CAP:
+        raise ValueError(f"decompose --L {L} --R {R}: torus side {lat.side} is above {MATERIALIZE_CAP}, "
+                         "the largest side a stack file holds")
     stack = decompose(lat)
     err = stack.telescoping_error()
     leak = max(stack.leakage(j) for j in range(R))

@@ -547,9 +547,6 @@ class Window:
     radius: int
     alias_bound: float
 
-    def at(self, z0: int, z1: int) -> float:
-        return float(self.values[z0 + self.radius, z1 + self.radius])
-
 
 def band_window(
     cutoffs: CutoffFamily,
@@ -679,7 +676,14 @@ class CovarianceStack:
         return self.gamma_tables[j]
 
     def gamma0(self, j: int) -> float:
-        """Gamma_j(0): the table entry, or the Parseval sum the scale-j grid took after its band pass."""
+        """Gamma_j(0): the table entry, or the Parseval sum the scale-j grid took after its band pass.
+
+        The table branch stays: on decompose(TorusLattice(3, 7)) the grid
+        sum is within 2 ulps of the table at j <= 5 (step 1) but 5.5e-14
+        (1978 ulps) below it at j = 6 (step 3; alias_bound 1.3e-11).  Its
+        cost: L = 3 rows at R = 6 and 8 differ by up to 4.6e-15 (a_j) and
+        8.9e-16 (vol_j) relative.
+        """
         self._check_scale(j)
         if self.gamma_tables is not None:
             return float(self.gamma_tables[j][0, 0])

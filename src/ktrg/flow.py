@@ -14,7 +14,7 @@ activity and are out of scope, so the flow carries only the two couplings
 `corrections` is the one place where the per-scale terms are written; it
 takes floats or equal-shape arrays (j an int or an int array), rounds both
 the same way and returns exact zeros past the table.  `_advance`, the one
-step built on it, serves `step` and `trajectory`; the fixed-point map
+step built on it, serves `trajectory`; the fixed-point map
 `manifold.apply_T` calls the kernel once, on the scales of the table.
 `diagonal` is the limit flow on its separatrix x = y, where the step
 reduces to s' = s - s^2; `trajectory` takes it for starts on the diagonal,
@@ -33,11 +33,9 @@ import numpy as np
 
 __all__ = [
     "FlowConfig",
-    "FlowState",
     "FlowTrajectory",
     "kosterlitz_q_array",
     "corrections",
-    "step",
     "trajectory",
     "diagonal",
     "DeviationFit",
@@ -72,13 +70,6 @@ class FlowConfig:
         return len(self.deviations)
 
 
-@dataclass(frozen=True)
-class FlowState:
-    j: int
-    x: float
-    y: float
-
-
 @dataclass
 class FlowTrajectory:
     config: FlowConfig
@@ -90,9 +81,6 @@ class FlowTrajectory:
     @property
     def horizon(self) -> int:
         return len(self.x)
-
-    def state(self, j: int) -> FlowState:
-        return FlowState(j=j, x=float(self.x[j - 1]), y=float(self.y[j - 1]))
 
 
 def kosterlitz_q_array(q1: float, horizon: int) -> np.ndarray:
@@ -127,12 +115,6 @@ def _advance(j, x, y, config: FlowConfig):
     """One RG step from scale j: (x, y) at scale j + 1."""
     F, M = corrections(j, x, y, config)
     return x - y * y + F, y - x * y + M
-
-
-def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """One RG step of the rescaled flow."""
-    x, y = _advance(state.j, state.x, state.y, config)
-    return FlowState(j=state.j + 1, x=x, y=y)
 
 
 def trajectory(x1: float, y1: float, config: FlowConfig) -> FlowTrajectory:
@@ -189,22 +171,21 @@ def diagonal(s1: float, horizon: int) -> np.ndarray:
 @dataclass(frozen=True)
 class DeviationFit:
     exponent_x: float | None
-    amplitude_x: float | None
     exponent_y: float | None
-    amplitude_y: float | None
 
 
-def _fit_tail(devs: np.ndarray, js: np.ndarray) -> tuple[float, float] | tuple[None, None]:
+def _fit_tail(devs: np.ndarray, js: np.ndarray) -> float | None:
+    """The slope of ln devs against ln j over the tail half, or None on fewer than 8 points above 1e-14."""
     mask = devs > 1e-14
     if mask.sum() < 8:
-        return None, None
+        return None
     lo = len(devs) // 2
     mask[:lo] = False
     if mask.sum() < 8:
-        return None, None
+        return None
     A = np.vstack([np.log(js[mask]), np.ones(int(mask.sum()))]).T
     sol, *_ = np.linalg.lstsq(A, np.log(devs[mask]), rcond=None)
-    return float(sol[0]), float(math.exp(sol[1]))
+    return float(sol[0])
 
 
 def deviation_profile(traj: FlowTrajectory, q1: float) -> DeviationFit:
@@ -214,9 +195,7 @@ def deviation_profile(traj: FlowTrajectory, q1: float) -> DeviationFit:
     J = traj.horizon
     js = np.arange(1, J + 1, dtype=float)
     q = kosterlitz_q_array(q1, J)
-    ex, ax = _fit_tail(np.abs(traj.x - q), js)
-    ey, ay = _fit_tail(np.abs(traj.y - q), js)
-    return DeviationFit(exponent_x=ex, amplitude_x=ax, exponent_y=ey, amplitude_y=ay)
+    return DeviationFit(exponent_x=_fit_tail(np.abs(traj.x - q), js), exponent_y=_fit_tail(np.abs(traj.y - q), js))
 
 
 # -- original <-> rescaled variables ---------------------------------------

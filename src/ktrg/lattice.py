@@ -100,11 +100,6 @@ class TorusLattice:
         """
         return 2.0 * np.pi * np.fft.fftfreq(self.side)
 
-    def reduce(self, x) -> tuple[int, int]:
-        """Reduce a lattice point to the centered fundamental domain."""
-        s, h = self.side, (self.side - 1) // 2
-        return ((x[0] + h) % s - h, (x[1] + h) % s - h)
-
 
 def laplacian_symbol(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     """-Delta hat: 4 sin^2(k0/2) + 4 sin^2(k1/2), broadcasting over the grid.

@@ -116,11 +116,11 @@ def undiagonalize(w_plus: float, w_minus: float) -> tuple[float, float]:
 
 
 def seq_norm(seq: WeightedSequence, prob: ManifoldProblem) -> float:
-    """Weighted sup norm: max over j of the two channel ratios."""
+    """Weighted sup norm: max over j of the two channel ratios (NaN if either is)."""
     th = prob.tau * prob.h()
     a = np.max(np.abs(seq.w_plus) / th)
     b = 2.0 * np.max(np.abs(seq.w_minus) / th)
-    return float(max(a, b))
+    return float(np.maximum(a, b))
 
 
 def _distance(a: WeightedSequence, b: WeightedSequence, prob: ManifoldProblem) -> float:
@@ -321,23 +321,24 @@ def solve_shooting(y1: float, flow_config: FlowConfig | None = None,
 
 
 def empirical_contraction(prob: ManifoldProblem, n_samples: int = 100, seed: int = 7) -> float:
-    """Max Lipschitz ratio of T over sampled pairs in the weighted ball."""
+    """Max Lipschitz ratio of T over sampled pairs in the weighted ball; 0 at y1 = 0 (T = 0)."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if prob.y1 == 0.0:
+        return 0.0
     rng = np.random.default_rng(seed)
     th = prob.tau * prob.h()
     worst = 0.0
-    for _ in range(n_samples):
-        mats = []
-        for _ in range(2):
-            wp = th * rng.uniform(-1.0, 1.0, prob.J)
-            wm = 0.5 * th * rng.uniform(-1.0, 1.0, prob.J)
-            mats.append(WeightedSequence(wp, wm))
-        a, b = mats
+    for i in range(n_samples):
+        a, b = (WeightedSequence(th * rng.uniform(-1.0, 1.0, prob.J), 0.5 * th * rng.uniform(-1.0, 1.0, prob.J))
+                for _ in range(2))
         dn = _distance(a, b, prob)
         if dn == 0.0:
             continue
-        worst = max(worst, _distance(apply_T(a, prob), apply_T(b, prob), prob) / dn)
+        ratio = _distance(apply_T(a, prob), apply_T(b, prob), prob) / dn
+        if not math.isfinite(ratio):
+            raise RuntimeError(f"contraction sample {i}: Lipschitz ratio {ratio} is not finite")
+        worst = max(worst, ratio)
     return worst
 
 

@@ -35,8 +35,6 @@ import numpy as np
 from .lattice import TorusLattice, folded_table, laplacian_symbol, yukawa_table, normalized_potential_table
 
 __all__ = [
-    "ChargeConfiguration",
-    "configuration_energy",
     "OracleResult",
     "oracle_lattice",
     "grand_Z",
@@ -59,53 +57,6 @@ _CHUNK = 65_536
 def oracle_lattice(side: int, m: float = 0.0) -> TorusLattice:
     """Small torus for brute-force sums; side odd, not tied to a gamma power."""
     return TorusLattice(L=side, R=1, gamma=side, m=m)
-
-
-@dataclass(frozen=True)
-class ChargeConfiguration:
-    """Labeled particles: tuple of ((x0, x1), sigma) with sigma = +-1."""
-
-    particles: tuple
-
-    def __post_init__(self):
-        for (_, sig) in self.particles:
-            if sig not in (-1, 1):
-                raise ValueError(f"charges must be +-1, got {sig}")
-
-    @property
-    def n(self) -> int:
-        return len(self.particles)
-
-    @property
-    def total_charge(self) -> int:
-        return sum(s for _, s in self.particles)
-
-
-def configuration_energy(cfg: ChargeConfiguration, lattice: TorusLattice, normalized: bool = False):
-    """Total energy H (self-energy included).
-
-    normalized=False: H = (1/2) sum_ij s_i s_j W(x_i - x_j; m), needs m > 0.
-    normalized=True: returns (neutral_part, charge_part) of the split
-    H = (1/2) sum s s' W(x - x'|0; m-limit) + (Q^2/2) W(0; m); the first uses
-    the zero-mode-subtracted potential at m = 0, the second is reported as
-    the Q^2/2 multiplier of the (divergent) self-energy.
-    """
-    if not normalized:
-        W = yukawa_table(lattice)
-        side = lattice.side
-        H = 0.0
-        for (xi, si) in cfg.particles:
-            for (xj, sj) in cfg.particles:
-                H += si * sj * W[(xi[0] - xj[0]) % side, (xi[1] - xj[1]) % side]
-        return 0.5 * H
-    Wn = normalized_potential_table(TorusLattice(L=lattice.L, R=lattice.R, gamma=lattice.gamma, m=0.0))
-    side = lattice.side
-    Hn = 0.0
-    for (xi, si) in cfg.particles:
-        for (xj, sj) in cfg.particles:
-            Hn += si * sj * Wn[(xi[0] - xj[0]) % side, (xi[1] - xj[1]) % side]
-    Q = cfg.total_charge
-    return 0.5 * Hn, 0.5 * Q * Q
 
 
 def _slot_tables(side: int, W: np.ndarray):
@@ -204,7 +155,6 @@ def _sector_sums(side: int, beta: float, n: int, W: np.ndarray) -> dict[int, flo
 class OracleResult:
     beta: float
     z: float
-    n_max: int
     side: int
     m_sequence: tuple
     # sector_sums[m][(n, Q)] = configuration sum (free of z)
@@ -263,7 +213,7 @@ def grand_Z(lattice: TorusLattice, beta: float, z: float, n_max: int,
     """Exact per-n, per-charge-sector sums along a decreasing mass sequence."""
     m_sequence = tuple(m_sequence)
     _check_inputs(lattice, beta, z, n_max, m_sequence)
-    res = OracleResult(beta=beta, z=z, n_max=n_max, side=lattice.side, m_sequence=m_sequence)
+    res = OracleResult(beta=beta, z=z, side=lattice.side, m_sequence=m_sequence)
     for m in m_sequence:
         lat_m = TorusLattice(L=lattice.L, R=lattice.R, gamma=lattice.gamma, m=m)
         W = yukawa_table(lat_m)
@@ -279,7 +229,7 @@ def neutral_Z(lattice: TorusLattice, beta: float, z: float, n_max: int) -> Oracl
     _check_inputs(lattice, beta, z, n_max)
     lat0 = TorusLattice(L=lattice.L, R=lattice.R, gamma=lattice.gamma, m=0.0)
     Wn = normalized_potential_table(lat0)
-    res = OracleResult(beta=beta, z=z, n_max=n_max, side=lattice.side, m_sequence=(0.0,))
+    res = OracleResult(beta=beta, z=z, side=lattice.side, m_sequence=(0.0,))
     # no neutral configurations at odd n
     res.sector_sums[0.0] = {
         (n, 0): _sector_sums(lattice.side, beta, n, Wn)[0] for n in range(0, n_max + 1, 2)

@@ -300,7 +300,8 @@ def count_S(L: int, side_blocks: int = 9) -> int:
     """Number of small polymers containing a fixed block (j-independent).
 
     Enumerated on a side_blocks^2 block torus; wrap-inflated counts (torus
-    too small for the 4-block range) are rejected.
+    too small for the 4-block range) are rejected.  L does nothing; it stays
+    because `ktrg polymers`, `verify-all` and the benchmark pass it.
     """
     if side_blocks < 9:
         raise ValueError("torus too small: counts would be wrap-inflated")

@@ -1,14 +1,14 @@
-"""Field regulators on polymers: scaled lattice norms and the two G weights.
+"""Field regulators on polymers: ln G and ln G^str from scaled lattice norms.
 
-Norms carry powers of L^j so their sizes stay O(1) on fields with typical
-scale-j variation; direction sums over the four signed unit vectors carry
-the usual factor 1/2.
+The norms inside the two log regulators carry powers of L^j so their sizes
+stay O(1) on fields with typical scale-j variation; direction sums over the
+four signed unit vectors carry the usual factor 1/2.
 
-Each public call differences its field once, into one stack per order;
-site masks, block maxima and block neighbourhoods are read through flat
-index tables built once per paving.  The sums and maxima see the same
-values in the same order as a direction-by-direction, site-by-site
-evaluation, so every result is the same to the bit.
+Each log regulator differences its field once, into a first- and a
+second-difference stack; site masks, block maxima and block neighbourhoods
+are read through flat index tables built once per paving.  The sums and
+maxima see the same values in the same order as a direction-by-direction,
+site-by-site evaluation, so every result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -21,19 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import DIRS
-from .polymers import BlockPaving, Polymer, neighborhood
+from .polymers import BlockPaving, Polymer
 
 __all__ = [
     "FieldOnTorus",
     "RegulatorConstants",
-    "grad_sup_norm",
-    "grad_l2_norm",
-    "boundary_l2_norm",
-    "w_block_norm_sq",
     "log_field_regulator",
-    "field_regulator",
     "log_strong_regulator",
-    "strong_regulator",
 ]
 
 @dataclass(frozen=True)
@@ -108,8 +102,8 @@ def _site_tables(pav: BlockPaving) -> _SiteTables:
     return tables
 
 
-def _differences(phi: FieldOnTorus, pav: BlockPaving, n: int) -> list[np.ndarray]:
-    """The signed differences of phi of orders 1..n, each a (4^k, side, side) stack.
+def _differences(phi: FieldOnTorus, pav: BlockPaving) -> list[np.ndarray]:
+    """The signed differences of phi of orders 1 and 2, (4, side, side) and (16, side, side) stacks.
 
     Row (d1, ..., dk), in row-major order over the directions of DIRS, is
     the k-fold difference: each step is exactly neighbour - value of the
@@ -118,11 +112,10 @@ def _differences(phi: FieldOnTorus, pav: BlockPaving, n: int) -> list[np.ndarray
     if phi.side != pav.side:
         raise ValueError(f"field side {phi.side} does not match the paving side {pav.side}")
     nbrs = _site_tables(pav).neighbours
-    out, a = [], phi.values.reshape(1, -1)
-    for _ in range(n):
-        a = (a[:, nbrs] - a[:, None, :]).reshape(-1, a.shape[1])
-        out.append(a.reshape(-1, phi.side, phi.side))
-    return out
+    a = phi.values.reshape(1, -1)
+    d1 = (a[:, nbrs] - a[:, None, :]).reshape(4, -1)
+    d2 = (d1[:, nbrs] - d1[:, None, :]).reshape(16, -1)
+    return [d.reshape(-1, phi.side, phi.side) for d in (d1, d2)]
 
 
 def _site_mask(X: Polymer) -> np.ndarray:
@@ -140,20 +133,20 @@ def _boundary_mask(inside: np.ndarray, pav: BlockPaving) -> np.ndarray:
     return inside & ~flat[_site_tables(pav).neighbours].all(axis=0).reshape(inside.shape)
 
 
-def _l2(stack: np.ndarray, mask: np.ndarray, n: int) -> float:
-    """sum over directions of 2^-n sum_mask |d phi|^2, direction by direction."""
+def _l2(stack: np.ndarray, mask: np.ndarray) -> float:
+    """sum over directions of 1/2 sum_mask |d phi|^2, direction by direction."""
     tot = 0.0
     for row in stack:
-        tot += 0.5**n * float(np.sum(row[mask] ** 2))
+        tot += 0.5 * float(np.sum(row[mask] ** 2))
     return tot
 
 
-def _grad_l2(stack: np.ndarray, inside: np.ndarray, n: int, j: int, L: int) -> float:
-    return float(L ** (-2 * j)) * (L ** (2 * n * j)) * _l2(stack, inside, n)
+def _grad_l2(stack: np.ndarray, inside: np.ndarray, j: int, L: int) -> float:
+    return float(L ** (-2 * j)) * (L ** (2 * j)) * _l2(stack, inside)
 
 
-def _boundary_l2(stack: np.ndarray, inside: np.ndarray, pav: BlockPaving, n: int, j: int, L: int) -> float:
-    return float(L ** (-j)) * (L ** (2 * n * j)) * _l2(stack, _boundary_mask(inside, pav), n)
+def _boundary_l2(stack: np.ndarray, inside: np.ndarray, pav: BlockPaving, j: int, L: int) -> float:
+    return float(L ** (-j)) * (L ** (2 * j)) * _l2(stack, _boundary_mask(inside, pav))
 
 
 def _star_sups(stack: np.ndarray, X: Polymer) -> list[float]:
@@ -173,32 +166,12 @@ def _star_sups(stack: np.ndarray, X: Polymer) -> list[float]:
 # norms and regulators
 
 
-def grad_sup_norm(phi: FieldOnTorus, X: Polymer, n: int, j: int, L: int, star: bool = True) -> float:
-    """||nabla^n_j phi||_{L_inf(X* or X)} = max over dirs and sites of L^{nj}|d..d phi|."""
-    vals = np.abs(_differences(phi, X.paving, n)[-1][:, _site_mask(neighborhood(X) if star else X)])
-    return (L ** (n * j)) * (float(vals.max()) if vals.size else 0.0)
-
-
-def grad_l2_norm(phi: FieldOnTorus, X: Polymer, n: int, j: int, L: int) -> float:
-    """||nabla^n_j phi||^2_{L^2_j(X)} with the 1/2-per-direction convention."""
-    return _grad_l2(_differences(phi, X.paving, n)[-1], _site_mask(X), n, j, L)
-
-
-def boundary_l2_norm(phi: FieldOnTorus, X: Polymer, n: int, j: int, L: int) -> float:
-    """Same norm over the inner boundary sites, weighted L^-j."""
-    return _boundary_l2(_differences(phi, X.paving, n)[-1], _site_mask(X), X.paving, n, j, L)
-
-
 def _w_block(d2: np.ndarray, X: Polymer, j: int, L: int) -> float:
+    """W_j(nabla^2 phi, X)^2 = sum over blocks of sup_{B*} ||nabla^2_j phi||^2."""
     tot = 0.0
     for m in _star_sups(d2, X):
         tot += (L ** (2 * j) * m) ** 2
     return tot
-
-
-def w_block_norm_sq(phi: FieldOnTorus, X: Polymer, j: int, L: int) -> float:
-    """W_j(nabla^2 phi, X)^2 = sum over blocks of sup_{B*} ||nabla^2_j phi||^2."""
-    return _w_block(_differences(phi, X.paving, 2)[-1], X, j, L)
 
 
 def log_field_regulator(phi: FieldOnTorus, X: Polymer, consts: RegulatorConstants) -> float:
@@ -206,18 +179,13 @@ def log_field_regulator(phi: FieldOnTorus, X: Polymer, consts: RegulatorConstant
     pav = X.paving
     j, L = pav.j, pav.L
     kap = consts.kappa(L)
-    d1, d2 = _differences(phi, pav, 2)
+    d1, d2 = _differences(phi, pav)
     inside = _site_mask(X)
     return (
-        consts.c1 * kap * _grad_l2(d1, inside, 1, j, L)
-        + consts.c3 * kap * _boundary_l2(d1, inside, pav, 1, j, L)
+        consts.c1 * kap * _grad_l2(d1, inside, j, L)
+        + consts.c3 * kap * _boundary_l2(d1, inside, pav, j, L)
         + consts.c1 * kap * _w_block(d2, X, j, L)
     )
-
-
-def field_regulator(phi: FieldOnTorus, X: Polymer, consts: RegulatorConstants = RegulatorConstants()) -> float:
-    ln = log_field_regulator(phi, X, consts)
-    return math.exp(ln) if ln < 709.0 else math.inf
 
 
 def log_strong_regulator(phi: FieldOnTorus, X: Polymer, consts: RegulatorConstants = RegulatorConstants()) -> float:
@@ -225,14 +193,10 @@ def log_strong_regulator(phi: FieldOnTorus, X: Polymer, consts: RegulatorConstan
     pav = X.paving
     j, L = pav.j, pav.L
     kap = consts.kappa(L)
-    d1, d2 = _differences(phi, pav, 2)
+    d1, d2 = _differences(phi, pav)
     tot = 0.0
     for m1, m2 in zip(_star_sups(d1, X), _star_sups(d2, X)):
         m = max((L**j) * m1, (L ** (2 * j)) * m2)
         tot += kap * m * m
     return tot
 
-
-def strong_regulator(phi: FieldOnTorus, X: Polymer, consts: RegulatorConstants = RegulatorConstants()) -> float:
-    ln = log_strong_regulator(phi, X, consts)
-    return math.exp(ln) if ln < 709.0 else math.inf

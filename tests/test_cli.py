@@ -258,6 +258,27 @@ def test_separatrix_refuses_a_base_of_no_gamma_3_lattice(tmp_path, capsys, monke
     assert os.listdir(tmp_path) == []
 
 
+def test_separatrix_at_zero_activity_writes_nothing_to_stderr(tmp_path):
+    # T is the zero map at y1 = 0: the contraction estimate used to sample
+    # 0/0 ratios (a numpy RuntimeWarning) and still print 0.000
+    src = os.path.dirname(os.path.dirname(ktrg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "ktrg", "separatrix", "--y1", "0", "--out-dir", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "contraction estimate 0.000" in run.stdout
+
+
+def test_decompose_refuses_a_side_above_the_table_cap_before_any_band_pass(tmp_path, capsys, monkeypatch):
+    # a stack file holds the tables, and only a side up to MATERIALIZE_CAP gets them
+    monkeypatch.setattr(cli, "decompose", lambda lat: pytest.fail("decomposed"))
+    out = tmp_path / "out"
+    assert main(["decompose", "--L", "9", "--R", "5", "--out-dir", str(out)]) == cli.CHECK_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: decompose --L 9 --R 5: ") and "59049" in err and "2187" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["separatrix", "flow"])
 def test_a_negative_activity_is_refused_before_anything_is_written(tmp_path, capsys, command):
     # the manifold solves at |y1|, so y1 = -0.01 used to run and write a

@@ -221,7 +221,7 @@ def test_window_matches_table(stack_l3_r5):
     w = stack_window(st, 3, step=1)
     for z0 in (-5, 0, 7):
         for z1 in (-3, 0, 11):
-            assert w.at(z0, z1) == pytest.approx(t[z0 % side, z1 % side], abs=1e-13)
+            assert w.values[z0 + w.radius, z1 + w.radius] == pytest.approx(t[z0 % side, z1 % side], abs=1e-13)
 
 
 def test_window_decimated_and_shifted(stack_l3_r5):
@@ -235,7 +235,7 @@ def test_window_decimated_and_shifted(stack_l3_r5):
     for z0 in (-20, 0, 13):
         for z1 in (-7, 0, 20):
             ref = t[(3 * z0) % side, (3 * z1) % side]
-            assert w.at(z0, z1) == pytest.approx(ref, abs=max(1e-12, w.alias_bound))
+            assert w.values[z0 + w.radius, z1 + w.radius] == pytest.approx(ref, abs=max(1e-12, w.alias_bound))
 
 
 def test_window_natural_step_tight(stack_l3_r5):
@@ -246,7 +246,7 @@ def test_window_natural_step_tight(stack_l3_r5):
     t = st.gamma_table(4)
     w = stack_window(st, 4)  # natural step for h = 4 at L = 3 is 1: exact
     assert w.alias_bound == 0.0
-    assert w.at(7, -2) == pytest.approx(t[7 % side, -2 % side], abs=1e-13)
+    assert w.values[7 + w.radius, -2 + w.radius] == pytest.approx(t[7 % side, -2 % side], abs=1e-13)
 
 
 def test_serialization_roundtrip(tmp_path, stack_l3_massive):

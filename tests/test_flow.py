@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from ktrg.flow import (
     FlowConfig,
-    FlowState,
     _advance,
     corrections,
     diagonal,
-    step,
     trajectory,
     deviation_profile,
     from_rescaled,
@@ -65,9 +63,7 @@ def test_kosterlitz_q_identity():
 
 def test_y_zero_invariant_line():
     cfg = FlowConfig(horizon=500)
-    st = FlowState(j=1, x=0.3, y=0.0)
-    nxt = step(st, cfg)
-    assert (nxt.x, nxt.y) == (0.3, 0.0)
+    assert _advance(1, 0.3, 0.0, cfg) == (0.3, 0.0)
     traj = trajectory(0.3, 0.0, cfg)
     assert traj.diverged_at is None
     assert np.all(traj.x == 0.3)
@@ -131,8 +127,7 @@ def test_per_scale_vs_limit_mode_agree():
     # early differences O(a_j - a), no blowup; past the table the step maps
     # agree exactly
     assert abs(t_ps.x[5] - t_lim.x[5]) < 1e-3
-    st = FlowState(j=50, x=0.005, y=0.004)
-    assert step(st, cfg_ps).x == pytest.approx(step(st, cfg_lim).x, rel=1e-14)
+    assert _advance(50, 0.005, 0.004, cfg_ps)[0] == pytest.approx(_advance(50, 0.005, 0.004, cfg_lim)[0], rel=1e-14)
 
 
 def test_on_manifold_deviation_profile():
@@ -196,8 +191,7 @@ def test_per_scale_mode_with_computed_coefficients(stack_l3_massless):
     cfg_lim = FlowConfig(horizon=100)
     gaps = []
     for j in (2, 3, 4, 5):
-        st = FlowState(j=j, x=0.01, y=0.01)
-        gaps.append(abs(step(st, cfg_ps).y - step(st, cfg_lim).y))
+        gaps.append(abs(_advance(j, 0.01, 0.01, cfg_ps)[1] - _advance(j, 0.01, 0.01, cfg_lim)[1]))
     assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     assert gaps[-1] < 1e-5
 
@@ -251,10 +245,10 @@ def test_step_and_trajectory_share_one_step():
     cfg = FlowConfig(horizon=40, deviations=deviation_table(
         a=(1.5, 1.1, 1.02), b=(1.3, 1.05), vol=(1.1,), a_lim=1.01, b_lim=0.99))
     traj = trajectory(0.02, -0.015, cfg)
-    st = FlowState(j=1, x=0.02, y=-0.015)
+    x, y = 0.02, -0.015
     for i in range(traj.horizon):
-        assert (st.x, st.y) == (traj.x[i], traj.y[i])
-        st = step(st, cfg)
+        assert (x, y) == (traj.x[i], traj.y[i])
+        x, y = _advance(i + 1, x, y, cfg)
 
 
 def test_per_scale_trajectory_matches_array_gather_bitwise():
@@ -284,8 +278,7 @@ def test_limit_trajectory_does_no_per_scale_work(monkeypatch):
     for cfg, j in ((FlowConfig(), 1), (table, 3), (table, 10**6)):
         F, M = corrections(j, 0.0101, -0.01, cfg)
         assert (F, M) == (0.0, 0.0) and math.copysign(1.0, F) == math.copysign(1.0, M) == 1.0
-        nxt = step(FlowState(j=j, x=0.0101, y=-0.01), cfg)
-        assert (nxt.x, nxt.y) == (0.0101 - 0.01 * 0.01, -0.01 + 0.0101 * 0.01)
+        assert _advance(j, 0.0101, -0.01, cfg) == (0.0101 - 0.01 * 0.01, -0.01 + 0.0101 * 0.01)
 
 
 _KERNEL_CONFIGS = {

@@ -133,12 +133,6 @@ def test_tables_match_the_complex_transform(L, R, m):
     assert np.max(np.abs(W - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-def test_reduce_centered():
-    lat = TorusLattice(L=3, R=2, m=0.0)
-    assert lat.reduce((5, -5)) == (-4, 4)
-    assert lat.reduce((4, 4)) == (4, 4)
-
-
 # ---------------------------------------------------------------------------
 # the sin^2 symbol on the centered momentum axis
 

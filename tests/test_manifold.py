@@ -128,6 +128,26 @@ def test_contraction_requires_samples():
         empirical_contraction(ManifoldProblem(y1=0.01, J=500), n_samples=1)
 
 
+def test_contraction_at_zero_activity_is_zero_without_sampling():
+    # T is the zero map at y1 = 0; sampling it divided 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert empirical_contraction(ManifoldProblem(y1=0.0, J=100), 5) == 0.0
+
+
+@pytest.mark.parametrize("channel", ["w_plus", "w_minus"])
+def test_contraction_raises_on_a_ratio_that_is_not_finite(monkeypatch, channel):
+    # max(worst, nan) kept worst, so a NaN sample used to pass the gate
+    def nan_T(seq, prob):
+        out = {"w_plus": np.zeros(prob.J), "w_minus": np.zeros(prob.J)}
+        out[channel][3] = np.nan
+        return WeightedSequence(**out)
+
+    monkeypatch.setattr(ktrg.manifold, "apply_T", nan_T)
+    with pytest.raises(RuntimeError, match="contraction sample 0: .* not finite"):
+        empirical_contraction(ManifoldProblem(y1=0.01, J=100), 5)
+
+
 def test_shooting_bracket_validation():
     with pytest.raises(ValueError):
         solve_shooting(0.01, bracket=(0.05, 0.1))  # both stable

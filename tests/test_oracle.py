@@ -6,8 +6,6 @@ import pytest
 
 from ktrg.lattice import yukawa_table, normalized_potential_table
 from ktrg.oracle import (
-    ChargeConfiguration,
-    configuration_energy,
     oracle_lattice,
     grand_Z,
     neutral_Z,
@@ -89,28 +87,6 @@ def _potentials(side):
         "yukawa": yukawa_table(oracle_lattice(side, 0.25)),
         "normalized": normalized_potential_table(oracle_lattice(side, 0.0)),
     }
-
-
-def test_single_particle_split():
-    lat = oracle_lattice(5, 0.5)
-    cfg = ChargeConfiguration((((2, 3), 1),))
-    neutral, q_factor = configuration_energy(cfg, lat, normalized=True)
-    assert neutral == pytest.approx(0.0, abs=1e-12)
-    assert q_factor == pytest.approx(0.5)  # Q^2/2 multiplier of W(0; m)
-
-
-def test_opposite_charges_same_site_cancel():
-    lat = oracle_lattice(5, 0.3)
-    cfg = ChargeConfiguration((((1, 1), 1), ((1, 1), -1)))
-    assert configuration_energy(cfg, lat) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_energy_translation_invariant():
-    lat = oracle_lattice(5, 0.4)
-    base = ChargeConfiguration((((0, 0), 1), ((2, 1), -1), ((3, 3), 1)))
-    shifted = ChargeConfiguration(tuple(((x[0] + 2, x[1] + 4), s) for (x, s) in base.particles))
-    shifted = ChargeConfiguration(tuple((((x0) % 5, (x1) % 5), s) for ((x0, x1), s) in shifted.particles))
-    assert configuration_energy(base, lat) == pytest.approx(configuration_energy(shifted, lat), rel=1e-12)
 
 
 def test_z_zero_unity():
@@ -226,11 +202,6 @@ def test_budget_errors():
         grand_Z(oracle_lattice(5), BETA, 0.05, 7)
     with pytest.raises(ValueError):
         grand_Z(oracle_lattice(5), BETA, 0.05, 2, m_sequence=(0.5, 0.0))
-
-
-def test_charge_validation():
-    with pytest.raises(ValueError):
-        ChargeConfiguration((((0, 0), 2),))
 
 
 def test_per_configuration_weights_bounded():
