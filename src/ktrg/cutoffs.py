@@ -445,8 +445,10 @@ def coulomb_constant_c(cutoffs: CutoffFamily, window=(50.0, 200.0), npts: int = 
     """Window-fit gtilde(x|0) = slope*ln|x| + c_log, cross-checked two ways.
 
     The fit intercept is compared against the closed-form limit and the
-    exponential against the finite-y value of w(y) = y^4 e^{-8pi gtilde(0|y)};
-    a non-flat tail (fit rms above 1e-4) raises.
+    exponential against the finite-y value of w(y) = y^4 e^{-8pi gtilde(0|y)}.
+    fit_residual is the rms residual of the fit itself.  A non-flat tail (fit
+    rms above 1e-4) raises, and so does an intercept more than 1e-4 from the
+    closed form; each error names its quantity and value, in c_log units.
     """
     rs = np.geomspace(window[0], window[1], npts)
     vals, errs = np.array([_gtilde_normalized(cutoffs, float(r)) for r in rs]).T
@@ -454,10 +456,12 @@ def coulomb_constant_c(cutoffs: CutoffFamily, window=(50.0, 200.0), npts: int = 
     (slope, c_log), *_ = np.linalg.lstsq(A, vals, rcond=None)
     fitted = A @ np.array([slope, c_log])
     residual = float(np.sqrt(np.mean((vals - fitted) ** 2)))
-    closed = _c_log_closed_form(cutoffs)
-    residual = max(residual, abs(float(c_log) - closed))
-    if residual > 1e-4:
+    if not residual <= 1e-4:
         raise RuntimeError(f"non-flat tail in the Coulomb-constant fit: rms residual {residual:.3e}")
+    closed = _c_log_closed_form(cutoffs)
+    gap = abs(float(c_log) - closed)
+    if not gap <= 1e-4:
+        raise RuntimeError(f"Coulomb-constant fit off its closed form: intercept gap {gap:.3e}")
     alpha_sq = 8.0 * math.pi
     c = alpha_sq * float(c_log)
     y = float(rs[-1])

@@ -10,46 +10,46 @@ C_h is a polynomial in the lattice Laplacian, so its kernel vanishes
 the infinite-lattice kernel as long as the support fits inside the torus,
 which the budget guarantees for every h < M*R.
 
-Every spectral evaluation goes through one SpectralGrid: a product momentum
-grid (the torus momenta, or a decimated grid p = 2 pi fftfreq(S) / step
+Every spectral evaluation goes through one SpectralGrid: the product
+momentum grid p = 2 pi fftfreq(S) / step, S odd (at step 1 and S = L^R the
+torus momenta; at step > 1 the central zone of the sublattice step*Z^2,
 whose inverse FFT gives kernel values at y = step*z).  A grid evaluates
 bands only by a FejerPass over its triangle points, which steps forward
 through the residual products r_h: each consumer sums its fine-scale lists
 in increasing order on one pass (FejerPass.band_sum).  decompose, the PSD
-probe, the alias ring and band_window each run one pass over the whole
-triangle.  A grid also owns the only probe of the dropped Brillouin-zone
-aliases, window extraction, evaluation off the grid and Parseval sums.  The
-stack keeps one decimated grid per scale (CovarianceStack.grid), on which
-the coefficient sums of coefficients.py are evaluated.  The scale-n grid is
-filled by a band pass over blocks of triangle rows (SpectralGrid.band_pass),
-one FejerPass per block through the fine orders of scales 0..n; the grid
-keeps the band of scale n only, as psi, with the Parseval sums of lam and
-lam^2 times it and each lower band, which b_n and e3_n read.  Right after
-the pass it takes the sums of psi at the origin once: Gamma_n(0) (where the
-stack has no tables) and the second differences dd and opposite, which
-e2_n and e4_n read; the grid then holds no array but psi.  Decimation
-keeps only the central copy of the folded fine zone; the dropped aliases
-are bounded at runtime and the bound is reported with each window (the
-bands decay fast enough that 243 samples per scale keep the bound near
-1e-11).
+probe and band_window each run one pass over the whole triangle.  A grid
+also owns the only probe of the dropped Brillouin-zone aliases (one
+FejerPass over the points of the alias ring, which is no grid), window
+extraction, evaluation off the grid and Parseval sums.  The stack keeps one
+grid per scale, at its natural step (CovarianceStack.grid), on which the
+coefficient sums of coefficients.py are evaluated.  The scale-n grid is
+filled by a band pass over blocks of triangle rows
+(SpectralGrid.band_pass), one FejerPass per block through the fine orders
+of scales 0..n; the grid keeps the band of scale n only, as psi, with the
+Parseval sums of lam and lam^2 times it and each lower band, which b_n and
+e3_n read.  Right after the pass it takes the sums of psi at the origin
+once: Gamma_n(0) (where the stack has no tables) and the second differences
+dd and opposite, which e2_n and e4_n read; the grid then holds no array but
+psi.  Decimation keeps only the central copy of the folded fine zone; the
+dropped aliases are bounded at runtime and the bound is reported with each
+window (the bands decay fast enough that 243 samples per scale keep the
+bound near 1e-11).
 
 Bands depend on p only through lam(p) = 4 sin^2(p0/2) + 4 sin^2(p1/2), so
 they are even in each momentum component and symmetric under p0 <-> p1, and
-a grid folds itself by these symmetries of the square (the 8-fold D4 fold).
-When its axis has odd length S and pairs every momentum with its exact
-negative, p[S-k] = -p[k] (the fftfreq layout of every per-scale grid, of
-the PSD probe and of the torus momenta), the folded grid is the quarter
-p0, p1 >= 0: n = S//2 + 1 points per axis, carrying multiplicity weights
-w = (1, 2, 2, ...).  Any other axis (an even-length one, the alias ring)
-takes the trivial fold, weights 1, through the same code.  On either, lam
-is bit-for-bit symmetric under the swap, so the band pass runs on the
-triangle p1 <= p0 of the folded grid, and its bands, residuals and lam stay
-there as triangle arrays: rows packed, row i holding columns 0..i,
-n(n+1)/2 values, half the folded square.  The folded grid holds the same
-momenta as the full one, so its bands are bit-identical to a pass over the
-full grid.  Every spectral array of the package is such a real triangle
-band: the covariances are real and even, and the second differences at the
-origin that the coefficients need are real closed-form symbols.
+every grid folds by these symmetries of the square (the 8-fold D4 fold).
+Its axis has odd length S and pairs every momentum with its exact negative,
+p[S-k] = -p[k], so the folded grid is the quarter p0, p1 >= 0: the
+n = S//2 + 1 points p_fold = p[:n] per axis, carrying multiplicity weights
+w = (1, 2, 2, ...).  There lam is bit-for-bit symmetric under the swap, so
+the band pass runs on the triangle p1 <= p0 of the folded grid, and its
+bands, residuals and lam stay there as triangle arrays: rows packed, row i
+holding columns 0..i, n(n+1)/2 values, half the folded square.  The folded grid
+holds the same momenta as the full one, so its bands are bit-identical to a
+pass over the full grid.  Every spectral array of the package is such a
+real triangle band: the covariances are real and even, and the second
+differences at the origin that the coefficients need are real closed-form
+symbols.
 
 Parseval sums run on the triangle: the weights are w_i w_k, doubled off the
 diagonal, built for each sum and dropped after it, and the weighted product
@@ -57,9 +57,9 @@ goes through numpy's pairwise np.sum.
 That is the full sum only for integrands symmetric under the swap, so every
 factor must be a triangle array: a band, lam, or a symmetric combination of
 one-axis terms (SpectralGrid.outer); a one-axis symbol f(p0) is summed as
-(f(p0) + f(p1))/2, which the symmetric bands sum alike.  Only zoom, the
-alias ring and decompose's tables build a band's folded square (_mirror),
-and drop it after the call.  window builds none:
+(f(p0) + f(p1))/2, which the symmetric bands sum alike.  Only zoom and
+decompose's tables build a band's folded square (_mirror), and drop it
+after the call.  window builds none:
 the square is symmetric, so the blocks of columns that the synthesis's first
 transform reads are its rows, unpacked from the triangle one block at a time
 (_square_rows).
@@ -77,7 +77,7 @@ full window |z|_inf <= radius is built only where band_window hands it
 out, as the mirror of a quarter through the index |z| (full_window).  A materialized
 table is lattice.folded_table of its folded square: the same two real
 inverse transforms, on rows 0..S//2 of the torus, and row x past them a
-copy of row S - x; the torus side L^R is odd, so its grid always folds.
+copy of row S - x.
 The reference potentials of the telescoping check come from the same
 synthesis.
 
@@ -117,7 +117,7 @@ PSD_TOL = 1e-10
 LEAKAGE_TOL = 1e-6
 TELESCOPING_TOL = 1e-8
 
-# decimated windows sample each fine scale with 3^SAMPLES_EXP points per
+# windows at step > 1 sample each fine scale with 3^SAMPLES_EXP points per
 # linear correlation length; 5 keeps the alias bound near 1e-11
 SAMPLES_EXP = 5
 
@@ -191,26 +191,13 @@ def _row_blocks(n: int, size: int):
         start = stop
 
 
-def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(folded axis, multiplicity weights) of the momentum axis p.
-
-    An odd-length axis with p[S-k] == -p[k] for k = 1..S-1 folds onto its
-    first n = S//2 + 1 entries with weights (1, 2, 2, ...); any other axis
-    folds trivially onto itself.
-    """
-    S = len(p)
-    if S % 2 == 0 or not np.array_equal(p[:0:-1], -p[1:]):
-        return p, np.ones(S)
-    n = S // 2 + 1
-    w = np.full(n, 2.0)
-    w[0] = 1.0
-    return p[:n], w
-
-
 class SpectralGrid:
-    """Bands of a cutoff family on the product momentum grid p x p.
+    """Bands of a cutoff family on the product momentum grid p x p, p = 2 pi fftfreq(S) / step.
 
-    p holds fine-lattice momenta.  A decimated grid (step > 1) samples the
+    S is odd, so p pairs every momentum with its exact negative, and the
+    grid folds onto the quarter p0, p1 >= 0: the axis p_fold = p[:S//2 + 1]
+    with multiplicity weights w = (1, 2, 2, ...).  At step 1 with S = L^R
+    these are the torus momenta; a grid at step > 1 samples the
     central Brillouin zone of step*Z^2, so the inverse FFT of a spectral
     array gives step^2 times its kernel at y = step*z; windows cover the
     quarter 0 <= z0, z1 <= radius.  Bands are evaluated by a FejerPass over
@@ -226,15 +213,16 @@ class SpectralGrid:
     per axis.
     """
 
-    def __init__(self, cutoffs: CutoffFamily, m: float, p: np.ndarray, step: int = 1, radius: int = 0):
+    def __init__(self, cutoffs: CutoffFamily, m: float, S: int, step: int = 1, radius: int = 0):
+        if S < 1 or S % 2 == 0:
+            raise ValueError(f"a spectral grid needs an odd axis length S >= 1, got S={S}")
         self.cutoffs = cutoffs
         self.m = m
         self.b = m * m + 8.0
-        self.p = p
-        self.S = len(p)
-        self.p_fold, self.w = _fold(p)
-        self.p0 = self.p_fold[:, None]
-        self.p1 = self.p_fold[None, :]
+        self.S = S
+        self.p_fold = (2.0 * np.pi * np.fft.fftfreq(S) / step)[: S // 2 + 1]
+        self.w = np.full(len(self.p_fold), 2.0)
+        self.w[0] = 1.0
         self.step = step
         self.radius = radius
         self.weight = float(step) ** 2
@@ -245,10 +233,6 @@ class SpectralGrid:
         self.origin: float | None = None  # the kernel of psi at y = 0
         self.dd: float | None = None
         self.opposite: float | None = None
-
-    @classmethod
-    def decimated(cls, cutoffs: CutoffFamily, m: float, step: int, S: int, radius: int) -> "SpectralGrid":
-        return cls(cutoffs, m, 2.0 * np.pi * np.fft.fftfreq(S) / step, step, radius)
 
     def outer(self, ufunc, a: np.ndarray, rows: range | None = None) -> np.ndarray:
         """The triangle array of ufunc(a[i], a[k]): ufunc.outer(a, a) on k <= i, rows packed.
@@ -321,8 +305,8 @@ class SpectralGrid:
     def _mirror(self, t: np.ndarray) -> np.ndarray:
         """The folded square of the triangle array t, a new array.
 
-        Only zoom, the alias ring and decompose's tables build it, and drop
-        it after the call; window reads the rows straight from t.  The mask
+        Only zoom and decompose's tables build it, and drop it after the
+        call; window reads the rows straight from t.  The mask
         of the triangle k <= i, whose row-major order is the order of the
         triangle arrays, is built for the call (an eighth of the square).
         """
@@ -448,19 +432,24 @@ class SpectralGrid:
     def alias_bound(self, hs) -> float:
         """Bound on the dropped Brillouin-zone aliases of band hs (0 at step 1).
 
-        max |band| over the eight first-ring alias cells of the decimated
-        zone, probed on ALIAS_PROBE_POINTS^2 points per cell; the
+        max |band| over the eight first-ring alias cells of the zone of
+        step*Z^2, probed on ALIAS_PROBE_POINTS^2 points per cell; the
         nested-Fejer tails decay faster than geometrically from there, so
-        twice the first ring bounds the full dropped sum.
+        twice the first ring bounds the full dropped sum.  The probe square
+        is no grid: lam on it is symmetric under the swap, bit for bit, so
+        one FejerPass runs over its lower triangle, the kept central cell
+        left out.
         """
         if self.step == 1:
             return 0.0
-        probe = np.linspace(-np.pi, np.pi, ALIAS_PROBE_POINTS)
-        ring = SpectralGrid(self.cutoffs, self.m, np.concatenate([(probe + 2.0 * np.pi * a) / self.step for a in (-1, 0, 1)]))
-        vals = np.abs(ring._mirror(ring.fejer_pass().band_sum(hs)))
         n = ALIAS_PROBE_POINTS
-        vals[n : 2 * n, n : 2 * n] = 0.0  # the kept central cell
-        return 2.0 * 8.0 * float(vals.max()) / self.weight
+        probe = np.linspace(-np.pi, np.pi, n)
+        ring = np.concatenate([(probe + 2.0 * np.pi * a) / self.step for a in (-1, 0, 1)])
+        lam = laplacian_symbol(ring[:, None], ring[None, :])
+        alias = np.tri(3 * n, dtype=bool)
+        alias[n : 2 * n, n : 2 * n] = False  # the kept central cell
+        band = FejerPass(self.cutoffs.kappas, self.m * self.m + lam[alias], self.b).band_sum(hs)
+        return 2.0 * 8.0 * float(np.abs(band).max()) / self.weight
 
     # -- position space --
 
@@ -472,22 +461,13 @@ class SpectralGrid:
         is the real synthesis of its folded square (lattice's
         _half_synthesis, cut to the quarter).  The square is symmetric, so
         the first transform's blocks are its rows, unpacked from G one
-        block at a time (_square_rows); no square is built.  irfft reads
-        the first S//2 + 1 entries of each axis, so the axis must start
-        with the nonnegative momenta 2 pi k / (S step), k = 0..S//2, in
-        order, as every folded axis does (and a trivially folded fftfreq
-        axis of odd length); any other axis (the alias ring, an even-length
-        fftfreq axis) raises.
+        block at a time (_square_rows); no square is built.  The folded
+        axis holds the momenta 2 pi k / (S step), k = 0..S//2, in order:
+        the half spectrum that irfft reads.
         """
         self._check_triangle("window", G)
-        h = self.S // 2 + 1
-        k = self.p[:h] * (self.S * self.step / (2.0 * np.pi))
-        if not np.allclose(k, np.arange(h), rtol=0.0, atol=1e-9):
-            raise DecompositionError(
-                f"real synthesis needs a folded grid; the axis of length {self.S} does not start with its momenta >= 0"
-            )
         n = self.radius + 1
-        K = _half_synthesis(lambda s, e: np.ascontiguousarray(self._square_rows(G, s, e)[:, :h]), n, n, n=h)
+        K = _half_synthesis(lambda s, e: self._square_rows(G, s, e), n, n, n=len(self.p_fold))
         K /= self.weight
         return K
 
@@ -535,7 +515,7 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class Window:
-    """Kernel values on the decimated window y = step*z, |z|_inf <= radius.
+    """Kernel values on the window y = step*z, |z|_inf <= radius.
 
     values[z0 + radius, z1 + radius] is the kernel at y = step*(z0, z1).
     alias_bound is a rigorous-side estimate of the absolute error from the
@@ -565,7 +545,7 @@ def band_window(
     supp = -(-max(cutoffs.band_degree(h) for h in h_list) // step)
     if radius is None:
         radius = supp
-    grid = SpectralGrid.decimated(cutoffs, m, step, _odd_fast_len(2 * max(radius, supp) + 1), radius)
+    grid = SpectralGrid(cutoffs, m, _odd_fast_len(2 * max(radius, supp) + 1), step, radius)
     return Window(values=grid.full_window(grid.window(grid.fejer_pass().band_sum(h_list))), step=step, radius=radius,
                   alias_bound=grid.alias_bound(h_list))
 
@@ -613,7 +593,7 @@ class CovarianceStack:
     # -- spectral grids --
 
     def grid(self, n: int) -> SpectralGrid:
-        """The decimated grid of scale n, holding the band of scale n as psi.
+        """The grid of scale n at its natural step, holding the band of scale n as psi.
 
         Its band pass (SpectralGrid.band_pass) runs through the fine orders
         of scales 0..n and also leaves the grid the Parseval sums of lam and
@@ -635,7 +615,7 @@ class CovarianceStack:
         if key not in self._cache:
             step = natural_step(self.cutoffs, n * self.lattice.M)
             radius = -(-(self.support_radius(n) + 2) // step)
-            g = SpectralGrid.decimated(self.cutoffs, self.lattice.m, step, _odd_fast_len(2 * radius + 3), radius)
+            g = SpectralGrid(self.cutoffs, self.lattice.m, _odd_fast_len(2 * radius + 3), step, radius)
             g.band_pass(self.fine_scales(k) for k in range(n + 1))
             if self.gamma_tables is None:
                 g.origin = g.parseval(g.psi)
@@ -702,16 +682,13 @@ class CovarianceStack:
 
         decompose records these from the bands it builds the tables from.
         Otherwise the bands are evaluated here by one pass on a throwaway
-        grid: the torus momenta, or for tori above PROBE_SIDE the folded
-        probe grid 2 pi fftfreq(PROBE_SIDE) (the bands are nonnegative by
-        construction; this is a numerical confirmation, not the proof).
+        grid of side min(torus side, PROBE_SIDE): the torus momenta, or for
+        larger tori the probe momenta 2 pi fftfreq(PROBE_SIDE) (the bands
+        are nonnegative by construction; this is a numerical confirmation,
+        not the proof).
         """
         if "psd" not in self._cache:
-            if self.lattice.side <= PROBE_SIDE:
-                k = self.lattice.momenta()
-            else:
-                k = 2.0 * np.pi * np.fft.fftfreq(PROBE_SIDE)
-            run = SpectralGrid(self.cutoffs, self.lattice.m, k).fejer_pass()
+            run = SpectralGrid(self.cutoffs, self.lattice.m, min(self.lattice.side, PROBE_SIDE)).fejer_pass()
             self._cache["psd"] = [float(run.band_sum(self.fine_scales(j)).min()) for j in range(self.n_scales)]
         return list(self._cache["psd"])
 
@@ -780,41 +757,30 @@ class CovarianceStack:
 MATERIALIZE_CAP = 2187  # largest torus side for which full tables are built
 
 
-def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None) -> CovarianceStack:
+def decompose(lattice: TorusLattice) -> CovarianceStack:
     """Build the covariance stack for the torus; validates PSD and leakage.
 
     The tables, the PSD margins and the tail come from one pass over the
-    bands on the torus momenta, folded like any other grid (the side L^R is
-    odd): each band's table and margin are taken before the next band is
+    bands on the torus momenta, the grid of side L^R at step 1: each
+    band's table and margin are taken before the next band is
     evaluated, and the pass then steps on to the residual r_horizon of the
     tail.  Each table is the real synthesis of its folded array
     (lattice.folded_table).  Only a side up to MATERIALIZE_CAP gets tables;
     a larger torus is served by the per-scale grids alone.
     """
-    if cutoffs is None:
-        cutoffs = build_cutoffs(lattice.gamma, lattice.M, lattice.n_fine_scales)
-    if cutoffs.horizon < lattice.n_fine_scales:
-        raise ValueError("cutoff horizon shorter than the torus scale count")
+    cutoffs = build_cutoffs(lattice.gamma, lattice.M, lattice.n_fine_scales)
 
     tables = None
     tail = None
     normalized = lattice.m == 0.0
     margins = None
     if lattice.side <= MATERIALIZE_CAP:
-        grid = SpectralGrid(cutoffs, lattice.m, lattice.momenta())
-        q = slice(lattice.side // 2 + 1)
-
-        def table(G):
-            # the quarter k0, k1 >= 0 of the triangle array's square: all of
-            # it on a folded axis, and on an axis in another layout the
-            # S//2 + 1 leading entries that irfft reads
-            return folded_table(grid._mirror(G)[q, q])
-
+        grid = SpectralGrid(cutoffs, lattice.m, lattice.side)
         tables, margins = [], []
         run = grid.fejer_pass()
         for j in range(lattice.R):
             vals = run.band_sum(range(j * lattice.M, (j + 1) * lattice.M))
-            tables.append(table(vals))
+            tables.append(folded_table(grid._mirror(vals)))
             margins.append(float(vals.min()))
         r = run.advance(cutoffs.horizon)
         if normalized:
@@ -822,10 +788,10 @@ def decompose(lattice: TorusLattice, cutoffs: CutoffFamily | None = None) -> Cov
             dens = np.zeros_like(lam)
             mask = lam > 0
             dens[mask] = r[mask] / lam[mask]
-            tail = table(dens)
+            tail = folded_table(grid._mirror(dens))
             tail -= tail[0, 0]
         else:
-            tail = table(r / run.u)
+            tail = folded_table(grid._mirror(r / run.u))
 
     stack = CovarianceStack(
         lattice=lattice,
@@ -982,9 +948,11 @@ def read_stack(path: str) -> CovarianceStack:
 
     The first line must be STACK_HEADER.  Exactly one row per (scale, x0)
     with scale 0..R (R is the tail) is required, each with side hex
-    floats written with their 0x prefix; header tolerances may tighten the
-    PSD and leakage gates but not loosen them.  The stack then has to pass validate() and the
-    telescoping check.  Failures raise DecompositionError naming the path.
+    floats written with their 0x prefix; a side above MATERIALIZE_CAP is
+    refused before any table is allocated, and header tolerances may
+    tighten the PSD and leakage gates but not loosen them.  The stack then
+    has to pass validate() and the telescoping check.  Failures raise
+    DecompositionError naming the path.
     """
     with open(path) as f:
         first = f.readline().rstrip("\n")
@@ -1016,6 +984,9 @@ def read_stack(path: str) -> CovarianceStack:
         except (KeyError, ValueError, OverflowError) as e:
             raise DecompositionError(f"{path}: bad or missing header entry {e}") from e
         side = lat.side
+        if side > MATERIALIZE_CAP:  # write_stack writes materialized stacks only
+            raise DecompositionError(f"{path}: torus side {side} is above {MATERIALIZE_CAP}, "
+                                     "the largest side a stack file holds")
         tables = np.empty((R + 1, side, side))
         seen = np.zeros((R + 1, side), dtype=bool)
         for lineno, line in enumerate(f, lineno + 1):

@@ -51,6 +51,9 @@ __all__ = [
     "separatrix_csv",
 ]
 
+# the admissible activities |y1| <= EPS1 of the weighted-ball fixed point
+EPS1 = 0.05
+
 
 @dataclass(frozen=True)
 class ManifoldProblem:
@@ -58,16 +61,14 @@ class ManifoldProblem:
     J: int = 100_000
     tau: float = 0.1
     flow: FlowConfig = field(default_factory=FlowConfig)
-    eps1: float = 0.05
 
     def __post_init__(self):
         if not math.isfinite(self.y1):
             raise ValueError(f"y1 must be finite, got {self.y1}")
-        for name, v in (("tau", self.tau), ("eps1", self.eps1)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if abs(self.y1) > self.eps1:
-            raise ValueError(f"|y1| = {abs(self.y1)} above the admissible eps1 = {self.eps1}")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        if abs(self.y1) > EPS1:
+            raise ValueError(f"|y1| = {abs(self.y1)} above the admissible eps1 = {EPS1}")
         if self.J < 8:
             raise ValueError("horizon too short")
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import TorusLattice, folded_table, laplacian_symbol, yukawa_table, normalized_potential_table
+from .lattice import TorusLattice, _quarter_symbol, folded_table, yukawa_table, normalized_potential_table
 
 __all__ = [
     "OracleResult",
@@ -177,13 +177,9 @@ class OracleResult:
     def sector_weight(self, m: float, Q: int) -> float:
         return sum(v for (n, q), v in self.sector_terms[m].items() if q == Q)
 
-    def coefficient(self, m: float, n: int, neutral_only: bool = False) -> float:
+    def coefficient(self, m: float, n: int) -> float:
         """Coefficient of z^n (configuration sum / n!); independent of z."""
-        tot = sum(
-            v for (nn, Q), v in self.sector_sums[m].items()
-            if nn == n and (Q == 0 or not neutral_only)
-        )
-        return tot / math.factorial(n)
+        return sum(v for (nn, Q), v in self.sector_sums[m].items() if nn == n) / math.factorial(n)
 
 
 def _check_inputs(lattice: TorusLattice, beta: float, z: float, n_max: int, m_sequence=None):
@@ -273,9 +269,7 @@ def siegert_kac_check(lattice: TorusLattice, beta: float, z: float, n_max: int,
     # symbol given on the folded quarter k0, k1 >= 0; the characteristic
     # function weight for a configuration is exp(-(1/2) sum s s' Cov) and
     # the comparison divides out beta
-    k = lattice.momenta()[: lattice.side // 2 + 1]
-    lam = laplacian_symbol(k[:, None], k[None, :])
-    cov = alpha_sq * folded_table(1.0 / (m * m + (1.0 - s) * lam))
+    cov = alpha_sq * folded_table(1.0 / (m * m + (1.0 - s) * _quarter_symbol(lattice)))
     W_field = cov / beta  # equals W(x; m/sqrt(1-s)) when the split is right
     per_n = {}
     worst = 0.0

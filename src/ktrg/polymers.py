@@ -296,17 +296,14 @@ def _torus_sets(n_axis: int, max_size: int) -> list[frozenset]:
     return out
 
 
-def count_S(L: int, side_blocks: int = 9) -> int:
+def count_S(L: int) -> int:
     """Number of small polymers containing a fixed block (j-independent).
 
-    Enumerated on a side_blocks^2 block torus; wrap-inflated counts (torus
-    too small for the 4-block range) are rejected.  L does nothing; it stays
-    because `ktrg polymers`, `verify-all` and the benchmark pass it.
+    Enumerated on a 9^2 block torus, wide enough that no set of at most 4
+    blocks wraps around it, so no count is wrap-inflated.  L does nothing;
+    it stays because `ktrg polymers`, `verify-all` and the benchmark pass it.
     """
-    if side_blocks < 9:
-        raise ValueError("torus too small: counts would be wrap-inflated")
-    c = (side_blocks // 2, side_blocks // 2)
-    return sum(c in s for s in _torus_sets(side_blocks, 4))
+    return sum((4, 4) in s for s in _torus_sets(9, 4))
 
 
 def count_polyominoes(max_size: int) -> dict[int, int]:

@@ -9,8 +9,9 @@ the w-kernel tables of the second-order expansion, which no command
 reports, with the windows of finer kernels on coarser grids that the
 stack does not serve.  Beside them sit the full-triangle forms that the
 scale grids' row-block band pass replaced: the bands of scales 0..j on the
-scale-j grid, the Parseval sums of b_j and e3_j over them, the b_j-weighted
-alias bound, and |y|^2 as a window.  Last come the paths that the
+scale-j grid, the Parseval sums of b_j and e3_j over them, the alias bound
+over the whole alias-ring square (plain and b_j-weighted), and |y|^2 as a
+window.  Last come the paths that the
 coefficient walk and the triangle-fed window replaced: the Parseval sum
 whose weights each call builds and multiplies into fresh products, the
 window synthesized from the folded square, and a_j and e4_j summed per
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ktrg.coefficients import ALPHA_SQ_KT, _check_scale
-from ktrg.decomposition import ALIAS_PROBE_POINTS, SpectralGrid, Window, band_window, natural_step
-from ktrg.lattice import DIRS, _half_synthesis
+from ktrg.decomposition import ALIAS_PROBE_POINTS, Window, band_window, natural_step
+from ktrg.lattice import DIRS, _half_synthesis, laplacian_symbol
 
 # ---------------------------------------------------------------------------
 # the full grid
@@ -37,10 +38,15 @@ def grid_band(g, hs) -> np.ndarray:
     return g.fejer_pass().band_sum(hs)
 
 
+def full_axis(g) -> np.ndarray:
+    """The full momentum axis 2 pi fftfreq(S) / step of grid g, which it folds onto p_fold."""
+    return 2.0 * np.pi * np.fft.fftfreq(g.S) / g.step
+
+
 def fold_index(g) -> np.ndarray:
-    """Folded-axis index of each momentum of the full axis: min(k, S-k), or k on a trivially folded axis."""
+    """Folded-axis index of each momentum of the full axis: min(k, S-k)."""
     k = np.arange(g.S)
-    return k if len(g.p_fold) == g.S else np.minimum(k, g.S - k)
+    return np.minimum(k, g.S - k)
 
 
 def unfold(g, A: np.ndarray) -> np.ndarray:
@@ -56,9 +62,10 @@ def unfold(g, A: np.ndarray) -> np.ndarray:
 def diff_symbol(g, deriv: tuple[int, ...]) -> np.ndarray:
     """prod_d (e^{i p.e_d} - 1) on the full grid: the symbol of the forward differences along DIRS[d]."""
     out = None
+    p = full_axis(g)
     for d in deriv:
         s0, s1 = DIRS[d]
-        ph = np.exp(1j * (s0 * g.p[:, None] if s1 == 0 else s1 * g.p[None, :])) - 1.0
+        ph = np.exp(1j * (s0 * p[:, None] if s1 == 0 else s1 * p[None, :])) - 1.0
         out = ph if out is None else out * ph
     return out
 
@@ -81,7 +88,7 @@ def ifft_window(g, G: np.ndarray) -> np.ndarray:
 
 def complex_zoom(g, G: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Kernel of the spectral array G at the product points ys x ys, by complex exponentials over the full grid."""
-    ph = np.exp(1j * np.outer(np.asarray(ys, dtype=float), g.p))
+    ph = np.exp(1j * np.outer(np.asarray(ys, dtype=float), full_axis(g)))
     return (ph @ (unfold(g, G) @ ph.T)).real / (g.S**2 * g.weight)
 
 
@@ -212,13 +219,26 @@ def parseval_e3(stack, j: int, symbol=e3_symbol) -> float:
     return e3 * float(stack.lattice.L) ** (2 * j) / 4.0
 
 
-def weighted_alias_bound(g, hs, symbol) -> float:
-    """SpectralGrid.alias_bound of the band hs weighted by |symbol(p0, p1)| on the alias ring."""
+def alias_ring(g) -> np.ndarray:
+    """The axis of the alias ring of grid g: ALIAS_PROBE_POINTS momenta across each of three zones of step*Z."""
+    probe = np.linspace(-np.pi, np.pi, ALIAS_PROBE_POINTS)
+    return np.concatenate([(probe + 2.0 * np.pi * a) / g.step for a in (-1, 0, 1)])
+
+
+def ring_alias_bound(g, hs, symbol=None) -> float:
+    """SpectralGrid.alias_bound over the whole alias-ring square, optionally weighted by |symbol(p0, p1)|.
+
+    The band hs on every point of the square through CutoffFamily.band_sum,
+    its kept central cell zeroed afterwards: the evaluation that the one
+    FejerPass over the ring's lower triangle replaced.
+    """
     if g.step == 1:
         return 0.0
-    probe = np.linspace(-np.pi, np.pi, ALIAS_PROBE_POINTS)
-    ring = SpectralGrid(g.cutoffs, g.m, np.concatenate([(probe + 2.0 * np.pi * a) / g.step for a in (-1, 0, 1)]))
-    vals = np.abs(ring._mirror(grid_band(ring, hs))) * np.abs(symbol(ring.p0, ring.p1))
+    ring = alias_ring(g)
+    p0, p1 = ring[:, None], ring[None, :]
+    vals = np.abs(g.cutoffs.band_sum(g.m * g.m + laplacian_symbol(p0, p1), g.b, hs))
+    if symbol is not None:
+        vals *= np.abs(symbol(p0, p1))
     n = ALIAS_PROBE_POINTS
     vals[n : 2 * n, n : 2 * n] = 0.0  # the kept central cell
     return 2.0 * 8.0 * float(vals.max()) / g.weight
@@ -379,9 +399,8 @@ def origin_sums(g) -> tuple[float, float, float]:
 
 def square_window(g, G: np.ndarray) -> np.ndarray:
     """The quarter window of the triangle array G, synthesized from its whole folded square."""
-    h = g.S // 2 + 1
     n = g.radius + 1
-    K = _half_synthesis(g._mirror(G)[:h, :h], n, n)
+    K = _half_synthesis(g._mirror(G), n, n)
     K /= g.weight
     return K
 

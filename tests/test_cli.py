@@ -51,7 +51,9 @@ def test_coeffs_prints_fit_residual_in_c_units(tmp_path, capsys):
     lat = TorusLattice(L=3, R=3, m=0.0)
     cc = cli.coulomb_constant_c(cli.build_cutoffs(3, lat.M, lat.n_fine_scales))
     assert f"(8pi*fit_residual {8.0 * np.pi * cc.fit_residual:.2e} in c units," in out
-    assert 8.0 * np.pi * cc.fit_residual > 1e-8
+    # the fit's own rms, printed beside the larger gap to the closed form
+    assert 8.0 * np.pi * cc.fit_residual < 1e-12 < abs(cc.c - cc.c_closed)
+    assert f"gap {abs(cc.c - cc.c_closed):.2e} to the closed form" in out
     assert f"8pi*quad_error {8.0 * np.pi * cc.quad_error:.2e} in c units)" in out
 
 
@@ -245,6 +247,14 @@ def test_separatrix_outside_ball_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "y1=0.05" in err and "sequence norm" in err
     assert not (tmp_path / "separatrix_y0.05.csv").exists()
+
+
+def test_separatrix_refuses_an_activity_above_eps1(tmp_path, capsys):
+    # the manifold problem admits |y1| <= 0.05 only: exit 1 with one error line, and no CSV
+    assert main(["separatrix", "--y1", "0.06", "--out-dir", str(tmp_path)]) == cli.CHECK_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: |y1| = 0.06 above the admissible eps1 = 0.05\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("L", [1, 4, 5])

@@ -18,8 +18,8 @@ from ktrg.coefficients import (
 
 from spectral_oracles import (
     complex_dd_at_zero, complex_e3_symbol, dd_tensor, e3_symbol, full_y, grid_band, ifft_window, kernel_source,
-    kernels, mean_parseval, origin_bracket, parseval_b, parseval_e3, per_scale_a, per_scale_e4, scale_bands,
-    tensor_sums, unfold, w_b_term, weighted_alias_bound,
+    kernels, mean_parseval, origin_bracket, parseval_b, parseval_e3, per_scale_a, per_scale_e4, ring_alias_bound,
+    scale_bands, tensor_sums, unfold, w_b_term,
 )
 
 A2 = ALPHA_SQ_KT
@@ -340,7 +340,7 @@ def test_cross_grid_alias_certified(stack_l9_massless):
     b3 = coeff_b(st, 3)
     g = st.grid(3)
     assert g.step > 1
-    assert weighted_alias_bound(g, st.fine_scales(3), laplacian_symbol) < 1e-8 * abs(b3)
+    assert ring_alias_bound(g, st.fine_scales(3), laplacian_symbol) < 1e-8 * abs(b3)
 
 
 def _literal_dd_at_zero(t):
@@ -462,7 +462,7 @@ def _square_second_differences(stack, j):
     """Oracle: (dd, opposite) from the dd tensor of five sums over the folded square, one-axis symbols unsymmetrized."""
     g = stack.grid(j)
     G = g._mirror(grid_band(g, stack.fine_scales(j)))
-    p = (g.p0, g.p1)
+    p = (g.p_fold[:, None], g.p_fold[None, :])
     c = [2.0 * np.sin(0.5 * q) ** 2 for q in p]
 
     def square(*symbols):
@@ -546,10 +546,10 @@ def test_triangle_parseval_sums_within_2e_15_of_fsum(stack_l9_massless, stack_l3
 
 
 def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypatch):
-    # every grid of a second stack takes the trivial fold; b, e2, e3 and vol
-    # run through the full-grid formulas, and a and e4 through the
-    # full-window sums over complex inverse FFTs; e4 is Taylor-subtracted,
-    # so its ninth digit is rounding on both sides
+    # on a second stack, b, e2, e3 and vol run through the full-grid
+    # formulas over the unfolded bands, and a and e4 through the full-window
+    # sums over complex inverse FFTs; e4 is Taylor-subtracted, so its ninth
+    # digit is rounding on both sides
     import ktrg.coefficients as coefficients
     import ktrg.decomposition as decomposition
 
@@ -560,13 +560,11 @@ def test_folded_coefficients_match_full_grid_oracle(stack_l3_massless, monkeypat
         lattice=st.lattice, cutoffs=st.cutoffs, gamma_tables=st.gamma_tables,
         tail_table=st.tail_table, tail_is_normalized=st.tail_is_normalized,
     )
-    monkeypatch.setattr(decomposition, "_fold", lambda p: (p, np.ones(len(p))))
     monkeypatch.setattr(decomposition.SpectralGrid, "parseval", mean_parseval)
     monkeypatch.setattr(coefficients, "_second_differences", lambda st, j: tensor_sums(complex_dd_at_zero(st, j)))
     full = compute_coefficients(oracle, 5)
     full.b = [parseval_b(oracle, j) for j in full.scales]
     full.e3 = [parseval_e3(oracle, j, complex_e3_symbol) for j in full.scales]
-    assert len(oracle.grid(5).w) == oracle.grid(5).S
     a, e4 = np.array([_full_window_a_e4(oracle, j, ifft_window, complex_dd_at_zero) for j in folded.scales]).T
     for name in ("b", "e2", "e3", "vol"):
         assert getattr(folded, name) == pytest.approx(getattr(full, name), rel=1e-13, abs=0.0), name
@@ -643,7 +641,7 @@ def test_gamma0_matches_longdouble_symbol(stack_l9_massless):
         lower = np.tri(len(g.p_fold), dtype=bool)
         ref = g.parseval(cut.band_sum((axis[:, None] + axis[None, :]).astype(float)[lower], g.b, hs))
         assert abs(st.gamma0(j) - ref) <= 2 * np.finfo(float).eps * ref
-        old = g.parseval(cut.band_sum(_cos_symbol(g.p0, g.p1)[lower], g.b, hs))
+        old = g.parseval(cut.band_sum(_cos_symbol(g.p_fold[:, None], g.p_fold[None, :])[lower], g.b, hs))
         if j == 3:
             assert abs(old - ref) > 1e-12 * ref
 

@@ -186,6 +186,23 @@ def test_coulomb_window_independence(fam, cc):
     assert other.c == pytest.approx(cc.c, abs=max(1e-6, 8 * math.pi * (cc.fit_residual + other.fit_residual)))
 
 
+def test_coulomb_fit_gates_name_the_quantity_that_failed(fam, cc, monkeypatch):
+    # fit_residual is the fit's own rms; the intercept's gap to the closed
+    # form has its own 1e-4 gate, and each gate names its quantity and value
+    import ktrg.cutoffs as cutoffs
+
+    assert cc.fit_residual < 1e-12 < abs(cc.c - cc.c_closed) / (8.0 * math.pi)
+    closed = cutoffs._c_log_closed_form(fam)
+    with monkeypatch.context() as mp:
+        mp.setattr(cutoffs, "_c_log_closed_form", lambda c: closed + 2e-4)
+        with pytest.raises(RuntimeError, match=r"off its closed form: intercept gap 2\.000e-04"):
+            coulomb_constant_c(fam)
+    # values linear in |x| leave the log fit an rms far above 1e-4
+    monkeypatch.setattr(cutoffs, "_gtilde_normalized", lambda c, r: (r, 0.0))
+    with pytest.raises(RuntimeError, match=r"non-flat tail in the Coulomb-constant fit: rms residual \d"):
+        coulomb_constant_c(fam)
+
+
 def test_coulomb_w_limit(cc):
     # e^c consistent with lim w(y) at the window edge within 2%
     assert cc.w_limit_error < 0.02
@@ -375,41 +392,44 @@ def _old_band_sum(cut, u, b, hs):
     return out, r
 
 
-def _grids():
-    """A per-scale decimated grid, a torus grid, the PSD probe and an alias
-    ring, each with its cutoff family and mass."""
+def _points(kind):
+    """(cutoffs, u, b) at the points of a per-scale decimated grid, a torus
+    grid, the PSD probe or the alias ring (the lower triangle of its probe
+    square, the central cell left out, as SpectralGrid.alias_bound takes it)."""
     from ktrg.decomposition import PROBE_SIDE, SpectralGrid
-    from ktrg.lattice import TorusLattice
+    from ktrg.lattice import TorusLattice, laplacian_symbol
 
     l9 = TorusLattice(L=9, R=6)
     cut9 = build_cutoffs(3, l9.M, l9.n_fine_scales)
+    if kind == "ring":
+        probe = np.linspace(-np.pi, np.pi, 33)
+        ring = np.concatenate([(probe + 2.0 * np.pi * a) / 27 for a in (-1, 0, 1)])
+        alias = np.tri(99, dtype=bool)
+        alias[33:66, 33:66] = False
+        return cut9, laplacian_symbol(ring[:, None], ring[None, :])[alias], 8.0
     l3 = TorusLattice(L=3, R=4, m=0.1)
     cut3 = build_cutoffs(3, l3.M, l3.n_fine_scales)
-    probe = np.linspace(-np.pi, np.pi, 33)
-    ring = np.concatenate([(probe + 2.0 * np.pi * a) / 27 for a in (-1, 0, 1)])
-    return {
-        "decimated": SpectralGrid.decimated(cut9, 0.0, 27, 405, 10),
-        "torus": SpectralGrid(cut3, l3.m, l3.momenta()),
-        "probe": SpectralGrid(cut9, 0.0, 2.0 * np.pi * np.fft.fftfreq(PROBE_SIDE)),
-        "ring": SpectralGrid(cut9, 0.0, ring),
-    }
+    g = {
+        "decimated": SpectralGrid(cut9, 0.0, 405, 27, 10),
+        "torus": SpectralGrid(cut3, l3.m, l3.side),
+        "probe": SpectralGrid(cut9, 0.0, PROBE_SIDE),
+    }[kind]
+    return g.cutoffs, g.fejer_pass().u, g.b
 
 
 @pytest.mark.parametrize("kind", ["decimated", "torus", "probe", "ring"])
 def test_one_pass_bands_bit_identical_to_per_call_factors(kind):
-    # the triangle pass with one sine per order, against the per-call
-    # factors on the same u over the whole folded grid
-    g = _grids()[kind]
-    cut = g.cutoffs
-    u = g.fejer_pass().u
+    # the one pass with one sine per order, against the per-call factors on
+    # the same u over all of a grid's folded triangle or of the ring's points
+    cut, u, b = _points(kind)
     top = min(cut.horizon, 8)
     for hs in ([0, 1], [2, 3], [1, 2, 3], [top - 2, top - 1]):
-        want, _ = _old_band_sum(cut, u, g.b, hs)
-        assert np.array_equal(g.fejer_pass().band_sum(hs), want), hs
-        assert np.array_equal(cut.band_sum(u, g.b, hs), want), hs
-    _, r = _old_band_sum(cut, u, g.b, [top])
-    assert np.array_equal(g.fejer_pass().advance(top), r)
-    assert np.array_equal(cut.residual(u, g.b, top), r)
+        want, _ = _old_band_sum(cut, u, b, hs)
+        assert np.array_equal(FejerPass(cut.kappas, u, b).band_sum(hs), want), hs
+        assert np.array_equal(cut.band_sum(u, b, hs), want), hs
+    _, r = _old_band_sum(cut, u, b, [top])
+    assert np.array_equal(FejerPass(cut.kappas, u, b).advance(top), r)
+    assert np.array_equal(cut.residual(u, b, top), r)
 
 
 def test_per_call_factors_bit_identical_to_old(fam):

@@ -29,8 +29,9 @@ from ktrg.decomposition import (
 
 from conftest import one_minus_factor_over_u
 from spectral_oracles import (
-    complex_dd_at_zero, complex_e3_symbol, dd_tensor, e3_symbol, fold_index, grid_band, ifft_kernel, ifft_window,
-    mean_parseval, origin_sums, square_window, stack_window, tensor_sums, unfold,
+    alias_ring, complex_dd_at_zero, complex_e3_symbol, dd_tensor, e3_symbol, fold_index, full_axis, grid_band,
+    ifft_kernel, ifft_window, mean_parseval, origin_sums, ring_alias_bound, square_window, stack_window, tensor_sums,
+    unfold,
 )
 
 
@@ -120,7 +121,7 @@ def test_diagonal_law(stack_l3_massless):
 
 def fine_component_table(stack, h):
     """Oracle: torus table of the single fine-scale piece C_h (Gamma_j sums M of them)."""
-    grid = SpectralGrid(stack.cutoffs, stack.lattice.m, stack.lattice.momenta())
+    grid = SpectralGrid(stack.cutoffs, stack.lattice.m, stack.lattice.side)
     return ifft_kernel(grid, grid_band(grid, [h]))
 
 
@@ -135,7 +136,7 @@ def test_fine_components_aggregate(stack_l3_massive):
 def _ifft2_tables(stack):
     """Oracle: each Gamma_j and the tail by the complex inverse FFT of the unfolded band."""
     lat = stack.lattice
-    grid = SpectralGrid(stack.cutoffs, lat.m, lat.momenta())
+    grid = SpectralGrid(stack.cutoffs, lat.m, lat.side)
     run = grid.fejer_pass()
     tables = [ifft_kernel(grid, run.band_sum(stack.fine_scales(j))) for j in range(stack.n_scales)]
     r = run.advance(stack.cutoffs.horizon)
@@ -163,18 +164,6 @@ def test_real_synthesis_coefficients_match_complex_ifft2_oracle(stack_l3_massles
     new, ref = compute_coefficients(stack_l3_massless, 3), compute_coefficients(oracle, 3)
     for name in ("a", "b", "e2", "e3", "e4", "vol"):
         assert np.allclose(getattr(new, name), getattr(ref, name), rtol=1e-14, atol=0.0), name
-
-
-def test_real_synthesis_refuses_unfolded_grid():
-    # an even-length fftfreq axis ends its first half on -pi, and the alias
-    # ring does not start at 0: neither holds a half spectrum
-    cut = build_cutoffs(3, 1, 4)
-    probe = np.linspace(-np.pi, np.pi, 5)
-    ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
-    for p in (2.0 * np.pi * np.fft.fftfreq(10), ring):
-        g = SpectralGrid(cut, 0.1, p, radius=2)
-        with pytest.raises(DecompositionError, match="folded grid"):
-            g.window(grid_band(g, [1]))
 
 
 def test_derivative_scaling_flat_in_j(stack_l3_massless):
@@ -346,13 +335,6 @@ def test_materialize_cap(stack_l9_massless):
         stack_l9_massless.gamma_table(1)
 
 
-def test_horizon_too_short():
-    lat = TorusLattice(L=3, R=4, m=0.0)
-    fam = build_cutoffs(3, 1, 2)
-    with pytest.raises(ValueError):
-        decompose(lat, cutoffs=fam)
-
-
 def _damaged_copy(tmp_path, stack, edit):
     """Write the stack, then rewrite its data rows (one per table row) through edit(rows)."""
     path = os.path.join(tmp_path, "stack.csv")
@@ -460,6 +442,22 @@ def test_read_stack_refuses_v1_file(tmp_path):
     _rejected(path, r"first line '# ktrg covariance stack v1' is not .*regenerate the file with `ktrg decompose`")
 
 
+@pytest.mark.parametrize("R, side", [(20, 3**20), (8, 6561)])
+def test_read_stack_refuses_a_side_no_stack_file_holds(tmp_path, R, side):
+    # write_stack writes materialized stacks only, of side <= MATERIALIZE_CAP:
+    # a larger side is refused from the header, before any table is allocated
+    path = os.path.join(tmp_path, f"stack_R{R}.csv")
+    with open(path, "w") as f:
+        f.write(f"# ktrg covariance stack v2\n# L=3 R={R} gamma=3 M=1 m=0x0.0p+0\nscale,x0,values\n")
+    tracemalloc.start()
+    try:
+        _rejected(path, rf"torus side {side} is above 2187, the largest side a stack file holds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def _shifted_leak(stack):
     """stack with 1e-3 Gamma_0(0) moved from Gamma_1 into Gamma_0 at (13, 13), far from the origin.
 
@@ -558,15 +556,14 @@ def _mirror_loop(g, t):
     return out
 
 
-@pytest.mark.parametrize("S", [1, 44, 45, 729])
+@pytest.mark.parametrize("S", [1, 45, 729])
 def test_mirror_gather_matches_row_loop(S):
     # the two masked copies through the lower-triangle mask copy what the
-    # row loop copies, on random triangles and on the band pass; S = 44
-    # takes the trivial fold
+    # row loop copies, on random triangles and on the band pass
     cut = build_cutoffs(3, 1, 6)
-    g = SpectralGrid.decimated(cut, 0.1, 1, S, 0)
+    g = SpectralGrid(cut, 0.1, S)
     n = len(g.p_fold)
-    assert n == (S if S % 2 == 0 else S // 2 + 1)
+    assert n == S // 2 + 1
     t = np.random.default_rng(S).standard_normal(n * (n + 1) // 2)
     run = g.fejer_pass()
     for tri in (t, run.advance(2).copy(), run.band_sum([4])):
@@ -575,7 +572,8 @@ def test_mirror_gather_matches_row_loop(S):
 
 def _full_u(g):
     """m^2 + lam on the full grid p x p, evaluated without the fold."""
-    return g.m * g.m + laplacian_symbol(g.p[:, None], g.p[None, :])
+    p = full_axis(g)
+    return g.m * g.m + laplacian_symbol(p[:, None], p[None, :])
 
 
 def test_grid_bands_match_band_sum():
@@ -585,7 +583,7 @@ def test_grid_bands_match_band_sum():
     # the full grid
     lat = TorusLattice(L=9, R=3, m=0.1)
     cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
-    g = SpectralGrid.decimated(cut, lat.m, 3, 45, 10)
+    g = SpectralGrid(cut, lat.m, 45, 3, 10)
     u = _full_u(g)
     run = g.fejer_pass()
     for hs in ([2, 3], [0, 1], [4, 5], [3]):
@@ -690,11 +688,11 @@ def test_folded_bands_bit_identical_to_full_pass():
     S = 243
     lat = TorusLattice(L=9, R=3, m=0.0)
     cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
-    g = SpectralGrid.decimated(cut, lat.m, 3, S, 10)
+    g = SpectralGrid(cut, lat.m, S, 3, 10)
     n = S // 2 + 1
     assert g.fejer_pass().u.shape == (n * (n + 1) // 2,)
     assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
-    assert np.array_equal(g.p_fold[fold_index(g)], np.abs(g.p))
+    assert np.array_equal(g.p_fold[fold_index(g)], np.abs(full_axis(g)))
     u = _full_u(g)
     for hs in ([2, 3], [0, 1], [4, 5]):
         assert np.array_equal(unfold(g, grid_band(g, hs)), cut.band_sum(u, g.b, hs))
@@ -702,20 +700,17 @@ def test_folded_bands_bit_identical_to_full_pass():
 
 
 def test_triangle_lam_is_the_square_symbol_on_the_triangle():
-    # the pass's a[i] + a[k] is laplacian_symbol on the folded grid, bit for
-    # bit, on a folded axis and on the trivially folded alias ring
-    cut = build_cutoffs(3, 1, 4)
-    probe = np.linspace(-np.pi, np.pi, 5)
-    ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
-    for g in (SpectralGrid.decimated(cut, 0.1, 3, 243, 10), SpectralGrid(cut, 0.1, ring)):
-        assert np.array_equal(g._lam(), laplacian_symbol(g.p0, g.p1)[np.tri(len(g.p_fold), dtype=bool)])
-        assert np.array_equal(g._mirror(g._lam()), laplacian_symbol(g.p0, g.p1))
+    # the pass's a[i] + a[k] is laplacian_symbol on the folded grid, bit for bit
+    g = SpectralGrid(build_cutoffs(3, 1, 4), 0.1, 243, 3, 10)
+    lam = laplacian_symbol(g.p_fold[:, None], g.p_fold[None, :])
+    assert np.array_equal(g._lam(), lam[np.tri(len(g.p_fold), dtype=bool)])
+    assert np.array_equal(g._mirror(g._lam()), lam)
 
 
 def test_parseval_refuses_a_factor_off_the_triangle():
     # a sum over the triangle is the full sum only for swap-symmetric
     # integrands, so a folded square (or any other shape) is refused
-    g = SpectralGrid.decimated(build_cutoffs(3, 1, 4), 0.1, 1, 45, 10)
+    g = SpectralGrid(build_cutoffs(3, 1, 4), 0.1, 45, 1, 10)
     G = grid_band(g, [1])
     assert g.parseval(G, g._lam()) > 0.0
     for bad in (g._mirror(G), G[:-1], np.float64(1.0)):
@@ -727,7 +722,7 @@ def test_parseval_refuses_a_factor_off_the_triangle():
 def test_window_and_zoom_refuse_anything_but_a_real_triangle(method):
     # a complex triangle, a folded square and a wrong length each raise and
     # name the shape; a band on the triangle is the only array they transform
-    g = SpectralGrid.decimated(build_cutoffs(3, 1, 4), 0.1, 1, 45, 10)
+    g = SpectralGrid(build_cutoffs(3, 1, 4), 0.1, 45, 1, 10)
     G = grid_band(g, [1])
     n = len(G)
     assert n == 23 * 24 // 2
@@ -750,7 +745,7 @@ def test_triangle_fed_window_bit_identical_to_the_square_synthesis(S):
     # odd grids of one, two and many blocks (the last one partial) at step 3,
     # for a random triangle and a band, on the full quarter and a cut one
     cut = build_cutoffs(3, 1, 9)
-    g = SpectralGrid.decimated(cut, 0.0, 3, S, S // 2)
+    g = SpectralGrid(cut, 0.0, S, 3, S // 2)
     n = len(g.p_fold)
     tri = n * (n + 1) // 2
     bands = [np.random.default_rng(S).standard_normal(tri), grid_band(g, [6, 7])]
@@ -815,12 +810,12 @@ def test_band_pass_blocks_bit_identical_to_the_full_triangle(monkeypatch, block)
     # each pair sum is its Parseval sum up to the order of summation
     cut = build_cutoffs(3, 2, 6)
     groups = [[0, 1], [2, 3], [4, 5]]
-    full = SpectralGrid.decimated(cut, 0.0, 3, 243, 10)
+    full = SpectralGrid(cut, 0.0, 243, 3, 10)
     run = full.fejer_pass()
     psi = [run.band_sum(hs) for hs in groups]
     lam = full._lam()
     monkeypatch.setattr(decomposition, "BAND_BLOCK", block)
-    g = SpectralGrid.decimated(cut, 0.0, 3, 243, 10)
+    g = SpectralGrid(cut, 0.0, 243, 3, 10)
     g.band_pass(groups)
     assert np.array_equal(g.psi, psi[2])
     assert np.array_equal(psi[2], cut.band_sum(run.u, g.b, [4, 5]))
@@ -853,7 +848,7 @@ def test_window_moment_matches_the_y_sq_product(radius, step, seed):
     # 3.0 ulps over 20000 random arrays)
     from spectral_oracles import y_sq
 
-    g = SpectralGrid.decimated(build_cutoffs(3, 1, 4), 0.0, step, 2 * radius + 3, radius)
+    g = SpectralGrid(build_cutoffs(3, 1, 4), 0.0, 2 * radius + 3, step, radius)
     rng = np.random.default_rng(seed)
     n = radius + 1
     F = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 6, (n, n))
@@ -880,26 +875,53 @@ def test_window_peak_memory_within_three_windows(stack_l9_massless):
     assert peak <= 3 * K.nbytes
 
 
-def test_torus_axis_folds_and_even_and_ring_axes_take_the_trivial_fold():
-    # the torus momenta are in the centered fftfreq layout, so a materialized
-    # stack's grid folds onto the quarter like a per-scale grid; an
-    # even-length axis and the alias ring fold trivially through the same code
+def test_torus_axis_folds_onto_the_quarter():
+    # a materialized stack's grid is the step-1 grid of the torus side: its
+    # axis is the torus momenta bit for bit (at the sides of every stack
+    # and probe grid), folded onto the quarter like a per-scale grid
     cut = build_cutoffs(3, 1, 4)
-    torus = TorusLattice(L=3, R=2, m=0.1).momenta()
-    g = SpectralGrid(cut, 0.1, torus)
-    n = len(torus) // 2 + 1
+    lat = TorusLattice(L=3, R=2, m=0.1)
+    g = SpectralGrid(cut, 0.1, lat.side)
+    assert np.array_equal(full_axis(g), lat.momenta())
+    for S in (45, 243, 729, 2187, 2205):
+        assert np.array_equal(SpectralGrid(cut, 0.1, S).p_fold, (2.0 * np.pi * np.fft.fftfreq(S))[: S // 2 + 1])
+    n = lat.side // 2 + 1
     assert g.fejer_pass().u.shape == (n * (n + 1) // 2,)
     assert g.w[0] == 1.0 and np.all(g.w[1:] == 2.0)
-    assert np.array_equal(g.p_fold[fold_index(g)], np.abs(g.p))
+    assert np.array_equal(g.p_fold[fold_index(g)], np.abs(full_axis(g)))
     assert np.array_equal(unfold(g, grid_band(g, [1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
-    even = 2.0 * np.pi * np.fft.fftfreq(10)
-    probe = np.linspace(-np.pi, np.pi, 5)
-    ring = np.concatenate([(probe + 2.0 * np.pi * a) / 3 for a in (-1, 0, 1)])
-    for p in (even, ring):
-        g = SpectralGrid(cut, 0.1, p)
-        assert g.fejer_pass().u.shape == (len(p) * (len(p) + 1) // 2,)
-        assert np.all(g.w == 1.0) and np.array_equal(g.p_fold, p)
-        assert np.array_equal(unfold(g, grid_band(g, [1, 2])), cut.band_sum(_full_u(g), g.b, [1, 2]))
+
+
+@pytest.mark.parametrize("S", [10, 0, -3])
+def test_grid_refuses_an_even_or_empty_axis(S):
+    # every grid folds onto the quarter p >= 0, which needs an odd axis length
+    with pytest.raises(ValueError, match=rf"odd axis length S >= 1, got S={S}"):
+        SpectralGrid(build_cutoffs(3, 1, 4), 0.1, S)
+
+
+@pytest.mark.parametrize("L, R, j, want", [
+    (9, 6, 3, 1.3155949910569398e-11),
+    (9, 6, 4, 6.482083277258974e-12),
+    (9, 6, 5, 6.190773876157897e-12),
+    (3, 7, 6, 1.3155817113633793e-11),
+])
+def test_alias_bound_on_the_ring_triangle_equals_the_whole_square(monkeypatch, L, R, j, want):
+    # the one pass over the ring's lower triangle, central cell left out,
+    # builds no grid and gives the bits of the whole-square evaluation; lam
+    # on the ring square is symmetric bit for bit, so the triangle holds
+    # every value of the square
+    lat = TorusLattice(L=L, R=R)
+    cut = build_cutoffs(lat.gamma, lat.M, lat.n_fine_scales)
+    hs = range(j * lat.M, (j + 1) * lat.M)
+    g = SpectralGrid(cut, lat.m, 3, decomposition.natural_step(cut, hs[0]))
+    assert g.step > 1
+    ring = alias_ring(g)
+    lam = laplacian_symbol(ring[:, None], ring[None, :])
+    assert np.array_equal(lam, lam.T)
+    made = []
+    monkeypatch.setattr(SpectralGrid, "__init__", lambda self, *args, **kwargs: made.append(args))
+    assert g.alias_bound(hs) == ring_alias_bound(g, hs) == want
+    assert made == []
 
 
 def test_psd_margins_on_folded_probe_match_full_grid(stack_l9_massless):
@@ -933,7 +955,7 @@ def test_folded_sums_match_full_grid_oracles(stack_l9_massless):
         oracle = mean_parseval(g, *factors)
         assert g.parseval(*factors) == pytest.approx(oracle, rel=1e-14, abs=0.0)
     ys = g.y[::27] + 1.0
-    ph = np.cos(np.outer(ys, g.p))
+    ph = np.cos(np.outer(ys, full_axis(g)))
     zoom = ph @ (full @ ph.T) / (g.S**2 * g.weight)
     assert np.max(np.abs(g.zoom(G, ys) - zoom)) <= 1e-14 * np.max(np.abs(zoom))
     r = g.radius
@@ -960,7 +982,7 @@ def test_quarter_window_and_half_zoom_match_full_grid_oracles(stack_l9_massless,
 
     ys = g.y[:: max(1, r // 40)] + 0.5
     k = len(ys) - 1
-    ph = np.cos(np.outer(np.concatenate([-ys[:0:-1], ys]), g.p))
+    ph = np.cos(np.outer(np.concatenate([-ys[:0:-1], ys]), full_axis(g)))
     full = ph @ (unfold(g, G) @ ph.T) / (g.S**2 * g.weight)
     half = g.zoom(G, ys)
     assert half.shape == (k + 1, k + 1)
@@ -990,7 +1012,7 @@ def test_dd_tensor_and_e3_symbol_closed_forms(stack_l9_massless):
             assert dd[mu, nu] == pytest.approx(complex_dd[mu, nu], rel=1e-13, abs=0.0)
 
     ld = np.longdouble
-    p = g.p.astype(ld)
+    p = full_axis(g).astype(ld)
     c = 2 * np.sin(p / 2) ** 2
     norm = ld(g.S) ** 2 * ld(g.weight)
     G = full.astype(ld)

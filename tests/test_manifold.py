@@ -249,11 +249,19 @@ def test_shooting_rejects_bad_bracket(bracket):
         solve_shooting(0.01, bracket=bracket)
 
 
-@pytest.mark.parametrize("field", ["tau", "eps1"])
+@pytest.mark.parametrize("field", ["tau"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
 def test_problem_rejects_bad_tau_and_eps1(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
         ManifoldProblem(y1=0.3, **{field: bad})
+
+
+@pytest.mark.parametrize("y1", [0.0500001, -0.0500001, 0.06])
+def test_problem_rejects_activity_above_eps1(y1):
+    # the weighted-ball scheme holds for |y1| <= 0.05 only; 0.05 itself is admitted
+    with pytest.raises(ValueError, match=rf"\|y1\| = {abs(y1)} above the admissible eps1 = 0\.05"):
+        ManifoldProblem(y1=y1)
+    assert ManifoldProblem(y1=0.05).y1 == 0.05
 
 
 # per-scale tables that end at their limits: the fixed point leaves the

@@ -198,8 +198,6 @@ def test_count_S_value_and_invariance():
     # translation invariance on the enumeration torus
     assert len(_connected_sets_containing((2, 3), 9, 4)) == 99
     assert len(_connected_sets_containing((0, 0), 11, 4)) == 99  # scale/size independent
-    with pytest.raises(ValueError):
-        count_S(3, side_blocks=5)
 
 
 def _brute_force_k(A, lam, L, small_only):
