@@ -17,9 +17,10 @@ small family, `count_S`, the closure preimages summed by `k_small` and
 
 The extraction bookkeeping J_j(D, Y) built from scalar stand-ins for the
 extracted activities satisfies three linear identities exactly.  They are
-expanded once per paving into a sparse integer map, which is evaluated
-exactly on rational inputs and whose collected coefficients prove the
-identities for all inputs.
+expanded once per paving and each identity row is collected per variable as
+it closes; only the coefficients that do not cancel are kept.  None is left
+on any paving, which proves the identities for all inputs, and a check on
+rational inputs sums what is left.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 __all__ = [
     "BlockPaving",
@@ -53,6 +52,8 @@ __all__ = [
 ]
 
 _NBRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# B*: the offsets within graph distance 3 of a block (|d0| + |d1| <= 3)
+_STAR = tuple((d0, d1) for d0 in range(-3, 4) for d1 in range(-3, 4) if abs(d0) + abs(d1) <= 3)
 
 
 def _neighbours(n_axis: int) -> dict:
@@ -75,6 +76,10 @@ class BlockPaving:
     j: int
 
     def __post_init__(self):
+        if self.L % 2 == 0 or self.L <= 1:
+            raise ValueError(f"L must be odd and > 1, got {self.L}")
+        if self.R < 1:
+            raise ValueError(f"R must be >= 1, got {self.R}")
         if not (0 <= self.j <= self.R):
             raise ValueError(f"scale {self.j} outside 0..{self.R}")
 
@@ -231,15 +236,8 @@ def neighborhood(X: Polymer) -> Polymer:
     A block belongs to X* iff its graph distance to X is at most 3 (a
     connected 4-block path realizes exactly those).
     """
-    steps = X.paving._lift_steps
-    cur = set(X.blocks)
-    for _ in range(3):
-        new = set(cur)
-        for b in cur:
-            for nb, _step in steps[b]:
-                new.add(nb)
-        cur = new
-    return Polymer(X.paving, frozenset(cur))
+    n = X.paving.n_axis
+    return Polymer(X.paving, frozenset(((b0 + d0) % n, (b1 + d1) % n) for b0, b1 in X.blocks for d0, d1 in _STAR))
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +304,21 @@ def count_S(L: int) -> int:
     return sum((4, 4) in s for s in _torus_sets(9, 4))
 
 
+def _check_size(name: str, value) -> None:
+    """A set size must be an int >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 def count_polyominoes(max_size: int) -> dict[int, int]:
-    """Fixed polyominoes by size.
+    """Fixed polyominoes by size, for an int max_size >= 1.
 
     Each is counted once, at its translate whose least cell in (y, x) order
     sits at the origin: the sets grown from (0, 0) on the half-plane y > 0 or
     (y = 0, x >= 0), cut to the cells a set of max_size cells can reach.
     """
-    r = max(max_size, 1) - 1
+    _check_size("max_size", max_size)
+    r = max_size - 1
     w = 2 * r + 1
     cells = {(x, y): y * w + x for y in range(r + 1) for x in range(-r, r + 1) if y > 0 or x >= 0}
     nbrs = {v: [cells[c] for c in ((x + d0, y + d1) for d0, d1 in _NBRS) if c in cells]
@@ -325,17 +330,23 @@ def count_polyominoes(max_size: int) -> dict[int, int]:
 
 
 def connected_polymers_up_to(pav: BlockPaving, max_blocks: int) -> list[Polymer]:
-    """All connected polymers with at most max_blocks blocks on the paving.
-
-    max_blocks must be an int >= 1 (a bool is not one).
-    """
-    if isinstance(max_blocks, bool) or not isinstance(max_blocks, numbers.Integral) or max_blocks < 1:
-        raise ValueError(f"max_blocks must be an int >= 1, got {max_blocks!r}")
+    """All connected polymers with at most max_blocks (an int >= 1) blocks on the paving."""
+    _check_size("max_blocks", max_blocks)
     return [Polymer(pav, s) for s in _torus_sets(pav.n_axis, max_blocks)]
 
 
 # ---------------------------------------------------------------------------
 # reblocking sums and inequality
+
+
+def _fine_blocks(pav_up: BlockPaving, D) -> list[tuple[int, int]]:
+    """The L^2 blocks of the next finer paving inside the block D of pav_up,
+    in increasing centered coordinates, reduced mod the fine side."""
+    L, n_up = pav_up.L, pav_up.n_axis
+    n = n_up * L
+    c0, c1 = _centered(D[0], n_up) * L, _centered(D[1], n_up) * L
+    ds = range(-(L - 1) // 2, (L + 1) // 2)
+    return [((c0 + d0) % n, (c1 + d1) % n) for d0 in ds for d1 in ds]
 
 
 def _enumerate_closure_preimages(V: Polymer, small_only: bool, budget: int = 1 << 22):
@@ -348,29 +359,23 @@ def _enumerate_closure_preimages(V: Polymer, small_only: bool, budget: int = 1 <
     pav_up = V.paving
     if pav_up.j < 1:
         raise ValueError("V must live at scale >= 1")
-    L = pav_up.L
-    n_up = pav_up.n_axis
-    n = n_up * L
-    # fine blocks inside V, in centered coordinates of the fine block torus,
-    # each with its parent block; neighbours are reduced mod n, so fine
-    # blocks that meet across the seam of the centered domain are adjacent
+    n = pav_up.n_axis * pav_up.L
+    # fine blocks inside V, each with its parent block; neighbours are
+    # reduced mod n, so fine blocks that meet across the seam are adjacent
     fine, up = [], []
     for B in sorted(V.blocks):
-        B_c0, B_c1 = _centered(B[0], n_up), _centered(B[1], n_up)
-        for d0 in range(-(L - 1) // 2, (L + 1) // 2):
-            for d1 in range(-(L - 1) // 2, (L + 1) // 2):
-                fine.append((B_c0 * L + d0, B_c1 * L + d1))
-                up.append(B)
+        fine += _fine_blocks(pav_up, B)
+        up += [B] * pav_up.L**2
     idx = {b: i for i, b in enumerate(fine)}
-    nb_lists = [[idx[c] for c in ((_centered(b[0] + d0, n), _centered(b[1] + d1, n)) for d0, d1 in _NBRS) if c in idx]
-                for b in fine]
+    nb_lists = [[idx[c] for c in (((b0 + d0) % n, (b1 + d1) % n) for d0, d1 in _NBRS) if c in idx]
+                for b0, b1 in fine]
     # a set of at most four blocks winds only around a fine torus of fewer
     # than five blocks per axis (the top scale of L = 3); winding sets are
     # not small
-    pav = BlockPaving(L=L, R=pav_up.R, j=pav_up.j - 1)
+    pav = BlockPaving(L=pav_up.L, R=pav_up.R, j=pav_up.j - 1)
 
     def winds(s) -> bool:
-        return _component_data(pav, frozenset((fine[i][0] % n, fine[i][1] % n) for i in s))[0][1]
+        return _component_data(pav, frozenset(fine[i] for i in s))[0][1]
 
     # each connected set is grown once, from its least index; sizes enter
     # counts by (least index, size) of their first preimage, so the sums of
@@ -462,22 +467,33 @@ def _small_family(pav: BlockPaving) -> list[frozenset]:
 
 @dataclass(frozen=True, eq=False)
 class _ExtractionMap:
-    """The three extraction identities of one paving as a sparse integer map.
+    """The three extraction identities of one paving, collected per variable.
 
     The variables are u_X = qbar(X)/|X| for the small j-polymers X (indices
     0..n_u-1, in `_small_family` order) and v_Y = q(Y)/|Y| for the small
-    (j+1)-polymers Y (the indices after).  Row r is its identity's left side
-    minus its right side, kept term by term: the sum of coef[t] * x[var[t]]
-    over t in row_ptr[r]:row_ptr[r+1].  The identities hold when every row
-    vanishes.
+    (j+1)-polymers Y (the indices after).  Each row, its identity's left side
+    minus its right side, is a linear form in them, and the identities hold
+    for every input when every form is zero.  `residue` keeps, in row order,
+    the rows whose collected form still has a nonzero coefficient; it is
+    empty on every paving `_extraction_rows` builds.
     """
 
     u_index: dict  # small j-polymer -> variable
     v_index: dict  # small (j+1)-polymer -> variable
-    rows: tuple  # ("sum_over_Y", D) per coarse block, ("id1", Y'), ("id2", Y'*)
-    row_ptr: array  # int64, len(rows) + 1
-    var: array  # int32 variable index per term
-    coef: array  # int8 coefficient per term
+    residue: dict  # row key ("sum_over_Y", D), ("id1", Y') or ("id2", Y'*) -> {variable: nonzero coefficient}
+
+    @classmethod
+    def collect(cls, u_index: dict, v_index: dict, rows) -> _ExtractionMap:
+        """Collect each (row key, raw (variable, coefficient) terms) per variable."""
+        residue = {}
+        for key, terms in rows:
+            acc: dict = {}
+            for v, c in terms:
+                acc[v] = acc.get(v, 0) + c
+            left = {v: c for v, c in acc.items() if c}
+            if left:
+                residue[key] = left
+        return cls(u_index, v_index, residue)
 
     def _variables(self, values: dict, index: dict, name: str) -> dict:
         out = {}
@@ -491,21 +507,13 @@ class _ExtractionMap:
         return out
 
     def report(self, qbar: dict, q: dict) -> JExtractionReport:
-        """Sum the rows exactly on x = (M u, M v), M the common denominator of
-        the inputs; each identity stops at its first failing row."""
+        """Sum each residue row exactly on the inputs; each identity stops at
+        its first failing row.  A row left out of the residue sums to zero."""
         vals = self._variables(qbar, self.u_index, "qbar")
         vals.update(self._variables(q, self.v_index, "q"))
-        den = math.lcm(*(f.denominator for f in vals.values()))
-        x = [0] * (len(self.u_index) + len(self.v_index))
-        for i, f in vals.items():
-            x[i] = f.numerator * (den // f.denominator)
-        get, ptr, var, coef = x.__getitem__, self.row_ptr, self.var, self.coef
         failed = {}  # identity -> its first failing row, in row order
-        for r, key in enumerate(self.rows):
-            if key[0] in failed:
-                continue
-            lo, hi = ptr[r], ptr[r + 1]
-            if sum(map(mul, coef[lo:hi], map(get, var[lo:hi]))):
+        for key, row in self.residue.items():
+            if key[0] not in failed and sum(c * vals.get(v, 0) for v, c in row.items()):
                 failed[key[0]] = key
         return JExtractionReport(
             n_small_j=len(self.u_index),
@@ -518,24 +526,18 @@ class _ExtractionMap:
 
     def defect(self) -> int:
         """Nonzero coefficients left once each row's terms are collected per variable."""
-        n = 0
-        for r in range(len(self.rows)):
-            acc: dict = {}
-            lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
-            for v, c in zip(self.var[lo:hi], self.coef[lo:hi]):
-                acc[v] = acc.get(v, 0) + c
-            n += sum(1 for c in acc.values() if c)
-        return n
+        return sum(map(len, self.residue.values()))
 
 
-@functools.lru_cache(maxsize=8)
-def _extraction_map(pav_j: BlockPaving) -> _ExtractionMap:
-    """Expand J_j(D, Y) into the identity rows, once per paving.
+def _extraction_rows(pav_j: BlockPaving):
+    """Expand J_j(D, Y) into the identity rows of the paving.
 
-    J(D, Y) for a small Y containing D is v_Y plus u_X for each fine block B
-    of D and small X containing B with closure Y; when Y = {D} it also
-    subtracts v_Y' for every small Y' containing D and u_X for every B in D
-    and small X containing B.
+    Returns the two variable indices and a generator of (row key, raw terms),
+    the row's (variable, coefficient) terms as the expansion meets them,
+    uncollected.  J(D, Y) for a small Y containing D is v_Y plus u_X for each
+    fine block B of D and small X containing B with closure Y; when Y = {D}
+    it also subtracts v_Y' for every small Y' containing D and u_X for every
+    B in D and small X containing B.
     """
     pav_up = BlockPaving(L=pav_j.L, R=pav_j.R, j=pav_j.j + 1)
     small_j = _small_family(pav_j)
@@ -546,7 +548,7 @@ def _extraction_map(pav_j: BlockPaving) -> _ExtractionMap:
         # and the identities would hold for any input
         raise ValueError(f"paving (L, R, j) = ({pav_j.L}, {pav_j.R}, {pav_j.j}): the (j+1)-paving "
                          f"has no small polymer, so the extraction identities are vacuous")
-    n, n_up, L = pav_j.n_axis, pav_up.n_axis, pav_j.L
+    n_up = pav_up.n_axis
     coarse = [(b0, b1) for b0 in range(n_up) for b1 in range(n_up)]
 
     # for each coarse block D: the small X meeting it, once per fine block
@@ -561,65 +563,52 @@ def _extraction_map(pav_j: BlockPaving) -> _ExtractionMap:
             by_block.setdefault(B, []).append((i, c))
     shares, by_closure = {}, {}
     for D in coarse:
-        D_c = [_centered(a, n_up) for a in D]
         shares[D], by_closure[D] = [], {}
-        for d0 in range(-(L - 1) // 2, (L + 1) // 2):
-            for d1 in range(-(L - 1) // 2, (L + 1) // 2):
-                for i, c in by_block.get(((D_c[0] * L + d0) % n, (D_c[1] * L + d1) % n), ()):
-                    shares[D].append(i)
-                    by_closure[D].setdefault(c, []).append(i)
+        for B in _fine_blocks(pav_up, D):
+            for i, c in by_block.get(B, ()):
+                shares[D].append(i)
+                by_closure[D].setdefault(c, []).append(i)
     del by_block
     containing: dict = {D: [] for D in coarse}
     for Y, k in v_index.items():
         for D in Y:
             containing[D].append(k)
 
-    rows, row_ptr, var, coef = [], array("q", [0]), array("i"), array("b")
-
-    def emit(v, c: int):
-        var.append(v)
-        coef.append(c)
-
-    def emit_J(D, k: int):
-        emit(k, 1)
+    def J(D, k: int):
+        yield k, 1
         for i in by_closure[D].get(k, ()):
-            emit(i, 1)
+            yield i, 1
         if k == v_index[frozenset([D])]:
             for kk in containing[D]:
-                emit(kk, -1)
+                yield kk, -1
             for i in shares[D]:
-                emit(i, -1)
+                yield i, -1
 
-    def close_row(key):
-        rows.append(key)
-        row_ptr.append(len(var))
+    def rows():
+        for D in coarse:  # (i) sum over small Y of J(D, Y) = 0
+            yield ("sum_over_Y", D), [t for k in containing[D] for t in J(D, k)]
+        for Yp, k in v_index.items():  # (ii) sum over D in Y' of J(D, Y') = four-term combination
+            terms = [t for D in Yp for t in J(D, k)]
+            terms.append((k, -len(Yp)))
+            terms += [(i, -len(small_j[i])) for i in members.get(k, ())]
+            if len(Yp) == 1:
+                (D,) = Yp
+                terms += [(kk, 1) for kk in containing[D]]
+                terms += [(i, 1) for i in shares[D]]
+            yield ("id1", Yp), terms
+        targets: dict = {}  # (iii) sum over D with D* = Y' and small Y of J(D, Y) = 0
+        for D in coarse:
+            targets.setdefault(neighborhood(Polymer(pav_up, frozenset([D]))).blocks, []).append(D)
+        for star, Ds in targets.items():
+            yield ("id2", star), [t for D in Ds for k in containing[D] for t in J(D, k)]
 
-    for D in coarse:  # (i) sum over small Y of J(D, Y) = 0
-        for k in containing[D]:
-            emit_J(D, k)
-        close_row(("sum_over_Y", D))
-    for Yp, k in v_index.items():  # (ii) sum over D in Y' of J(D, Y') = four-term combination
-        for D in Yp:
-            emit_J(D, k)
-        emit(k, -len(Yp))
-        for i in members.get(k, ()):
-            emit(i, -len(small_j[i]))
-        if len(Yp) == 1:
-            (D,) = Yp
-            for kk in containing[D]:
-                emit(kk, 1)
-            for i in shares[D]:
-                emit(i, 1)
-        close_row(("id1", Yp))
-    targets: dict = {}  # (iii) sum over D with D* = Y' and small Y of J(D, Y) = 0
-    for D in coarse:
-        targets.setdefault(neighborhood(Polymer(pav_up, frozenset([D]))).blocks, []).append(D)
-    for star, Ds in targets.items():
-        for D in Ds:
-            for k in containing[D]:
-                emit_J(D, k)
-        close_row(("id2", star))
-    return _ExtractionMap(u_index, v_index, tuple(rows), row_ptr, var, coef)
+    return u_index, v_index, rows()
+
+
+@functools.lru_cache(maxsize=8)
+def _extraction_map(pav_j: BlockPaving) -> _ExtractionMap:
+    """The identity rows of the paving, collected once per paving."""
+    return _ExtractionMap.collect(*_extraction_rows(pav_j))
 
 
 def j_extraction_check(pav_j: BlockPaving, qbar: dict, q: dict) -> JExtractionReport:
@@ -630,8 +619,8 @@ def j_extraction_check(pav_j: BlockPaving, qbar: dict, q: dict) -> JExtractionRe
     that is not a small polymer of its paving raises ValueError, a value
     that is not `numbers.Rational` TypeError.  At j = R - 1 the identities
     have no term (the one coarse block winds), and the paving raises
-    ValueError.  The rows are evaluated exactly, on the inputs scaled to
-    one common denominator.
+    ValueError.  The rows whose collected coefficients do not all cancel
+    are summed exactly in `Fraction`s; on every paving there are none.
     """
     return _extraction_map(pav_j).report(qbar, q)
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import DIRS
-from .polymers import BlockPaving, Polymer
+from .polymers import _STAR, BlockPaving, Polymer
 
 __all__ = [
     "FieldOnTorus",
@@ -52,23 +52,18 @@ class FieldOnTorus:
 class RegulatorConstants:
     c1: float = 5.0
     c3: float = 1.0
-    kappa_L: float | None = None  # default c_kap / ln L
-    c_kap: float = 0.1
 
     def __post_init__(self):
-        for name in ("c1", "c3", "c_kap"):
+        for name in ("c1", "c3"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if self.kappa_L is not None and not (math.isfinite(self.kappa_L) and self.kappa_L > 0.0):
-            raise ValueError(f"kappa_L must be None or finite and > 0, got {self.kappa_L}")
 
     def kappa(self, L: int) -> float:
+        """kappa_L = 0.1 / ln L."""
         if L < 2:
             raise ValueError(f"L must be >= 2, got {L}")
-        if self.kappa_L is not None:
-            return self.kappa_L
-        return self.c_kap / math.log(L)
+        return 0.1 / math.log(L)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +88,9 @@ def _site_tables(pav: BlockPaving) -> _SiteTables:
     axis_block = (centered + (b - 1) // 2) // b % n
     site_block = axis_block[:, None] * n + axis_block[None, :]
     block_sites = np.argsort(site_block, axis=None, kind="stable").reshape(n * n, b * b)
-    d = np.array([(d0, d1) for d0 in range(-3, 4) for d1 in range(-3, 4) if abs(d0) + abs(d1) <= 3])
+    d0, d1 = np.array(_STAR).T
     b0, b1 = np.divmod(np.arange(n * n), n)
-    star = (b0[:, None] + d[:, 0]) % n * n + (b1[:, None] + d[:, 1]) % n
+    star = (b0[:, None] + d0) % n * n + (b1[:, None] + d1) % n
     tables = _SiteTables(neighbours, site_block, block_sites, star)
     for t in tables:
         t.flags.writeable = False

@@ -1,8 +1,6 @@
-import dataclasses
 import itertools
 import random
 import re
-from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +24,8 @@ from ktrg.polymers import (
     j_extraction_defect,
 )
 from ktrg.polymers import (
-    BlockPaving, Polymer, JExtractionReport, _NBRS, _component_data, _enumerate_closure_preimages, _extraction_map,
-    _neighbours, _rooted_sets, _small_family, _torus_sets,
+    BlockPaving, Polymer, JExtractionReport, _NBRS, _ExtractionMap, _component_data, _enumerate_closure_preimages,
+    _extraction_map, _extraction_rows, _fine_blocks, _neighbours, _rooted_sets, _small_family, _torus_sets,
 )
 
 # fixed polyominoes with 1..8 cells (OEIS A001168)
@@ -116,6 +114,17 @@ def test_paving_counts():
         paving(3, 2, 3)
 
 
+@pytest.mark.parametrize("dims, field", [
+    ((2, 3, 1), "L"), ((4, 2, 0), "L"), ((1, 2, 0), "L"), ((0, 2, 0), "L"), ((-3, 2, 0), "L"),
+    ((3, 0, 0), "R"), ((5, -1, 0), "R"),
+])
+def test_paving_rejects_even_or_small_L_and_R_below_1(dims, field):
+    # an even L puts fine blocks {0, 1} in coarse block 0 in the parent
+    # table but {-1, 0} in the preimage enumeration
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        paving(*dims)
+
+
 def test_partition_exactness():
     # every site in exactly one block, center block holds |x| <= L^j/2
     pav = paving(3, 2, 1)
@@ -159,6 +168,18 @@ def test_closure_monotone_and_idempotent_size():
     assert closure(c1).size >= 1  # next-scale closure well-defined
 
 
+@pytest.mark.parametrize("dims", [(3, 2, 1), (3, 2, 2), (3, 3, 2), (5, 2, 1)])
+def test_fine_blocks_are_the_children_in_the_parent_table(dims):
+    pav_up = paving(*dims)
+    fine = paving(dims[0], dims[1], dims[2] - 1)
+    n = fine.n_axis
+    for D in itertools.product(range(pav_up.n_axis), repeat=2):
+        got = _fine_blocks(pav_up, D)
+        assert sorted(got) == sorted(b for b, p in fine._parents.items() if p == D)
+        centered = [tuple((c + (n - 1) // 2) % n - (n - 1) // 2 for c in b) for b in got]
+        assert centered == sorted(centered)
+
+
 def test_components_and_smallness():
     pav = paving(3, 2, 0)
     one = polymer(pav, [(4, 4)])
@@ -188,6 +209,33 @@ def test_neighborhood_strictly_contains():
     assert B.blocks < star.blocks
     # exactly the blocks within graph distance 3: 1 + 4 + 8 + 12 = 25
     assert star.size == 25
+
+
+def _neighborhood_reference(X):
+    """X*: three rounds of nearest-neighbour growth on the block torus."""
+    n = X.paving.n_axis
+    cur = set(X.blocks)
+    for _ in range(3):
+        cur |= {((b0 + d0) % n, (b1 + d1) % n) for b0, b1 in cur for d0, d1 in _NBRS}
+    return frozenset(cur)
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 1), (5, 2, 1), (3, 3, 2), (3, 3, 1), (9, 2, 0)])
+def test_neighborhood_matches_three_growth_rounds(dims):
+    # the first three tori are narrower than 7 blocks, so the star wraps
+    pav = paving(*dims)
+    n = pav.n_axis
+    rng = random.Random(n)
+    blocks = [(b0, b1) for b0 in range(n) for b1 in range(n)]
+    family = [polymer(pav, [b]) for b in blocks]
+    family += [polymer(pav, rng.sample(blocks, min(k, n * n))) for k in (2, 3, 5, 8) for _ in range(20)]
+    for X in family:
+        assert neighborhood(X).blocks == _neighborhood_reference(X)
+    sizes = {neighborhood(X).size for X in family[:n * n]}
+    if n >= 7:
+        assert sizes == {25}
+    else:
+        assert max(sizes) < 25
 
 
 def test_count_S_value_and_invariance():
@@ -349,7 +397,15 @@ def test_small_family_matches_per_origin_enumeration(dims):
 
 def test_count_polyominoes_is_A001168():
     assert count_polyominoes(8) == dict(enumerate(A001168, 1))
-    assert count_polyominoes(1) == count_polyominoes(0) == {1: 1}
+    assert count_polyominoes(1) == {1: 1}
+    with pytest.raises(ValueError, match="max_size"):
+        count_polyominoes(0)
+
+
+@pytest.mark.parametrize("bad", [-2, 2.5, True, "3", None])
+def test_count_polyominoes_rejects_bad_max_size(bad):
+    with pytest.raises(ValueError, match=re.escape(f"max_size must be an int >= 1, got {bad!r}")):
+        count_polyominoes(bad)
 
 
 @pytest.mark.parametrize("n_axis, max_size", [(9, 4), (9, 5), (11, 6)])
@@ -610,6 +666,7 @@ def test_j_extraction_map_matches_reference():
 @pytest.mark.parametrize("dims", [(3, 2, 0), (3, 3, 1), (5, 2, 0)])
 def test_j_extraction_defect_zero(dims):
     assert j_extraction_defect(paving(*dims)) == 0
+    assert _extraction_map(paving(*dims)).residue == {}
 
 
 @pytest.mark.parametrize("dims", [(3, 1, 0), (3, 3, 2)])
@@ -627,20 +684,25 @@ def test_j_extraction_vacuous_at_top_scale_rejected(dims):
 
 @pytest.mark.parametrize("family", ["sum_over_Y", "id1", "id2"])
 def test_j_extraction_corrupt_coefficient_names_its_row(family):
+    # one raw term of the family's last row gains 1 before the rows are
+    # collected: that row alone keeps a coefficient
     pav_j = paving(3, 2, 0)
+    u_index, v_index, rows = _extraction_rows(pav_j)
+    rows = list(rows)
+    r = max(i for i, (key, _) in enumerate(rows) if key[0] == family)
+    key, terms = rows[r]
+    t = len(terms) // 2
+    v, c = terms[t]
+    terms[t] = (v, c + 1)
+    broken = _ExtractionMap.collect(u_index, v_index, rows)
+    assert broken.defect() == 1 and broken.residue == {key: {v: 1}}
     emap = _extraction_map(pav_j)
-    r = max(i for i, key in enumerate(emap.rows) if key[0] == family)
-    t = (emap.row_ptr[r] + emap.row_ptr[r + 1]) // 2
-    coef = array("b", emap.coef)
-    coef[t] += 1
-    broken = dataclasses.replace(emap, coef=coef)
-    assert emap.defect() == 0 and broken.defect() == 1
-    v = emap.var[t]
-    key = next(k for k, i in {**emap.u_index, **emap.v_index}.items() if i == v)
-    inputs = ({key: Fraction(3, 7)}, {}) if v < len(emap.u_index) else ({}, {key: Fraction(3, 7)})
+    assert emap.defect() == 0 and (emap.u_index, emap.v_index) == (u_index, v_index)
+    poly = next(k for k, i in {**u_index, **v_index}.items() if i == v)
+    inputs = ({poly: Fraction(3, 7)}, {}) if v < len(u_index) else ({}, {poly: Fraction(3, 7)})
     rep = broken.report(*inputs)
     assert not rep.all_hold
-    assert rep.counterexample == emap.rows[r]
+    assert rep.counterexample == key
     flags = {"sum_over_Y": rep.sum_over_Y_zero, "id1": rep.id1_holds, "id2": rep.id2_holds}
     assert [name for name, ok in flags.items() if not ok] == [family]
     assert emap.report(*inputs).all_hold

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,8 @@ def test_field_validation():
 
 @pytest.mark.parametrize("kwargs", [
     dict(c1=float("nan")), dict(c1=-5.0), dict(c1=0.0), dict(c3=float("inf")), dict(c3=-1.0),
-    dict(c_kap=float("nan")), dict(c_kap=0.0),
-    dict(kappa_L=float("inf")), dict(kappa_L=float("nan")), dict(kappa_L=0.0), dict(kappa_L=-0.1),
+    dict(c1=float("inf")), dict(c1=float("-inf")), dict(c1=-0.0),
+    dict(c3=float("nan")), dict(c3=0.0), dict(c3=float("-inf")),
 ])
 def test_constants_validation(kwargs):
     name = next(iter(kwargs))
@@ -112,9 +114,16 @@ def test_constants_validation(kwargs):
 
 @pytest.mark.parametrize("L", [1, 0, -3])
 def test_kappa_rejects_L_below_2(L):
-    for consts in (RegulatorConstants(), RegulatorConstants(kappa_L=0.2)):
-        with pytest.raises(ValueError, match="L must be >= 2"):
-            consts.kappa(L)
+    with pytest.raises(ValueError, match="L must be >= 2"):
+        RegulatorConstants().kappa(L)
+
+
+def test_kappa_is_one_tenth_over_ln_L():
+    for L in (3, 5, 9, 27):
+        assert RegulatorConstants().kappa(L) == 0.1 / math.log(L)
+    for name in ("kappa_L", "c_kap"):
+        with pytest.raises(TypeError, match=name):
+            RegulatorConstants(**{name: 0.2})
 
 
 def test_norms_reject_foreign_field_side():
