@@ -36,6 +36,10 @@ and a panel where the two rules disagree raises.  The Hankel-type integral
 of gtilde is split into panels between consecutive zeros of J0; the
 non-oscillatory pieces use panels no longer than their distance from 0
 (for the 1/rho weight) and a fixed width (the profile and J0 are entire).
+J0 and its zeros are computed here with numpy alone: the midpoint rule on
+Bessel's integral below x = 25, Hankel's expansion above, and McMahon's
+estimate refined by secant steps for the zeros, which are built a block of
+panels at a time, only as far as the integral needs.
 """
 
 from __future__ import annotations
@@ -366,45 +370,154 @@ class CoulombConstant:
     c_closed: float       # 8*pi times the closed-form c_log the fit is checked against
 
 
-@functools.cache
-def _bessel_panel_edges() -> np.ndarray:
-    """1 followed by the first 4000 zeros of J0 (read-only; built on first use)."""
-    from scipy import special  # only the Coulomb fit needs J0; scipy.special is slow to import
+# ---------------------------------------------------------------------------
+# J0 and its zeros
+#
+# Below x = 25, J0 is the midpoint rule on Bessel's integral
+# (2/pi) int_0^{pi/2} cos(x sin t) dt with 32 nodes.  The integrand is
+# periodic and entire, so the rule's own error is about 2 J_128(x) < 1e-60;
+# the rounding error e of each product x sin t is found exactly (Veltkamp's
+# split) and corrects cos to cos(x sin t) - e sin(x sin t), and the node
+# values are summed by halving.  From x = 25 on, J0 is Hankel's expansion
+# sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - pi/4 (DLMF 10.17.3), with
+# P and Q summed to 12 terms each below x = 100 and to 5 from there; the
+# first omitted term is below 2e-19 at x = 25 and 2e-18 at x = 100.  Every
+# value depends on its own x alone.
 
-    edges = np.concatenate([[1.0], special.jn_zeros(0, 4000)])
+
+def _hankel_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (-1)^k a_2k of P and (-1)^k a_2k+1 of x Q in powers of
+    1/x^2, k < n, with a_k = prod_{i<=k} -(2i-1)^2 / (k! 8^k)."""
+    a, num = [], 1
+    for k in range(2 * n):
+        a.append(num / (math.factorial(k) * 8**k))
+        num *= -((2 * k + 1) ** 2)
+    return (np.array([(-1) ** k * a[2 * k] for k in range(n)]),
+            np.array([(-1) ** k * a[2 * k + 1] for k in range(n)]))
+
+
+_HANKEL_P, _HANKEL_Q = _hankel_coefficients(12)
+
+
+def _split(a):
+    """a = hi + lo with hi of at most 26 significant bits, so a product of two his is exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_J0_SIN = np.sin((np.arange(32) + 0.5) * (math.pi / 64))  # sin t at the midpoint nodes
+_J0_SIN_HI, _J0_SIN_LO = _split(_J0_SIN)
+
+
+def _hankel_j0(x: np.ndarray, n: int) -> np.ndarray:
+    """Hankel's expansion of J0 with n terms each of P and Q."""
+    t = 1.0 / (x * x)
+    p = np.full_like(x, _HANKEL_P[n - 1])
+    q = np.full_like(x, _HANKEL_Q[n - 1])
+    for k in range(n - 2, -1, -1):
+        p *= t
+        p += _HANKEL_P[k]
+        q *= t
+        q += _HANKEL_Q[k]
+    chi = x - math.pi / 4
+    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q / x * np.sin(chi))
+
+
+def _j0(x) -> np.ndarray:
+    """The Bessel function J0, elementwise.
+
+    Absolute error at most 2e-16 below x = 25 and 2e-16 + 1e-16 sqrt(x) from
+    there: the second term is the rounding of the phase x - pi/4 to a double,
+    which scipy.special.j0 shares.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    near = x < 25.0
+    xs = x[near][:, None]
+    arg = xs * _J0_SIN
+    hi, lo = _split(xs)
+    err = ((hi * _J0_SIN_HI - arg) + hi * _J0_SIN_LO + lo * _J0_SIN_HI) + lo * _J0_SIN_LO
+    vals = np.cos(arg) - err * np.sin(arg)
+    while vals.shape[1] > 1:
+        half = vals.shape[1] // 2
+        vals = vals[:, :half] + vals[:, half:]
+    out[near] = vals[:, 0] / len(_J0_SIN)
+    mid = ~near & (x < 100.0)
+    out[mid] = _hankel_j0(x[mid], 12)
+    far = ~near & ~mid
+    out[far] = _hankel_j0(x[far], 5)
+    return out
+
+
+def _j0_zeros(k: np.ndarray) -> np.ndarray:
+    """The zeros j_{0,k} (k >= 1) of _j0: McMahon's expansion (DLMF 10.21.19),
+    refined by 8 secant steps; a step with no change in J0 leaves its zero."""
+    b = (np.asarray(k, dtype=float) - 0.25) * math.pi
+    w = 1.0 / (8.0 * b)
+    x1 = b + w - 124.0 / 3.0 * w**3 + 120928.0 / 15.0 * w**5
+    x0 = x1 * (1.0 - 1e-6)
+    f0 = _j0(x0)
+    for _ in range(8):
+        f1 = _j0(x1)
+        d = f1 - f0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(d != 0.0, f1 * (x1 - x0) / d, 0.0)
+        x0, f0, x1 = x1, f1, x1 - step
+    return x1
+
+
+# Bessel-zero panels integrated per block; the blocks past the stopping panel
+# are never computed, and a radius that needs more than BESSEL_PANEL_LIMIT
+# panels raises
+BESSEL_BLOCK = 256
+BESSEL_PANEL_LIMIT = 1 << 16
+
+
+@functools.cache
+def _bessel_panel_edges(block: int) -> np.ndarray:
+    """Entries block*BESSEL_BLOCK .. (block+1)*BESSEL_BLOCK of the panel edges
+    1, j_{0,1}, j_{0,2}, ... (read-only; each block built on first use)."""
+    k = np.arange(block * BESSEL_BLOCK, (block + 1) * BESSEL_BLOCK + 1)
+    edges = _j0_zeros(np.maximum(k, 1))
+    edges[k == 0] = 1.0
     edges.flags.writeable = False
     return edges
 
 
-# Bessel-zero panels integrated per block; the blocks past the stopping panel are never computed
-BESSEL_BLOCK = 256
-
-
-def _gtilde_normalized(cutoffs: CutoffFamily, r: float) -> tuple[float, float]:
+def _gtilde_normalized(cutoffs: CutoffFamily, r: float, j0_blocks: list) -> tuple[float, float]:
     """gtilde(x|0) at |x| = r and its summed n/2n panel gap.
 
     Split at rho = 1/r into a head int (J0 - 1) u drho/rho, the
     non-oscillatory int u drho/rho and the oscillatory int J0 u drho/rho,
-    the last in panels between consecutive Bessel zeros of s = rho r,
+    the last in panels between consecutive zeros of J0 in s = rho r,
     summed up to the first panel past s = 30 r whose value is below 1e-13.
-    Those panels are integrated BESSEL_BLOCK at a time, up to the block
-    that holds the stopping panel.
+    Those panels are integrated BESSEL_BLOCK at a time, each block's zeros
+    built when first needed, up to the block that holds the stopping panel;
+    a radius with no stop within BESSEL_PANEL_LIMIT panels raises.  The
+    panels do not depend on r, so J0 at the nodes of block b is kept as
+    j0_blocks[b], computed by the first call that reaches block b and read
+    by every later call given the same list.
     """
-    from scipy import special  # only the Coulomb fit needs J0; scipy.special is slow to import
-
     u = cutoffs.u_profile
     lo = 1.0 / r
-    head, e_head = _panel_quad(lambda rho: (special.j0(rho * r) - 1.0) * u(rho) / rho, [0.0, lo],
+    head, e_head = _panel_quad(lambda rho: (_j0(rho * r) - 1.0) * u(rho) / rho, [0.0, lo],
                                f"gtilde head at r={r:g}")
     nonosc, e_nonosc = _panel_quad(lambda rho: u(rho) / rho, _edges(lo, 200.0, 8.0),
                                    f"gtilde non-oscillatory piece at r={r:g}")
-    zeros = _bessel_panel_edges()
     blocks = []
-    n = len(zeros) - 1
-    for k in range(0, n, BESSEL_BLOCK):
-        edges = zeros[k : k + BESSEL_BLOCK + 1]
-        blocks.append(_panel_quad(lambda s: special.j0(s) * u(s / r) / s, edges,
-                                  f"gtilde Bessel-zero panels from panel {k} at r={r:g}"))
+    for b in itertools.count():
+        k = b * BESSEL_BLOCK
+        if k >= BESSEL_PANEL_LIMIT:
+            raise RuntimeError(f"gtilde at r={r:g}: no stopping panel among the first {k} Bessel-zero panels")
+        edges = _bessel_panel_edges(b)
+
+        def osc(s, b=b):
+            if len(j0_blocks) == b:
+                j0_blocks.append(_j0(s))
+            return j0_blocks[b] * u(s / r) / s
+
+        blocks.append(_panel_quad(osc, edges, f"gtilde Bessel-zero panels from panel {k} at r={r:g}"))
         done = np.flatnonzero((edges[1:] > 30.0 * r) & (np.abs(blocks[-1][0]) < 1e-13))
         if done.size:
             n = k + int(done[0]) + 1
@@ -451,7 +564,8 @@ def coulomb_constant_c(cutoffs: CutoffFamily, window=(50.0, 200.0), npts: int = 
     closed form; each error names its quantity and value, in c_log units.
     """
     rs = np.geomspace(window[0], window[1], npts)
-    vals, errs = np.array([_gtilde_normalized(cutoffs, float(r)) for r in rs]).T
+    j0_blocks: list = []  # J0 at the Bessel-panel nodes, shared by the radii
+    vals, errs = np.array([_gtilde_normalized(cutoffs, float(r), j0_blocks) for r in rs]).T
     A = np.vstack([np.log(rs), np.ones_like(rs)]).T
     (slope, c_log), *_ = np.linalg.lstsq(A, vals, rcond=None)
     fitted = A @ np.array([slope, c_log])

@@ -461,8 +461,14 @@ class JExtractionReport:
 
 def _small_family(pav: BlockPaving) -> list[frozenset]:
     """The small polymers of the paving as block sets, in `sorted(..., key=sorted)`
-    order: the connected sets of at most four blocks that do not wind."""
-    return [s for s in _torus_sets(pav.n_axis, 4) if not _component_data(pav, s)[0][1]]
+    order: the connected sets of at most four blocks that do not wind.
+
+    Such a set winds only around a torus of fewer than five blocks per axis,
+    so the winding check runs only there."""
+    sets = _torus_sets(pav.n_axis, 4)
+    if pav.n_axis >= 5:
+        return sets
+    return [s for s in sets if not _component_data(pav, s)[0][1]]
 
 
 @dataclass(frozen=True, eq=False)

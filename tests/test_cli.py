@@ -343,13 +343,19 @@ def test_flow_outside_ball_fails(tmp_path, capsys):
 SCIPY_HEAVY = ("scipy.fft", "scipy.special", "scipy._lib._array_api")
 
 
-@pytest.mark.parametrize("argv, loads_special", [
-    (["separatrix", "--y1", "0.01"], False),
-    (["decompose", "--L", "3", "--R", "3"], False),
-    (["coeffs", "--L", "3", "--R", "3", "--j-max", "2"], True),
-], ids=["separatrix", "decompose", "coeffs"])
-def test_scipy_submodules_load_only_for_the_coulomb_fit(tmp_path, argv, loads_special):
-    # a fresh interpreter: the test process itself has imported scipy.special
+@pytest.mark.parametrize("argv", [
+    ["separatrix", "--y1", "0.01"],
+    ["decompose", "--L", "3", "--R", "3"],
+    ["coeffs", "--L", "3", "--R", "3", "--j-max", "2"],
+    ["flow", "--y1", "0.01", "--horizon", "2000"],
+    ["polymers"],
+    ["oracle", "--side", "3", "--nmax", "2"],
+    ["verify-all"],
+], ids=lambda argv: argv[0])
+def test_scipy_submodules_load_only_for_the_coulomb_fit(tmp_path, argv):
+    # a fresh interpreter: the test process itself has imported scipy.special.
+    # The Coulomb fit takes J0 and its zeros from ktrg.cutoffs, so no command,
+    # coeffs included, loads any of them
     script = (
         "import json, sys\n"
         "import ktrg.cli as cli\n"
@@ -359,11 +365,7 @@ def test_scipy_submodules_load_only_for_the_coulomb_fit(tmp_path, argv, loads_sp
     src = os.path.dirname(os.path.dirname(ktrg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(run.stdout.splitlines()[-1])
-    if loads_special:
-        assert "scipy.special" in loaded
-    else:
-        assert loaded == []
+    assert json.loads(run.stdout.splitlines()[-1]) == []
 
 
 EXAMPLE_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "run.example.ini")

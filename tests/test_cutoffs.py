@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate, special
 
 from ktrg.cutoffs import (
-    FejerPass, _c_log_closed_form, _edges, _gtilde_normalized, _panel_quad, build_cutoffs, coulomb_constant_c,
-    coulomb_constant_closed,
+    FejerPass, _c_log_closed_form, _edges, _gtilde_normalized, _j0, _j0_zeros, _panel_quad, build_cutoffs,
+    coulomb_constant_c, coulomb_constant_closed,
 )
 
 from conftest import one_minus_factor_over_u
@@ -198,7 +198,7 @@ def test_coulomb_fit_gates_name_the_quantity_that_failed(fam, cc, monkeypatch):
         with pytest.raises(RuntimeError, match=r"off its closed form: intercept gap 2\.000e-04"):
             coulomb_constant_c(fam)
     # values linear in |x| leave the log fit an rms far above 1e-4
-    monkeypatch.setattr(cutoffs, "_gtilde_normalized", lambda c, r: (r, 0.0))
+    monkeypatch.setattr(cutoffs, "_gtilde_normalized", lambda c, r, j0_blocks: (r, 0.0))
     with pytest.raises(RuntimeError, match=r"non-flat tail in the Coulomb-constant fit: rms residual \d"):
         coulomb_constant_c(fam)
 
@@ -270,14 +270,18 @@ def _quad_c_log(cutoffs):
     return (math.log(2.0) - euler_gamma + i1 - i2) / (2.0 * math.pi)
 
 
-def _all_panels_gtilde_normalized(cutoffs, r):
-    """All-panels oracle: every Bessel-zero panel integrated in one call, then summed to the stop."""
+def _all_panels_gtilde_normalized(cutoffs, r, j0=_j0, zeros=None):
+    """All-panels oracle: every Bessel-zero panel integrated in one call, then summed to the stop.
+
+    J0 and its first 4000 zeros are the in-house ones unless given; with
+    scipy's this is the path the in-house J0 replaced.
+    """
     u = cutoffs.u_profile
     lo = 1.0 / r
-    head, e_head = _panel_quad(lambda rho: (special.j0(rho * r) - 1.0) * u(rho) / rho, [0.0, lo], "head")
+    head, e_head = _panel_quad(lambda rho: (j0(rho * r) - 1.0) * u(rho) / rho, [0.0, lo], "head")
     nonosc, e_nonosc = _panel_quad(lambda rho: u(rho) / rho, _edges(lo, 200.0, 8.0), "non-oscillatory")
-    zeros = np.concatenate([[1.0], special.jn_zeros(0, 4000)])
-    osc, e_osc = _panel_quad(lambda s: special.j0(s) * u(s / r) / s, zeros, "Bessel-zero panels")
+    zeros = np.concatenate([[1.0], _j0_zeros(np.arange(1, 4001)) if zeros is None else zeros])
+    osc, e_osc = _panel_quad(lambda s: j0(s) * u(s / r) / s, zeros, "Bessel-zero panels")
     done = np.flatnonzero((zeros[1:] > 30.0 * r) & (np.abs(osc) < 1e-13))
     n = int(done[0]) + 1 if done.size else len(osc)
     value = float(np.sum(head)) + float(np.sum(osc[:n])) - float(np.sum(nonosc))
@@ -302,19 +306,32 @@ def test_blockwise_gtilde_bit_identical_to_all_panels(fam, monkeypatch, r, stop)
         return real(f, edges, name)
 
     monkeypatch.setattr(cutoffs, "_panel_quad", counted)
-    assert _gtilde_normalized(fam, r) == (value, gap)
+    assert _gtilde_normalized(fam, r, []) == (value, gap)
     assert sum(panels) == -(-stop // cutoffs.BESSEL_BLOCK) * cutoffs.BESSEL_BLOCK
 
 
 def test_coulomb_constant_bit_identical_to_all_panels(fam, cc, monkeypatch):
     import ktrg.cutoffs as cutoffs
 
-    monkeypatch.setattr(cutoffs, "_gtilde_normalized", lambda c, r: _all_panels_gtilde_normalized(c, r)[:2])
+    monkeypatch.setattr(cutoffs, "_gtilde_normalized", lambda c, r, j0_blocks: _all_panels_gtilde_normalized(c, r)[:2])
     assert coulomb_constant_c(fam) == cc
 
 
+def test_coulomb_constant_matches_the_scipy_fit(fam, cc, monkeypatch):
+    # the parent path: scipy's J0 and jn_zeros(0, 4000), summed to the same stop
+    import ktrg.cutoffs as cutoffs
+
+    zeros = special.jn_zeros(0, 4000)
+    monkeypatch.setattr(cutoffs, "_gtilde_normalized",
+                        lambda c, r, j0_blocks: _all_panels_gtilde_normalized(c, r, special.j0, zeros)[:2])
+    old = coulomb_constant_c(fam)
+    assert abs(cc.c - old.c) / (8.0 * math.pi) <= 1e-13
+    assert abs(cc.slope - old.slope) <= 1e-13
+    assert cc.c_closed == old.c_closed
+
+
 def test_gtilde_matches_quad_oracle(fam):
-    value, gap = _gtilde_normalized(fam, 50.0)
+    value, gap = _gtilde_normalized(fam, 50.0, [])
     assert value == pytest.approx(_quad_gtilde_normalized(fam, 50.0), abs=1e-10)
     assert 0.0 <= gap < 1e-10
 
@@ -475,20 +492,96 @@ def test_pass_band_sum_refuses_a_scale_behind_the_pass(fam):
 
 
 def test_bessel_panel_edges_built_once_on_first_use(fam, monkeypatch):
+    # each block of zeros is built on first use, once per process, and only
+    # up to the block that holds the stopping panel of the largest radius
     import ktrg.cutoffs as cutoffs
 
     calls = []
-    real = special.jn_zeros
+    real = cutoffs._j0_zeros
 
-    def counted(n, nt):
-        calls.append((n, nt))
-        return real(n, nt)
+    def counted(k):
+        calls.append((int(k[0]), len(k)))
+        return real(k)
 
-    monkeypatch.setattr(special, "jn_zeros", counted)
+    monkeypatch.setattr(cutoffs, "_j0_zeros", counted)
     cutoffs._bessel_panel_edges.cache_clear()
     for r in (50.0, 100.0, 200.0):
-        _gtilde_normalized(fam, r)
-    assert calls == [(0, 4000)]
-    edges = cutoffs._bessel_panel_edges()
-    assert np.array_equal(edges, np.concatenate([[1.0], real(0, 4000)]))
-    assert not edges.flags.writeable
+        _gtilde_normalized(fam, r, [])
+    B = cutoffs.BESSEL_BLOCK
+    assert calls == [(max(b * B, 1), B + 1) for b in range(-(-3393 // B))]
+    blocks = [cutoffs._bessel_panel_edges(b) for b in range(len(calls))]
+    assert all(not e.flags.writeable for e in blocks)
+    assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    edges = np.concatenate([blocks[0][:1]] + [e[1:] for e in blocks])
+    assert edges[0] == 1.0 and np.array_equal(edges[1:], real(np.arange(1, len(edges))))
+
+
+def test_one_fit_evaluates_j0_once_per_block(fam, monkeypatch):
+    # r = 50, 100 and 200 stop in blocks 4, 6 and 13: one fit evaluates J0 on
+    # 14 blocks of nodes, not 5 + 7 + 14, and a second fit does so again
+    import ktrg.cutoffs as cutoffs
+
+    shapes = []
+    real = cutoffs._j0
+    monkeypatch.setattr(cutoffs, "_j0", lambda x: shapes.append(np.shape(x)) or real(x))
+    block = (cutoffs.BESSEL_BLOCK, 3 * cutoffs.QUAD_NODES)
+    for _ in range(2):
+        shapes.clear()
+        coulomb_constant_c(fam)
+        assert shapes.count(block) == 14
+
+
+def test_j0_within_5e16_of_scipy_up_to_13000():
+    # Hankel's expansion takes over at x = 25 and drops to 5 + 5 terms at 100.
+    # scipy's j0 is itself up to 4.6e-16 off below x = 1 (against mpmath), so
+    # a grid dense in (0, 1) finds gaps of 5.6e-16 there; the mpmath test
+    # below bounds the in-house error on its own
+    x = np.concatenate([np.linspace(0.0, 13000.0, 1_300_001), np.linspace(24.0, 26.0, 20_001),
+                        np.linspace(99.0, 101.0, 20_001), np.nextafter(np.array([25.0, 100.0]), 0.0)])
+    assert np.max(np.abs(_j0(x) - special.j0(x))) <= 5e-16
+    assert np.array_equal(_j0(-x), _j0(x))
+
+
+def test_j0_error_bound_against_mpmath():
+    # the docstring's bound, 2e-16 below 25 and 2e-16 + 1e-16 sqrt(x) above,
+    # holds at spot points, and the in-house J0 is never further from the
+    # exact value than scipy's j0 is at the same points, beyond 1.2e-16
+    import mpmath
+
+    mpmath.mp.prec = 120
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(0.0, 25.0, 300), rng.uniform(25.0, 100.0, 100), rng.uniform(100.0, 13000.0, 100),
+                        np.geomspace(1e-8, 1.0, 20), [0.0, 24.999999, 25.0, 99.99999, 100.0, 12999.5]])
+    ours, theirs = _j0(x), special.j0(x)
+    for xv, a, b in zip(x, ours, theirs):
+        exact = mpmath.besselj(0, mpmath.mpf(float(xv)))
+        gap = abs(float(mpmath.mpf(float(a)) - exact))
+        assert gap <= 2e-16 + (1e-16 * math.sqrt(xv) if xv >= 25.0 else 0.0), xv
+        assert gap <= abs(float(mpmath.mpf(float(b)) - exact)) + 1.2e-16, xv
+
+
+def test_j0_zeros_within_4_ulps_of_jn_zeros():
+    ref = special.jn_zeros(0, 4000)
+    zeros = _j0_zeros(np.arange(1, 4001))
+    assert np.max(np.abs(zeros - ref) / np.spacing(ref)) <= 4
+    # each zero is computed from its index alone
+    assert np.array_equal(_j0_zeros(np.arange(2000, 2300)), zeros[1999:2299])
+
+
+def test_gtilde_past_the_4000th_zero_reaches_the_asymptote(fam):
+    # r = 1000 stops near panel 16 000, past the 4000 zeros once tabulated,
+    # whose sum left gtilde 3.3e-8 off; scipy with 12 000 zeros reads 4.0e-9
+    value, gap = _gtilde_normalized(fam, 1000.0, [])
+    assert abs(value - (-math.log(1000.0) / (2.0 * math.pi) + _c_log_closed_form(fam))) < 1e-8
+    assert 0.0 <= gap < 1e-10
+
+
+def test_gtilde_without_a_stop_below_the_panel_limit_raises(fam, monkeypatch):
+    import ktrg.cutoffs as cutoffs
+
+    monkeypatch.setattr(cutoffs, "BESSEL_PANEL_LIMIT", 4 * cutoffs.BESSEL_BLOCK)
+    with pytest.raises(RuntimeError, match=r"gtilde at r=1000: no stopping panel among the first 1024 Bessel-zero panels"):
+        _gtilde_normalized(fam, 1000.0, [])
+    # r = 50 stops at panel 1258, inside five blocks
+    monkeypatch.setattr(cutoffs, "BESSEL_PANEL_LIMIT", 5 * cutoffs.BESSEL_BLOCK)
+    assert _gtilde_normalized(fam, 50.0, [])

@@ -395,6 +395,23 @@ def test_small_family_matches_per_origin_enumeration(dims):
         assert _small_family(pav) == want
 
 
+
+def test_small_family_checks_winding_only_below_five_blocks_per_axis(monkeypatch):
+    # a set of at most four blocks winds only around a torus of fewer than
+    # five blocks per axis: on (3, 2, 1), three per axis, 108 of the 150 sets
+    # survive the check; on (3, 2, 0), (3, 3, 1) and (5, 2, 0) no set is
+    # checked (the family still equals the checked one, as tested above)
+    import ktrg.polymers as polymers
+
+    calls = []
+    real = polymers._component_data
+    monkeypatch.setattr(polymers, "_component_data", lambda pav, s: calls.append(s) or real(pav, s))
+    assert len(_small_family(paving(3, 2, 1))) == 108 and len(calls) == len(_torus_sets(3, 4)) == 150
+    for dims in ((3, 2, 0), (3, 3, 1), (5, 2, 0)):
+        calls.clear()
+        pav = paving(*dims)
+        assert _small_family(pav) == _torus_sets(pav.n_axis, 4) and calls == []
+
 def test_count_polyominoes_is_A001168():
     assert count_polyominoes(8) == dict(enumerate(A001168, 1))
     assert count_polyominoes(1) == {1: 1}
